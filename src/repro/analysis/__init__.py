@@ -6,6 +6,19 @@ characterization of stabilized configurations, bottom-configuration search,
 exhaustive protocol verification on bounded populations, the Theorem 4.3 /
 Corollary 4.4 state-complexity bounds, and the Ackermann hierarchy used by the
 Czerner–Esparza comparison.
+
+Two representations keep the exact checks cheap:
+
+* coverability and stabilization queries are membership tests against
+  minimal bases of upward-closed sets.  :func:`coverability_basis` runs the
+  backward fixpoint once per ``(net, target)`` and :func:`unstabilized_basis`
+  takes the union once per set of forbidden states; both are cached on the
+  :class:`~repro.core.petrinet.PetriNet` instance and dropped when it is
+  pickled;
+* :func:`verify_input` / :func:`check_protocol` explore reachability graphs
+  as tuples of ints over the net's compiled tables and propagate output
+  stability on integer node ids
+  (:class:`~repro.core.semantics.DenseReachabilityGraph`).
 """
 
 from .ackermann import (
@@ -26,6 +39,7 @@ from .coverability import (
     OMEGA,
     KarpMillerTree,
     backward_coverability,
+    coverability_basis,
     is_coverable,
     rackoff_bound,
     rackoff_stabilization_threshold,
@@ -43,6 +57,7 @@ from .stability import (
     is_stabilized,
     lift_restricted_word,
     stabilization_certificate,
+    unstabilized_basis,
     violating_state,
 )
 from .state_complexity import (
@@ -72,6 +87,7 @@ from .verification import (
 __all__ = [
     "rackoff_bound",
     "rackoff_stabilization_threshold",
+    "coverability_basis",
     "backward_coverability",
     "is_coverable",
     "shortest_covering_word",
@@ -82,6 +98,7 @@ __all__ = [
     "shortest_distances",
     "strongly_connected_components",
     "condensation_is_bottom",
+    "unstabilized_basis",
     "is_stabilized",
     "violating_state",
     "StabilizationCertificate",

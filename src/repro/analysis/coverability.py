@@ -7,8 +7,12 @@ Section 5 only uses the *bound*; this module additionally implements two
 classical decision procedures so that the bound can be compared against actual
 shortest covering words (benchmark E4):
 
-* :func:`backward_coverability` — the Abdulla-style backward fixpoint on
-  upward-closed sets, which decides coverability exactly,
+* :func:`coverability_basis` — the Abdulla-style backward fixpoint on
+  upward-closed sets: the finite minimal basis of the configurations from
+  which a target is coverable.  It depends only on ``(net, target)``, so it
+  is computed once and cached on the net instance;
+  :func:`backward_coverability` (alias :func:`is_coverable`) is then a
+  membership test, ``some basis element <= source``,
 * :func:`shortest_covering_word` — explicit forward BFS returning a shortest
   witness (exponential, used on small instances only),
 * :class:`KarpMillerTree` — the classical coverability tree with
@@ -27,6 +31,7 @@ from ..core.transition import Transition
 __all__ = [
     "rackoff_bound",
     "rackoff_stabilization_threshold",
+    "coverability_basis",
     "is_coverable",
     "backward_coverability",
     "shortest_covering_word",
@@ -86,6 +91,56 @@ def _predecessor_basis(target: Configuration, transition: Transition) -> Configu
     return transition.pre + needed
 
 
+def _backward_fixpoint(
+    net: PetriNet, target: Configuration, max_iterations: Optional[int]
+) -> Tuple[Configuration, ...]:
+    """The minimal basis of the configurations from which ``target`` is coverable.
+
+    Start from the upward closure of ``target`` and repeatedly add minimal
+    predecessors until stabilization (guaranteed by Dickson's lemma).  Each
+    round expands only the elements the previous round added: the
+    predecessor map is monotone and upward closures only grow, so the
+    predecessors of older elements are already covered.
+    """
+    basis: List[Configuration] = [target]
+    frontier: List[Configuration] = [target]
+    iterations = 0
+    while True:
+        iterations += 1
+        if max_iterations is not None and iterations > max_iterations:
+            raise RuntimeError(f"backward coverability exceeded {max_iterations} iterations")
+        new_elements: List[Configuration] = []
+        for element in frontier:
+            for transition in net.transitions:
+                predecessor = _predecessor_basis(element, transition)
+                if not any(existing <= predecessor for existing in basis):
+                    if not any(existing <= predecessor for existing in new_elements):
+                        new_elements.append(predecessor)
+        if not new_elements:
+            return tuple(basis)
+        basis = _minimal_elements(basis + new_elements)
+        frontier = [element for element in new_elements if element in basis]
+
+
+def coverability_basis(
+    net: PetriNet, target: Configuration, max_iterations: Optional[int] = None
+) -> Tuple[Configuration, ...]:
+    """The minimal basis of the configurations from which ``target`` is coverable.
+
+    That set is upward closed, so ``source`` can cover ``target`` iff some
+    element of the returned basis is ``<= source``.  The basis depends only
+    on ``(net, target)``: it is computed once and cached on the net instance
+    (dropped when the net is pickled).  ``max_iterations`` bounds the
+    fixpoint rounds of a cold computation and raises :class:`RuntimeError`
+    when exceeded; a partial basis is never cached.
+    """
+    basis = net._basis_cache.get(target)
+    if basis is None:
+        basis = _backward_fixpoint(net, target, max_iterations)
+        net._basis_cache[target] = basis
+    return basis
+
+
 def backward_coverability(
     net: PetriNet,
     source: Configuration,
@@ -94,28 +149,12 @@ def backward_coverability(
 ) -> bool:
     """Decide whether ``target`` is coverable from ``source`` (exact, always terminates).
 
-    Implements the classical backward fixpoint on upward-closed sets: start
-    from the upward closure of ``target`` and repeatedly add minimal
-    predecessors until stabilization (guaranteed by Dickson's lemma), then
-    test whether ``source`` is in the closure.
+    A membership test of ``source`` in the upward closure of
+    :func:`coverability_basis` (see there for ``max_iterations``).
     """
-    basis: List[Configuration] = [target]
-    iterations = 0
-    while True:
-        iterations += 1
-        if max_iterations is not None and iterations > max_iterations:
-            raise RuntimeError(f"backward coverability exceeded {max_iterations} iterations")
-        new_elements: List[Configuration] = []
-        for element in basis:
-            for transition in net.transitions:
-                predecessor = _predecessor_basis(element, transition)
-                if not any(existing <= predecessor for existing in basis):
-                    if not any(existing <= predecessor for existing in new_elements):
-                        new_elements.append(predecessor)
-        if not new_elements:
-            break
-        basis = _minimal_elements(basis + new_elements)
-    return any(element <= source for element in basis)
+    return any(
+        element <= source for element in coverability_basis(net, target, max_iterations)
+    )
 
 
 def is_coverable(net: PetriNet, source: Configuration, target: Configuration) -> bool:

@@ -11,9 +11,15 @@ Rackoff threshold ``h``, then **every** configuration ``alpha`` with
 
 This module implements:
 
-* :func:`is_stabilized` — an exact test using backward coverability
-  (a configuration is stabilized iff no forbidden unit configuration is
-  coverable from it),
+* :func:`unstabilized_basis` — the configurations that are *not* stabilized
+  form an upward-closed set: the union, over the forbidden states ``p``, of
+  the configurations from which the unit configuration ``p`` is coverable.
+  Its minimal basis is the union of the cached per-state
+  :func:`~repro.analysis.coverability.coverability_basis` results, reduced
+  to its minimal elements and cached on the net per set of forbidden states,
+* :func:`is_stabilized` — the exact test: a configuration is stabilized iff
+  no element of that basis is below it, so after the first call per
+  ``(net, F)`` it costs a few vector comparisons,
 * :func:`violating_state` — a forbidden state reachable with positive count,
   with a witness word,
 * :class:`StabilizationCertificate` — the Lemma 5.4 certificate (the
@@ -29,15 +35,46 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 from ..core.configuration import Configuration, State
 from ..core.petrinet import PetriNet
 from ..core.transition import Transition
-from .coverability import backward_coverability, rackoff_stabilization_threshold
+from .coverability import (
+    _minimal_elements,
+    backward_coverability,
+    coverability_basis,
+    rackoff_stabilization_threshold,
+)
 
 __all__ = [
+    "unstabilized_basis",
     "is_stabilized",
     "violating_state",
     "StabilizationCertificate",
     "stabilization_certificate",
     "lift_restricted_word",
 ]
+
+
+def unstabilized_basis(
+    net: PetriNet, allowed_states: Iterable[State]
+) -> Tuple[Configuration, ...]:
+    """The minimal basis of the configurations that are not ``(T, F)``-stabilized.
+
+    A configuration is not stabilized iff it can cover the unit
+    configuration of some state of ``net`` outside ``allowed_states``, so the
+    basis is the minimal elements of the union of the per-state
+    :func:`~repro.analysis.coverability.coverability_basis` results.  It is
+    cached on the net per set of forbidden states, and its order follows the
+    ``str`` order of those states, never set iteration order.
+    """
+    forbidden = net.states - frozenset(allowed_states)
+    basis = net._union_basis_cache.get(forbidden)
+    if basis is None:
+        union = [
+            element
+            for state in sorted(forbidden, key=str)
+            for element in coverability_basis(net, Configuration.unit(state))
+        ]
+        basis = tuple(_minimal_elements(union))
+        net._union_basis_cache[forbidden] = basis
+    return basis
 
 
 def is_stabilized(
@@ -49,17 +86,12 @@ def is_stabilized(
 
     ``configuration`` is stabilized iff for every state ``p`` outside
     ``allowed_states``, the unit configuration ``p`` is **not** coverable from
-    it.  Backward coverability makes this an exact, always-terminating test.
+    it, i.e. iff no element of :func:`unstabilized_basis` is below it.
+    Backward coverability makes this an exact, always-terminating test.
     """
-    allowed = set(allowed_states)
-    for state in net.states:
-        if state in allowed:
-            continue
-        if configuration[state] > 0:
-            return False
-        if backward_coverability(net, configuration, Configuration.unit(state)):
-            return False
-    return True
+    return not any(
+        element <= configuration for element in unstabilized_basis(net, allowed_states)
+    )
 
 
 def violating_state(
@@ -70,15 +102,13 @@ def violating_state(
 ) -> Optional[Tuple[State, List[Transition]]]:
     """A forbidden state reachable with positive count, with a covering witness.
 
-    Returns ``None`` when the configuration is stabilized.  The witness word
+    Returns ``None`` when the configuration is stabilized; otherwise the
+    first coverable forbidden state in ``str`` order.  The witness word
     is a shortest covering word found by forward search (so the instance
     should be small or conservative); its length can be compared against the
     Rackoff bound of Lemma 5.3.
     """
-    allowed = set(allowed_states)
-    for state in net.states:
-        if state in allowed:
-            continue
+    for state in sorted(net.states - frozenset(allowed_states), key=str):
         target = Configuration.unit(state)
         if not backward_coverability(net, configuration, target):
             continue

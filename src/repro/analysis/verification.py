@@ -5,8 +5,8 @@ the well-specification problem, which is Ackermann-complete in general (see
 the paper's introduction).  The experiments only need exactness on bounded
 populations: this module exhaustively checks the stable-computation condition
 of Section 2 for every input configuration up to a given number of agents,
-using the explicit reachability graph and the output-stability machinery of
-:mod:`repro.core.semantics`.
+using the dense explicit reachability graph and output-stability propagation
+of :class:`repro.core.semantics.DenseReachabilityGraph`.
 
 The main entry points are:
 
@@ -20,13 +20,12 @@ The main entry points are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
-from ..core.configuration import Configuration, State
-from ..core.petrinet import ExplorationLimitError
+from ..core.configuration import Configuration
 from ..core.predicates import Predicate
-from ..core.protocol import OUTPUT_ONE, OUTPUT_ZERO, Protocol
-from ..core.semantics import always_eventually_stable
+from ..core.protocol import Protocol
+from ..core.semantics import DenseReachabilityGraph
 from .reachability import enumerate_configurations_up_to
 
 __all__ = [
@@ -122,22 +121,16 @@ def verify_input(
     """Check the stable-computation condition for a single input configuration.
 
     The protocol must be Petri-net based.  The reachability graph from the
-    initial configuration ``rho_L + inputs|_P`` is built explicitly, and the
-    paper's condition — from every reachable configuration, a
+    initial configuration ``rho_L + inputs|_P`` is built explicitly, on
+    tuples of ints over the net's compiled tables
+    (:class:`~repro.core.semantics.DenseReachabilityGraph`), and the paper's
+    condition — from every reachable configuration, a
     ``phi(rho)``-output-stable configuration remains reachable — is evaluated
     exactly on that graph.
     """
-    net = protocol.petri_net
-    if net is None:
-        raise ValueError("verification requires a Petri-net based protocol")
     root = protocol.initial_configuration(inputs)
-    graph = net.reachability_graph([root], max_nodes=max_nodes)
-
-    computed: Optional[int] = None
-    for value in (OUTPUT_ONE, OUTPUT_ZERO):
-        if always_eventually_stable(graph, protocol, root, value):
-            computed = value
-            break
+    graph = DenseReachabilityGraph(protocol, root, max_nodes)
+    computed = graph.stable_value()
     return InputVerdict(
         inputs=inputs,
         expected=expected,

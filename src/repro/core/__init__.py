@@ -23,6 +23,7 @@ from .predicates import (
 from .preorder import AdditivePreorder, PetriNetPreorder, RelationPreorder
 from .protocol import OUTPUT_ONE, OUTPUT_UNDEFINED, OUTPUT_ZERO, Output, Protocol
 from .semantics import (
+    DenseReachabilityGraph,
     always_eventually_stable,
     forward_closure,
     is_output_stable,
@@ -63,6 +64,7 @@ __all__ = [
     "ConstantPredicate",
     "counting",
     "forward_closure",
+    "DenseReachabilityGraph",
     "is_output_stable",
     "output_stable_nodes",
     "always_eventually_stable",

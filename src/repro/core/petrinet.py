@@ -130,6 +130,11 @@ class PetriNet:
         self.name = name
         self._compiled_cache: Dict[FrozenSet[State], "CompiledNet"] = {}
         self._vectorized_cache: Dict[FrozenSet[State], "VectorizedNet"] = {}
+        # Minimal coverability bases (repro.analysis.coverability): per target
+        # configuration, and their unions per set of forbidden states.  They
+        # depend only on the net, so they live exactly as long as it does.
+        self._basis_cache: Dict[Configuration, Tuple[Configuration, ...]] = {}
+        self._union_basis_cache: Dict[FrozenSet[State], Tuple[Configuration, ...]] = {}
 
     # ------------------------------------------------------------------
     # Basic accessors and measures
@@ -186,15 +191,17 @@ class PetriNet:
         return f"{label}(|P|={self.num_states}, |T|={self.num_transitions}, width={self.width})"
 
     def __getstate__(self) -> Dict[str, object]:
-        """Drop the compiled/vectorized-net caches: the compiled cache holds
-        ``exec``-generated stepper functions that cannot be pickled, and the
-        vectorized cache is dropped alongside it for symmetry (its plan
-        arrays would pickle, but rebuilding them is cheap).  Unpickled nets
-        (e.g. in batch worker processes) recompile on first simulation and
-        re-cache locally."""
+        """Drop the compiled/vectorized-net and coverability-basis caches:
+        the compiled cache holds ``exec``-generated stepper functions that
+        cannot be pickled, and the others are dropped alongside it so pickled
+        nets stay the size of their transitions (rebuilding them is cheap).
+        Unpickled nets (e.g. in batch worker processes) recompute on first
+        use and re-cache locally."""
         state = self.__dict__.copy()
         state["_compiled_cache"] = {}
         state["_vectorized_cache"] = {}
+        state["_basis_cache"] = {}
+        state["_union_basis_cache"] = {}
         return state
 
     # ------------------------------------------------------------------

@@ -14,24 +14,32 @@ every configuration ``alpha`` reachable from the initial configuration
 ``rho_L + rho|_P``, some configuration of ``S_{phi(rho)}`` is reachable from
 ``alpha``.
 
-This module computes these notions **exactly** on the finite reachability
-graphs produced by :meth:`repro.core.petrinet.PetriNet.reachability_graph`
-(conservative protocols, or bounded exploration for non-conservative ones),
-which is the workhorse of the verification layer
-(:mod:`repro.analysis.verification`).
+This module computes these notions **exactly** on finite reachability graphs
+(conservative protocols, or bounded exploration for non-conservative ones):
+
+* :class:`DenseReachabilityGraph` explores the graph from one root with
+  configurations as tuples of ints over the net's compiled integer tables and
+  propagates output stability on integer node ids.  It is the workhorse of
+  :func:`is_output_stable`, :func:`stable_consensus_value` and the
+  verification layer (:mod:`repro.analysis.verification`),
+* :func:`output_stable_nodes` and :func:`always_eventually_stable` evaluate
+  the same conditions on a sparse
+  :class:`~repro.core.petrinet.ReachabilityGraph`; they stay as public API
+  and as the oracle the dense explorer is tested against.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .configuration import Configuration
-from .petrinet import PetriNet, ReachabilityGraph
+from .petrinet import ExplorationLimitError, PetriNet, ReachabilityGraph
 from .protocol import OUTPUT_ONE, OUTPUT_ZERO, Protocol
 
 __all__ = [
     "forward_closure",
+    "DenseReachabilityGraph",
     "is_output_stable",
     "output_stable_nodes",
     "always_eventually_stable",
@@ -48,6 +56,126 @@ def forward_closure(
     return net.reachability_graph(roots, max_nodes=max_nodes)
 
 
+class DenseReachabilityGraph:
+    """The reachability graph of a protocol's net from one root, on integers.
+
+    Configurations are tuples of counts in the state order of
+    ``net.compiled(...)`` over the protocol's states, and transitions fire
+    through that compiled net's ``pre_lists`` and ``delta_lists``.  Nodes are
+    numbered in breadth-first discovery order (the root is node 0), the order
+    of :meth:`~repro.core.petrinet.PetriNet.reachability_graph`, and
+    ``successors[i]`` lists the ids that one enabled transition leads to from
+    node ``i`` (``predecessors`` is the reverse).  The graph has the same
+    nodes as the sparse one and raises
+    :class:`~repro.core.petrinet.ExplorationLimitError` on exactly the same
+    ``max_nodes`` budgets.
+
+    Raises :class:`ValueError` for protocols that are not Petri-net based.
+    """
+
+    def __init__(
+        self, protocol: Protocol, root: Configuration, max_nodes: Optional[int] = None
+    ) -> None:
+        from ..simulation.compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO
+
+        net = protocol.petri_net
+        if net is None:
+            raise ValueError("exact stability analysis requires a Petri-net based protocol")
+        compiled = net.compiled(protocol.states | root.support)
+        classes = compiled.output_classes(protocol.output_table)
+        # State indices per output class; states outside the output table
+        # never influence the consensus.
+        self._ones = [i for i, kind in enumerate(classes) if kind == OUT_ONE]
+        self._zeros = [i for i, kind in enumerate(classes) if kind == OUT_ZERO]
+        self._undefined = [i for i, kind in enumerate(classes) if kind == OUT_UNDEFINED]
+
+        start = tuple(compiled.counts_of(root))
+        moves = list(zip(compiled.pre_lists, compiled.delta_lists))
+        ids: Dict[Tuple[int, ...], int] = {start: 0}
+        nodes: List[Tuple[int, ...]] = [start]
+        successors: List[List[int]] = []
+        # Iterating a list that grows while it is walked is a FIFO queue.
+        for current in nodes:
+            targets: List[int] = []
+            for pre, delta in moves:
+                for index, needed in pre:
+                    if current[index] < needed:
+                        break
+                else:
+                    counts = list(current)
+                    for index, diff in delta:
+                        counts[index] += diff
+                    target = tuple(counts)
+                    node = ids.get(target)
+                    if node is None:
+                        node = len(nodes)
+                        if max_nodes is not None and node >= max_nodes:
+                            raise ExplorationLimitError(
+                                f"exploration exceeded {max_nodes} configurations"
+                            )
+                        ids[target] = node
+                        nodes.append(target)
+                    targets.append(node)
+            successors.append(targets)
+        predecessors: List[List[int]] = [[] for _ in nodes]
+        for source, targets in enumerate(successors):
+            for node in targets:
+                predecessors[node].append(source)
+        self.nodes: List[Tuple[int, ...]] = nodes
+        self.successors: List[List[int]] = successors
+        self.predecessors: List[List[int]] = predecessors
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def consensus(self, value: int) -> List[bool]:
+        """Per node, whether it has consensus ``value``
+        (:meth:`~repro.core.protocol.Protocol.has_consensus`)."""
+        if value == OUTPUT_ONE:
+            blocking, witnesses = self._zeros + self._undefined, self._ones
+        elif value == OUTPUT_ZERO:
+            blocking, witnesses = self._ones + self._undefined, None
+        else:
+            raise ValueError("consensus value must be 0 or 1")
+        return [
+            not any(map(node.__getitem__, blocking))
+            and (witnesses is None or any(map(node.__getitem__, witnesses)))
+            for node in self.nodes
+        ]
+
+    def _reaching(self, seeds: List[int]) -> List[bool]:
+        """Per node, whether it can reach a node of ``seeds`` (seeds included)."""
+        predecessors = self.predecessors
+        reached = [False] * len(self.nodes)
+        for seed in seeds:
+            reached[seed] = True
+        stack = list(seeds)
+        while stack:
+            for source in predecessors[stack.pop()]:
+                if not reached[source]:
+                    reached[source] = True
+                    stack.append(source)
+        return reached
+
+    def always_eventually_stable(self, value: int) -> bool:
+        """Whether every node can still reach a ``value``-output-stable node.
+
+        A node is ``value``-output stable iff it cannot reach a node without
+        consensus ``value``.  Every node is reachable from the root, so this
+        is the stable-computation condition of :func:`always_eventually_stable`.
+        """
+        unstable = self._reaching([i for i, ok in enumerate(self.consensus(value)) if not ok])
+        return all(self._reaching([i for i, bad in enumerate(unstable) if not bad]))
+
+    def stable_value(self) -> Optional[int]:
+        """The output stably computed from the root, or ``None`` (see
+        :func:`stable_consensus_value`)."""
+        for value in (OUTPUT_ONE, OUTPUT_ZERO):
+            if self.always_eventually_stable(value):
+                return value
+        return None
+
+
 def is_output_stable(
     protocol: Protocol,
     configuration: Configuration,
@@ -60,11 +188,7 @@ def is_output_stable(
     forward closure is explored explicitly).  For conservative protocols the
     exploration always terminates; otherwise pass ``max_nodes``.
     """
-    net = protocol.petri_net
-    if net is None:
-        raise ValueError("output stability requires a Petri-net based protocol")
-    graph = net.reachability_graph([configuration], max_nodes=max_nodes)
-    return all(protocol.has_consensus(node, value) for node in graph.nodes)
+    return all(DenseReachabilityGraph(protocol, configuration, max_nodes).consensus(value))
 
 
 def output_stable_nodes(
@@ -155,12 +279,5 @@ def stable_consensus_value(
       configuration cannot be simultaneously 0- and 1-output stable unless the
       graph is empty.
     """
-    net = protocol.petri_net
-    if net is None:
-        raise ValueError("stable_consensus_value requires a Petri-net based protocol")
     root = protocol.initial_configuration(inputs)
-    graph = net.reachability_graph([root], max_nodes=max_nodes)
-    for value in (OUTPUT_ONE, OUTPUT_ZERO):
-        if always_eventually_stable(graph, protocol, root, value):
-            return value
-    return None
+    return DenseReachabilityGraph(protocol, root, max_nodes).stable_value()

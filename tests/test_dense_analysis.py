@@ -1,0 +1,347 @@
+"""Oracle tests for the dense, cached analysis layer.
+
+* ``verify_input`` / ``stable_consensus_value`` / ``is_output_stable`` run on
+  :class:`repro.core.semantics.DenseReachabilityGraph`.  On seeded random
+  small protocols (conservative or not, with leaders, '*'-outputs and
+  isolated states) they must agree with the sparse
+  ``net.reachability_graph`` + ``always_eventually_stable`` path: same
+  ``computed``, same ``explored``, and ``ExplorationLimitError`` on exactly
+  the same ``max_nodes`` budgets.
+* ``backward_coverability`` and ``is_stabilized`` are membership tests
+  against bases cached on the net.  They must equal a from-scratch backward
+  fixpoint for every target tried and every set of forbidden states, and the
+  cache must be invisible: hits equal cold calls, partial bases are never
+  kept, pickles do not grow, and the basis order does not follow set hash
+  order.
+"""
+
+import gc
+import itertools
+import os
+import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.analysis import (
+    backward_coverability,
+    coverability_basis,
+    is_stabilized,
+    unstabilized_basis,
+    verify_input,
+)
+from repro.analysis.reachability import enumerate_configurations_up_to
+from repro.core import (
+    Configuration,
+    DenseReachabilityGraph,
+    ExplorationLimitError,
+    PetriNet,
+    Protocol,
+    Transition,
+    always_eventually_stable,
+    from_counts,
+    is_output_stable,
+    output_stable_nodes,
+    stable_consensus_value,
+    unit,
+)
+from repro.core.protocol import OUTPUT_ONE, OUTPUT_UNDEFINED, OUTPUT_ZERO
+from repro.protocols import modulo_protocol
+from repro.sweep import build_protocol_and_inputs
+
+#: Exploration budget of the non-conservative cases (their reachability
+#: sets may be infinite).
+BUDGET = 150
+
+
+def _random_multiset(rng, states, min_size, max_size):
+    """A random configuration over ``states`` with ``min_size..max_size`` agents."""
+    counts = {}
+    for _ in range(rng.randint(min_size, max_size)):
+        state = rng.choice(states)
+        counts[state] = counts.get(state, 0) + 1
+    return Configuration(counts)
+
+
+def _random_protocol(rng, conservative):
+    """A random small Petri-net protocol: arbitrary pre multisets and, unless
+    ``conservative``, post multisets of any size, so spawning and dying
+    transitions occur.  Leaders, '*'-output states and an isolated state the
+    net never touches are all possible."""
+    states = [f"s{i}" for i in range(rng.randint(2, 5))]
+    transitions = []
+    for t in range(rng.randint(1, 5)):
+        pre = _random_multiset(rng, states, 1, 2)
+        if conservative:
+            post = _random_multiset(rng, states, pre.size, pre.size)
+        else:
+            post = _random_multiset(rng, states, 0, 3)
+        transitions.append(Transition(pre, post, name=f"t{t}"))
+    net = PetriNet(transitions, states=states, name="random")
+    outputs = [OUTPUT_ZERO, OUTPUT_ONE]
+    if rng.random() < 0.4:
+        outputs.append(OUTPUT_UNDEFINED)
+    isolated = ["x"] if rng.random() < 0.3 else []
+    output = {state: rng.choice(outputs) for state in states + isolated}
+    protocol = Protocol.from_petri_net(
+        net,
+        leaders=_random_multiset(rng, states, 0, 1),
+        initial_states=states + isolated,
+        output=output,
+        name="random",
+        extra_states=isolated,
+    )
+    inputs = _random_multiset(rng, states + isolated, 3, 10)
+    return protocol, inputs
+
+
+def _cases(count):
+    rng = random.Random(20221)
+    for index in range(count):
+        conservative = index % 2 == 0
+        protocol, inputs = _random_protocol(rng, conservative)
+        yield index, conservative, protocol, inputs
+
+
+def _sparse_verdict(protocol, inputs, max_nodes):
+    """``(computed, explored)`` on the sparse reachability graph: the oracle."""
+    root = protocol.initial_configuration(inputs)
+    graph = protocol.petri_net.reachability_graph([root], max_nodes=max_nodes)
+    for value in (OUTPUT_ONE, OUTPUT_ZERO):
+        if always_eventually_stable(graph, protocol, root, value):
+            return value, len(graph)
+    return None, len(graph)
+
+
+def _outcome(function, *args):
+    """The result of ``function(*args)``, or the exploration-limit marker."""
+    try:
+        return function(*args)
+    except ExplorationLimitError:
+        return "limit"
+
+
+def _dense_verdict(protocol, inputs, max_nodes):
+    verdict = verify_input(protocol, inputs, OUTPUT_ONE, max_nodes=max_nodes)
+    return verdict.computed, verdict.explored
+
+
+class TestDenseVerificationOracle:
+    @pytest.mark.parametrize("index, conservative, protocol, inputs", list(_cases(120)))
+    def test_verify_input_matches_sparse_graph(self, index, conservative, protocol, inputs):
+        budget = None if conservative else BUDGET
+        expected = _outcome(_sparse_verdict, protocol, inputs, budget)
+        assert _outcome(_dense_verdict, protocol, inputs, budget) == expected
+        computed = "limit" if expected == "limit" else expected[0]
+        assert _outcome(stable_consensus_value, protocol, inputs, budget) == computed
+
+    @pytest.mark.parametrize("index, conservative, protocol, inputs", list(_cases(120)))
+    def test_same_exploration_budgets(self, index, conservative, protocol, inputs):
+        if conservative:
+            size = _sparse_verdict(protocol, inputs, None)[1]
+            budgets = {0, 1, size // 2, size - 1, size, size + 1}
+        else:
+            budgets = {0, 1, 10, BUDGET}
+        for budget in sorted(budgets):
+            sparse = _outcome(_sparse_verdict, protocol, inputs, budget)
+            assert _outcome(_dense_verdict, protocol, inputs, budget) == sparse, budget
+
+    @pytest.mark.parametrize(
+        "protocol, inputs",
+        [(protocol, inputs) for _, conservative, protocol, inputs in _cases(40) if conservative],
+    )
+    def test_output_stability_matches_sparse_graph(self, protocol, inputs):
+        root = protocol.initial_configuration(inputs)
+        graph = protocol.petri_net.reachability_graph([root])
+        for value in (OUTPUT_ONE, OUTPUT_ZERO):
+            stable = output_stable_nodes(graph, protocol, value)
+            for node in graph.nodes:
+                assert is_output_stable(protocol, node, value) == (node in stable)
+
+    @pytest.mark.parametrize("name", ["majority", "modulo", "succinct", "flock"])
+    def test_paper_protocols_match_sparse_graph(self, name):
+        params = {"modulo": {"modulus": 3, "remainder": 1}, "succinct": {"threshold": 4},
+                  "flock": {"threshold": 3}}.get(name, {})
+        protocol, _ = build_protocol_and_inputs(name, 2, params)
+        states = sorted(protocol.initial_states, key=str)
+        for inputs in enumerate_configurations_up_to(states, 6):
+            assert _dense_verdict(protocol, inputs, None) == _sparse_verdict(
+                protocol, inputs, None
+            )
+
+    def test_nodes_are_the_sparse_configurations(self):
+        protocol = modulo_protocol(3, 1)
+        root = protocol.initial_configuration(protocol.counting_input(5))
+        dense = DenseReachabilityGraph(protocol, root)
+        compiled = protocol.petri_net.compiled(protocol.states)
+        sparse = protocol.petri_net.reachability_graph([root])
+        assert {compiled.configuration_of(list(node)) for node in dense.nodes} == sparse.nodes
+        assert dense.nodes[0] == tuple(compiled.counts_of(root))
+
+    def test_configuration_outside_the_protocol_states(self):
+        # An agent in a state outside P never moves and has no output, so it
+        # changes neither the reachable outputs nor the stability verdict.
+        protocol = modulo_protocol(2, 0)
+        configuration = protocol.initial_configuration(protocol.counting_input(2))
+        with_stranger = configuration + from_counts(stranger=1)
+        for value in (OUTPUT_ONE, OUTPUT_ZERO):
+            assert is_output_stable(protocol, with_stranger, value) == is_output_stable(
+                protocol, configuration, value
+            )
+
+    def test_consensus_value_must_be_binary(self):
+        protocol = modulo_protocol(2, 0)
+        root = protocol.initial_configuration(protocol.counting_input(2))
+        graph = DenseReachabilityGraph(protocol, root)
+        with pytest.raises(ValueError):
+            graph.consensus(OUTPUT_UNDEFINED)
+
+
+def _scratch_basis(net, target):
+    """The minimal coverability basis of ``target`` by a naive backward
+    fixpoint: every round expands every element, until nothing new appears."""
+    basis = [target]
+    grown = True
+    while grown:
+        grown = False
+        for element in list(basis):
+            for transition in net.transitions:
+                predecessor = transition.pre + element.saturating_sub(transition.post)
+                if not any(existing <= predecessor for existing in basis):
+                    basis = [e for e in basis if not predecessor <= e] + [predecessor]
+                    grown = True
+    return basis
+
+
+def _sources(net, protocol, inputs):
+    """Configurations to test membership on: every configuration of up to
+    three agents, plus the initial configuration of the case."""
+    states = sorted(net.states, key=str)
+    sources = list(enumerate_configurations_up_to(states, 3))
+    sources.append(protocol.initial_configuration(inputs))
+    return sources
+
+
+class TestCachedCoverabilityOracle:
+    @pytest.mark.parametrize("index, conservative, protocol, inputs", list(_cases(30)))
+    def test_backward_coverability_matches_scratch_fixpoint(
+        self, index, conservative, protocol, inputs
+    ):
+        net = protocol.petri_net
+        rng = random.Random(index)
+        states = sorted(net.states, key=str)
+        targets = [unit(state) for state in states]
+        targets += [_random_multiset(rng, states, 1, 3) for _ in range(3)]
+        sources = _sources(net, protocol, inputs)
+        for target in targets:
+            scratch = _scratch_basis(net, target)
+            assert set(coverability_basis(net, target)) == set(scratch)
+            for source in sources:
+                expected = any(element <= source for element in scratch)
+                assert backward_coverability(net, source, target) == expected
+
+    @pytest.mark.parametrize("index, conservative, protocol, inputs", list(_cases(30)))
+    def test_is_stabilized_for_every_forbidden_subset(
+        self, index, conservative, protocol, inputs
+    ):
+        net = protocol.petri_net
+        states = sorted(net.states, key=str)
+        scratch = {state: _scratch_basis(net, unit(state)) for state in states}
+        sources = _sources(net, protocol, inputs)
+        for size in range(len(states) + 1):
+            for forbidden in itertools.combinations(states, size):
+                allowed = [state for state in protocol.states if state not in forbidden]
+                for source in sources:
+                    expected = not any(
+                        element <= source for state in forbidden for element in scratch[state]
+                    )
+                    assert is_stabilized(net, source, allowed) == expected, (forbidden, source)
+
+
+def _swap_net():
+    return PetriNet(
+        [
+            Transition({"i": 2}, {"p": 2}, name="fwd"),
+            Transition({"p": 2}, {"i": 2}, name="bwd"),
+            Transition({"p": 1, "i": 1}, {"q": 1, "i": 1}, name="mark"),
+        ]
+    )
+
+
+class TestBasisCache:
+    def test_cache_hit_equals_cold_call(self):
+        warm = _swap_net()
+        sources = list(enumerate_configurations_up_to(["i", "p", "q"], 4))
+        cold = [backward_coverability(_swap_net(), source, unit("q")) for source in sources]
+        first = [backward_coverability(warm, source, unit("q")) for source in sources]
+        hit = [backward_coverability(warm, source, unit("q")) for source in sources]
+        assert cold == first == hit
+        assert coverability_basis(warm, unit("q")) is coverability_basis(warm, unit("q"))
+        stabilized_cold = [is_stabilized(_swap_net(), s, ["i", "p"]) for s in sources]
+        stabilized_hit = [is_stabilized(warm, s, ["p", "i"]) for s in sources]
+        assert stabilized_cold == stabilized_hit
+        assert unstabilized_basis(warm, ["i", "p"]) is unstabilized_basis(warm, {"p", "i"})
+
+    def test_allowed_states_outside_the_net_share_the_entry(self):
+        net = _swap_net()
+        assert unstabilized_basis(net, ["i", "p"]) is unstabilized_basis(net, ["i", "p", "z"])
+
+    def test_iteration_guard_raises_cold_and_caches_nothing(self):
+        net = PetriNet([Transition({"a": 1}, {"a": 1, "b": 1}, name="spawn")])
+        target = from_counts(b=50)
+        with pytest.raises(RuntimeError):
+            backward_coverability(net, from_counts(a=1), target, max_iterations=1)
+        assert target not in net._basis_cache
+        with pytest.raises(RuntimeError):
+            coverability_basis(net, target, max_iterations=1)
+        assert backward_coverability(net, from_counts(a=1), target)
+        assert not backward_coverability(net, from_counts(b=49), target)
+
+    def test_cache_lives_on_the_instance(self):
+        # Two equal nets never share entries, and a net created after another
+        # was collected (possibly at the same address) starts empty.
+        first = _swap_net()
+        coverability_basis(first, unit("q"))
+        assert unit("q") not in _swap_net()._basis_cache
+        del first
+        gc.collect()
+        spawn = PetriNet([Transition({"a": 1}, {"a": 1, "q": 1})])
+        assert spawn._basis_cache == {}
+        assert backward_coverability(spawn, from_counts(a=1), unit("q"))
+        assert not backward_coverability(spawn, from_counts(i=2), unit("q"))
+
+    def test_pickles_do_not_grow(self):
+        net = _swap_net()
+        size = len(pickle.dumps(net))
+        is_stabilized(net, from_counts(i=3), ["i", "p"])
+        assert net._basis_cache and net._union_basis_cache
+        assert len(pickle.dumps(net)) == size
+        clone = pickle.loads(pickle.dumps(net))
+        assert clone._basis_cache == {} and clone._union_basis_cache == {}
+        assert is_stabilized(clone, from_counts(i=3), ["i", "p"]) == is_stabilized(
+            net, from_counts(i=3), ["i", "p"]
+        )
+
+    def test_union_basis_order_ignores_hash_seed(self):
+        # Ten forbidden states: their set order differs between hash seeds,
+        # the basis order must not.
+        code = (
+            "from repro.analysis import unstabilized_basis\n"
+            "from repro.protocols import modulo_protocol\n"
+            "protocol = modulo_protocol(6, 1)\n"
+            "allowed = [s for s in protocol.states if protocol.output[s] == 1]\n"
+            "print([e.pretty() for e in unstabilized_basis(protocol.petri_net, allowed)])\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
