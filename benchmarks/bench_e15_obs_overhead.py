@@ -1,13 +1,14 @@
 """Benchmark E15 — zero-cost observability when tracing is disabled.
 
 The observability layer instruments the serial per-seed loop
-(:meth:`Simulator._run_seeds`) with run spans and profiler records.  The
-design keeps the disabled path structurally identical to the pre-obs code:
-one predicate check per *ensemble* dispatches to an instrumented twin loop,
-and the plain loop itself is untouched.  This benchmark pins that contract.
+(:meth:`Simulator._run_seeds`) with run spans and profiler records.  There
+is one loop: whether anything observes is decided once per *ensemble*, and
+with tracing and profiling off each run pays only two ``if observing``
+branches — no clock reads, no span, no profiler record.  This benchmark
+pins that contract.
 
-It replicates the plain compiled loop body locally (the exact code the
-disabled path executes, minus the single dispatch branch) as the baseline,
+It replicates the uninstrumented compiled loop body locally (the code the
+disabled path executes, minus those two branches per run) as the baseline,
 then interleaves it against the real entry point with tracing and profiling
 off.  Best-of-N on both sides, same machine, same buffers; the real entry
 point may cost at most 2% more — the acceptance budget from the obs design.
@@ -37,7 +38,7 @@ MAX_DISABLED_OVERHEAD = 1.02
 
 
 def _baseline_loop(simulator, configuration, seeds):
-    """The pre-obs serial compiled loop, replicated verbatim."""
+    """The serial compiled loop without its observability branches."""
     buffer = simulator._compiled.counts_of(configuration)
     results = []
     for seed in seeds:
@@ -93,7 +94,7 @@ def run_overhead_experiment():
         title=f"obs overhead, {REPETITIONS}-rep compiled serial ensemble",
         columns=["mode", "best seconds", "overhead"],
         notes=(
-            "baseline replicates the pre-obs loop body; 'disabled' is the "
+            "baseline replicates the uninstrumented loop body; 'disabled' is the "
             "real _run_seeds entry with no tracer/profiler installed "
             f"(budget {MAX_DISABLED_OVERHEAD}x); 'traced' captures spans "
             "in memory and is informational"

@@ -16,7 +16,7 @@ the work, and where two runs diverge.  This example:
 
 The same analyses run from the shell:
 
-    python -m repro.analytics report --store results.csv
+    python -m repro.analytics report --store results.sqlite
     python -m repro.analytics hist --protocol majority --population 40 --seed 7
     python -m repro.analytics diff --protocol majority --population 40 --seed 7 \\
         --vs-scheduler transition

@@ -6,18 +6,19 @@ This example:
 
 1. declares a `SweepSpec` over two protocol constructions, three population
    sizes and two engines,
-2. runs it over the shared persistent worker pool, with the table flushed
-   incrementally to disk as cells finish,
+2. runs it over the shared persistent worker pool into a sqlite store,
+   each cell's row committed as the cell finishes,
 3. interrupts a second copy of the sweep halfway and resumes it, showing the
-   resumed table is byte-identical to the uninterrupted one,
+   resumed table exports byte-identically to the uninterrupted one,
 4. reads convergence trends (and the built-in cross-engine agreement check)
    out of the finished table.
 
 The same sweep runs from the shell:
 
     python -m repro.sweep template > sweep.json
-    python -m repro.sweep run --spec sweep.json --store results.csv --workers 2
-    python -m repro.sweep show --store results.csv
+    python -m repro.sweep run --spec sweep.json --store results.sqlite --workers 2
+    python -m repro.sweep show --store results.sqlite
+    python -m repro.sweep export --store results.sqlite --to results.csv
 
 Run with:  python examples/parameter_sweep.py
 """
@@ -25,7 +26,13 @@ Run with:  python examples/parameter_sweep.py
 import tempfile
 from pathlib import Path
 
-from repro.sweep import SweepRunner, SweepSpec, open_store, to_experiment_table
+from repro.sweep import (
+    SqliteResultStore,
+    SweepRunner,
+    SweepSpec,
+    export_rows,
+    to_experiment_table,
+)
 
 SPEC = SweepSpec(
     protocols=("majority", ("succinct", {"threshold": 8})),
@@ -39,11 +46,20 @@ SPEC = SweepSpec(
 )
 
 
+def export_csv(store_path: Path) -> bytes:
+    """The store's table rendered as CSV (what ``sweep export`` writes)."""
+    csv_path = store_path.with_suffix(".csv")
+    with SqliteResultStore(store_path) as store:
+        export_rows(store.rows(), csv_path)
+    return csv_path.read_bytes()
+
+
 def run_sweep(directory: Path) -> Path:
     """Run the full grid over the shared process pool, persisting as it goes."""
-    store_path = directory / "sweep.csv"
-    runner = SweepRunner(SPEC, open_store(store_path), backend="process", max_workers=2)
-    report = runner.run(progress=print)
+    store_path = directory / "sweep.sqlite"
+    with SqliteResultStore(store_path) as store:
+        runner = SweepRunner(SPEC, store, backend="process", max_workers=2)
+        report = runner.run(progress=print)
     print(
         f"\nfull sweep: {report.executed}/{report.total} cells executed "
         f"-> {store_path}\n"
@@ -52,27 +68,31 @@ def run_sweep(directory: Path) -> Path:
 
 
 def interrupt_and_resume(directory: Path, reference: Path) -> None:
-    """Stop after half the grid, resume from the store, compare byte for byte."""
-    store_path = directory / "interrupted.csv"
-    half = SweepRunner(SPEC, open_store(store_path), backend="serial").run(
-        max_cells=len(SPEC) // 2
-    )
+    """Stop after half the grid, resume from the store, compare the exports."""
+    store_path = directory / "interrupted.sqlite"
+    with SqliteResultStore(store_path) as store:
+        half = SweepRunner(SPEC, store, backend="serial").run(
+            max_cells=len(SPEC) // 2
+        )
     print(f"interrupted after {half.executed} cells ({half.remaining} remaining)")
-    resumed = SweepRunner(SPEC, open_store(store_path), backend="serial").run()
+    with SqliteResultStore(store_path) as store:
+        resumed = SweepRunner(SPEC, store, backend="serial").run()
     print(
         f"resumed: {resumed.skipped} cells skipped (already done), "
         f"{resumed.executed} executed"
     )
-    identical = store_path.read_bytes() == reference.read_bytes()
-    print(f"resumed table byte-identical to the uninterrupted one: {identical}\n")
+    identical = export_csv(store_path) == export_csv(reference)
+    print(f"resumed table exports byte-identically to the uninterrupted one: "
+          f"{identical}\n")
     assert identical
 
 
 def read_the_table(store_path: Path) -> None:
     """Render the table and extract a convergence trend from its rows."""
-    store = open_store(store_path)
-    print(to_experiment_table(store, experiment_id="SWEEP").render())
-    rows = [row for row in store.rows() if row["engine"] == "compiled"]
+    with SqliteResultStore(store_path) as store:
+        print(to_experiment_table(store, experiment_id="SWEEP").render())
+        all_rows = store.rows()
+    rows = [row for row in all_rows if row["engine"] == "compiled"]
     print("\nmean steps to consensus (compiled rows):")
     for row in rows:
         print(
@@ -84,7 +104,7 @@ def read_the_table(store_path: Path) -> None:
     # reference rows must agree exactly — the table double-checks the
     # engines on every sweep.
     by_scope = {}
-    for row in store.rows():
+    for row in all_rows:
         scope = (row["protocol"], row["params"], row["population"])
         by_scope.setdefault(scope, set()).add(
             (row["mean_steps"], row["converged"])

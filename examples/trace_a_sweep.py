@@ -35,7 +35,7 @@ from repro.obs import profile as obs_profile
 from repro.obs import render
 from repro.obs import trace as obs_trace
 from repro.obs.registry import get_registry
-from repro.sweep import MemoryResultStore, SweepRunner, SweepSpec
+from repro.sweep import SqliteResultStore, SweepRunner, SweepSpec
 
 
 def build_spec() -> SweepSpec:
@@ -55,9 +55,8 @@ def traced_sweep(path: Path, backend: str) -> None:
     obs_trace.install_tracer(obs_trace.Tracer(str(path)))
     try:
         kwargs = {"max_workers": 2} if backend == "process" else {}
-        report = SweepRunner(
-            build_spec(), MemoryResultStore(), backend=backend, **kwargs
-        ).run()
+        with SqliteResultStore(":memory:") as store:
+            report = SweepRunner(build_spec(), store, backend=backend, **kwargs).run()
     finally:
         obs_trace.uninstall_tracer()
     print(f"  {backend}: executed {report.executed} cells -> {path.name}")

@@ -23,7 +23,7 @@ Examples
 --------
 ::
 
-    python -m repro.analytics report --store results.csv
+    python -m repro.analytics report --store results.sqlite
     python -m repro.analytics hist --protocol majority --population 50 --seed 7
     python -m repro.analytics diff --protocol majority --population 50 --seed 7 \\
         --engine compiled --vs-engine reference
@@ -44,7 +44,8 @@ from ..sweep.spec import (
     available_sweep_protocols,
     build_protocol_and_inputs,
 )
-from ..sweep.store import ANALYTICS_COLUMNS, open_store
+from ..sweep.cli import _open_existing
+from ..sweep.store import ANALYTICS_COLUMNS
 from .diff import describe_diff, diff_results
 from .ensemble import top_transitions
 from .metrics import firing_histogram
@@ -164,20 +165,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_report(args: argparse.Namespace) -> int:
-    try:
-        store = open_store(args.store)
-    except ValueError as error:
-        print(f"cannot open store: {error}", file=sys.stderr)
+    store = _open_existing(args.store)
+    if store is None:
         return 2
-    if len(store) == 0:
-        print(f"store {args.store} is empty")
-        return 0
-    print(report_table(store).render())
+    try:
+        if len(store) == 0:
+            print(f"store {args.store} is empty")
+            return 0
+        print(report_table(store).render())
+        rows = store.rows()
+    finally:
+        store.close()
     # top_transitions is the best discriminator available: under analytics
     # it is populated whenever anything fired at all (unlike the quantiles,
     # which are legitimately empty for unconverged ensembles).
     missing = sum(
-        1 for row in store.rows()
+        1 for row in rows
         if row["status"] == "done" and row["top_transitions"] is None
     )
     if missing:

@@ -976,12 +976,13 @@ def experiment_e12_parameter_sweep(
     experiment raises on any divergence, extending the E9/E11 cross-engine
     checks to whole ensembles.
 
-    With ``store_path`` the table is additionally persisted (and resumable)
-    on disk; the default runs against an in-memory store.  ``backend`` and
+    With ``store_path`` (a ``.sqlite`` file) the table is additionally
+    persisted and resumable on disk; the default runs against an in-memory
+    sqlite store.  ``backend`` and
     ``max_workers`` select the batch backend exactly as for
     :class:`~repro.simulation.batch.BatchRunner`.
     """
-    from ..sweep import MemoryResultStore, SweepRunner, SweepSpec, open_store
+    from ..sweep import SqliteResultStore, SweepRunner, SweepSpec, open_store
     from ..sweep.runner import to_experiment_table
     from ..sweep.spec import KEYFIELDS
 
@@ -995,13 +996,21 @@ def experiment_e12_parameter_sweep(
         max_steps=max_steps,
         stability_window=stability_window,
     )
-    store = open_store(store_path) if store_path else MemoryResultStore()
-    runner = SweepRunner(spec, store, backend=backend, max_workers=max_workers)
-    report = runner.run()
+    store = open_store(store_path) if store_path else SqliteResultStore(":memory:")
+    with store:
+        report = SweepRunner(
+            spec, store, backend=backend, max_workers=max_workers
+        ).run()
+        rows = store.rows()
+        table = to_experiment_table(
+            store,
+            experiment_id="E12",
+            title="parameter sweep: majority/succinct over populations and engines",
+        )
     if not report.complete:
         failing = [
             f"{row['cell']}: {row['error']}"
-            for row in store.rows()
+            for row in rows
             if row["status"] == "error"
         ]
         raise RuntimeError(
@@ -1012,7 +1021,7 @@ def experiment_e12_parameter_sweep(
     statistic_columns = ("runs", "converged", "mean_steps", "median_steps",
                         "min_steps", "max_steps", "mean_consensus_step")
     by_point = {}
-    for row in store.rows():
+    for row in rows:
         point = tuple(row[key] for key in KEYFIELDS if key != "engine")
         statistics = tuple(row[column] for column in statistic_columns)
         previous = by_point.setdefault(point, (row["engine"], statistics))
@@ -1021,11 +1030,7 @@ def experiment_e12_parameter_sweep(
                 f"engine {row['engine']!r} diverged from {previous[0]!r} on "
                 f"grid point {point}"
             )
-    return to_experiment_table(
-        store,
-        experiment_id="E12",
-        title="parameter sweep: majority/succinct over populations and engines",
-    )
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -1062,7 +1067,7 @@ def experiment_e13_analytics_sweep(
     histogram.
     """
     from ..analytics.report import report_table
-    from ..sweep import MemoryResultStore, SweepRunner, SweepSpec, open_store
+    from ..sweep import SqliteResultStore, SweepRunner, SweepSpec, open_store
     from ..sweep.spec import KEYFIELDS
     from ..sweep.store import ANALYTICS_COLUMNS
 
@@ -1077,13 +1082,21 @@ def experiment_e13_analytics_sweep(
         stability_window=stability_window,
         analytics=True,
     )
-    store = open_store(store_path) if store_path else MemoryResultStore()
-    runner = SweepRunner(spec, store, backend=backend, max_workers=max_workers)
-    report = runner.run()
+    store = open_store(store_path) if store_path else SqliteResultStore(":memory:")
+    with store:
+        report = SweepRunner(
+            spec, store, backend=backend, max_workers=max_workers
+        ).run()
+        rows = store.rows()
+        table = report_table(
+            store,
+            experiment_id="E13",
+            title="trajectory analytics: majority/modulo across engines and schedulers",
+        )
     if not report.complete:
         failing = [
             f"{row['cell']}: {row['error']}"
-            for row in store.rows()
+            for row in rows
             if row["status"] == "error"
         ]
         raise RuntimeError(
@@ -1095,7 +1108,7 @@ def experiment_e13_analytics_sweep(
     # be identical across engines.
     comparison_columns = ANALYTICS_COLUMNS + ("runs", "converged", "mean_steps")
     by_point = {}
-    for row in store.rows():
+    for row in rows:
         point = tuple(row[key] for key in KEYFIELDS if key != "engine")
         values = tuple(row[column] for column in comparison_columns)
         previous = by_point.setdefault(point, (row["engine"], values))
@@ -1110,11 +1123,7 @@ def experiment_e13_analytics_sweep(
                 "the majority/modulo protocols should stabilize correctly "
                 "within this budget"
             )
-    return report_table(
-        store,
-        experiment_id="E13",
-        title="trajectory analytics: majority/modulo across engines and schedulers",
-    )
+    return table
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,9 @@ for *many* clients, built entirely on the stdlib (asyncio, ``json``,
   computation, and one cache entry.  Seeds derive from the same
   ``sha256(master_seed | scope)`` discipline as sweep cells, making served
   results bit-identical to direct :class:`~repro.simulation.simulator.Simulator`
-  runs and to sweep rows.
+  runs and to sweep rows.  :func:`~repro.serve.jobs.run_job` executes a
+  job on the :class:`~repro.sweep.executor.CellExecutor` that also runs
+  sweep cells, sharing its protocol, predicate and simulator caches.
 * :class:`SimulationServer` (:mod:`repro.serve.server`) — the asyncio
   HTTP+JSON server: ``POST /jobs`` / ``GET /jobs/<key>`` / ``GET /metrics``
   / ``GET /healthz``, a bounded LRU result cache (duplicate submissions are
@@ -35,12 +37,11 @@ ensemble's cost between them.
 """
 
 from .client import JobFailedError, ServeClient, ServeError, ServeRejected
-from .jobs import JobExecutor, JobSpec
+from .jobs import JobSpec
 from .server import BackgroundServer, ServeMetrics, SimulationServer
 
 __all__ = [
     "BackgroundServer",
-    "JobExecutor",
     "JobFailedError",
     "JobSpec",
     "ServeClient",

@@ -24,32 +24,24 @@ seeding:
   :meth:`~repro.simulation.simulator.Simulator.run_many` with
   ``seed=ensemble_seed`` are all bit-identical.
 
-:class:`JobExecutor` is the blocking run half: it caches built protocols,
-inputs, predicates and pickled worker specs per identity (the serve analogue
-of the sweep runner's per-cell caches), and fans each job over one shared
-:class:`~repro.simulation.batch.WorkerPool` (or a cached serial simulator).
-It is thread-safe — the server calls it from several executor threads.
+:func:`run_job` is the blocking run half: it executes the job's cell on the
+server's :class:`~repro.sweep.executor.CellExecutor` — the same thread-safe
+executor, with the same protocol/input/predicate/simulator caches, that runs
+sweep cells — and renders the cacheable JSON payload.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping
 
-from ..core.configuration import Configuration
-from ..core.predicates import Predicate
-from ..core.protocol import Protocol
-from ..simulation.batch import WorkerPool, _dumps_for_workers
-from ..simulation.scheduler import Scheduler
-from ..simulation.simulator import SimulationResult, Simulator
 from ..simulation.statistics import accuracy_against_predicate, summarize_runs
-from ..simulation.trajectory import DEFAULT_TRAJECTORY_CAPACITY
+from ..sweep.executor import CellExecutor
 from ..sweep.spec import SweepCell, SweepSpec
 
-__all__ = ["JobExecutor", "JobSpec"]
+__all__ = ["JobSpec", "run_job"]
 
 #: The JSON fields a job submission may carry (mirrors the
 #: :meth:`JobSpec.from_dict` contract; unknown fields are rejected so typos
@@ -212,200 +204,54 @@ class JobSpec:
         return cls(**{str(key): value for key, value in data.items()})
 
 
-class JobExecutor:
-    """Runs validated jobs over one shared pool, with per-identity caches.
+def run_job(executor: CellExecutor, job: JobSpec) -> Dict[str, Any]:
+    """Execute ``job`` on ``executor`` and render its cacheable JSON payload.
 
-    The blocking half of the server: consumer tasks hand jobs to
-    :meth:`run` on executor threads while the event loop keeps serving
-    polls.  Mirrors the sweep runner's per-cell caches (protocol, inputs,
-    predicate, analytics spec, scheduler, pickled worker spec, serial
-    simulator) behind one build lock so concurrent jobs never race a
-    half-built protocol; actual ensemble execution serializes on the pool's
-    own dispatch lock (process backend) or this executor's serial lock
-    (``pool=None``), matching the one-ensemble-at-a-time discipline of the
-    sweep layer.
+    Blocking; raises whatever the batch layer raises (typed worker
+    crash/timeout errors included) — the server records those as a failed
+    job and stays up.
     """
-
-    def __init__(
-        self,
-        pool: Optional[WorkerPool] = None,
-        timeout: Optional[float] = None,
-    ) -> None:
-        self._pool = pool
-        self._timeout = timeout
-        self._build_lock = threading.Lock()
-        self._serial_lock = threading.Lock()
-        self._built: Dict[Tuple[str, str, int], Tuple[Protocol, Configuration]] = {}
-        self._predicates: Dict[Tuple[str, str, int], Optional[Predicate]] = {}
-        self._analytics: Dict[Tuple[str, str, int], Any] = {}
-        self._schedulers: Dict[str, Scheduler] = {}
-        self._spec_bytes: Dict[Tuple[str, str, str, str], bytes] = {}
-        self._serial: Dict[Tuple[str, str, str, str], Simulator] = {}
-
-    # ------------------------------------------------------------------
-    # Caches (all under the build lock)
-    # ------------------------------------------------------------------
-    def _grid_key(self, cell: SweepCell) -> Tuple[str, str, int]:
-        return (cell.protocol, cell.params_json, cell.population)
-
-    def _spec_key(self, cell: SweepCell) -> Tuple[str, str, str, str]:
-        return (cell.protocol, cell.params_json, cell.scheduler, cell.engine)
-
-    def _materialize(
-        self, job: JobSpec
-    ) -> Tuple[Protocol, Configuration, Scheduler, Optional[Predicate], Any]:
-        cell = job.cell
-        grid_key = self._grid_key(cell)
-        with self._build_lock:
-            built = self._built.get(grid_key)
-            if built is None:
-                built = cell.build()
-                self._built[grid_key] = built
-                self._predicates[grid_key] = cell.build_predicate()
-            protocol, inputs = built
-            predicate = self._predicates[grid_key]
-            scheduler = self._schedulers.get(cell.scheduler)
-            if scheduler is None:
-                scheduler = cell.make_scheduler()
-                self._schedulers[cell.scheduler] = scheduler
-            analytics = None
-            if job.analytics:
-                analytics = self._analytics.get(grid_key)
-                if analytics is None:
-                    from ..analytics.metrics import AnalyticsSpec
-
-                    expected = (
-                        None if predicate is None else predicate.evaluate(inputs)
-                    )
-                    analytics = AnalyticsSpec(
-                        histogram=True,
-                        consensus_times=True,
-                        expected_output=expected,
-                    )
-                    self._analytics[grid_key] = analytics
-        return protocol, inputs, scheduler, predicate, analytics
-
-    def _worker_spec_bytes(
-        self, job: JobSpec, protocol: Protocol, scheduler: Scheduler
-    ) -> bytes:
-        key = self._spec_key(job.cell)
-        with self._build_lock:
-            payload = self._spec_bytes.get(key)
-            if payload is None:
-                payload = _dumps_for_workers((protocol, scheduler, job.engine))
-                self._spec_bytes[key] = payload
-            return payload
-
-    def _serial_simulator(
-        self, job: JobSpec, protocol: Protocol, scheduler: Scheduler
-    ) -> Simulator:
-        key = self._spec_key(job.cell)
-        with self._build_lock:
-            simulator = self._serial.get(key)
-            if simulator is None:
-                simulator = Simulator(
-                    protocol, scheduler=scheduler, engine=job.engine
-                )
-                self._serial[key] = simulator
-            return simulator
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run(self, job: JobSpec) -> Dict[str, Any]:
-        """Execute ``job`` and render its cacheable JSON result payload.
-
-        Blocking; raises whatever the batch layer raises (typed worker
-        crash/timeout errors included) — the server records those as a
-        failed job and stays up.
-        """
-        protocol, inputs, scheduler, predicate, analytics = self._materialize(job)
-        seeds = job.repetition_seeds()
-        results = self._execute(job, protocol, inputs, scheduler, analytics, seeds)
-        return self._render(job, inputs, predicate, analytics, seeds, results)
-
-    def _execute(
-        self,
-        job: JobSpec,
-        protocol: Protocol,
-        inputs: Configuration,
-        scheduler: Scheduler,
-        analytics: Any,
-        seeds: List[int],
-    ) -> List[SimulationResult]:
-        if self._pool is not None:
-            return self._pool.run_seeds(
-                protocol,
-                inputs,
-                seeds,
-                scheduler=scheduler,
-                engine=job.engine,
-                max_steps=job.max_steps,
-                stability_window=job.stability_window,
-                analytics=analytics,
-                spec_bytes=self._worker_spec_bytes(job, protocol, scheduler),
-                timeout=self._timeout,
-            )
-        # Serial path: cached simulators hold mutable counts buffers, so
-        # concurrent jobs must not share one mid-run.
-        with self._serial_lock:
-            simulator = self._serial_simulator(job, protocol, scheduler)
-            configuration = protocol.initial_configuration(inputs)
-            return simulator._run_seeds(
-                configuration,
-                seeds,
-                job.max_steps,
-                job.stability_window,
-                False,
-                DEFAULT_TRAJECTORY_CAPACITY,
-                analytics,
-            )
-
-    def _render(
-        self,
-        job: JobSpec,
-        inputs: Configuration,
-        predicate: Optional[Predicate],
-        analytics: Any,
-        seeds: List[int],
-        results: List[SimulationResult],
-    ) -> Dict[str, Any]:
-        statistics = summarize_runs(results)
-        payload: Dict[str, Any] = {
-            "job": job.key,
-            "spec": job.to_dict(),
-            "ensemble_seed": job.ensemble_seed,
-            "statistics": {
-                "runs": statistics.runs,
-                "converged": statistics.converged,
-                "convergence_rate": statistics.convergence_rate,
-                "mean_steps": statistics.mean_steps,
-                "median_steps": statistics.median_steps,
-                "max_steps": statistics.max_steps,
-                "min_steps": statistics.min_steps,
-                "mean_consensus_step": statistics.mean_consensus_step,
-            },
-            "runs": [
-                {
-                    "seed": seed,
-                    "steps": result.steps,
-                    "consensus": result.consensus,
-                    "consensus_step": result.consensus_step,
-                    "converged": result.converged,
-                    "terminated": result.terminated,
-                    "interactions_sampled": result.interactions_sampled,
-                }
-                for seed, result in zip(seeds, results)
-            ],
-            "accuracy": (
-                accuracy_against_predicate(results, predicate, inputs)
-                if predicate is not None
-                else None
-            ),
-            "analytics": (
-                [dict(result.analytics or {}) for result in results]
-                if analytics is not None
-                else None
-            ),
-        }
-        return payload
+    cell = job.cell
+    seeds = job.repetition_seeds()
+    results = executor.run(
+        cell, seeds, job.max_steps, job.stability_window, job.analytics
+    )
+    statistics = summarize_runs(results)
+    predicate = executor.predicate(cell)
+    return {
+        "job": job.key,
+        "spec": job.to_dict(),
+        "ensemble_seed": job.ensemble_seed,
+        "statistics": {
+            "runs": statistics.runs,
+            "converged": statistics.converged,
+            "convergence_rate": statistics.convergence_rate,
+            "mean_steps": statistics.mean_steps,
+            "median_steps": statistics.median_steps,
+            "max_steps": statistics.max_steps,
+            "min_steps": statistics.min_steps,
+            "mean_consensus_step": statistics.mean_consensus_step,
+        },
+        "runs": [
+            {
+                "seed": seed,
+                "steps": result.steps,
+                "consensus": result.consensus,
+                "consensus_step": result.consensus_step,
+                "converged": result.converged,
+                "terminated": result.terminated,
+                "interactions_sampled": result.interactions_sampled,
+            }
+            for seed, result in zip(seeds, results)
+        ],
+        "accuracy": (
+            accuracy_against_predicate(results, predicate, executor.inputs(cell))
+            if predicate is not None
+            else None
+        ),
+        "analytics": (
+            [dict(result.analytics or {}) for result in results]
+            if job.analytics
+            else None
+        ),
+    }

@@ -56,7 +56,8 @@ from .. import config
 from ..obs import trace as _obs_trace
 from ..obs.registry import MetricsRegistry
 from ..simulation.batch import WorkerPool
-from .jobs import JobExecutor, JobSpec
+from ..sweep.executor import CellExecutor
+from .jobs import JobSpec, run_job
 
 __all__ = ["BackgroundServer", "ServeMetrics", "SimulationServer"]
 
@@ -88,9 +89,8 @@ class ServeMetrics:
     :class:`~repro.obs.registry.MetricsRegistry` (servers constructed in the
     same process — tests, embedded replicas — must not share counters), and
     these counters live in it as ``repro_serve_<name>`` families.  Mutation
-    goes through :meth:`inc` (still only on the event loop); attribute reads
-    (``metrics.jobs_completed``) and attribute writes keep working for
-    compatibility, proxied onto the registry counters.
+    goes through :meth:`inc` (only on the event loop); :meth:`as_dict`
+    reads every counter.
     """
 
     _COUNTER_HELP = (
@@ -113,23 +113,6 @@ class ServeMetrics:
 
     def inc(self, name: str, amount: int = 1) -> None:
         self._counters[name].inc(amount)
-
-    def __getattr__(self, name: str) -> int:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return counters[name].value()
-        raise AttributeError(
-            f"{type(self).__name__} has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            # ``metrics.jobs_failed += 1`` spells read-then-write; apply the
-            # delta to the registry counter (negative deltas raise there).
-            counters[name].inc(value - counters[name].value())
-            return
-        super().__setattr__(name, value)
 
     def as_dict(self) -> Dict[str, int]:
         return {name: counter.value() for name, counter in self._counters.items()}
@@ -213,7 +196,7 @@ class SimulationServer:
             "Time a job spent executing (pool dispatch plus ensemble).",
         )
         self._pool: Optional[WorkerPool] = None
-        self._job_executor: Optional[JobExecutor] = None
+        self._cells: Optional[CellExecutor] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._http_server: Optional[asyncio.AbstractServer] = None
         self._consumers: list = []
@@ -241,7 +224,7 @@ class SimulationServer:
             self._pool = WorkerPool(
                 max_workers=self.max_workers, start_method=self.start_method
             )
-        self._job_executor = JobExecutor(pool=self._pool, timeout=self.job_timeout)
+        self._cells = CellExecutor(pool=self._pool, timeout=self.job_timeout)
         self._executor = ThreadPoolExecutor(
             max_workers=self.concurrency, thread_name_prefix="repro-serve-job"
         )
@@ -311,7 +294,7 @@ class SimulationServer:
     async def _process(self, loop: asyncio.AbstractEventLoop, job: _Job) -> None:
         job.status = "running"
         self._running += 1
-        assert self._job_executor is not None
+        assert self._cells is not None
         queue_wait = config.monotonic_time() - job.submitted_at
         self._queue_wait.observe(queue_wait)
         with _obs_trace.span(
@@ -324,7 +307,7 @@ class SimulationServer:
                 # chunks under it) parent correctly in the trace tree.
                 context = contextvars.copy_context()
                 payload = await loop.run_in_executor(
-                    self._executor, context.run, self._job_executor.run, job.spec
+                    self._executor, context.run, run_job, self._cells, job.spec
                 )
             except Exception as error:
                 self._failed[job.key] = f"{type(error).__name__}: {error}"

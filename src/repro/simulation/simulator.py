@@ -262,16 +262,24 @@ class Simulator:
     ) -> SimulationResult:
         """Simulate one execution from an arbitrary starting configuration."""
         profiler = _obs_profile.active_profiler()
-        if profiler is None and not _obs_trace.tracing_active():
-            return self._dispatch(
-                configuration, max_steps, stability_window, self.rng,
-                record_trajectory, trajectory_capacity,
-            )
-        t0 = monotonic_time()
+        observing = profiler is not None or _obs_trace.tracing_active()
+        t0 = monotonic_time() if observing else 0.0
         result = self._dispatch(
             configuration, max_steps, stability_window, self.rng,
             record_trajectory, trajectory_capacity,
         )
+        if observing:
+            self._observe_run(profiler, t0, result)
+        return result
+
+    def _observe_run(
+        self, profiler: Any, t0: float, result: SimulationResult, **attrs: Any
+    ) -> None:
+        """Record a run that started at ``t0``: one profiler record, one span.
+
+        Instrumentation observes result objects and clocks, never the RNG
+        stream, so an observed run is bit-identical to an unobserved one.
+        """
         elapsed = monotonic_time() - t0
         engine_name = self._choice or "reference"
         if profiler is not None:
@@ -279,9 +287,8 @@ class Simulator:
         _obs_trace.span_event(
             "run", "run", t0, elapsed,
             engine=engine_name, steps=result.steps,
-            consensus=result.consensus, terminated=result.terminated,
+            consensus=result.consensus, terminated=result.terminated, **attrs,
         )
-        return result
 
     def _dispatch(
         self,
@@ -523,63 +530,15 @@ class Simulator:
                 record, capacity, record_trajectory, trajectory_capacity,
                 analytics,
             )
-        if _obs_trace.tracing_active() or _obs_profile.active_profiler() is not None:
-            # Instrumented twin of the loop below; the split keeps the
-            # disabled path structurally identical to the uninstrumented
-            # code (bench E15 asserts the disabled cost is ≤2%).
-            return self._run_seeds_observed(
-                configuration, seeds, max_steps, stability_window,
-                record, capacity, record_trajectory, trajectory_capacity,
-                analytics, buffer,
-            )
-        results: List[SimulationResult] = []
-        for seed in seeds:
-            run_rng = random.Random(seed)
-            if buffer is not None:
-                counts = self._compiled.counts_of(configuration, out=buffer)
-                result = self._run_compiled(
-                    configuration, counts, max_steps, stability_window, run_rng,
-                    record, capacity,
-                )
-            else:
-                result = self._dispatch(
-                    configuration, max_steps, stability_window, run_rng,
-                    record, capacity,
-                )
-            if analytics is not None:
-                result.analytics = analytics.extract(result, self.protocol)
-                self._restore_trajectory(
-                    result, record_trajectory, trajectory_capacity
-                )
-            results.append(result)
-        return results
-
-    def _run_seeds_observed(
-        self,
-        configuration: Configuration,
-        seeds: List[int],
-        max_steps: int,
-        stability_window: int,
-        record: bool,
-        capacity: int,
-        record_trajectory: bool,
-        trajectory_capacity: int,
-        analytics: Any,
-        buffer: Optional[List[int]],
-    ) -> List[SimulationResult]:
-        """The per-seed loop with tracing/profiling hooks enabled.
-
-        Semantically identical to the plain loop in :meth:`_run_seeds` —
-        instrumentation observes result objects and clocks, never the RNG
-        stream — plus two monotonic reads, one ``run`` span event, and one
-        profiler record per run.
-        """
+        # Tracing or profiling adds two clock reads, one profiler record and
+        # one span per run; disabled, it costs two branches per run (bench
+        # E15 asserts the disabled cost is <=2%).
         profiler = _obs_profile.active_profiler()
-        engine_name = self._choice or "reference"
+        observing = profiler is not None or _obs_trace.tracing_active()
         results: List[SimulationResult] = []
         for seed in seeds:
             run_rng = random.Random(seed)
-            t0 = monotonic_time()
+            t0 = monotonic_time() if observing else 0.0
             if buffer is not None:
                 counts = self._compiled.counts_of(configuration, out=buffer)
                 result = self._run_compiled(
@@ -591,14 +550,8 @@ class Simulator:
                     configuration, max_steps, stability_window, run_rng,
                     record, capacity,
                 )
-            elapsed = monotonic_time() - t0
-            if profiler is not None:
-                profiler.record(engine_name, result.steps, elapsed)
-            _obs_trace.span_event(
-                "run", "run", t0, elapsed,
-                seed=int(seed), engine=engine_name, steps=result.steps,
-                consensus=result.consensus, terminated=result.terminated,
-            )
+            if observing:
+                self._observe_run(profiler, t0, result, seed=int(seed))
             if analytics is not None:
                 result.analytics = analytics.extract(result, self.protocol)
                 self._restore_trajectory(

@@ -10,19 +10,25 @@ population-protocol ensembles.
   repetitions, master seed, step budget.  Expands deterministically to
   keyfield-ordered :class:`SweepCell` values, each owning a position-
   independent seed derived from the master seed and the cell identity.
-* :class:`ResultStore` (:mod:`repro.sweep.store`) — one row per cell with a
-  ``created``/``running``/``done``/``error`` status column, persisted
-  atomically (write-temp-then-rename per flush) as CSV or JSON lines, with
-  torn-tail recovery on open.
-* :class:`SweepRunner` (:mod:`repro.sweep.runner`) — walks the grid, fans
-  each cell's repetitions over one shared persistent
-  :class:`~repro.simulation.batch.WorkerPool` (or a serial simulator cache),
-  flushes the store after every cell, and resumes by skipping ``done`` rows.
-  Tables are bit-identical across backends, worker counts and
-  kill-and-resume cycles.
-* ``python -m repro.sweep`` (:mod:`repro.sweep.cli`) — run/resume/show
-  sweeps from the command line; experiment E12 drives the same machinery
-  from the experiment registry.
+* :class:`SqliteResultStore` (:mod:`repro.sweep.dbstore`) — the one live
+  store: a sqlite table with one row per cell, a
+  ``created``/``running``/``done``/``error`` status column, and atomic,
+  leased cell claims.  Every mutation commits durably, so a killed sweep
+  resumes by running again.
+* :func:`export_rows` (:mod:`repro.sweep.store`) — the table's column
+  schema and its CSV / JSON-lines renderings, byte-identical for every way
+  the same spec was run.
+* :class:`SweepRunner` (:mod:`repro.sweep.runner`) — one claim loop in two
+  cases: :meth:`~SweepRunner.run` owns the store alone and resumes it,
+  :meth:`~SweepRunner.run_claims` drains it cooperatively with other
+  runner processes.  Each claimed cell runs on a :class:`CellExecutor`
+  (:mod:`repro.sweep.executor`) — the cache of built protocols, inputs,
+  schedulers and simulators that :mod:`repro.serve` shares — over one
+  shared persistent :class:`~repro.simulation.batch.WorkerPool` or
+  in-process.
+* ``python -m repro.sweep`` (:mod:`repro.sweep.cli`) — run, resume, drain,
+  export and show sweeps from the command line; experiments E12 and E13
+  drive the same machinery from the experiment registry.
 
 Cells are scored against their protocol's registered predicate (the
 ``accuracy`` column), and a spec with ``analytics=True`` extracts
@@ -31,7 +37,8 @@ top fired transitions land as additional byte-stable columns (see
 :mod:`repro.analytics`, experiment E13).
 """
 
-from .dbstore import BOOKKEEPING_COLUMNS, Claim, SqliteResultStore
+from .dbstore import BOOKKEEPING_COLUMNS, Claim, SqliteResultStore, open_store
+from .executor import CellExecutor
 from .faults import (
     ACTIONS,
     INJECTION_POINTS,
@@ -68,13 +75,9 @@ from .store import (
     STATUS_DONE,
     STATUS_ERROR,
     STATUS_RUNNING,
-    CsvResultStore,
-    JsonlResultStore,
-    MemoryResultStore,
-    ResultStore,
     StoreCorruptionError,
+    export_rows,
     normalize_error_message,
-    open_store,
 )
 
 __all__ = [
@@ -97,17 +100,15 @@ __all__ = [
     "derive_cell_seed",
     "register_sweep_protocol",
     "to_experiment_table",
-    "ResultStore",
-    "CsvResultStore",
-    "JsonlResultStore",
-    "MemoryResultStore",
     "SqliteResultStore",
+    "CellExecutor",
     "BOOKKEEPING_COLUMNS",
     "Claim",
     "ClaimReport",
     "CellExecutionError",
     "claim_worker",
     "StoreCorruptionError",
+    "export_rows",
     "normalize_error_message",
     "open_store",
     "ACTIONS",

@@ -4,8 +4,8 @@ Five subcommands:
 
 ``run``
     Execute (or resume) a sweep: ``--spec`` names a JSON spec file (see
-    ``template``), ``--store`` the result table (``.csv`` or ``.jsonl``,
-    or ``.sqlite`` for the claim-capable database store).
+    ``template``), ``--store`` the live result store (a ``.sqlite`` file;
+    CSV and JSON lines are rendered from it by ``export``).
     Running against an existing store **resumes** it: ``done`` cells are
     skipped, everything else is (re)run.  ``--max-cells N`` stops after N
     cells — the controlled-interruption knob the CI smoke job uses to
@@ -25,13 +25,17 @@ Five subcommands:
     script into one runner (``--fault-runner``) for chaos testing.
 
 ``export``
-    Copy a store's rows into another format — canonically a drained
-    ``.sqlite`` claim store into the ``.csv`` a single-process ``run`` of
-    the same spec would have written, byte for byte (the CI job's
-    distributed-vs-serial comparison).
+    Render a store's rows as ``.csv`` or ``.jsonl`` (or copy them into
+    another ``.sqlite`` store).  The export depends only on the rows, so a
+    store drained by several runners, or killed and resumed, exports byte
+    for byte what an uninterrupted single-process ``run`` of the same spec
+    exports (the CI jobs' comparisons).
 
 ``show``
     Render a store as an aligned plain-text table.
+
+``show`` and ``export`` only read: a ``--store`` path that does not exist
+is an error (exit 2), never a new empty store.
 
 ``template``
     Print an example spec JSON (the axes and their defaults) to adapt.
@@ -41,10 +45,10 @@ Examples
 ::
 
     python -m repro.sweep template > sweep.json
-    python -m repro.sweep run --spec sweep.json --store results.csv --workers 2
+    python -m repro.sweep run --spec sweep.json --store results.sqlite --workers 2
     python -m repro.sweep workers --spec sweep.json --store grid.sqlite --runners 4
-    python -m repro.sweep export --store grid.sqlite --to results.csv
-    python -m repro.sweep show --store results.csv
+    python -m repro.sweep export --store results.sqlite --to results.csv
+    python -m repro.sweep show --store results.sqlite
 """
 
 from __future__ import annotations
@@ -52,17 +56,17 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import sys
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..obs import profile as _obs_profile
 from ..obs import trace as _obs_trace
+from .dbstore import SQLITE_SUFFIXES, SqliteResultStore, open_store
 from .runner import SweepRunner, claim_worker, to_experiment_table
 from .spec import SweepSpec, available_sweep_protocols
-from .store import StoreCorruptionError, open_store
+from .store import StoreCorruptionError, export_rows
 
 __all__ = ["main"]
-
-_SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 _TEMPLATE = SweepSpec(
     protocols=("majority", ("succinct", {"threshold": 8})),
@@ -95,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--store", required=True, metavar="FILE",
-        help="result table path (.csv or .jsonl); reused stores are resumed",
+        help="live store path (.sqlite); reused stores are resumed",
     )
     run.add_argument(
         "--backend", choices=("serial", "process"), default="process",
@@ -206,15 +210,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     export = commands.add_parser(
-        "export", help="copy a store's rows into another store format"
+        "export", help="render a store's rows as .csv or .jsonl"
     )
     export.add_argument(
         "--store", required=True, metavar="FILE",
-        help="source store (.sqlite, .csv or .jsonl)",
+        help="source store (.sqlite)",
     )
     export.add_argument(
         "--to", required=True, metavar="FILE",
-        help="destination store path; its suffix picks the format",
+        help="destination path (.csv, .jsonl or .sqlite); its suffix picks "
+             "the format",
     )
 
     show = commands.add_parser("show", help="render a result store as text")
@@ -242,15 +247,9 @@ def _command_run(args: argparse.Namespace) -> int:
         return 2
     try:
         store = open_store(args.store)
-    except ValueError as error:  # unknown suffix, or StoreCorruptionError
+    except ValueError as error:
         print(f"cannot open store: {error}", file=sys.stderr)
         return 2
-    if store.recovered_cells:
-        print(
-            "store: dropped torn trailing row "
-            f"({', '.join(filter(None, store.recovered_cells)) or 'unidentified'}); "
-            "the cell will be re-run",
-        )
     runner = SweepRunner(
         spec,
         store,
@@ -269,6 +268,8 @@ def _command_run(args: argparse.Namespace) -> int:
         # store was written — resuming would mix incompatible tables.
         print(f"store does not match this spec: {error}", file=sys.stderr)
         return 2
+    finally:
+        store.close()
     skipped = f"{report.skipped} skipped (already done)"
     if report.skipped_errors:
         skipped = (
@@ -317,9 +318,9 @@ def _command_workers(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"invalid sweep spec: {error}", file=sys.stderr)
         return 2
-    if not any(args.store.endswith(suffix) for suffix in _SQLITE_SUFFIXES):
+    if not args.store.lower().endswith(SQLITE_SUFFIXES):
         print(
-            f"workers requires a claim-capable store (a {'/'.join(_SQLITE_SUFFIXES)} "
+            f"workers requires a claim-capable store (a {'/'.join(SQLITE_SUFFIXES)} "
             f"path), got {args.store!r}",
             file=sys.stderr,
         )
@@ -385,8 +386,6 @@ def _command_workers(args: argparse.Namespace) -> int:
 
     # The launcher's verdict comes from the store, not the runners: a killed
     # runner is expected under chaos, but the grid must end up accounted for.
-    from .dbstore import SqliteResultStore
-
     store = SqliteResultStore(args.store)
     try:
         counts = store.status_counts()
@@ -406,40 +405,53 @@ def _command_workers(args: argparse.Namespace) -> int:
     return 1 if (crashed or errors or unresolved) else 0
 
 
-def _command_export(args: argparse.Namespace) -> int:
+def _open_existing(path: str) -> Optional[SqliteResultStore]:
+    """Open an existing store for reading; None (after a message) if absent.
+
+    Read-only commands must not create a store: opening a mistyped path
+    would otherwise leave an empty database behind and report it empty.
+    """
+    if not Path(path).exists():
+        print(f"no such store: {path}", file=sys.stderr)
+        return None
     try:
-        source = open_store(args.store)
+        return open_store(path)
     except ValueError as error:
         print(f"cannot open store: {error}", file=sys.stderr)
+        return None
+
+
+def _command_export(args: argparse.Namespace) -> int:
+    source = _open_existing(args.store)
+    if source is None:
         return 2
-    destination = None
     try:
-        destination = open_store(args.to)
-        destination.import_rows(source.rows())
-        destination.flush()
-        exported = len(destination)
+        rows = source.rows()
+        if args.to.lower().endswith(SQLITE_SUFFIXES):
+            with SqliteResultStore(args.to) as destination:
+                destination.import_rows(rows)
+        else:
+            export_rows(rows, args.to)
     except ValueError as error:
         print(f"cannot export: {error}", file=sys.stderr)
         return 2
     finally:
-        for store in (source, destination):
-            close = getattr(store, "close", None)
-            if close is not None:
-                close()
-    print(f"exported {exported} rows: {args.store} -> {args.to}")
+        source.close()
+    print(f"exported {len(rows)} rows: {args.store} -> {args.to}")
     return 0
 
 
 def _command_show(args: argparse.Namespace) -> int:
-    try:
-        store = open_store(args.store)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
+    store = _open_existing(args.store)
+    if store is None:
         return 2
-    if len(store) == 0:
-        print(f"store {args.store} is empty")
-        return 0
-    print(to_experiment_table(store, experiment_id="SWEEP").render())
+    try:
+        if len(store) == 0:
+            print(f"store {args.store} is empty")
+        else:
+            print(to_experiment_table(store, experiment_id="SWEEP").render())
+    finally:
+        store.close()
     return 0
 
 

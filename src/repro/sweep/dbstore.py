@@ -1,23 +1,27 @@
-"""A sqlite-backed :class:`~repro.sweep.store.ResultStore` with atomic claims.
+"""The sweep result store: one sqlite table, claimed cell by cell.
 
-The CSV/JSONL stores assume **one** writer: a single ``SweepRunner`` process
-owns the file and persists full-table snapshots.  This module is the
-multi-runner backend, py_experimenter style: the grid lives in one
-``.sqlite`` file and any number of independent runner processes — one host
-or many sharing a filesystem — repeatedly *claim* an open cell, execute it,
-and commit the result, until the table drains.  Concurrency safety comes
-entirely from sqlite:
+The live state of every sweep is one ``.sqlite`` file, py_experimenter
+style: a row per grid cell carrying exactly :data:`~repro.sweep.store.COLUMNS`
+plus claim bookkeeping.  A single-process :meth:`SweepRunner.run
+<repro.sweep.runner.SweepRunner.run>` and any number of independent
+:meth:`~repro.sweep.runner.SweepRunner.run_claims` runner processes — one
+host or many sharing a filesystem — drive it the same way: repeatedly
+*claim* an open cell, execute it, and commit the result, until the table
+drains.  Concurrency safety comes entirely from sqlite:
 
 * the database runs in WAL mode with a busy timeout, so readers never block
   the single writer and contending writers queue instead of erroring;
-* every claim is one ``BEGIN IMMEDIATE`` transaction — select an eligible
-  row, mark it ``running`` with the claimant's owner id and a lease expiry,
-  commit — so two runners can never claim the same cell;
+* every claim is one ``BEGIN IMMEDIATE`` transaction — select the first
+  eligible row, mark it ``running`` with the claimant's owner id and a lease
+  expiry, commit — so two runners can never claim the same cell;
 * result commits are **owner-guarded**: ``UPDATE … WHERE cell=? AND
   owner=? AND status='running'`` with a rowcount check, so a runner whose
   lease was reclaimed (it stalled, its heartbeat was partitioned away)
   cannot overwrite the reclaimant's work — its late commit is refused and
   reported as lost.
+
+Every mutation commits durably before it returns, so a killed sweep leaves
+a consistent table behind and resuming is just running again.
 
 Liveness under crashes is lease-based: a claim holds ``lease_expires``
 (wall-clock seconds), runners extend it via :meth:`~SqliteResultStore.
@@ -28,13 +32,11 @@ exponentially (``backoff_base * 2**(attempts-1)`` seconds between tries)
 and is **parked** as a plain ``error`` row once ``max_retries`` is
 exhausted, so one poisoned cell cannot livelock the fleet.
 
-The store still *is* a :class:`ResultStore`: the single-writer API
-(``ensure`` / ``mark_running`` / ``mark_done`` / ``mark_error`` / ``rows``)
-works unchanged, rows carry exactly :data:`~repro.sweep.store.COLUMNS` in
-registration order, and the claim bookkeeping (owner / lease / retry
-columns) lives **outside** that schema — so ``rows()`` from a drained claim
-store is directly comparable (and, by the determinism of cell seeds,
-byte-identical once rendered) to a single-process sweep's CSV table.
+The claim bookkeeping (owner / lease / retry columns) lives **outside**
+:data:`~repro.sweep.store.COLUMNS`, so ``rows()`` of a drained store is the
+same whichever runners drained it, and ``python -m repro.sweep export``
+renders it as byte-identical CSV / JSON lines
+(:func:`~repro.sweep.store.export_rows`).
 
 Wall-clock time is used *only* for leases and backoff — scheduling
 bookkeeping, never a simulation input; tests inject a fake clock.
@@ -53,11 +55,11 @@ from .faults import fault_point
 from .spec import KEYFIELDS
 from .store import (
     COLUMNS,
+    EXPORT_SUFFIXES,
     STATUS_CREATED,
     STATUS_DONE,
     STATUS_ERROR,
     STATUS_RUNNING,
-    ResultStore,
     StoreCorruptionError,
     _FLOAT_COLUMNS,
     _INT_COLUMNS,
@@ -74,8 +76,13 @@ __all__ = [
     "DEFAULT_BUSY_TIMEOUT",
     "DEFAULT_LEASE_SECONDS",
     "DEFAULT_MAX_RETRIES",
+    "SQLITE_SUFFIXES",
     "SqliteResultStore",
+    "open_store",
 ]
+
+#: The file suffixes of a live store.
+SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 #: Claim-lifecycle defaults.  A lease far longer than any sane cell runtime
 #: (heartbeats extend it anyway); a handful of retries with seconds-scale
@@ -178,13 +185,38 @@ class Claim:
     keyfields: Dict[str, object]
 
 
-class SqliteResultStore(ResultStore):
-    """The claim-capable sqlite backend (see the module docstring).
+def open_store(path: Union[str, Path]) -> "SqliteResultStore":
+    """Open (or create) the live store at ``path``, checking its suffix.
+
+    A live store is a ``.sqlite`` / ``.sqlite3`` / ``.db`` file.  CSV and
+    JSON-lines paths are export formats and raise :class:`ValueError`
+    pointing at ``python -m repro.sweep export``; so does any other suffix.
+    """
+    path = Path(path)
+    suffix = path.suffix.lower()
+    if suffix in SQLITE_SUFFIXES:
+        return SqliteResultStore(path)
+    if suffix in EXPORT_SUFFIXES:
+        raise ValueError(
+            f"{path.name!r} is an export format, not a live store; run the "
+            "sweep against a .sqlite store and render it with "
+            "'python -m repro.sweep export --store STORE.sqlite --to "
+            f"{path.name}'"
+        )
+    raise ValueError(
+        f"cannot open {path.name!r} as a store; use a "
+        f"{'/'.join(SQLITE_SUFFIXES)} path"
+    )
+
+
+class SqliteResultStore:
+    """The sweep result store (see the module docstring).
 
     Parameters
     ----------
     path:
-        The ``.sqlite`` database path (created if absent).
+        The database path (created if absent); ``":memory:"`` gives a
+        private in-memory table for throwaway runs.
     lease_seconds / max_retries / backoff_base:
         Claim-lifecycle knobs; see :meth:`claim_next` and :meth:`fail_claim`.
     busy_timeout:
@@ -213,13 +245,7 @@ class SqliteResultStore(ResultStore):
             raise ValueError(f"max_retries must be non-negative, got {max_retries}")
         if backoff_base < 0:
             raise ValueError(f"backoff_base must be non-negative, got {backoff_base}")
-        # Deliberately *not* calling super().__init__: the base constructor
-        # would try to text-parse the database file.  The in-memory ``_rows``
-        # mirror exists only to serve the read API and is refreshed from the
-        # database (the sole source of truth) before every read.
-        self.path: Optional[Path] = Path(path)
-        self._rows: Dict[str, Dict[str, object]] = {}
-        self.recovered_cells: Tuple[str, ...] = ()
+        self.path = Path(path)
         self.lease_seconds = float(lease_seconds)
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)
@@ -299,19 +325,20 @@ class SqliteResultStore(ResultStore):
         self.close()
 
     # ------------------------------------------------------------------
-    # ResultStore contract (single-writer API)
+    # Registration
     # ------------------------------------------------------------------
     def ensure(
         self, cell_id: str, keyfields: Mapping[str, object], seed: int
     ) -> bool:
-        """Register a cell unless present (cross-process idempotent).
+        """Register a cell with status ``created`` unless already present.
 
-        Unlike the file stores, several launcher processes may race to
-        register the same grid: ``INSERT OR IGNORE`` makes the race benign,
-        and the loser still *verifies* the surviving row agrees on keyfields
-        and seed — a mismatch means two different specs were pointed at one
-        database, which raises :class:`StoreCorruptionError` exactly like a
-        foreign-file resume would.
+        Several launcher processes may race to register the same grid:
+        ``INSERT OR IGNORE`` makes the race benign, and the loser still
+        *verifies* the surviving row agrees on keyfields and seed — a
+        mismatch means a different spec or master seed wrote this store,
+        and resuming would mix incompatible tables, so it raises
+        :class:`StoreCorruptionError`.  Returns True when the row was newly
+        created.
         """
         with self._transaction():
             inserted = self._connection.execute(
@@ -341,39 +368,13 @@ class SqliteResultStore(ResultStore):
             )
         return inserted == 1
 
-    def mark_running(self, cell_id: str) -> None:
-        with self._transaction():
-            self._require_cell(cell_id)
-            clears = ", ".join(f'"{column}" = NULL' for column in _RESULT_COLUMNS)
-            self._connection.execute(
-                f'UPDATE cells SET "status" = ?, {clears} WHERE "cell" = ?',
-                (STATUS_RUNNING, cell_id),
-            )
-
-    def mark_done(
-        self,
-        cell_id: str,
-        statistics: object,
-        accuracy: Optional[float] = None,
-        consensus_quantiles: Optional[Tuple[Optional[float], ...]] = None,
-        top_transitions: Optional[str] = None,
-    ) -> None:
-        values = _done_values(statistics, accuracy, consensus_quantiles, top_transitions)
-        with self._transaction():
-            self._require_cell(cell_id)
-            self._apply_values(cell_id, values)
-
-    def mark_error(self, cell_id: str, message: str) -> None:
-        with self._transaction():
-            self._require_cell(cell_id)
-            clears = ", ".join(f'"{column}" = NULL' for column in _RESULT_COLUMNS)
-            self._connection.execute(
-                f'UPDATE cells SET "status" = ?, {clears}, "error" = ? '
-                'WHERE "cell" = ?',
-                (STATUS_ERROR, normalize_error_message(message), cell_id),
-            )
-
     def import_rows(self, rows: "List[Mapping[str, object]]") -> None:
+        """Adopt fully-formed rows verbatim, in order (store-to-store export).
+
+        ``rows`` must be :data:`~repro.sweep.store.COLUMNS`-shaped mappings,
+        as another store's :meth:`rows` returns them; existing rows with the
+        same cell id are replaced in place.
+        """
         with self._transaction():
             for row in rows:
                 cell_id = row.get("cell")
@@ -396,11 +397,8 @@ class SqliteResultStore(ResultStore):
                     + [_to_db(c, row.get(c)) for c in COLUMNS if c != "cell"],
                 )
 
-    def flush(self) -> None:
-        """A no-op: every mutation above already committed durably."""
-
     # ------------------------------------------------------------------
-    # Claim lifecycle (the multi-runner API)
+    # Claim lifecycle
     # ------------------------------------------------------------------
     def claim_next(self, owner: str) -> Optional[Claim]:
         """Atomically claim the next open cell for ``owner``, or ``None``.
@@ -416,59 +414,58 @@ class SqliteResultStore(ResultStore):
           past their backoff; parked rows (``next_attempt`` NULL) stay put.
 
         The whole scan-and-mark runs in one ``BEGIN IMMEDIATE`` transaction,
-        so concurrent claimants serialize and can never double-claim.  Returns
-        ``None`` only when no row is currently eligible (the grid may still
-        hold live claims or backing-off rows — see :meth:`unresolved_count`).
+        so concurrent claimants serialize and can never double-claim.  Only
+        the first eligible row is read; parking it makes the next one first,
+        so the scan re-queries after each park.  Returns ``None`` only when
+        no row is currently eligible (the grid may still hold live claims or
+        backing-off rows — see :meth:`unresolved_count`).
         """
         if not owner:
             raise ValueError("claim owner id must be non-empty")
         now = self._clock()
         with self._transaction() as txn:
-            eligible = self._connection.execute(
-                'SELECT "cell", "status", "retry_count" FROM cells WHERE '
-                '("status" = ?) OR '
-                '("status" = ? AND "lease_expires" IS NOT NULL AND "lease_expires" <= ?) OR '
-                '("status" = ? AND "next_attempt" IS NOT NULL AND "next_attempt" <= ?) '
-                'ORDER BY "position"',
-                (STATUS_CREATED, STATUS_RUNNING, now, STATUS_ERROR, now),
-            ).fetchall()
-            for cell_id, status, retry_count in eligible:
-                attempt = int(retry_count)
-                if status == STATUS_RUNNING:
-                    # A stale lease: the previous owner is presumed dead.
-                    attempt += 1
-                    if attempt > self.max_retries:
-                        self._park(
-                            cell_id,
-                            attempt,
-                            f"lease expired after {attempt} attempts; parked",
-                        )
-                        continue
-                clears = ", ".join(
-                    f'"{column}" = NULL' for column in _RESULT_COLUMNS
-                )
-                self._connection.execute(
-                    f'UPDATE cells SET "status" = ?, {clears}, "owner" = ?, '
-                    '"lease_expires" = ?, "retry_count" = ?, "next_attempt" = NULL '
-                    'WHERE "cell" = ?',
-                    (STATUS_RUNNING, owner, now + self.lease_seconds, attempt, cell_id),
-                )
-                row = self._fetch_row(cell_id)
-                if not fault_point("before-claim-commit"):
-                    # A scripted drop: abandon the claim (roll back) but
-                    # keep any parking decisions? No — the whole txn rolls
-                    # back, exactly like a runner dying mid-claim.
-                    txn.rollback()
+            while True:
+                eligible = self._connection.execute(
+                    'SELECT "cell", "status", "retry_count", "seed", '
+                    + ", ".join(f'"{key}"' for key in KEYFIELDS)
+                    + ' FROM cells WHERE ("status" = ?) OR '
+                    '("status" = ? AND "lease_expires" IS NOT NULL AND "lease_expires" <= ?) OR '
+                    '("status" = ? AND "next_attempt" IS NOT NULL AND "next_attempt" <= ?) '
+                    'ORDER BY "position" LIMIT 1',
+                    (STATUS_CREATED, STATUS_RUNNING, now, STATUS_ERROR, now),
+                ).fetchone()
+                if eligible is None:
                     return None
-                assert row is not None
-                return Claim(
-                    cell=cell_id,
-                    owner=owner,
-                    attempt=attempt,
-                    seed=int(row["seed"]),  # type: ignore[arg-type]
-                    keyfields={key: row[key] for key in KEYFIELDS},
+                cell_id, status, retry_count, seed = eligible[:4]
+                attempt = int(retry_count)
+                if status != STATUS_RUNNING:
+                    break
+                # A stale lease: the previous owner is presumed dead.
+                attempt += 1
+                if attempt <= self.max_retries:
+                    break
+                self._park(
+                    cell_id, attempt, f"lease expired after {attempt} attempts; parked"
                 )
-        return None
+            clears = ", ".join(f'"{column}" = NULL' for column in _RESULT_COLUMNS)
+            self._connection.execute(
+                f'UPDATE cells SET "status" = ?, {clears}, "owner" = ?, '
+                '"lease_expires" = ?, "retry_count" = ?, "next_attempt" = NULL '
+                'WHERE "cell" = ?',
+                (STATUS_RUNNING, owner, now + self.lease_seconds, attempt, cell_id),
+            )
+            if not fault_point("before-claim-commit"):
+                # A scripted drop: the whole transaction rolls back, parking
+                # decisions included, exactly like a runner dying mid-claim.
+                txn.rollback()
+                return None
+            return Claim(
+                cell=cell_id,
+                owner=owner,
+                attempt=attempt,
+                seed=int(seed),  # stored as TEXT: see _TEXT_INT_COLUMNS
+                keyfields=dict(zip(KEYFIELDS, eligible[4:])),
+            )
 
     def heartbeat(self, claim: Claim) -> bool:
         """Extend a held claim's lease; returns whether the claim survives.
@@ -531,8 +528,7 @@ class SqliteResultStore(ResultStore):
             claimable again once the backoff elapses.
         ``"parked"``
             Retries are exhausted; the row is a terminal ``error`` row
-            (``next_attempt`` NULL) exactly as :meth:`mark_error` writes it,
-            plus the retry bookkeeping.
+            (``next_attempt`` NULL) that no claim loop retries.
         ``"lost"``
             The claim had already been reclaimed; nothing was written.
         """
@@ -588,6 +584,45 @@ class SqliteResultStore(ResultStore):
             ).rowcount
         return updated == 1
 
+    def _park_claim(self, claim: Claim, message: str) -> str:
+        """Record a held claim's failure as a terminal ``error`` row now.
+
+        The single-owner :meth:`~repro.sweep.runner.SweepRunner.run` policy:
+        no backoff, no retry within the call.  Returns ``"parked"``, or
+        ``"lost"`` if the claim was no longer held.
+        """
+        with self._transaction():
+            held = self._connection.execute(
+                'SELECT "retry_count" FROM cells WHERE "cell" = ? AND '
+                '"owner" = ? AND "status" = ?',
+                (claim.cell, claim.owner, STATUS_RUNNING),
+            ).fetchone()
+            if held is None:
+                return "lost"
+            self._park(claim.cell, int(held[0]), message)
+            return "parked"
+
+    def _reopen(self, retry_errors: bool) -> None:
+        """Prepare a single-owner resume: no row is held by a live runner.
+
+        Every ``running`` row is a stale claim of a killed run and goes back
+        to ``created``.  ``error`` rows become claimable at once when
+        ``retry_errors``, and terminal otherwise (so a retry pending from a
+        claim loop's backoff is not taken up either).  Only bookkeeping and
+        the stale rows' status change; result columns stay as they are.
+        """
+        now = self._clock()
+        with self._transaction():
+            self._connection.execute(
+                'UPDATE cells SET "status" = ?, "owner" = NULL, '
+                '"lease_expires" = NULL, "next_attempt" = NULL WHERE "status" = ?',
+                (STATUS_CREATED, STATUS_RUNNING),
+            )
+            self._connection.execute(
+                'UPDATE cells SET "next_attempt" = ? WHERE "status" = ?',
+                (now if retry_errors else None, STATUS_ERROR),
+            )
+
     def _park(self, cell_id: str, attempts: int, message: str) -> None:
         """Terminal error: record the failure with retries exhausted."""
         clears = ", ".join(f'"{column}" = NULL' for column in _RESULT_COLUMNS)
@@ -599,7 +634,7 @@ class SqliteResultStore(ResultStore):
         )
 
     # ------------------------------------------------------------------
-    # Queries (refresh the mirror from the database first)
+    # Queries
     # ------------------------------------------------------------------
     def unresolved_count(self) -> int:
         """Rows that still need work: not ``done`` and not parked.
@@ -641,79 +676,77 @@ class SqliteResultStore(ResultStore):
             raise KeyError(f"unknown cell {cell_id!r}; call ensure() first")
         return dict(zip(BOOKKEEPING_COLUMNS, fetched))
 
+    def rows(self) -> List[Dict[str, object]]:
+        """All rows as :data:`~repro.sweep.store.COLUMNS` dicts, in grid order."""
+        with self._lock:
+            fetched = self._connection.execute(
+                "SELECT " + ", ".join(f'"{c}"' for c in COLUMNS)
+                + " FROM cells ORDER BY position"
+            ).fetchall()
+        rows = []
+        for record in fetched:
+            row = self._decode(record)
+            if row["status"] not in _STATUSES:
+                raise StoreCorruptionError(
+                    f"{self.path}: row for {row['cell']!r} carries invalid "
+                    f"status {row['status']!r}"
+                )
+            rows.append(row)
+        return rows
+
+    def get(self, cell_id: str) -> Optional[Dict[str, object]]:
+        """The cell's row, or None if the store has no row for it."""
+        with self._lock:
+            return self._fetch_row(cell_id)
+
+    def status(self, cell_id: str) -> Optional[str]:
+        """The cell's status, or None if the store has no row for it."""
+        row = self.get(cell_id)
+        return None if row is None else row["status"]  # type: ignore[return-value]
+
+    def status_counts(self) -> Dict[str, int]:
+        """How many rows hold each status (absent statuses omitted)."""
+        with self._lock:
+            return dict(
+                self._connection.execute(
+                    'SELECT "status", COUNT(*) FROM cells GROUP BY "status"'
+                ).fetchall()
+            )
+
+    def __len__(self) -> int:
+        with self._lock:
+            (count,) = self._connection.execute(
+                "SELECT COUNT(*) FROM cells"
+            ).fetchone()
+        return int(count)
+
+    def __contains__(self, cell_id: str) -> bool:
+        return self.get(cell_id) is not None
+
+    def __repr__(self) -> str:
+        counts = ", ".join(
+            f"{status}={count}"
+            for status, count in sorted(self.status_counts().items())
+        )
+        return (
+            f"{type(self).__name__}({self.path}, rows={len(self)}"
+            f"{', ' + counts if counts else ''})"
+        )
+
     def _fetch_row(self, cell_id: str) -> Optional[Dict[str, object]]:
         fetched = self._connection.execute(
             "SELECT " + ", ".join(f'"{c}"' for c in COLUMNS)
             + ' FROM cells WHERE "cell" = ?',
             (cell_id,),
         ).fetchone()
-        if fetched is None:
-            return None
-        context = f"{self.path}: cell {cell_id!r}"
+        return None if fetched is None else self._decode(fetched)
+
+    def _decode(self, record: Tuple[object, ...]) -> Dict[str, object]:
+        context = f"{self.path}: cell {record[0]!r}"
         return {
             column: _from_db(column, value, context)
-            for column, value in zip(COLUMNS, fetched)
+            for column, value in zip(COLUMNS, record)
         }
-
-    def _require_cell(self, cell_id: str) -> None:
-        found = self._connection.execute(
-            'SELECT 1 FROM cells WHERE "cell" = ?', (cell_id,)
-        ).fetchone()
-        if found is None:
-            raise KeyError(f"unknown cell {cell_id!r}; call ensure() first")
-
-    def _apply_values(self, cell_id: str, values: Mapping[str, object]) -> None:
-        assignments = ", ".join(f'"{column}" = ?' for column in values)
-        self._connection.execute(
-            f'UPDATE cells SET {assignments} WHERE "cell" = ?',
-            [_to_db(column, value) for column, value in values.items()] + [cell_id],
-        )
-
-    def _refresh(self) -> None:
-        with self._lock:
-            fetched = self._connection.execute(
-                "SELECT " + ", ".join(f'"{c}"' for c in COLUMNS)
-                + " FROM cells ORDER BY position"
-            ).fetchall()
-        rows: Dict[str, Dict[str, object]] = {}
-        for record in fetched:
-            row = {
-                column: _from_db(
-                    column, value, f"{self.path}: cell {record[0]!r}"
-                )
-                for column, value in zip(COLUMNS, record)
-            }
-            status = row.get("status")
-            if status not in _STATUSES:
-                raise StoreCorruptionError(
-                    f"{self.path}: row for {row.get('cell')!r} carries invalid "
-                    f"status {status!r}"
-                )
-            rows[str(row["cell"])] = row
-        self._rows = rows
-
-    def rows(self) -> List[Dict[str, object]]:
-        self._refresh()
-        return super().rows()
-
-    def get(self, cell_id: str) -> Optional[Dict[str, object]]:
-        with self._lock:
-            return self._fetch_row(cell_id)
-
-    def status(self, cell_id: str) -> Optional[str]:
-        row = self.get(cell_id)
-        return None if row is None else row["status"]  # type: ignore[return-value]
-
-    def status_counts(self) -> Dict[str, int]:
-        self._refresh()
-        return super().status_counts()
-
-    def __len__(self) -> int:
-        self._refresh()
-        return len(self._rows)
-
-    def __contains__(self, cell_id: str) -> bool:
-        return self.get(cell_id) is not None
 
 
 class _ImmediateTransaction:

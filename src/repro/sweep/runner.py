@@ -1,27 +1,31 @@
-"""Resumable execution of sweep grids over the batch subsystem.
+"""Resumable execution of sweep grids: one claim loop, two owners.
 
-The :class:`SweepRunner` walks a :class:`~repro.sweep.spec.SweepSpec`'s cell
-grid in its deterministic order and runs one seeded ensemble per cell:
+The :class:`SweepRunner` runs one seeded ensemble per cell of a
+:class:`~repro.sweep.spec.SweepSpec` against a
+:class:`~repro.sweep.dbstore.SqliteResultStore`, through one loop body:
+claim the next open cell in grid order, execute it on a shared
+:class:`~repro.sweep.executor.CellExecutor`, commit the row, repeat.
 
-* every cell is registered in the :class:`~repro.sweep.store.ResultStore` up
-  front (status ``created``), and the store is flushed incrementally — before
-  a cell runs (``running``) and after it completes (``done`` / ``error``) —
-  so a killed sweep leaves a consistent, resumable table behind;
-* **resume is the default**: cells already ``done`` in the store are skipped,
-  everything else (``created``, a stale ``running`` from a killed run, and —
-  unless ``retry_errors=False`` — ``error``) is (re)run;
+* :meth:`SweepRunner.run` is the single-owner case: every cell is registered
+  up front (status ``created``), **resume is the default** — ``done`` cells
+  are skipped, everything else (``created``, a stale ``running`` from a
+  killed run, and — unless ``retry_errors=False`` — ``error``) is (re)run —
+  and a failing cell gets its terminal ``error`` row at once;
+* :meth:`SweepRunner.run_claims` is the multi-runner case: any number of
+  processes drain one store, heartbeating their leases, retrying failed
+  cells with backoff and adopting the cells of killed peers;
 * under ``backend="process"`` every cell fans its repetitions over **one
   shared persistent** :class:`~repro.simulation.batch.WorkerPool`: worker
-  processes are created once per :meth:`SweepRunner.run` and cache one
-  initialized simulator per (protocol, scheduler, engine) spec, so the grid
-  pays protocol pickling and stepper compilation once per spec per worker,
-  not once per cell;
+  processes are created once per loop and cache one initialized simulator
+  per (protocol, scheduler, engine) spec, so the grid pays protocol
+  pickling and stepper compilation once per spec per worker, not once per
+  cell;
 * results are backend-independent **by construction**: each cell's ensemble
   seeds derive from the spec's master seed and the cell identity alone
   (see :meth:`~repro.sweep.spec.SweepSpec.cell_seed`), and the batch layer
   guarantees serial/process bit-identity for a fixed seed list — so the same
-  spec produces byte-identical store files serially, in parallel, straight
-  through, or across any kill-and-resume cycle.
+  spec exports byte-identical tables serially, in parallel, straight
+  through, across any kill-and-resume cycle, and from any number of runners.
 """
 
 from __future__ import annotations
@@ -29,23 +33,27 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Counter as CounterType, Dict, List, Optional
 
 from ..config import monotonic_time
-from ..core.configuration import Configuration
-from ..core.predicates import Predicate
-from ..core.protocol import Protocol
 from ..obs import trace as _obs_trace
 from ..obs.registry import get_registry
-from ..simulation.batch import WorkerPool, _dumps_for_workers
-from ..simulation.scheduler import Scheduler
-from ..simulation.simulator import SimulationResult, Simulator
+from ..simulation.batch import WorkerPool
+from ..simulation.simulator import SimulationResult
 from ..simulation.statistics import accuracy_against_predicate, summarize_runs
-from ..simulation.trajectory import DEFAULT_TRAJECTORY_CAPACITY
-from .faults import InjectedFault, fault_point
-from .spec import SweepCell, SweepSpec, build_inputs_for
-from .store import STATUS_DONE, STATUS_ERROR, ResultStore, StoreCorruptionError
+from .dbstore import (
+    DEFAULT_BACKOFF_BASE,
+    DEFAULT_LEASE_SECONDS,
+    DEFAULT_MAX_RETRIES,
+    Claim,
+    SqliteResultStore,
+)
+from .executor import CellExecutor
+from .faults import fault_point, install_fault_plan
+from .spec import SweepCell, SweepSpec
+from .store import COLUMNS, STATUS_DONE, STATUS_ERROR, StoreCorruptionError
 
 __all__ = [
     "CellExecutionError",
@@ -58,17 +66,21 @@ __all__ = [
 
 _BACKENDS = ("serial", "process")
 
+#: The claim owner of :meth:`SweepRunner.run`, the store's only runner.
+_RUN_OWNER = "run"
+
 
 class CellExecutionError(RuntimeError):
     """A grid cell's ensemble failed (crash, timeout, or protocol error).
 
     The claim loop's unit of containment: every failure inside
-    :meth:`SweepRunner._run_cell` — a raising protocol builder, a worker
+    :meth:`SweepRunner._execute` — a raising protocol builder, a worker
     process crash (:class:`~repro.simulation.batch.WorkerCrashError`), an
     ensemble timeout (:class:`~repro.simulation.batch.WorkerTimeoutError`) —
     is wrapped in this typed error carrying the cell id and the original
-    cause, and converted into a retry-or-park decision on the claim store
-    instead of killing the runner process.
+    cause, and converted into an ``error`` row (parked at once by
+    :meth:`SweepRunner.run`, retried with backoff by
+    :meth:`SweepRunner.run_claims`) instead of killing the runner process.
     """
 
     def __init__(self, cell_id: str, cause: BaseException):
@@ -140,14 +152,21 @@ class ClaimReport:
 
 
 class _HeartbeatPump:
-    """A daemon thread extending a held claim's lease while the cell runs.
+    """A daemon thread extending the claim its loop currently holds.
 
-    Beats every ``interval`` seconds (default: a third of the store's lease)
-    until stopped; each beat goes through the store's ``heartbeat`` — and
-    therefore through the ``heartbeat-loss`` fault point, which is how the
-    partition chaos tests starve a lease under a live runner.  A beat
-    returning False (the claim is gone) is remembered so the claim loop can
-    report the eventual lost commit with a cause.
+    One pump serves a whole claim loop: :meth:`hold` hands it the claim
+    being executed, :meth:`release` takes it back before the result is
+    committed or the failure recorded.  Both swap the claim under the lock
+    a beat holds while it runs, so no beat can extend (or misreport) a
+    claim that has already been committed or failed.
+
+    While a claim is held the pump beats every ``interval`` seconds
+    (default: a third of the store's lease); each beat goes through the
+    store's ``heartbeat`` — and therefore through the ``heartbeat-loss``
+    fault point, which is how the partition chaos tests starve a lease under
+    a live runner.  A beat returning False (the claim is gone) clears
+    :attr:`claim_alive` and stops beating for that claim, so the claim loop
+    can report the eventual lost commit with a cause.
 
     Lease trouble is never silent: a beat that lands late (more than two
     intervals since the previous one — a starved thread or a blocked store),
@@ -155,13 +174,15 @@ class _HeartbeatPump:
     whose claim is already gone each emit a structured ``warning`` event
     through :mod:`repro.obs.trace` and bump the
     ``repro_sweep_heartbeat_warnings_total{reason=...}`` counter; the
-    reasons are also kept on :attr:`warnings` for the claim loop's report.
+    reasons are also kept on :attr:`warnings`.
     """
 
-    def __init__(self, store: ResultStore, claim: object, interval: float):
+    def __init__(self, store: SqliteResultStore, interval: float):
         self._store = store
-        self._claim = claim
         self._interval = max(0.05, interval)
+        self._lock = threading.Lock()
+        self._claim: Optional[Claim] = None
+        self._last = 0.0
         self._stop = threading.Event()
         self.claim_alive = True
         self.warnings: List[str] = []
@@ -180,37 +201,55 @@ class _HeartbeatPump:
         self._stop.set()
         self._thread.join()
 
-    def _warn(self, reason: str, **attrs: object) -> None:
+    def hold(self, claim: Claim) -> None:
+        """Start extending ``claim``'s lease."""
+        with self._lock:
+            self._claim = claim
+            self._last = monotonic_time()
+            self.claim_alive = True
+
+    def release(self) -> bool:
+        """Stop extending the held claim; returns whether it stayed alive."""
+        with self._lock:
+            self._claim = None
+            return self.claim_alive
+
+    def _warn(self, reason: str, claim: Claim, **attrs: object) -> None:
         self.warnings.append(reason)
         self._warn_counter.inc(reason=reason)
         _obs_trace.event(
             f"heartbeat-{reason}",
             kind="warning",
             reason=reason,
-            cell=getattr(self._claim, "cell", None),
-            owner=getattr(self._claim, "owner", None),
+            cell=claim.cell,
+            owner=claim.owner,
             interval=self._interval,
             **attrs,
         )
 
     def _beat(self) -> None:
         lease = getattr(self._store, "lease_seconds", None)
-        last = monotonic_time()
         while not self._stop.wait(self._interval):
-            now = monotonic_time()
-            gap = now - last
-            if gap > 2.0 * self._interval:
-                # At least one beat went missing (a starved thread, a store
-                # call that blocked) — the lease burned down unattended.
-                self._warn("skipped", gap=gap)
-            if lease is not None and gap > lease - self._interval:
-                # Within one beat of expiry: the next hiccup loses the claim.
-                self._warn("lease-at-risk", gap=gap, lease=lease)
-            if not self._store.heartbeat(self._claim):
-                self._warn("lost")
-                self.claim_alive = False
-                return
-            last = monotonic_time()
+            with self._lock:
+                claim = self._claim
+                if claim is None:
+                    continue
+                gap = monotonic_time() - self._last
+                if gap > 2.0 * self._interval:
+                    # At least one beat went missing (a starved thread, a
+                    # store call that blocked) — the lease burned down
+                    # unattended.
+                    self._warn("skipped", claim, gap=gap)
+                if lease is not None and gap > lease - self._interval:
+                    # Within one beat of expiry: the next hiccup loses the
+                    # claim.
+                    self._warn("lease-at-risk", claim, gap=gap, lease=lease)
+                if not self._store.heartbeat(claim):
+                    self._warn("lost", claim)
+                    self.claim_alive = False
+                    self._claim = None
+                    continue
+                self._last = monotonic_time()
 
 
 class SweepRunner:
@@ -221,9 +260,10 @@ class SweepRunner:
     spec:
         The grid to run.
     store:
-        Where rows are persisted.  Reusing a store from an earlier (possibly
-        interrupted) run of the **same** spec resumes it; a store written by
-        a different spec or master seed is rejected at registration time.
+        The :class:`~repro.sweep.dbstore.SqliteResultStore` rows live in.
+        Reusing a store from an earlier (possibly interrupted) run of the
+        **same** spec resumes it; a store written by a different spec or
+        master seed is rejected at registration time.
     backend:
         ``"process"`` (default) fans each cell's repetitions over a shared
         persistent :class:`~repro.simulation.batch.WorkerPool`;
@@ -233,14 +273,14 @@ class SweepRunner:
         Pool knobs, as for :class:`~repro.simulation.batch.BatchRunner`.
         Ignored under ``backend="serial"``.
     retry_errors:
-        Whether resumption re-runs cells recorded as ``error`` (default) or
-        skips them.
+        Whether :meth:`run` re-runs cells recorded as ``error`` (default)
+        or skips them.
     """
 
     def __init__(
         self,
         spec: SweepSpec,
-        store: ResultStore,
+        store: SqliteResultStore,
         backend: str = "process",
         max_workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
@@ -274,6 +314,13 @@ class SweepRunner:
     ) -> SweepReport:
         """Execute the grid (or what remains of it) and return a report.
 
+        The single-owner case of the claim loop (:meth:`run_claims`): the
+        caller is assumed to be the store's only runner, so every
+        ``running`` row is a stale claim of a killed run and is re-run, as
+        is every ``error`` row unless ``retry_errors=False``.  A failing
+        cell gets its terminal ``error`` row at once — no backoff, no retry
+        within the call.
+
         Parameters
         ----------
         max_cells:
@@ -291,94 +338,34 @@ class SweepRunner:
             raise ValueError(
                 f"on_error must be 'raise' or 'continue', got {on_error!r}"
             )
-        if max_cells is not None and max_cells < 0:
-            raise ValueError(f"max_cells must be non-negative, got {max_cells}")
-
-        cells = self.spec.cells()
-        for cell in cells:
-            self.store.ensure(
-                cell.cell_id, cell.keyfields(), self.spec.cell_seed(cell)
-            )
-        self.store.flush()
-
-        executed = failed = skipped = skipped_errors = attempted = 0
-        caches = _CellCaches()
-        pool: Optional[WorkerPool] = None
-        try:
-            for index, cell in enumerate(cells):
-                status = self.store.status(cell.cell_id)
-                if status == STATUS_DONE or (
-                    status == STATUS_ERROR and not self.retry_errors
-                ):
-                    skipped += 1
-                    if status == STATUS_ERROR:
-                        skipped_errors += 1
-                    if progress is not None:
-                        progress(
-                            f"[{index + 1}/{len(cells)}] {cell.cell_id} "
-                            f"skipped ({status})"
-                        )
-                    continue
-                if max_cells is not None and attempted >= max_cells:
-                    break
-                attempted += 1
-                self.store.mark_running(cell.cell_id)
-                self.store.flush()
-                with _obs_trace.span(
-                    "sweep-cell", kind="sweep-cell", cell=cell.cell_id
-                ) as cell_span:
-                    try:
-                        if self.backend == "process" and pool is None:
-                            pool = WorkerPool(
-                                max_workers=self.max_workers,
-                                start_method=self.start_method,
-                            )
-                        results = self._run_cell(cell, caches, pool)
-                    except Exception as error:
-                        failed += 1
-                        cell_span.set(status="error")
-                        self.store.mark_error(
-                            cell.cell_id, f"{type(error).__name__}: {error}"
-                        )
-                        self.store.flush()
-                        if progress is not None:
-                            progress(
-                                f"[{index + 1}/{len(cells)}] {cell.cell_id} "
-                                f"ERROR: {error}"
-                            )
-                        if on_error == "raise":
-                            raise
-                    else:
-                        executed += 1
-                        statistics = summarize_runs(results)
-                        cell_span.set(
-                            status="done",
-                            runs=statistics.runs,
-                            converged=statistics.converged,
-                        )
-                        self.store.mark_done(
-                            cell.cell_id, statistics, **self._result_extras(
-                                cell, caches, results
-                            )
-                        )
-                        self.store.flush()
-                        if progress is not None:
-                            progress(
-                                f"[{index + 1}/{len(cells)}] {cell.cell_id} done "
-                                f"(converged {statistics.converged}/{statistics.runs}, "
-                                f"mean steps {statistics.mean_steps:.1f})"
-                            )
-        finally:
-            if pool is not None:
-                pool.close()
+        cells = self._register(max_cells)
+        index_of = {cell.cell_id: index for index, cell in enumerate(cells)}
+        skipped = skipped_errors = 0
+        for row in self.store.rows():
+            status = row["status"]
+            index = index_of.get(str(row["cell"]))
+            if index is None or not (
+                status == STATUS_DONE
+                or (status == STATUS_ERROR and not self.retry_errors)
+            ):
+                continue
+            skipped += 1
+            if status == STATUS_ERROR:
+                skipped_errors += 1
+            if progress is not None:
+                progress(
+                    f"[{index + 1}/{len(cells)}] {row['cell']} skipped ({status})"
+                )
+        self.store._reopen(self.retry_errors)
+        tally = self._claim_loop(
+            _RUN_OWNER, cells, max_cells, progress, single_owner=True,
+            raise_errors=on_error == "raise",
+        )
         return SweepReport(
-            total=len(cells), executed=executed, skipped=skipped, failed=failed,
-            skipped_errors=skipped_errors,
+            total=len(cells), executed=tally["executed"], skipped=skipped,
+            failed=tally["parked"], skipped_errors=skipped_errors,
         )
 
-    # ------------------------------------------------------------------
-    # Claim-based execution (multi-runner mode)
-    # ------------------------------------------------------------------
     def run_claims(
         self,
         owner: str,
@@ -394,8 +381,7 @@ class SweepRunner:
 
         The multi-runner mode: any number of processes (one host or many
         sharing a filesystem) point :meth:`run_claims` at the same sqlite
-        store and the grid drains concurrently.  Requires a claim-capable
-        store (:class:`~repro.sweep.dbstore.SqliteResultStore`).
+        store and the grid drains concurrently.
 
         Each iteration atomically claims the next open cell, executes its
         ensemble (under a heartbeat pump extending the lease), and commits
@@ -437,202 +423,204 @@ class SweepRunner:
         progress:
             Optional callback receiving one line per processed claim.
         """
+        if idle_wait <= 0:
+            raise ValueError(f"idle_wait must be positive, got {idle_wait}")
+        cells = self._register(max_cells)
+        tally = self._claim_loop(
+            owner, cells, max_cells, progress,
+            cell_timeout=cell_timeout,
+            heartbeat_interval=heartbeat_interval,
+            idle_wait=idle_wait if wait_for_stragglers else None,
+            stop_event=stop_event,
+        )
+        return ClaimReport(
+            owner=owner,
+            total=len(cells),
+            executed=tally["executed"],
+            retried=tally["retry"],
+            parked=tally["parked"],
+            lost=tally["lost"],
+            drained=self.store.unresolved_count() == 0,
+            stopped=bool(tally["stopped"]),
+        )
+
+    def _register(self, max_cells: Optional[int]) -> List[SweepCell]:
+        """Check the store and ``max_cells``, then register every grid cell."""
         claim_api = ("claim_next", "finish_claim", "fail_claim", "heartbeat")
         if not all(hasattr(self.store, name) for name in claim_api):
             raise TypeError(
-                "run_claims requires a claim-capable store (a .sqlite path / "
-                f"SqliteResultStore), got {type(self.store).__name__}"
+                "the sweep runner requires a claim-capable store (a .sqlite "
+                f"path / SqliteResultStore), got {type(self.store).__name__}"
             )
         if max_cells is not None and max_cells < 0:
             raise ValueError(f"max_cells must be non-negative, got {max_cells}")
-        if idle_wait <= 0:
-            raise ValueError(f"idle_wait must be positive, got {idle_wait}")
-        if heartbeat_interval is None:
-            heartbeat_interval = self.store.lease_seconds / 3.0
-
         cells = self.spec.cells()
-        by_id = {cell.cell_id: cell for cell in cells}
         for cell in cells:
             self.store.ensure(
                 cell.cell_id, cell.keyfields(), self.spec.cell_seed(cell)
             )
+        return cells
 
-        executed = retried = parked = lost = processed = 0
-        stopped = False
-        caches = _CellCaches()
-        pool: Optional[WorkerPool] = None
-        # The registry mirror of this loop's ClaimReport counters: cumulative
-        # across claim loops in the process, scrapeable while the loop runs.
+    def _claim_loop(
+        self,
+        owner: str,
+        cells: List[SweepCell],
+        max_cells: Optional[int],
+        progress: Optional[Callable[[str], None]],
+        single_owner: bool = False,
+        raise_errors: bool = False,
+        cell_timeout: Optional[float] = None,
+        heartbeat_interval: Optional[float] = None,
+        idle_wait: Optional[float] = None,
+        stop_event: Optional[threading.Event] = None,
+    ) -> CounterType[str]:
+        """Claim, execute and commit cells until none is left for ``owner``.
+
+        The one loop body behind :meth:`run` (``single_owner``: failures
+        park at once, ``raise_errors`` re-raises them, spans are
+        ``sweep-cell``) and :meth:`run_claims` (failures retry with backoff,
+        spans are ``claim``).  With ``idle_wait`` set, a loop that finds no
+        claimable cell polls until the grid drains.  Returns counts of
+        ``executed`` cells, failure fates (``retry`` / ``parked`` /
+        ``lost``) and whether a ``stopped`` request ended the loop.
+        """
+        index_of = {cell.cell_id: index for index, cell in enumerate(cells)}
+        tally: CounterType[str] = Counter()
+        processed = 0
+        executor: Optional[CellExecutor] = None
+        if heartbeat_interval is None:
+            heartbeat_interval = self.store.lease_seconds / 3.0
+        # The registry mirror of the loop's counters: cumulative across
+        # claim loops in the process, scrapeable while the loop runs.
         claim_counter = get_registry().counter(
             "repro_sweep_claims_total",
-            "Claim outcomes processed by run_claims.",
+            "Claim outcomes processed by the sweep claim loop.",
             labelnames=("outcome",),
         )
         try:
-            while True:
-                if stop_event is not None and stop_event.is_set():
-                    stopped = True
-                    break
-                if max_cells is not None and processed >= max_cells:
-                    break
-                claim = self.store.claim_next(owner)
-                if claim is None:
-                    if not wait_for_stragglers:
+            with _HeartbeatPump(self.store, heartbeat_interval) as pump:
+                while max_cells is None or processed < max_cells:
+                    if stop_event is not None and stop_event.is_set():
+                        tally["stopped"] = 1
                         break
-                    if self.store.unresolved_count() == 0:
-                        break
-                    # Rows remain but none is eligible right now: another
-                    # runner's live claim, or a backoff window.  Poll — an
-                    # expired lease or due retry becomes claimable here,
-                    # which is how surviving runners adopt a killed peer's
-                    # cells without any restart.
-                    time.sleep(idle_wait)
-                    continue
-                cell = by_id.get(claim.cell)
-                if cell is None:
-                    # Not this spec's cell: the store holds a different (or
-                    # larger) grid.  Hand the claim back and refuse to mix.
-                    self.store.release_claim(claim)
-                    raise StoreCorruptionError(
-                        f"claimed cell {claim.cell!r} is not part of this "
-                        "sweep spec; the store holds a different grid"
-                    )
-                processed += 1
-                try:
-                    # Models a runner dying (or erroring) between claiming
-                    # and executing: the claim is held, no result exists.
-                    try:
-                        fault_point("mid-cell")
-                    except InjectedFault as fault:
-                        raise CellExecutionError(claim.cell, fault) from fault
-                    if self.backend == "process" and pool is None:
-                        pool = WorkerPool(
-                            max_workers=self.max_workers,
-                            start_method=self.start_method,
+                    claim = self.store.claim_next(owner)
+                    if claim is None:
+                        if idle_wait is None or self.store.unresolved_count() == 0:
+                            break
+                        # Rows remain but none is eligible right now: another
+                        # runner's live claim, or a backoff window.  Poll —
+                        # an expired lease or due retry becomes claimable
+                        # here, which is how surviving runners adopt a killed
+                        # peer's cells without any restart.
+                        time.sleep(idle_wait)
+                        continue
+                    index = index_of.get(claim.cell)
+                    if index is None:
+                        # Not this spec's cell: the store holds a different
+                        # (or larger) grid.  Hand the claim back and refuse
+                        # to mix.
+                        self.store.release_claim(claim)
+                        raise StoreCorruptionError(
+                            f"claimed cell {claim.cell!r} is not part of this "
+                            "sweep spec; the store holds a different grid"
                         )
-                    with _obs_trace.span(
-                        "claim", kind="claim", cell=claim.cell,
-                        attempt=claim.attempt, owner=owner,
-                    ), _HeartbeatPump(
-                        self.store, claim, heartbeat_interval
-                    ) as pump:
-                        results = self._execute_claimed(
-                            cell, caches, pool, cell_timeout
+                    cell = cells[index]
+                    processed += 1
+                    if executor is None:
+                        pool = None
+                        if self.backend == "process":
+                            pool = WorkerPool(
+                                max_workers=self.max_workers,
+                                start_method=self.start_method,
+                            )
+                        executor = CellExecutor(pool, self.chunk_size, cell_timeout)
+                    if single_owner:
+                        prefix = f"[{index + 1}/{len(cells)}] {claim.cell}"
+                        span = _obs_trace.span(
+                            "sweep-cell", kind="sweep-cell", cell=claim.cell
                         )
-                except CellExecutionError as error:
-                    fate = self.store.fail_claim(claim, str(error))
-                    if fate == "retry":
-                        retried += 1
-                        claim_counter.inc(outcome="retried")
-                    elif fate == "parked":
-                        parked += 1
-                        claim_counter.inc(outcome="parked")
                     else:
-                        lost += 1
-                        claim_counter.inc(outcome="lost")
+                        prefix = f"[{owner}] {claim.cell} attempt {claim.attempt}"
+                        span = _obs_trace.span(
+                            "claim", kind="claim", cell=claim.cell,
+                            attempt=claim.attempt, owner=owner,
+                        )
+                    with span as cell_span:
+                        pump.hold(claim)
+                        try:
+                            results = self._execute(cell, executor)
+                        except CellExecutionError as error:
+                            alive = pump.release()
+                            cell_span.set(status="error")
+                            record = (
+                                self.store._park_claim if single_owner
+                                else self.store.fail_claim
+                            )
+                            fate = record(claim, str(error))
+                            tally[fate] += 1
+                            claim_counter.inc(
+                                outcome="retried" if fate == "retry" else fate
+                            )
+                            if progress is not None:
+                                progress(
+                                    f"{prefix} FAILED ({_lost(fate, alive)}): "
+                                    f"{error}"
+                                )
+                            if raise_errors:
+                                raise error.cause from None
+                            continue
+                        alive = pump.release()
+                        statistics = summarize_runs(results)
+                        cell_span.set(
+                            status="done",
+                            runs=statistics.runs,
+                            converged=statistics.converged,
+                        )
+                        committed = self.store.finish_claim(
+                            claim, statistics,
+                            **self._result_extras(cell, executor, results),
+                        )
+                    outcome = "executed" if committed else "lost"
+                    tally[outcome] += 1
+                    claim_counter.inc(outcome=outcome)
                     if progress is not None:
                         progress(
-                            f"[{owner}] {claim.cell} attempt {claim.attempt} "
-                            f"FAILED ({fate}): {error}"
-                        )
-                else:
-                    statistics = summarize_runs(results)
-                    committed = self.store.finish_claim(
-                        claim, statistics, **self._result_extras(
-                            cell, caches, results
-                        )
-                    )
-                    if committed:
-                        executed += 1
-                        claim_counter.inc(outcome="executed")
-                    else:
-                        lost += 1
-                        claim_counter.inc(outcome="lost")
-                    if progress is not None:
-                        outcome = "done" if committed else (
-                            "lost (lease reclaimed)" if not pump.claim_alive
-                            else "lost"
-                        )
-                        progress(
-                            f"[{owner}] {claim.cell} attempt {claim.attempt} "
-                            f"{outcome} (converged "
-                            f"{statistics.converged}/{statistics.runs})"
+                            f"{prefix} "
+                            f"{'done' if committed else _lost('lost', alive)} "
+                            f"(converged {statistics.converged}/{statistics.runs}, "
+                            f"mean steps {statistics.mean_steps:.1f})"
                         )
         finally:
-            if pool is not None:
-                pool.close()
-        return ClaimReport(
-            owner=owner,
-            total=len(cells),
-            executed=executed,
-            retried=retried,
-            parked=parked,
-            lost=lost,
-            drained=self.store.unresolved_count() == 0,
-            stopped=stopped,
-        )
+            if executor is not None and executor.pool is not None:
+                executor.pool.close()
+        return tally
 
-    def _execute_claimed(
-        self,
-        cell: SweepCell,
-        caches: "_CellCaches",
-        pool: Optional[WorkerPool],
-        timeout: Optional[float],
+    def _execute(
+        self, cell: SweepCell, executor: CellExecutor
     ) -> List[SimulationResult]:
         """Run a claimed cell, wrapping any failure in the typed cell error.
 
-        The wrapped message renders as ``TypeName: text`` — exactly what the
-        single-process path's ``mark_error`` records — so parked rows stay
-        byte-comparable with a serial sweep's ``error`` rows.
+        The wrapped message renders as ``TypeName: text``, which is what the
+        cell's ``error`` row records.  The ``mid-cell`` fault point models a
+        runner dying (or erroring) between claiming and executing: the claim
+        is held, no result exists.
         """
         try:
-            return self._run_cell(cell, caches, pool, timeout=timeout)
+            fault_point("mid-cell")
+            return executor.run(
+                cell,
+                self._cell_run_seeds(cell),
+                self.spec.max_steps,
+                self.spec.stability_window,
+                self.spec.analytics,
+            )
         except Exception as error:
             raise CellExecutionError(cell.cell_id, error) from error
-
-    # ------------------------------------------------------------------
-    # One cell
-    # ------------------------------------------------------------------
-    def _run_cell(
-        self,
-        cell: SweepCell,
-        caches: "_CellCaches",
-        pool: Optional[WorkerPool],
-        timeout: Optional[float] = None,
-    ) -> List[SimulationResult]:
-        protocol = caches.protocol(cell)
-        inputs = caches.inputs(cell)
-        scheduler = caches.scheduler(cell)
-        seeds = self._cell_run_seeds(cell)
-        analytics = (
-            caches.analytics_spec(cell, inputs) if self.spec.analytics else None
-        )
-        if self.backend == "serial":
-            simulator = caches.serial_simulator(cell, protocol, scheduler)
-            configuration = protocol.initial_configuration(inputs)
-            return simulator._run_seeds(
-                configuration, seeds, self.spec.max_steps,
-                self.spec.stability_window, False, DEFAULT_TRAJECTORY_CAPACITY,
-                analytics,
-            )
-        return pool.run_seeds(
-            protocol,
-            inputs,
-            seeds,
-            scheduler=scheduler,
-            engine=cell.engine,
-            max_steps=self.spec.max_steps,
-            stability_window=self.spec.stability_window,
-            chunk_size=self.chunk_size,
-            analytics=analytics,
-            spec_bytes=caches.spec_bytes(cell, protocol, scheduler),
-            timeout=timeout,
-        )
 
     def _result_extras(
         self,
         cell: SweepCell,
-        caches: "_CellCaches",
+        executor: CellExecutor,
         results: List[SimulationResult],
     ) -> Dict[str, object]:
         """The analytics columns of a completed cell.
@@ -662,10 +650,10 @@ class SweepRunner:
             if aggregated.histogram is not None:
                 names = [
                     transition.name
-                    for transition in caches.protocol(cell).petri_net.transitions
+                    for transition in executor.protocol(cell).petri_net.transitions
                 ]
                 top = top_transitions(aggregated.histogram, names, k=3)
-                # None (not "") when nothing fired: the CSV round-trip cannot
+                # None (not "") when nothing fired: the CSV export cannot
                 # distinguish an empty string from an absent value.
                 rendered = (
                     "; ".join(f"{name}:{count}" for name, count in top)
@@ -676,10 +664,10 @@ class SweepRunner:
                 "consensus_quantiles": aggregated.stable_consensus_quantiles,
                 "top_transitions": rendered,
             }
-        predicate = caches.predicate(cell)
+        predicate = executor.predicate(cell)
         return {
             "accuracy": (
-                accuracy_against_predicate(results, predicate, caches.inputs(cell))
+                accuracy_against_predicate(results, predicate, executor.inputs(cell))
                 if predicate is not None
                 else None
             )
@@ -702,101 +690,9 @@ class SweepRunner:
         )
 
 
-class _CellCaches:
-    """Per-run caches shared across cells.
-
-    One built protocol per (protocol, params) axis value — so every
-    population/scheduler/engine cell of that protocol reuses its compiled
-    caches — plus one scheduler instance per kind, and per
-    (protocol, params, scheduler, engine) spec either one serial simulator
-    or one transport pickle (the worker-side simulator-cache key, kept
-    byte-stable so every cell of a spec hits the same cached simulator in
-    the pool workers).
-    """
-
-    def __init__(self):
-        self._protocols: Dict[Tuple[str, str], Protocol] = {}
-        self._inputs: Dict[Tuple[str, str, int], Configuration] = {}
-        self._schedulers: Dict[str, Scheduler] = {}
-        self._serial: Dict[Tuple[str, str, str, str], Simulator] = {}
-        self._spec_bytes: Dict[Tuple[str, str, str, str], bytes] = {}
-        self._predicates: Dict[Tuple[str, str, int], Optional[Predicate]] = {}
-        self._analytics: Dict[Tuple[str, str, int], object] = {}
-
-    def protocol(self, cell: SweepCell) -> Protocol:
-        key = (cell.protocol, cell.params_json)
-        protocol = self._protocols.get(key)
-        if protocol is None:
-            protocol, inputs = cell.build()
-            self._protocols[key] = protocol
-            self._inputs[key + (cell.population,)] = inputs
-        return protocol
-
-    def inputs(self, cell: SweepCell) -> Configuration:
-        key = (cell.protocol, cell.params_json, cell.population)
-        inputs = self._inputs.get(key)
-        if inputs is None:
-            inputs = build_inputs_for(
-                cell.protocol, self.protocol(cell), cell.population, cell.params
-            )
-            self._inputs[key] = inputs
-        return inputs
-
-    def predicate(self, cell: SweepCell) -> Optional[Predicate]:
-        """The cell's registered predicate (or None), cached per grid point."""
-        key = (cell.protocol, cell.params_json, cell.population)
-        if key not in self._predicates:
-            self._predicates[key] = cell.build_predicate()
-        return self._predicates[key]
-
-    def analytics_spec(self, cell: SweepCell, inputs: Configuration):
-        """The in-worker extraction spec of a cell, cached per grid point.
-
-        The expected predicate value is folded in up front, so every worker
-        scores correctness locally without seeing the predicate object.
-        """
-        key = (cell.protocol, cell.params_json, cell.population)
-        spec = self._analytics.get(key)
-        if spec is None:
-            from ..analytics.metrics import AnalyticsSpec
-
-            predicate = self.predicate(cell)
-            expected = None if predicate is None else predicate.evaluate(inputs)
-            spec = AnalyticsSpec(
-                histogram=True, consensus_times=True, expected_output=expected
-            )
-            self._analytics[key] = spec
-        return spec
-
-    def scheduler(self, cell: SweepCell) -> Scheduler:
-        scheduler = self._schedulers.get(cell.scheduler)
-        if scheduler is None:
-            scheduler = cell.make_scheduler()
-            self._schedulers[cell.scheduler] = scheduler
-        return scheduler
-
-    def _spec_key(self, cell: SweepCell) -> Tuple[str, str, str, str]:
-        return (cell.protocol, cell.params_json, cell.scheduler, cell.engine)
-
-    def serial_simulator(
-        self, cell: SweepCell, protocol: Protocol, scheduler: Scheduler
-    ) -> Simulator:
-        key = self._spec_key(cell)
-        simulator = self._serial.get(key)
-        if simulator is None:
-            simulator = Simulator(protocol, scheduler=scheduler, engine=cell.engine)
-            self._serial[key] = simulator
-        return simulator
-
-    def spec_bytes(
-        self, cell: SweepCell, protocol: Protocol, scheduler: Scheduler
-    ) -> bytes:
-        key = self._spec_key(cell)
-        payload = self._spec_bytes.get(key)
-        if payload is None:
-            payload = _dumps_for_workers((protocol, scheduler, cell.engine))
-            self._spec_bytes[key] = payload
-        return payload
+def _lost(fate: str, alive: bool) -> str:
+    """A progress-line fate, naming a reclaimed lease as the cause of a loss."""
+    return "lost (lease reclaimed)" if fate == "lost" and not alive else fate
 
 
 def claim_worker(
@@ -837,14 +733,6 @@ def claim_worker(
     the environment so a launcher can aim chaos at one runner of a fleet.
     """
     import signal
-
-    from .dbstore import (
-        DEFAULT_BACKOFF_BASE,
-        DEFAULT_LEASE_SECONDS,
-        DEFAULT_MAX_RETRIES,
-        SqliteResultStore,
-    )
-    from .faults import install_fault_plan
 
     if fault_plan is not None:
         install_fault_plan(fault_plan)
@@ -902,7 +790,7 @@ def claim_worker(
             signal.signal(signal.SIGTERM, previous)
 
 
-def _verify_claim_consistency(store: ResultStore, owner: str) -> None:
+def _verify_claim_consistency(store: SqliteResultStore, owner: str) -> None:
     """The runner's exit invariant: it left nothing of its own behind.
 
     After a drain (graceful or straggler-waited), no row may still be
@@ -923,7 +811,7 @@ def _verify_claim_consistency(store: ResultStore, owner: str) -> None:
 
 
 def to_experiment_table(
-    store: ResultStore,
+    store: SqliteResultStore,
     experiment_id: str = "SWEEP",
     title: Optional[str] = None,
 ):
@@ -933,7 +821,6 @@ def to_experiment_table(
     returns one, and the CLI's ``show`` command renders one.
     """
     from ..experiments.harness import ExperimentTable
-    from .store import COLUMNS
 
     table = ExperimentTable(
         experiment_id=experiment_id,

@@ -40,6 +40,7 @@ flock      ``threshold`` (5)            ``n`` agents in the initial state
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -342,8 +343,10 @@ class SweepCell:
     scheduler: str
     engine: str
 
-    @property
+    @functools.cached_property
     def params_json(self) -> str:
+        """The canonical params JSON, rendered once per cell (every cache
+        key and identity string of the cell contains it)."""
         return _canonical_params(self.params)
 
     @property

@@ -1,32 +1,22 @@
-"""Resumable on-disk result tables for sweep runs.
+"""The sweep result table's schema, and its CSV / JSON-lines renderings.
 
 One row per grid cell, py_experimenter style: the keyfields identify the
 cell, a ``status`` column tracks its lifecycle (``created`` → ``running`` →
 ``done`` / ``error``), and the result columns carry the cell's convergence
-statistics once it completes.  The runner persists the table **incrementally**
-— after registering the grid and after every cell — so a killed sweep can be
-resumed by reopening the store and skipping the ``done`` rows.
+statistics once it completes.  The live table is always a
+:class:`~repro.sweep.dbstore.SqliteResultStore`; this module holds what
+every rendering of it shares:
 
-Two interchangeable file formats (:class:`CsvResultStore`,
-:class:`JsonlResultStore`) plus an in-memory store for tests and throwaway
-experiment runs.  Both file stores share the durability discipline:
+* the fixed column set :data:`COLUMNS` and the status values,
+* the column values of a ``done`` row (:func:`_done_values`) and the
+  one-line normalization of ``error`` messages,
+* the two export renderers behind ``python -m repro.sweep export``
+  (:func:`export_rows`): CSV and JSON lines.
 
-* **crash-safe flushes** — every flush writes the complete table to a
-  temporary file in the same directory, fsyncs it, and atomically renames it
-  over the store path, so the on-disk table is always a complete snapshot
-  (never a half-written one), and
-* **torn-tail recovery on open** — if the file nevertheless ends mid-row
-  (an external writer, a non-atomic copy, a filesystem that lied about the
-  rename), the trailing partial row is detected, dropped, and reported via
-  :attr:`ResultStore.recovered_cells`; the runner then re-runs that cell
-  instead of silently loading garbage.  Corruption anywhere *other* than the
-  final row is not plausibly a torn write and raises
-  :class:`StoreCorruptionError` instead.
-
-Rows are written in cell-registration order (= the spec's deterministic grid
-order) and every value round-trips the format losslessly, so two sweeps of
-the same spec — serial or process-parallel, straight through or killed and
-resumed — produce **byte-identical** store files.
+Rows render in cell-registration order (= the spec's deterministic grid
+order) and every value renders through a fixed format, so two sweeps of the
+same spec — serial or process-parallel, straight through or killed and
+resumed, one runner or many — export **byte-identical** files.
 """
 
 from __future__ import annotations
@@ -34,25 +24,21 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Union
 
 from .spec import KEYFIELDS
 
 __all__ = [
     "COLUMNS",
+    "EXPORT_SUFFIXES",
     "STATUS_CREATED",
     "STATUS_DONE",
     "STATUS_ERROR",
     "STATUS_RUNNING",
-    "CsvResultStore",
-    "JsonlResultStore",
-    "MemoryResultStore",
-    "ResultStore",
     "StoreCorruptionError",
+    "export_rows",
     "normalize_error_message",
-    "open_store",
 ]
 
 STATUS_CREATED = "created"
@@ -111,255 +97,7 @@ _RESULT_COLUMNS = (
 
 
 class StoreCorruptionError(ValueError):
-    """The store file is damaged beyond the recoverable torn-tail case."""
-
-
-def open_store(path: Union[str, Path]) -> "ResultStore":
-    """Open (or create) a file-backed store, picking the format by suffix.
-
-    ``.csv`` maps to :class:`CsvResultStore`; ``.jsonl`` / ``.ndjson`` /
-    ``.json`` to :class:`JsonlResultStore`; ``.sqlite`` / ``.sqlite3`` /
-    ``.db`` to the claim-capable
-    :class:`~repro.sweep.dbstore.SqliteResultStore`.
-    """
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return CsvResultStore(path)
-    if suffix in (".jsonl", ".ndjson", ".json"):
-        return JsonlResultStore(path)
-    if suffix in (".sqlite", ".sqlite3", ".db"):
-        # Imported lazily: dbstore subclasses ResultStore from this module.
-        from .dbstore import SqliteResultStore
-
-        return SqliteResultStore(path)
-    raise ValueError(
-        f"cannot infer a store format from {path.name!r}; "
-        "use a .csv, .jsonl or .sqlite path (or construct a store class directly)"
-    )
-
-
-class ResultStore:
-    """Base class: an ordered map cell id → row with persistence hooks.
-
-    Subclasses implement :meth:`_render` (the full table as text) and
-    :meth:`_parse` (text back into rows + the recoverable torn tail).
-    """
-
-    def __init__(self, path: Optional[Union[str, Path]] = None):
-        self.path: Optional[Path] = Path(path) if path is not None else None
-        self._rows: Dict[str, Dict[str, object]] = {}
-        #: Cell ids whose trailing rows were dropped as torn on load; the
-        #: runner re-runs them (and tests assert they were noticed).
-        self.recovered_cells: Tuple[str, ...] = ()
-        if self.path is not None and self.path.exists():
-            self._load()
-
-    # ------------------------------------------------------------------
-    # Row lifecycle
-    # ------------------------------------------------------------------
-    def ensure(
-        self, cell_id: str, keyfields: Mapping[str, object], seed: int
-    ) -> bool:
-        """Register a cell with status ``created`` unless already present.
-
-        A cell that is already present must agree on its keyfields and seed:
-        a mismatch means the store belongs to a *different* spec or master
-        seed, and resuming would mix incompatible tables — raise instead.
-        Returns True when the row was newly created.
-        """
-        existing = self._rows.get(cell_id)
-        if existing is not None:
-            for key, value in keyfields.items():
-                if existing.get(key) != value:
-                    raise StoreCorruptionError(
-                        f"store row for {cell_id!r} disagrees on {key!r} "
-                        f"({existing.get(key)!r} != {value!r}); this store was "
-                        "written by a different sweep spec"
-                    )
-            if existing.get("seed") != seed:
-                raise StoreCorruptionError(
-                    f"store row for {cell_id!r} carries seed "
-                    f"{existing.get('seed')!r}, expected {seed}; this store "
-                    "was written with a different master seed"
-                )
-            return False
-        row: Dict[str, object] = {column: None for column in COLUMNS}
-        row.update(keyfields)
-        row["cell"] = cell_id
-        row["seed"] = seed
-        row["status"] = STATUS_CREATED
-        self._rows[cell_id] = row
-        return True
-
-    def mark_running(self, cell_id: str) -> None:
-        """Flag a cell as in flight, clearing any stale results."""
-        row = self._row(cell_id)
-        row["status"] = STATUS_RUNNING
-        for column in _RESULT_COLUMNS:
-            row[column] = None
-
-    def mark_done(
-        self,
-        cell_id: str,
-        statistics,
-        accuracy: Optional[float] = None,
-        consensus_quantiles: Optional[Sequence[Optional[float]]] = None,
-        top_transitions: Optional[str] = None,
-    ) -> None:
-        """Record a completed cell's convergence statistics and analytics.
-
-        ``statistics`` is a
-        :class:`~repro.simulation.statistics.ConvergenceStatistics`.  Float
-        columns are coerced to ``float`` (``statistics.median`` can be an
-        int) so the rendered value is format-stable across resume cycles.
-        ``accuracy`` is the predicate-accuracy rate (None when the protocol
-        registers no predicate); ``consensus_quantiles`` the
-        (q10, q50, q90) convergence-time quantiles and ``top_transitions``
-        their rendered top-k histogram — both None when the sweep runs
-        without analytics extraction.
-        """
-        self._row(cell_id).update(
-            _done_values(statistics, accuracy, consensus_quantiles, top_transitions)
-        )
-
-    def mark_error(self, cell_id: str, message: str) -> None:
-        """Record a failed cell (kept for inspection; retried on resume).
-
-        The message is normalized to a single line (see
-        :func:`normalize_error_message`): every store row must stay one
-        physical line so the line-oriented torn-tail recovery and the
-        byte-stable round trip hold for arbitrary exception text.
-        """
-        row = self._row(cell_id)
-        row["status"] = STATUS_ERROR
-        for column in _RESULT_COLUMNS:
-            row[column] = None
-        row["error"] = normalize_error_message(message)
-
-    def _row(self, cell_id: str) -> Dict[str, object]:
-        row = self._rows.get(cell_id)
-        if row is None:
-            raise KeyError(f"unknown cell {cell_id!r}; call ensure() first")
-        return row
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def status(self, cell_id: str) -> Optional[str]:
-        """The cell's status, or None if the store has no row for it."""
-        row = self._rows.get(cell_id)
-        return None if row is None else row["status"]
-
-    def get(self, cell_id: str) -> Optional[Dict[str, object]]:
-        """A copy of the cell's row, or None."""
-        row = self._rows.get(cell_id)
-        return None if row is None else dict(row)
-
-    def rows(self) -> List[Dict[str, object]]:
-        """Copies of all rows, in registration order."""
-        return [dict(row) for row in self._rows.values()]
-
-    def status_counts(self) -> Dict[str, int]:
-        """How many rows hold each status (absent statuses omitted)."""
-        counts: Dict[str, int] = {}
-        for row in self._rows.values():
-            status = row["status"]
-            counts[status] = counts.get(status, 0) + 1
-        return counts
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __contains__(self, cell_id: str) -> bool:
-        return cell_id in self._rows
-
-    def import_rows(self, rows: Sequence[Mapping[str, object]]) -> None:
-        """Adopt fully-formed rows verbatim, in order (the export bridge).
-
-        ``rows`` must be :data:`COLUMNS`-shaped mappings (as returned by
-        another store's :meth:`rows`); existing rows with the same cell id
-        are replaced.  Used by ``python -m repro.sweep export`` to render a
-        sqlite claim store as a CSV/JSONL table byte-identical to what a
-        single-process sweep of the same spec would have written.
-        """
-        for row in rows:
-            cell_id = row.get("cell")
-            if not cell_id:
-                raise ValueError("imported rows must carry a 'cell' id")
-            status = row.get("status")
-            if status not in _STATUSES:
-                raise ValueError(
-                    f"imported row for {cell_id!r} carries invalid status "
-                    f"{status!r}"
-                )
-            self._rows[str(cell_id)] = {
-                column: row.get(column) for column in COLUMNS
-            }
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Atomically persist the full table: write-temp, fsync, rename.
-
-        The store file is therefore always a complete snapshot; a crash
-        between flushes loses at most the cells completed since the last
-        flush (which resume simply re-runs), never the file's integrity.
-        """
-        if self.path is None:
-            return
-        rendered = self._render(list(self._rows.values()))
-        temporary = self.path.with_name(self.path.name + ".tmp")
-        with open(temporary, "w", encoding="utf-8", newline="") as handle:
-            handle.write(rendered)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, self.path)
-
-    def _load(self) -> None:
-        text = self.path.read_text(encoding="utf-8")
-        rows, recovered = self._parse(text)
-        self._rows = {}
-        for row in rows:
-            status = row.get("status")
-            if status not in _STATUSES:
-                raise StoreCorruptionError(
-                    f"{self.path}: row for {row.get('cell')!r} carries invalid "
-                    f"status {status!r}"
-                )
-            cell_id = row.get("cell")
-            if not cell_id:
-                raise StoreCorruptionError(f"{self.path}: row without a cell id")
-            if cell_id in self._rows:
-                raise StoreCorruptionError(
-                    f"{self.path}: duplicate row for cell {cell_id!r}"
-                )
-            self._rows[cell_id] = {column: row.get(column) for column in COLUMNS}
-        self.recovered_cells = tuple(recovered)
-
-    # Subclass hooks -----------------------------------------------------
-    def _render(self, rows: Sequence[Mapping[str, object]]) -> str:
-        raise NotImplementedError
-
-    def _parse(
-        self, text: str
-    ) -> Tuple[List[Dict[str, object]], List[str]]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        location = "memory" if self.path is None else str(self.path)
-        counts = ", ".join(
-            f"{status}={count}" for status, count in sorted(self.status_counts().items())
-        )
-        return f"{type(self).__name__}({location}, rows={len(self)}{', ' + counts if counts else ''})"
-
-
-class MemoryResultStore(ResultStore):
-    """An in-memory store: same interface, no persistence (flush is a no-op)."""
-
-    def __init__(self):
-        super().__init__(path=None)
+    """The store disagrees with the sweep run against it, or is damaged."""
 
 
 def _optional_float(value) -> Optional[float]:
@@ -374,16 +112,10 @@ def normalize_error_message(message: object) -> str:
     """Collapse an exception message onto one physical line.
 
     Newlines (any flavour) become the literal two-character sequence
-    ``\\n``.  Two reasons, both regression-tested:
-
-    * ``Path.read_text`` performs universal-newline translation, so a raw
-      ``\\r`` / ``\\r\\n`` inside a CSV field silently mutates into ``\\n``
-      on reload — the store round trip would not be byte-stable, breaking
-      the kill-and-resume byte-identity guarantee for tables holding a
-      multi-line traceback in an ``error`` row;
-    * torn-tail recovery is line-oriented (the final *physical* line of a
-      torn file is dropped); a row spanning several physical lines would
-      make a mid-row tear unrecognizable.
+    ``\\n``, so every exported row stays one physical line: a CSV reader
+    with universal-newline translation would otherwise turn a raw ``\\r`` /
+    ``\\r\\n`` inside a field into ``\\n``, and line-oriented tools would see
+    a multi-line traceback as several rows.
     """
     text = str(message).replace("\r\n", "\n").replace("\r", "\n")
     return text.replace("\n", "\\n")
@@ -397,9 +129,14 @@ def _done_values(
 ) -> Dict[str, object]:
     """The column updates recording a completed cell.
 
-    Shared by :meth:`ResultStore.mark_done` and the claim store's
-    owner-guarded commit (:meth:`~repro.sweep.dbstore.SqliteResultStore.
-    finish_claim`), so every backend persists bit-identical ``done`` rows.
+    ``statistics`` is a
+    :class:`~repro.simulation.statistics.ConvergenceStatistics`.  Float
+    columns are coerced to ``float`` (``statistics.median`` can be an int)
+    so the rendered value is format-stable across resume cycles.
+    ``accuracy`` is the predicate-accuracy rate (None when the protocol
+    registers no predicate); ``consensus_quantiles`` the (q10, q50, q90)
+    convergence-time quantiles and ``top_transitions`` their rendered top-k
+    histogram — both None when the sweep runs without analytics extraction.
     """
     if consensus_quantiles is not None and len(consensus_quantiles) != 3:
         raise ValueError(
@@ -428,140 +165,57 @@ def _done_values(
     }
 
 
-def _parse_typed(column: str, text: Optional[str], context: str):
-    """Decode one CSV field back into its typed value ('' means None)."""
-    if text is None or text == "":
-        return None
-    try:
-        if column in _INT_COLUMNS:
-            return int(text)
-        if column in _FLOAT_COLUMNS:
-            return float(text)
-    except ValueError:
-        raise StoreCorruptionError(
-            f"{context}: column {column!r} holds non-numeric value {text!r}"
-        ) from None
-    return text
+# ----------------------------------------------------------------------
+# Export renderers
+# ----------------------------------------------------------------------
+def _render_csv(rows: Sequence[Mapping[str, object]]) -> str:
+    """A header row, then one row per cell; ``None`` is the empty field."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for row in rows:
+        writer.writerow(
+            "" if row[column] is None else str(row[column]) for column in COLUMNS
+        )
+    return buffer.getvalue()
 
 
-class CsvResultStore(ResultStore):
-    """A CSV-backed store: a header row, then one row per cell.
+def _render_jsonl(rows: Sequence[Mapping[str, object]]) -> str:
+    """One compact JSON object per cell row."""
+    return "".join(
+        json.dumps(
+            {column: row[column] for column in COLUMNS},
+            sort_keys=False,
+            separators=(",", ":"),
+        )
+        + "\n"
+        for row in rows
+    )
 
-    ``None`` renders as the empty field; ints and floats round-trip through
-    ``repr`` so repeated load/flush cycles are byte-stable.
+
+#: Export formats by file suffix.
+EXPORT_SUFFIXES: Dict[str, Callable[[Sequence[Mapping[str, object]]], str]] = {
+    ".csv": _render_csv,
+    ".jsonl": _render_jsonl,
+    ".ndjson": _render_jsonl,
+    ".json": _render_jsonl,
+}
+
+
+def export_rows(
+    rows: Sequence[Mapping[str, object]], path: Union[str, Path]
+) -> None:
+    """Write ``rows`` (a store's :meth:`rows`) to ``path``, by its suffix.
+
+    ``.csv`` renders a header plus one CSV row per cell; ``.jsonl`` /
+    ``.ndjson`` / ``.json`` render one JSON object per line.
     """
-
-    def _render(self, rows: Sequence[Mapping[str, object]]) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        for row in rows:
-            writer.writerow(
-                "" if row[column] is None else str(row[column]) for column in COLUMNS
-            )
-        return buffer.getvalue()
-
-    def _parse(self, text: str) -> Tuple[List[Dict[str, object]], List[str]]:
-        recovered: List[str] = []
-        if text and not text.endswith("\n"):
-            # A torn tail: the final line was cut mid-write.  Drop it (the
-            # cell id, when recognizable, is reported for re-running).
-            cut = text.rfind("\n") + 1
-            recovered.append(_first_csv_field(text[cut:]))
-            text = text[:cut]
-        records = list(csv.reader(io.StringIO(text)))
-        if not records:
-            return [], recovered
-        header = records[0]
-        if tuple(header) != COLUMNS:
-            raise StoreCorruptionError(
-                f"{self.path}: header {header!r} does not match the expected "
-                f"column set; was this file written by a different version?"
-            )
-        rows: List[Dict[str, object]] = []
-        for position, record in enumerate(records[1:], start=2):
-            is_last = position == len(records)
-            if len(record) != len(COLUMNS):
-                if is_last:
-                    recovered.append(record[0] if record else "")
-                    continue
-                raise StoreCorruptionError(
-                    f"{self.path}: line {position} has {len(record)} fields, "
-                    f"expected {len(COLUMNS)}"
-                )
-            try:
-                row = {
-                    column: _parse_typed(column, value, f"{self.path}: line {position}")
-                    for column, value in zip(COLUMNS, record)
-                }
-            except StoreCorruptionError:
-                if is_last:
-                    recovered.append(record[0])
-                    continue
-                raise
-            rows.append(row)
-        return rows, recovered
-
-
-def _first_csv_field(line: str) -> str:
-    """Best-effort cell id of a torn CSV line (for the recovery report)."""
-    try:
-        parsed = next(csv.reader(io.StringIO(line)), None)
-    except csv.Error:
-        return ""
-    return parsed[0] if parsed else ""
-
-
-class JsonlResultStore(ResultStore):
-    """A JSON-lines store: one JSON object per cell row."""
-
-    def _render(self, rows: Sequence[Mapping[str, object]]) -> str:
-        lines = [
-            json.dumps(
-                {column: row[column] for column in COLUMNS},
-                sort_keys=False,
-                separators=(",", ":"),
-            )
-            for row in rows
-        ]
-        return "".join(line + "\n" for line in lines)
-
-    def _parse(self, text: str) -> Tuple[List[Dict[str, object]], List[str]]:
-        recovered: List[str] = []
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        else:
-            # No trailing newline: the final line is a torn tail.
-            torn = lines.pop() if lines else ""
-            recovered.append(_json_cell_hint(torn))
-        rows: List[Dict[str, object]] = []
-        for position, line in enumerate(lines, start=1):
-            is_last = position == len(lines)
-            try:
-                data = json.loads(line)
-                if not isinstance(data, dict):
-                    raise ValueError("row is not a JSON object")
-                missing = set(COLUMNS) - set(data)
-                if missing:
-                    raise ValueError(f"row is missing columns {sorted(missing, key=str)}")
-            except ValueError as error:
-                if is_last:
-                    recovered.append(_json_cell_hint(line))
-                    continue
-                raise StoreCorruptionError(
-                    f"{self.path}: line {position}: {error}"
-                ) from None
-            rows.append(data)
-        return rows, recovered
-
-
-def _json_cell_hint(line: str) -> str:
-    """Best-effort cell id of a torn JSONL line (for the recovery report)."""
-    marker = '"cell":"'
-    start = line.find(marker)
-    if start < 0:
-        return ""
-    start += len(marker)
-    end = line.find('"', start)
-    return line[start:end] if end > start else ""
+    path = Path(path)
+    render = EXPORT_SUFFIXES.get(path.suffix.lower())
+    if render is None:
+        raise ValueError(
+            f"cannot export to {path.name!r}; use a "
+            f"{'/'.join(EXPORT_SUFFIXES)} path"
+        )
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(render(rows))

@@ -36,12 +36,12 @@ from repro.simulation import BatchRunner, Simulator, run_ensemble
 from repro.simulation.trajectory import Trajectory
 from repro.simulation.vectorized import numpy_available
 from repro.sweep import (
-    MemoryResultStore,
+    SqliteResultStore,
     SweepRunner,
     SweepSpec,
     build_predicate_for,
     build_protocol_and_inputs,
-    open_store,
+    export_rows,
 )
 
 
@@ -574,7 +574,7 @@ class TestSweepAnalytics:
             self._spec(analytics="yes")
 
     def test_analytics_columns_are_populated_and_engine_identical(self):
-        store = MemoryResultStore()
+        store = SqliteResultStore(":memory:")
         report = SweepRunner(self._spec(), store, backend="serial").run()
         assert report.complete
         rows = store.rows()
@@ -595,7 +595,7 @@ class TestSweepAnalytics:
         assert all(len(values) == 1 for values in by_point.values())
 
     def test_accuracy_is_scored_even_without_analytics(self):
-        store = MemoryResultStore()
+        store = SqliteResultStore(":memory:")
         SweepRunner(self._spec(analytics=False), store, backend="serial").run()
         for row in store.rows():
             assert row["accuracy"] == 1.0
@@ -607,19 +607,26 @@ class TestSweepAnalytics:
         self, tmp_path
     ):
         spec = self._spec()
-        straight = tmp_path / "straight.csv"
-        SweepRunner(spec, open_store(straight), backend="serial").run()
 
-        process = tmp_path / "process.csv"
-        SweepRunner(
-            spec, open_store(process), backend="process", max_workers=2
-        ).run()
-        assert process.read_bytes() == straight.read_bytes()
+        def export(store, name):
+            export_rows(store.rows(), tmp_path / name)
+            store.close()
+            return (tmp_path / name).read_bytes()
 
-        resumed = tmp_path / "resumed.csv"
-        SweepRunner(spec, open_store(resumed), backend="serial").run(max_cells=2)
-        SweepRunner(spec, open_store(resumed), backend="serial").run()
-        assert resumed.read_bytes() == straight.read_bytes()
+        straight = SqliteResultStore(tmp_path / "straight.sqlite")
+        SweepRunner(spec, straight, backend="serial").run()
+        straight_bytes = export(straight, "straight.csv")
+
+        process = SqliteResultStore(tmp_path / "process.sqlite")
+        SweepRunner(spec, process, backend="process", max_workers=2).run()
+        assert export(process, "process.csv") == straight_bytes
+
+        resumed = SqliteResultStore(tmp_path / "resumed.sqlite")
+        SweepRunner(spec, resumed, backend="serial").run(max_cells=2)
+        resumed.close()
+        resumed = SqliteResultStore(tmp_path / "resumed.sqlite")
+        SweepRunner(spec, resumed, backend="serial").run()
+        assert export(resumed, "resumed.csv") == straight_bytes
 
     def test_unregistered_predicate_leaves_accuracy_empty(self):
         from repro.sweep.spec import _PROTOCOL_BUILDERS, register_sweep_protocol
@@ -643,7 +650,7 @@ class TestSweepAnalytics:
                 stability_window=100,
                 analytics=True,
             )
-            store = MemoryResultStore()
+            store = SqliteResultStore(":memory:")
             SweepRunner(spec, store, backend="serial").run()
             (row,) = store.rows()
             assert row["accuracy"] is None
@@ -656,12 +663,14 @@ class TestSweepAnalytics:
 
         protocol, inputs = _majority()
         results = Simulator(protocol, seed=1).run_many(inputs, 2, max_steps=400)
-        store = MemoryResultStore()
+        store = SqliteResultStore(":memory:")
         store.ensure("cell", {"protocol": "majority"}, 1)
+        claim = store.claim_next("t")
         with pytest.raises(ValueError, match="q10, q50, q90"):
-            store.mark_done(
-                "cell", summarize_runs(results), consensus_quantiles=(1.0,)
+            store.finish_claim(
+                claim, summarize_runs(results), consensus_quantiles=(1.0,)
             )
+        assert store.status("cell") == "running"
 
 
 class TestExperimentE13:
@@ -690,8 +699,9 @@ class TestAnalyticsCli:
             stability_window=100,
             analytics=analytics,
         )
-        path = tmp_path / "results.csv"
-        SweepRunner(spec, open_store(path), backend="serial").run()
+        path = tmp_path / "results.sqlite"
+        with SqliteResultStore(path) as store:
+            SweepRunner(spec, store, backend="serial").run()
         return path
 
     def test_report_renders_analytics_columns(self, tmp_path, capsys):
@@ -709,6 +719,12 @@ class TestAnalyticsCli:
     def test_report_rejects_unknown_store(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"
         assert analytics_main(["report", "--store", str(missing)]) == 2
+
+    def test_report_refuses_a_missing_store(self, tmp_path, capsys):
+        missing = tmp_path / "typo.sqlite"
+        assert analytics_main(["report", "--store", str(missing)]) == 2
+        assert "no such store" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_hist_prints_ranked_transitions(self, capsys):
         assert analytics_main([

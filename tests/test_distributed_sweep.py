@@ -2,8 +2,8 @@
 
 The load-bearing properties:
 
-* the sqlite store honors the full :class:`ResultStore` contract (register /
-  mark / round-trip / foreign-spec rejection) on top of its claim semantics,
+* the sqlite store honors the store contract (register / commit /
+  round-trip / foreign-spec rejection) on top of its claim semantics,
 * claims are **atomic and exclusive**: concurrent claimants never receive the
   same cell, expired leases are recoverable, and commits are owner-guarded so
   a reclaimed cell can never be double-committed,
@@ -13,7 +13,7 @@ The load-bearing properties:
   `before-result-write`, `heartbeat-loss`) provably loses no cell and
   double-commits none,
 * a drained claim store — single-runner, multi-runner, or killed-and-resumed
-  — exports **byte-identically** to a single-process serial sweep's CSV.
+  — exports **byte-identically** to a single-process serial sweep's export.
 """
 
 import multiprocessing
@@ -26,7 +26,6 @@ from pathlib import Path
 import pytest
 
 from repro.sweep import (
-    CsvResultStore,
     FaultPlan,
     FaultRule,
     InjectedFault,
@@ -35,6 +34,7 @@ from repro.sweep import (
     SweepRunner,
     SweepSpec,
     claim_worker,
+    export_rows,
     fault_point,
     install_fault_plan,
     open_store,
@@ -118,20 +118,16 @@ def _registered_store(tmp_path, spec, name="grid.sqlite", **options):
 
 
 def _serial_reference(tmp_path, spec, name="ref.csv"):
-    """The byte-identity baseline: a single-process serial sweep's CSV."""
-    store = CsvResultStore(tmp_path / name)
-    SweepRunner(spec, store, backend="serial").run(on_error="continue")
-    return tmp_path / name
+    """The byte-identity baseline: a single-process serial sweep's export."""
+    store_path = tmp_path / (Path(name).stem + ".sqlite")
+    with SqliteResultStore(store_path) as store:
+        SweepRunner(spec, store, backend="serial").run(on_error="continue")
+    return _export_csv(store_path, tmp_path / name)
 
 
 def _export_csv(sqlite_path, csv_path):
-    source = SqliteResultStore(sqlite_path)
-    try:
-        out = CsvResultStore(csv_path)
-        out.import_rows(source.rows())
-        out.flush()
-    finally:
-        source.close()
+    with SqliteResultStore(sqlite_path) as source:
+        export_rows(source.rows(), csv_path)
     return csv_path
 
 
@@ -221,9 +217,10 @@ class TestSqliteStoreContract:
         # The sha256-derived seeds overflow sqlite's signed INTEGER; at
         # least one must exercise the TEXT round trip to prove it.
         assert any(seed > 2**63 - 1 for seed in seeds)
-        store.mark_running(cells[0].cell_id)
-        store.mark_done(cells[0].cell_id, _Stats())
-        store.mark_error(cells[1].cell_id, "ValueError: bad,\r\nline two")
+        assert store.finish_claim(store.claim_next("a"), _Stats())
+        assert store._park_claim(
+            store.claim_next("a"), "ValueError: bad,\r\nline two"
+        ) == "parked"
         store.close()
 
         reopened = SqliteResultStore(tmp_path / "grid.sqlite")
@@ -263,12 +260,13 @@ class TestSqliteStoreContract:
         first.close()
         second.close()
 
-    def test_export_bridge_matches_csv_store_bytes(self, tmp_path):
+    def test_import_rows_copies_a_store_to_identical_bytes(self, tmp_path):
         spec = _small_spec()
         reference = _serial_reference(tmp_path, spec)
-        sqlite_store = CsvResultStore(reference)  # reload for rows
+        with SqliteResultStore(tmp_path / "ref.sqlite") as source:
+            rows = source.rows()
         db = SqliteResultStore(tmp_path / "grid.sqlite")
-        db.import_rows(sqlite_store.rows())
+        db.import_rows(rows)
         exported = _export_csv(tmp_path / "grid.sqlite", tmp_path / "out.csv")
         db.close()
         assert exported.read_bytes() == reference.read_bytes()
@@ -555,9 +553,11 @@ class TestRunClaims:
 
     def test_requires_a_claim_capable_store(self, tmp_path):
         spec = _tiny_spec()
-        store = CsvResultStore(tmp_path / "grid.csv")
+        rows_only = type("RowsOnly", (), {"rows": lambda self: []})()
         with pytest.raises(TypeError, match="claim-capable"):
-            SweepRunner(spec, store, backend="serial").run_claims("r0")
+            SweepRunner(spec, rows_only, backend="serial").run_claims("r0")
+        with pytest.raises(TypeError, match="claim-capable"):
+            SweepRunner(spec, rows_only, backend="serial").run()
 
     def test_mid_cell_fault_retries_and_still_matches_bytes(self, tmp_path):
         spec = _small_spec()
@@ -677,6 +677,18 @@ def _run_claim_worker(spec_json, store_path, owner, fault_plan):
     )
 
 
+def _wait_for_a_claim(store_path, timeout=60.0):
+    """Block until some runner holds (or died holding) a claim in the store."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if os.path.exists(store_path):
+            with SqliteResultStore(store_path) as store:
+                if store.status_counts().get(STATUS_RUNNING):
+                    return
+        time.sleep(0.01)
+    pytest.fail(f"no runner claimed a cell of {store_path} within {timeout}s")
+
+
 class TestKillAndResume:
     def test_sigkilled_runner_resumes_to_identical_bytes(self, tmp_path):
         spec = _tiny_spec()
@@ -717,6 +729,10 @@ class TestKillAndResume:
             args=(spec.to_json(), store_path, "survivor", None),
         )
         victim.start()
+        # The survivor starts once the victim holds its claim: started
+        # together, the survivor can drain both cells before the victim
+        # claims any, and the victim then exits cleanly instead of dying.
+        _wait_for_a_claim(store_path)
         survivor.start()
         victim.join(60)
         survivor.join(60)
@@ -792,7 +808,7 @@ class TestWorkersCli:
     def test_export_round_trips_between_formats(self, tmp_path):
         spec = _tiny_spec()
         reference = _serial_reference(tmp_path, spec)
-        rc = sweep_main(["export", "--store", str(reference),
+        rc = sweep_main(["export", "--store", str(tmp_path / "ref.sqlite"),
                          "--to", str(tmp_path / "grid.sqlite")])
         assert rc == 0
         rc = sweep_main(["export", "--store", str(tmp_path / "grid.sqlite"),

@@ -22,6 +22,7 @@ from repro.experiments import (
     random_interaction_protocol,
     registry,
 )
+from repro.sweep import SqliteResultStore
 
 
 class TestHarness:
@@ -280,7 +281,7 @@ class TestExperimentE12:
         # internally if engine rows of one grid point report different
         # ensemble statistics, so a returned table is itself the agreement
         # assertion.  With store_path the table is also persisted on disk.
-        store_path = tmp_path / "e12.csv"
+        store_path = tmp_path / "e12.sqlite"
         table = experiment_e12_parameter_sweep(
             populations=(12, 16), repetitions=2, max_steps=1500,
             stability_window=200, store_path=str(store_path),
@@ -290,10 +291,20 @@ class TestExperimentE12:
         assert store_path.exists()
         # Resuming the same experiment against the persisted store skips
         # every cell and returns the identical table.
-        first_bytes = store_path.read_bytes()
+        with SqliteResultStore(store_path) as store:
+            first_rows = store.rows()
         again = experiment_e12_parameter_sweep(
             populations=(12, 16), repetitions=2, max_steps=1500,
             stability_window=200, store_path=str(store_path),
         )
-        assert store_path.read_bytes() == first_bytes
+        with SqliteResultStore(store_path) as store:
+            assert store.rows() == first_rows
         assert again.rows == table.rows
+
+    def test_export_formats_are_refused_as_live_stores(self, tmp_path):
+        with pytest.raises(ValueError, match="export"):
+            experiment_e12_parameter_sweep(
+                populations=(12,), repetitions=1, max_steps=200,
+                store_path=str(tmp_path / "e12.csv"),
+            )
+        assert list(tmp_path.iterdir()) == []

@@ -18,8 +18,10 @@ The load-bearing properties:
   of silence.
 """
 
+import itertools
 import json
 import threading
+import time
 
 import pytest
 
@@ -32,7 +34,8 @@ from repro.obs.registry import MetricsRegistry, get_registry
 from repro.protocols import majority_protocol
 from repro.serve.server import SimulationServer
 from repro.simulation import Simulator
-from repro.sweep import MemoryResultStore, SweepRunner, SweepSpec
+from repro.sweep import SqliteResultStore, SweepRunner, SweepSpec
+from repro.sweep import runner as sweep_runner
 from repro.sweep.runner import _HeartbeatPump
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -376,13 +379,23 @@ def _sweep_spec():
     )
 
 
+def _pump_until_lost(store, claim, timeout=5.0):
+    """Run a 50 ms pump holding ``claim`` until a beat reports it lost."""
+    with _HeartbeatPump(store, interval=0.05) as pump:
+        pump.hold(claim)
+        deadline = time.monotonic() + timeout
+        while pump.claim_alive and time.monotonic() < deadline:
+            time.sleep(0.01)
+    return pump
+
+
 class TestSweepIntegration:
     def test_sweep_cell_span_tree_and_claim_counters(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         _install_file_tracer(path)
         try:
             report = SweepRunner(
-                _sweep_spec(), MemoryResultStore(), backend="serial"
+                _sweep_spec(), SqliteResultStore(":memory:"), backend="serial"
             ).run()
         finally:
             obs_trace.uninstall_tracer()
@@ -403,7 +416,8 @@ class TestSweepIntegration:
             try:
                 kwargs = {"max_workers": 2} if backend == "process" else {}
                 SweepRunner(
-                    _sweep_spec(), MemoryResultStore(), backend=backend, **kwargs
+                    _sweep_spec(), SqliteResultStore(":memory:"), backend=backend,
+                    **kwargs,
                 ).run()
             finally:
                 obs_trace.uninstall_tracer()
@@ -424,9 +438,7 @@ class TestSweepIntegration:
             labelnames=("reason",),
         ).value(reason="lost")
         with obs_trace.capture_events() as events:
-            pump = _HeartbeatPump(_LostStore(), claim, interval=0.05)
-            with pump:
-                pump._thread.join(timeout=5.0)
+            pump = _pump_until_lost(_LostStore(), claim)
         assert pump.claim_alive is False
         assert "lost" in pump.warnings
         warning = next(e for e in events if e.get("kind") == "warning")
@@ -452,10 +464,66 @@ class TestSweepIntegration:
                 return self.beats < 3
 
         claim = type("Claim", (), {"cell": "c2", "owner": "w2"})()
-        pump = _HeartbeatPump(_TightStore(), claim, interval=0.05)
-        with pump:
-            pump._thread.join(timeout=5.0)
+        pump = _pump_until_lost(_TightStore(), claim)
         assert "lease-at-risk" in pump.warnings
+
+    def test_heartbeat_pump_warns_on_skipped_beats(self, monkeypatch):
+        class _TwoBeatStore:
+            lease_seconds = 30.0
+
+            def __init__(self):
+                self.beats = 0
+
+            def heartbeat(self, claim):
+                self.beats += 1
+                return self.beats < 2
+
+        # Every clock read lands a second after the previous one: each beat
+        # sees a gap of many intervals, as a starved pump thread would.
+        ticks = itertools.count(start=0.0, step=1.0)
+        monkeypatch.setattr(sweep_runner, "monotonic_time", lambda: next(ticks))
+        claim = type("Claim", (), {"cell": "c3", "owner": "w3"})()
+        pump = _pump_until_lost(_TwoBeatStore(), claim)
+        assert pump.warnings.count("skipped") == 2
+        assert pump.warnings[-1] == "lost"
+
+    def test_released_claims_are_never_beaten(self):
+        class _CountingStore:
+            lease_seconds = 30.0
+
+            def __init__(self):
+                self.beaten = []
+
+            def heartbeat(self, claim):
+                self.beaten.append(claim.cell)
+                return True
+
+        store = _CountingStore()
+
+        def await_beats(count):
+            deadline = time.monotonic() + 5.0
+            while len(store.beaten) < count and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(store.beaten) >= count
+
+        first = type("Claim", (), {"cell": "c4", "owner": "w4"})()
+        second = type("Claim", (), {"cell": "c5", "owner": "w4"})()
+        with _HeartbeatPump(store, interval=0.05) as pump:
+            pump.hold(first)
+            await_beats(1)
+            assert pump.release() is True
+            beats_of_first = len(store.beaten)
+            pump.hold(second)
+            await_beats(beats_of_first + 1)
+            assert pump.release() is True
+            beats_in_total = len(store.beaten)
+            time.sleep(0.15)  # three intervals with no claim held
+        # After release, no beat reached the first claim; after the second
+        # release, none reached anything.
+        assert store.beaten[:beats_of_first] == ["c4"] * beats_of_first
+        assert set(store.beaten[beats_of_first:]) == {"c5"}
+        assert len(store.beaten) == beats_in_total
+        assert pump.warnings == []
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +558,9 @@ class TestServeIntegration:
         first = SimulationServer(backend="serial")
         second = SimulationServer(backend="serial")
         first.metrics.inc("jobs_submitted")
-        assert first.metrics.jobs_submitted == 1
-        assert second.metrics.jobs_submitted == 0
-
-    def test_legacy_attribute_writes_still_reach_the_registry(self):
-        server = SimulationServer(backend="serial")
-        server.metrics.jobs_failed += 1
-        assert server.metrics.jobs_failed == 1
-        assert "repro_serve_jobs_failed 1" in server.metrics_text()
+        assert first.metrics.as_dict()["jobs_submitted"] == 1
+        assert second.metrics.as_dict()["jobs_submitted"] == 0
+        assert "repro_serve_jobs_submitted 1" in first.metrics_text()
 
     def test_serve_job_span_tree_reconstructs_queue_and_execution(self):
         from repro.serve import BackgroundServer, ServeClient

@@ -255,9 +255,9 @@ class TestServerEndToEnd:
             assert rejected.value.status == 503
         # __exit__ joined the thread: the in-flight ensemble completed and
         # landed in the cache before shutdown.
-        assert bg.server.metrics.jobs_completed == 1
-        assert bg.server.metrics.jobs_failed == 0
-        assert bg.server.metrics.rejected_draining == 1
+        assert bg.server.metrics.as_dict()["jobs_completed"] == 1
+        assert bg.server.metrics.as_dict()["jobs_failed"] == 0
+        assert bg.server.metrics.as_dict()["rejected_draining"] == 1
         status, body = bg.server._job_status(submitted["job"])
         assert status == 200 and body["status"] == "done"
         assert body["result"]["statistics"]["runs"] == 4
@@ -273,7 +273,7 @@ class TestBackpressureAndCoalescing:
         status, second = server._submit(_job(population=25), "client-a")
         assert status == 429
         assert "retry_after" in second
-        assert server.metrics.rejected_backpressure == 1
+        assert server.metrics.as_dict()["rejected_backpressure"] == 1
         # A different client is unaffected by client-a's cap.
         status, other = server._submit(_job(population=25), "client-b")
         assert status == 202
@@ -287,7 +287,7 @@ class TestBackpressureAndCoalescing:
         assert duplicate["coalesced"] is True
         assert duplicate["job"] == first["job"]
         assert len(server._pending) == 1
-        assert server.metrics.jobs_coalesced == 1
+        assert server.metrics.as_dict()["jobs_coalesced"] == 1
 
     def test_resubmitting_own_active_job_does_not_hit_the_cap(self):
         server = SimulationServer(backend="serial", max_inflight=1)

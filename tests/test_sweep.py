@@ -1,19 +1,23 @@
-"""Tests for the sweep harness: spec expansion, stores, runner, CLI.
+"""Tests for the sweep harness: spec expansion, store, runner, CLI.
 
 The load-bearing properties:
 
 * spec expansion is deterministic and keyfield-ordered; cell seeds depend on
   the master seed and the cell's engine-free identity only,
-* stores round-trip losslessly, flush atomically, and recover (by dropping)
-  a torn trailing row instead of loading garbage,
-* the runner produces **byte-identical** store files across backends and
-  across kill-and-resume cycles, re-runs stale ``running``/torn cells, and
-  records failures as ``error`` rows,
-* the CLI drives the same machinery end to end.
+* the sqlite store round-trips rows losslessly and refuses stores written
+  by a different spec; CSV / JSON-lines exports keep one physical line per
+  row and reproduce the committed golden files byte for byte,
+* the runner exports **byte-identical** tables across backends and across
+  kill-and-resume cycles, re-runs stale ``running`` cells, and records
+  failures as ``error`` rows,
+* the CLI drives the same machinery end to end, and its read-only commands
+  never create a store.
 """
 
-import json
-import os
+import sqlite3
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -21,21 +25,24 @@ import pytest
 from repro.simulation import BatchRunner, summarize_runs
 from repro.sweep import (
     COLUMNS,
-    CsvResultStore,
-    JsonlResultStore,
-    MemoryResultStore,
+    CellExecutor,
+    SqliteResultStore,
     StoreCorruptionError,
     SweepRunner,
     SweepSpec,
     build_protocol_and_inputs,
+    export_rows,
     normalize_error_message,
     open_store,
     register_sweep_protocol,
     to_experiment_table,
 )
 from repro.sweep.cli import main as sweep_main
+from repro.sweep.dbstore import Claim
 from repro.sweep.spec import _PROTOCOL_BUILDERS
 from repro.sweep.store import STATUS_DONE, STATUS_ERROR, STATUS_RUNNING
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _small_spec(**overrides):
@@ -52,6 +59,21 @@ def _small_spec(**overrides):
     )
     options.update(overrides)
     return SweepSpec(**options)
+
+
+def _export(store_path, out_path):
+    """Render a store file as CSV / JSON lines (by ``out_path``'s suffix)."""
+    with SqliteResultStore(store_path) as store:
+        export_rows(store.rows(), out_path)
+    return Path(out_path).read_bytes()
+
+
+def _run_to_export(tmp_path, spec, name, suffix=".csv", **run_options):
+    """Run ``spec`` serially into a fresh store; return its export bytes."""
+    store_path = tmp_path / (name + ".sqlite")
+    with SqliteResultStore(store_path) as store:
+        SweepRunner(spec, store, backend="serial").run(**run_options)
+    return _export(store_path, tmp_path / (name + suffix))
 
 
 class TestSweepSpec:
@@ -149,7 +171,6 @@ class TestSweepSpec:
             build_protocol_and_inputs("majority", 0)
 
 
-@pytest.mark.parametrize("store_class", [CsvResultStore, JsonlResultStore])
 class TestResultStore:
     def _populate(self, store):
         spec = _small_spec()
@@ -162,138 +183,184 @@ class TestResultStore:
             ).run_many(build_protocol_and_inputs("majority", 8)[1], 2, seed=1,
                        max_steps=200)
         )
-        store.mark_done(cells[0].cell_id, done)
-        store.mark_error(cells[1].cell_id, "ValueError: boom")
+        assert store.finish_claim(store.claim_next("t"), done)
+        assert store.fail_claim(store.claim_next("t"), "ValueError: boom") == "parked"
         return cells
 
-    def test_round_trip_preserves_types_and_order(self, store_class, tmp_path):
-        path = tmp_path / ("store" + (".csv" if store_class is CsvResultStore else ".jsonl"))
-        store = store_class(path)
+    def test_round_trip_preserves_types_and_order(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        store = SqliteResultStore(path, max_retries=0)
         cells = self._populate(store)
-        store.flush()
-        reloaded = store_class(path)
-        assert reloaded.rows() == store.rows()
-        assert [row["cell"] for row in reloaded.rows()] == [c.cell_id for c in cells]
-        done_row = reloaded.get(cells[0].cell_id)
-        assert isinstance(done_row["mean_steps"], float)
-        assert isinstance(done_row["runs"], int)
-        assert done_row["error"] is None
-        assert reloaded.status(cells[1].cell_id) == STATUS_ERROR
-        assert reloaded.get(cells[1].cell_id)["error"] == "ValueError: boom"
-        assert reloaded.status(cells[2].cell_id) == "created"
+        rows = store.rows()
+        store.close()
+        with SqliteResultStore(path) as reloaded:
+            assert reloaded.rows() == rows
+            assert [row["cell"] for row in rows] == [c.cell_id for c in cells]
+            done_row = reloaded.get(cells[0].cell_id)
+            assert isinstance(done_row["mean_steps"], float)
+            assert isinstance(done_row["runs"], int)
+            assert done_row["error"] is None
+            assert reloaded.status(cells[1].cell_id) == STATUS_ERROR
+            assert reloaded.get(cells[1].cell_id)["error"] == "ValueError: boom"
+            assert reloaded.status(cells[2].cell_id) == "created"
 
-    def test_flush_is_byte_stable_across_reload_cycles(self, store_class, tmp_path):
-        path = tmp_path / ("store" + (".csv" if store_class is CsvResultStore else ".jsonl"))
-        store = store_class(path)
-        self._populate(store)
-        store.flush()
-        first = path.read_bytes()
-        reloaded = store_class(path)
-        reloaded.flush()
-        assert path.read_bytes() == first
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_export_is_byte_stable_across_reopen_cycles(self, tmp_path, suffix):
+        path = tmp_path / "store.sqlite"
+        with SqliteResultStore(path, max_retries=0) as store:
+            self._populate(store)
+        first = _export(path, tmp_path / ("first" + suffix))
+        # Reopen and export again, then copy the rows into a second store
+        # and export that: done, error and created rows render identically.
+        assert _export(path, tmp_path / ("second" + suffix)) == first
+        with SqliteResultStore(path) as source:
+            rows = source.rows()
+        with SqliteResultStore(tmp_path / "copy.sqlite") as copy:
+            copy.import_rows(rows)
+        assert _export(tmp_path / "copy.sqlite", tmp_path / ("third" + suffix)) == first
 
-    def test_flush_leaves_no_temporary_file(self, store_class, tmp_path):
-        path = tmp_path / ("store" + (".csv" if store_class is CsvResultStore else ".jsonl"))
-        store = store_class(path)
-        self._populate(store)
-        store.flush()
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-    def test_truncated_last_line_is_dropped_and_reported(self, store_class, tmp_path):
-        path = tmp_path / ("store" + (".csv" if store_class is CsvResultStore else ".jsonl"))
-        store = store_class(path)
-        cells = self._populate(store)
-        store.flush()
-        intact = store_class(path)
-        # Tear the tail mid-row, as a crashed non-atomic writer would.
-        data = path.read_bytes()
-        path.write_bytes(data[:-15])
-        recovered = store_class(path)
-        assert len(recovered) == len(intact) - 1
-        assert cells[2].cell_id not in recovered
-        assert recovered.recovered_cells  # the tear was noticed, not silent
-        # The surviving rows are unharmed.
-        assert recovered.rows() == intact.rows()[:-1]
-
-    def test_corruption_before_the_last_row_raises(self, store_class, tmp_path):
-        path = tmp_path / ("store" + (".csv" if store_class is CsvResultStore else ".jsonl"))
-        store = store_class(path)
-        self._populate(store)
-        store.flush()
-        lines = path.read_text().splitlines(keepends=True)
-        # Damage the first *data* row (not the tail): unrecoverable.
-        damaged = 1 if store_class is CsvResultStore else 0
-        lines[damaged] = lines[damaged][:10] + "\n"
-        path.write_text("".join(lines))
-        with pytest.raises(StoreCorruptionError):
-            store_class(path)
-
-    def test_ensure_rejects_foreign_stores(self, store_class, tmp_path):
-        path = tmp_path / ("store" + (".csv" if store_class is CsvResultStore else ".jsonl"))
-        store = store_class(path)
-        spec = _small_spec()
-        cell = spec.cells()[0]
-        store.ensure(cell.cell_id, cell.keyfields(), spec.cell_seed(cell))
-        # Same cell again with the same identity: a no-op.
-        assert not store.ensure(cell.cell_id, cell.keyfields(), spec.cell_seed(cell))
-        # A different master seed means a different table.
-        with pytest.raises(StoreCorruptionError, match="master seed"):
-            store.ensure(cell.cell_id, cell.keyfields(), spec.cell_seed(cell) + 1)
-        mismatched = dict(cell.keyfields(), population=999)
-        with pytest.raises(StoreCorruptionError, match="different sweep spec"):
-            store.ensure(cell.cell_id, mismatched, spec.cell_seed(cell))
-
-    def test_marking_unknown_cells_raises(self, store_class, tmp_path):
-        path = tmp_path / ("store" + (".csv" if store_class is CsvResultStore else ".jsonl"))
-        store = store_class(path)
-        with pytest.raises(KeyError):
-            store.mark_running("nope")
-
-    def test_multiline_error_messages_survive_the_round_trip(
-        self, store_class, tmp_path
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [("status", "bogus", "invalid status"), ("seed", "not-a-seed", "non-integer")],
+        ids=["status", "seed"],
+    )
+    def test_corruption_in_a_stored_row_raises(
+        self, tmp_path, column, value, message
     ):
+        path = tmp_path / "store.sqlite"
+        with SqliteResultStore(path, max_retries=0) as store:
+            cells = self._populate(store)
+        # Damage the first row behind the store's back: unrecoverable.
+        connection = sqlite3.connect(str(path))
+        with connection:
+            connection.execute(
+                f'UPDATE cells SET "{column}" = ? WHERE "cell" = ?',
+                (value, cells[0].cell_id),
+            )
+        connection.close()
+        with SqliteResultStore(path) as damaged:
+            with pytest.raises(StoreCorruptionError, match=message):
+                damaged.rows()
+
+    def test_ensure_rejects_foreign_stores(self, tmp_path):
+        with SqliteResultStore(tmp_path / "store.sqlite") as store:
+            spec = _small_spec()
+            cell = spec.cells()[0]
+            store.ensure(cell.cell_id, cell.keyfields(), spec.cell_seed(cell))
+            # Same cell again with the same identity: a no-op.
+            assert not store.ensure(
+                cell.cell_id, cell.keyfields(), spec.cell_seed(cell)
+            )
+            # A different master seed means a different table.
+            with pytest.raises(StoreCorruptionError, match="master seed"):
+                store.ensure(cell.cell_id, cell.keyfields(), spec.cell_seed(cell) + 1)
+            mismatched = dict(cell.keyfields(), population=999)
+            with pytest.raises(StoreCorruptionError, match="different sweep spec"):
+                store.ensure(cell.cell_id, mismatched, spec.cell_seed(cell))
+
+    def test_claims_on_unknown_cells_are_refused(self, tmp_path):
+        with SqliteResultStore(tmp_path / "store.sqlite") as store:
+            ghost = Claim(cell="nope", owner="t", attempt=0, seed=1, keyfields={})
+            assert store.fail_claim(ghost, "boom") == "lost"
+            assert store._park_claim(ghost, "boom") == "lost"
+            assert store.release_claim(ghost) is False
+            assert store.get("nope") is None and "nope" not in store
+            with pytest.raises(KeyError):
+                store.bookkeeping("nope")
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_multiline_error_messages_export_as_one_line(self, tmp_path, suffix):
         # A real traceback: newlines (all three flavors), commas, and
-        # quotes — everything that can tear a CSV row or desync a reload.
+        # quotes — everything that can tear a CSV row or desync a reader.
         traceback_text = (
             'Traceback (most recent call last):\r\n'
             '  File "sim.py", line 3, in run\r'
             '    raise ValueError("bad input, truly")\n'
             'ValueError: bad input, truly'
         )
-        path = tmp_path / ("store" + (".csv" if store_class is CsvResultStore else ".jsonl"))
-        store = store_class(path)
+        path = tmp_path / "store.sqlite"
         spec = _small_spec()
         cells = spec.cells()[:2]
-        for cell in cells:
-            store.ensure(cell.cell_id, cell.keyfields(), spec.cell_seed(cell))
-        store.mark_error(cells[0].cell_id, traceback_text)
-        store.flush()
+        with SqliteResultStore(path, max_retries=0) as store:
+            for cell in cells:
+                store.ensure(cell.cell_id, cell.keyfields(), spec.cell_seed(cell))
+            assert store.fail_claim(store.claim_next("t"), traceback_text) == "parked"
         expected = normalize_error_message(traceback_text)
         assert "\n" not in expected and "\r" not in expected
-        reloaded = store_class(path)
-        # One physical line per row: the reload sees both rows intact and
-        # the normalized message verbatim.
-        assert len(reloaded) == 2
-        assert reloaded.get(cells[0].cell_id)["error"] == expected
-        assert reloaded.status(cells[1].cell_id) == "created"
-        # And the reload re-flushes byte-identically.
-        first = path.read_bytes()
-        reloaded.flush()
-        assert path.read_bytes() == first
+        with SqliteResultStore(path) as reloaded:
+            assert len(reloaded) == 2
+            assert reloaded.get(cells[0].cell_id)["error"] == expected
+            assert reloaded.status(cells[1].cell_id) == "created"
+        first = _export(path, tmp_path / ("out" + suffix))
+        # One physical line per row (plus the CSV header), and a re-export
+        # renders byte-identically.
+        assert first.count(b"\n") == 2 + (suffix == ".csv")
+        assert b"\r" not in first
+        assert _export(path, tmp_path / ("again" + suffix)) == first
+
+    def test_export_rejects_unknown_formats(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot export"):
+            export_rows([], tmp_path / "out.parquet")
+        assert not (tmp_path / "out.parquet").exists()
 
 
 class TestOpenStore:
-    def test_dispatches_on_suffix(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "a.csv"), CsvResultStore)
-        assert isinstance(open_store(tmp_path / "a.jsonl"), JsonlResultStore)
-        with pytest.raises(ValueError, match="store format"):
+    def test_opens_sqlite_and_points_file_formats_to_export(self, tmp_path):
+        store = open_store(tmp_path / "a.sqlite")
+        assert isinstance(store, SqliteResultStore)
+        store.close()
+        for name in ("a.csv", "a.jsonl"):
+            with pytest.raises(ValueError, match="export"):
+                open_store(tmp_path / name)
+        with pytest.raises(ValueError, match="cannot open"):
             open_store(tmp_path / "a.parquet")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.sqlite"]
+
+
+class TestGoldenExport:
+    """``run`` then ``export`` reproduces tables written by the CSV / JSONL
+    stores that were live before the sqlite store became the only one."""
+
+    SPEC = dict(
+        protocols=("majority", ("modulo", {"modulus": 3, "remainder": 1}),
+                   "golden-boom"),
+        populations=(8, 13),
+        schedulers=("uniform", "transition"),
+        engines=("compiled", "reference"),
+        repetitions=3,
+        master_seed=2022,
+        max_steps=400,
+        stability_window=60,
+        analytics=True,
+    )
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    def test_run_then_export_matches_the_golden_file(self, tmp_path, suffix):
+        def boom(population, params):
+            raise RuntimeError(
+                'deliberate failure\nsecond line, with a comma\r\n"quoted" third\rfourth'
+            )
+
+        register_sweep_protocol("golden-boom", boom)
+        try:
+            spec = SweepSpec(**self.SPEC)
+            store = tmp_path / "golden.sqlite"
+            with SqliteResultStore(store) as live:
+                report = SweepRunner(spec, live, backend="serial").run(
+                    on_error="continue"
+                )
+            assert report.failed == 8 and report.executed == 16
+            out = tmp_path / ("sweep_export" + suffix)
+            assert sweep_main(["export", "--store", str(store), "--to", str(out)]) == 0
+            assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+        finally:
+            _PROTOCOL_BUILDERS.pop("golden-boom")
 
 
 class TestSweepRunner:
     def test_serial_sweep_completes_and_matches_batch_runner(self):
         spec = _small_spec()
-        store = MemoryResultStore()
+        store = SqliteResultStore(":memory:")
         report = SweepRunner(spec, store, backend="serial").run()
         assert report.complete
         assert report.executed == 8 and report.skipped == 0
@@ -320,7 +387,7 @@ class TestSweepRunner:
 
     def test_engine_rows_report_identical_statistics(self):
         spec = _small_spec()
-        store = MemoryResultStore()
+        store = SqliteResultStore(":memory:")
         SweepRunner(spec, store, backend="serial").run()
         statistic = lambda row: tuple(
             row[c] for c in ("runs", "converged", "mean_steps", "median_steps",
@@ -332,61 +399,62 @@ class TestSweepRunner:
         assert all(len(set(values)) == 1 for values in by_scope.values())
         assert len(by_scope) == 4
 
-    def test_serial_and_process_store_files_are_byte_identical(self, tmp_path):
+    def test_serial_and_process_exports_are_byte_identical(self, tmp_path):
         spec = _small_spec()
-        serial_path = tmp_path / "serial.csv"
-        process_path = tmp_path / "process.csv"
-        SweepRunner(spec, open_store(serial_path), backend="serial").run()
-        SweepRunner(
-            spec, open_store(process_path), backend="process", max_workers=2
-        ).run()
-        assert serial_path.read_bytes() == process_path.read_bytes()
+        serial_path = tmp_path / "serial.sqlite"
+        process_path = tmp_path / "process.sqlite"
+        with SqliteResultStore(serial_path) as store:
+            SweepRunner(spec, store, backend="serial").run()
+        with SqliteResultStore(process_path) as store:
+            SweepRunner(spec, store, backend="process", max_workers=2).run()
+        assert (
+            _export(serial_path, tmp_path / "serial.csv")
+            == _export(process_path, tmp_path / "process.csv")
+        )
 
     @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
     def test_kill_and_resume_matches_uninterrupted_run(self, tmp_path, suffix):
         spec = _small_spec()
-        straight = tmp_path / ("straight" + suffix)
-        SweepRunner(spec, open_store(straight), backend="serial").run()
+        straight = _run_to_export(tmp_path, spec, "straight", suffix)
 
-        interrupted = tmp_path / ("interrupted" + suffix)
-        first = SweepRunner(spec, open_store(interrupted), backend="serial").run(
-            max_cells=3
-        )
+        interrupted = tmp_path / "interrupted.sqlite"
+        with SqliteResultStore(interrupted) as store:
+            first = SweepRunner(spec, store, backend="serial").run(max_cells=3)
         assert first.executed == 3 and first.remaining == 5
-        assert interrupted.read_bytes() != straight.read_bytes()
+        assert _export(interrupted, tmp_path / ("half" + suffix)) != straight
         # Resume from a fresh runner over the half-finished store.
-        second = SweepRunner(spec, open_store(interrupted), backend="serial").run()
+        with SqliteResultStore(interrupted) as store:
+            second = SweepRunner(spec, store, backend="serial").run()
         assert second.skipped == 3 and second.executed == 5
-        assert interrupted.read_bytes() == straight.read_bytes()
+        assert _export(interrupted, tmp_path / ("resumed" + suffix)) == straight
 
     def test_stale_running_rows_are_rerun_on_resume(self, tmp_path):
         spec = _small_spec()
-        straight = tmp_path / "straight.csv"
-        SweepRunner(spec, open_store(straight), backend="serial").run()
-        reference_bytes = straight.read_bytes()
-        # Simulate a kill mid-cell: the store shows the cell as running.
-        crashed = open_store(straight)
-        victim = spec.cells()[4].cell_id
-        crashed.mark_running(victim)
-        crashed.flush()
-        assert straight.read_bytes() != reference_bytes
-        report = SweepRunner(spec, open_store(straight), backend="serial").run()
-        assert report.executed == 1 and report.skipped == 7
-        assert straight.read_bytes() == reference_bytes
-        assert open_store(straight).status(victim) == STATUS_DONE
+        reference = _run_to_export(tmp_path, spec, "straight")
+        # Simulate a kill mid-cell: a run that attempted four cells, then a
+        # fifth claim that never committed (its lease is still live).
+        path = tmp_path / "crashed.sqlite"
+        with SqliteResultStore(path) as crashed:
+            SweepRunner(spec, crashed, backend="serial").run(max_cells=4)
+            victim = crashed.claim_next("killed-runner").cell
+            assert crashed.status(victim) == STATUS_RUNNING
+        assert _export(path, tmp_path / "crashed.csv") != reference
+        with SqliteResultStore(path) as store:
+            report = SweepRunner(spec, store, backend="serial").run()
+            assert report.executed == 4 and report.skipped == 4
+            assert store.status(victim) == STATUS_DONE
+        assert _export(path, tmp_path / "resumed.csv") == reference
 
-    def test_torn_store_tail_is_rerun_to_the_same_table(self, tmp_path):
-        spec = _small_spec()
-        straight = tmp_path / "straight.csv"
-        SweepRunner(spec, open_store(straight), backend="serial").run()
-        reference_bytes = straight.read_bytes()
-        torn = tmp_path / "torn.csv"
-        torn.write_bytes(reference_bytes[:-20])
-        store = open_store(torn)
-        assert store.recovered_cells
-        report = SweepRunner(spec, store, backend="serial").run()
-        assert report.executed == 1 and report.skipped == 7
-        assert torn.read_bytes() == reference_bytes
+    def test_a_store_holding_a_different_grid_is_refused(self):
+        wide = _small_spec()
+        narrow = _small_spec(populations=(12,))
+        with SqliteResultStore(":memory:") as store:
+            for cell in wide.cells():
+                store.ensure(cell.cell_id, cell.keyfields(), wide.cell_seed(cell))
+            with pytest.raises(StoreCorruptionError, match="different grid"):
+                SweepRunner(narrow, store, backend="serial").run()
+            # The foreign claim was handed back, and nothing ran.
+            assert store.status_counts() == {"created": len(wide.cells())}
 
     def test_failing_cells_become_error_rows(self, tmp_path):
         def boom(population, params):
@@ -398,7 +466,7 @@ class TestSweepRunner:
                 protocols=("majority", "always-boom"), populations=(8,),
                 engines=("compiled",),
             )
-            store = MemoryResultStore()
+            store = SqliteResultStore(":memory:")
             report = SweepRunner(spec, store, backend="serial").run(
                 on_error="continue"
             )
@@ -407,11 +475,13 @@ class TestSweepRunner:
             counts = store.status_counts()
             assert counts == {STATUS_DONE: 1, STATUS_ERROR: 1}
             error_row = [r for r in store.rows() if r["status"] == STATUS_ERROR][0]
-            assert "deliberate failure" in error_row["error"]
+            assert error_row["error"] == "RuntimeError: deliberate failure"
 
             # The default re-raises (after persisting the error row) ...
+            raising = SqliteResultStore(":memory:")
             with pytest.raises(RuntimeError, match="deliberate failure"):
-                SweepRunner(spec, MemoryResultStore(), backend="serial").run()
+                SweepRunner(spec, raising, backend="serial").run()
+            assert raising.status_counts() == {STATUS_DONE: 1, STATUS_ERROR: 1}
             # ... and resumption retries errors unless told not to.  Skipped
             # error rows are still failures: the report stays incomplete.
             skip = SweepRunner(
@@ -420,12 +490,17 @@ class TestSweepRunner:
             assert skip.skipped == 2 and skip.failed == 0
             assert skip.skipped_errors == 1
             assert not skip.complete
+            retry = SweepRunner(spec, store, backend="serial").run(
+                on_error="continue"
+            )
+            assert retry.skipped == 1 and retry.failed == 1
+            assert store.rows() == raising.rows()
         finally:
             _PROTOCOL_BUILDERS.pop("always-boom")
 
     def test_max_cells_zero_attempts_nothing(self):
         spec = _small_spec()
-        store = MemoryResultStore()
+        store = SqliteResultStore(":memory:")
         report = SweepRunner(spec, store, backend="serial").run(max_cells=0)
         assert report.executed == 0 and report.remaining == 8
         assert store.status_counts() == {"created": 8}
@@ -433,10 +508,10 @@ class TestSweepRunner:
     def test_invalid_arguments_rejected(self):
         spec = _small_spec()
         with pytest.raises(ValueError, match="backend"):
-            SweepRunner(spec, MemoryResultStore(), backend="thread")
+            SweepRunner(spec, SqliteResultStore(":memory:"), backend="thread")
         with pytest.raises(ValueError, match="max_workers"):
-            SweepRunner(spec, MemoryResultStore(), max_workers=0)
-        runner = SweepRunner(spec, MemoryResultStore(), backend="serial")
+            SweepRunner(spec, SqliteResultStore(":memory:"), max_workers=0)
+        runner = SweepRunner(spec, SqliteResultStore(":memory:"), backend="serial")
         with pytest.raises(ValueError, match="on_error"):
             runner.run(on_error="ignore")
         with pytest.raises(ValueError, match="max_cells"):
@@ -444,13 +519,73 @@ class TestSweepRunner:
 
     def test_to_experiment_table_renders_all_rows(self):
         spec = _small_spec(populations=(8,), engines=("compiled",))
-        store = MemoryResultStore()
+        store = SqliteResultStore(":memory:")
         SweepRunner(spec, store, backend="serial").run()
         table = to_experiment_table(store, experiment_id="T")
         assert len(table) == 2
         assert list(table.columns) == list(COLUMNS)
         rendered = table.render()
         assert "majority" in rendered and "modulo" in rendered
+
+
+class TestCellExecutor:
+    def test_concurrent_callers_share_builds_and_match_a_lone_caller(self):
+        # Many threads, one executor, cold caches: every cache entry must be
+        # built once (a check-then-act race builds it again), and every
+        # thread must get the results a lone caller gets.
+        builds = []
+
+        def counting_builder(population, params):
+            builds.append(population)
+            time.sleep(0.002)  # widens any check-then-act window
+            return build_protocol_and_inputs("majority", population, params)
+
+        register_sweep_protocol("counting-majority", counting_builder)
+        try:
+            spec = _small_spec(
+                protocols=("counting-majority",), populations=(8, 12, 16),
+                engines=("compiled",),
+            )
+            cells = spec.cells()
+
+            def run_all(executor):
+                return [
+                    executor.run(
+                        cell, [spec.cell_seed(cell) + rep for rep in range(3)],
+                        300, 50, analytics=True,
+                    )
+                    for cell in cells
+                ]
+
+            expected = run_all(CellExecutor())
+            lone_builds = len(builds)
+            builds.clear()
+            shared = CellExecutor()
+            outcomes = {}
+
+            def worker(index):
+                outcomes[index] = run_all(shared)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=worker, args=(index,))
+                    for index in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(builds) == lone_builds
+            assert len(outcomes) == 8
+            for results in outcomes.values():
+                assert results == expected
+        finally:
+            _PROTOCOL_BUILDERS.pop("counting-majority")
 
 
 class TestSweepCli:
@@ -466,12 +601,12 @@ class TestSweepCli:
 
     def test_run_show_and_resume(self, tmp_path, capsys):
         spec_path, spec = self._write_spec(tmp_path)
-        store_path = tmp_path / "results.csv"
+        store_path = tmp_path / "results.sqlite"
         assert sweep_main([
             "run", "--spec", str(spec_path), "--store", str(store_path),
             "--backend", "serial", "--quiet",
         ]) == 0
-        first = store_path.read_bytes()
+        first = _export(store_path, tmp_path / "first.csv")
         output = capsys.readouterr().out
         assert "8 executed" in output
         # A second run resumes: everything is already done.
@@ -480,39 +615,43 @@ class TestSweepCli:
             "--backend", "serial", "--quiet",
         ]) == 0
         assert "8 skipped" in capsys.readouterr().out
-        assert store_path.read_bytes() == first
+        assert _export(store_path, tmp_path / "second.csv") == first
         assert sweep_main(["show", "--store", str(store_path)]) == 0
         assert "majority" in capsys.readouterr().out
 
     def test_cli_interrupt_and_resume_is_bit_identical(self, tmp_path, capsys):
         # The acceptance scenario: >= 2 protocols x >= 2 populations x >= 2
         # engines through the CLI, killed mid-sweep (--max-cells), resumed
-        # from a copy, byte-identical to the uninterrupted table.
+        # from a copy, exported byte-identically to the uninterrupted table.
         spec_path, spec = self._write_spec(tmp_path)
-        full = tmp_path / "full.csv"
+        full = tmp_path / "full.sqlite"
         assert sweep_main([
             "run", "--spec", str(spec_path), "--store", str(full),
             "--backend", "serial", "--quiet",
         ]) == 0
-        half = tmp_path / "half.csv"
+        half = tmp_path / "half.sqlite"
         assert sweep_main([
             "run", "--spec", str(spec_path), "--store", str(half),
             "--backend", "serial", "--max-cells", "4", "--quiet",
         ]) == 0
         assert "4 remaining" in capsys.readouterr().out
-        assert half.read_bytes() != full.read_bytes()
-        resumed = tmp_path / "resumed.csv"
+        full_csv = _export(full, tmp_path / "full.csv")
+        assert _export(half, tmp_path / "half.csv") != full_csv
+        resumed = tmp_path / "resumed.sqlite"
         resumed.write_bytes(half.read_bytes())
         assert sweep_main([
             "run", "--spec", str(spec_path), "--store", str(resumed),
             "--backend", "serial", "--quiet",
         ]) == 0
-        assert resumed.read_bytes() == full.read_bytes()
+        assert sweep_main([
+            "export", "--store", str(resumed), "--to", str(tmp_path / "resumed.csv"),
+        ]) == 0
+        assert (tmp_path / "resumed.csv").read_bytes() == full_csv
 
     def test_missing_spec_file_fails_cleanly(self, tmp_path, capsys):
         assert sweep_main([
             "run", "--spec", str(tmp_path / "none.json"),
-            "--store", str(tmp_path / "out.csv"),
+            "--store", str(tmp_path / "out.sqlite"),
         ]) == 2
         assert "not found" in capsys.readouterr().err
 
@@ -520,7 +659,7 @@ class TestSweepCli:
         # Editing the spec (here: the master seed) after a store was written
         # must be a clean one-line refusal, not a traceback.
         spec_path, spec = self._write_spec(tmp_path)
-        store_path = tmp_path / "results.csv"
+        store_path = tmp_path / "results.sqlite"
         assert sweep_main([
             "run", "--spec", str(spec_path), "--store", str(store_path),
             "--backend", "serial", "--max-cells", "1", "--quiet",
@@ -539,3 +678,25 @@ class TestSweepCli:
             "--store", str(tmp_path / "out.parquet"),
         ]) == 2
         assert "cannot open store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["out.csv", "out.jsonl"])
+    def test_live_file_store_points_to_export(self, tmp_path, capsys, name):
+        spec_path, _ = self._write_spec(tmp_path)
+        assert sweep_main([
+            "run", "--spec", str(spec_path), "--store", str(tmp_path / name),
+        ]) == 2
+        assert "python -m repro.sweep export" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
+
+    def test_show_refuses_a_missing_store(self, tmp_path, capsys):
+        missing = tmp_path / "typo.sqlite"
+        assert sweep_main(["show", "--store", str(missing)]) == 2
+        assert "no such store" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_export_refuses_a_missing_store(self, tmp_path, capsys):
+        missing = tmp_path / "typo.sqlite"
+        out = tmp_path / "out.csv"
+        assert sweep_main(["export", "--store", str(missing), "--to", str(out)]) == 2
+        assert "no such store" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
