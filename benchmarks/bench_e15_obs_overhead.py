@@ -42,14 +42,11 @@ def _baseline_loop(simulator, configuration, seeds):
     buffer = simulator._compiled.counts_of(configuration)
     results = []
     for seed in seeds:
-        run_rng = random.Random(seed)
-        counts = simulator._compiled.counts_of(configuration, out=buffer)
-        results.append(
-            simulator._run_compiled(
-                configuration, counts, MAX_STEPS, STABILITY_WINDOW, run_rng,
-                False, 1024,
-            )
+        outcome = simulator._dispatch(
+            configuration, MAX_STEPS, STABILITY_WINDOW, random.Random(seed),
+            None, buffer,
         )
+        results.append(simulator._finish(configuration, outcome, None, None))
     return results
 
 

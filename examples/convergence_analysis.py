@@ -6,7 +6,7 @@ the work, and where two runs diverge.  This example:
 
 1. runs a 64-repetition majority ensemble over a persistent worker pool with
    the ``analytics=`` knob, so each worker extracts a compact metric dict
-   in place of the full trajectory ring,
+   in place of the full trajectory,
 2. aggregates the per-run metrics into time-to-consensus quantiles and a
    pooled firing histogram,
 3. samples a consensus-fraction-over-time curve for a single recorded run,
@@ -47,7 +47,7 @@ def ensemble_analytics(protocol, inputs, expected):
         results = runner.run_many(
             inputs, 64, seed=SEED, max_steps=MAX_STEPS, analytics=spec
         )
-    # The workers consumed the trajectory rings locally: only metrics travel.
+    # The workers consumed the trajectories locally: only metrics travel.
     assert all(r.trajectory is None and r.analytics is not None for r in results)
 
     aggregated = aggregate_run_metrics([r.analytics for r in results])

@@ -56,9 +56,10 @@ def main() -> None:
     )
     print()
 
-    # 4. Trajectory recording: both engines can record the fired transition
-    #    indices into a bounded ring buffer; a complete trajectory replays on
-    #    the net to exactly the run's final configuration.
+    # 4. Trajectory recording: every engine can append the fired transition
+    #    indices to a bounded deque (memory proportional to min(steps fired,
+    #    capacity)); a complete trajectory replays on the net to exactly the
+    #    run's final configuration.
     result = simulator.run(inputs, max_steps=50000, record_trajectory=True)
     trajectory = result.trajectory
     replayed = trajectory.replay(protocol.petri_net, result.initial)

@@ -11,7 +11,7 @@ re-derived by hand per experiment:
   correctness.  :class:`AnalyticsSpec` packages the configuration and is
   shipped to worker processes by the batch layer's ``analytics=`` knob, so
   extraction runs **in the worker** and only compact metric dicts cross the
-  pool — never the 65536-entry trajectory rings.
+  pool — never the recorded trajectories.
 * :mod:`~repro.analytics.ensemble` — deterministic aggregation into
   :class:`EnsembleAnalytics`: convergence-time quantiles, pooled histograms,
   accuracy rates, mean curves.

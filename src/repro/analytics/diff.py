@@ -14,8 +14,8 @@ turns two recorded trajectories into exactly that:
 * :func:`describe_diff` — render the verdict as human-readable text, naming
   the divergent transitions when the net is supplied.
 
-Truncated trajectories are rejected: a ring buffer that overwrote early
-firings lost the shared prefix, so index ``i`` of one recording no longer
+Truncated trajectories are rejected: a bounded recording deque that dropped
+early firings lost the shared prefix, so index ``i`` of one recording no longer
 corresponds to index ``i`` of the other and any "divergence" found would be
 an artifact of the truncation.
 """

@@ -136,7 +136,7 @@ class EnsembleAnalytics:
     histogram: Optional[Tuple[int, ...]]
     #: Mean consensus-fraction per checkpoint over runs carrying a curve.
     mean_curve: Optional[Tuple[Tuple[int, float], ...]]
-    #: True when every aggregated run's full path survived its ring buffer.
+    #: True when every aggregated run's full path was recorded (none dropped).
     all_complete: bool
 
     @property

@@ -260,14 +260,14 @@ def extract_run_metrics(
                                was disabled, or the trajectory is truncated)
     ``correct``                consensus == expected (None without an
                                expectation)
-    ``trajectory_complete``    whether the full path survived the ring buffer
+    ``trajectory_complete``    whether the full path survived the recording
     ``histogram``              per-transition firing counts (tuple), or None
     ``curve``                  ``((checkpoint, fraction), ...)`` consensus
                                fractions, or None (disabled / truncated /
                                unconverged run)
     ========================== ==============================================
 
-    A truncated trajectory (the ring buffer overwrote early firings) cannot
+    A truncated trajectory (the bounded deque dropped early firings) cannot
     be replayed from the initial configuration: consensus times and curve
     degrade to ``None`` and the histogram covers the surviving suffix only,
     with ``trajectory_complete`` flagging the loss.

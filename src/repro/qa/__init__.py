@@ -27,9 +27,9 @@ one finding/suppression pipeline:
     A structural verifier over the *generated stepper sources* that
     :class:`~repro.simulation.compiled.CompiledNet` ``exec``-compiles:
     closed namespaces, pure-local step loops, complete transition dispatch
-    matching the net's delta lists, recording variant = fast variant + ring
-    writes.  Nothing human reviews the per-net generated code; this pass
-    does.
+    matching the net's delta lists, recording variant = fast variant +
+    deque appends.  Nothing human reviews the per-net generated code; this
+    pass does.
 
 ``picklesafety``
     A shape-based scan for classes caching generated functions/closures on

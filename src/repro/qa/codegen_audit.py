@@ -24,10 +24,10 @@ properties the cross-engine determinism contract rests on:
    scheduler uses — a permutation would consume the RNG differently);
 4. **counts round-trip** — the loop loads ``c<i>`` for exactly the generator's
    ``touched`` indices and writes back exactly its ``written`` indices;
-5. **recording = fast + ring writes** — the recording variant's source,
-   minus the ring-buffer statements and its two extra parameters, is
-   byte-identical to the fast variant: recording must never change *what*
-   is simulated.
+5. **recording = fast + append statements** — the recording variant's
+   source, minus its ``append = ring.append`` hoist, its ``append(...)``
+   statements and its extra ``ring`` parameter, is byte-identical to the
+   fast variant: recording must never change *what* is simulated.
 
 The lock-step ensemble engine (:mod:`repro.simulation.ensemble`) has no
 generated source to parse — it is a fixed array program steered by the
@@ -55,6 +55,7 @@ latter two over every registered sweep protocol at several populations
 from __future__ import annotations
 
 import ast
+import re
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..simulation.compiled import OUT_IGNORED, CompiledNet, _KINDS
@@ -78,7 +79,7 @@ _ALLOWED_GLOBALS = frozenset({"comb"})
 _ALLOWED_LOOP_ATTRS = frozenset({("enabled", "append")})
 
 _BASE_PARAMS = ("counts", "rng", "max_steps", "stability_window", "one", "zero", "undef")
-_RECORD_PARAMS = _BASE_PARAMS + ("ring", "capacity")
+_RECORD_PARAMS = _BASE_PARAMS + ("ring",)
 
 
 def _assigned_names(func: ast.FunctionDef) -> Set[str]:
@@ -366,19 +367,21 @@ def _looks_like_dispatch(node: ast.If) -> bool:
     return False
 
 
-#: Ring-buffer statements the recording variant is allowed to add.
-_RING_LINES = {"rpos = 0", "rpos += 1", "if rpos == capacity:"}
+#: The statements the recording variant is allowed to add: the hoisted
+#: ``append`` and one append of the fired index (a constant arm index under
+#: the uniform dispatch, ``t`` under the transition discipline).
+_RECORDING_LINE = re.compile(r"append = ring\.append|append\((?:\d+|t)\)")
 
 
 def _strip_ring_statements(source: str) -> str:
-    """The recording variant's source with every ring statement removed and
-    the two extra parameters dropped — what must equal the fast variant."""
+    """The recording variant's source with every recording statement removed
+    and the extra ``ring`` parameter dropped — what must equal the fast
+    variant."""
     lines = []
     for line in source.splitlines():
-        stripped = line.strip()
-        if stripped in _RING_LINES or stripped.startswith("ring[rpos] ="):
+        if _RECORDING_LINE.fullmatch(line.strip()):
             continue
-        lines.append(line.replace(", ring, capacity", ""))
+        lines.append(line.replace("undef, ring):", "undef):"))
     return "\n".join(lines)
 
 
@@ -410,7 +413,7 @@ def audit_compiled_net(
         if _strip_ring_statements(sources[True]) != sources[False]:
             problems.append(
                 f"{kind}: recording variant differs from the fast variant by "
-                "more than ring-write statements"
+                "more than append statements"
             )
     return problems
 

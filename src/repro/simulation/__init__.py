@@ -54,15 +54,16 @@ many protocols back to back — the fan-out substrate of the sweep harness
 (:mod:`repro.sweep`).
 
 **Trajectories** (:mod:`~repro.simulation.trajectory`).  Opt-in path
-recording (``record_trajectory=True``): every engine writes the fired
-transition indices into a bounded ring buffer, decoded into a
+recording (``record_trajectory=True``): every engine appends the fired
+transition indices to a bounded deque (``maxlen=trajectory_capacity``;
+memory proportional to min(steps fired, capacity)), turned into a
 :class:`Trajectory` that keeps the last ``trajectory_capacity`` firings,
 counts what was dropped, and can replay complete paths on the net.  The
 ``analytics=`` knob on the batch entry points goes one step further:
-instead of shipping rings out of the workers, each worker records, extracts
+instead of shipping paths out of the workers, each worker records, extracts
 a compact metric dict (time-to-consensus, firing histogram, predicate
 correctness — see :mod:`repro.analytics`), attaches it as
-``result.analytics`` and drops the ring, so ensembles return kilobytes of
+``result.analytics`` and drops the path, so ensembles return kilobytes of
 metrics rather than megabytes of paths.  Enabling analytics never changes
 the simulation itself: the non-analytics result fields stay bit-identical,
 on every engine and backend.

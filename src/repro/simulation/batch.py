@@ -248,7 +248,7 @@ def _run_worker_task(
     configuration, step budget, recording and analytics knobs), the chunk,
     and a tracing flag, so one pool can serve ensembles of different
     protocols and parameters.  With an analytics spec the metric extraction
-    happens *here*, in the worker: full trajectory rings are recorded,
+    happens *here*, in the worker: full trajectories are recorded,
     consumed and dropped locally, and only the compact metric dicts travel
     back through the pool.
 
@@ -484,7 +484,7 @@ class WorkerPool:
         ``analytics`` optionally ships a metric-extraction spec (see
         :class:`~repro.analytics.metrics.AnalyticsSpec`) to the workers:
         each result comes back with a compact ``result.analytics`` dict,
-        extracted in the worker so the full trajectory rings never cross the
+        extracted in the worker so the full trajectories never cross the
         pool.  ``spec_bytes`` optionally supplies the pre-pickled
         ``(protocol, scheduler, engine)`` spec, letting repeat callers (the
         :class:`BatchRunner` fast path, the sweep runner's per-cell-group
@@ -671,8 +671,8 @@ def run_ensemble(
         Optional metric-extraction spec (see
         :class:`~repro.analytics.metrics.AnalyticsSpec`): each result gains a
         compact ``result.analytics`` dict, extracted in the worker under
-        ``backend="process"`` so only the metrics — never the trajectory
-        rings — cross the pool.  Extraction is deterministic, so both
+        ``backend="process"`` so only the metrics — never the trajectories
+        — cross the pool.  Extraction is deterministic, so both
         backends return identical metric dicts.
 
     This functional entry point builds an ephemeral pool per call; use
@@ -918,7 +918,7 @@ class BatchRunner:
 
         With ``analytics`` each result carries a compact metric dict
         (``result.analytics``), extracted inside the workers on the process
-        backend so trajectory rings never cross the pool.
+        backend so trajectories never cross the pool.
         """
         self._check_open()
         if record_trajectory and trajectory_capacity < 1:

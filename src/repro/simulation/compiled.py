@@ -95,7 +95,7 @@ class Stepper(TypingProtocol):
 
     * calling it runs the whole loop with the stepper signature documented on
       :meth:`CompiledNet.stepper` (``counts`` mutated in place, ``-1`` as the
-      ``None`` sentinel, optional trailing ``ring``/``capacity``),
+      ``None`` sentinel, an optional trailing recording ``ring``),
     * :meth:`source` returns the generated Python source when the loop *is*
       generated code (the compiled engine), and ``None`` for kernel-backed
       loops (the NumPy and ensemble engines) — the hook the codegen auditor
@@ -123,16 +123,14 @@ class GeneratedStepper:
 
     Wraps the ``exec``-compiled function together with the emitted source and
     the generator's structured metadata; the wrapper is entered once per run
-    (the loop lives inside), so the indirection costs nothing per step.  The
-    legacy ``__source__`` / ``__qa_meta__`` attribute spellings are kept for
-    debugging parity with the pre-protocol closures.
+    (the loop lives inside), so the indirection costs nothing per step.
     """
 
     def __init__(
         self, fn: StepperFn, source: str, qa_meta: Dict[str, object]
     ) -> None:
         self._fn = fn
-        self.__source__ = source
+        self._source = source
         self.qa_meta = qa_meta
 
     def __call__(self, *args: Any, **kwargs: Any) -> Tuple[int, int, int, bool]:
@@ -140,11 +138,7 @@ class GeneratedStepper:
 
     def source(self) -> str:
         """The emitted Python source of the loop (the QA audit hook)."""
-        return self.__source__
-
-    @property
-    def __qa_meta__(self) -> Dict[str, object]:
-        return self.qa_meta
+        return self._source
 
     def __repr__(self) -> str:
         return f"GeneratedStepper({self.qa_meta.get('label', '?')})"
@@ -333,12 +327,12 @@ class CompiledNet:
         the initial consensus counters, and ``consensus_value`` /
         ``consensus_since`` use ``-1`` as the ``None`` sentinel.
 
-        With ``record=True`` the signature gains two trailing parameters
-        ``(ring, capacity)``: ``ring`` is a caller-allocated list of length
-        ``capacity`` into which the loop writes the fired transition index of
-        every step, wrapping around when full (decode with
-        :meth:`~repro.simulation.trajectory.Trajectory.from_ring`).  Recording
-        is a separate generated variant so the non-recording fast path pays
+        With ``record=True`` the signature gains one trailing parameter
+        ``ring``, a :class:`collections.deque` whose ``maxlen`` is the
+        trajectory capacity: the loop appends the fired transition index of
+        every step and the deque drops the oldest once full, so recording
+        memory is proportional to min(steps fired, capacity).  Recording is a
+        separate generated variant so the non-recording fast path pays
         nothing for the feature.  Steppers are cached per
         ``(kind, classes, record)``.
         """
@@ -466,9 +460,9 @@ def _fire_statements(
         # The transition-kind loop records the chosen index once before the
         # dispatch; the uniform dispatch only knows it inside the branch.
         # Prepended after the ``pass`` fallback so the recording variant is
-        # exactly the fast variant plus ring writes (the codegen auditor
-        # checks this by stripping them).
-        statements.insert(0, f"ring[rpos] = {t}")
+        # exactly the fast variant plus appends (the codegen auditor checks
+        # this by stripping them).
+        statements.insert(0, f"append({t})")
     return statements
 
 
@@ -486,7 +480,7 @@ def _generate_stepper(
     # qa: allow[DET202] -- dense int state indices, totally ordered
     written = sorted({index for delta in net.delta_lists for index, _ in delta})
     touched = sorted(read | set(written))  # qa: allow[DET202] -- int indices
-    extra_params = ", ring, capacity" if record else ""
+    extra_params = ", ring" if record else ""
 
     lines: List[str] = []
     emit = lines.append
@@ -497,7 +491,7 @@ def _generate_stepper(
     for index in touched:
         emit(f"    c{index} = counts[{index}]")
     if record:
-        emit("    rpos = 0")
+        emit("    append = ring.append")
     if kind == "uniform":
         emit("    randrange = rng.randrange")
         for t in range(num_transitions):
@@ -551,7 +545,7 @@ def _generate_stepper(
         emit("        t = choice(enabled)")
         emit("        step += 1")
         if record:
-            emit("        ring[rpos] = t")
+            emit("        append(t)")
         if num_transitions == 1:
             for statement in _fire_statements(net, 0, consensus_deltas, kind, has_undef):
                 emit(f"        {statement}")
@@ -565,10 +559,6 @@ def _generate_stepper(
                     emit("        else:")
                 for statement in _fire_statements(net, t, consensus_deltas, kind, has_undef):
                     emit(f"            {statement}")
-    if record:
-        emit("        rpos += 1")
-        emit("        if rpos == capacity:")
-        emit("            rpos = 0")
     emit("        if consensus_value >= 0 and step - consensus_since >= stability_window:")
     emit("            break")
     for index in written:

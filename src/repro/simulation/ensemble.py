@@ -36,21 +36,23 @@ exact engine discipline — one ``randrange(total)`` per uniform step, one
 ``_randbelow(len(enabled))`` per transition-scheduler step (``randrange(n)``
 and ``choice``'s index draw are the same stream operation) — so every row is
 bit-identical to a per-run engine run with the same derived seed.  The
-consensus counters, ring-buffer recording and retire conditions replicate
-the per-run stepper loop ordering precisely (budget check before the
-dead-configuration check before the stream draw).
+consensus counters, recording (one bounded deque per row, appended in step
+order) and retire conditions replicate the per-run stepper loop ordering
+precisely (budget check before the dead-configuration check before the
+stream draw).
 
 This engine is selected with ``engine="ensemble"`` (explicitly, or via
 ``REPRO_FORCE_ENGINE=ensemble``; ``engine="auto"`` never picks it on its
-own).  Single runs under ``engine="ensemble"`` use the per-run NumPy
-stepper — same trajectories — while ``Simulator.run_many`` and the batch
-layer route whole seed lists through :class:`VectorizedEnsemble`.
+own).  Single runs and one-seed lists under ``engine="ensemble"`` use the
+per-run NumPy stepper — same trajectories — while ``Simulator.run_many``
+and the batch layer route longer seed lists through
+:class:`VectorizedEnsemble`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .compiled import check_kind
 from .vectorized import VectorizedNet, require_numpy
@@ -240,7 +242,7 @@ class VectorizedEnsemble:
         self.qa_meta: Dict[str, object] = {
             "label": f"{net.net.name or 'net'}/{kind}/ensemble",
             "kind": kind,
-            "record": None,  # the run loop branches on ring is None
+            "record": None,  # the run loop branches on rings is None
             "num_transitions": net.num_transitions,
             "implementation": "numpy-ensemble",
         }
@@ -264,16 +266,16 @@ class VectorizedEnsemble:
         one: int,
         zero: int,
         undef: int,
-        ring: Optional[Any] = None,
-        capacity: int = 0,
+        rings: Optional[Sequence[Deque[int]]] = None,
     ) -> Tuple[Any, Any, Any, Any, Any]:
         """Advance every seed's run to completion, all rows in lock step.
 
         ``counts`` is the shared dense initial configuration, ``one`` /
         ``zero`` / ``undef`` its output-class counters (as for the per-run
-        steppers).  ``ring``, if given, is a ``(len(seeds), capacity)`` int64
-        matrix; row ``i`` receives the same ring-buffer write sequence as the
-        per-run recording stepper for seed ``seeds[i]``.
+        steppers).  ``rings``, if given, holds one bounded deque per seed;
+        ``rings[i]`` receives the same appends as the per-run recording
+        stepper's deque for seed ``seeds[i]``, so recording memory is
+        proportional to min(steps fired, capacity) per row.
 
         Returns ``(steps, values, since, terminated, final_counts)`` arrays —
         per row, exactly the per-run stepper's return tuple plus the final
@@ -325,6 +327,8 @@ class VectorizedEnsemble:
         # randrange(total) and choice's index draw consume, minus the Python
         # call layers (the draw loop is the only per-row scalar work left).
         rands: List[Any] = [random.Random(seed).getrandbits for seed in seeds]
+        # The live rows' deque appends, compacted alongside ``rands``.
+        appends: List[Any] = [ring.append for ring in rings or ()]
         orig = np.arange(reps, dtype=np.intp)
         row_ids = np.arange(reps, dtype=np.intp)
         num_blocks = tables.num_blocks
@@ -361,7 +365,7 @@ class VectorizedEnsemble:
 
         def retire(mask: Any, terminated: bool) -> None:
             """Flush ``mask`` rows to the output arrays and compact the rest."""
-            nonlocal state, cons, cv, csince, orig, rands, row_ids
+            nonlocal state, cons, cv, csince, orig, rands, appends, row_ids
             nonlocal weights, blocksums, totals, enabled
             nonlocal sflat, wflat, roff_s, roff_w, roff_b, roff_c, cumbuf
             rows = orig[mask]
@@ -376,7 +380,9 @@ class VectorizedEnsemble:
             cv = cv[keep]
             csince = csince[keep]
             orig = orig[keep]
-            rands = [r for r, k in zip(rands, keep.tolist()) if k]
+            kept = keep.tolist()
+            rands = [r for r, k in zip(rands, kept) if k]
+            appends = [a for a, k in zip(appends, kept) if k]
             if uniform:
                 weights = weights[keep]
                 blocksums = blocksums[keep]
@@ -446,8 +452,9 @@ class VectorizedEnsemble:
                 # for k = _randbelow(n), the same stream draw as randrange(n).
                 fired = (np.cumsum(enabled, axis=1) <= picks[:, None]).sum(axis=1)
 
-            if ring is not None:
-                ring[orig, (step - 1) % capacity] = fired
+            if appends:
+                for append, t in zip(appends, fired.tolist()):
+                    append(t)
 
             if fast:
                 # Padded displacement scatter through the flat view: every

@@ -31,10 +31,10 @@ Three engines implement these semantics:
   lock-step ``(reps, states)`` matrix advanced with one kernel launch per
   global step, per-row transition picks through a two-level blocked weight
   structure, and rows retiring in place at convergence
-  (:mod:`repro.simulation.ensemble`).  Single runs under this engine use the
-  per-run NumPy stepper; ``run_many`` and the batch layer route whole seed
-  lists through the lock-step path — every row bit-identical to a per-run
-  engine run with the same derived seed,
+  (:mod:`repro.simulation.ensemble`).  Single runs and one-seed lists under
+  this engine use the per-run NumPy stepper; ``run_many`` and the batch
+  layer route longer seed lists through the lock-step path — every row
+  bit-identical to a per-run engine run with the same derived seed,
 * the **reference engine** (``engine="reference"``) is the original sparse
   implementation: one immutable :class:`~repro.core.configuration.Configuration`
   per step, full consensus rescans, full weight recomputation.
@@ -58,7 +58,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from itertools import repeat
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..config import forced_engine, monotonic_time, notice_explicit_engine
 from ..core.configuration import Configuration
@@ -73,6 +75,10 @@ from .vectorized import numpy_available
 __all__ = ["AUTO_VECTORIZE_THRESHOLD", "SimulationResult", "Simulator", "simulate"]
 
 _ENGINES = ("auto", "compiled", "numpy", "ensemble", "reference")
+
+#: An engine's raw outcome of one run: ``(steps, consensus_value,
+#: consensus_since, terminated, final)``, ``-1`` standing for ``None``.
+Outcome = Tuple[int, int, int, bool, Configuration]
 
 #: Transition count at which ``engine="auto"`` switches from the compiled
 #: engine to the NumPy engine.  Calibrated with benchmark E11
@@ -123,6 +129,26 @@ class SimulationResult:
         )
 
 
+def _recording_capacity(
+    record_trajectory: bool,
+    trajectory_capacity: int,
+    max_steps: int,
+    analytics: Any = None,
+) -> int:
+    """The ``maxlen`` of the deque a run records into; ``0`` records nothing.
+
+    Analytics needs the complete path, and a run fires at most ``max_steps``
+    transitions.  A deque grows with the steps actually fired, so a large
+    capacity or budget costs nothing until a run uses it.
+    """
+    if record_trajectory and trajectory_capacity < 1:
+        raise ValueError("trajectory_capacity must be at least 1")
+    capacity = trajectory_capacity if record_trajectory else 0
+    if analytics is not None:
+        capacity = max(1, max_steps, capacity)
+    return capacity
+
+
 class Simulator:
     """Simulate a protocol under a scheduler.
 
@@ -146,7 +172,7 @@ class Simulator:
         ``"ensemble"`` requires NumPy the same way and additionally routes
         :meth:`run_many` / batch seed lists through the lock-step
         :class:`~repro.simulation.ensemble.VectorizedEnsemble` (single runs
-        use the bit-identical per-run NumPy stepper);
+        and one-seed lists use the bit-identical per-run NumPy stepper);
         ``"reference"`` forces the sparse reference engine.
 
         An explicit ``engine=`` argument is never overridden by
@@ -240,8 +266,8 @@ class Simulator:
 
         With ``record_trajectory=True`` the result carries a
         :class:`~repro.simulation.trajectory.Trajectory` of the last
-        ``trajectory_capacity`` fired transition indices (a bounded ring
-        buffer, so memory stays flat however long the run).
+        ``trajectory_capacity`` fired transition indices (a bounded deque:
+        memory is proportional to min(steps fired, capacity)).
         """
         configuration = self.protocol.initial_configuration(inputs)
         return self.run_from(
@@ -261,34 +287,14 @@ class Simulator:
         trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
     ) -> SimulationResult:
         """Simulate one execution from an arbitrary starting configuration."""
+        capacity = _recording_capacity(record_trajectory, trajectory_capacity, max_steps)
+        ring = deque(maxlen=capacity) if capacity else None
         profiler = _obs_profile.active_profiler()
         observing = profiler is not None or _obs_trace.tracing_active()
         t0 = monotonic_time() if observing else 0.0
-        result = self._dispatch(
-            configuration, max_steps, stability_window, self.rng,
-            record_trajectory, trajectory_capacity,
-        )
-        if observing:
-            self._observe_run(profiler, t0, result)
-        return result
-
-    def _observe_run(
-        self, profiler: Any, t0: float, result: SimulationResult, **attrs: Any
-    ) -> None:
-        """Record a run that started at ``t0``: one profiler record, one span.
-
-        Instrumentation observes result objects and clocks, never the RNG
-        stream, so an observed run is bit-identical to an unobserved one.
-        """
-        elapsed = monotonic_time() - t0
-        engine_name = self._choice or "reference"
-        if profiler is not None:
-            profiler.record(engine_name, result.steps, elapsed)
-        _obs_trace.span_event(
-            "run", "run", t0, elapsed,
-            engine=engine_name, steps=result.steps,
-            consensus=result.consensus, terminated=result.terminated, **attrs,
-        )
+        outcome = self._dispatch(configuration, max_steps, stability_window, self.rng, ring)
+        timing = (profiler, t0, monotonic_time() - t0) if observing else None
+        return self._finish(configuration, outcome, ring, timing)
 
     def _dispatch(
         self,
@@ -296,32 +302,37 @@ class Simulator:
         max_steps: int,
         stability_window: int,
         rng: random.Random,
-        record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
-    ) -> SimulationResult:
-        """Route a run to the compiled engine when possible."""
-        if record_trajectory and trajectory_capacity < 1:
-            raise ValueError("trajectory_capacity must be at least 1")
+        ring: Optional[Deque[int]] = None,
+        counts: Optional[List[int]] = None,
+    ) -> Outcome:
+        """Run one execution on the dense engine when the configuration fits
+        its universe, else on the reference engine.
+
+        ``ring`` is the deque to record into (``None`` records nothing) and
+        ``counts`` an optional dense buffer to reuse across runs.
+        """
         if self._stepper is not None:
-            counts = self._compiled.counts_of(configuration)
+            counts = self._compiled.counts_of(configuration, out=counts)
             if counts is not None:
-                return self._run_compiled(
-                    configuration, counts, max_steps, stability_window, rng,
-                    record_trajectory, trajectory_capacity,
-                )
+                one, zero, undef = self._initial_output_counters(counts)
+                if ring is None:
+                    steps, value, since, terminated = self._stepper(
+                        counts, rng, max_steps, stability_window, one, zero, undef
+                    )
+                else:
+                    recording = self._compiled.stepper(self._kind, self._classes, record=True)
+                    steps, value, since, terminated = recording(
+                        counts, rng, max_steps, stability_window, one, zero, undef, ring
+                    )
+                final = self._compiled.configuration_of(counts)
+                return steps, value, since, terminated, final
             if self.engine in ("compiled", "numpy", "ensemble"):
                 raise ValueError(
                     "configuration mentions states outside the compiled universe; "
                     "use engine='auto' or engine='reference'"
                 )
-        return self._run_reference(
-            configuration, max_steps, stability_window, rng,
-            record_trajectory, trajectory_capacity,
-        )
+        return self._run_reference(configuration, max_steps, stability_window, rng, ring)
 
-    # ------------------------------------------------------------------
-    # Compiled engine
-    # ------------------------------------------------------------------
     def _initial_output_counters(self, counts: List[int]) -> Tuple[int, int, int]:
         """The ``(one, zero, undef)`` output-class counters of dense counts."""
         classes = self._classes
@@ -337,49 +348,61 @@ class Simulator:
                     undef += count
         return one, zero, undef
 
-    def _run_compiled(
+    def _finish(
         self,
         initial: Configuration,
-        counts: List[int],
-        max_steps: int,
-        stability_window: int,
-        rng: random.Random,
+        outcome: Outcome,
+        ring: Optional[Deque[int]],
+        timing: Optional[Tuple[Any, float, float]],
+        analytics: Any = None,
         record_trajectory: bool = False,
         trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
+        **attrs: Any,
     ) -> SimulationResult:
-        classes = self._classes
-        one, zero, undef = self._initial_output_counters(counts)
-        trajectory = None
-        if record_trajectory:
-            # The run fires at most max_steps transitions, so the physical
-            # buffer never needs to exceed that — a huge trajectory_capacity
-            # on a short run should not allocate gigabytes.  The reported
-            # capacity stays as requested: with total_fired <= max_steps the
-            # surviving suffix is the same either way.
-            physical = max(1, min(trajectory_capacity, max_steps))
-            ring = [0] * physical
-            stepper = self._compiled.stepper(self._kind, classes, record=True)
-            steps, value, since, terminated = stepper(
-                counts, rng, max_steps, stability_window, one, zero, undef,
-                ring, physical,
-            )
-            trajectory = Trajectory.from_ring(
-                ring, steps, physical, reported_capacity=trajectory_capacity
-            )
-        else:
-            steps, value, since, terminated = self._stepper(
-                counts, rng, max_steps, stability_window, one, zero, undef
-            )
-        return SimulationResult(
+        """Turn one engine outcome into a :class:`SimulationResult`.
+
+        ``outcome`` is an engine's raw ``(steps, consensus_value,
+        consensus_since, terminated, final)`` with ``-1`` as the ``None``
+        sentinel, and ``ring`` the deque the run recorded into.  ``timing``
+        is ``(profiler, t0, elapsed)`` for an observed run, which gets one
+        profiler record and one ``run`` span tagged with ``attrs``;
+        instrumentation reads results and clocks, never the RNG stream, so an
+        observed run is bit-identical to an unobserved one.  With
+        ``analytics`` the metric dict is extracted from the complete
+        recording, then the trajectory is cut back to what the caller asked
+        for, so enabling analytics never changes the other fields.
+        """
+        steps, value, since, terminated, final = outcome
+        result = SimulationResult(
             initial=initial,
-            final=self._compiled.configuration_of(counts),
+            final=final,
             steps=steps,
             consensus=value if value >= 0 else None,
             consensus_step=since if since >= 0 else None,
             terminated=terminated,
             interactions_sampled=steps,
-            trajectory=trajectory,
+            trajectory=(
+                None if ring is None else Trajectory(tuple(ring), steps, ring.maxlen)
+            ),
         )
+        if timing is not None:
+            profiler, t0, elapsed = timing
+            engine_name = self._choice or "reference"
+            if profiler is not None:
+                profiler.record(engine_name, steps, elapsed)
+            _obs_trace.span_event(
+                "run", "run", t0, elapsed,
+                engine=engine_name, steps=steps,
+                consensus=result.consensus, terminated=terminated, **attrs,
+            )
+        if analytics is not None:
+            result.analytics = analytics.extract(result, self.protocol)
+            if not record_trajectory:
+                result.trajectory = None
+            elif ring is not None and ring.maxlen != trajectory_capacity:
+                kept = result.trajectory.transition_indices[-trajectory_capacity:]
+                result.trajectory = Trajectory(kept, steps, trajectory_capacity)
+        return result
 
     # ------------------------------------------------------------------
     # Sparse reference engine
@@ -390,48 +413,24 @@ class Simulator:
         max_steps: int,
         stability_window: int,
         rng: random.Random,
-        record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
-    ) -> SimulationResult:
-        initial = configuration
+        ring: Optional[Deque[int]] = None,
+    ) -> Outcome:
         current = configuration
         consensus_value = self._consensus(current)
         consensus_since: Optional[int] = 0 if consensus_value is not None else None
-        interactions = 0
-        # Recording: a deque bounded to the ring capacity keeps the *last*
-        # ``trajectory_capacity`` fired indices, matching the compiled engine's
-        # ring-buffer semantics exactly.
-        ring: Optional[deque] = None
-        index_of_transition = None
-        if record_trajectory:
-            ring = deque(maxlen=trajectory_capacity)
-            index_of_transition = {t: i for i, t in enumerate(self.net.transitions)}
-
-        def trajectory() -> Optional[Trajectory]:
-            if ring is None:
-                return None
-            return Trajectory(
-                transition_indices=tuple(ring),
-                total_fired=interactions,
-                capacity=trajectory_capacity,
-            )
-
+        index_of_transition = (
+            None if ring is None else {t: i for i, t in enumerate(self.net.transitions)}
+        )
+        steps = max_steps
+        terminated = False
         for step in range(1, max_steps + 1):
             transition = self.scheduler.choose(self.net, current, rng)
             if transition is None:
                 # Terminal configuration: the consensus (if any) is definitive.
-                return SimulationResult(
-                    initial=initial,
-                    final=current,
-                    steps=step - 1,
-                    consensus=consensus_value,
-                    consensus_step=consensus_since,
-                    terminated=True,
-                    interactions_sampled=interactions,
-                    trajectory=trajectory(),
-                )
+                steps = step - 1
+                terminated = True
+                break
             current = transition.fire(current)
-            interactions += 1
             if ring is not None:
                 ring.append(index_of_transition[transition])
             value = self._consensus(current)
@@ -443,26 +442,14 @@ class Simulator:
                 and consensus_since is not None
                 and step - consensus_since >= stability_window
             ):
-                return SimulationResult(
-                    initial=initial,
-                    final=current,
-                    steps=step,
-                    consensus=consensus_value,
-                    consensus_step=consensus_since,
-                    terminated=False,
-                    interactions_sampled=interactions,
-                    trajectory=trajectory(),
-                )
-
-        return SimulationResult(
-            initial=initial,
-            final=current,
-            steps=max_steps,
-            consensus=consensus_value,
-            consensus_step=consensus_since,
-            terminated=False,
-            interactions_sampled=interactions,
-            trajectory=trajectory(),
+                steps = step
+                break
+        return (
+            steps,
+            -1 if consensus_value is None else consensus_value,
+            -1 if consensus_since is None else consensus_since,
+            terminated,
+            current,
         )
 
     def _consensus(self, configuration: Configuration) -> Optional[int]:
@@ -489,191 +476,82 @@ class Simulator:
         """Run one repetition per seed from ``configuration``, in seed order.
 
         The building block of both batch backends (the serial loop here, and
-        each worker's share under ``backend="process"``): on the compiled path
-        the whole sequence reuses a single dense counts buffer instead of
-        reallocating one per repetition.
+        each worker's share under ``backend="process"``): on the dense paths
+        the whole sequence reuses a single counts buffer instead of
+        reallocating one per repetition.  Under ``engine="ensemble"`` a list
+        of two or more seeds runs as one lock-step
+        :class:`~repro.simulation.ensemble.VectorizedEnsemble` call, row
+        ``i`` bit-identical to a per-run engine run seeded with ``seeds[i]``.
 
         ``analytics`` optionally supplies an extraction spec (any object with
         an ``extract(result, protocol)`` method, canonically
         :class:`~repro.analytics.metrics.AnalyticsSpec`).  Each run is then
         recorded internally with a capacity large enough for the complete
         path, its compact metric dict is attached as ``result.analytics``,
-        and the bulky trajectory ring is **dropped again** unless the caller
-        asked for trajectories too — this is what lets worker processes
-        return metrics instead of 65536-entry rings.  The surviving result
-        fields (and any requested trajectory) are bit-identical to a run
-        without analytics.
+        and the trajectory is **dropped again** unless the caller asked for
+        trajectories too — this is what lets worker processes return metrics
+        instead of paths.  The surviving result fields (and any requested
+        trajectory) are bit-identical to a run without analytics.
         """
-        record = record_trajectory
-        capacity = trajectory_capacity
-        if analytics is not None:
-            # Record internally with room for the complete path: a run fires
-            # at most max_steps transitions, so max_steps guarantees no ring
-            # overwrites (the compiled engine clamps its physical buffer the
-            # same way, so a short run never over-allocates).
-            record = True
-            capacity = max(
-                1, max_steps, trajectory_capacity if record_trajectory else 0
-            )
-        buffer: Optional[List[int]] = None
-        if self._stepper is not None:
-            buffer = self._compiled.counts_of(configuration)
-        if self._choice == "ensemble" and buffer is not None and seeds:
-            # Lock-step path: one VectorizedEnsemble run for the whole seed
-            # list.  Configurations outside the compiled universe fall
-            # through to the per-seed loop below, which either raises (for
-            # the explicit engine) or dispatches to the reference engine
-            # (auto mode with a forced override) — the same split as the
-            # per-run engines.
-            return self._run_seeds_ensemble(
-                configuration, buffer, seeds, max_steps, stability_window,
-                record, capacity, record_trajectory, trajectory_capacity,
-                analytics,
-            )
+        capacity = _recording_capacity(
+            record_trajectory, trajectory_capacity, max_steps, analytics
+        )
         # Tracing or profiling adds two clock reads, one profiler record and
         # one span per run; disabled, it costs two branches per run (bench
         # E15 asserts the disabled cost is <=2%).
         profiler = _obs_profile.active_profiler()
         observing = profiler is not None or _obs_trace.tracing_active()
+        counts: Optional[List[int]] = None
+        if self._stepper is not None:
+            counts = self._compiled.counts_of(configuration)
+        finish = partial(
+            self._finish, configuration, analytics=analytics,
+            record_trajectory=record_trajectory,
+            trajectory_capacity=trajectory_capacity,
+        )
+        if self._choice == "ensemble" and counts is not None and len(seeds) > 1:
+            # Lock-step path.  A single seed gains nothing from lock step and
+            # takes the per-run NumPy stepper below, as do configurations
+            # outside the compiled universe, which raise for the explicit
+            # engine or fall back to the reference engine under a forced
+            # override (the same split as the per-run engines).
+            if self._ensemble is None:
+                from .ensemble import VectorizedEnsemble
+
+                self._ensemble = VectorizedEnsemble(
+                    self._compiled, self._kind, self._classes
+                )
+            rings = [deque(maxlen=capacity) for _ in seeds] if capacity else None
+            t0 = monotonic_time() if observing else 0.0
+            steps, values, since, terminated, finals = self._ensemble.run(
+                counts, seeds, max_steps, stability_window,
+                *self._initial_output_counters(counts), rings=rings,
+            )
+            # Rows advance in lock step, so per-row wall time is not
+            # separable; the observed cost is attributed evenly across rows
+            # (timing fields are stripped from the canonical rendering).
+            elapsed = (monotonic_time() - t0) / len(seeds) if observing else 0.0
+            timing = (profiler, t0, elapsed) if observing else None
+            outcomes = zip(
+                steps.tolist(), values.tolist(), since.tolist(),
+                terminated.tolist(),
+                map(self._compiled.configuration_of, finals.tolist()),
+            )
+            return [
+                finish(outcome, ring, timing, seed=int(seed))
+                for outcome, ring, seed in zip(outcomes, rings or repeat(None), seeds)
+            ]
         results: List[SimulationResult] = []
         for seed in seeds:
-            run_rng = random.Random(seed)
+            ring = deque(maxlen=capacity) if capacity else None
             t0 = monotonic_time() if observing else 0.0
-            if buffer is not None:
-                counts = self._compiled.counts_of(configuration, out=buffer)
-                result = self._run_compiled(
-                    configuration, counts, max_steps, stability_window, run_rng,
-                    record, capacity,
-                )
-            else:
-                result = self._dispatch(
-                    configuration, max_steps, stability_window, run_rng,
-                    record, capacity,
-                )
-            if observing:
-                self._observe_run(profiler, t0, result, seed=int(seed))
-            if analytics is not None:
-                result.analytics = analytics.extract(result, self.protocol)
-                self._restore_trajectory(
-                    result, record_trajectory, trajectory_capacity
-                )
-            results.append(result)
-        return results
-
-    def _run_seeds_ensemble(
-        self,
-        configuration: Configuration,
-        counts: List[int],
-        seeds: List[int],
-        max_steps: int,
-        stability_window: int,
-        record: bool,
-        capacity: int,
-        record_trajectory: bool,
-        trajectory_capacity: int,
-        analytics: Any,
-    ) -> List[SimulationResult]:
-        """Run one repetition per seed through the lock-step ensemble engine.
-
-        ``record``/``capacity`` are the effective recording parameters (the
-        analytics path records internally at full capacity, exactly like the
-        serial loop), ``record_trajectory``/``trajectory_capacity`` the
-        caller's — trajectories are restored to the requested shape after
-        metric extraction.  Row ``i`` of the ensemble is bit-identical to a
-        per-run engine run seeded with ``seeds[i]``.
-        """
-        from .ensemble import VectorizedEnsemble
-        from .vectorized import require_numpy
-
-        np = require_numpy()
-        ensemble = self._ensemble
-        if ensemble is None:
-            ensemble = VectorizedEnsemble(self._compiled, self._kind, self._classes)
-            self._ensemble = ensemble
-        one, zero, undef = self._initial_output_counters(counts)
-        ring = None
-        physical = 0
-        if record:
-            # Same physical clamp as the per-run recording path: a run fires
-            # at most max_steps transitions.
-            physical = max(1, min(capacity, max_steps))
-            ring = np.zeros((len(seeds), physical), dtype=np.int64)
-        profiler = _obs_profile.active_profiler()
-        observing = profiler is not None or _obs_trace.tracing_active()
-        t0 = monotonic_time() if observing else 0.0
-        steps, values, since, terminated, finals = ensemble.run(
-            counts, seeds, max_steps, stability_window, one, zero, undef,
-            ring, physical,
-        )
-        # Rows advance in lock step, so per-row wall time is not separable;
-        # the observed cost is attributed evenly across rows (timing fields
-        # are stripped from the canonical rendering anyway).
-        per_row = (
-            (monotonic_time() - t0) / max(1, len(seeds)) if observing else 0.0
-        )
-        results: List[SimulationResult] = []
-        for i in range(len(seeds)):
-            fired_steps = int(steps[i])
-            value = int(values[i])
-            value_since = int(since[i])
-            trajectory = None
-            if ring is not None:
-                trajectory = Trajectory.from_ring(
-                    ring[i].tolist(), fired_steps, physical,
-                    reported_capacity=capacity,
-                )
-            result = SimulationResult(
-                initial=configuration,
-                final=self._compiled.configuration_of(finals[i].tolist()),
-                steps=fired_steps,
-                consensus=value if value >= 0 else None,
-                consensus_step=value_since if value_since >= 0 else None,
-                terminated=bool(terminated[i]),
-                interactions_sampled=fired_steps,
-                trajectory=trajectory,
+            outcome = self._dispatch(
+                configuration, max_steps, stability_window, random.Random(seed),
+                ring, counts,
             )
-            if observing:
-                if profiler is not None:
-                    profiler.record("ensemble", fired_steps, per_row)
-                _obs_trace.span_event(
-                    "run", "run", t0, per_row,
-                    seed=int(seeds[i]), engine="ensemble", steps=fired_steps,
-                    consensus=result.consensus, terminated=result.terminated,
-                )
-            if analytics is not None:
-                result.analytics = analytics.extract(result, self.protocol)
-                self._restore_trajectory(
-                    result, record_trajectory, trajectory_capacity
-                )
-            results.append(result)
+            timing = (profiler, t0, monotonic_time() - t0) if observing else None
+            results.append(finish(outcome, ring, timing, seed=int(seed)))
         return results
-
-    @staticmethod
-    def _restore_trajectory(
-        result: SimulationResult, record_trajectory: bool, trajectory_capacity: int
-    ) -> None:
-        """Undo the internal full-capacity recording of an analytics run.
-
-        Leaves ``result.trajectory`` exactly as a plain run with the caller's
-        ``record_trajectory``/``trajectory_capacity`` would have: ``None``
-        when recording was not requested, else the last
-        ``trajectory_capacity`` firings under the requested capacity — so
-        enabling analytics can never change the non-analytics fields.
-        """
-        if not record_trajectory:
-            result.trajectory = None
-            return
-        trajectory = result.trajectory
-        if trajectory is None or trajectory.capacity == trajectory_capacity:
-            return
-        indices = trajectory.transition_indices
-        if len(indices) > trajectory_capacity:
-            indices = indices[len(indices) - trajectory_capacity:]
-        result.trajectory = Trajectory(
-            transition_indices=indices,
-            total_fired=trajectory.total_fired,
-            capacity=trajectory_capacity,
-        )
 
     def run_many(
         self,

@@ -4,26 +4,28 @@ Simulation results normally summarize a run (final configuration, consensus,
 step counts).  Convergence experiments sometimes need the *path* as well:
 which transitions fired, in which order.  Re-running the ensemble on the
 sparse reference engine just to observe paths would forfeit the compiled
-engine's speedup, so both engines can instead record the fired transition
-indices into a **bounded ring buffer** while they run:
+engine's speedup, so every engine can instead append the fired transition
+indices to a **bounded deque** (``collections.deque(maxlen=capacity)``)
+while it runs:
 
 * recording is opt-in (``record_trajectory=True`` on the run methods) and
-  costs one list store per interaction,
-* the buffer holds the **last** ``trajectory_capacity`` fired transition
-  indices; earlier ones are overwritten (and counted in
-  :attr:`Trajectory.dropped`), so memory stays bounded no matter the step
-  budget,
+  costs one deque append per interaction,
+* the deque keeps the **last** ``trajectory_capacity`` fired transition
+  indices; earlier ones are dropped (and counted in
+  :attr:`Trajectory.dropped`), and it grows only with the steps actually
+  fired, so memory is proportional to min(steps fired, capacity) whatever
+  the step budget,
 * the recorded indices refer to :attr:`PetriNet.transitions
   <repro.core.petrinet.PetriNet.transitions>` order — the same order the
   compiled engine numbers transitions — so a complete trajectory can be
   replayed on the net and must land on the run's final configuration
-  (the test suite asserts this for both engines).
+  (the test suite asserts this on every engine).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from ..core.configuration import Configuration
 from ..core.petrinet import PetriNet
@@ -31,7 +33,7 @@ from ..core.transition import Transition
 
 __all__ = ["DEFAULT_TRAJECTORY_CAPACITY", "Trajectory"]
 
-#: Default ring-buffer size: large enough for typical convergence runs to be
+#: Default recording capacity: large enough for typical convergence runs to be
 #: complete, small enough that a 64-repetition ensemble stays in the megabytes.
 DEFAULT_TRAJECTORY_CAPACITY = 65536
 
@@ -43,50 +45,21 @@ class Trajectory:
     ``transition_indices`` are indices into the net's transition tuple, in
     firing order.  When the run fired more than ``capacity`` transitions the
     sequence is truncated to the **last** ``capacity`` of them and
-    :attr:`dropped` reports how many earlier firings were overwritten.
+    :attr:`dropped` reports how many earlier firings were dropped.
     """
 
     transition_indices: Tuple[int, ...]
     total_fired: int
     capacity: int
 
-    @classmethod
-    def from_ring(
-        cls,
-        ring: Sequence[int],
-        total_fired: int,
-        capacity: int,
-        reported_capacity: Optional[int] = None,
-    ) -> "Trajectory":
-        """Decode a ring buffer written in firing order with wrap-around.
-
-        ``ring`` is the raw buffer of size ``capacity``; ``total_fired`` is the
-        number of entries ever written.  The oldest surviving entry sits at
-        ``total_fired % capacity`` once the buffer has wrapped.
-        ``reported_capacity`` overrides the :attr:`capacity` stamped on the
-        result, for callers whose physical buffer is clamped below the
-        capacity the user requested (the compiled engine caps it at
-        ``max_steps``, which cannot change the surviving suffix).
-        """
-        if total_fired <= capacity:
-            indices = tuple(ring[:total_fired])
-        else:
-            position = total_fired % capacity
-            indices = tuple(ring[position:]) + tuple(ring[:position])
-        return cls(
-            transition_indices=indices,
-            total_fired=total_fired,
-            capacity=capacity if reported_capacity is None else reported_capacity,
-        )
-
     @property
     def dropped(self) -> int:
-        """How many early firings the ring buffer overwrote."""
+        """How many early firings the bounded recording dropped."""
         return self.total_fired - len(self.transition_indices)
 
     @property
     def is_complete(self) -> bool:
-        """True if every fired transition survived (no ring overwrites)."""
+        """True if every fired transition survived (nothing dropped)."""
         return self.dropped == 0
 
     def transitions(self, net: PetriNet) -> List[Transition]:
@@ -103,7 +76,7 @@ class Trajectory:
         if not self.is_complete:
             raise ValueError(
                 f"cannot replay a truncated trajectory ({self.dropped} of "
-                f"{self.total_fired} firings were dropped by the ring buffer); "
+                f"{self.total_fired} firings were dropped); "
                 "record with a larger trajectory_capacity"
             )
         return net.fire_word(initial, self.transitions(net))

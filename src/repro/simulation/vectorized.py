@@ -32,7 +32,8 @@ step, one ``rng.choice(enabled)`` per transition-scheduler step, in the same
 transition order — so for a fixed ``(protocol, inputs, seed)`` all three
 engines produce bit-identical trajectories; the test suite asserts this
 three ways.  Consensus stays O(1) via the same maintained output-class
-counters, and ``record_trajectory=True`` writes the same ring buffer.
+counters, and ``record_trajectory=True`` appends to the same bounded deque
+(memory proportional to min(steps fired, capacity)).
 
 Counts and scheduler weights are held in ``int64``.  Runs whose populations
 could make the scheduler-weight total overflow int64 are rejected up front
@@ -51,7 +52,7 @@ without it; constructing a :class:`VectorizedNet` (or asking for
 from __future__ import annotations
 
 from math import factorial
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import random
 
@@ -393,8 +394,7 @@ class VectorizedNet(CompiledNet):
             one: int,
             zero: int,
             undef: int,
-            ring: Optional[List[int]] = None,
-            capacity: int = 0,
+            ring: Optional[Deque[int]] = None,
         ) -> Tuple[int, int, int, bool]:
             # Static int64-overflow guard, shared with the ensemble engine.
             self.check_weight_overflow(counts, max_steps)
@@ -408,7 +408,6 @@ class VectorizedNet(CompiledNet):
             consensus_since = 0 if consensus_value >= 0 else -1
             step = 0
             terminated = False
-            position = 0
             while step < max_steps:
                 if num_transitions:
                     cumulative = weights.cumsum()
@@ -425,10 +424,7 @@ class VectorizedNet(CompiledNet):
                 # contribute nothing, so they can never be selected).
                 t = int(cumulative.searchsorted(pick, side="right"))
                 if ring is not None:
-                    ring[position] = t
-                    position += 1
-                    if position == capacity:
-                        position = 0
+                    ring.append(t)
                 (
                     delta_idx, delta_val, affected,
                     ent_states, ent_mults, ent_divisors, seg_starts,
@@ -479,8 +475,7 @@ class VectorizedNet(CompiledNet):
             one: int,
             zero: int,
             undef: int,
-            ring: Optional[List[int]] = None,
-            capacity: int = 0,
+            ring: Optional[Deque[int]] = None,
         ) -> Tuple[int, int, int, bool]:
             arr = np.array(counts, dtype=np.int64)
             enabled = self.full_enabled(arr)
@@ -493,7 +488,6 @@ class VectorizedNet(CompiledNet):
             consensus_since = 0 if consensus_value >= 0 else -1
             step = 0
             terminated = False
-            position = 0
             while step < max_steps:
                 indices = flatnonzero(enabled)
                 if indices.size == 0:
@@ -504,10 +498,7 @@ class VectorizedNet(CompiledNet):
                 t = int(choice(indices))
                 step += 1
                 if ring is not None:
-                    ring[position] = t
-                    position += 1
-                    if position == capacity:
-                        position = 0
+                    ring.append(t)
                 (
                     delta_idx, delta_val, affected,
                     ent_states, ent_mults, _ent_divisors, seg_starts,

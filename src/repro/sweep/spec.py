@@ -293,10 +293,6 @@ def canonical_params(params: Mapping[str, object]) -> str:
     return json.dumps(params, sort_keys=True, separators=(",", ":"))
 
 
-#: Backwards-compatible private alias (pre-serve callers).
-_canonical_params = canonical_params
-
-
 def derive_cell_seed(master_seed: int, scope: str) -> int:
     """The canonical 64-bit seed for an identity scope: ``sha256(master_seed | scope)``.
 
@@ -347,7 +343,7 @@ class SweepCell:
     def params_json(self) -> str:
         """The canonical params JSON, rendered once per cell (every cache
         key and identity string of the cell contains it)."""
-        return _canonical_params(self.params)
+        return canonical_params(self.params)
 
     @property
     def cell_id(self) -> str:
@@ -469,7 +465,7 @@ class SweepSpec:
                     f"{sorted(unknown, key=str)}"
                 )
             try:
-                rendered = _canonical_params(params)
+                rendered = canonical_params(params)
             except (TypeError, ValueError) as error:
                 raise ValueError(
                     f"parameters of sweep protocol {name!r} must be "
@@ -516,7 +512,7 @@ class SweepSpec:
         object.__setattr__(self, "engines", engines)
 
         for axis_name, axis in (
-            ("protocols", [f"{n}|{_canonical_params(p)}" for n, p in protocols]),
+            ("protocols", [f"{n}|{canonical_params(p)}" for n, p in protocols]),
             ("populations", populations),
             ("schedulers", schedulers),
             ("engines", engines),

@@ -517,7 +517,7 @@ class TestPickling:
         original = compiled.stepper("uniform", classes)
         clone = pickle.loads(pickle.dumps(compiled))
         regenerated = clone.stepper("uniform", classes)
-        assert regenerated.__source__ == original.__source__
+        assert regenerated.source() == original.source()
 
     def test_protocol_with_populated_compile_cache_pickles(self):
         protocol = majority_protocol()

@@ -280,7 +280,7 @@ class TestCompiledNet:
         classes = compiled.output_classes(protocol.output_table)
         stepper = compiled.stepper("uniform", classes)
         assert compiled.stepper("uniform", classes) is stepper
-        assert "total" in stepper.__source__
+        assert "total" in stepper.source()
 
     def test_unknown_kind_rejected(self):
         compiled = majority_protocol().petri_net.compiled()

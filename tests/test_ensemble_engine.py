@@ -110,11 +110,46 @@ class TestRowBitIdentity:
         assert len({result.steps for result in ensemble}) > 1
 
     def test_single_repetition(self):
+        # One-seed lists run on the per-run stepper, so a single lock-step row
+        # is driven through VectorizedEnsemble.run directly.
+        from collections import deque
+
+        from repro.simulation.ensemble import VectorizedEnsemble
+
         protocol, inputs = build_protocol_and_inputs("flock", 30)
+        seed = 2022
+        expected = run_ensemble(
+            protocol, inputs, [seed], engine="numpy", max_steps=400,
+            stability_window=150, record_trajectory=True,
+        )[0]
+        simulator = Simulator(protocol, engine="ensemble", seed=0)
+        net = simulator._compiled
+        counts = net.counts_of(protocol.initial_configuration(inputs))
+        ring = deque(maxlen=10 ** 6)
+        steps, values, since, terminated, finals = VectorizedEnsemble(
+            net, "uniform", simulator._classes
+        ).run(
+            counts, [seed], 400, 150,
+            *simulator._initial_output_counters(counts), rings=[ring],
+        )
+        assert int(steps[0]) == expected.steps
+        assert int(values[0]) == expected.consensus
+        assert int(since[0]) == expected.consensus_step
+        assert bool(terminated[0]) == expected.terminated
+        assert net.configuration_of(finals[0].tolist()) == expected.final
+        assert tuple(ring) == expected.trajectory.transition_indices
+
+    def test_one_seed_run_many_uses_the_per_run_stepper(self):
+        protocol, inputs = build_protocol_and_inputs("majority", 30)
         per_run, ensemble = _run_pair(
             protocol, inputs, None, reps=1, record_trajectory=True
         )
         _assert_rows_identical(per_run, ensemble)
+        simulator = Simulator(protocol, engine="ensemble", seed=4)
+        simulator.run_many(inputs, 1, max_steps=400)
+        assert simulator._ensemble is None
+        simulator.run_many(inputs, 2, max_steps=400)
+        assert simulator._ensemble is not None
 
     def test_multi_block_random_net(self):
         # A net wide enough for several weight blocks exercises the blocked

@@ -7,6 +7,7 @@ suppression round-trips, and the CLI exit-code contract the CI gates on.
 """
 
 import json
+import re
 import textwrap
 
 import pytest
@@ -565,10 +566,40 @@ class TestCodegenAudit:
         assert codegen_audit._strip_ring_statements(recording) == fast
         assert recording != fast
 
+    @pytest.mark.parametrize("kind", ["uniform", "transition"])
+    def test_recording_with_an_extra_statement_is_flagged(self, kind, monkeypatch):
+        # Rule 5: recording may add only appends.  One extra non-append
+        # statement (a no-op ``step += 0``) passes rules 1-4 and must still
+        # be flagged.
+        compiled, classes = _compiled_for("majority", 25)
+        generate = compiled.stepper_source
+        recording = generate(kind, classes, record=True)
+        mutated, replacements = re.subn(
+            r"^(        step \+= 1)$",
+            r"\1\n        step += 0",
+            recording,
+            count=1,
+            flags=re.MULTILINE,
+        )
+        assert replacements == 1
+        assert codegen_audit.audit_stepper_source(
+            mutated, compiled, kind, classes, record=True
+        ) == []
+
+        def stepper_source(kind, classes, record=False):
+            return mutated if record else generate(kind, classes, record=False)
+
+        monkeypatch.setattr(compiled, "stepper_source", stepper_source)
+        problems = codegen_audit.audit_compiled_net(compiled, classes, kinds=(kind,))
+        assert problems == [
+            f"{kind}: recording variant differs from the fast variant by more "
+            "than append statements"
+        ]
+
     def test_qa_meta_attached(self):
         compiled, classes = _compiled_for("majority", 25)
         stepper = compiled.stepper("uniform", classes)
-        meta = stepper.__qa_meta__
+        meta = stepper.qa_meta
         assert meta["kind"] == "uniform"
         assert meta["record"] is False
         assert meta["num_transitions"] == compiled.num_transitions

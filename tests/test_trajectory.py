@@ -1,18 +1,35 @@
 """Tests for opt-in trajectory recording (repro.simulation.trajectory).
 
-Covers the ring-buffer truncation semantics (the recorded indices are the
-*last* ``capacity`` firings, with the overwritten prefix counted), replay of
-complete trajectories to the run's final configuration on both engines, and
-the engines agreeing on the recorded paths index for index.
+Covers the truncation semantics of the bounded recording deque (the recorded
+indices are the *last* ``capacity`` firings, with the dropped prefix
+counted) on every engine — lock-step ensemble rows included — replay of
+complete trajectories to the run's final configuration, the engines agreeing
+on the recorded paths index for index, and recording memory following the
+steps actually fired rather than the step budget or the capacity.
 """
+
+import tracemalloc
 
 import pytest
 
+from repro.analytics.metrics import AnalyticsSpec
 from repro.core import Configuration, from_counts
 from repro.protocols import flock_of_birds_protocol, majority_protocol
-from repro.simulation import Simulator, Trajectory, TransitionScheduler
+from repro.simulation import Simulator, TransitionScheduler
+from repro.simulation.vectorized import numpy_available
+from repro.sweep.spec import build_protocol_and_inputs
 
-ENGINES = ("compiled", "reference")
+requires_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="NumPy not installed (the optional 'sim' extra)"
+)
+
+#: The dense engines, checked against the sparse reference engine.
+DENSE_ENGINES = (
+    "compiled",
+    pytest.param("numpy", marks=requires_numpy),
+    pytest.param("ensemble", marks=requires_numpy),
+)
+ENGINES = DENSE_ENGINES + ("reference",)
 
 
 def _record(protocol, inputs, engine, capacity, seed=7, max_steps=500, **kwargs):
@@ -25,6 +42,18 @@ def _record(protocol, inputs, engine, capacity, seed=7, max_steps=500, **kwargs)
         **kwargs,
     )
     return result
+
+
+def _record_many(protocol, inputs, engine, capacity, seed=7, max_steps=5000):
+    """Four recorded repetitions; under ``engine="ensemble"`` lock-step rows."""
+    return Simulator(protocol, seed=seed, engine=engine).run_many(
+        inputs,
+        4,
+        max_steps=max_steps,
+        stability_window=60,
+        record_trajectory=True,
+        trajectory_capacity=capacity,
+    )
 
 
 class TestRingBufferSemantics:
@@ -64,22 +93,39 @@ class TestRingBufferSemantics:
         )
         assert tiny.trajectory.dropped == full.trajectory.total_fired - 1
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_run_many_rows_keep_the_last_capacity_firings(self, engine):
+        # Rows stop at different steps (ragged lock-step retirement under
+        # engine="ensemble"), and each truncates on its own.
+        protocol = majority_protocol()
+        inputs = from_counts(A=17, B=9)
+        full = _record_many(protocol, inputs, engine, capacity=10 ** 6)
+        truncated = _record_many(protocol, inputs, engine, capacity=32)
+        assert len({result.steps for result in full}) > 1
+        for full_row, truncated_row in zip(full, truncated):
+            assert full_row.trajectory.is_complete
+            assert truncated_row.trajectory.total_fired == full_row.steps
+            assert truncated_row.trajectory.capacity == 32
+            assert truncated_row.trajectory.transition_indices == (
+                full_row.trajectory.transition_indices[-32:]
+            )
+
     def test_invalid_capacity_rejected(self):
         protocol = majority_protocol()
         simulator = Simulator(protocol, seed=0)
         with pytest.raises(ValueError, match="trajectory_capacity"):
             simulator.run(from_counts(A=3, B=1), record_trajectory=True, trajectory_capacity=0)
 
-    def test_terminal_run_records_an_empty_trajectory(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_terminal_run_records_an_empty_trajectory(self, engine):
         # A single below-threshold agent never interacts.
         protocol = flock_of_birds_protocol(3)
-        for engine in ENGINES:
-            result = _record(protocol, Configuration({1: 1}), engine, capacity=16)
-            assert result.terminated
-            assert result.trajectory is not None
-            assert result.trajectory.total_fired == 0
-            assert len(result.trajectory) == 0
-            assert result.trajectory.is_complete
+        result = _record(protocol, Configuration({1: 1}), engine, capacity=16)
+        assert result.terminated
+        assert result.trajectory is not None
+        assert result.trajectory.total_fired == 0
+        assert len(result.trajectory) == 0
+        assert result.trajectory.is_complete
 
     def test_not_recording_leaves_trajectory_none(self):
         result = Simulator(majority_protocol(), seed=0).run(
@@ -89,7 +135,7 @@ class TestRingBufferSemantics:
 
 
 class TestReplay:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
     def test_complete_trajectory_replays_to_the_final_configuration(self, engine):
         protocol = majority_protocol()
         inputs = from_counts(A=18, B=11)
@@ -100,7 +146,7 @@ class TestReplay:
         replayed = trajectory.replay(protocol.petri_net, result.initial)
         assert replayed == result.final
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
     def test_transition_scheduler_trajectories_replay_too(self, engine):
         protocol = flock_of_birds_protocol(4)
         inputs = Configuration({1: 9})
@@ -134,29 +180,45 @@ class TestReplay:
 
 
 class TestEngineAgreement:
+    @pytest.mark.parametrize("engine", DENSE_ENGINES)
     @pytest.mark.parametrize("seed", [0, 3, 19])
-    def test_engines_record_identical_paths(self, seed):
+    def test_engines_record_identical_paths(self, engine, seed):
         protocol = majority_protocol()
         inputs = from_counts(A=17, B=9)
-        compiled = _record(protocol, inputs, "compiled", capacity=10 ** 6, seed=seed)
+        recorded = _record(protocol, inputs, engine, capacity=10 ** 6, seed=seed)
         reference = _record(protocol, inputs, "reference", capacity=10 ** 6, seed=seed)
-        assert compiled.trajectory == reference.trajectory
-        assert compiled.final == reference.final
+        assert recorded.trajectory == reference.trajectory
+        assert recorded.final == reference.final
 
-    def test_engines_agree_on_truncated_paths(self):
+    @pytest.mark.parametrize("engine", DENSE_ENGINES)
+    def test_engines_agree_on_truncated_paths(self, engine):
         protocol = majority_protocol()
         inputs = from_counts(A=17, B=9)
-        compiled = _record(protocol, inputs, "compiled", capacity=25, seed=5)
+        recorded = _record(protocol, inputs, engine, capacity=25, seed=5)
         reference = _record(protocol, inputs, "reference", capacity=25, seed=5)
-        assert compiled.trajectory == reference.trajectory
+        assert recorded.trajectory == reference.trajectory
 
-    def test_recording_does_not_perturb_the_run(self):
+    @pytest.mark.parametrize("engine", DENSE_ENGINES)
+    def test_engines_agree_on_truncated_run_many_rows(self, engine):
+        protocol = majority_protocol()
+        inputs = from_counts(A=17, B=9)
+        recorded = _record_many(protocol, inputs, engine, capacity=25, seed=5)
+        reference = _record_many(protocol, inputs, "reference", capacity=25, seed=5)
+        assert [result.trajectory for result in recorded] == [
+            result.trajectory for result in reference
+        ]
+        assert [result.final for result in recorded] == [
+            result.final for result in reference
+        ]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_recording_does_not_perturb_the_run(self, engine):
         # The recording stepper must consume the random stream exactly like
         # the plain one: same seed with and without recording, same result.
         protocol = majority_protocol()
         inputs = from_counts(A=17, B=9)
-        plain = Simulator(protocol, seed=13).run(inputs, max_steps=400)
-        recorded = Simulator(protocol, seed=13).run(
+        plain = Simulator(protocol, seed=13, engine=engine).run(inputs, max_steps=400)
+        recorded = Simulator(protocol, seed=13, engine=engine).run(
             inputs, max_steps=400, record_trajectory=True
         )
         assert recorded.final == plain.final
@@ -165,20 +227,53 @@ class TestEngineAgreement:
         assert recorded.consensus_step == plain.consensus_step
 
 
-class TestDecoding:
-    def test_from_ring_without_wraparound(self):
-        trajectory = Trajectory.from_ring([4, 2, 7, 0, 0], total_fired=3, capacity=5)
-        assert trajectory.transition_indices == (4, 2, 7)
-        assert trajectory.dropped == 0
+class TestBoundedMemory:
+    """Recording memory follows the steps fired, not the budget or capacity.
 
-    def test_from_ring_with_wraparound(self):
-        # 7 writes into a 5-slot ring: values 2..6 survive, oldest at 7 % 5 = 2.
-        ring = [5, 6, 2, 3, 4]
-        trajectory = Trajectory.from_ring(ring, total_fired=7, capacity=5)
-        assert trajectory.transition_indices == (2, 3, 4, 5, 6)
-        assert trajectory.dropped == 2
+    Majority at population 24 stabilizes within a few thousand steps, so an
+    analytics batch (which records every run in full) and a recorded run
+    with a huge capacity both stay far below the 2 MB bound however large
+    ``max_steps`` is; a buffer sized by min(capacity, max_steps) would take
+    16 MB per run.
+    """
 
-    def test_from_ring_exactly_full(self):
-        trajectory = Trajectory.from_ring([1, 2, 3], total_fired=3, capacity=3)
-        assert trajectory.transition_indices == (1, 2, 3)
-        assert trajectory.is_complete
+    BUDGET = 2_000_000
+    PEAK_BYTES = 2 * 1024 * 1024
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            value = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return value, peak
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_recording_memory_follows_steps_fired(self, engine):
+        protocol, inputs = build_protocol_and_inputs("majority", 24)
+        simulator = Simulator(protocol, seed=5, engine=engine)
+        spec = AnalyticsSpec()
+        # Build the lazily cached steppers and lock-step tables outside the
+        # measurement.
+        simulator.run_many(inputs, 2, max_steps=100, analytics=spec)
+        simulator.run(inputs, max_steps=100, record_trajectory=True)
+
+        results, peak = self._peak(
+            lambda: simulator.run_many(inputs, 8, max_steps=self.BUDGET, analytics=spec)
+        )
+        assert all(result.consensus is not None for result in results)
+        assert sum(result.steps for result in results) < 20_000
+        assert peak < self.PEAK_BYTES, f"analytics batch peaked at {peak} bytes"
+
+        single, peak = self._peak(
+            lambda: simulator.run(
+                inputs, max_steps=self.BUDGET, record_trajectory=True,
+                trajectory_capacity=10 ** 8,
+            )
+        )
+        assert single.trajectory.is_complete
+        assert single.trajectory.capacity == 10 ** 8
+        assert single.steps < 20_000
+        assert peak < self.PEAK_BYTES, f"recorded run peaked at {peak} bytes"
