@@ -18,13 +18,13 @@ the engines is recorded across PRs:
    report their speedup against a labeled reference-engine fallback
    baseline (extrapolated from a short run) rather than empty cells.
 
-2. **Persistent pools**: a :class:`~repro.simulation.batch.BatchRunner`
-   builds its worker pool once; a second ``run_many`` on the same runner
+2. **Persistent pools**: a :class:`~repro.simulation.batch.WorkerPool`
+   starts its worker processes once; a second ``run_seeds`` on the same pool
    skips pool startup, protocol unpickling and per-worker stepper
    compilation, and must be at least 1.5x faster than the build-per-call
-   behavior (a fresh runner per ensemble, which is what every call paid
-   before the persistent lifecycle existed) — while remaining bit-identical
-   to both the fresh-pool and the serial ensembles.
+   behavior (a fresh pool per ensemble, which is what every one-shot
+   ``run_many(backend="process")`` pays) — while remaining bit-identical to
+   both the fresh-pool and the serial ensembles.
 
 Requires NumPy (the ``sim`` extra); both tests are skipped without it.
 """
@@ -44,7 +44,7 @@ from repro.experiments import (
     experiment_e11_large_net_throughput,
     random_interaction_protocol,
 )
-from repro.simulation import BatchRunner
+from repro.simulation import WorkerPool, repetition_seeds, run_ensemble
 
 ARTIFACT_PATH = Path(__file__).resolve().parent.parent / "BENCH_e11.json"
 
@@ -110,24 +110,23 @@ def test_bench_e11_persistent_pool():
     # threshold, so workers pay the compiled engine's codegen.
     protocol, inputs = random_interaction_protocol(240, random.Random(5))
     repetitions, seed, max_steps = 64, 2022, 400
-    kwargs = dict(seed=seed, max_steps=max_steps, stability_window=max_steps)
+    seeds = repetition_seeds(seed, repetitions)
+    kwargs = dict(max_steps=max_steps, stability_window=max_steps)
 
-    serial_runner = BatchRunner(protocol, backend="serial")
-    serial = serial_runner.run_many(inputs, repetitions, **kwargs)
-    serial_runner.close()
+    serial = run_ensemble(protocol, inputs, seeds, **kwargs)
 
-    with BatchRunner(protocol, max_workers=2) as runner:
-        first = runner.run_many(inputs, repetitions, **kwargs)
+    with WorkerPool(max_workers=2) as pool:
+        first = pool.run_seeds(protocol, inputs, seeds, **kwargs)
         start = time.perf_counter()
-        second = runner.run_many(inputs, repetitions, **kwargs)
+        second = pool.run_seeds(protocol, inputs, seeds, **kwargs)
         warm_elapsed = time.perf_counter() - start
 
-    # Build-per-call: what every ensemble paid before the persistent pool.
+    # Build-per-call: what every ensemble on a fresh pool pays.
     start = time.perf_counter()
-    fresh_runner = BatchRunner(protocol, max_workers=2)
-    fresh = fresh_runner.run_many(inputs, repetitions, **kwargs)
+    fresh_pool = WorkerPool(max_workers=2)
+    fresh = fresh_pool.run_seeds(protocol, inputs, seeds, **kwargs)
     cold_elapsed = time.perf_counter() - start
-    fresh_runner.close()
+    fresh_pool.close()
 
     # Pool reuse must not change results: persistent-pool, fresh-pool and
     # serial ensembles are bit-identical.

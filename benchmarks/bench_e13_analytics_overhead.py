@@ -25,7 +25,7 @@ from conftest import report
 
 from repro.analytics import AnalyticsSpec
 from repro.experiments.harness import ExperimentTable
-from repro.simulation import BatchRunner
+from repro.simulation import WorkerPool, repetition_seeds
 from repro.sweep.spec import build_protocol_and_inputs
 
 POPULATION = 1000
@@ -35,10 +35,11 @@ ROUNDS = 3
 MAX_OVERHEAD = 1.25
 
 
-def _measure(runner, inputs, analytics):
+def _measure(pool, protocol, inputs, analytics):
     start = time.perf_counter()
-    results = runner.run_many(
-        inputs, REPETITIONS, seed=1, max_steps=MAX_STEPS, analytics=analytics
+    results = pool.run_seeds(
+        protocol, inputs, repetition_seeds(1, REPETITIONS),
+        max_steps=MAX_STEPS, analytics=analytics,
     )
     return time.perf_counter() - start, results
 
@@ -46,14 +47,15 @@ def _measure(runner, inputs, analytics):
 def run_overhead_experiment():
     protocol, inputs = build_protocol_and_inputs("majority", POPULATION, {})
     spec = AnalyticsSpec(expected_output=1)
-    with BatchRunner(protocol, max_workers=4) as runner:
-        runner.run_many(inputs, 8, seed=0, max_steps=MAX_STEPS)  # warm the pool
+    with WorkerPool(max_workers=4) as pool:
+        # Warm the pool: start the workers and build their simulators.
+        pool.run_seeds(protocol, inputs, repetition_seeds(0, 8), max_steps=MAX_STEPS)
         plain_best = analytics_best = float("inf")
         plain_results = analytics_results = None
         for _ in range(ROUNDS):
-            elapsed, plain_results = _measure(runner, inputs, None)
+            elapsed, plain_results = _measure(pool, protocol, inputs, None)
             plain_best = min(plain_best, elapsed)
-            elapsed, analytics_results = _measure(runner, inputs, spec)
+            elapsed, analytics_results = _measure(pool, protocol, inputs, spec)
             analytics_best = min(analytics_best, elapsed)
 
     table = ExperimentTable(

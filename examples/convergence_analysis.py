@@ -4,9 +4,9 @@ The analytics subsystem turns recorded simulation paths into the paper's
 quantities of interest — how fast consensus emerges, which interactions do
 the work, and where two runs diverge.  This example:
 
-1. runs a 64-repetition majority ensemble over a persistent worker pool with
-   the ``analytics=`` knob, so each worker extracts a compact metric dict
-   in place of the full trajectory,
+1. runs a 64-repetition majority ensemble over worker processes with the
+   ``analytics=`` knob, so each worker extracts a compact metric dict in
+   place of the full trajectory,
 2. aggregates the per-run metrics into time-to-consensus quantiles and a
    pooled firing histogram,
 3. samples a consensus-fraction-over-time curve for a single recorded run,
@@ -32,7 +32,7 @@ from repro.analytics import (
     extract_run_metrics,
     top_transitions,
 )
-from repro.simulation import BatchRunner, Simulator, TransitionScheduler
+from repro.simulation import Simulator, TransitionScheduler
 from repro.sweep import build_predicate_for, build_protocol_and_inputs
 
 POPULATION = 40
@@ -43,10 +43,10 @@ MAX_STEPS = 20000
 def ensemble_analytics(protocol, inputs, expected):
     """In-worker extraction over a pooled ensemble, then aggregation."""
     spec = AnalyticsSpec(expected_output=expected)
-    with BatchRunner(protocol, max_workers=2) as runner:
-        results = runner.run_many(
-            inputs, 64, seed=SEED, max_steps=MAX_STEPS, analytics=spec
-        )
+    results = Simulator(protocol, seed=SEED).run_many(
+        inputs, 64, max_steps=MAX_STEPS, analytics=spec,
+        backend="process", max_workers=2,
+    )
     # The workers consumed the trajectories locally: only metrics travel.
     assert all(r.trajectory is None and r.analytics is not None for r in results)
 

@@ -23,7 +23,12 @@ from repro.protocols import (
     succinct_leaderless_protocol,
     succinct_leaderless_state_count,
 )
-from repro.simulation import BatchRunner, accuracy_against_predicate, summarize_runs
+from repro.simulation import (
+    WorkerPool,
+    accuracy_against_predicate,
+    repetition_seeds,
+    summarize_runs,
+)
 
 
 def size_comparison() -> None:
@@ -62,20 +67,19 @@ def simulate_around_the_threshold() -> None:
     protocol = succinct_leaderless_protocol(threshold)
     predicate = succinct_leaderless_predicate(threshold)
     # The compiled engine makes the long stability windows below cheap, and the
-    # batch runner fans the independent repetitions out over worker processes;
+    # worker pool fans the independent repetitions out over worker processes;
     # the per-repetition seeds are derived before scheduling, so the ensemble
-    # is bit-identical to a serial backend="serial" run of the same seed.
-    # The runner's worker pool is persistent — built once on the first
-    # ensemble, reused for every following population, and released by the
-    # `with` block — so only the first run_many pays pool startup and
-    # per-worker stepper compilation.
-    with BatchRunner(
-        protocol, engine="compiled", backend="process", max_workers=2
-    ) as runner:
+    # is bit-identical to Simulator(protocol, seed=7).run_many(inputs, 5).
+    # The pool is persistent — started on the first ensemble, reused for
+    # every following population, and released by the `with` block — so
+    # only the first run_seeds pays pool startup and per-worker stepper
+    # compilation.
+    with WorkerPool(max_workers=2) as pool:
         for population in (threshold - 2, threshold, threshold + 6):
             inputs = Configuration({succinct_initial_state(): population})
-            results = runner.run_many(
-                inputs, repetitions=5, seed=7, max_steps=500000, stability_window=30000
+            results = pool.run_seeds(
+                protocol, inputs, repetition_seeds(7, 5), engine="compiled",
+                max_steps=500000, stability_window=30000,
             )
             stats = summarize_runs(results)
             accuracy = accuracy_against_predicate(results, predicate, inputs)

@@ -31,7 +31,7 @@ tests pin this.
 frozen dataclass of scalars, picklable by design: the batch layer ships it to
 worker processes so extraction runs **in the worker** and only the metric
 dict crosses the pool (see the ``analytics=`` knob of
-:class:`~repro.simulation.batch.BatchRunner`).
+:meth:`~repro.simulation.batch.WorkerPool.run_seeds`).
 """
 
 from __future__ import annotations

@@ -230,9 +230,8 @@ class PetriNet:
         :mod:`repro.simulation.vectorized`).
 
         Mirrors :meth:`compiled`: the result is cached per distinct state
-        universe, so repeated simulations (and repeated ensembles on one
-        :class:`~repro.simulation.batch.BatchRunner`) share one set of kernel
-        structures.  Raises :class:`ImportError` when NumPy is missing.
+        universe, so repeated simulations (and repeated ``run_many``
+        ensembles on one simulator) share one set of kernel structures.  Raises :class:`ImportError` when NumPy is missing.
         """
         key = frozenset(extra_states) - self._states
         cached = self._vectorized_cache.get(key)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from typing import Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence
 
 from ..analysis.ackermann import czerner_esparza_lower_bound
 from ..analysis.components import find_bottom_witness, theorem_6_1_bound_log2
@@ -57,7 +57,7 @@ from ..protocols.succinct import (
     succinct_leaderless_protocol,
     succinct_leaderless_state_count,
 )
-from ..simulation import BatchRunner, Simulator, interactions_per_second
+from ..simulation import Simulator, interactions_per_second
 from .harness import ExperimentTable, registry
 
 __all__ = [
@@ -635,16 +635,16 @@ def experiment_e10_parallel_batch(
     majority_count = (2 * population) // 3
     inputs = Configuration({STATE_A: majority_count, STATE_B: population - majority_count})
 
-    def timed(runner: BatchRunner):
+    def timed(**backend: Any):
+        simulator = Simulator(protocol, seed=seed)
         start = time.perf_counter()
-        results = runner.run_many(
-            inputs, repetitions, seed=seed, max_steps=max_steps, stability_window=max_steps
+        results = simulator.run_many(
+            inputs, repetitions, max_steps=max_steps, stability_window=max_steps,
+            **backend,
         )
         return results, time.perf_counter() - start
 
-    serial_runner = BatchRunner(protocol, backend="serial")
-    serial_results, serial_elapsed = timed(serial_runner)
-    serial_runner.close()
+    serial_results, serial_elapsed = timed()
     interactions = sum(result.interactions_sampled for result in serial_results)
     table.add_row(
         **{
@@ -659,8 +659,7 @@ def experiment_e10_parallel_batch(
         }
     )
     for workers in worker_counts:
-        with BatchRunner(protocol, backend="process", max_workers=workers) as runner:
-            results, elapsed = timed(runner)
+        results, elapsed = timed(backend="process", max_workers=workers)
         if results != serial_results:
             raise RuntimeError(
                 f"process backend with {workers} workers diverged from the serial "
@@ -980,7 +979,7 @@ def experiment_e12_parameter_sweep(
     persisted and resumable on disk; the default runs against an in-memory
     sqlite store.  ``backend`` and
     ``max_workers`` select the batch backend exactly as for
-    :class:`~repro.simulation.batch.BatchRunner`.
+    :class:`~repro.sweep.runner.SweepRunner`.
     """
     from ..sweep import SqliteResultStore, SweepRunner, SweepSpec, open_store
     from ..sweep.runner import to_experiment_table

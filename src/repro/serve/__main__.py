@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--concurrency", type=int, default=2, help="jobs executing at once (default: 2)")
     parser.add_argument("--cache-size", type=int, default=None, help="result-cache capacity (default: REPRO_SERVE_CACHE_SIZE or 256)")
     parser.add_argument("--max-inflight", type=int, default=None, help="per-client in-flight cap (default: REPRO_SERVE_MAX_INFLIGHT or 8)")
-    parser.add_argument("--job-timeout", type=float, default=None, help="per-job wall-clock budget in seconds (default: none)")
+    parser.add_argument("--job-timeout", type=float, default=None, help="per-job wall-clock budget in seconds, --backend process only (default: none)")
     parser.add_argument("--start-method", default=None, help="multiprocessing start method (default: platform)")
     return parser
 

@@ -33,10 +33,10 @@ sweep cells — and renders the cacheable JSON payload.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping
 
+from ..simulation.batch import repetition_seeds
 from ..simulation.statistics import accuracy_against_predicate, summarize_runs
 from ..sweep.executor import CellExecutor
 from ..sweep.spec import SweepCell, SweepSpec
@@ -168,8 +168,7 @@ class JobSpec:
 
     def repetition_seeds(self) -> List[int]:
         """The per-repetition seeds, exactly as the sweep runner draws them."""
-        master = random.Random(self.ensemble_seed)
-        return [master.getrandbits(64) for _ in range(self.repetitions)]
+        return repetition_seeds(self.ensemble_seed, self.repetitions)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -143,6 +143,8 @@ class SimulationServer:
     processes.  ``concurrency`` is how many jobs may execute at once (the
     consumer-task count; pool dispatch still serializes ensembles, so this
     mainly overlaps Python-side build/render work with simulation).
+    ``job_timeout`` bounds each job's ensemble in wall-clock seconds; only
+    the pool can interrupt an ensemble, so ``backend="serial"`` rejects it.
     """
 
     def __init__(
@@ -163,6 +165,11 @@ class SimulationServer:
             )
         if concurrency < 1:
             raise ValueError(f"concurrency must be at least 1, got {concurrency}")
+        if job_timeout is not None and backend == "serial":
+            raise ValueError(
+                "job_timeout needs backend='process': the serial backend "
+                "cannot interrupt a job's ensemble"
+            )
         self.host = host if host is not None else config.serve_host()
         self.requested_port = port if port is not None else config.serve_port()
         self.backend = backend

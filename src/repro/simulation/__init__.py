@@ -35,23 +35,22 @@ NumPy is missing and to the reference engine for custom schedulers.  The
 ``REPRO_FORCE_ENGINE`` environment variable overrides the auto choice.
 
 **Batches** (:mod:`~repro.simulation.batch`).  Ensembles of independent runs
-(``Simulator.run_many``, :class:`BatchRunner`, :func:`run_ensemble`) derive
-one seed per repetition from a master generator up front and can execute
-either serially or fanned out over ``multiprocessing`` workers
-(``backend="process"``); chunked, index-ordered dispatch keeps the two
-backends bit-identical, and workers rebuild dense-engine steppers from
-pickled protocols on first use.  A :class:`BatchRunner` owns a **persistent
-pool**: workers are spawned and initialized once (on the first
-process-backend ensemble) and reused across every subsequent
-``run_many``/``run_seeds``, so repeated ensembles stop paying pool startup,
-protocol pickling and stepper compilation — benchmark E11 measures the
-second call severalfold faster than the old build-per-call behavior.
-Release the pool with ``close()`` or a ``with`` block; a closed runner
-raises on further use.  The pool itself is the protocol-agnostic
-:class:`WorkerPool`: its workers cache one initialized simulator per
-(protocol, scheduler, engine) spec, so a single pool can serve ensembles of
-many protocols back to back — the fan-out substrate of the sweep harness
-(:mod:`repro.sweep`).
+derive one seed per repetition from a master seed up front
+(:func:`repetition_seeds`, or ``Simulator.run_many`` from the simulator's
+own generator) and execute either serially or fanned out over
+``multiprocessing`` workers (``backend="process"``); chunked, index-ordered
+dispatch keeps the two backends bit-identical, and workers rebuild
+dense-engine steppers from pickled protocols on first use.
+``Simulator.run_many`` and :func:`run_ensemble` build an ephemeral pool per
+process-backend call.  Repeated ensembles share one **persistent**
+:class:`WorkerPool` instead: its workers are spawned once and cache one
+initialized simulator per (protocol, scheduler, engine) spec, so later
+``run_seeds`` calls stop paying pool startup and stepper compilation —
+benchmark E11 measures the second call severalfold faster than a fresh
+pool — and one pool serves ensembles of many protocols back to back, the
+fan-out substrate of the sweep harness (:mod:`repro.sweep`) and the job
+server (:mod:`repro.serve`).  Release the pool with ``close()`` or a
+``with`` block; a closed pool raises on further use.
 
 **Trajectories** (:mod:`~repro.simulation.trajectory`).  Opt-in path
 recording (``record_trajectory=True``): every engine appends the fired
@@ -74,10 +73,10 @@ ensemble aggregates and diffing tools on top.
 """
 
 from .batch import (
-    BatchRunner,
     WorkerCrashError,
     WorkerPool,
     WorkerTimeoutError,
+    repetition_seeds,
     run_ensemble,
 )
 from .compiled import CompiledNet
@@ -103,10 +102,10 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "simulate",
-    "BatchRunner",
     "WorkerPool",
     "WorkerCrashError",
     "WorkerTimeoutError",
+    "repetition_seeds",
     "run_ensemble",
     "Trajectory",
     "DEFAULT_TRAJECTORY_CAPACITY",

@@ -8,37 +8,31 @@ the ensemble is embarrassingly parallel — this module fans it out over
 to the serial order**:
 
 * the per-repetition seeds are derived from the master seed up front, before
-  any scheduling decision, so neither the backend nor the worker count nor the
-  chunking can change which seed a repetition receives,
+  any scheduling decision, so neither the backend nor the worker count can
+  change which seed a repetition receives,
 * repetitions are dispatched to workers in contiguous, index-ordered chunks
-  through ``Pool.map``, which returns the chunks in submission order, so the
-  flattened result list is in repetition order,
-* each worker process unpickles the protocol once (steppers and dense-net
+  (about four per worker) through ``Pool.map``, which returns the chunks in
+  submission order, so the flattened result list is in repetition order,
+* each worker process unpickles a protocol once (steppers and dense-net
   caches are dropped on pickling and regenerated in the worker — see
   ``CompiledNet.__getstate__``), builds one
-  :class:`~repro.simulation.simulator.Simulator`, and reuses one dense counts
-  buffer across its whole share of the ensemble.
+  :class:`~repro.simulation.simulator.Simulator` for it on first use, and
+  reuses one dense counts buffer across its whole share of the ensemble.
 
 Entry points:
 
+* :func:`repetition_seeds` — the per-repetition seeds of an ensemble with a
+  given master seed, the same ones ``Simulator(protocol,
+  seed=master_seed).run_many`` draws,
 * :func:`run_ensemble` — functional core: run a list of seeds on a backend,
-  building (and tearing down) an ephemeral pool per call,
-* :class:`WorkerPool` — the persistent pool itself, decoupled from any one
+  the process backend on an ephemeral pool per call,
+* :class:`WorkerPool` — the persistent pool, decoupled from any one
   protocol: worker processes are created once and **cache one initialized
   simulator per distinct (protocol, scheduler, engine) spec**, so a single
-  pool can serve ensembles of many different protocols back to back.  This
-  is the fan-out substrate of the sweep harness (:mod:`repro.sweep`), where
-  one pool executes every cell of a parameter grid,
-* :class:`BatchRunner` — a configured handle (one protocol + backend knobs)
-  for repeated ensembles, built on a private :class:`WorkerPool`: the pool
-  is created on the first process-backend call with its workers pre-warmed
-  on the runner's protocol (unpickled once, steppers / vectorized kernels
-  built once), and reused across every subsequent
-  :meth:`~BatchRunner.run_many` / :meth:`~BatchRunner.run_seeds` until
-  :meth:`~BatchRunner.close` — which a ``with`` block calls automatically.
-  Only per-ensemble parameters travel to the workers after the first call,
-  so repeated ensembles stop paying pool startup, protocol pickling and
-  stepper compilation.
+  pool serves ensembles of many different protocols back to back and
+  repeated ensembles stop paying pool startup and stepper compilation.  The
+  sweep harness (:mod:`repro.sweep`) and the job server (:mod:`repro.serve`)
+  run every cell and job on one.
 
 ``backend="serial"`` runs the same code path without processes and is the
 reference ordering; ``backend="process"`` must agree with it exactly
@@ -53,7 +47,7 @@ import pickle
 import random
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..config import default_batch_workers as _default_max_workers
 from ..config import monotonic_time
@@ -65,10 +59,10 @@ from .simulator import SimulationResult, Simulator
 from .trajectory import DEFAULT_TRAJECTORY_CAPACITY
 
 __all__ = [
-    "BatchRunner",
     "WorkerCrashError",
     "WorkerPool",
     "WorkerTimeoutError",
+    "repetition_seeds",
     "run_ensemble",
 ]
 
@@ -138,20 +132,24 @@ class WorkerTimeoutError(RuntimeError):
 # :mod:`repro.config` helper.
 
 
-# ----------------------------------------------------------------------
-# Shared option validation, pickling, and chunk planning
-# ----------------------------------------------------------------------
-def _validate_batch_options(
-    backend: str, max_workers: Optional[int], chunk_size: Optional[int]
-) -> None:
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r} (expected one of {_BACKENDS})")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+def repetition_seeds(master_seed: Optional[int], n: int) -> List[int]:
+    """The ``n`` per-repetition seeds of an ensemble with ``master_seed``.
+
+    Drawn exactly like ``Simulator(protocol, seed=master_seed).run_many``
+    draws them on its first call, so ``WorkerPool.run_seeds(protocol,
+    inputs, repetition_seeds(s, n))`` and ``Simulator(protocol,
+    seed=s).run_many(inputs, n)`` return the same ensemble.  Sweep cells and
+    served jobs derive their seeds here from the cell seed.
+    """
+    if n < 0:
+        raise ValueError(f"repetitions must be non-negative, got {n}")
+    master = random.Random(master_seed)
+    return [master.getrandbits(64) for _ in range(n)]
 
 
+# ----------------------------------------------------------------------
+# Shared option validation and pickling
+# ----------------------------------------------------------------------
 def _dumps_for_workers(payload: object) -> bytes:
     """Pickle ``payload`` for transport to worker processes, with a clear error."""
     try:
@@ -189,20 +187,6 @@ def _validate_analytics(analytics: Any, process_backend: bool) -> None:
             ) from error
 
 
-def _plan_chunks(
-    seeds: Sequence[int], workers: int, chunk_size: Optional[int]
-) -> List[Sequence[int]]:
-    """Split the seed list into contiguous, index-ordered chunks.
-
-    The default chunk size aims for about four chunks per worker, balancing
-    load against dispatch overhead.  Chunking can never change results — only
-    how the (pre-derived) seeds are grouped for transport.
-    """
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(seeds) // (workers * 4)))
-    return [seeds[i : i + chunk_size] for i in range(0, len(seeds), chunk_size)]
-
-
 #: Per-process simulator cache keyed by the (protocol, scheduler, engine)
 #: spec pickle.  Each worker builds a simulator the first time it sees a spec
 #: and reuses it for every later chunk of that spec — persistent pools keep
@@ -216,7 +200,9 @@ def _worker_simulator(spec_bytes: bytes) -> Simulator:
 
     The spec travels as an explicit pickle blob (not fork-inherited memory) so
     the pickling path is exercised under every multiprocessing start method,
-    and each worker compiles the steppers of a given spec exactly once.
+    and each worker compiles the steppers of a given spec exactly once.  A
+    spec whose :class:`Simulator` constructor raises fails its task, and the
+    error surfaces from ``Pool.map`` in the caller; the worker lives on.
     """
     simulator = _WORKER_SIMULATORS.get(spec_bytes)
     if simulator is None:
@@ -224,19 +210,6 @@ def _worker_simulator(spec_bytes: bytes) -> Simulator:
         simulator = Simulator(protocol, scheduler=scheduler, engine=engine)
         _WORKER_SIMULATORS[spec_bytes] = simulator
     return simulator
-
-
-def _initialize_worker(spec_bytes: Optional[bytes]) -> None:
-    """Pool initializer: optionally pre-warm the cache with one spec.
-
-    :class:`BatchRunner` and :func:`run_ensemble` serve a single known
-    protocol, so their workers build its simulator eagerly at pool startup.
-    A bare :class:`WorkerPool` (``spec_bytes=None``) starts cold and builds
-    simulators lazily per task instead — errors from an invalid spec then
-    surface through ``Pool.map`` rather than crash-looping the initializer.
-    """
-    if spec_bytes is not None:
-        _worker_simulator(spec_bytes)
 
 
 def _run_worker_task(
@@ -279,40 +252,26 @@ def _run_worker_task(
     return results, events
 
 
-def _make_tasks(
-    spec_bytes: bytes,
-    configuration: Configuration,
-    chunks: List[Sequence[int]],
-    max_steps: int,
-    stability_window: int,
-    record_trajectory: bool,
-    trajectory_capacity: int,
-    analytics: Any = None,
-    trace: bool = False,
-) -> List[tuple]:
-    return [
-        (spec_bytes, configuration, chunk, max_steps, stability_window,
-         record_trajectory, trajectory_capacity, analytics, trace)
-        for chunk in chunks
-    ]
-
-
 # ----------------------------------------------------------------------
 # The shared persistent pool
 # ----------------------------------------------------------------------
 class WorkerPool:
     """A persistent worker pool shared across protocols and ensembles.
 
-    The pool engine behind :class:`BatchRunner`, usable on its own wherever
-    *one* set of worker processes should serve ensembles of *many* different
-    protocols — most prominently the sweep harness (:mod:`repro.sweep`),
-    which fans every cell of a (protocol × population × scheduler × engine)
-    grid over a single pool.  Each worker process caches one initialized
+    The one pool API for repeated ensembles: one set of worker processes
+    serves ensembles of *many* different protocols — one protocol's
+    ensembles back to back (``run_seeds`` with :func:`repetition_seeds`),
+    every cell of a sweep grid (:mod:`repro.sweep`), or every job of the
+    server (:mod:`repro.serve`).  Each worker process caches one initialized
     :class:`~repro.simulation.simulator.Simulator` per distinct
     ``(protocol, scheduler, engine)`` spec, keyed by the spec's pickle: the
     first chunk of a spec pays protocol unpickling and stepper compilation,
     every later chunk of that spec — whichever ensemble or grid cell it
-    belongs to — reuses the cached simulator.
+    belongs to — reuses the cached simulator::
+
+        with WorkerPool(max_workers=4) as pool:
+            first = pool.run_seeds(protocol, inputs, repetition_seeds(1, 64))
+            second = pool.run_seeds(protocol, inputs, repetition_seeds(2, 64))
 
     Results are bit-identical to the serial order for the same seed list:
     the pool only transports pre-derived seeds and returns chunks in
@@ -326,16 +285,11 @@ class WorkerPool:
     start_method:
         Optional ``multiprocessing`` start method; ``None`` uses the
         platform default.
-    warm_spec_bytes:
-        Optional pre-pickled ``(protocol, scheduler, engine)`` spec built
-        into every worker at pool startup (used by :class:`BatchRunner`,
-        whose single spec is known up front and validated in the parent —
-        an invalid spec in the initializer would crash-loop the pool).
-        Bare pools start cold and build simulators lazily per task.
 
-    The worker processes are created lazily, on the first :meth:`run_seeds`;
-    release them with :meth:`close` or a ``with`` block.  A closed pool
-    raises :class:`RuntimeError` on further use.
+    The worker processes are created lazily, on the first :meth:`run_seeds`,
+    and build their simulators lazily too, per spec on first sight; release
+    them with :meth:`close` or a ``with`` block.  A closed pool raises
+    :class:`RuntimeError` on further use.
 
     **Thread safety.**  The pool is safe for concurrent callers (the
     ``repro.serve`` job server dispatches blocking :meth:`run_seeds` calls
@@ -362,7 +316,6 @@ class WorkerPool:
         self,
         max_workers: Optional[int] = None,
         start_method: Optional[str] = None,
-        warm_spec_bytes: Optional[bytes] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be at least 1, got {max_workers}")
@@ -370,7 +323,6 @@ class WorkerPool:
             max_workers if max_workers is not None else _default_max_workers()
         )
         self.start_method = start_method
-        self._warm_spec_bytes = warm_spec_bytes
         self._pool = None
         self._closed = False
         # Lock order: dispatch before lifecycle (see the class docstring).
@@ -395,11 +347,7 @@ class WorkerPool:
         with self._lifecycle_lock:
             if self._pool is None:
                 context = multiprocessing.get_context(self.start_method)
-                self._pool = context.Pool(
-                    processes=self.workers,
-                    initializer=_initialize_worker,
-                    initargs=(self._warm_spec_bytes,),
-                )
+                self._pool = context.Pool(processes=self.workers)
             return self._pool
 
     def close(self) -> None:
@@ -472,7 +420,6 @@ class WorkerPool:
         engine: str = "auto",
         max_steps: int = 100000,
         stability_window: int = 200,
-        chunk_size: Optional[int] = None,
         record_trajectory: bool = False,
         trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
         analytics: Any = None,
@@ -487,9 +434,11 @@ class WorkerPool:
         extracted in the worker so the full trajectories never cross the
         pool.  ``spec_bytes`` optionally supplies the pre-pickled
         ``(protocol, scheduler, engine)`` spec, letting repeat callers (the
-        :class:`BatchRunner` fast path, the sweep runner's per-cell-group
-        cache) skip re-pickling — and guaranteeing the worker-side cache key
-        is byte-stable across calls.
+        cell executor's per-spec cache) skip re-pickling — and guaranteeing
+        the worker-side cache key is byte-stable across calls.  An invalid
+        spec (say, a scheduler without a compiled path under
+        ``engine="compiled"``) raises the worker's ``Simulator`` error here,
+        and the pool stays usable.
 
         ``timeout`` bounds the whole ensemble in wall-clock seconds
         (monotonic clock — a budget, never a simulation input): on expiry
@@ -504,8 +453,6 @@ class WorkerPool:
         class docstring), each bit-identical to its own serial run.
         """
         self._check_open()
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
         if record_trajectory and trajectory_capacity < 1:
             raise ValueError("trajectory_capacity must be at least 1")
         if timeout is not None and timeout <= 0:
@@ -523,15 +470,18 @@ class WorkerPool:
             return []
         if spec_bytes is None:
             spec_bytes = _dumps_for_workers((protocol, scheduler, engine))
-        # Chunk for the effective parallelism of this ensemble; the pool may
-        # hold more workers than there are seeds.
-        effective = max(1, min(self.workers, len(seeds)))
-        chunks = _plan_chunks(seeds, effective, chunk_size)
+        # About four contiguous chunks per worker of this ensemble (the pool
+        # may hold more workers than there are seeds) balances load against
+        # dispatch overhead; chunking never changes results, only how the
+        # pre-derived seeds travel.
+        size = -(-len(seeds) // (min(self.workers, len(seeds)) * 4))
         tracing = _obs_trace.tracing_active()
-        tasks = _make_tasks(
-            spec_bytes, configuration, chunks, max_steps, stability_window,
-            record_trajectory, trajectory_capacity, analytics, trace=tracing,
-        )
+        tasks = [
+            (spec_bytes, configuration, seeds[i : i + size], max_steps,
+             stability_window, record_trajectory, trajectory_capacity,
+             analytics, tracing)
+            for i in range(0, len(seeds), size)
+        ]
         with _obs_trace.span(
             "dispatch", kind="dispatch", chunks=len(tasks), workers=self.workers
         ) as dispatch_span:
@@ -626,12 +576,10 @@ def run_ensemble(
     stability_window: int = 200,
     backend: str = "serial",
     max_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     start_method: Optional[str] = None,
     record_trajectory: bool = False,
     trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
     analytics: Any = None,
-    _serial_simulator: Optional[Simulator] = None,
 ) -> List[SimulationResult]:
     """Run one independent repetition per seed and return them in seed order.
 
@@ -648,8 +596,9 @@ def run_ensemble(
         Input configuration; every repetition starts from
         ``protocol.initial_configuration(inputs)``.
     seeds:
-        One RNG seed per repetition.  The result list is index-aligned with
-        this sequence regardless of backend, worker count, or chunking.
+        One RNG seed per repetition (see :func:`repetition_seeds`).  The
+        result list is index-aligned with this sequence regardless of
+        backend or worker count.
     backend:
         ``"serial"`` runs in-process; ``"process"`` fans the seeds out over a
         ``multiprocessing`` pool.  Both orderings are bit-identical.
@@ -657,9 +606,6 @@ def run_ensemble(
         Process count for the ``"process"`` backend (default: the
         ``REPRO_BATCH_DEFAULT_WORKERS`` environment override, else the CPU
         count).  Clamped to the number of repetitions; must be at least 1.
-    chunk_size:
-        Seeds per task handed to a worker (default: ensemble split into about
-        four chunks per worker, balancing load against dispatch overhead).
     start_method:
         Optional ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``); ``None`` uses the platform default.
@@ -675,291 +621,70 @@ def run_ensemble(
         — cross the pool.  Extraction is deterministic, so both
         backends return identical metric dicts.
 
-    This functional entry point builds an ephemeral pool per call; use
-    :class:`BatchRunner` to amortize pool construction over repeated
-    ensembles.
+    The protocol, scheduler and engine are validated in this process first,
+    before any worker is spawned.  The process backend builds an ephemeral
+    pool per call; use a :class:`WorkerPool` to amortize pool construction
+    over repeated ensembles.
     """
-    _validate_batch_options(backend, max_workers, chunk_size)
-    if record_trajectory and trajectory_capacity < 1:
-        # _run_seeds enters the engines below _dispatch's own validation, and
-        # under backend="process" a late failure would surface from inside a
-        # pool worker; reject the bad argument here, at the call site.
-        raise ValueError("trajectory_capacity must be at least 1")
+    return _run_ensemble(
+        Simulator(protocol, scheduler=scheduler, engine=engine),
+        inputs, seeds, max_steps, stability_window, backend, max_workers,
+        record_trajectory, trajectory_capacity, analytics, start_method,
+    )
+
+
+def _run_ensemble(
+    simulator: Simulator,
+    inputs: Configuration,
+    seeds: Sequence[int],
+    max_steps: int,
+    stability_window: int,
+    backend: str,
+    max_workers: Optional[int],
+    record_trajectory: bool,
+    trajectory_capacity: int,
+    analytics: Any,
+    start_method: Optional[str] = None,
+) -> List[SimulationResult]:
+    """The one serial-or-pool branch behind :func:`run_ensemble` and
+    :meth:`Simulator.run_many <repro.simulation.simulator.Simulator.run_many>`.
+
+    A serial (or empty) ensemble runs on ``simulator`` itself, reusing its
+    steppers, counts buffer and lock-step engine; a process ensemble runs
+    ``simulator``'s spec on an ephemeral :class:`WorkerPool` clamped to the
+    seed count.
+    """
+    if backend not in _BACKENDS:
+        raise ValueError(f"unknown backend {backend!r} (expected one of {_BACKENDS})")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     _validate_analytics(analytics, process_backend=(backend == "process"))
-
     seeds = list(seeds)
-    if backend == "serial" or not seeds:
-        simulator = _serial_simulator
-        if simulator is None:
-            simulator = Simulator(protocol, scheduler=scheduler, engine=engine)
-        configuration = protocol.initial_configuration(inputs)
-        with _obs_trace.span(
-            "ensemble", kind="ensemble",
-            reps=len(seeds), engine=engine, backend="serial",
-        ):
-            return simulator._run_seeds(
-                configuration, seeds, max_steps, stability_window,
-                record_trajectory, trajectory_capacity, analytics,
-            )
-
-    if _serial_simulator is None:
-        # Validate the (protocol, scheduler, engine) combination in the
-        # parent before spawning anything: a Simulator constructor error
-        # inside the pool initializer would crash every worker, and
-        # multiprocessing responds by respawning them forever instead of
-        # surfacing the exception.  A caller-supplied simulator already
-        # proves the combination valid.
-        Simulator(protocol, scheduler=scheduler, engine=engine)
-    workers = max_workers if max_workers is not None else _default_max_workers()
-    workers = max(1, min(workers, len(seeds)))
-    spec_bytes = _dumps_for_workers((protocol, scheduler, engine))
+    process = backend == "process" and bool(seeds)
+    if process:
+        workers = max_workers if max_workers is not None else _default_max_workers()
     with _obs_trace.span(
-        "ensemble", kind="ensemble",
-        reps=len(seeds), engine=engine, backend="process",
-    ), WorkerPool(
-        max_workers=workers, start_method=start_method, warm_spec_bytes=spec_bytes
-    ) as pool:
-        return pool.run_seeds(
-            protocol,
-            inputs,
-            seeds,
-            scheduler=scheduler,
-            engine=engine,
-            max_steps=max_steps,
-            stability_window=stability_window,
-            chunk_size=chunk_size,
-            record_trajectory=record_trajectory,
-            trajectory_capacity=trajectory_capacity,
-            analytics=analytics,
-            spec_bytes=spec_bytes,
-        )
-
-
-class BatchRunner:
-    """A configured handle for repeated parallel ensembles.
-
-    The batch analogue of constructing a :class:`Simulator`: fix the protocol,
-    scheduler, engine and backend once, then call :meth:`run_many` per
-    ensemble.  Every ensemble derives its per-repetition seeds from the given
-    master seed exactly like ``Simulator.run_many`` does, so for the same
-    ``(protocol, inputs, seed)`` the three spellings agree bit for bit::
-
-        Simulator(p, seed=s).run_many(x, n)                      # serial
-        Simulator(p, seed=s).run_many(x, n, backend="process")   # parallel
-        with BatchRunner(p) as r:
-            r.run_many(x, n, seed=s)                             # parallel
-
-    Parameters mirror :func:`run_ensemble`; ``backend`` defaults to
-    ``"process"`` since a serial ensemble is what ``Simulator.run_many``
-    already provides.
-
-    **Pool lifecycle.**  The worker pool is created lazily on the first
-    process-backend ensemble and then kept alive: workers keep their
-    unpickled protocol, built steppers / vectorized kernels, and dense counts
-    buffers, so a second :meth:`run_many` pays none of the startup cost
-    again.  Release the processes with :meth:`close` (idempotent), or use the
-    runner as a context manager::
-
-        with BatchRunner(protocol, max_workers=4) as runner:
-            first = runner.run_many(inputs, 64, seed=1)
-            second = runner.run_many(inputs, 64, seed=2)   # reuses the pool
-
-    After :meth:`close` the runner is spent: further ensembles (and
-    re-entering the ``with`` block) raise :class:`RuntimeError` — construct a
-    new runner instead.  Serial runners hold no processes; their
-    :meth:`close` only marks the runner spent.  Pool reuse cannot change
-    results: the per-repetition seeds are derived before dispatch and chunks
-    return in submission order, so a persistent pool, an ephemeral pool and
-    the serial loop all produce bit-identical ensembles.
-    """
-
-    def __init__(
-        self,
-        protocol: Protocol,
-        scheduler: Optional[Scheduler] = None,
-        engine: str = "auto",
-        backend: str = "process",
-        max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
-        _validate_batch_options(backend, max_workers, chunk_size)
-        # Fail fast: validate scheduler/engine compatibility (by building a
-        # simulator in-process) and, for the process backend, that the workers
-        # could actually receive the protocol and scheduler.  The simulator is
-        # kept: serial ensembles run on it — reusing its compiled stepper /
-        # vectorized kernels and counts buffer across calls, so back-to-back
-        # run_many calls recompile nothing — and process ensembles use it as
-        # proof that the worker initializer cannot fail.
-        self._simulator = Simulator(protocol, scheduler=scheduler, engine=engine)
-        self._spec_bytes: Optional[bytes] = None
-        if backend == "process":
-            # Pickled once and reused for every ensemble: the transport blob
-            # doubles as the worker-side simulator-cache key, so keeping it
-            # byte-stable guarantees every chunk of every ensemble hits the
-            # same cached simulator.
-            self._spec_bytes = _dumps_for_workers((protocol, scheduler, engine))
-        self.protocol = protocol
-        self.scheduler = scheduler
-        self.engine = engine
-        self.backend = backend
-        self.max_workers = max_workers
-        self.chunk_size = chunk_size
-        self.start_method = start_method
-        self._pool = None
-        self._pool_workers: Optional[int] = None
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has been called (the runner is spent)."""
-        return self._closed
-
-    def _ensure_pool(self) -> WorkerPool:
-        """The persistent worker pool, created on first use.
-
-        Sized from ``max_workers`` (or the environment/CPU default) rather
-        than the first ensemble's repetition count, so a later, larger
-        ensemble still gets the full parallelism.  The pool's workers are
-        pre-warmed on this runner's spec (the parent simulator built in the
-        constructor proves the spec cannot crash the initializer).
-        """
-        if self._pool is None:
-            self._pool = WorkerPool(
-                max_workers=self.max_workers,
-                start_method=self.start_method,
-                warm_spec_bytes=self._spec_bytes,
+        "ensemble", kind="ensemble", reps=len(seeds), engine=simulator.engine,
+        backend="process" if process else "serial",
+    ):
+        if not process:
+            return simulator._run_seeds(
+                simulator.protocol.initial_configuration(inputs), seeds,
+                max_steps, stability_window, record_trajectory,
+                trajectory_capacity, analytics,
             )
-            self._pool_workers = self._pool.workers
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool and mark the runner spent.
-
-        Idempotent: closing twice (or closing a runner that never built a
-        pool) is a no-op.  Subsequent ensembles raise :class:`RuntimeError`.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self._pool_workers = None
-        self._closed = True
-
-    def __enter__(self) -> "BatchRunner":
-        if self._closed:
-            raise RuntimeError(
-                "BatchRunner is closed; construct a new runner to re-enter"
-            )
-        return self
-
-    def __exit__(self, exc_type: Any, exc_value: Any, traceback: Any) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        # Safety net for runners abandoned without close(); deterministic
-        # cleanup is the caller's job (close() or the context manager).
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            try:
-                pool.terminate()
-            except Exception:
-                pass
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(
-                "BatchRunner is closed; construct a new runner for further "
-                "ensembles"
-            )
-
-    # ------------------------------------------------------------------
-    # Ensembles
-    # ------------------------------------------------------------------
-    def run_many(
-        self,
-        inputs: Configuration,
-        repetitions: int,
-        seed: Optional[int] = None,
-        max_steps: int = 100000,
-        stability_window: int = 200,
-        record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
-        analytics: Any = None,
-    ) -> List[SimulationResult]:
-        """Run ``repetitions`` independent executions seeded from ``seed``."""
-        if repetitions < 0:
-            raise ValueError(f"repetitions must be non-negative, got {repetitions}")
-        master = random.Random(seed)
-        seeds = [master.getrandbits(64) for _ in range(repetitions)]
-        return self.run_seeds(
-            inputs,
-            seeds,
-            max_steps=max_steps,
-            stability_window=stability_window,
-            record_trajectory=record_trajectory,
-            trajectory_capacity=trajectory_capacity,
-            analytics=analytics,
-        )
-
-    def run_seeds(
-        self,
-        inputs: Configuration,
-        seeds: Sequence[int],
-        max_steps: int = 100000,
-        stability_window: int = 200,
-        record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
-        analytics: Any = None,
-    ) -> List[SimulationResult]:
-        """Run one repetition per explicit seed (index-aligned results).
-
-        With ``analytics`` each result carries a compact metric dict
-        (``result.analytics``), extracted inside the workers on the process
-        backend so trajectories never cross the pool.
-        """
-        self._check_open()
-        if record_trajectory and trajectory_capacity < 1:
-            raise ValueError("trajectory_capacity must be at least 1")
-        _validate_analytics(analytics, process_backend=(self.backend == "process"))
-        seeds = list(seeds)
-        configuration = self.protocol.initial_configuration(inputs)
-        if self.backend == "serial" or not seeds:
-            with _obs_trace.span(
-                "ensemble", kind="ensemble",
-                reps=len(seeds), engine=self.engine, backend="serial",
-            ):
-                return self._simulator._run_seeds(
-                    configuration, seeds, max_steps, stability_window,
-                    record_trajectory, trajectory_capacity, analytics,
-                )
-        with _obs_trace.span(
-            "ensemble", kind="ensemble",
-            reps=len(seeds), engine=self.engine, backend=self.backend,
-        ):
-            return self._ensure_pool().run_seeds(
-                self.protocol,
+        with WorkerPool(
+            max_workers=min(workers, len(seeds)), start_method=start_method
+        ) as pool:
+            return pool.run_seeds(
+                simulator.protocol,
                 inputs,
                 seeds,
-                scheduler=self.scheduler,
-                engine=self.engine,
+                scheduler=simulator.scheduler,
+                engine=simulator.engine,
                 max_steps=max_steps,
                 stability_window=stability_window,
-                chunk_size=self.chunk_size,
                 record_trajectory=record_trajectory,
                 trajectory_capacity=trajectory_capacity,
                 analytics=analytics,
-                spec_bytes=self._spec_bytes,
             )
-
-    def __repr__(self) -> str:
-        workers = self.max_workers if self.max_workers is not None else "auto"
-        state = "closed" if self._closed else (
-            "pool up" if self._pool is not None else "pool pending"
-        )
-        return (
-            f"BatchRunner({self.protocol.name or 'protocol'}, backend={self.backend!r}, "
-            f"max_workers={workers}, {state})"
-        )

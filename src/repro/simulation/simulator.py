@@ -561,7 +561,6 @@ class Simulator:
         stability_window: int = 200,
         backend: str = "serial",
         max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         record_trajectory: bool = False,
         trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
         analytics: Any = None,
@@ -573,12 +572,14 @@ class Simulator:
         simulator seed while the repetitions stay independent — and the two
         engines agree run-for-run.
 
-        ``backend="serial"`` (default) runs the repetitions in this process,
-        reusing a single dense counts buffer on the compiled path;
-        ``backend="process"`` fans them out over ``max_workers`` worker
-        processes (see :mod:`repro.simulation.batch`).  The per-repetition
-        seeds are drawn from the master generator *before* scheduling, and the
-        results come back in repetition order, so the two backends return
+        ``backend="serial"`` (default) runs the repetitions on this simulator,
+        reusing its steppers and a single dense counts buffer;
+        ``backend="process"`` fans them out over an ephemeral pool of
+        ``max_workers`` worker processes (see :mod:`repro.simulation.batch`).
+        The per-repetition seeds are drawn from the master generator *before*
+        scheduling (a fresh simulator draws
+        :func:`~repro.simulation.batch.repetition_seeds` of its seed), and
+        the results come back in repetition order, so the two backends return
         bit-identical result lists for the same simulator seed.
 
         ``analytics`` optionally attaches a compact metric dict per result
@@ -586,7 +587,7 @@ class Simulator:
         extraction runs inside the workers and only the metrics cross the
         pool.
         """
-        from .batch import run_ensemble
+        from .batch import _run_ensemble
 
         if repetitions < 0:
             raise ValueError(f"repetitions must be non-negative, got {repetitions}")
@@ -598,21 +599,9 @@ class Simulator:
         rng_state = self.rng.getstate()
         seeds = [self.rng.getrandbits(64) for _ in range(repetitions)]
         try:
-            return run_ensemble(
-                self.protocol,
-                inputs,
-                seeds,
-                scheduler=self.scheduler,
-                engine=self.engine,
-                max_steps=max_steps,
-                stability_window=stability_window,
-                backend=backend,
-                max_workers=max_workers,
-                chunk_size=chunk_size,
-                record_trajectory=record_trajectory,
-                trajectory_capacity=trajectory_capacity,
-                analytics=analytics,
-                _serial_simulator=self,
+            return _run_ensemble(
+                self, inputs, seeds, max_steps, stability_window, backend,
+                max_workers, record_trajectory, trajectory_capacity, analytics,
             )
         except Exception:
             self.rng.setstate(rng_state)

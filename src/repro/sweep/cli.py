@@ -110,10 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for --backend process (default: CPU count)",
     )
     run.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="repetitions per worker task (default: auto)",
-    )
-    run.add_argument(
         "--max-cells", type=int, default=None, metavar="N",
         help="stop after attempting N cells (resume later to finish)",
     )
@@ -161,10 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: CPU count)",
     )
     workers.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="repetitions per worker task (default: auto)",
-    )
-    workers.add_argument(
         "--lease", type=float, default=None, metavar="SECONDS",
         help="claim lease duration; an expired lease makes the cell "
              "claimable by other runners (default: 60)",
@@ -183,8 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     workers.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per cell ensemble (process backend); "
-             "expiry counts as a cell failure (default: none)",
+        help="wall-clock budget per cell ensemble (--backend process "
+             "only); expiry counts as a cell failure (default: none)",
     )
     workers.add_argument(
         "--idle-wait", type=float, default=0.2, metavar="SECONDS",
@@ -255,7 +247,6 @@ def _command_run(args: argparse.Namespace) -> int:
         store,
         backend=args.backend,
         max_workers=args.workers,
-        chunk_size=args.chunk_size,
         retry_errors=not args.no_retry_errors,
     )
     progress = None if args.quiet else print
@@ -328,13 +319,19 @@ def _command_workers(args: argparse.Namespace) -> int:
     if args.runners < 1:
         print(f"--runners must be at least 1, got {args.runners}", file=sys.stderr)
         return 2
+    if args.cell_timeout is not None and args.backend == "serial":
+        print(
+            "--cell-timeout needs --backend process: a serial runner cannot "
+            "interrupt a cell's ensemble",
+            file=sys.stderr,
+        )
+        return 2
     options: Dict[str, object] = dict(
         lease_seconds=args.lease,
         max_retries=args.max_retries,
         backoff_base=args.backoff,
         backend=args.backend,
         max_workers=args.workers,
-        chunk_size=args.chunk_size,
         cell_timeout=args.cell_timeout,
         heartbeat_interval=args.heartbeat,
         idle_wait=args.idle_wait,

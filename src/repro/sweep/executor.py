@@ -48,21 +48,19 @@ class CellExecutor:
     pool:
         The shared :class:`~repro.simulation.batch.WorkerPool`; ``None``
         runs every ensemble in-process on cached serial simulators.
-    chunk_size:
-        Repetitions per worker task (default: the pool's automatic split).
     timeout:
         Wall-clock budget per ensemble on the pool; expiry raises
-        :class:`~repro.simulation.batch.WorkerTimeoutError`.
+        :class:`~repro.simulation.batch.WorkerTimeoutError`.  In-process
+        ensembles cannot be interrupted, so their owners (the sweep runner,
+        the server) reject a timeout without a pool up front.
     """
 
     def __init__(
         self,
         pool: Optional[WorkerPool] = None,
-        chunk_size: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> None:
         self.pool = pool
-        self.chunk_size = chunk_size
         self.timeout = timeout
         self._build_lock = threading.Lock()
         self._serial_lock = threading.Lock()
@@ -158,7 +156,6 @@ class CellExecutor:
                 engine=cell.engine,
                 max_steps=max_steps,
                 stability_window=stability_window,
-                chunk_size=self.chunk_size,
                 analytics=spec,
                 spec_bytes=self._cached(
                     ("spec-bytes",) + spec_key,

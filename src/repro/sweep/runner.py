@@ -30,7 +30,6 @@ claim the next open cell in grid order, execute it on a shared
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from collections import Counter
@@ -40,7 +39,7 @@ from typing import Callable, Counter as CounterType, Dict, List, Optional
 from ..config import monotonic_time
 from ..obs import trace as _obs_trace
 from ..obs.registry import get_registry
-from ..simulation.batch import WorkerPool
+from ..simulation.batch import WorkerPool, repetition_seeds
 from ..simulation.simulator import SimulationResult
 from ..simulation.statistics import accuracy_against_predicate, summarize_runs
 from .dbstore import (
@@ -269,8 +268,8 @@ class SweepRunner:
         persistent :class:`~repro.simulation.batch.WorkerPool`;
         ``"serial"`` runs everything in-process, reusing one simulator per
         (protocol, scheduler, engine) spec across cells.
-    max_workers, chunk_size, start_method:
-        Pool knobs, as for :class:`~repro.simulation.batch.BatchRunner`.
+    max_workers, start_method:
+        Pool knobs, as for :class:`~repro.simulation.batch.WorkerPool`.
         Ignored under ``backend="serial"``.
     retry_errors:
         Whether :meth:`run` re-runs cells recorded as ``error`` (default)
@@ -283,7 +282,6 @@ class SweepRunner:
         store: SqliteResultStore,
         backend: str = "process",
         max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         start_method: Optional[str] = None,
         retry_errors: bool = True,
     ):
@@ -293,13 +291,10 @@ class SweepRunner:
             )
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be at least 1, got {max_workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
         self.spec = spec
         self.store = store
         self.backend = backend
         self.max_workers = max_workers
-        self.chunk_size = chunk_size
         self.start_method = start_method
         self.retry_errors = retry_errors
 
@@ -404,9 +399,10 @@ class SweepRunner:
             Stop after processing this many claims (the controlled-
             interruption knob; ``None`` = run until the grid drains).
         cell_timeout:
-            Wall-clock budget per cell ensemble (process backend only) —
-            expiry raises through the crash containment and counts as a
-            cell failure.
+            Wall-clock budget per cell ensemble — expiry raises through the
+            crash containment and counts as a cell failure.  Only the
+            process backend can interrupt an ensemble, so a serial runner
+            rejects it with :class:`ValueError` before registering any cell.
         heartbeat_interval:
             Seconds between lease extensions (default: a third of the
             store's ``lease_seconds``).
@@ -425,6 +421,11 @@ class SweepRunner:
         """
         if idle_wait <= 0:
             raise ValueError(f"idle_wait must be positive, got {idle_wait}")
+        if cell_timeout is not None and self.backend == "serial":
+            raise ValueError(
+                "cell_timeout needs backend='process': a serial runner cannot "
+                "interrupt a cell's ensemble"
+            )
         cells = self._register(max_cells)
         tally = self._claim_loop(
             owner, cells, max_cells, progress,
@@ -533,7 +534,7 @@ class SweepRunner:
                                 max_workers=self.max_workers,
                                 start_method=self.start_method,
                             )
-                        executor = CellExecutor(pool, self.chunk_size, cell_timeout)
+                        executor = CellExecutor(pool, cell_timeout)
                     if single_owner:
                         prefix = f"[{index + 1}/{len(cells)}] {claim.cell}"
                         span = _obs_trace.span(
@@ -609,7 +610,7 @@ class SweepRunner:
             fault_point("mid-cell")
             return executor.run(
                 cell,
-                self._cell_run_seeds(cell),
+                repetition_seeds(self.spec.cell_seed(cell), self.spec.repetitions),
                 self.spec.max_steps,
                 self.spec.stability_window,
                 self.spec.analytics,
@@ -673,16 +674,6 @@ class SweepRunner:
             )
         }
 
-    def _cell_run_seeds(self, cell: SweepCell) -> List[int]:
-        """The cell's per-repetition seeds.
-
-        Derived exactly like ``BatchRunner.run_many(seed=cell_seed)`` derives
-        them, so a cell's ensemble can be reproduced outside the sweep with
-        the cell seed alone.
-        """
-        master = random.Random(self.spec.cell_seed(cell))
-        return [master.getrandbits(64) for _ in range(self.spec.repetitions)]
-
     def __repr__(self) -> str:
         return (
             f"SweepRunner({len(self.spec)} cells, backend={self.backend!r}, "
@@ -704,7 +695,6 @@ def claim_worker(
     backoff_base: Optional[float] = None,
     backend: str = "process",
     max_workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     start_method: Optional[str] = None,
     cell_timeout: Optional[float] = None,
     heartbeat_interval: Optional[float] = None,
@@ -769,7 +759,6 @@ def claim_worker(
             store,
             backend=backend,
             max_workers=max_workers,
-            chunk_size=chunk_size,
             start_method=start_method,
         )
         report = runner.run_claims(

@@ -14,8 +14,9 @@ Seed policy
 -----------
 Every cell owns a 64-bit seed derived as ``sha256(master_seed | cell id)``,
 independent of the cell's position in the grid and of which cells ran before
-it.  The runner feeds that seed to the same per-repetition derivation that
-``Simulator.run_many``/``BatchRunner.run_many`` use, so a cell's ensemble is
+it.  The runner feeds that seed to
+:func:`~repro.simulation.batch.repetition_seeds`, the per-repetition
+derivation ``Simulator.run_many`` uses too, so a cell's ensemble is
 bit-identical whether it runs serially, over a process pool, first, last, or
 alone — adding an axis value later changes no other cell's results.
 

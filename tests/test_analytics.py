@@ -32,7 +32,12 @@ from repro.analytics.metrics import (
 )
 from repro.analytics.report import main as analytics_main
 from repro.core import Configuration
-from repro.simulation import BatchRunner, Simulator, run_ensemble
+from repro.simulation import (
+    Simulator,
+    WorkerPool,
+    repetition_seeds,
+    run_ensemble,
+)
 from repro.simulation.trajectory import Trajectory
 from repro.simulation.vectorized import numpy_available
 from repro.sweep import (
@@ -308,11 +313,11 @@ class TestBatchAnalytics:
             ]
             assert all(r.analytics is not None for r in analysed)
 
-    def test_batch_runner_run_many_carries_analytics(self):
+    def test_worker_pool_run_seeds_carries_analytics(self):
         protocol, inputs = _majority(13)
-        with BatchRunner(protocol, max_workers=2) as runner:
-            results = runner.run_many(
-                inputs, 8, seed=3, max_steps=400,
+        with WorkerPool(max_workers=2) as pool:
+            results = pool.run_seeds(
+                protocol, inputs, repetition_seeds(3, 8), max_steps=400,
                 analytics=AnalyticsSpec(expected_output=1),
             )
         assert all(r.analytics is not None and r.trajectory is None

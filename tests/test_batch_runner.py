@@ -3,9 +3,10 @@
 The contract under test: for a fixed ``(protocol, inputs, seed)`` the serial
 and process backends return **bit-identical** result lists — same
 per-repetition seeds, same per-run results, same order — regardless of worker
-count or chunking.  Plus the supporting machinery: worker-count and
-chunk-size edge cases, pickling of protocols and compiled nets across process
-boundaries, and trajectory transport through workers.
+count or pool reuse.  Plus the supporting machinery: worker-count edge
+cases, the persistent ``WorkerPool`` lifecycle, pickling of protocols and
+compiled nets across process boundaries, trajectory transport through
+workers, and crash/timeout containment.
 """
 
 import os
@@ -19,16 +20,16 @@ import pytest
 from repro.core import Configuration, from_counts
 from repro.protocols import flock_of_birds_protocol, majority_protocol
 from repro.simulation import (
-    BatchRunner,
     Scheduler,
     Simulator,
     TransitionScheduler,
     UniformScheduler,
     WorkerCrashError,
+    WorkerPool,
     WorkerTimeoutError,
+    repetition_seeds,
     run_ensemble,
 )
-from repro.simulation.batch import WorkerPool
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -53,28 +54,17 @@ class TestSerialProcessEquivalence:
         assert len(serial) == len(parallel) == 64
         assert parallel == serial
 
-    def test_batch_runner_agrees_with_simulator_run_many(self):
+    def test_worker_pool_agrees_with_simulator_run_many(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(30)
         via_simulator = Simulator(protocol, seed=9).run_many(
             inputs, repetitions=10, max_steps=1500
         )
-        via_runner = BatchRunner(protocol, max_workers=2).run_many(
-            inputs, repetitions=10, seed=9, max_steps=1500
-        )
-        assert via_runner == via_simulator
-
-    def test_chunk_size_does_not_change_results(self):
-        protocol = majority_protocol()
-        inputs = _majority_inputs(24)
-        baseline = BatchRunner(protocol, backend="serial").run_many(
-            inputs, repetitions=9, seed=3, max_steps=1000
-        )
-        for chunk_size in (1, 2, 4, 9, 50):
-            runner = BatchRunner(
-                protocol, backend="process", max_workers=2, chunk_size=chunk_size
+        with WorkerPool(max_workers=2) as pool:
+            via_pool = pool.run_seeds(
+                protocol, inputs, repetition_seeds(9, 10), max_steps=1500
             )
-            assert runner.run_many(inputs, repetitions=9, seed=3, max_steps=1000) == baseline
+        assert via_pool == via_simulator
 
     def test_reference_engine_ensembles_agree_across_backends(self):
         protocol = majority_protocol()
@@ -130,7 +120,7 @@ class TestSerialProcessEquivalence:
 class TestWorkerCountEdgeCases:
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
-            BatchRunner(majority_protocol(), max_workers=0)
+            WorkerPool(max_workers=0)
         with pytest.raises(ValueError, match="max_workers"):
             run_ensemble(
                 majority_protocol(), _majority_inputs(9), [1],
@@ -139,38 +129,35 @@ class TestWorkerCountEdgeCases:
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
-            BatchRunner(majority_protocol(), max_workers=-2)
+            WorkerPool(max_workers=-2)
 
     def test_single_worker_matches_serial(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(21)
-        serial = BatchRunner(protocol, backend="serial").run_many(
-            inputs, repetitions=5, seed=1, max_steps=600
-        )
-        single = BatchRunner(protocol, backend="process", max_workers=1).run_many(
-            inputs, repetitions=5, seed=1, max_steps=600
+        serial = Simulator(protocol, seed=1).run_many(inputs, 5, max_steps=600)
+        single = Simulator(protocol, seed=1).run_many(
+            inputs, 5, max_steps=600, backend="process", max_workers=1
         )
         assert single == serial
 
     def test_more_workers_than_repetitions(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(21)
-        serial = BatchRunner(protocol, backend="serial").run_many(
-            inputs, repetitions=3, seed=2, max_steps=600
-        )
-        oversubscribed = BatchRunner(protocol, backend="process", max_workers=16).run_many(
-            inputs, repetitions=3, seed=2, max_steps=600
+        serial = Simulator(protocol, seed=2).run_many(inputs, 3, max_steps=600)
+        oversubscribed = Simulator(protocol, seed=2).run_many(
+            inputs, 3, max_steps=600, backend="process", max_workers=16
         )
         assert oversubscribed == serial
 
     def test_zero_repetitions_returns_empty_list(self):
-        runner = BatchRunner(majority_protocol(), backend="process", max_workers=2)
-        assert runner.run_many(_majority_inputs(9), repetitions=0, seed=0) == []
+        assert repetition_seeds(0, 0) == []
+        assert Simulator(majority_protocol(), seed=0).run_many(
+            _majority_inputs(9), 0, backend="process", max_workers=2
+        ) == []
 
     def test_negative_repetitions_rejected(self):
-        runner = BatchRunner(majority_protocol())
         with pytest.raises(ValueError, match="repetitions"):
-            runner.run_many(_majority_inputs(9), repetitions=-1, seed=0)
+            repetition_seeds(0, -1)
         with pytest.raises(ValueError, match="repetitions"):
             Simulator(majority_protocol(), seed=0).run_many(
                 _majority_inputs(9), repetitions=-1
@@ -193,15 +180,13 @@ class TestWorkerCountEdgeCases:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            BatchRunner(majority_protocol(), backend="threads")
+            run_ensemble(
+                majority_protocol(), _majority_inputs(9), [1], backend="threads"
+            )
         with pytest.raises(ValueError, match="unknown backend"):
             Simulator(majority_protocol(), seed=0).run_many(
                 _majority_inputs(9), repetitions=2, backend="threads"
             )
-
-    def test_zero_chunk_size_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            BatchRunner(majority_protocol(), chunk_size=0)
 
     def test_invalid_trajectory_capacity_rejected_before_fanout(self):
         # Regression: the batched compiled path enters the engines below
@@ -251,20 +236,24 @@ class TestWorkerCountEdgeCases:
 
 
 class TestReproducibility:
-    def test_batch_runner_reproducible_from_master_seed(self):
+    def test_pool_reproducible_from_master_seed(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(24)
-        runner = BatchRunner(protocol, max_workers=2)
-        first = runner.run_many(inputs, repetitions=6, seed=14, max_steps=800)
-        second = runner.run_many(inputs, repetitions=6, seed=14, max_steps=800)
+        with WorkerPool(max_workers=2) as pool:
+            first = pool.run_seeds(
+                protocol, inputs, repetition_seeds(14, 6), max_steps=800
+            )
+            second = pool.run_seeds(
+                protocol, inputs, repetition_seeds(14, 6), max_steps=800
+            )
         assert first == second
 
     def test_explicit_seed_lists_are_index_aligned(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(24)
-        runner = BatchRunner(protocol, max_workers=2, chunk_size=2)
         seeds = [5, 6, 7, 8, 9]
-        results = runner.run_seeds(inputs, seeds, max_steps=800)
+        with WorkerPool(max_workers=2) as pool:
+            results = pool.run_seeds(protocol, inputs, seeds, max_steps=800)
         # Each repetition must equal a standalone run of its own seed.
         for seed, result in zip(seeds, results):
             solo = run_ensemble(protocol, inputs, [seed], max_steps=800)
@@ -325,29 +314,30 @@ class TestReproducibility:
 
 
 class TestPersistentPool:
-    """The pool lifecycle: one pool per runner, reused across ensembles,
+    """The pool lifecycle: one set of processes reused across ensembles,
     released by close()/the context manager, spent afterwards — and never
     able to change results."""
 
-    def test_consecutive_run_many_calls_reuse_one_pool(self):
+    def test_consecutive_ensembles_reuse_one_pool(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(24)
-        with BatchRunner(protocol, max_workers=2) as runner:
-            first = runner.run_many(inputs, repetitions=8, seed=21, max_steps=800)
-            pool = runner._pool
-            assert pool is not None
-            second = runner.run_many(inputs, repetitions=8, seed=22, max_steps=800)
-            assert runner._pool is pool
+        with WorkerPool(max_workers=2) as pool:
+            first = pool.run_seeds(
+                protocol, inputs, repetition_seeds(21, 8), max_steps=800
+            )
+            processes = pool._pool
+            assert processes is not None
+            second = pool.run_seeds(
+                protocol, inputs, repetition_seeds(22, 8), max_steps=800
+            )
+            assert pool._pool is processes
         # Fresh-pool runs of the same seeds must be bit-identical: pool reuse
         # cannot leak state between ensembles.
-        fresh_first = BatchRunner(protocol, max_workers=2)
-        fresh_second = BatchRunner(protocol, max_workers=2)
-        try:
-            assert fresh_first.run_many(inputs, repetitions=8, seed=21, max_steps=800) == first
-            assert fresh_second.run_many(inputs, repetitions=8, seed=22, max_steps=800) == second
-        finally:
-            fresh_first.close()
-            fresh_second.close()
+        for seed, expected in ((21, first), (22, second)):
+            with WorkerPool(max_workers=2) as fresh:
+                assert fresh.run_seeds(
+                    protocol, inputs, repetition_seeds(seed, 8), max_steps=800
+                ) == expected
 
     def test_concurrent_run_seeds_from_threads_is_safe_and_deterministic(self):
         # Regression: two threads sharing one pool used to race _ensure_pool
@@ -395,104 +385,64 @@ class TestPersistentPool:
     def test_persistent_pool_matches_serial(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(24)
-        serial = BatchRunner(protocol, backend="serial").run_many(
-            inputs, repetitions=6, seed=31, max_steps=800
-        )
-        with BatchRunner(protocol, max_workers=2) as runner:
-            runner.run_many(inputs, repetitions=3, seed=99, max_steps=400)  # warm the pool
-            assert runner.run_many(inputs, repetitions=6, seed=31, max_steps=800) == serial
+        serial = Simulator(protocol, seed=31).run_many(inputs, 6, max_steps=800)
+        with WorkerPool(max_workers=2) as pool:
+            pool.run_seeds(protocol, inputs, [99, 98, 97], max_steps=400)  # warm it
+            assert pool.run_seeds(
+                protocol, inputs, repetition_seeds(31, 6), max_steps=800
+            ) == serial
 
     def test_close_is_idempotent(self):
-        runner = BatchRunner(majority_protocol(), max_workers=2)
-        runner.run_many(_majority_inputs(12), repetitions=2, seed=0, max_steps=300)
-        assert not runner.closed
-        runner.close()
-        assert runner.closed
-        runner.close()  # second close is a no-op
-        assert runner.closed
+        pool = WorkerPool(max_workers=2)
+        pool.run_seeds(majority_protocol(), _majority_inputs(12), [1, 2], max_steps=300)
+        assert not pool.closed
+        pool.close()
+        assert pool.closed
+        pool.close()  # second close is a no-op
+        assert pool.closed
 
     def test_close_without_ever_building_a_pool(self):
-        runner = BatchRunner(majority_protocol(), max_workers=2)
-        runner.close()
-        assert runner.closed
+        pool = WorkerPool(max_workers=2)
+        pool.close()
+        assert pool.closed
 
     def test_use_after_close_raises(self):
-        runner = BatchRunner(majority_protocol(), max_workers=2)
-        runner.close()
+        pool = WorkerPool(max_workers=2)
+        pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            runner.run_many(_majority_inputs(12), repetitions=2, seed=0)
-        with pytest.raises(RuntimeError, match="closed"):
-            runner.run_seeds(_majority_inputs(12), [1, 2])
+            pool.run_seeds(majority_protocol(), _majority_inputs(12), [1, 2])
 
-    def test_serial_runner_close_and_use_after_close(self):
-        runner = BatchRunner(majority_protocol(), backend="serial")
-        runner.run_many(_majority_inputs(12), repetitions=2, seed=0, max_steps=300)
-        runner.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            runner.run_many(_majority_inputs(12), repetitions=2, seed=0)
-
-    def test_reentering_a_closed_runner_raises(self):
-        runner = BatchRunner(majority_protocol(), max_workers=2)
-        with runner:
+    def test_reentering_a_closed_pool_raises(self):
+        pool = WorkerPool(max_workers=2)
+        with pool:
             pass
-        assert runner.closed
+        assert pool.closed
         with pytest.raises(RuntimeError, match="closed"):
-            with runner:
+            with pool:
                 pass  # pragma: no cover
 
-    def test_context_manager_returns_the_runner_and_closes(self):
-        with BatchRunner(majority_protocol(), backend="serial") as runner:
-            assert isinstance(runner, BatchRunner)
-            assert not runner.closed
-        assert runner.closed
-
-    def test_pool_not_clamped_by_the_first_small_ensemble(self):
-        # The pool is sized from max_workers, not from the first call's
-        # repetition count, so a later larger ensemble keeps its parallelism.
-        protocol = majority_protocol()
-        inputs = _majority_inputs(18)
-        with BatchRunner(protocol, max_workers=2) as runner:
-            runner.run_many(inputs, repetitions=1, seed=1, max_steps=300)
-            assert runner._pool_workers == 2
-            bigger = runner.run_many(inputs, repetitions=8, seed=2, max_steps=600)
-        fresh = BatchRunner(protocol, max_workers=2)
-        try:
-            assert fresh.run_many(inputs, repetitions=8, seed=2, max_steps=600) == bigger
-        finally:
-            fresh.close()
-
-    def test_serial_runner_reuses_compiled_artifacts_across_calls(self):
-        # The rebuild-waste fix: back-to-back ensembles on one runner must
-        # not recompile steppers (the stepper object identity is stable).
-        runner = BatchRunner(majority_protocol(), backend="serial")
-        stepper = runner._simulator._stepper
-        assert stepper is not None
-        inputs = _majority_inputs(18)
-        runner.run_many(inputs, repetitions=3, seed=5, max_steps=500)
-        runner.run_many(inputs, repetitions=3, seed=6, max_steps=500)
-        assert runner._simulator._stepper is stepper
-        runner.close()
+    def test_context_manager_returns_the_pool_and_closes(self):
+        with WorkerPool(max_workers=2) as pool:
+            assert isinstance(pool, WorkerPool)
+            assert not pool.closed
+        assert pool.closed
 
     def test_mixed_ensemble_parameters_on_one_pool(self):
         # Per-ensemble parameters (step budgets, recording) travel with each
         # call, so one initialized pool serves heterogeneous ensembles.
         protocol = majority_protocol()
         inputs = _majority_inputs(20)
-        with BatchRunner(protocol, max_workers=2) as runner:
-            plain = runner.run_many(inputs, repetitions=4, seed=3, max_steps=500)
-            recorded = runner.run_many(
-                inputs, repetitions=4, seed=3, max_steps=300,
-                stability_window=10 ** 9,
-                record_trajectory=True, trajectory_capacity=32,
-            )
-        assert all(result.trajectory is None for result in plain)
-        assert all(result.trajectory is not None for result in recorded)
-        serial = BatchRunner(protocol, backend="serial").run_many(
-            inputs, repetitions=4, seed=3, max_steps=300,
-            stability_window=10 ** 9,
+        seeds = repetition_seeds(3, 4)
+        recording = dict(
+            max_steps=300, stability_window=10 ** 9,
             record_trajectory=True, trajectory_capacity=32,
         )
-        assert recorded == serial
+        with WorkerPool(max_workers=2) as pool:
+            plain = pool.run_seeds(protocol, inputs, seeds, max_steps=500)
+            recorded = pool.run_seeds(protocol, inputs, seeds, **recording)
+        assert all(result.trajectory is None for result in plain)
+        assert all(result.trajectory is not None for result in recorded)
+        assert recorded == run_ensemble(protocol, inputs, seeds, **recording)
 
 
 class TestPickling:
@@ -545,7 +495,7 @@ class TestPickling:
                 scheduler=Closure(), backend="process", max_workers=2,
             )
 
-    def test_batch_runner_rejects_unpicklable_scheduler_at_construction(self):
+    def test_pool_rejects_unpicklable_scheduler_before_spawning(self):
         class Closure(Scheduler):
             def __init__(self):
                 self.hook = lambda: None
@@ -553,10 +503,17 @@ class TestPickling:
             def choose(self, net, configuration, rng):
                 return None
 
-        with pytest.raises(ValueError, match="picklable"):
-            BatchRunner(majority_protocol(), scheduler=Closure(), backend="process")
+        with WorkerPool(max_workers=2) as pool:
+            with pytest.raises(ValueError, match="picklable"):
+                pool.run_seeds(
+                    majority_protocol(), _majority_inputs(9), [1, 2],
+                    scheduler=Closure(),
+                )
+            assert pool._pool is None
         # The serial backend never pickles, so the same scheduler is fine there.
-        BatchRunner(majority_protocol(), scheduler=Closure(), backend="serial")
+        run_ensemble(
+            majority_protocol(), _majority_inputs(9), [1, 2], scheduler=Closure()
+        )
 
 
 class _SuicideScheduler(UniformScheduler):
@@ -565,6 +522,13 @@ class _SuicideScheduler(UniformScheduler):
     def choose(self, net, configuration, rng):
         os.kill(os.getpid(), signal.SIGKILL)
         return super().choose(net, configuration, rng)
+
+
+class _SparseOnlyScheduler(UniformScheduler):
+    """The uniform discipline without a compiled fast path."""
+
+    def compiled_kind(self):
+        return None
 
 
 class _SleepyScheduler(UniformScheduler):
@@ -615,9 +579,7 @@ class TestCrashContainment:
     def test_pool_survives_a_crash_and_stays_bit_identical(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(24)
-        serial = BatchRunner(protocol, backend="serial").run_seeds(
-            inputs, [5, 6, 7], max_steps=800
-        )
+        serial = run_ensemble(protocol, inputs, [5, 6, 7], max_steps=800)
         pool = WorkerPool(max_workers=2)
         try:
             with pytest.raises(WorkerCrashError):
@@ -635,9 +597,7 @@ class TestCrashContainment:
     def test_pool_survives_a_timeout_and_stays_bit_identical(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(24)
-        serial = BatchRunner(protocol, backend="serial").run_seeds(
-            inputs, [5, 6, 7], max_steps=800
-        )
+        serial = run_ensemble(protocol, inputs, [5, 6, 7], max_steps=800)
         pool = WorkerPool(max_workers=2)
         try:
             with pytest.raises(WorkerTimeoutError):
@@ -651,6 +611,29 @@ class TestCrashContainment:
             assert healthy == serial
         finally:
             pool.close()
+
+    def test_workers_build_simulators_lazily_and_survive_a_bad_spec(self):
+        # A bare pool sends the spec to its workers unvalidated: each worker
+        # builds its Simulator on first sight, so a constructor error fails
+        # the ensemble but not the worker processes, and the same pool then
+        # serves a valid spec bit-identically.
+        protocol = majority_protocol()
+        inputs = _majority_inputs(12)
+        with WorkerPool(max_workers=2) as pool:
+            with pytest.raises(ValueError, match="no compiled fast path"):
+                pool.run_seeds(
+                    protocol, inputs, [1, 2],
+                    scheduler=_SparseOnlyScheduler(), engine="compiled",
+                    max_steps=300,
+                )
+            results = pool.run_seeds(
+                protocol, inputs, [1, 2],
+                scheduler=_SparseOnlyScheduler(), max_steps=300,
+            )
+        assert results == run_ensemble(
+            protocol, inputs, [1, 2], scheduler=_SparseOnlyScheduler(),
+            max_steps=300,
+        )
 
     def test_invalid_timeout_is_rejected(self):
         pool = WorkerPool(max_workers=2)

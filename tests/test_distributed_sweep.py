@@ -653,6 +653,45 @@ class TestRunClaims:
         store.close()
         assert report.executed == 3 and not report.drained
 
+    def test_serial_runner_rejects_a_cell_timeout_before_registering(self, tmp_path):
+        # An in-process ensemble cannot be interrupted; a budget the serial
+        # backend would silently ignore is refused before any cell exists.
+        store = SqliteResultStore(tmp_path / "grid.sqlite")
+        with pytest.raises(ValueError, match="cell_timeout.*backend='process'"):
+            SweepRunner(_tiny_spec(), store, backend="serial").run_claims(
+                "r0", cell_timeout=0.05
+            )
+        assert store.rows() == []
+        store.close()
+
+    def test_timed_out_cell_is_parked_and_the_loop_drains(self, tmp_path):
+        # modulo never reaches a terminal configuration, so with
+        # stability_window == max_steps each of its runs fires the whole
+        # budget: its 4 repetitions take ~10.5 s on 2 workers (2-core x86
+        # host), 21x the 0.5 s cell budget.  majority at population 8
+        # terminates within a few hundred steps (~14 ms) on the pool rebuilt
+        # after the timeout.
+        spec = SweepSpec(
+            protocols=("modulo", "majority"),
+            populations=(8,),
+            engines=("compiled",),
+            repetitions=4,
+            master_seed=7,
+            max_steps=4_000_000,
+            stability_window=4_000_000,
+        )
+        store = SqliteResultStore(tmp_path / "grid.sqlite", max_retries=0)
+        report = SweepRunner(
+            spec, store, backend="process", max_workers=2
+        ).run_claims("r0", cell_timeout=0.5, idle_wait=0.05)
+        rows = {row["protocol"]: row for row in store.rows()}
+        store.close()
+        assert report.parked == 1 and report.executed == 1 and report.drained
+        assert rows["modulo"]["status"] == STATUS_ERROR
+        assert rows["modulo"]["error"].startswith("WorkerTimeoutError: ")
+        assert rows["majority"]["status"] == STATUS_DONE
+        assert rows["majority"]["runs"] == 4
+
     def test_cell_execution_error_carries_context(self):
         cause = ValueError("engine exploded")
         error = CellExecutionError("cell-1", cause)
@@ -796,6 +835,20 @@ class TestWorkersCli:
         ])
         assert rc == 2
         assert "claim-capable" in capsys.readouterr().err
+
+    def test_workers_rejects_a_serial_cell_timeout_before_spawning(
+        self, tmp_path, capsys
+    ):
+        spec_file = self._write_spec(tmp_path, _tiny_spec())
+        store = tmp_path / "grid.sqlite"
+        rc = sweep_main([
+            "workers", "--spec", spec_file, "--store", str(store),
+            "--runners", "2", "--backend", "serial", "--cell-timeout", "0.05",
+        ])
+        assert rc == 2
+        assert "--cell-timeout" in capsys.readouterr().err
+        # No runner started: nothing opened, let alone registered, the store.
+        assert not store.exists()
 
     def test_workers_reports_missing_spec(self, tmp_path, capsys):
         rc = sweep_main([

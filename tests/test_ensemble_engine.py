@@ -24,7 +24,7 @@ from repro.core.petrinet import PetriNet
 from repro.core.protocol import OUTPUT_ONE, OUTPUT_ZERO
 from repro.protocols import majority_protocol
 from repro.simulation import Simulator, TransitionScheduler, UniformScheduler
-from repro.simulation.batch import BatchRunner, WorkerPool, run_ensemble
+from repro.simulation.batch import WorkerPool, repetition_seeds, run_ensemble
 from repro.simulation.compiled import Stepper
 from repro.simulation.vectorized import numpy_available
 from repro.sweep.spec import build_protocol_and_inputs
@@ -232,13 +232,16 @@ class TestBatchIntegration:
         for serial_result, process_result in zip(serial, process):
             assert_same_result(process_result, serial_result)
 
-    def test_batch_runner_matches_simulator_run_many(self):
+    def test_worker_pool_matches_simulator_run_many(self):
         protocol, inputs = build_protocol_and_inputs("flock", 24)
         direct = Simulator(protocol, engine="ensemble", seed=17).run_many(
             inputs, 6, max_steps=3000
         )
-        with BatchRunner(protocol, engine="ensemble") as runner:
-            batched = runner.run_many(inputs, 6, seed=17, max_steps=3000)
+        with WorkerPool(max_workers=2) as pool:
+            batched = pool.run_seeds(
+                protocol, inputs, repetition_seeds(17, 6), engine="ensemble",
+                max_steps=3000,
+            )
         for direct_result, batched_result in zip(direct, batched):
             assert_same_result(batched_result, direct_result)
 
@@ -252,8 +255,6 @@ class TestBatchIntegration:
         ) == []
         with WorkerPool(max_workers=1) as pool:
             assert pool.run_seeds(protocol, inputs, [], engine="ensemble") == []
-        with BatchRunner(protocol, engine="ensemble", backend="process") as runner:
-            assert runner.run_seeds(inputs, []) == []
 
     def test_empty_ensemble_still_validates_the_spec(self):
         # An empty seed list must not silently accept a spec every non-empty

@@ -25,6 +25,7 @@ import pytest
 from repro import config
 from repro.serve import (
     BackgroundServer,
+    JobFailedError,
     JobSpec,
     ServeClient,
     ServeRejected,
@@ -261,6 +262,46 @@ class TestServerEndToEnd:
         status, body = bg.server._job_status(submitted["job"])
         assert status == 200 and body["status"] == "done"
         assert body["result"]["statistics"]["runs"] == 4
+
+
+class TestJobTimeouts:
+    def test_serial_backend_rejects_a_job_timeout(self):
+        # The serial backend cannot interrupt an ensemble; the budget would
+        # be silently ignored, so the server refuses it before binding.
+        with pytest.raises(ValueError, match="job_timeout.*backend='process'"):
+            SimulationServer(backend="serial", job_timeout=0.05)
+
+    def test_cli_exits_2_on_a_serial_job_timeout(self, capsys):
+        from repro.serve.__main__ import main as serve_main
+
+        rc = serve_main(
+            ["--backend", "serial", "--job-timeout", "0.05", "--port", "0"]
+        )
+        assert rc == 2
+        assert "job_timeout" in capsys.readouterr().err
+
+    def test_job_past_its_timeout_fails_and_the_next_is_served(self):
+        # modulo never reaches a terminal configuration, so with
+        # stability_window == max_steps each run fires the whole budget:
+        # this job takes ~10.5 s on 2 workers (2-core x86 host), 21x the
+        # 0.5 s budget.  The majority job after it finishes in milliseconds.
+        slow = dict(protocol="modulo", population=8, repetitions=4,
+                    engine="compiled", max_steps=4_000_000,
+                    stability_window=4_000_000)
+        with BackgroundServer(
+            backend="process", max_workers=2, concurrency=1, job_timeout=0.5
+        ) as bg:
+            client = ServeClient(bg.url, client_id="t-timeout")
+            # A counter appears on /metrics once it is first incremented.
+            failed_before = client.metrics().get("repro_serve_jobs_failed", 0)
+            key = client.submit(slow)["job"]
+            with pytest.raises(JobFailedError, match="WorkerTimeoutError"):
+                client.wait(key, timeout=120)
+            assert client.status(key)["status"] == "error"
+            failed_after = client.metrics().get("repro_serve_jobs_failed", 0)
+            served = client.run(_job(population=8), timeout=120)
+        assert failed_after == failed_before + 1
+        assert served["statistics"]["runs"] == 3
 
 
 class TestBackpressureAndCoalescing:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.simulation import BatchRunner, summarize_runs
+from repro.simulation import Simulator, summarize_runs
 from repro.sweep import (
     COLUMNS,
     CellExecutor,
@@ -177,11 +177,9 @@ class TestResultStore:
         cells = spec.cells()[:3]
         for cell in cells:
             store.ensure(cell.cell_id, cell.keyfields(), spec.cell_seed(cell))
+        protocol, inputs = build_protocol_and_inputs("majority", 8)
         done = summarize_runs(
-            BatchRunner(
-                build_protocol_and_inputs("majority", 8)[0], backend="serial"
-            ).run_many(build_protocol_and_inputs("majority", 8)[1], 2, seed=1,
-                       max_steps=200)
+            Simulator(protocol, seed=1).run_many(inputs, 2, max_steps=200)
         )
         assert store.finish_claim(store.claim_next("t"), done)
         assert store.fail_claim(store.claim_next("t"), "ValueError: boom") == "parked"
@@ -358,7 +356,7 @@ class TestGoldenExport:
 
 
 class TestSweepRunner:
-    def test_serial_sweep_completes_and_matches_batch_runner(self):
+    def test_serial_sweep_completes_and_matches_run_many(self):
         spec = _small_spec()
         store = SqliteResultStore(":memory:")
         report = SweepRunner(spec, store, backend="serial").run()
@@ -366,17 +364,18 @@ class TestSweepRunner:
         assert report.executed == 8 and report.skipped == 0
         assert store.status_counts() == {STATUS_DONE: 8}
         # Seed discipline: a cell's ensemble is reproducible outside the
-        # sweep as BatchRunner.run_many(seed=cell_seed).
+        # sweep as Simulator(seed=cell_seed).run_many.
         cell = spec.cells()[0]
         protocol, inputs = cell.build()
-        with BatchRunner(protocol, backend="serial", engine=cell.engine) as runner:
-            expected = summarize_runs(
-                runner.run_many(
-                    inputs, spec.repetitions, seed=spec.cell_seed(cell),
-                    max_steps=spec.max_steps,
-                    stability_window=spec.stability_window,
-                )
+        simulator = Simulator(
+            protocol, engine=cell.engine, seed=spec.cell_seed(cell)
+        )
+        expected = summarize_runs(
+            simulator.run_many(
+                inputs, spec.repetitions, max_steps=spec.max_steps,
+                stability_window=spec.stability_window,
             )
+        )
         row = store.get(cell.cell_id)
         assert row["runs"] == expected.runs
         assert row["converged"] == expected.converged
