@@ -1,16 +1,15 @@
-"""Benchmark E11 — large-net throughput of the NumPy engine + pool amortization.
+"""Benchmark E11 — large-net throughput of the native engine + pool amortization.
 
 Two claims are measured, and their data points are written to
 ``BENCH_e11.json`` at the repository root so the performance trajectory of
 the engines is recorded across PRs:
 
 1. **Large nets** (:func:`experiment_e11_large_net_throughput`): on random
-   width-2 nets swept over the transition count, the NumPy engine's
-   steady-state throughput overtakes the compiled engine's around the
-   ``engine="auto"`` threshold and is at least 3x faster on multi-thousand-
-   transition nets — where the compiled engine also pays seconds of codegen
-   per (net, process) that the NumPy engine does not pay at all, and beyond
-   ~2500 transitions stops working entirely (the generated dispatch chain
+   width-2 nets swept over the transition count, the native engine beats
+   the compiled engine's steady-state throughput on every net, and is at
+   least 3x faster on multi-thousand-transition nets — where the compiled
+   engine also pays seconds of codegen per (net, process) and beyond ~2500
+   transitions stops working entirely (the generated dispatch chain
    overflows the CPython compiler).  The experiment cross-checks the
    engines' final configurations, step counts and consensus values, so the
    benchmark doubles as an equivalence check (exact step-for-step trajectory
@@ -25,18 +24,12 @@ the engines is recorded across PRs:
    behavior (a fresh pool per ensemble, which is what every one-shot
    ``run_many(backend="process")`` pays) — while remaining bit-identical to
    both the fresh-pool and the serial ensembles.
-
-Requires NumPy (the ``sim`` extra); both tests are skipped without it.
 """
 
 import json
 import random
 import time
 from pathlib import Path
-
-import pytest
-
-pytest.importorskip("numpy", reason="benchmark E11 measures the NumPy engine")
 
 from conftest import report
 
@@ -67,31 +60,33 @@ def test_bench_e11_large_net_throughput(benchmark):
     )
     rows = {(row["transitions"], row["engine"]): row for row in table.rows}
 
-    # Crossover: the compiled engine still wins steady-state on tiny nets...
-    assert rows[(50, "numpy")]["speedup"] < 1.0
-    # ...the NumPy engine wins on a 1000-transition net...
-    assert rows[(1000, "numpy")]["speedup"] > 1.0
+    # The native engine beats the compiled engine steady-state on every net
+    # the compiled engine can build, from 50 transitions up...
+    compiled_baselines = [
+        row for (transitions, engine), row in rows.items()
+        if engine == "native" and row["baseline"] == "compiled"
+    ]
+    assert compiled_baselines
+    assert all(row["speedup"] > 1.0 for row in compiled_baselines)
+    assert rows[(1000, "native")]["speedup"] > 1.0
     # ...and including the codegen the compiled engine pays per (net,
-    # process), the NumPy engine is >= 3x faster already at 1000 transitions.
-    assert rows[(1000, "numpy")]["e2e speedup"] >= 3.0
+    # process), the native engine is >= 3x faster already at 1000 transitions.
+    assert rows[(1000, "native")]["e2e speedup"] >= 3.0
     # Headline: >= 3x steady-state on a multi-thousand-transition net,
     # measured against the compiled engine itself.
     big_speedups = [
         row["speedup"]
-        for (transitions, engine), row in rows.items()
-        if engine == "numpy"
-        and transitions >= 1000
-        and row["baseline"] == "compiled"
-        and row["speedup"] is not None
+        for row in compiled_baselines
+        if row["transitions"] >= 1000 and row["speedup"] is not None
     ]
     assert max(big_speedups) >= 3.0
     # At 5000 transitions the compiled engine cannot even be built (CPython
-    # recursion guard) while the NumPy engine keeps simulating — and the row
-    # still carries a real speedup, measured against the labeled
+    # recursion guard) while the native engine keeps simulating — and the
+    # row still carries a real speedup, measured against the labeled
     # reference-engine fallback baseline instead of an empty cell.
     assert rows[(5000, "compiled")]["interactions"] is None
-    assert rows[(5000, "numpy")]["interactions"] > 0
-    fallback_row = rows[(5000, "numpy")]
+    assert rows[(5000, "native")]["interactions"] > 0
+    fallback_row = rows[(5000, "native")]
     assert fallback_row["baseline"].startswith("reference (extrapolated")
     assert fallback_row["speedup"] is not None
     assert fallback_row["speedup"] > 1.0
@@ -106,8 +101,7 @@ def test_bench_e11_large_net_throughput(benchmark):
 def test_bench_e11_persistent_pool():
     # A moderately sized random net: per-worker initialization (protocol
     # unpickling + stepper codegen) is a real cost, which is exactly what the
-    # persistent pool amortizes.  240 transitions sits under the auto
-    # threshold, so workers pay the compiled engine's codegen.
+    # persistent pool amortizes.
     protocol, inputs = random_interaction_protocol(240, random.Random(5))
     repetitions, seed, max_steps = 64, 2022, 400
     seeds = repetition_seeds(seed, repetitions)

@@ -12,6 +12,8 @@ disabled path executes, minus those two branches per run) as the baseline,
 then interleaves it against the real entry point with tracing and profiling
 off.  Best-of-N on both sides, same machine, same buffers; the real entry
 point may cost at most 2% more — the acceptance budget from the obs design.
+The load is the compiled engine, named explicitly so the bound always gates
+the same per-run loop.
 
 A second round flips tracing ON (into an in-memory capture) to report —
 not assert — the enabled cost, so EXPERIMENTS.md regenerations show what a
@@ -58,9 +60,9 @@ def _instrumented_entry(simulator, configuration, seeds):
 
 def run_overhead_experiment():
     protocol, inputs = build_protocol_and_inputs("majority", POPULATION, {})
-    simulator = Simulator(protocol, seed=7)
+    simulator = Simulator(protocol, seed=7, engine="compiled")
     configuration = protocol.initial_configuration(inputs)
-    assert simulator._stepper is not None, "compiled engine required for E15"
+    assert simulator._choice == "compiled", "compiled engine required for E15"
     assert not obs_trace.tracing_active()
     assert obs_profile.active_profiler() is None
     seeds = [random.Random(2022).getrandbits(64) for _ in range(REPETITIONS)]

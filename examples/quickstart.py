@@ -42,10 +42,10 @@ def main() -> None:
     # 3. Simulation on a larger population (20 agents) with a fixed seed, on
     #    the compiled dense-array engine.  Three engines share bit-identical
     #    semantics: engine="reference" (sparse baseline), engine="compiled"
-    #    (generated steppers, best for small nets like this one), and
-    #    engine="numpy" (vectorized kernels, best beyond a few hundred
-    #    transitions; needs the 'sim' extra).  engine="auto" — the default —
-    #    picks by transition count.
+    #    (generated Python steppers, no compiler needed), and
+    #    engine="native" (one C loop, built with the host C compiler on
+    #    first use).  engine="auto" — the default — picks native whenever its
+    #    library loads, compiled otherwise.
     simulator = Simulator(protocol, seed=2022, engine="compiled")
     inputs = protocol.counting_input(20)
     results = simulator.run_many(inputs, repetitions=10, max_steps=50000)

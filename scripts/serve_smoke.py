@@ -58,13 +58,15 @@ FAST_JOB_RESPELLED = {
 
 #: A job slow enough to still be running when the 429 probe and the SIGTERM
 #: arrive: the stability window equals the step budget, so no run can stop
-#: early at consensus.
+#: early at consensus, and the compiled engine takes seconds for it (the
+#: native engine would finish before the probes).
 SLOW_JOB = {
     "protocol": "majority",
     "population": 200,
     "repetitions": 4,
     "max_steps": 1200000,
     "stability_window": 1200000,
+    "engine": "compiled",
 }
 
 

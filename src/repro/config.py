@@ -13,8 +13,8 @@ The recognized variables:
 
 ``REPRO_FORCE_ENGINE``
     Overrides the ``engine="auto"`` choice of
-    :class:`~repro.simulation.simulator.Simulator` (one of ``reference`` /
-    ``compiled`` / ``numpy`` / ``ensemble`` / ``auto``).  The precedence is
+    :class:`~repro.simulation.simulator.Simulator` (one of ``native`` /
+    ``compiled`` / ``reference`` / ``auto``).  The precedence is
     strict: an explicit ``engine=`` argument always wins (the override is
     then ignored, with a one-time :class:`RuntimeWarning` from
     :func:`notice_explicit_engine` so the mismatch is never silent), the
@@ -206,7 +206,7 @@ def notice_explicit_engine(engine: str, valid: Sequence[str]) -> None:
 
     ``REPRO_FORCE_ENGINE`` only overrides ``engine="auto"``; with an explicit
     engine the variable is ignored.  Historically that was a *silent* no-op —
-    a CI job exporting ``REPRO_FORCE_ENGINE=numpy`` around code passing
+    a CI job exporting ``REPRO_FORCE_ENGINE=native`` around code passing
     ``engine="compiled"`` kept testing the compiled engine without a trace.
     This helper makes the precedence visible: when the variable is set to a
     different engine than the explicit argument, it emits a one-time

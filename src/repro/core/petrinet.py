@@ -40,7 +40,6 @@ from .transition import Transition
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from ..simulation.compiled import CompiledNet
-    from ..simulation.vectorized import VectorizedNet
 
 __all__ = ["PetriNet", "ReachabilityGraph", "ExplorationLimitError"]
 
@@ -129,7 +128,6 @@ class PetriNet:
         self._states: FrozenSet[State] = frozenset(universe)
         self.name = name
         self._compiled_cache: Dict[FrozenSet[State], "CompiledNet"] = {}
-        self._vectorized_cache: Dict[FrozenSet[State], "VectorizedNet"] = {}
         # Minimal coverability bases (repro.analysis.coverability): per target
         # configuration, and their unions per set of forbidden states.  They
         # depend only on the net, so they live exactly as long as it does.
@@ -191,7 +189,7 @@ class PetriNet:
         return f"{label}(|P|={self.num_states}, |T|={self.num_transitions}, width={self.width})"
 
     def __getstate__(self) -> Dict[str, object]:
-        """Drop the compiled/vectorized-net and coverability-basis caches:
+        """Drop the compiled-net and coverability-basis caches:
         the compiled cache holds ``exec``-generated stepper functions that
         cannot be pickled, and the others are dropped alongside it so pickled
         nets stay the size of their transitions (rebuilding them is cheap).
@@ -199,7 +197,6 @@ class PetriNet:
         use and re-cache locally."""
         state = self.__dict__.copy()
         state["_compiled_cache"] = {}
-        state["_vectorized_cache"] = {}
         state["_basis_cache"] = {}
         state["_union_basis_cache"] = {}
         return state
@@ -223,23 +220,6 @@ class PetriNet:
 
             cached = CompiledNet(self, extra_states=key)
             self._compiled_cache[key] = cached
-        return cached
-
-    def vectorized(self, extra_states: Iterable[State] = ()) -> "VectorizedNet":
-        """The NumPy-backed dense representation of this net (see
-        :mod:`repro.simulation.vectorized`).
-
-        Mirrors :meth:`compiled`: the result is cached per distinct state
-        universe, so repeated simulations (and repeated ``run_many``
-        ensembles on one simulator) share one set of kernel structures.  Raises :class:`ImportError` when NumPy is missing.
-        """
-        key = frozenset(extra_states) - self._states
-        cached = self._vectorized_cache.get(key)
-        if cached is None:
-            from ..simulation.vectorized import VectorizedNet
-
-            cached = VectorizedNet(self, extra_states=key)
-            self._vectorized_cache[key] = cached
         return cached
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.ackermann import czerner_esparza_lower_bound
 from ..analysis.components import find_bottom_witness, theorem_6_1_bound_log2
@@ -525,7 +525,7 @@ def experiment_e8_verification(
 
 
 # ----------------------------------------------------------------------
-# E9 — simulation throughput: compiled engine vs sparse reference engine
+# E9 — simulation throughput: native and compiled engines vs reference
 # ----------------------------------------------------------------------
 @registry.register("E9")
 def experiment_e9_simulation_throughput(
@@ -533,20 +533,22 @@ def experiment_e9_simulation_throughput(
     max_steps: int = 20000,
     seed: int = 2022,
 ) -> ExperimentTable:
-    """Interaction throughput of the compiled engine vs the reference engine.
+    """Interaction throughput of the native and compiled engines vs the
+    reference engine.
 
     Runs the majority protocol (two-thirds ``A`` majority) for ``max_steps``
-    interactions under both engines with the same seed.  The engines consume
-    the random stream identically, so the two runs must agree step for step —
+    interactions under every engine with the same seed.  The engines consume
+    the random stream identically, so the runs must agree step for step —
     the experiment checks this and raises if they diverge, making every
     benchmark run double as an equivalence check.
     """
+    engines = ("reference", "compiled", "native")
     table = ExperimentTable(
         experiment_id="E9",
-        title="simulation throughput: compiled vs reference engine (majority protocol)",
+        title="simulation throughput: native and compiled vs reference engine (majority protocol)",
         columns=["population", "engine", "interactions", "seconds", "interactions/s", "speedup"],
         notes=(
-            "same seed on both engines; trajectories are cross-checked to agree exactly, "
+            "same seed on every engine; trajectories are cross-checked to agree exactly, "
             "speedup is relative to the reference engine at the same population"
         ),
     )
@@ -557,14 +559,14 @@ def experiment_e9_simulation_throughput(
             {STATE_A: majority_count, STATE_B: population - majority_count}
         )
         outcomes = {}
-        for engine in ("reference", "compiled"):
+        for engine in engines:
             simulator = Simulator(protocol, seed=seed, engine=engine)
             start = time.perf_counter()
             result = simulator.run(inputs, max_steps=max_steps, stability_window=max_steps)
             elapsed = time.perf_counter() - start
             outcomes[engine] = (result, elapsed)
         reference_result, reference_elapsed = outcomes["reference"]
-        for engine in ("reference", "compiled"):
+        for engine in engines:
             result, elapsed = outcomes[engine]
             agrees = (
                 result.final == reference_result.final
@@ -611,7 +613,8 @@ def experiment_e10_parallel_batch(
     verifies this run for run and raises on any divergence, making the
     benchmark double as a determinism check.  Speedups are relative to the
     serial backend; on a single-core machine the process rows mostly measure
-    fan-out overhead.
+    fan-out overhead.  The load is the compiled engine, fixed so the rows
+    measure the pool layer rather than whichever stepper ``auto`` picks.
     """
     table = ExperimentTable(
         experiment_id="E10",
@@ -636,7 +639,7 @@ def experiment_e10_parallel_batch(
     inputs = Configuration({STATE_A: majority_count, STATE_B: population - majority_count})
 
     def timed(**backend: Any):
-        simulator = Simulator(protocol, seed=seed)
+        simulator = Simulator(protocol, seed=seed, engine="compiled")
         start = time.perf_counter()
         results = simulator.run_many(
             inputs, repetitions, max_steps=max_steps, stability_window=max_steps,
@@ -683,7 +686,7 @@ def experiment_e10_parallel_batch(
 
 
 # ----------------------------------------------------------------------
-# E11 — large-net throughput: NumPy engine vs compiled codegen vs reference
+# E11 — large-net throughput: native engine vs compiled codegen vs reference
 # ----------------------------------------------------------------------
 def random_interaction_protocol(
     num_transitions: int,
@@ -752,6 +755,24 @@ def random_interaction_protocol(
     return protocol, inputs
 
 
+def _reference_step_cost(
+    protocol: Protocol, inputs: Configuration, seed: int, steps: int
+) -> Tuple[float, float, Any]:
+    """Build time, per-step run time and result of a short reference run.
+
+    The denominator of the large-net experiments where the compiled engine
+    cannot be built: the reference engine recomputes every weight each step,
+    so its per-step cost is flat and a short run extrapolates linearly.
+    """
+    start = time.perf_counter()
+    simulator = Simulator(protocol, seed=seed, engine="reference")
+    build = time.perf_counter() - start
+    start = time.perf_counter()
+    result = simulator.run(inputs, max_steps=steps, stability_window=steps)
+    elapsed = time.perf_counter() - start
+    return build, elapsed / max(result.steps, 1), result
+
+
 @registry.register("E11")
 def experiment_e11_large_net_throughput(
     transition_counts: Sequence[int] = (50, 200, 1000, 2000, 5000),
@@ -772,25 +793,23 @@ def experiment_e11_large_net_throughput(
     is asserted by the recorded-trajectory tests in the test suite).  Two costs are
     reported per engine: the steady-state interaction throughput and the
     one-off engine build time (stepper codegen for the compiled engine,
-    kernel-structure construction for the NumPy engine), with speedups
-    relative to the compiled engine both excluding (``speedup``) and
-    including (``e2e speedup``) the build.
+    table construction for the native engine), with speedups relative to the
+    compiled engine both excluding (``speedup``) and including
+    (``e2e speedup``) the build.
 
-    The sweep shows the regime change the NumPy engine exists for: below a
-    couple hundred transitions the generated straight-line code wins, the
-    steady-state crossover sits around
-    :data:`~repro.simulation.simulator.AUTO_VECTORIZE_THRESHOLD`, and at a
-    few thousand transitions (between 2500 and 3000 on CPython 3.11) the
-    generated dispatch chain overflows the CPython compiler's recursion guard
-    and cannot be built at all — the default sweep's 5000-transition point
-    records that real failure as an empty ``engine="compiled"`` row.  Set
-    ``compiled_up_to`` below a sweep point to skip hopeless (or merely slow)
-    codegen attempts instead of demonstrating them.
+    The compiled engine's per-step dispatch walks one branch per transition,
+    so its throughput falls linearly with the transition count while the
+    native engine's blocked pick costs ``O(sqrt |T|)``; and at a few
+    thousand transitions (between 2500 and 3000 on CPython 3.11) the
+    generated dispatch chain overflows the CPython compiler's recursion
+    guard and cannot be built at all — the default sweep's 5000-transition
+    point records that real failure as an empty ``engine="compiled"`` row.
+    Set ``compiled_up_to`` below a sweep point to skip hopeless (or merely
+    slow) codegen attempts instead of demonstrating them.
 
     The reference engine is only measured up to ``reference_up_to``
     transitions (it recomputes every weight per step, so large sweeps would
-    dominate the experiment's runtime).  The NumPy rows require the optional
-    ``sim`` extra; without NumPy they are skipped.
+    dominate the experiment's runtime).
 
     Where the compiled engine cannot provide the speedup denominator (its
     dispatch chain fails to build, or codegen was skipped via
@@ -802,11 +821,9 @@ def experiment_e11_large_net_throughput(
     and extrapolated baselines are excluded from the cross-engine agreement
     check (their runs use a different step budget).
     """
-    from ..simulation.vectorized import numpy_available
-
     table = ExperimentTable(
         experiment_id="E11",
-        title="large-net throughput: NumPy engine vs compiled codegen (random width-2 nets)",
+        title="large-net throughput: native engine vs compiled codegen (random width-2 nets)",
         columns=[
             "transitions",
             "states",
@@ -836,9 +853,7 @@ def experiment_e11_large_net_throughput(
         engines = []
         if num_transitions <= reference_up_to:
             engines.append("reference")
-        engines.append("compiled")
-        if numpy_available():
-            engines.append("numpy")
+        engines += ["compiled", "native"]
         outcomes = {}
         for engine in engines:
             if engine == "compiled" and num_transitions > compiled_up_to:
@@ -874,22 +889,12 @@ def experiment_e11_large_net_throughput(
         ):
             # Codegen failed (or was skipped): synthesize the denominator
             # from a short reference run, scaled linearly to the sweep's
-            # step budget.  The reference engine's per-step cost is flat
-            # (it recomputes every weight each step), so the extrapolation
-            # is faithful; the label records it was not a full-length run.
-            start = time.perf_counter()
-            fallback_simulator = Simulator(protocol, seed=seed, engine="reference")
-            fallback_build = time.perf_counter() - start
-            start = time.perf_counter()
-            fallback_result = fallback_simulator.run(
-                inputs,
-                max_steps=reference_fallback_steps,
-                stability_window=reference_fallback_steps,
+            # step budget; the label records it was not a full-length run.
+            fallback_build, per_step, fallback_result = _reference_step_cost(
+                protocol, inputs, seed, reference_fallback_steps
             )
-            fallback_elapsed = time.perf_counter() - start
             if fallback_result.steps:
-                scale = max_steps / fallback_result.steps
-                baseline = (fallback_build, fallback_elapsed * scale)
+                baseline = (fallback_build, per_step * max_steps)
                 baseline_label = (
                     "reference (extrapolated from "
                     f"{fallback_result.steps} steps)"
@@ -1126,8 +1131,15 @@ def experiment_e13_analytics_sweep(
 
 
 # ----------------------------------------------------------------------
-# E14 — ensemble throughput: lock-step stepping vs per-run NumPy loops
+# E14 — seed-list throughput: one native call per seed list
 # ----------------------------------------------------------------------
+#: The largest net E14 builds the compiled engine for: its codegen takes
+#: seconds per thousand transitions and fails from ~2500 transitions on.
+_E14_COMPILED_UP_TO = 2000
+#: Steps of the short reference run that E14 extrapolates beyond it.
+_E14_REFERENCE_STEPS = 250
+
+
 @registry.register("E14")
 def experiment_e14_ensemble_throughput(
     transition_counts: Sequence[int] = (1000, 5000, 20000, 50000),
@@ -1137,37 +1149,28 @@ def experiment_e14_ensemble_throughput(
     net_seed: int = 11,
     density: int = 6,
 ) -> ExperimentTable:
-    """Ensemble-vs-per-run throughput on random nets, swept over size and reps.
+    """Ensemble throughput of native seed lists on random nets, swept over
+    size and repetitions.
 
     For each net size, the same seeded random width-2 net (the E11
-    generator) is simulated as an ensemble of ``reps`` repetitions twice:
-    once with ``engine="numpy"`` (``reps`` independent per-run step loops)
-    and once with ``engine="ensemble"`` (one lock-step ``(reps, states)``
-    array program, blocked weight selection).  Both use the same
-    ``Simulator`` seed, so the derived per-repetition seeds match and every
-    row of the ensemble must be **bit-identical** to its per-run
-    counterpart — the experiment raises on any divergence, making the
-    benchmark an equivalence check as well.
-
-    The speedup column is the per-run NumPy wall time over the ensemble
-    wall time for the same seed list.  The ensemble's per-row step cost is
-    ``O(sqrt(|T|) + M)`` against the per-run engine's ``O(|T|)``, so the
-    speedup *grows* with the transition count: expect low single digits at
-    a thousand transitions and >= 10x by fifty thousand.  ``build s`` is
-    the one-time engine construction (kernel plans; for the ensemble, the
-    incremental blocked-table build on top of the shared vectorized net) —
-    it is excluded from the speedup, as ensembles amortize it across every
-    subsequent call.
-
-    Requires NumPy (the ``sim`` extra); raises :class:`ImportError` without
-    it.
+    generator) is simulated as a ``reps``-strong ensemble with
+    ``engine="native"``: ``Simulator.run_many`` hands the whole seed list to
+    one native call that seeds every generator inside C.  Up to 2000
+    transitions the same ensemble also runs on the compiled engine, every
+    native row must be **bit-identical** to its compiled counterpart (the
+    experiment raises on any divergence), and the compiled wall time is the
+    speedup's denominator.  Beyond that the compiled engine cannot be built
+    (its generated dispatch chain overflows the CPython compiler from ~2500
+    transitions on), so the denominator is E11's reference engine timed over
+    250 steps and extrapolated to the ensemble's total step count; that
+    short reference run is cross-checked against a native run of the same
+    budget.  The ``baseline`` column names the denominator.  ``build s`` is
+    the one-time engine construction (stepper tables or codegen plus a
+    one-step run), excluded from the speedup.
     """
-    from ..simulation.vectorized import require_numpy
-
-    require_numpy()
     table = ExperimentTable(
         experiment_id="E14",
-        title='lock-step ensemble throughput: engine="ensemble" vs per-run NumPy',
+        title='seed-list throughput: engine="native" (one call per seed list) on random nets',
         columns=[
             "transitions",
             "states",
@@ -1178,12 +1181,14 @@ def experiment_e14_ensemble_throughput(
             "interactions",
             "interactions/s",
             "speedup",
+            "baseline",
         ],
         notes=(
-            "same net and derived per-repetition seeds per row pair; every "
-            "ensemble row is checked bit-identical to its per-run NumPy "
-            "counterpart; speedup is per-run NumPy wall time over ensemble "
-            "wall time (build excluded; build s reports it separately)"
+            "same net and derived per-repetition seeds per row group; native "
+            "rows are checked bit-identical to the compiled ones where the "
+            "compiled engine builds, and against a short reference run "
+            "otherwise; speedup is the baseline's wall time (compiled, or the "
+            "extrapolated reference) over the native wall time, build excluded"
         ),
     )
     compare_fields = (
@@ -1198,20 +1203,44 @@ def experiment_e14_ensemble_throughput(
         protocol, inputs = random_interaction_protocol(
             num_transitions, random.Random(net_seed), density=density
         )
+        engines = ["native"]
+        if num_transitions <= _E14_COMPILED_UP_TO:
+            engines.insert(0, "compiled")
         builds = {}
-        for engine in ("numpy", "ensemble"):
-            # One-time engine build: simulator construction plus the first
-            # (lazy) kernel-structure touch, forced by a 1-step run.  The
-            # vectorized net is cached on the Petri net, so the ensemble's
-            # build time is its incremental blocked-table cost.
+        for engine in engines:
+            # One-time engine build: simulator construction plus a 1-step
+            # run.  The compiled net and the native tables are cached on
+            # the Petri net, so later simulators reuse them.
             start = time.perf_counter()
             Simulator(protocol, seed=seed, engine=engine).run_many(
                 inputs, 1, max_steps=1, stability_window=1
             )
             builds[engine] = time.perf_counter() - start
+        per_step = None
+        if "compiled" not in engines:
+            _, per_step, short = _reference_step_cost(
+                protocol, inputs, seed, _E14_REFERENCE_STEPS
+            )
+            native_short = Simulator(protocol, seed=seed, engine="native").run(
+                inputs, max_steps=_E14_REFERENCE_STEPS,
+                stability_window=_E14_REFERENCE_STEPS,
+            )
+            if any(
+                getattr(native_short, field) != getattr(short, field)
+                for field in compare_fields
+            ):
+                raise RuntimeError(
+                    f"native engine diverged from the reference engine at "
+                    f"{num_transitions} transitions"
+                )
+            baseline_label = (
+                f"reference (extrapolated from {short.steps} steps)"
+            )
+        else:
+            baseline_label = "compiled"
         for reps in repetition_counts:
             outcomes = {}
-            for engine in ("numpy", "ensemble"):
+            for engine in engines:
                 # Deterministic for a fixed seed: repeated calls retrace the
                 # same trajectories, so keep the fastest of two timings.
                 elapsed_best = None
@@ -1232,22 +1261,26 @@ def experiment_e14_ensemble_throughput(
                         else min(elapsed_best, elapsed)
                     )
                 outcomes[engine] = (elapsed_best, results)
-            per_run_results = outcomes["numpy"][1]
-            ensemble_results = outcomes["ensemble"][1]
-            for index, (per_run, lock_step) in enumerate(
-                zip(per_run_results, ensemble_results)
-            ):
-                if any(
-                    getattr(per_run, field) != getattr(lock_step, field)
-                    for field in compare_fields
+            native_elapsed, native_results = outcomes["native"]
+            if "compiled" in outcomes:
+                baseline_elapsed, compiled_results = outcomes["compiled"]
+                for index, (compiled, native) in enumerate(
+                    zip(compiled_results, native_results)
                 ):
-                    raise RuntimeError(
-                        f"ensemble row {index} diverged from the per-run "
-                        f"NumPy engine at {num_transitions} transitions, "
-                        f"{reps} repetitions"
-                    )
-            baseline_elapsed = outcomes["numpy"][0]
-            for engine in ("numpy", "ensemble"):
+                    if any(
+                        getattr(compiled, field) != getattr(native, field)
+                        for field in compare_fields
+                    ):
+                        raise RuntimeError(
+                            f"native row {index} diverged from the compiled "
+                            f"engine at {num_transitions} transitions, "
+                            f"{reps} repetitions"
+                        )
+            else:
+                baseline_elapsed = per_step * sum(
+                    result.steps for result in native_results
+                )
+            for engine in engines:
                 elapsed, results = outcomes[engine]
                 table.add_row(
                     **{
@@ -1264,6 +1297,7 @@ def experiment_e14_ensemble_throughput(
                             results, elapsed
                         ),
                         "speedup": baseline_elapsed / elapsed,
+                        "baseline": baseline_label,
                     }
                 )
     return table

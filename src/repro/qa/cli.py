@@ -137,14 +137,10 @@ def _command_check_pickle(arguments: argparse.Namespace) -> int:
 
 def _command_audit_codegen(arguments: argparse.Namespace) -> int:
     # Imported lazily: the lint path must not require the simulation stack.
-    from ..simulation.vectorized import numpy_available
     from ..sweep.spec import available_sweep_protocols, build_protocol_and_inputs
 
     populations = arguments.population or list(codegen_audit.DEFAULT_AUDIT_POPULATIONS)
     names = arguments.protocol or list(available_sweep_protocols())
-    with_ensemble = numpy_available()
-    if not with_ensemble:
-        print("qa: NumPy unavailable, skipping the ensemble-table audit")
     failures = 0
     audited = 0
     for name in names:
@@ -161,14 +157,6 @@ def _command_audit_codegen(arguments: argparse.Namespace) -> int:
             compiled = net.compiled(extra_states=protocol.states)
             classes = compiled.output_classes(protocol.output_table)
             problems = codegen_audit.audit_compiled_net(compiled, classes)
-            if with_ensemble:
-                vectorized = net.vectorized(extra_states=protocol.states)
-                problems += [
-                    f"ensemble: {problem}"
-                    for problem in codegen_audit.audit_ensemble_net(
-                        vectorized, classes
-                    )
-                ]
             audited += 1
             if problems:
                 failures += 1
@@ -179,8 +167,7 @@ def _command_audit_codegen(arguments: argparse.Namespace) -> int:
                 print(
                     f"{name}@{population}: ok "
                     f"(|P|={compiled.num_states}, |T|={compiled.num_transitions}, "
-                    "kinds=uniform+transition, fast+recording"
-                    + (", ensemble tables)" if with_ensemble else ")")
+                    "kinds=uniform+transition, fast+recording)"
                 )
     print(f"qa: audited {audited} protocol/population pairs, {failures} failing")
     return 1 if failures else 0

@@ -29,41 +29,24 @@ properties the cross-engine determinism contract rests on:
    statements and its extra ``ring`` parameter, is byte-identical to the
    fast variant: recording must never change *what* is simulated.
 
-The lock-step ensemble engine (:mod:`repro.simulation.ensemble`) has no
-generated source to parse — it is a fixed array program steered by the
-flattened plan tables of :class:`~repro.simulation.ensemble.EnsembleTables`.
-Its audit analogue, :func:`audit_ensemble_net`, verifies those tables
-against the same net plans the dispatch checks use: the CSR displacement /
-affected / pre-entry arrays must round-trip ``delta_lists`` / ``affected`` /
-``pre_lists`` exactly, the blocked weight layout must satisfy its selection
-invariants (power-of-two block length with ``2·L² ≥ |T|``, and always one
-all-zero dummy slot beyond the real transitions for the fast path's pad
-writes), the padded fast-path tables must agree with the CSR ones, and
-:class:`~repro.simulation.ensemble.VectorizedEnsemble` must satisfy the
-``Stepper`` protocol with a consensus-delta table matching the compiled
-engines'.
-
 The entry points are :func:`audit_stepper_source` (one source string — used
-by tests to prove the auditor rejects corrupted code),
-:func:`audit_compiled_net` (every variant of one net) and
-:func:`audit_ensemble_net` (the ensemble plan tables of one vectorized
-net); the CLI subcommand ``python -m repro.qa audit-codegen`` runs the
-latter two over every registered sweep protocol at several populations
-(the ensemble audit is skipped when NumPy is unavailable).
+by tests to prove the auditor rejects corrupted code) and
+:func:`audit_compiled_net` (every variant of one net); the CLI subcommand
+``python -m repro.qa audit-codegen`` runs the latter over every registered
+sweep protocol at several populations.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..simulation.compiled import OUT_IGNORED, CompiledNet, _KINDS
 
 __all__ = [
     "audit_stepper_source",
     "audit_compiled_net",
-    "audit_ensemble_net",
     "DEFAULT_AUDIT_POPULATIONS",
 ]
 
@@ -414,150 +397,5 @@ def audit_compiled_net(
             problems.append(
                 f"{kind}: recording variant differs from the fast variant by "
                 "more than append statements"
-            )
-    return problems
-
-
-def audit_ensemble_net(
-    net: Any, classes: Optional[Sequence[int]] = None
-) -> List[str]:
-    """Structurally audit the lock-step ensemble plan of one vectorized net.
-
-    ``net`` is a :class:`~repro.simulation.vectorized.VectorizedNet` (the
-    ensemble stepper's substrate).  Requires NumPy; callers gate on
-    ``numpy_available()``.  Returns problem descriptions like
-    :func:`audit_compiled_net`; an empty list means the ensemble tables and
-    the :class:`~repro.simulation.ensemble.VectorizedEnsemble` wrapper pass
-    every check.
-    """
-    from ..simulation.compiled import Stepper
-    from ..simulation.ensemble import VectorizedEnsemble
-
-    if classes is None:
-        classes = (OUT_IGNORED,) * net.num_states
-    classes = tuple(classes)
-    problems: List[str] = []
-    tables = net.ensemble_tables()
-    n = net.num_transitions
-
-    # 1. Blocked selection layout: power-of-two block length balancing the
-    #    two scan stages, and always a dummy all-zero slot past the real
-    #    transitions (the fast path's pad target must exist).
-    if tables.block != 1 << tables.block_shift:
-        problems.append(
-            f"block length {tables.block} is not 2**block_shift "
-            f"(shift {tables.block_shift})"
-        )
-    if n and 2 * tables.block * tables.block < n:
-        problems.append(
-            f"block length {tables.block} violates 2*L*L >= |T| for |T|={n}"
-        )
-    if tables.padded != tables.num_blocks * tables.block:
-        problems.append(
-            f"padded width {tables.padded} != num_blocks*block "
-            f"({tables.num_blocks}*{tables.block})"
-        )
-    if n and tables.padded <= n:
-        problems.append(
-            f"padded width {tables.padded} leaves no dummy slot beyond "
-            f"|T|={n} (fast-path pad writes would hit a real weight)"
-        )
-
-    # 2. CSR round-trip: the flattened displacement / affected / pre-entry
-    #    arrays must reconstruct the net's plan lists exactly.
-    for t in range(n):
-        start, length = int(tables.d_start[t]), int(tables.d_len[t])
-        got_delta = list(
-            zip(
-                tables.d_idx[start : start + length].tolist(),
-                tables.d_val[start : start + length].tolist(),
-            )
-        )
-        if got_delta != list(net.delta_lists[t]):
-            problems.append(
-                f"transition {t}: CSR displacements {got_delta}, "
-                f"net says {list(net.delta_lists[t])}"
-            )
-        start, length = int(tables.a_start[t]), int(tables.a_len[t])
-        got_affected = tables.a_trans[start : start + length].tolist()
-        if got_affected != list(net.affected[t]):
-            problems.append(
-                f"transition {t}: CSR affected list {got_affected}, "
-                f"net says {list(net.affected[t])}"
-            )
-        start, length = int(tables.e_start[t]), int(tables.e_len[t])
-        got_pre = list(
-            zip(
-                tables.e_state[start : start + length].tolist(),
-                tables.e_mult[start : start + length].tolist(),
-            )
-        )
-        want_pre = [(index, mult) for index, mult in net.pre_lists[t]]
-        if got_pre != want_pre:
-            problems.append(
-                f"transition {t}: CSR pre entries {got_pre}, net says {want_pre}"
-            )
-
-    # 3. Padded fast-path tables must agree with the CSR plan, and every pad
-    #    must follow the zero-contribution conventions (scratch state column,
-    #    dummy weight slot) that make the unmasked scatter exact.
-    if tables.fast_uniform:
-        for t in range(n):
-            delta = list(net.delta_lists[t])
-            row_idx = tables.d_idx_pad[t].tolist()
-            row_val = tables.d_val_pad[t].tolist()
-            width = len(row_idx)
-            want_idx = [index for index, _ in delta]
-            want_idx += [net.num_states] * (width - len(delta))
-            want_val = [diff for _, diff in delta]
-            want_val += [0] * (width - len(delta))
-            if row_idx != want_idx or row_val != want_val:
-                problems.append(
-                    f"transition {t}: padded displacement row "
-                    f"({row_idx}, {row_val}) does not match the plan with "
-                    "scratch-column/zero padding"
-                )
-            affected = list(net.affected[t])
-            row_a = tables.a_pad[t].tolist()
-            width = len(row_a)
-            if row_a != affected + [n] * (width - len(affected)):
-                problems.append(
-                    f"transition {t}: padded affected row {row_a} does not "
-                    f"match the plan with dummy-slot ({n}) padding"
-                )
-            row_states = tables.a_states_pad[t].tolist()
-            want_states = [
-                net.pre_lists[u][0][0] if u < n else net.num_states
-                for u in row_a
-            ] + [
-                net.pre_lists[u][1][0] if u < n else net.num_states
-                for u in row_a
-            ]
-            if row_states != want_states:
-                problems.append(
-                    f"transition {t}: padded reweigh-state row does not name "
-                    "the affected transitions' pre states "
-                    "(scratch column for pads)"
-                )
-
-    # 4. Stepper conformance and the consensus-delta table shared with the
-    #    generated steppers.
-    want_cons = net.consensus_deltas(classes)
-    for kind in _KINDS:
-        ensemble = VectorizedEnsemble(net, kind, classes)
-        if not isinstance(ensemble, Stepper):
-            problems.append(f"{kind}: VectorizedEnsemble is not a Stepper")
-        if ensemble.source() is not None:
-            problems.append(f"{kind}: ensemble stepper claims generated source")
-        if ensemble.qa_meta.get("implementation") != "numpy-ensemble":
-            problems.append(
-                f"{kind}: qa_meta implementation is "
-                f"{ensemble.qa_meta.get('implementation')!r}"
-            )
-        got_cons = [tuple(row) for row in ensemble._dcons.tolist()]
-        if got_cons != [tuple(row) for row in want_cons]:
-            problems.append(
-                f"{kind}: ensemble consensus-delta table diverges from "
-                "net.consensus_deltas"
             )
     return problems

@@ -1,6 +1,6 @@
 """Determinism linter: an ``ast`` walker over the library sources.
 
-The cross-engine contract (reference / compiled / numpy produce bit-identical
+The cross-engine contract (reference / compiled / native produce bit-identical
 trajectories) survives only if nothing in the hot paths depends on
 *unspecified* ordering or out-of-band inputs.  This pass flags the hazard
 classes that have historically broken that contract:
@@ -8,7 +8,7 @@ classes that have historically broken that contract:
 ``DET101`` — **module-level random calls** (``random.random()``,
     ``random.shuffle(...)``, ...).  The module-level functions share hidden
     global state; all randomness must flow through an explicitly seeded
-    ``random.Random`` (or ``numpy`` ``Generator``) threaded by the caller.
+    ``random.Random`` threaded by the caller.
 
 ``DET102`` — **wall-clock / entropy reads** (``time.time``/``time_ns``,
     ``datetime.now``/``utcnow``/``today``, ``os.urandom``, ``uuid.uuid1``/

@@ -16,8 +16,7 @@ The scan is static and two-phase, per batch of files:
    side is a lambda, a nested function name, a factory call, or a container
    literal/comprehension holding one — and require the class (or one of its
    in-batch base classes) to define ``__getstate__``.  Classes inheriting
-   from an in-batch base that defines it are exempt, which is how
-   ``VectorizedNet`` rides on ``CompiledNet.__getstate__``.
+   from an in-batch base that defines it are exempt.
 
 Findings use rule ``PKL001`` (see :mod:`repro.qa.rules`).  Like the
 determinism pass this is a local, shape-based tripwire — it will not catch a

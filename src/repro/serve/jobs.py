@@ -14,7 +14,7 @@ seeding:
 * the job's **content key** is the SHA-256 of the cell's canonical identity
   string (:attr:`~repro.sweep.spec.SweepCell.cell_id`) extended with the run
   policy — two requests that mean the same ensemble hash to the same key no
-  matter how the JSON was spelled (key order, ``"NumPy"`` vs ``"numpy"``,
+  matter how the JSON was spelled (key order, ``"Native"`` vs ``"native"``,
   defaults omitted vs written out), which is what makes the server's result
   cache content-addressed rather than merely request-addressed,
 * the ensemble seed is :func:`~repro.sweep.spec.derive_cell_seed` over the

@@ -3,36 +3,33 @@
 The simulation layer is organized in three tiers:
 
 **Engines** (:mod:`~repro.simulation.simulator`,
-:mod:`~repro.simulation.compiled`, :mod:`~repro.simulation.vectorized`,
-:mod:`~repro.simulation.ensemble`).
-A single run executes on one of three per-run engines with identical
-semantics:
+:mod:`~repro.simulation.native`, :mod:`~repro.simulation.compiled`).
+A single run executes on one of three engines with identical semantics:
 
+* the *native* engine (``engine="native"``) — one C loop over the compiled
+  engine's dense tables for both schedulers, with weights in blocks of
+  maintained sums (``O(sqrt |T|)`` per pick, so nets with tens of thousands
+  of transitions stay fast) and CPython's MT19937 reproduced in C, so a seed
+  list runs in one call with every generator seeded inside C.  It is built
+  with the host C compiler (``cc``) on first use into the per-user cache
+  ``~/.cache/repro-native``; runs whose counts or weights overflow 64 bits
+  are redone on the compiled engine;
 * the *compiled* dense-array engine — states mapped to dense indices, a
-  generated straight-line stepper mutating one counts array with incremental
-  scheduler weights and O(1) consensus counters.  Unbeatable on the small
-  nets of the named protocols, but its per-step dispatch (and its codegen)
-  grows linearly in the transition count, and beyond ~2500 transitions the
-  generated code exceeds what CPython can compile;
-* the *NumPy* engine (``engine="numpy"``, optional ``sim`` extra) — the same
-  dense mapping, with the counts and scheduler weights kept as ``int64``
-  vectors updated by array kernels through a precomputed transition-adjacency
-  structure.  Per-step cost is essentially flat in the transition count,
-  which wins on nets with hundreds to thousands of transitions — the regime
-  of the paper's succinct-counting constructions;
+  generated straight-line Python stepper mutating one counts array with
+  incremental scheduler weights and O(1) consensus counters.  It needs no
+  compiler, but its per-step dispatch (and its codegen) grows linearly in
+  the transition count, and beyond ~2500 transitions the generated code
+  exceeds what CPython can compile;
 * the sparse *reference* engine (``engine="reference"``) — one immutable
   configuration per step, full rescans; the semantics-first baseline.
 
 All three consume the random stream identically, so trajectories match step
-for step; the test suite asserts this across the named protocols and a
-seeded sweep of random nets.  ``engine="auto"`` (the default) selects the
-NumPy engine at :data:`~repro.simulation.simulator.AUTO_VECTORIZE_THRESHOLD`
-(256) transitions and above — benchmark E11 puts the measured steady-state
-crossover between ~200 (densely coupled nets) and ~500 (sparse) transitions,
-and the compiled engine's per-(net, process) codegen cost pushes the
-end-to-end crossover far lower — falling back to the compiled engine when
-NumPy is missing and to the reference engine for custom schedulers.  The
-``REPRO_FORCE_ENGINE`` environment variable overrides the auto choice.
+for step and the generator ends in the same state; the test suite asserts
+this across the named protocols and a seeded sweep of random nets.
+``engine="auto"`` (the default) selects the native engine whenever its
+library loads and the compiled engine otherwise, falling back to the
+reference engine for custom schedulers.  The ``REPRO_FORCE_ENGINE``
+environment variable overrides the auto choice.
 
 **Batches** (:mod:`~repro.simulation.batch`).  Ensembles of independent runs
 derive one seed per repetition from a master seed up front
@@ -80,9 +77,9 @@ from .batch import (
     run_ensemble,
 )
 from .compiled import CompiledNet
+from .native import NativeUnavailable
 from .scheduler import Scheduler, TransitionScheduler, UniformScheduler
-from .simulator import AUTO_VECTORIZE_THRESHOLD, SimulationResult, Simulator, simulate
-from .vectorized import VectorizedNet, numpy_available
+from .simulator import SimulationResult, Simulator, simulate
 from .statistics import (
     ConvergenceStatistics,
     accuracy_against_predicate,
@@ -96,9 +93,7 @@ __all__ = [
     "UniformScheduler",
     "TransitionScheduler",
     "CompiledNet",
-    "VectorizedNet",
-    "numpy_available",
-    "AUTO_VECTORIZE_THRESHOLD",
+    "NativeUnavailable",
     "Simulator",
     "SimulationResult",
     "simulate",

@@ -650,7 +650,7 @@ def _run_ensemble(
     :meth:`Simulator.run_many <repro.simulation.simulator.Simulator.run_many>`.
 
     A serial (or empty) ensemble runs on ``simulator`` itself, reusing its
-    steppers, counts buffer and lock-step engine; a process ensemble runs
+    steppers (one native call per seed list); a process ensemble runs
     ``simulator``'s spec on an ephemeral :class:`WorkerPool` clamped to the
     seed count.
     """

@@ -30,11 +30,11 @@ identical trajectories step for step; the test suite asserts this.
 
 The dense mapping built here (state indexing, ``pre``/``delta`` tuples, the
 ``affected`` incremental-scheduling map, output classes and consensus deltas)
-is shared with the NumPy engine: :class:`~repro.simulation.vectorized
-.VectorizedNet` subclasses :class:`CompiledNet` and swaps the generated
-straight-line code for array kernels, which wins once the net has more
-transitions than the unrolled dispatch can stomach (see
-:data:`repro.simulation.simulator.AUTO_VECTORIZE_THRESHOLD`).
+is also the input of the native engine: :meth:`CompiledNet.native_stepper`
+flattens it into the tables of one C loop (:mod:`repro.simulation.native`),
+which ``engine="auto"`` prefers whenever its library loads.  The generated
+steppers here need no compiler, and they are the native engine's fallback
+for runs whose counts or weights overflow 64 bits.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from typing import (
     List,
     Optional,
     Protocol as TypingProtocol,
+    TYPE_CHECKING,
     Tuple,
     runtime_checkable,
 )
@@ -55,6 +56,9 @@ from typing import (
 from ..core.configuration import Configuration, State
 from ..core.petrinet import PetriNet
 from ..core.protocol import OUTPUT_ONE, OUTPUT_ZERO, Output
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from .native import NativeStepper
 
 __all__ = [
     "OUT_ZERO",
@@ -76,8 +80,8 @@ OUT_UNDEFINED = 2
 OUT_IGNORED = 3
 
 #: Scheduler disciplines the dense engines know how to specialize (shared by
-#: the generated-code steppers here and the NumPy kernels of
-#: :mod:`repro.simulation.vectorized`).
+#: the generated-code steppers here and the native loop of
+#: :mod:`repro.simulation.native`).
 _KINDS = ("uniform", "transition")
 
 #: The call signature shared by every stepper: ``(steps, consensus_value,
@@ -88,25 +92,22 @@ StepperFn = Callable[..., Tuple[int, int, int, bool]]
 
 @runtime_checkable
 class Stepper(TypingProtocol):
-    """The engine seam: one simulation loop plus its QA hooks.
+    """The compiled-engine seam: one simulation loop plus its QA hooks.
 
-    Every dense engine hands the :class:`~repro.simulation.simulator.Simulator`
-    an object satisfying this protocol instead of a bare closure:
+    :meth:`CompiledNet.stepper` hands the
+    :class:`~repro.simulation.simulator.Simulator` an object satisfying this
+    protocol instead of a bare closure:
 
     * calling it runs the whole loop with the stepper signature documented on
       :meth:`CompiledNet.stepper` (``counts`` mutated in place, ``-1`` as the
       ``None`` sentinel, an optional trailing recording ``ring``),
-    * :meth:`source` returns the generated Python source when the loop *is*
-      generated code (the compiled engine), and ``None`` for kernel-backed
-      loops (the NumPy and ensemble engines) — the hook the codegen auditor
-      (:mod:`repro.qa.codegen_audit`) keys off to decide whether to audit
-      emitted source or kernel-plan structure,
-    * :attr:`qa_meta` carries structured generator/kernel metadata (label,
+    * :meth:`source` returns the generated Python source, the input of the
+      codegen auditor (:mod:`repro.qa.codegen_audit`),
+    * :attr:`qa_meta` carries structured generator metadata (label,
       scheduler kind, transition count, ...) for the same auditor.
 
-    Concrete implementations: :class:`GeneratedStepper` (exec-compiled
-    straight-line code), :class:`~repro.simulation.vectorized.KernelStepper`
-    (NumPy kernels, also used by the lock-step ensemble engine).
+    Concrete implementation: :class:`GeneratedStepper` (exec-compiled
+    straight-line code).
     """
 
     qa_meta: Dict[str, object]
@@ -216,12 +217,15 @@ class CompiledNet:
         self.affected: Tuple[Tuple[int, ...], ...] = tuple(affected)
 
         self._steppers: Dict[Tuple[str, Tuple[int, ...], bool], Stepper] = {}
+        self._native: Dict[Tuple[str, Tuple[int, ...]], "NativeStepper"] = {}
 
     def __getstate__(self) -> Dict[str, object]:
-        """Drop the generated steppers: ``exec``-compiled functions cannot be
-        pickled, and worker processes regenerate them on first use anyway."""
+        """Drop the generated and native steppers: ``exec``-compiled functions
+        and ctypes handles cannot be pickled, and worker processes rebuild
+        them on first use anyway."""
         state = self.__dict__.copy()
         state["_steppers"] = {}
+        state["_native"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -316,9 +320,8 @@ class CompiledNet:
     def stepper(self, kind: str, classes: Tuple[int, ...], record: bool = False) -> Stepper:
         """The generated simulation loop for a scheduler ``kind`` and output classes.
 
-        Returns a :class:`Stepper` (a :class:`GeneratedStepper` here; the
-        NumPy subclass returns kernel-backed steppers) whose call signature
-        is::
+        Returns a :class:`Stepper` (a :class:`GeneratedStepper`) whose call
+        signature is::
 
             stepper(counts, rng, max_steps, stability_window, one, zero, undef)
                 -> (steps, consensus_value, consensus_since, terminated)
@@ -343,13 +346,25 @@ class CompiledNet:
             self._steppers[key] = stepper
         return stepper
 
+    def native_stepper(self, kind: str, classes: Tuple[int, ...]) -> "NativeStepper":
+        """The native loop over this net (:mod:`repro.simulation.native`),
+        cached per ``(kind, classes)``.
+
+        Raises :class:`~repro.simulation.native.NativeUnavailable` when the
+        native library cannot be built or loaded in this process.
+        """
+        key = (kind, tuple(classes))
+        stepper = self._native.get(key)
+        if stepper is None:
+            from .native import NativeStepper
+
+            stepper = self._native[key] = NativeStepper(self, kind, key[1])
+        return stepper
+
     def stepper_source(self, kind: str, classes: Tuple[int, ...], record: bool = False) -> str:
         """The generated Python source of the specialized stepper.
 
-        Always emits the straight-line code of *this* class's generator, even
-        on subclasses that override :meth:`stepper` with kernel-backed
-        steppers (whose :meth:`Stepper.source` hook returns ``None``).  This
-        is the entry point of the codegen auditor
+        This is the entry point of the codegen auditor
         (:mod:`repro.qa.codegen_audit`); it regenerates a fresh
         :class:`GeneratedStepper` — via the protocol's source hook — rather
         than consulting the stepper cache, so auditing never perturbs the
@@ -577,7 +592,8 @@ def _generate_stepper(
         raise RecursionError(
             f"net is too large for the compiled engine ({num_transitions} transitions "
             "overflow the CPython compiler while building the generated stepper); "
-            "use engine='numpy' (or engine='auto', which selects it)"
+            "use engine='native' (or engine='auto', which selects it when a C "
+            "compiler is available)"
         ) from None
     # Structured metadata for the codegen auditor (repro.qa.codegen_audit):
     # what the generator *intended*, so the auditor can check the emitted

@@ -17,40 +17,33 @@ consensus value (if any) and how many steps were needed to reach it.
 
 Three engines implement these semantics:
 
-* the **compiled engine** (``engine="compiled"``, the default for small nets
-  under the built-in schedulers) maps states to dense indices once per net
-  and runs a generated loop that mutates a single counts array in place,
-  reweighs transitions incrementally and checks consensus in O(1) via
-  maintained output counters (:mod:`repro.simulation.compiled`),
-* the **NumPy engine** (``engine="numpy"``, the default for large nets when
-  NumPy is installed) keeps the same dense mapping but maintains the counts
-  and scheduler weights as ``int64`` vectors updated with array kernels, so
-  its per-step cost is flat in the transition count instead of linear like
-  the compiled dispatch chain (:mod:`repro.simulation.vectorized`),
-* the **ensemble engine** (``engine="ensemble"``) batches *repetitions*: a
-  lock-step ``(reps, states)`` matrix advanced with one kernel launch per
-  global step, per-row transition picks through a two-level blocked weight
-  structure, and rows retiring in place at convergence
-  (:mod:`repro.simulation.ensemble`).  Single runs and one-seed lists under
-  this engine use the per-run NumPy stepper; ``run_many`` and the batch
-  layer route longer seed lists through the lock-step path — every row
-  bit-identical to a per-run engine run with the same derived seed,
+* the **native engine** (``engine="native"``) runs one C loop over the
+  compiled engine's dense tables, for both schedulers: weights kept in
+  blocks with maintained block sums (``O(sqrt |T|)`` per pick), CPython's
+  MT19937 reproduced in C, and a whole seed list per call with every
+  generator seeded inside C (:mod:`repro.simulation.native`).  It is built
+  with the host C compiler on first use into a per-user cache, and a run
+  whose counts or weights overflow 64 bits is redone on the compiled engine,
+* the **compiled engine** (``engine="compiled"``) maps states to dense
+  indices once per net and runs a generated Python loop that mutates a
+  single counts array in place, reweighs transitions incrementally and
+  checks consensus in O(1) via maintained output counters
+  (:mod:`repro.simulation.compiled`); it runs wherever Python does,
 * the **reference engine** (``engine="reference"``) is the original sparse
   implementation: one immutable :class:`~repro.core.configuration.Configuration`
   per step, full consensus rescans, full weight recomputation.
 
 All engines consume the random stream identically, so for a fixed
-``(protocol, inputs, seed)`` they produce the same trajectory step for step.
-``engine="auto"`` (the default) picks the NumPy engine when the net has at
-least :data:`AUTO_VECTORIZE_THRESHOLD` transitions and NumPy is installed,
-the compiled engine for smaller nets (or when NumPy is missing), and falls
-back to the reference engine otherwise (custom schedulers, configurations
-mentioning states outside the compiled universe); it never picks the
-ensemble engine on its own.  Engine precedence is: an explicit ``engine=``
-argument always wins (``REPRO_FORCE_ENGINE`` then warns once that it is
-being ignored), the ``REPRO_FORCE_ENGINE`` environment variable overrides
-the ``engine="auto"`` choice — the knob the CI uses to drive the whole suite
-through one engine — and the transition-count heuristic decides otherwise.
+``(protocol, inputs, seed)`` they produce the same trajectory step for step
+and leave the generator in the same state.  ``engine="auto"`` (the default)
+picks the native engine whenever its library loads and the compiled engine
+otherwise, and falls back to the reference engine for custom schedulers and
+configurations mentioning states outside the compiled universe.  Engine
+precedence is: an explicit ``engine=`` argument always wins
+(``REPRO_FORCE_ENGINE`` then warns once that it is being ignored), the
+``REPRO_FORCE_ENGINE`` environment variable overrides the ``engine="auto"``
+choice — the knob the CI uses to drive the whole suite through one engine —
+and the native library's availability decides otherwise.
 """
 
 from __future__ import annotations
@@ -67,34 +60,22 @@ from ..core.configuration import Configuration
 from ..obs import profile as _obs_profile
 from ..obs import trace as _obs_trace
 from ..core.protocol import OUTPUT_ONE, OUTPUT_ZERO, Protocol
-from .compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO, CompiledNet, StepperFn
+from .compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO, CompiledNet
+from .native import available as native_available
 from .scheduler import Scheduler, UniformScheduler
 from .trajectory import DEFAULT_TRAJECTORY_CAPACITY, Trajectory
-from .vectorized import numpy_available
 
-__all__ = ["AUTO_VECTORIZE_THRESHOLD", "SimulationResult", "Simulator", "simulate"]
+__all__ = ["SimulationResult", "Simulator", "simulate"]
 
-_ENGINES = ("auto", "compiled", "numpy", "ensemble", "reference")
+_ENGINES = ("auto", "native", "compiled", "reference")
 
 #: An engine's raw outcome of one run: ``(steps, consensus_value,
 #: consensus_since, terminated, final)``, ``-1`` standing for ``None``.
 Outcome = Tuple[int, int, int, bool, Configuration]
 
-#: Transition count at which ``engine="auto"`` switches from the compiled
-#: engine to the NumPy engine.  Calibrated with benchmark E11
-#: (``benchmarks/bench_e11_large_net_throughput.py``): on random width-2 nets
-#: the steady-state crossover sits around ~200 transitions for densely
-#: coupled nets and ~500 for sparse ones, the compiled engine's codegen cost
-#: (absent entirely from the NumPy engine) pushes the end-to-end crossover
-#: well below 100, and beyond a few thousand transitions the generated
-#: dispatch chain cannot be compiled at all (CPython recursion guard).  256
-#: splits the steady-state range while keeping every named protocol of the
-#: paper on the compiled engine.
-AUTO_VECTORIZE_THRESHOLD = 256
-
-# The ``engine="auto"`` override (one of ``reference`` / ``compiled`` /
-# ``numpy`` / ``auto``) is the ``REPRO_FORCE_ENGINE`` environment variable,
-# read through the sanctioned :mod:`repro.config` helper.  Explicit
+# The ``engine="auto"`` override (one of ``native`` / ``compiled`` /
+# ``reference`` / ``auto``) is the ``REPRO_FORCE_ENGINE`` environment
+# variable, read through the sanctioned :mod:`repro.config` helper.  Explicit
 # ``engine=`` arguments are never overridden, so engine-equivalence tests
 # keep testing what they name.  Worker processes inherit the environment, so
 # a forced engine applies to process-backend ensembles too.
@@ -162,18 +143,14 @@ class Simulator:
         Seed of the internal random generator (for reproducible runs).
     engine:
         ``"auto"`` (default) picks a dense engine when the scheduler admits
-        one — the NumPy engine for nets with at least
-        :data:`AUTO_VECTORIZE_THRESHOLD` transitions (if NumPy is installed,
-        silently skipped otherwise), the compiled engine below that —
-        honouring the ``REPRO_FORCE_ENGINE`` environment override.
-        ``"compiled"`` and ``"numpy"`` require that engine (raising
-        ``ValueError`` for schedulers without a dense fast path, and
-        ``ImportError`` for ``"numpy"`` without NumPy installed);
-        ``"ensemble"`` requires NumPy the same way and additionally routes
-        :meth:`run_many` / batch seed lists through the lock-step
-        :class:`~repro.simulation.ensemble.VectorizedEnsemble` (single runs
-        and one-seed lists use the bit-identical per-run NumPy stepper);
-        ``"reference"`` forces the sparse reference engine.
+        one — the native engine when its library loads, silently the
+        compiled engine otherwise — honouring the ``REPRO_FORCE_ENGINE``
+        environment override.  ``"native"`` and ``"compiled"`` require that
+        engine, raising ``ValueError`` for schedulers without a dense fast
+        path, and ``"native"`` raising
+        :class:`~repro.simulation.native.NativeUnavailable` (which names the
+        missing compiler or the unusable cache) when its library cannot be
+        built or loaded.  ``"reference"`` forces the sparse reference engine.
 
         An explicit ``engine=`` argument is never overridden by
         ``REPRO_FORCE_ENGINE`` — the override applies to ``engine="auto"``
@@ -204,52 +181,43 @@ class Simulator:
 
         self._compiled: Optional[CompiledNet] = None
         self._classes: Optional[Tuple[int, ...]] = None
-        self._stepper: Optional[StepperFn] = None
+        self._stepper: Optional[Any] = None
         self._kind: Optional[str] = None
         self._choice: Optional[str] = None
-        #: Cached lock-step engine (built on first ``run_many`` ensemble
-        #: dispatch — its consensus-delta table is worth reusing).
-        self._ensemble: Optional[Any] = None
         if engine != "reference":
             kind = self.scheduler.compiled_kind()
             if kind is None:
-                if engine in ("compiled", "numpy", "ensemble"):
+                if engine in ("native", "compiled"):
                     raise ValueError(
                         f"scheduler {type(self.scheduler).__name__} has no compiled fast "
                         "path; use engine='auto' or engine='reference'"
                     )
             else:
                 choice = self._resolve_auto(engine)
-                if choice in ("numpy", "ensemble"):
-                    self._compiled = self.net.vectorized(extra_states=self.protocol.states)
-                elif choice == "compiled":
+                if choice != "reference":
                     self._compiled = self.net.compiled(extra_states=self.protocol.states)
-                if self._compiled is not None:
                     self._classes = self._compiled.output_classes(self.protocol.output_table)
-                    self._stepper = self._compiled.stepper(kind, self._classes)
+                    if choice == "native":
+                        self._stepper = self._compiled.native_stepper(kind, self._classes)
+                    else:
+                        self._stepper = self._compiled.stepper(kind, self._classes)
                     self._kind = kind
                     self._choice = choice
 
     def _resolve_auto(self, engine: str) -> str:
-        """The dense engine to build for a scheduler that admits one.
+        """The engine to build for a scheduler that admits a dense one.
 
-        Returns ``"compiled"``, ``"numpy"``, ``"ensemble"`` or
-        ``"reference"`` (the last two only explicitly or via the environment
-        override — the heuristic never picks them).  Explicit engines pass
-        through; only ``engine="auto"`` consults ``REPRO_FORCE_ENGINE`` and
-        the transition-count heuristic.
+        Explicit engines pass through; only ``engine="auto"`` consults
+        ``REPRO_FORCE_ENGINE`` (a forced ``"native"`` raises when the library
+        is missing rather than silently testing another engine) and then
+        the native library's availability.
         """
         if engine != "auto":
             return engine
         forced = forced_engine(_ENGINES)
         if forced is not None:
-            # Forcing "numpy" without NumPy installed raises (loudly, from
-            # the VectorizedNet constructor) rather than silently testing a
-            # different engine than the CI job asked for.
             return forced
-        if numpy_available() and self.net.num_transitions >= AUTO_VECTORIZE_THRESHOLD:
-            return "numpy"
-        return "compiled"
+        return "native" if native_available() else "compiled"
 
     # ------------------------------------------------------------------
     # Single runs
@@ -314,19 +282,19 @@ class Simulator:
         if self._stepper is not None:
             counts = self._compiled.counts_of(configuration, out=counts)
             if counts is not None:
-                one, zero, undef = self._initial_output_counters(counts)
-                if ring is None:
-                    steps, value, since, terminated = self._stepper(
-                        counts, rng, max_steps, stability_window, one, zero, undef
-                    )
-                else:
-                    recording = self._compiled.stepper(self._kind, self._classes, record=True)
-                    steps, value, since, terminated = recording(
-                        counts, rng, max_steps, stability_window, one, zero, undef, ring
-                    )
+                stepper = self._stepper
+                args: Tuple[Any, ...] = (
+                    counts, rng, max_steps, stability_window,
+                    *self._initial_output_counters(counts),
+                )
+                if ring is not None:
+                    args += (ring,)
+                    if self._choice == "compiled":
+                        stepper = self._compiled.stepper(self._kind, self._classes, record=True)
+                steps, value, since, terminated = stepper(*args)
                 final = self._compiled.configuration_of(counts)
                 return steps, value, since, terminated, final
-            if self.engine in ("compiled", "numpy", "ensemble"):
+            if self.engine in ("native", "compiled"):
                 raise ValueError(
                     "configuration mentions states outside the compiled universe; "
                     "use engine='auto' or engine='reference'"
@@ -476,12 +444,11 @@ class Simulator:
         """Run one repetition per seed from ``configuration``, in seed order.
 
         The building block of both batch backends (the serial loop here, and
-        each worker's share under ``backend="process"``): on the dense paths
-        the whole sequence reuses a single counts buffer instead of
-        reallocating one per repetition.  Under ``engine="ensemble"`` a list
-        of two or more seeds runs as one lock-step
-        :class:`~repro.simulation.ensemble.VectorizedEnsemble` call, row
-        ``i`` bit-identical to a per-run engine run seeded with ``seeds[i]``.
+        each worker's share under ``backend="process"``): on the native
+        engine the seed list runs as one
+        :meth:`~repro.simulation.native.NativeStepper.run_seeds` call that
+        seeds every generator inside C; otherwise one loop runs the seeds in
+        turn, reusing a single dense counts buffer on the compiled engine.
 
         ``analytics`` optionally supplies an extraction spec (any object with
         an ``extract(result, protocol)`` method, canonically
@@ -509,37 +476,25 @@ class Simulator:
             record_trajectory=record_trajectory,
             trajectory_capacity=trajectory_capacity,
         )
-        if self._choice == "ensemble" and counts is not None and len(seeds) > 1:
-            # Lock-step path.  A single seed gains nothing from lock step and
-            # takes the per-run NumPy stepper below, as do configurations
-            # outside the compiled universe, which raise for the explicit
-            # engine or fall back to the reference engine under a forced
-            # override (the same split as the per-run engines).
-            if self._ensemble is None:
-                from .ensemble import VectorizedEnsemble
-
-                self._ensemble = VectorizedEnsemble(
-                    self._compiled, self._kind, self._classes
-                )
+        if self._choice == "native" and counts is not None:
             rings = [deque(maxlen=capacity) for _ in seeds] if capacity else None
             t0 = monotonic_time() if observing else 0.0
-            steps, values, since, terminated, finals = self._ensemble.run(
+            outcomes = self._stepper.run_seeds(
                 counts, seeds, max_steps, stability_window,
-                *self._initial_output_counters(counts), rings=rings,
+                *self._initial_output_counters(counts), rings,
             )
-            # Rows advance in lock step, so per-row wall time is not
-            # separable; the observed cost is attributed evenly across rows
-            # (timing fields are stripped from the canonical rendering).
-            elapsed = (monotonic_time() - t0) / len(seeds) if observing else 0.0
-            timing = (profiler, t0, elapsed) if observing else None
-            outcomes = zip(
-                steps.tolist(), values.tolist(), since.tolist(),
-                terminated.tolist(),
-                map(self._compiled.configuration_of, finals.tolist()),
-            )
+            # One call runs every seed, so per-run wall time is not
+            # separable: the runs' spans tile the call's interval evenly, in
+            # seed order.
+            share = (monotonic_time() - t0) / max(len(seeds), 1) if observing else 0.0
             return [
-                finish(outcome, ring, timing, seed=int(seed))
-                for outcome, ring, seed in zip(outcomes, rings or repeat(None), seeds)
+                finish(
+                    (steps, value, since, terminated, self._compiled.configuration_of(final)),
+                    ring, (profiler, t0 + index * share, share) if observing else None,
+                    seed=int(seed),
+                )
+                for index, ((steps, value, since, terminated, final), ring, seed)
+                in enumerate(zip(outcomes, rings or repeat(None), seeds))
             ]
         results: List[SimulationResult] = []
         for seed in seeds:
@@ -569,11 +524,11 @@ class Simulator:
 
         Each repetition runs under its own generator seeded from the
         simulator's master generator, so a batch is reproducible from the
-        simulator seed while the repetitions stay independent — and the two
+        simulator seed while the repetitions stay independent — and the
         engines agree run-for-run.
 
         ``backend="serial"`` (default) runs the repetitions on this simulator,
-        reusing its steppers and a single dense counts buffer;
+        reusing its steppers (one native call for the whole seed list);
         ``backend="process"`` fans them out over an ephemeral pool of
         ``max_workers`` worker processes (see :mod:`repro.simulation.batch`).
         The per-repetition seeds are drawn from the master generator *before*

@@ -2,17 +2,18 @@
 
 The suite honours the ``REPRO_FORCE_ENGINE`` environment variable (also
 consulted by ``Simulator(engine="auto")`` itself): the CI matrix sets it to
-``numpy`` to drive every auto-mode simulation — including all the batch and
-trajectory tests — through the vectorized engine, proving it is a drop-in
-replacement.  The session fixture below validates the value up front and
-skips the run with a clear message when the forced engine's optional
-dependency is missing, instead of failing every test individually.
+``compiled`` to drive every auto-mode simulation — including all the batch
+and trajectory tests — through the compiled engine, the fallback for hosts
+without a C compiler.  The session fixture below validates the value up front
+and skips the run with a clear message when a forced ``native`` engine cannot
+be built, instead of failing every test individually.
 """
 
 import os
 
 import pytest
 
+from repro.simulation import native
 from repro.simulation.simulator import _ENGINES
 
 
@@ -25,9 +26,6 @@ def _honour_forced_engine():
                 f"REPRO_FORCE_ENGINE must be one of {_ENGINES}, got {forced!r}",
                 returncode=4,
             )
-        if forced in ("numpy", "ensemble"):
-            pytest.importorskip(
-                "numpy",
-                reason=f"REPRO_FORCE_ENGINE={forced} requires the optional 'sim' extra",
-            )
+        if forced == "native" and not native.available():
+            pytest.skip("REPRO_FORCE_ENGINE=native needs a C compiler (cc)")
     yield

@@ -39,7 +39,6 @@ from repro.simulation import (
     run_ensemble,
 )
 from repro.simulation.trajectory import Trajectory
-from repro.simulation.vectorized import numpy_available
 from repro.sweep import (
     SqliteResultStore,
     SweepRunner,
@@ -244,10 +243,8 @@ class TestExtractRunMetrics:
         with pytest.raises(ValueError, match="outside"):
             firing_histogram(result.trajectory, 2)
 
-    @pytest.mark.parametrize("engine", ["reference", "compiled", "numpy"])
+    @pytest.mark.parametrize("engine", ["reference", "compiled", "native"])
     def test_engines_extract_identical_metrics(self, engine):
-        if engine == "numpy" and not numpy_available():
-            pytest.skip("NumPy engine requires the optional 'sim' extra")
         protocol, inputs = _majority()
         spec = AnalyticsSpec(curve_checkpoints=(0, 50, 400), expected_output=1)
         reference = extract_run_metrics(

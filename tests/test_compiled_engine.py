@@ -323,26 +323,18 @@ def _random_protocol(rng):
     return protocol, inputs
 
 
-def _engines_under_test():
-    """The engines of the cross-engine property sweep: always reference and
-    compiled, plus the NumPy engine when it is installed — the three-way
-    equivalence the vectorized engine must uphold."""
-    from repro.simulation.vectorized import numpy_available
-
-    engines = ["reference", "compiled"]
-    if numpy_available():
-        engines.append("numpy")
-    return engines
+#: The engines of the cross-engine property sweep, the reference first.
+ENGINES_UNDER_TEST = ("reference", "compiled", "native")
 
 
 class TestRandomNetEquivalence:
     """Seeded property-style sweep: the engines must agree step for step on
     arbitrary small nets, not just on the five named protocols.  Each case is
     a random net (random pre/post multisets, so non-conservative spawning and
-    dying transitions and '*'-output states all occur) checked across every
-    engine (three ways when NumPy is installed) and both schedulers with
-    trajectories recorded, so any divergence pinpoints the first differing
-    firing rather than just the final configuration.
+    dying transitions and '*'-output states all occur) checked across all
+    three engines and both schedulers with trajectories recorded, so any
+    divergence pinpoints the first differing firing rather than just the
+    final configuration.
     """
 
     @pytest.mark.parametrize("case", range(25))
@@ -358,7 +350,7 @@ class TestRandomNetEquivalence:
                     record_trajectory=True,
                     trajectory_capacity=10 ** 6,
                 )
-                for engine in _engines_under_test()
+                for engine in ENGINES_UNDER_TEST
             }
             reference = results.pop("reference")
             for engine, fast in results.items():
@@ -373,11 +365,35 @@ class TestRandomNetEquivalence:
         reference = Simulator(
             protocol, scheduler=scheduler, engine="reference", seed=3
         ).run(inputs, max_steps=200, stability_window=50)
-        for engine in _engines_under_test()[1:]:
+        for engine in ENGINES_UNDER_TEST[1:]:
             fast = Simulator(protocol, scheduler=scheduler, engine=engine, seed=3).run(
                 inputs, max_steps=200, stability_window=50
             )
             assert_same_result(fast, reference)
+
+    @pytest.mark.parametrize("case", range(10))
+    @pytest.mark.parametrize(
+        "scheduler", [UniformScheduler(), TransitionScheduler()],
+        ids=["uniform", "transition"],
+    )
+    def test_random_net_seed_lists_match_step_for_step(self, case, scheduler):
+        # run_many hands the native engine the whole seed list in one call.
+        rng = random.Random(9000 + case)
+        protocol, inputs = _random_protocol(rng)
+        results = {
+            engine: Simulator(
+                protocol, scheduler=scheduler, engine=engine, seed=case
+            ).run_many(
+                inputs, repetitions=3, max_steps=200, stability_window=50,
+                record_trajectory=True, trajectory_capacity=10 ** 6,
+            )
+            for engine in ENGINES_UNDER_TEST
+        }
+        reference = results.pop("reference")
+        for engine, fast in results.items():
+            for fast_result, reference_result in zip(fast, reference):
+                assert_same_result(fast_result, reference_result)
+                assert fast_result.trajectory == reference_result.trajectory
 
     @pytest.mark.parametrize("case", range(8))
     def test_random_net_batches_match_across_backends(self, case):

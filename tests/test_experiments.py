@@ -170,15 +170,16 @@ class TestExperimentE8:
 class TestExperimentE9:
     def test_engines_agree_and_rows_are_paired(self):
         table = experiment_e9_simulation_throughput(populations=(60,), max_steps=1500)
-        assert len(table) == 2
+        assert len(table) == 3
         by_engine = {row["engine"]: row for row in table.rows}
-        assert set(by_engine) == {"reference", "compiled"}
-        # The experiment raises on trajectory divergence, so both engines
+        assert set(by_engine) == {"reference", "compiled", "native"}
+        # The experiment raises on trajectory divergence, so every engine
         # must have sampled the same number of interactions.
-        assert by_engine["reference"]["interactions"] == by_engine["compiled"]["interactions"]
+        assert len({row["interactions"] for row in table.rows}) == 1
         assert all(row["interactions/s"] > 0 for row in table.rows)
         assert by_engine["reference"]["speedup"] == 1.0
         assert by_engine["compiled"]["speedup"] > 0
+        assert by_engine["native"]["speedup"] > 0
 
 
 class TestExperimentE10:
@@ -213,8 +214,7 @@ class TestExperimentE11:
     def test_reduced_sweep_cross_checks_engines(self):
         # A tiny sweep: the experiment raises internally if any engine
         # diverges from the compiled trajectory, so a clean table is itself
-        # the equivalence assertion.  The numpy rows appear only when the
-        # optional dependency is installed.
+        # the equivalence assertion.
         table = experiment_e11_large_net_throughput(
             transition_counts=(20, 40), max_steps=300, reference_up_to=40
         )
@@ -223,7 +223,7 @@ class TestExperimentE11:
             by_group.setdefault(row["transitions"], {})[row["engine"]] = row
         assert set(by_group) == {20, 40}
         for transitions, engines in by_group.items():
-            assert {"reference", "compiled"} <= set(engines)
+            assert set(engines) == {"reference", "compiled", "native"}
             assert engines["compiled"]["speedup"] == 1.0
             assert engines["compiled"]["baseline"] == "compiled"
             measured = {row["interactions"] for row in engines.values()}
@@ -244,35 +244,38 @@ class TestExperimentE11:
         rows = {row["engine"]: row for row in table.rows}
         assert rows["compiled"]["speedup"] is None
         assert rows["compiled"]["baseline"] is None
-        reference_row = rows["reference"]
-        assert reference_row["baseline"].startswith("reference (extrapolated")
-        assert reference_row["speedup"] is not None
-        assert reference_row["speedup"] > 0
+        for engine in ("reference", "native"):
+            assert rows[engine]["baseline"].startswith("reference (extrapolated")
+            assert rows[engine]["speedup"] is not None
+            assert rows[engine]["speedup"] > 0
 
 
 class TestExperimentE14:
     def test_reduced_sweep_is_bit_identical_and_reports_speedups(self):
-        pytest.importorskip("numpy", reason="E14 measures the ensemble engine")
-        # The experiment raises internally unless every ensemble row is
-        # bit-identical to its per-run NumPy counterpart, so a clean table
-        # is itself the equivalence assertion.
+        # The experiment raises internally unless every native row is
+        # bit-identical to its compiled counterpart, and the short reference
+        # run to a native run of the same budget where the compiled engine
+        # is skipped, so a clean table is itself the equivalence assertion.
         table = experiment_e14_ensemble_throughput(
-            transition_counts=(60, 300),
+            transition_counts=(60, 2100),
             repetition_counts=(4,),
             max_steps=80,
         )
-        assert len(table) == 4
+        assert len(table) == 3
         rows = {
             (row["transitions"], row["engine"]): row for row in table.rows
         }
-        for transitions in (60, 300):
-            assert rows[(transitions, "numpy")]["speedup"] == 1.0
-            assert rows[(transitions, "ensemble")]["speedup"] > 0
-            assert (
-                rows[(transitions, "numpy")]["interactions"]
-                == rows[(transitions, "ensemble")]["interactions"]
-                == 4 * 80
-            )
+        assert rows[(60, "compiled")]["speedup"] == 1.0
+        assert rows[(60, "native")]["baseline"] == "compiled"
+        assert (
+            rows[(60, "compiled")]["interactions"]
+            == rows[(60, "native")]["interactions"]
+            == 4 * 80
+        )
+        assert rows[(2100, "native")]["baseline"].startswith("reference (extrapolated")
+        assert rows[(2100, "native")]["interactions"] == 4 * 80
+        for transitions in (60, 2100):
+            assert rows[(transitions, "native")]["speedup"] > 0
 
 
 class TestExperimentE12:

@@ -1,6 +1,6 @@
 """Golden-trajectory regression tests: committed seed→trajectory pins.
 
-The engine-equivalence suites (test_compiled_engine, test_vectorized_engine)
+The engine-equivalence suites (test_compiled_engine, test_native_engine)
 prove the three engines agree *with each other* — but if a change altered the
 RNG discipline identically in all of them (an extra draw per step, a
 reordered transition table, a different seed derivation), cross-engine
@@ -33,7 +33,6 @@ import pytest
 
 from repro.analytics import AnalyticsSpec, extract_run_metrics
 from repro.simulation import Simulator
-from repro.simulation.vectorized import numpy_available
 from repro.sweep import SCHEDULERS, build_predicate_for, build_protocol_and_inputs
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -73,10 +72,8 @@ CASE_DEFINITIONS = (
     },
 )
 
-#: All three engines must reproduce every golden.  The NumPy engine is
-#: exercised when the optional dependency is installed (always in the CI
-#: numpy-engine job); the others are unconditional.
-ENGINES = ("reference", "compiled", "numpy")
+#: All three engines must reproduce every golden.
+ENGINES = ("reference", "compiled", "native")
 
 
 def _golden_paths():
@@ -169,8 +166,6 @@ class TestGoldenTrajectories:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_engine_reproduces_golden(self, golden, engine):
-        if engine == "numpy" and not numpy_available():
-            pytest.skip("NumPy engine requires the optional 'sim' extra")
         _, fired, summary, _ = _execute(golden, engine)
         assert fired == golden["fired"], (
             f"engine {engine!r} fired a different transition sequence than the "
@@ -185,8 +180,6 @@ class TestGoldenTrajectories:
         # identical metric dicts on every engine — histogram, consensus
         # times, correctness and curve, bit for bit against the committed
         # values.
-        if engine == "numpy" and not numpy_available():
-            pytest.skip("NumPy engine requires the optional 'sim' extra")
         _, _, _, metrics = _execute(golden, engine)
         assert metrics == golden["metrics"], (
             f"engine {engine!r} extracted different analytics than the golden "
@@ -219,7 +212,7 @@ def regenerate():
     for definition in CASE_DEFINITIONS:
         case = {key: value for key, value in definition.items() if key != "name"}
         transitions, fired, summary, metrics = _execute(case, "reference")
-        for engine in ("compiled",) + (("numpy",) if numpy_available() else ()):
+        for engine in ENGINES[1:]:
             checked = _execute(case, engine)
             if checked != (transitions, fired, summary, metrics):
                 raise SystemExit(

@@ -24,7 +24,6 @@ from repro.qa.rules import (
     severity_at_least,
     write_baseline,
 )
-from repro.simulation.vectorized import numpy_available
 from repro.sweep.spec import available_sweep_protocols, build_protocol_and_inputs
 
 PAPER_PROTOCOLS = ("majority", "modulo", "succinct", "flock")
@@ -603,58 +602,6 @@ class TestCodegenAudit:
         assert meta["kind"] == "uniform"
         assert meta["record"] is False
         assert meta["num_transitions"] == compiled.num_transitions
-
-
-def _vectorized_for(name, population):
-    protocol, _inputs = build_protocol_and_inputs(name, population)
-    net = protocol.petri_net
-    assert net is not None
-    vectorized = net.vectorized(extra_states=protocol.states)
-    classes = vectorized.output_classes(protocol.output_table)
-    return vectorized, classes
-
-
-@pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
-class TestEnsembleAudit:
-    @pytest.mark.parametrize("name", PAPER_PROTOCOLS)
-    @pytest.mark.parametrize("population", AUDIT_POPULATIONS)
-    def test_paper_protocols_pass(self, name, population):
-        vectorized, classes = _vectorized_for(name, population)
-        assert codegen_audit.audit_ensemble_net(vectorized, classes) == []
-
-    def test_corrupted_csr_displacement_fails(self):
-        vectorized, classes = _vectorized_for("majority", 25)
-        tables = vectorized.ensemble_tables()
-        original = int(tables.d_val[0])
-        tables.d_val[0] = original + 7
-        try:
-            problems = codegen_audit.audit_ensemble_net(vectorized, classes)
-        finally:
-            tables.d_val[0] = original
-        assert any("CSR displacements" in problem for problem in problems)
-
-    def test_missing_dummy_slot_fails(self):
-        vectorized, classes = _vectorized_for("majority", 25)
-        tables = vectorized.ensemble_tables()
-        original = tables.padded
-        tables.padded = vectorized.num_transitions
-        try:
-            problems = codegen_audit.audit_ensemble_net(vectorized, classes)
-        finally:
-            tables.padded = original
-        assert any("dummy slot" in problem for problem in problems)
-
-    def test_corrupted_padded_affected_row_fails(self):
-        vectorized, classes = _vectorized_for("majority", 25)
-        tables = vectorized.ensemble_tables()
-        assert tables.fast_uniform
-        original = int(tables.a_pad[0, 0])
-        tables.a_pad[0, 0] = (original + 1) % vectorized.num_transitions
-        try:
-            problems = codegen_audit.audit_ensemble_net(vectorized, classes)
-        finally:
-            tables.a_pad[0, 0] = original
-        assert any("padded affected row" in problem for problem in problems)
 
 
 class TestUniverseGuard:

@@ -113,8 +113,8 @@ class TestContentKeyCanonicalization:
         assert a.key == b.key
 
     def test_equivalent_spellings_share_a_key(self):
-        a = JobSpec.from_dict(_job(protocol=" Majority ", engine="NumPy"))
-        b = JobSpec.from_dict(_job(protocol="majority", engine="numpy"))
+        a = JobSpec.from_dict(_job(protocol=" Majority ", engine="Native"))
+        b = JobSpec.from_dict(_job(protocol="majority", engine="native"))
         assert a.key == b.key
 
     def test_defaulted_and_explicit_optionals_share_a_key(self):
@@ -152,7 +152,7 @@ class TestContentKeyCanonicalization:
         assert base.key != JobSpec.from_dict(_job(max_steps=9000)).key
         assert base.key != JobSpec.from_dict(_job(stability_window=100)).key
         assert base.key != JobSpec.from_dict(_job(analytics=True)).key
-        assert base.key != JobSpec.from_dict(_job(engine="numpy")).key
+        assert base.key != JobSpec.from_dict(_job(engine="native")).key
         assert (
             base.key
             != JobSpec.from_dict(_job(protocol="modulo", params={"modulus": 2})).key
@@ -160,9 +160,9 @@ class TestContentKeyCanonicalization:
 
     def test_engine_changes_key_but_not_seed(self):
         auto = JobSpec.from_dict(_job(engine="auto"))
-        numpy = JobSpec.from_dict(_job(engine="numpy"))
-        assert auto.key != numpy.key
-        assert auto.ensemble_seed == numpy.ensemble_seed
+        native = JobSpec.from_dict(_job(engine="native"))
+        assert auto.key != native.key
+        assert auto.ensemble_seed == native.ensemble_seed
 
 
 class TestSeedDiscipline:

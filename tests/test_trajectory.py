@@ -2,7 +2,7 @@
 
 Covers the truncation semantics of the bounded recording deque (the recorded
 indices are the *last* ``capacity`` firings, with the dropped prefix
-counted) on every engine — lock-step ensemble rows included — replay of
+counted) on every engine — native seed lists included — replay of
 complete trajectories to the run's final configuration, the engines agreeing
 on the recorded paths index for index, and recording memory following the
 steps actually fired rather than the step budget or the capacity.
@@ -15,25 +15,21 @@ import pytest
 from repro.analytics.metrics import AnalyticsSpec
 from repro.core import Configuration, from_counts
 from repro.protocols import flock_of_birds_protocol, majority_protocol
-from repro.simulation import Simulator, TransitionScheduler
-from repro.simulation.vectorized import numpy_available
+from repro.simulation import Simulator, TransitionScheduler, UniformScheduler
 from repro.sweep.spec import build_protocol_and_inputs
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="NumPy not installed (the optional 'sim' extra)"
-)
-
 #: The dense engines, checked against the sparse reference engine.
-DENSE_ENGINES = (
-    "compiled",
-    pytest.param("numpy", marks=requires_numpy),
-    pytest.param("ensemble", marks=requires_numpy),
-)
+DENSE_ENGINES = ("compiled", "native")
 ENGINES = DENSE_ENGINES + ("reference",)
+SCHEDULERS = pytest.mark.parametrize(
+    "scheduler", [UniformScheduler(), TransitionScheduler()],
+    ids=["uniform", "transition"],
+)
 
 
-def _record(protocol, inputs, engine, capacity, seed=7, max_steps=500, **kwargs):
-    result = Simulator(protocol, seed=seed, engine=engine).run(
+def _record(protocol, inputs, engine, capacity, seed=7, max_steps=500,
+            scheduler=None, **kwargs):
+    result = Simulator(protocol, scheduler=scheduler, seed=seed, engine=engine).run(
         inputs,
         max_steps=max_steps,
         stability_window=10 ** 9,
@@ -44,9 +40,10 @@ def _record(protocol, inputs, engine, capacity, seed=7, max_steps=500, **kwargs)
     return result
 
 
-def _record_many(protocol, inputs, engine, capacity, seed=7, max_steps=5000):
-    """Four recorded repetitions; under ``engine="ensemble"`` lock-step rows."""
-    return Simulator(protocol, seed=seed, engine=engine).run_many(
+def _record_many(protocol, inputs, engine, capacity, seed=7, max_steps=5000,
+                 scheduler=None):
+    """Four recorded repetitions; under ``engine="native"`` one seed-list call."""
+    return Simulator(protocol, scheduler=scheduler, seed=seed, engine=engine).run_many(
         inputs,
         4,
         max_steps=max_steps,
@@ -95,8 +92,8 @@ class TestRingBufferSemantics:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_run_many_rows_keep_the_last_capacity_firings(self, engine):
-        # Rows stop at different steps (ragged lock-step retirement under
-        # engine="ensemble"), and each truncates on its own.
+        # Rows stop at different steps (one seed-list call under
+        # engine="native"), and each truncates on its own.
         protocol = majority_protocol()
         inputs = from_counts(A=17, B=9)
         full = _record_many(protocol, inputs, engine, capacity=10 ** 6)
@@ -135,7 +132,7 @@ class TestRingBufferSemantics:
 
 
 class TestReplay:
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_complete_trajectory_replays_to_the_final_configuration(self, engine):
         protocol = majority_protocol()
         inputs = from_counts(A=18, B=11)
@@ -146,7 +143,7 @@ class TestReplay:
         replayed = trajectory.replay(protocol.petri_net, result.initial)
         assert replayed == result.final
 
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_transition_scheduler_trajectories_replay_too(self, engine):
         protocol = flock_of_birds_protocol(4)
         inputs = Configuration({1: 9})
@@ -182,28 +179,41 @@ class TestReplay:
 class TestEngineAgreement:
     @pytest.mark.parametrize("engine", DENSE_ENGINES)
     @pytest.mark.parametrize("seed", [0, 3, 19])
-    def test_engines_record_identical_paths(self, engine, seed):
+    @SCHEDULERS
+    def test_engines_record_identical_paths(self, engine, seed, scheduler):
         protocol = majority_protocol()
         inputs = from_counts(A=17, B=9)
-        recorded = _record(protocol, inputs, engine, capacity=10 ** 6, seed=seed)
-        reference = _record(protocol, inputs, "reference", capacity=10 ** 6, seed=seed)
+        recorded = _record(
+            protocol, inputs, engine, capacity=10 ** 6, seed=seed, scheduler=scheduler
+        )
+        reference = _record(
+            protocol, inputs, "reference", capacity=10 ** 6, seed=seed, scheduler=scheduler
+        )
         assert recorded.trajectory == reference.trajectory
         assert recorded.final == reference.final
 
     @pytest.mark.parametrize("engine", DENSE_ENGINES)
-    def test_engines_agree_on_truncated_paths(self, engine):
+    @SCHEDULERS
+    def test_engines_agree_on_truncated_paths(self, engine, scheduler):
         protocol = majority_protocol()
         inputs = from_counts(A=17, B=9)
-        recorded = _record(protocol, inputs, engine, capacity=25, seed=5)
-        reference = _record(protocol, inputs, "reference", capacity=25, seed=5)
+        recorded = _record(protocol, inputs, engine, capacity=25, seed=5, scheduler=scheduler)
+        reference = _record(
+            protocol, inputs, "reference", capacity=25, seed=5, scheduler=scheduler
+        )
         assert recorded.trajectory == reference.trajectory
 
     @pytest.mark.parametrize("engine", DENSE_ENGINES)
-    def test_engines_agree_on_truncated_run_many_rows(self, engine):
+    @SCHEDULERS
+    def test_engines_agree_on_truncated_run_many_rows(self, engine, scheduler):
         protocol = majority_protocol()
         inputs = from_counts(A=17, B=9)
-        recorded = _record_many(protocol, inputs, engine, capacity=25, seed=5)
-        reference = _record_many(protocol, inputs, "reference", capacity=25, seed=5)
+        recorded = _record_many(
+            protocol, inputs, engine, capacity=25, seed=5, scheduler=scheduler
+        )
+        reference = _record_many(
+            protocol, inputs, "reference", capacity=25, seed=5, scheduler=scheduler
+        )
         assert [result.trajectory for result in recorded] == [
             result.trajectory for result in reference
         ]
@@ -255,8 +265,7 @@ class TestBoundedMemory:
         protocol, inputs = build_protocol_and_inputs("majority", 24)
         simulator = Simulator(protocol, seed=5, engine=engine)
         spec = AnalyticsSpec()
-        # Build the lazily cached steppers and lock-step tables outside the
-        # measurement.
+        # Build the lazily cached steppers outside the measurement.
         simulator.run_many(inputs, 2, max_steps=100, analytics=spec)
         simulator.run(inputs, max_steps=100, record_trajectory=True)
 
