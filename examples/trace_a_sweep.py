@@ -7,10 +7,11 @@ instrumentation reads clocks and result objects, never the RNG stream, so a
 traced sweep is bit-identical to an untraced one.  This example:
 
 1. runs a small majority sweep twice — serial, then over a 2-process worker
-   pool — with a JSONL tracer installed, so every sweep cell, pool dispatch,
-   worker chunk, and individual run emits a span,
+   pool — with a JSONL tracer installed, so every sweep cell, worker chunk,
+   and individual run emits a span,
 2. walks the span tree of the process-backed trace to show the layers
-   (sweep-cell → dispatch → chunk → run) and where the time went,
+   (sweep-cell → chunk → run; the cells of a batch share one pool round
+   trip, and their spans cover its wall time) and where the time went,
 3. canonicalizes both traces (timing and topology attributes stripped) and
    verifies they are **byte-identical** — the logical execution does not
    depend on the backend,

@@ -5,8 +5,9 @@ Subcommands:
 * ``summary <trace>`` — per-layer latency breakdown (count/total/mean/max
   per span kind, point-event tallies).
 * ``tail <trace> [-n N]`` — the last N events as one-liners.
-* ``timeline <trace>`` — the span tree (serve job → sweep cell → ensemble
-  → dispatch → worker chunks → runs), children in emission order.
+* ``timeline <trace>`` — the span tree (serve job → dispatch → worker
+  chunks → runs; sweep cell → worker chunks → runs), children in emission
+  order.
 * ``canon <trace>`` — the canonical deterministic rendering; byte-identical
   across serial and process backends for a fixed seed (the cross-backend
   determinism check uses ``cmp`` on two of these).

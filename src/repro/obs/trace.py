@@ -259,7 +259,12 @@ def span(name: str, kind: Optional[str] = None, **attrs: Any):
 
 
 def span_event(
-    name: str, kind: str, t0: float, dur: float, **attrs: Any
+    name: str,
+    kind: str,
+    t0: float,
+    dur: float,
+    children: Sequence[Dict[str, Any]] = (),
+    **attrs: Any,
 ) -> None:
     """Emit a span record for a region the caller already timed.
 
@@ -267,15 +272,24 @@ def span_event(
     run with two :func:`repro.config.monotonic_time` reads and call this
     once — no context-manager machinery on the per-run path.  Parents under
     the current span like any other span; no-op when tracing is inactive.
+
+    ``children`` are captured events (a worker's shipment, a
+    :func:`capture_events` buffer) that ran inside the region: they are
+    adopted beneath this span and emitted before it, as a live span's
+    children are.  The sweep claim loop emits its per-cell spans this way
+    once a batch of cells has come back.
     """
     if not tracing_active():
         return
+    span_id = _next_id()
+    if children:
+        adopt(children, parent=span_id)
     _emit(
         {
             "ev": "span",
             "kind": kind,
             "name": name,
-            "id": _next_id(),
+            "id": span_id,
             "parent": _CURRENT_SPAN.get(),
             "pid": os.getpid(),
             "t0": t0,
@@ -333,31 +347,29 @@ def adopt(
     """Re-emit captured worker events into this process's trace.
 
     Span ids are remapped into this process's id space (worker counters
-    restart per process, so shipped ids collide across chunks); parent
-    references *within* the batch follow the remap, and events whose parent
-    is not in the batch — the worker's top-level spans — are re-parented
-    under ``parent`` (typically the pool's dispatch span).  Events re-emit
-    in shipped order, which is execution order within the chunk.  Returns
-    the remapped events.
+    restart per process, so shipped ids collide across workers); an id is
+    read together with the ``pid`` that emitted it, so one call may adopt
+    the shipments of several workers.  Parent references *within* the batch
+    follow the remap, and events whose parent is not in the batch — the
+    worker's top-level spans — are re-parented under ``parent`` (typically
+    the pool's dispatch span).  Events re-emit in shipped order, which is
+    execution order within each chunk.  Returns the remapped events.
     """
-    id_map: Dict[int, int] = {}
+    id_map: Dict[Any, int] = {}
     for record in events:
         old = record.get("id")
         if isinstance(old, int):
-            id_map[old] = _next_id()
+            id_map[record.get("pid"), old] = _next_id()
     adopted: List[Dict[str, Any]] = []
     for record in events:
         if record.get("ev") == "meta":
             continue
         remapped = dict(record)
+        pid = remapped.get("pid")
         old = remapped.get("id")
         if isinstance(old, int):
-            remapped["id"] = id_map[old]
-        old_parent = remapped.get("parent")
-        if isinstance(old_parent, int) and old_parent in id_map:
-            remapped["parent"] = id_map[old_parent]
-        else:
-            remapped["parent"] = parent
+            remapped["id"] = id_map[pid, old]
+        remapped["parent"] = id_map.get((pid, remapped.get("parent")), parent)
         adopted.append(remapped)
         _emit(remapped)
     return adopted

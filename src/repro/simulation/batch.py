@@ -30,9 +30,11 @@ Entry points:
   protocol: worker processes are created once and **cache one initialized
   simulator per distinct (protocol, scheduler, engine) spec**, so a single
   pool serves ensembles of many different protocols back to back and
-  repeated ensembles stop paying pool startup and stepper compilation.  The
-  sweep harness (:mod:`repro.sweep`) and the job server (:mod:`repro.serve`)
-  run every cell and job on one.
+  repeated ensembles stop paying pool startup and stepper compilation.
+  :meth:`WorkerPool.run_batch` runs several :class:`Ensemble` values, of
+  any specs, in one round trip; :meth:`WorkerPool.run_seeds` is its
+  one-ensemble case.  The sweep harness (:mod:`repro.sweep`) runs its cells
+  in batches on one, and the job server (:mod:`repro.serve`) its jobs.
 
 ``backend="serial"`` runs the same code path without processes and is the
 reference ordering; ``backend="process"`` must agree with it exactly
@@ -47,7 +49,8 @@ import pickle
 import random
 import threading
 import time
-from typing import Any, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import default_batch_workers as _default_max_workers
 from ..config import monotonic_time
@@ -59,6 +62,8 @@ from .simulator import SimulationResult, Simulator
 from .trajectory import DEFAULT_TRAJECTORY_CAPACITY
 
 __all__ = [
+    "Ensemble",
+    "EnsembleOutcome",
     "WorkerCrashError",
     "WorkerPool",
     "WorkerTimeoutError",
@@ -214,7 +219,7 @@ def _worker_simulator(spec_bytes: bytes) -> Simulator:
 
 def _run_worker_task(
     task: Tuple[Any, ...]
-) -> Tuple[List[SimulationResult], Optional[List[dict]]]:
+) -> Tuple[List[SimulationResult], Optional[List[dict]], Optional[BaseException]]:
     """Run one chunk of seeds on the worker's cached simulator for the spec.
 
     ``task`` carries the spec alongside the per-ensemble parameters (initial
@@ -225,31 +230,89 @@ def _run_worker_task(
     consumed and dropped locally, and only the compact metric dicts travel
     back through the pool.
 
-    Returns ``(results, events)``: when the dispatching process had tracing
-    active it sets the task's trace flag, and the worker buffers its span
-    events (one ``chunk`` span wrapping per-run ``run`` events) and ships
-    them back for the parent to :func:`repro.obs.trace.adopt` — the flag
-    travels in the task rather than the environment so programmatic tracing
-    propagates under every start method.  ``events`` is ``None`` otherwise.
+    Returns ``(results, events, error)``.  A chunk that raises returns its
+    exception as ``error`` instead of failing the map, so one bad ensemble
+    of a batch cannot take its neighbours' results down with it.  When the
+    dispatching process had tracing active it sets the task's trace flag,
+    and the worker buffers its span events (one ``chunk`` span wrapping
+    per-run ``run`` events) and ships them back for the parent to
+    :func:`repro.obs.trace.adopt` — the flag travels in the task rather than
+    the environment so programmatic tracing propagates under every start
+    method.  ``events`` is ``None`` otherwise.
     """
     (spec_bytes, configuration, seeds, max_steps, stability_window,
      record, capacity, analytics, trace) = task
-    simulator = _worker_simulator(spec_bytes)
-    if not trace:
-        return (
-            simulator._run_seeds(
-                configuration, list(seeds), max_steps, stability_window,
-                record, capacity, analytics,
-            ),
-            None,
-        )
-    with _obs_trace.capture_events() as events:
-        with _obs_trace.span("chunk", kind="chunk", seeds=len(seeds)):
-            results = simulator._run_seeds(
-                configuration, list(seeds), max_steps, stability_window,
-                record, capacity, analytics,
+    events: Optional[List[dict]] = None
+    try:
+        simulator = _worker_simulator(spec_bytes)
+        if not trace:
+            return (
+                simulator._run_seeds(
+                    configuration, list(seeds), max_steps, stability_window,
+                    record, capacity, analytics,
+                ),
+                None,
+                None,
             )
-    return results, events
+        with _obs_trace.capture_events() as events:
+            with _obs_trace.span("chunk", kind="chunk", seeds=len(seeds)):
+                results = simulator._run_seeds(
+                    configuration, list(seeds), max_steps, stability_window,
+                    record, capacity, analytics,
+                )
+        return results, events, None
+    except Exception as error:
+        # Pickled with its traceback text, which the parent gets back as the
+        # error's ``__cause__`` — what ``Pool.map`` does for a raising task.
+        # (A pool worker has the module loaded already; importing it at the
+        # top would load the pool machinery into every in-process user.)
+        from multiprocessing.pool import ExceptionWithTraceback
+
+        return [], events, ExceptionWithTraceback(error, error.__traceback__)
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """One ensemble of a :meth:`WorkerPool.run_batch` round trip.
+
+    The fields are the arguments of :meth:`WorkerPool.run_seeds`, which
+    documents them; ``seeds`` are pre-derived (see :func:`repetition_seeds`).
+    """
+
+    protocol: Protocol
+    inputs: Configuration
+    seeds: Sequence[int]
+    scheduler: Optional[Scheduler] = None
+    engine: str = "auto"
+    max_steps: int = 100000
+    stability_window: int = 200
+    record_trajectory: bool = False
+    trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY
+    analytics: Any = None
+    spec_bytes: Optional[bytes] = None
+
+
+@dataclass
+class EnsembleOutcome:
+    """What one ensemble of a batch came back with.
+
+    Exactly one of ``results`` (index-aligned with the ensemble's seeds) and
+    ``error`` (what validating, building or running the ensemble raised) is
+    set.  ``events`` are the worker spans shipped with the ensemble's chunks,
+    in seed order, not yet adopted into this process's trace (empty unless
+    tracing was active).
+    """
+
+    results: Optional[List[SimulationResult]] = None
+    error: Optional[BaseException] = None
+    events: List[Dict[str, Any]] = field(default_factory=list)
+
+    def unwrap(self) -> List[SimulationResult]:
+        """The results, or the ensemble's error raised."""
+        if self.error is not None:
+            raise self.error
+        assert self.results is not None
+        return self.results
 
 
 # ----------------------------------------------------------------------
@@ -428,6 +491,9 @@ class WorkerPool:
     ) -> List[SimulationResult]:
         """Run one repetition per seed over the pool (index-aligned results).
 
+        The one-ensemble case of :meth:`run_batch`, traced as one
+        ``dispatch`` span with the worker spans adopted beneath it.
+
         ``analytics`` optionally ships a metric-extraction spec (see
         :class:`~repro.analytics.metrics.AnalyticsSpec`) to the workers:
         each result comes back with a compact ``result.analytics`` dict,
@@ -452,58 +518,136 @@ class WorkerPool:
         the pool's dispatch lock and execute one after another (see the
         class docstring), each bit-identical to its own serial run.
         """
+        ensemble = Ensemble(
+            protocol, inputs, seeds, scheduler, engine, max_steps,
+            stability_window, record_trajectory, trajectory_capacity,
+            analytics, spec_bytes,
+        )
+        with _obs_trace.span(
+            "dispatch", kind="dispatch", workers=self.workers
+        ) as dispatch_span:
+            (outcome,) = self._run_batch([ensemble], timeout, dispatch_span)
+            # Chunks return in submission (= seed) order, so adopted worker
+            # events land in exactly the serial emission order.
+            _obs_trace.adopt(outcome.events, parent=dispatch_span.id)
+        return outcome.unwrap()
+
+    def run_batch(
+        self, ensembles: Sequence[Ensemble], timeout: Optional[float] = None
+    ) -> List[EnsembleOutcome]:
+        """Run several ensembles, of any specs, in one pool round trip.
+
+        Returns one :class:`EnsembleOutcome` per ensemble, in order, each
+        bit-identical to that ensemble's own serial run.  Failures stay with
+        their ensemble: an ensemble that fails validation, pickling or
+        simulator construction, or raises inside a worker, comes back with
+        its ``error`` set while the rest of the batch completes.  A worker
+        death or an expired ``timeout`` (the budget of the whole round trip)
+        cannot be pinned on one ensemble, so they raise
+        :class:`WorkerCrashError` / :class:`WorkerTimeoutError` for the batch
+        and the pool is rebuilt on next use.
+
+        The ensembles' seeds travel in contiguous chunks, balanced across
+        the whole batch: about four chunks per worker over the batch's
+        seeds, and a chunk never spans two ensembles.  Worker spans come
+        back unadopted on each outcome, so the caller decides where in its
+        trace they belong.
+        """
+        return self._run_batch(ensembles, timeout, None)
+
+    def _run_batch(
+        self,
+        ensembles: Sequence[Ensemble],
+        timeout: Optional[float],
+        dispatch_span: Any,
+    ) -> List[EnsembleOutcome]:
+        """:meth:`run_batch`, noting the chunk count and the wait for the
+        dispatch lock on ``dispatch_span`` when one is given."""
         self._check_open()
-        if record_trajectory and trajectory_capacity < 1:
-            raise ValueError("trajectory_capacity must be at least 1")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        _validate_analytics(analytics, process_backend=True)
-        seeds = list(seeds)
-        configuration = protocol.initial_configuration(inputs)
+        outcomes = [EnsembleOutcome() for _ in ensembles]
+        prepared: List[
+            Tuple[EnsembleOutcome, Ensemble, Configuration, List[int], bytes]
+        ] = []
+        for outcome, ensemble in zip(outcomes, ensembles):
+            try:
+                prepared.append((outcome, ensemble) + self._prepare(ensemble))
+            except Exception as error:
+                outcome.error = error
+            else:
+                outcome.results = []
+        seeds = [seed for *_, ensemble_seeds, _ in prepared for seed in ensemble_seeds]
+        if not seeds:
+            return outcomes
+        # About four contiguous chunks per worker of this batch (the pool may
+        # hold more workers than there are seeds) balances load against
+        # dispatch overhead; chunking never changes results, only how the
+        # pre-derived seeds travel.
+        size = -(-len(seeds) // (min(self.workers, len(seeds)) * 4))
+        tracing = _obs_trace.tracing_active()
+        tasks: List[tuple] = []
+        owners: List[EnsembleOutcome] = []
+        for outcome, ensemble, configuration, ensemble_seeds, spec_bytes in prepared:
+            for start in range(0, len(ensemble_seeds), size):
+                tasks.append(
+                    (spec_bytes, configuration, ensemble_seeds[start : start + size],
+                     ensemble.max_steps, ensemble.stability_window,
+                     ensemble.record_trajectory, ensemble.trajectory_capacity,
+                     ensemble.analytics, tracing)
+                )
+                owners.append(outcome)
+        names = ", ".join(
+            dict.fromkeys(entry[1].protocol.name or "protocol" for entry in prepared)
+        )
+        lock_t0 = monotonic_time()
+        with self._dispatch_lock:
+            if tracing and dispatch_span is not None:
+                # Queue-wait behind concurrent ensembles (serve threads) vs
+                # time actually spent in the map.
+                dispatch_span.set(
+                    chunks=len(tasks), lock_wait=monotonic_time() - lock_t0
+                )
+            # Re-check under the lock: a close() that won the lock first has
+            # already drained and spent the pool.
+            self._check_open()
+            chunks = self._await_map(tasks, timeout, names, seeds)
+        for outcome, (results, events, error) in zip(owners, chunks):
+            if events:
+                outcome.events.extend(events)
+            if outcome.error is not None:
+                continue
+            if error is not None:
+                outcome.error, outcome.results = error, None
+            else:
+                outcome.results.extend(results)
+        return outcomes
+
+    @staticmethod
+    def _prepare(ensemble: Ensemble) -> Tuple[Configuration, List[int], bytes]:
+        """Validate an ensemble here; returns its configuration, seeds and spec."""
+        if ensemble.record_trajectory and ensemble.trajectory_capacity < 1:
+            raise ValueError("trajectory_capacity must be at least 1")
+        _validate_analytics(ensemble.analytics, process_backend=True)
+        seeds = list(ensemble.seeds)
+        configuration = ensemble.protocol.initial_configuration(ensemble.inputs)
         if not seeds:
             # An empty ensemble must agree with the serial backend, which
             # constructs a Simulator before noticing there is nothing to do:
             # validate the spec (engine name, scheduler compatibility) the
             # same way instead of silently returning for a combination every
             # non-empty call would reject.
-            Simulator(protocol, scheduler=scheduler, engine=engine)
-            return []
+            Simulator(
+                ensemble.protocol, scheduler=ensemble.scheduler,
+                engine=ensemble.engine,
+            )
+            return configuration, seeds, b""
+        spec_bytes = ensemble.spec_bytes
         if spec_bytes is None:
-            spec_bytes = _dumps_for_workers((protocol, scheduler, engine))
-        # About four contiguous chunks per worker of this ensemble (the pool
-        # may hold more workers than there are seeds) balances load against
-        # dispatch overhead; chunking never changes results, only how the
-        # pre-derived seeds travel.
-        size = -(-len(seeds) // (min(self.workers, len(seeds)) * 4))
-        tracing = _obs_trace.tracing_active()
-        tasks = [
-            (spec_bytes, configuration, seeds[i : i + size], max_steps,
-             stability_window, record_trajectory, trajectory_capacity,
-             analytics, tracing)
-            for i in range(0, len(seeds), size)
-        ]
-        with _obs_trace.span(
-            "dispatch", kind="dispatch", chunks=len(tasks), workers=self.workers
-        ) as dispatch_span:
-            lock_t0 = monotonic_time() if tracing else 0.0
-            with self._dispatch_lock:
-                if tracing:
-                    # Queue-wait behind concurrent ensembles (serve threads,
-                    # sweep cells) vs time actually spent in the map.
-                    dispatch_span.set(lock_wait=monotonic_time() - lock_t0)
-                # Re-check under the lock: a close() that won the lock first
-                # has already drained and spent the pool.
-                self._check_open()
-                chunk_results = self._await_map(
-                    tasks, timeout, protocol.name or "protocol", seeds
-                )
-            if tracing:
-                # Chunks return in submission (= seed) order, so adopted
-                # worker events land in exactly the serial emission order.
-                for _, events in chunk_results:
-                    if events:
-                        _obs_trace.adopt(events, parent=dispatch_span.id)
-        return [result for chunk, _ in chunk_results for result in chunk]
+            spec_bytes = _dumps_for_workers(
+                (ensemble.protocol, ensemble.scheduler, ensemble.engine)
+            )
+        return configuration, seeds, spec_bytes
 
     def _await_map(
         self,
@@ -511,7 +655,9 @@ class WorkerPool:
         timeout: Optional[float],
         protocol_name: str,
         seeds: Sequence[int],
-    ) -> List[Tuple[List[SimulationResult], Optional[List[dict]]]]:
+    ) -> List[
+        Tuple[List[SimulationResult], Optional[List[dict]], Optional[BaseException]]
+    ]:
         """Dispatch tasks and await them under crash and timeout watch.
 
         A plain ``Pool.map`` would block forever if a worker process dies

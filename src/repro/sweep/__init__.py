@@ -13,19 +13,23 @@ population-protocol ensembles.
 * :class:`SqliteResultStore` (:mod:`repro.sweep.dbstore`) — the one live
   store: a sqlite table with one row per cell, a
   ``created``/``running``/``done``/``error`` status column, and atomic,
-  leased cell claims.  Every mutation commits durably, so a killed sweep
-  resumes by running again.
+  leased cell claims taken per batch.  It runs WAL with
+  ``synchronous=NORMAL``: a killed process loses no committed row, so a
+  killed sweep resumes by running again; an OS crash or power loss can drop
+  the last commits, and those cells rerun to identical rows because seeds
+  are per cell.
 * :func:`export_rows` (:mod:`repro.sweep.store`) — the table's column
   schema and its CSV / JSON-lines renderings, byte-identical for every way
   the same spec was run.
 * :class:`SweepRunner` (:mod:`repro.sweep.runner`) — one claim loop in two
   cases: :meth:`~SweepRunner.run` owns the store alone and resumes it,
   :meth:`~SweepRunner.run_claims` drains it cooperatively with other
-  runner processes.  Each claimed cell runs on a :class:`CellExecutor`
-  (:mod:`repro.sweep.executor`) — the cache of built protocols, inputs,
-  schedulers and simulators that :mod:`repro.serve` shares — over one
-  shared persistent :class:`~repro.simulation.batch.WorkerPool` or
-  in-process.
+  runner processes.  Each claimed batch of cells runs on a
+  :class:`CellExecutor` (:mod:`repro.sweep.executor`) — the cache of built
+  protocols, inputs, schedulers and simulators that :mod:`repro.serve`
+  shares — in one round trip of a shared persistent
+  :class:`~repro.simulation.batch.WorkerPool`, or in-process; its rows
+  commit in one transaction.  A SIGTERM drain finishes the batch in flight.
 * ``python -m repro.sweep`` (:mod:`repro.sweep.cli`) — run, resume, drain,
   export and show sweeps from the command line; experiments E12 and E13
   drive the same machinery from the experiment registry.

@@ -1,4 +1,4 @@
-"""The sweep result store: one sqlite table, claimed cell by cell.
+"""The sweep result store: one sqlite table, claimed in batches of cells.
 
 The live state of every sweep is one ``.sqlite`` file, py_experimenter
 style: a row per grid cell carrying exactly :data:`~repro.sweep.store.COLUMNS`
@@ -6,22 +6,35 @@ plus claim bookkeeping.  A single-process :meth:`SweepRunner.run
 <repro.sweep.runner.SweepRunner.run>` and any number of independent
 :meth:`~repro.sweep.runner.SweepRunner.run_claims` runner processes — one
 host or many sharing a filesystem — drive it the same way: repeatedly
-*claim* an open cell, execute it, and commit the result, until the table
-drains.  Concurrency safety comes entirely from sqlite:
+*claim* a batch of open cells, execute them, and commit their results,
+until the table drains.  Concurrency safety comes entirely from sqlite:
 
 * the database runs in WAL mode with a busy timeout, so readers never block
   the single writer and contending writers queue instead of erroring;
-* every claim is one ``BEGIN IMMEDIATE`` transaction — select the first
-  eligible row, mark it ``running`` with the claimant's owner id and a lease
-  expiry, commit — so two runners can never claim the same cell;
+* a whole grid registers in one transaction (:meth:`~SqliteResultStore.
+  ensure_batch`), and every claim is one ``BEGIN IMMEDIATE`` transaction
+  (:meth:`~SqliteResultStore.claim_batch`) — select the first eligible rows
+  in grid order, mark each ``running`` with the claimant's owner id and a
+  lease expiry, commit — so two runners can never claim the same cell.  An
+  index on ``(status, position)`` serves each status's ``ORDER BY position
+  LIMIT k`` branch, so a claim costs the same at any grid size;
 * result commits are **owner-guarded**: ``UPDATE … WHERE cell=? AND
   owner=? AND status='running'`` with a rowcount check, so a runner whose
   lease was reclaimed (it stalled, its heartbeat was partitioned away)
   cannot overwrite the reclaimant's work — its late commit is refused and
-  reported as lost.
+  reported as lost.  A batch's results commit in one transaction
+  (:meth:`~SqliteResultStore.finish_batch`).
 
-Every mutation commits durably before it returns, so a killed sweep leaves
-a consistent table behind and resuming is just running again.
+The single-cell methods (:meth:`~SqliteResultStore.ensure`,
+:meth:`~SqliteResultStore.claim_next`, :meth:`~SqliteResultStore.
+finish_claim`) are the one-item case of the batched ones.
+
+Durability: WAL runs with ``PRAGMA synchronous=NORMAL``
+(https://www.sqlite.org/pragma.html#pragma_synchronous).  A killed process
+loses no committed row, so a killed sweep leaves a consistent table behind
+and resuming is just running again.  An OS crash or power loss can drop the
+last commits; those cells rerun to identical rows, because every cell's
+seeds derive from the master seed and the cell identity alone.
 
 Liveness under crashes is lease-based: a claim holds ``lease_expires``
 (wall-clock seconds), runners extend it via :meth:`~SqliteResultStore.
@@ -49,7 +62,17 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .faults import fault_point
 from .spec import KEYFIELDS
@@ -101,6 +124,36 @@ BOOKKEEPING_COLUMNS = ("owner", "lease_expires", "retry_count", "next_attempt")
 #: Seeds are unsigned 64-bit (sha256-derived) and can exceed sqlite's signed
 #: INTEGER range, so the seed column is stored as TEXT and parsed back.
 _TEXT_INT_COLUMNS = frozenset({"seed"})
+
+_CLAIM_COLUMNS = (
+    '"cell", "status", "retry_count", "seed", '
+    + ", ".join(f'"{key}"' for key in KEYFIELDS)
+    + ', "position"'
+)
+
+#: The claim scan: one ``ORDER BY position LIMIT k`` branch per eligible
+#: status, each a search of the ``(status, position)`` index, merged in grid
+#: order.  (One ``WHERE`` with three ``OR``-ed statuses cannot use the index
+#: and scans the whole table on every claim.)
+_CLAIM_SQL = " UNION ALL ".join(
+    f"SELECT * FROM (SELECT {_CLAIM_COLUMNS} FROM cells WHERE {condition} "
+    'ORDER BY "position" LIMIT ?)'
+    for condition in (
+        '"status" = ?',
+        '"status" = ? AND "lease_expires" <= ?',
+        '"status" = ? AND "next_attempt" <= ?',
+    )
+) + ' ORDER BY "position" LIMIT ?'
+
+
+def _claim_parameters(now: float, limit: int) -> Tuple[object, ...]:
+    """The parameters of :data:`_CLAIM_SQL` at time ``now``."""
+    return (
+        STATUS_CREATED, limit,
+        STATUS_RUNNING, now, limit,
+        STATUS_ERROR, now, limit,
+        limit,
+    )
 
 
 def _wall_clock() -> float:
@@ -258,6 +311,7 @@ class SqliteResultStore:
         # thread; the lock serializes them (sqlite connections are not
         # thread-safe, and cross-*process* safety comes from sqlite itself).
         self._lock = threading.RLock()
+        # ``timeout`` installs sqlite's busy handler for the connection.
         self._connection = sqlite3.connect(
             str(self.path),
             timeout=busy_timeout,
@@ -265,11 +319,18 @@ class SqliteResultStore:
             check_same_thread=False,
         )
         with self._lock:
-            self._connection.execute(
-                f"PRAGMA busy_timeout={int(busy_timeout * 1000)}"
-            )
+            # The schema commits first, in the file's current journal mode
+            # (sqlite's rollback journal, for a new file): created before
+            # the switch to WAL, it leaves no WAL frames for the first close
+            # to checkpoint.
+            with self._transaction():
+                self._create_schema()
+            # Per connection: from here on commits reach the WAL without an
+            # fsync, which survives a killed process but not an OS crash
+            # (the module docstring says why that loses nothing a rerun
+            # cannot restore).
+            self._connection.execute("PRAGMA synchronous=NORMAL")
             self._enable_wal(busy_timeout)
-            self._create_schema()
 
     def _enable_wal(self, busy_timeout: float) -> None:
         """Switch the database to WAL, retrying through the first-open race.
@@ -309,6 +370,10 @@ class SqliteResultStore:
             '"retry_count" INTEGER NOT NULL DEFAULT 0, '
             '"next_attempt" REAL)'
         )
+        # Every claim branch is "rows of one status in grid order".
+        self._connection.execute(
+            'CREATE INDEX IF NOT EXISTS cells_by_status ON cells ("status", "position")'
+        )
 
     def _transaction(self) -> "_ImmediateTransaction":
         return _ImmediateTransaction(self._connection, self._lock)
@@ -330,53 +395,73 @@ class SqliteResultStore:
     def ensure(
         self, cell_id: str, keyfields: Mapping[str, object], seed: int
     ) -> bool:
-        """Register a cell with status ``created`` unless already present.
+        """Register one cell; the one-item case of :meth:`ensure_batch`.
 
-        Several launcher processes may race to register the same grid:
-        ``INSERT OR IGNORE`` makes the race benign, and the loser still
-        *verifies* the surviving row agrees on keyfields and seed — a
-        mismatch means a different spec or master seed wrote this store,
-        and resuming would mix incompatible tables, so it raises
-        :class:`StoreCorruptionError`.  Returns True when the row was newly
-        created.
+        Returns True when the row was newly created.
         """
+        return self.ensure_batch([(cell_id, keyfields, seed)]) == 1
+
+    def ensure_batch(
+        self, cells: Iterable[Tuple[str, Mapping[str, object], int]]
+    ) -> int:
+        """Register ``(cell_id, keyfields, seed)`` cells as ``created``, in order.
+
+        The whole batch is one transaction, and new rows take the next grid
+        positions in the order given.  Several launcher processes may race
+        to register the same grid: ``INSERT OR IGNORE`` makes the race
+        benign, and every existing row is *verified* to agree on keyfields
+        and seed — a mismatch means a different spec or master seed wrote
+        this store, and resuming would mix incompatible tables, so it raises
+        :class:`StoreCorruptionError` and registers nothing.  Returns how
+        many rows were newly created.
+        """
+        inserted = 0
         with self._transaction():
-            inserted = self._connection.execute(
-                'INSERT OR IGNORE INTO cells ("cell", "position", "seed", "status", '
-                + ", ".join(f'"{key}"' for key in keyfields)
-                + ") VALUES (?, (SELECT COALESCE(MAX(position) + 1, 0) FROM cells), ?, ?, "
-                + ", ".join("?" for _ in keyfields)
-                + ")",
-                [cell_id, _to_db("seed", seed), STATUS_CREATED]
-                + [_to_db(key, value) for key, value in keyfields.items()],
-            ).rowcount
-            row = self._fetch_row(cell_id)
-        if row is None:  # pragma: no cover - insert-or-ignore guarantees a row
-            raise StoreCorruptionError(f"cell {cell_id!r} vanished mid-registration")
-        for key, value in keyfields.items():
-            if row.get(key) != value:
-                raise StoreCorruptionError(
-                    f"store row for {cell_id!r} disagrees on {key!r} "
-                    f"({row.get(key)!r} != {value!r}); this store was "
-                    "written by a different sweep spec"
-                )
-        if row.get("seed") != seed:
-            raise StoreCorruptionError(
-                f"store row for {cell_id!r} carries seed {row.get('seed')!r}, "
-                f"expected {seed}; this store was written with a different "
-                "master seed"
-            )
-        return inserted == 1
+            base = self._next_position()
+            for cell_id, keyfields, seed in cells:
+                keys = list(keyfields)
+                names = ", ".join(f'"{key}"' for key in keys)
+                if self._connection.execute(
+                    f'INSERT OR IGNORE INTO cells ("cell", "position", "seed", '
+                    f'"status", {names}) VALUES (?, ?, ?, ?, '
+                    + ", ".join("?" for _ in keys)
+                    + ")",
+                    [cell_id, base + inserted, _to_db("seed", seed), STATUS_CREATED]
+                    + [_to_db(key, keyfields[key]) for key in keys],
+                ).rowcount:
+                    inserted += 1
+                    continue
+                stored = self._connection.execute(
+                    f'SELECT "seed", {names} FROM cells WHERE "cell" = ?',
+                    (cell_id,),
+                ).fetchone()
+                context = f"{self.path}: cell {cell_id!r}"
+                for key, value in zip(keys, stored[1:]):
+                    if _from_db(key, value, context) != keyfields[key]:
+                        raise StoreCorruptionError(
+                            f"store row for {cell_id!r} disagrees on {key!r} "
+                            f"({value!r} != {keyfields[key]!r}); this store was "
+                            "written by a different sweep spec"
+                        )
+                if _from_db("seed", stored[0], context) != seed:
+                    raise StoreCorruptionError(
+                        f"store row for {cell_id!r} carries seed {stored[0]!r}, "
+                        f"expected {seed}; this store was written with a "
+                        "different master seed"
+                    )
+        return inserted
 
     def import_rows(self, rows: "List[Mapping[str, object]]") -> None:
         """Adopt fully-formed rows verbatim, in order (store-to-store export).
 
         ``rows`` must be :data:`~repro.sweep.store.COLUMNS`-shaped mappings,
         as another store's :meth:`rows` returns them; existing rows with the
-        same cell id are replaced in place.
+        same cell id are replaced in place, new ones take the next grid
+        positions.
         """
         with self._transaction():
-            for row in rows:
+            base = self._next_position()
+            for offset, row in enumerate(rows):
                 cell_id = row.get("cell")
                 if not cell_id:
                     raise ValueError("imported rows must carry a 'cell' id")
@@ -389,19 +474,33 @@ class SqliteResultStore:
                     'INSERT OR REPLACE INTO cells ("cell", "position", '
                     + ", ".join(f'"{c}"' for c in COLUMNS if c != "cell")
                     + ") VALUES (?, "
-                    "COALESCE((SELECT position FROM cells WHERE cell = ?), "
-                    "(SELECT COALESCE(MAX(position) + 1, 0) FROM cells)), "
+                    "COALESCE((SELECT position FROM cells WHERE cell = ?), ?), "
                     + ", ".join("?" for c in COLUMNS if c != "cell")
                     + ")",
-                    [cell_id, cell_id]
+                    [cell_id, cell_id, base + offset]
                     + [_to_db(c, row.get(c)) for c in COLUMNS if c != "cell"],
                 )
+
+    def _next_position(self) -> int:
+        """The first free grid position (read once per transaction)."""
+        (position,) = self._connection.execute(
+            "SELECT COALESCE(MAX(position) + 1, 0) FROM cells"
+        ).fetchone()
+        return int(position)
 
     # ------------------------------------------------------------------
     # Claim lifecycle
     # ------------------------------------------------------------------
     def claim_next(self, owner: str) -> Optional[Claim]:
-        """Atomically claim the next open cell for ``owner``, or ``None``.
+        """Claim the next open cell for ``owner``, or ``None``.
+
+        The one-item case of :meth:`claim_batch`.
+        """
+        claims = self.claim_batch(owner, 1)
+        return claims[0] if claims else None
+
+    def claim_batch(self, owner: str, limit: int) -> List[Claim]:
+        """Atomically claim up to ``limit`` open cells for ``owner``.
 
         Eligible, in grid (registration) order:
 
@@ -414,58 +513,62 @@ class SqliteResultStore:
           past their backoff; parked rows (``next_attempt`` NULL) stay put.
 
         The whole scan-and-mark runs in one ``BEGIN IMMEDIATE`` transaction,
-        so concurrent claimants serialize and can never double-claim.  Only
-        the first eligible row is read; parking it makes the next one first,
-        so the scan re-queries after each park.  Returns ``None`` only when
-        no row is currently eligible (the grid may still hold live claims or
-        backing-off rows — see :meth:`unresolved_count`).
+        so concurrent claimants serialize and can never double-claim.  A
+        parked row frees its place in the batch, so the scan re-queries
+        after a park.  The ``before-claim-commit`` fault point fires once per
+        batch; a drop rolls the whole batch back.  Returns the claims in
+        grid order — empty only when no row is currently eligible (the grid
+        may still hold live claims or backing-off rows — see
+        :meth:`unresolved_count`).
         """
         if not owner:
             raise ValueError("claim owner id must be non-empty")
+        if limit < 1:
+            raise ValueError(f"claim limit must be at least 1, got {limit}")
         now = self._clock()
+        claims: List[Claim] = []
+        clears = ", ".join(f'"{column}" = NULL' for column in _RESULT_COLUMNS)
         with self._transaction() as txn:
-            while True:
-                eligible = self._connection.execute(
-                    'SELECT "cell", "status", "retry_count", "seed", '
-                    + ", ".join(f'"{key}"' for key in KEYFIELDS)
-                    + ' FROM cells WHERE ("status" = ?) OR '
-                    '("status" = ? AND "lease_expires" IS NOT NULL AND "lease_expires" <= ?) OR '
-                    '("status" = ? AND "next_attempt" IS NOT NULL AND "next_attempt" <= ?) '
-                    'ORDER BY "position" LIMIT 1',
-                    (STATUS_CREATED, STATUS_RUNNING, now, STATUS_ERROR, now),
-                ).fetchone()
-                if eligible is None:
-                    return None
-                cell_id, status, retry_count, seed = eligible[:4]
-                attempt = int(retry_count)
-                if status != STATUS_RUNNING:
-                    break
-                # A stale lease: the previous owner is presumed dead.
-                attempt += 1
-                if attempt <= self.max_retries:
-                    break
-                self._park(
-                    cell_id, attempt, f"lease expired after {attempt} attempts; parked"
-                )
-            clears = ", ".join(f'"{column}" = NULL' for column in _RESULT_COLUMNS)
-            self._connection.execute(
-                f'UPDATE cells SET "status" = ?, {clears}, "owner" = ?, '
-                '"lease_expires" = ?, "retry_count" = ?, "next_attempt" = NULL '
-                'WHERE "cell" = ?',
-                (STATUS_RUNNING, owner, now + self.lease_seconds, attempt, cell_id),
-            )
-            if not fault_point("before-claim-commit"):
+            parked = True
+            while parked and len(claims) < limit:
+                parked = False
+                wanted = limit - len(claims)
+                for cell_id, status, retry_count, seed, *keyfields in (
+                    self._connection.execute(
+                        _CLAIM_SQL, _claim_parameters(now, wanted)
+                    ).fetchall()
+                ):
+                    attempt = int(retry_count)
+                    if status == STATUS_RUNNING:
+                        # A stale lease: the previous owner is presumed dead.
+                        attempt += 1
+                        if attempt > self.max_retries:
+                            self._park(
+                                cell_id, attempt,
+                                f"lease expired after {attempt} attempts; parked",
+                            )
+                            parked = True
+                            continue
+                    self._connection.execute(
+                        f'UPDATE cells SET "status" = ?, {clears}, "owner" = ?, '
+                        '"lease_expires" = ?, "retry_count" = ?, '
+                        '"next_attempt" = NULL WHERE "cell" = ?',
+                        (STATUS_RUNNING, owner, now + self.lease_seconds, attempt,
+                         cell_id),
+                    )
+                    claims.append(Claim(
+                        cell=cell_id,
+                        owner=owner,
+                        attempt=attempt,
+                        seed=int(seed),  # stored as TEXT: see _TEXT_INT_COLUMNS
+                        keyfields=dict(zip(KEYFIELDS, keyfields[:-1])),
+                    ))
+            if claims and not fault_point("before-claim-commit"):
                 # A scripted drop: the whole transaction rolls back, parking
                 # decisions included, exactly like a runner dying mid-claim.
                 txn.rollback()
-                return None
-            return Claim(
-                cell=cell_id,
-                owner=owner,
-                attempt=attempt,
-                seed=int(seed),  # stored as TEXT: see _TEXT_INT_COLUMNS
-                keyfields=dict(zip(KEYFIELDS, eligible[4:])),
-            )
+                return []
+        return claims
 
     def heartbeat(self, claim: Claim) -> bool:
         """Extend a held claim's lease; returns whether the claim survives.
@@ -496,28 +599,55 @@ class SqliteResultStore:
         consensus_quantiles: Optional[Tuple[Optional[float], ...]] = None,
         top_transitions: Optional[str] = None,
     ) -> bool:
-        """Commit a claimed cell's results; returns whether the commit won.
+        """Commit one claimed cell's results; the one-item case of
+        :meth:`finish_batch`.  Returns whether the commit won."""
+        extras = {
+            "accuracy": accuracy,
+            "consensus_quantiles": consensus_quantiles,
+            "top_transitions": top_transitions,
+        }
+        return self.finish_batch([(claim, statistics, extras)])[0]
 
-        The update is owner-guarded: it only applies while ``claim`` still
-        holds the row.  A ``False`` return means the commit was *lost* —
-        the lease expired and the cell was reclaimed (its new owner will
-        produce the identical row, so nothing is damaged) — or a scripted
-        ``before-result-write`` drop suppressed the write.  Either way the
-        claim holder must not retry the write: the row is no longer theirs.
+    def finish_batch(
+        self, finished: Sequence[Tuple[Claim, object, Mapping[str, object]]]
+    ) -> List[bool]:
+        """Commit claimed cells' results in one transaction.
+
+        Each item is ``(claim, statistics, extras)``: the claim, the cell's
+        :class:`~repro.simulation.statistics.ConvergenceStatistics` and its
+        optional ``accuracy`` / ``consensus_quantiles`` / ``top_transitions``
+        columns.  Each update is owner-guarded: it only applies while its
+        claim still holds the row.  Returns, per item, whether its commit
+        won.  A ``False`` means the commit was *lost* — the lease expired
+        and the cell was reclaimed (its new owner will produce the identical
+        row, so nothing is damaged) — or a scripted ``before-result-write``
+        drop suppressed that one write.  Either way the claim holder must
+        not retry the write: the row is no longer theirs.  The fault point
+        fires once per cell inside the open transaction, so a ``kill`` there
+        loses every row of the batch.
         """
-        values = _done_values(statistics, accuracy, consensus_quantiles, top_transitions)
-        if not fault_point("before-result-write"):
-            return False
+        updates = [
+            (claim, _done_values(statistics, **extras))
+            for claim, statistics, extras in finished
+        ]
+        committed: List[bool] = []
+        if not updates:
+            return committed
         with self._transaction():
-            assignments = ", ".join(f'"{column}" = ?' for column in values)
-            updated = self._connection.execute(
-                f'UPDATE cells SET {assignments}, "lease_expires" = NULL, '
-                '"next_attempt" = NULL '
-                'WHERE "cell" = ? AND "owner" = ? AND "status" = ?',
-                [_to_db(column, value) for column, value in values.items()]
-                + [claim.cell, claim.owner, STATUS_RUNNING],
-            ).rowcount
-        return updated == 1
+            for claim, values in updates:
+                if not fault_point("before-result-write"):
+                    committed.append(False)
+                    continue
+                assignments = ", ".join(f'"{column}" = ?' for column in values)
+                updated = self._connection.execute(
+                    f'UPDATE cells SET {assignments}, "lease_expires" = NULL, '
+                    '"next_attempt" = NULL '
+                    'WHERE "cell" = ? AND "owner" = ? AND "status" = ?',
+                    [_to_db(column, value) for column, value in values.items()]
+                    + [claim.cell, claim.owner, STATUS_RUNNING],
+                ).rowcount
+                committed.append(updated == 1)
+        return committed
 
     def fail_claim(self, claim: Claim, message: str) -> str:
         """Record a claimed cell's failure; returns the row's fate.

@@ -13,24 +13,29 @@ run.
 Injection points (:data:`INJECTION_POINTS`)
 -------------------------------------------
 ``before-claim-commit``
-    Inside :meth:`~repro.sweep.dbstore.SqliteResultStore.claim_next`, after
-    the claim ``UPDATE`` but before the transaction commits.  A fault here
-    must leave the cell claimable (the transaction rolls back / is never
-    committed), proving a runner dying mid-claim loses nothing.
+    Inside :meth:`~repro.sweep.dbstore.SqliteResultStore.claim_batch`, after
+    the claim ``UPDATE`` of every cell of the batch but before the
+    transaction commits (once per batch).  A fault here must leave the cells
+    claimable (the transaction rolls back / is never committed), proving a
+    runner dying mid-claim loses nothing.
 ``mid-cell``
-    In the claim loop, after a claim is held but before the cell's ensemble
-    executes.  A ``kill`` here leaves a stale ``running`` row whose lease
-    must expire and be reclaimed.
+    In the claim loop, once per cell of a claimed batch, before the batch's
+    ensembles execute.  A ``raise`` fails that cell alone; a ``kill`` leaves
+    the batch's cells as stale ``running`` rows whose leases must expire and
+    be reclaimed.
 ``before-result-write``
-    Inside :meth:`~repro.sweep.dbstore.SqliteResultStore.finish_claim`,
-    after the ensemble completed but before the ``done`` row is written.
-    The most adversarial spot: the work is done, the commit is lost — the
-    cell must be recomputed to an identical row.
+    Inside :meth:`~repro.sweep.dbstore.SqliteResultStore.finish_batch`, once
+    per cell, after the batch's ensembles completed but before that cell's
+    ``done`` row is written, inside the batch's open transaction.  The most
+    adversarial spot: the work is done, the commit is lost — a ``drop``
+    loses that one cell's row, a ``kill`` every row of the batch, and the
+    lost cells must be recomputed to identical rows.
 ``heartbeat-loss``
-    Inside the heartbeat sender.  The ``drop`` action suppresses this and
-    every later heartbeat (a sustained network partition), so the lease
-    expires under a still-running cell and another runner reclaims it; the
-    original owner's late commit must then be refused.
+    Inside the heartbeat sender, once per held claim per beat.  The ``drop``
+    action suppresses this and every later heartbeat (a sustained network
+    partition), so the leases expire under still-running cells and another
+    runner reclaims them; the original owner's late commits must then be
+    refused.
 
 Actions (:data:`ACTIONS`)
 -------------------------

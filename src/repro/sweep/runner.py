@@ -3,8 +3,10 @@
 The :class:`SweepRunner` runs one seeded ensemble per cell of a
 :class:`~repro.sweep.spec.SweepSpec` against a
 :class:`~repro.sweep.dbstore.SqliteResultStore`, through one loop body:
-claim the next open cell in grid order, execute it on a shared
-:class:`~repro.sweep.executor.CellExecutor`, commit the row, repeat.
+claim the next batch of open cells in grid order (one transaction), execute
+them on a shared :class:`~repro.sweep.executor.CellExecutor` (one pool round
+trip), commit their rows (one transaction), repeat.  How many cells a batch
+takes is derived, not configured: see :data:`BATCH_STEP_BUDGET`.
 
 * :meth:`SweepRunner.run` is the single-owner case: every cell is registered
   up front (status ``created``), **resume is the default** — ``done`` cells
@@ -14,12 +16,17 @@ claim the next open cell in grid order, execute it on a shared
 * :meth:`SweepRunner.run_claims` is the multi-runner case: any number of
   processes drain one store, heartbeating their leases, retrying failed
   cells with backoff and adopting the cells of killed peers;
-* under ``backend="process"`` every cell fans its repetitions over **one
-  shared persistent** :class:`~repro.simulation.batch.WorkerPool`: worker
-  processes are created once per loop and cache one initialized simulator
-  per (protocol, scheduler, engine) spec, so the grid pays protocol
-  pickling and stepper compilation once per spec per worker, not once per
-  cell;
+* under ``backend="process"`` every batch fans its cells' repetitions over
+  **one shared persistent** :class:`~repro.simulation.batch.WorkerPool`:
+  worker processes are created once per loop and cache one initialized
+  simulator per (protocol, scheduler, engine) spec, so the grid pays
+  protocol pickling and stepper compilation once per spec per worker, not
+  once per cell;
+* failures stay with their cell: a cell that raises inside a batch gets its
+  own ``error`` row while its neighbours commit, and a batch that fails as a
+  whole (a worker crash) reruns one cell per round trip, so the failure
+  lands on the cell that caused it; a runner with a ``cell_timeout`` claims
+  one cell per batch, so the timeout bounds each cell;
 * results are backend-independent **by construction**: each cell's ensemble
   seeds derive from the spec's master seed and the cell identity alone
   (see :meth:`~repro.sweep.spec.SweepSpec.cell_seed`), and the batch layer
@@ -34,14 +41,18 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Counter as CounterType, Dict, List, Optional
+from typing import Callable, Counter as CounterType, Dict, List, Optional, Set
 
 from ..config import monotonic_time
 from ..obs import trace as _obs_trace
 from ..obs.registry import get_registry
-from ..simulation.batch import WorkerPool, repetition_seeds
+from ..simulation.batch import EnsembleOutcome, WorkerPool, repetition_seeds
 from ..simulation.simulator import SimulationResult
-from ..simulation.statistics import accuracy_against_predicate, summarize_runs
+from ..simulation.statistics import (
+    ConvergenceStatistics,
+    accuracy_against_predicate,
+    summarize_runs,
+)
 from .dbstore import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_LEASE_SECONDS,
@@ -55,6 +66,7 @@ from .spec import SweepCell, SweepSpec
 from .store import COLUMNS, STATUS_DONE, STATUS_ERROR, StoreCorruptionError
 
 __all__ = [
+    "BATCH_STEP_BUDGET",
     "CellExecutionError",
     "ClaimReport",
     "SweepReport",
@@ -68,12 +80,28 @@ _BACKENDS = ("serial", "process")
 #: The claim owner of :meth:`SweepRunner.run`, the store's only runner.
 _RUN_OWNER = "run"
 
+#: The worst-case steps of one batch, ``k × repetitions × max_steps``, from
+#: which the claim loop sizes its batches of k cells.  A batch holds its
+#: leases until it commits and a SIGTERM drain waits for it, so its stepping
+#: stays within one heavy cell's: 2^20 steps take 23–48 ms on the native
+#: engine and 0.83–0.98 s on the compiled one (one core of a 2-core Xeon;
+#: modulo and majority at 8–200 agents).  A cell of 2^20 worst-case steps
+#: or more runs alone.  k is at most :data:`_MAX_BATCH_CELLS` (320 cells of
+#: 2 × 300 steps on one worker ran about 640 cells/s one per batch, 2,300
+#: at 16 per batch, 2,500 at 64 and at most 3,000 at 128 or 320) and never
+#: more than the cells left under ``max_cells``.  Without a pool there is
+#: no round trip to amortize, and with a ``cell_timeout`` the pool's
+#: timeout must bound a single cell, so those runners claim one cell at a
+#: time.
+BATCH_STEP_BUDGET = 1 << 20
+_MAX_BATCH_CELLS = 64
+
 
 class CellExecutionError(RuntimeError):
     """A grid cell's ensemble failed (crash, timeout, or protocol error).
 
-    The claim loop's unit of containment: every failure inside
-    :meth:`SweepRunner._execute` — a raising protocol builder, a worker
+    The claim loop's unit of containment: every failure of a cell in
+    :meth:`SweepRunner._execute_batch` — a raising protocol builder, a worker
     process crash (:class:`~repro.simulation.batch.WorkerCrashError`), an
     ensemble timeout (:class:`~repro.simulation.batch.WorkerTimeoutError`) —
     is wrapped in this typed error carrying the cell id and the original
@@ -151,21 +179,22 @@ class ClaimReport:
 
 
 class _HeartbeatPump:
-    """A daemon thread extending the claim its loop currently holds.
+    """A daemon thread extending every claim its loop currently holds.
 
-    One pump serves a whole claim loop: :meth:`hold` hands it the claim
-    being executed, :meth:`release` takes it back before the result is
-    committed or the failure recorded.  Both swap the claim under the lock
-    a beat holds while it runs, so no beat can extend (or misreport) a
-    claim that has already been committed or failed.
+    One pump serves a whole claim loop: :meth:`hold` hands it the batch of
+    claims being executed, :meth:`release` takes them back before the
+    results are committed or the failures recorded.  Both swap the claims
+    under the lock a beat holds while it runs, so no beat can extend (or
+    misreport) a claim that has already been committed or failed.
 
-    While a claim is held the pump beats every ``interval`` seconds
-    (default: a third of the store's lease); each beat goes through the
-    store's ``heartbeat`` — and therefore through the ``heartbeat-loss``
-    fault point, which is how the partition chaos tests starve a lease under
-    a live runner.  A beat returning False (the claim is gone) clears
-    :attr:`claim_alive` and stops beating for that claim, so the claim loop
-    can report the eventual lost commit with a cause.
+    While claims are held the pump beats every ``interval`` seconds
+    (default: a third of the store's lease); each beat extends every held
+    claim through the store's ``heartbeat`` — and therefore through the
+    ``heartbeat-loss`` fault point, which is how the partition chaos tests
+    starve a lease under a live runner.  A claim whose beat returns False is
+    gone: the pump stops beating it, adds its cell to :attr:`lost` and
+    clears :attr:`claim_alive`, so the claim loop can report the eventual
+    lost commit with a cause.
 
     Lease trouble is never silent: a beat that lands late (more than two
     intervals since the previous one — a starved thread or a blocked store),
@@ -180,10 +209,11 @@ class _HeartbeatPump:
         self._store = store
         self._interval = max(0.05, interval)
         self._lock = threading.Lock()
-        self._claim: Optional[Claim] = None
+        self._claims: List[Claim] = []
         self._last = 0.0
         self._stop = threading.Event()
         self.claim_alive = True
+        self.lost: Set[str] = set()
         self.warnings: List[str] = []
         self._warn_counter = get_registry().counter(
             "repro_sweep_heartbeat_warnings_total",
@@ -200,17 +230,18 @@ class _HeartbeatPump:
         self._stop.set()
         self._thread.join()
 
-    def hold(self, claim: Claim) -> None:
-        """Start extending ``claim``'s lease."""
+    def hold(self, *claims: Claim) -> None:
+        """Start extending the leases of ``claims``."""
         with self._lock:
-            self._claim = claim
+            self._claims = list(claims)
             self._last = monotonic_time()
             self.claim_alive = True
+            self.lost = set()
 
     def release(self) -> bool:
-        """Stop extending the held claim; returns whether it stayed alive."""
+        """Stop extending the held claims; returns whether all stayed alive."""
         with self._lock:
-            self._claim = None
+            self._claims = []
             return self.claim_alive
 
     def _warn(self, reason: str, claim: Claim, **attrs: object) -> None:
@@ -230,25 +261,31 @@ class _HeartbeatPump:
         lease = getattr(self._store, "lease_seconds", None)
         while not self._stop.wait(self._interval):
             with self._lock:
-                claim = self._claim
-                if claim is None:
+                if not self._claims:
                     continue
                 gap = monotonic_time() - self._last
                 if gap > 2.0 * self._interval:
                     # At least one beat went missing (a starved thread, a
-                    # store call that blocked) — the lease burned down
+                    # store call that blocked) — the leases burned down
                     # unattended.
-                    self._warn("skipped", claim, gap=gap)
+                    self._warn("skipped", self._claims[0], gap=gap)
                 if lease is not None and gap > lease - self._interval:
                     # Within one beat of expiry: the next hiccup loses the
-                    # claim.
-                    self._warn("lease-at-risk", claim, gap=gap, lease=lease)
-                if not self._store.heartbeat(claim):
+                    # claims.
+                    self._warn(
+                        "lease-at-risk", self._claims[0], gap=gap, lease=lease
+                    )
+                held = []
+                for claim in self._claims:
+                    if self._store.heartbeat(claim):
+                        held.append(claim)
+                        continue
                     self._warn("lost", claim)
+                    self.lost.add(claim.cell)
                     self.claim_alive = False
-                    self._claim = None
-                    continue
-                self._last = monotonic_time()
+                self._claims = held
+                if held:
+                    self._last = monotonic_time()
 
 
 class SweepRunner:
@@ -264,8 +301,8 @@ class SweepRunner:
         **same** spec resumes it; a store written by a different spec or
         master seed is rejected at registration time.
     backend:
-        ``"process"`` (default) fans each cell's repetitions over a shared
-        persistent :class:`~repro.simulation.batch.WorkerPool`;
+        ``"process"`` (default) runs each batch of cells in one round trip
+        of a shared persistent :class:`~repro.simulation.batch.WorkerPool`;
         ``"serial"`` runs everything in-process, reusing one simulator per
         (protocol, scheduler, engine) spec across cells.
     max_workers, start_method:
@@ -327,7 +364,8 @@ class SweepRunner:
             the cell's exception; ``"continue"`` records it and moves on —
             the failure stays visible in the table and the report.
         progress:
-            Optional callback receiving one human-readable line per cell.
+            Optional callback receiving one human-readable line per cell;
+            a batch's lines arrive together, once its rows are committed.
         """
         if on_error not in ("raise", "continue"):
             raise ValueError(
@@ -378,11 +416,12 @@ class SweepRunner:
         sharing a filesystem) point :meth:`run_claims` at the same sqlite
         store and the grid drains concurrently.
 
-        Each iteration atomically claims the next open cell, executes its
-        ensemble (under a heartbeat pump extending the lease), and commits
-        the result through the owner-guarded ``finish_claim``.  A failing
-        cell — including worker crashes and ensemble timeouts, both wrapped
-        in :class:`CellExecutionError` — is recorded for retry with
+        Each iteration atomically claims the next batch of open cells,
+        executes their ensembles (under a heartbeat pump extending every
+        lease), and commits the results through the owner-guarded
+        ``finish_batch``.  A failing cell — including worker crashes and
+        ensemble timeouts, both wrapped in :class:`CellExecutionError` — is
+        recorded for retry with
         exponential backoff, or parked as a terminal ``error`` row once the
         store's ``max_retries`` is exhausted; the runner itself survives and
         moves on.  Because every cell's seeds derive from the spec's master
@@ -400,9 +439,11 @@ class SweepRunner:
             interruption knob; ``None`` = run until the grid drains).
         cell_timeout:
             Wall-clock budget per cell ensemble — expiry raises through the
-            crash containment and counts as a cell failure.  Only the
-            process backend can interrupt an ensemble, so a serial runner
-            rejects it with :class:`ValueError` before registering any cell.
+            crash containment and counts as a cell failure.  A runner with a
+            budget claims one cell per batch, so the budget bounds each
+            cell, never a batch.  Only the process backend can interrupt an
+            ensemble, so a serial runner rejects it with :class:`ValueError`
+            before registering any cell.
         heartbeat_interval:
             Seconds between lease extensions (default: a third of the
             store's ``lease_seconds``).
@@ -413,7 +454,7 @@ class SweepRunner:
             returning.  Waiting runners also adopt expired leases, so a
             SIGKILLed peer's cells are re-executed without any restart.
         stop_event:
-            Optional external stop flag: the loop finishes the cell in
+            Optional external stop flag: the loop finishes the batch in
             flight, then exits without claiming further — the graceful
             SIGTERM drain of :func:`claim_worker`.
         progress:
@@ -446,8 +487,10 @@ class SweepRunner:
         )
 
     def _register(self, max_cells: Optional[int]) -> List[SweepCell]:
-        """Check the store and ``max_cells``, then register every grid cell."""
-        claim_api = ("claim_next", "finish_claim", "fail_claim", "heartbeat")
+        """Check the store and ``max_cells``, then register the whole grid."""
+        claim_api = (
+            "ensure_batch", "claim_batch", "finish_batch", "fail_claim", "heartbeat",
+        )
         if not all(hasattr(self.store, name) for name in claim_api):
             raise TypeError(
                 "the sweep runner requires a claim-capable store (a .sqlite "
@@ -456,11 +499,20 @@ class SweepRunner:
         if max_cells is not None and max_cells < 0:
             raise ValueError(f"max_cells must be non-negative, got {max_cells}")
         cells = self.spec.cells()
-        for cell in cells:
-            self.store.ensure(
-                cell.cell_id, cell.keyfields(), self.spec.cell_seed(cell)
-            )
+        self.store.ensure_batch(
+            (cell.cell_id, cell.keyfields(), self.spec.cell_seed(cell))
+            for cell in cells
+        )
         return cells
+
+    def _batch_cells(
+        self, pool: Optional[WorkerPool], cell_timeout: Optional[float]
+    ) -> int:
+        """How many cells one claim takes (see :data:`BATCH_STEP_BUDGET`)."""
+        if pool is None or cell_timeout is not None:
+            return 1
+        steps = self.spec.repetitions * self.spec.max_steps
+        return max(1, min(_MAX_BATCH_CELLS, BATCH_STEP_BUDGET // steps))
 
     def _claim_loop(
         self,
@@ -475,20 +527,27 @@ class SweepRunner:
         idle_wait: Optional[float] = None,
         stop_event: Optional[threading.Event] = None,
     ) -> CounterType[str]:
-        """Claim, execute and commit cells until none is left for ``owner``.
+        """Claim, execute and commit batches until no cell is left for ``owner``.
 
         The one loop body behind :meth:`run` (``single_owner``: failures
-        park at once, ``raise_errors`` re-raises them, spans are
-        ``sweep-cell``) and :meth:`run_claims` (failures retry with backoff,
-        spans are ``claim``).  With ``idle_wait`` set, a loop that finds no
-        claimable cell polls until the grid drains.  Returns counts of
-        ``executed`` cells, failure fates (``retry`` / ``parked`` /
-        ``lost``) and whether a ``stopped`` request ended the loop.
+        park at once, ``raise_errors`` re-raises the batch's first failure
+        once its rows are written, spans are ``sweep-cell``) and
+        :meth:`run_claims` (failures retry with backoff, spans are
+        ``claim``).  With ``idle_wait`` set, a loop that finds no claimable
+        cell polls until the grid drains.  Returns counts of ``executed``
+        cells, failure fates (``retry`` / ``parked`` / ``lost``) and whether
+        a ``stopped`` request ended the loop.
         """
         index_of = {cell.cell_id: index for index, cell in enumerate(cells)}
         tally: CounterType[str] = Counter()
         processed = 0
-        executor: Optional[CellExecutor] = None
+        pool = None
+        if self.backend == "process":
+            pool = WorkerPool(
+                max_workers=self.max_workers, start_method=self.start_method
+            )
+        executor = CellExecutor(pool, cell_timeout)
+        batch_cells = self._batch_cells(pool, cell_timeout)
         if heartbeat_interval is None:
             heartbeat_interval = self.store.lease_seconds / 3.0
         # The registry mirror of the loop's counters: cumulative across
@@ -498,14 +557,18 @@ class SweepRunner:
             "Claim outcomes processed by the sweep claim loop.",
             labelnames=("outcome",),
         )
+        record = self.store._park_claim if single_owner else self.store.fail_claim
         try:
             with _HeartbeatPump(self.store, heartbeat_interval) as pump:
                 while max_cells is None or processed < max_cells:
                     if stop_event is not None and stop_event.is_set():
                         tally["stopped"] = 1
                         break
-                    claim = self.store.claim_next(owner)
-                    if claim is None:
+                    limit = batch_cells
+                    if max_cells is not None:
+                        limit = min(limit, max_cells - processed)
+                    claims = self.store.claim_batch(owner, limit)
+                    if not claims:
                         if idle_wait is None or self.store.unresolved_count() == 0:
                             break
                         # Rows remain but none is eligible right now: another
@@ -515,48 +578,54 @@ class SweepRunner:
                         # peer's cells without any restart.
                         time.sleep(idle_wait)
                         continue
-                    index = index_of.get(claim.cell)
-                    if index is None:
-                        # Not this spec's cell: the store holds a different
-                        # (or larger) grid.  Hand the claim back and refuse
+                    foreign = [c.cell for c in claims if c.cell not in index_of]
+                    if foreign:
+                        # Not this spec's cells: the store holds a different
+                        # (or larger) grid.  Hand the claims back and refuse
                         # to mix.
-                        self.store.release_claim(claim)
+                        for claim in claims:
+                            self.store.release_claim(claim)
                         raise StoreCorruptionError(
-                            f"claimed cell {claim.cell!r} is not part of this "
+                            f"claimed cell {foreign[0]!r} is not part of this "
                             "sweep spec; the store holds a different grid"
                         )
-                    cell = cells[index]
-                    processed += 1
-                    if executor is None:
-                        pool = None
-                        if self.backend == "process":
-                            pool = WorkerPool(
-                                max_workers=self.max_workers,
-                                start_method=self.start_method,
-                            )
-                        executor = CellExecutor(pool, cell_timeout)
-                    if single_owner:
-                        prefix = f"[{index + 1}/{len(cells)}] {claim.cell}"
-                        span = _obs_trace.span(
-                            "sweep-cell", kind="sweep-cell", cell=claim.cell
+                    processed += len(claims)
+                    batch = [cells[index_of[claim.cell]] for claim in claims]
+                    started = monotonic_time()
+                    pump.hold(*claims)
+                    outcomes = self._execute_batch(batch, executor)
+                    pump.release()
+                    statistics = [
+                        None if outcome.error is not None
+                        else summarize_runs(outcome.results)
+                        for outcome in outcomes
+                    ]
+                    if _obs_trace.tracing_active():
+                        self._emit_cell_spans(
+                            claims, outcomes, statistics, started, single_owner
                         )
-                    else:
-                        prefix = f"[{owner}] {claim.cell} attempt {claim.attempt}"
-                        span = _obs_trace.span(
-                            "claim", kind="claim", cell=claim.cell,
-                            attempt=claim.attempt, owner=owner,
+                    committed = iter(self.store.finish_batch([
+                        (claim, stats, self._result_extras(cell, executor, outcome.results))
+                        for claim, cell, outcome, stats in zip(
+                            claims, batch, outcomes, statistics
                         )
-                    with span as cell_span:
-                        pump.hold(claim)
-                        try:
-                            results = self._execute(cell, executor)
-                        except CellExecutionError as error:
-                            alive = pump.release()
-                            cell_span.set(status="error")
-                            record = (
-                                self.store._park_claim if single_owner
-                                else self.store.fail_claim
+                        if stats is not None
+                    ]))
+                    first_failure: Optional[CellExecutionError] = None
+                    for claim, cell, outcome, stats in zip(
+                        claims, batch, outcomes, statistics
+                    ):
+                        alive = claim.cell not in pump.lost
+                        if single_owner:
+                            prefix = (
+                                f"[{index_of[claim.cell] + 1}/{len(cells)}] "
+                                f"{claim.cell}"
                             )
+                        else:
+                            prefix = f"[{owner}] {claim.cell} attempt {claim.attempt}"
+                        if stats is None:
+                            error = CellExecutionError(cell.cell_id, outcome.error)
+                            first_failure = first_failure or error
                             fate = record(claim, str(error))
                             tally[fate] += 1
                             claim_counter.inc(
@@ -567,56 +636,125 @@ class SweepRunner:
                                     f"{prefix} FAILED ({_lost(fate, alive)}): "
                                     f"{error}"
                                 )
-                            if raise_errors:
-                                raise error.cause from None
                             continue
-                        alive = pump.release()
-                        statistics = summarize_runs(results)
-                        cell_span.set(
-                            status="done",
-                            runs=statistics.runs,
-                            converged=statistics.converged,
-                        )
-                        committed = self.store.finish_claim(
-                            claim, statistics,
-                            **self._result_extras(cell, executor, results),
-                        )
-                    outcome = "executed" if committed else "lost"
-                    tally[outcome] += 1
-                    claim_counter.inc(outcome=outcome)
-                    if progress is not None:
-                        progress(
-                            f"{prefix} "
-                            f"{'done' if committed else _lost('lost', alive)} "
-                            f"(converged {statistics.converged}/{statistics.runs}, "
-                            f"mean steps {statistics.mean_steps:.1f})"
-                        )
+                        won = next(committed)
+                        tally["executed" if won else "lost"] += 1
+                        claim_counter.inc(outcome="executed" if won else "lost")
+                        if progress is not None:
+                            progress(
+                                f"{prefix} "
+                                f"{'done' if won else _lost('lost', alive)} "
+                                f"(converged {stats.converged}/{stats.runs}, "
+                                f"mean steps {stats.mean_steps:.1f})"
+                            )
+                    if raise_errors and first_failure is not None:
+                        raise first_failure.cause from None
         finally:
-            if executor is not None and executor.pool is not None:
-                executor.pool.close()
+            if pool is not None:
+                pool.close()
         return tally
 
-    def _execute(
-        self, cell: SweepCell, executor: CellExecutor
-    ) -> List[SimulationResult]:
-        """Run a claimed cell, wrapping any failure in the typed cell error.
+    def _execute_batch(
+        self, batch: List[SweepCell], executor: CellExecutor
+    ) -> List[EnsembleOutcome]:
+        """Run a claimed batch; every cell gets an outcome, failures included.
 
-        The wrapped message renders as ``TypeName: text``, which is what the
-        cell's ``error`` row records.  The ``mid-cell`` fault point models a
-        runner dying (or erroring) between claiming and executing: the claim
-        is held, no result exists.
+        The ``mid-cell`` fault point fires once per cell before the batch
+        runs; it models a runner dying (or erroring) between claiming and
+        executing: the claims are held, no result exists.  A batch that
+        fails as a whole — a worker crash — reruns one cell per round trip,
+        recomputing the results its other cells had, so the failure lands
+        on the cell that caused it.
         """
+        faulted: List[Optional[EnsembleOutcome]] = []
+        for cell in batch:
+            try:
+                fault_point("mid-cell")
+                faulted.append(None)
+            except Exception as error:
+                faulted.append(EnsembleOutcome(error=error))
+        ran = iter(self._attempt(
+            [cell for cell, outcome in zip(batch, faulted) if outcome is None],
+            executor,
+        ))
+        return [next(ran) if outcome is None else outcome for outcome in faulted]
+
+    def _attempt(
+        self, group: List[SweepCell], executor: CellExecutor
+    ) -> List[EnsembleOutcome]:
+        """Run ``group`` in one round trip, or one cell per round trip if
+        the group fails as a whole."""
         try:
-            fault_point("mid-cell")
-            return executor.run(
-                cell,
-                repetition_seeds(self.spec.cell_seed(cell), self.spec.repetitions),
+            return executor.run_batch(
+                [
+                    (cell, repetition_seeds(
+                        self.spec.cell_seed(cell), self.spec.repetitions
+                    ))
+                    for cell in group
+                ],
                 self.spec.max_steps,
                 self.spec.stability_window,
                 self.spec.analytics,
             )
         except Exception as error:
-            raise CellExecutionError(cell.cell_id, error) from error
+            if len(group) == 1:
+                return [EnsembleOutcome(error=error)]
+            return [
+                outcome for cell in group for outcome in self._attempt([cell], executor)
+            ]
+
+    @staticmethod
+    def _emit_cell_spans(
+        claims: List[Claim],
+        outcomes: List[EnsembleOutcome],
+        statistics: List[Optional[ConvergenceStatistics]],
+        started: float,
+        single_owner: bool,
+    ) -> None:
+        """One span per cell of a batch, its run spans adopted beneath it.
+
+        The spans tile the batch's wall time, so a traced sweep still splits
+        into stepping and overhead: cell i's tile runs from its first shipped
+        span (the batch's start, for the first cell) to the next cell's
+        start, and the last cell's tile runs on to now, result handling
+        included.  Each span is its tile widened to contain all of its
+        cell's shipped spans, so on a pool of several workers, where
+        neighbouring cells step at the same time, their spans overlap.
+        Cells are emitted in grid order, each after its runs, exactly as a
+        serial sweep emits them.
+        """
+        shipped = [
+            [
+                (event["t0"], event["t0"] + event["dur"])
+                for event in outcome.events
+                if event.get("ev") == "span"
+            ]
+            for outcome in outcomes
+        ]
+        starts = [started]
+        for spans in shipped[1:]:
+            first = min((low for low, _ in spans), default=starts[-1])
+            starts.append(max(starts[-1], first))
+        for index, (claim, outcome, stats) in enumerate(
+            zip(claims, outcomes, statistics)
+        ):
+            end = starts[index + 1] if index + 1 < len(starts) else monotonic_time()
+            low = min([starts[index]] + [low for low, _ in shipped[index]])
+            high = max([end] + [high for _, high in shipped[index]])
+            if single_owner:
+                name, attrs = "sweep-cell", {}
+            else:
+                name, attrs = "claim", {"attempt": claim.attempt, "owner": claim.owner}
+            if stats is None:
+                attrs["status"] = "error"
+            else:
+                attrs.update(
+                    status="done", runs=stats.runs, converged=stats.converged
+                )
+            _obs_trace.span_event(
+                name, name, low, high - low,
+                children=outcome.events, cell=claim.cell, **attrs,
+            )
 
     def _result_extras(
         self,
@@ -714,7 +852,7 @@ def claim_worker(
     consistency check.
 
     **SIGTERM drains gracefully**: the first signal sets a stop flag — the
-    cell in flight completes and commits, then the loop exits without
+    batch in flight completes and commits, then the loop exits without
     claiming further (its report says ``stopped=True``).  Only SIGKILL loses
     a claim, and that is exactly the case the lease-expiry recovery covers.
 
