@@ -11,7 +11,8 @@ client and asserts every piece of it:
     seeds,
 3.  an identical job respelled (reordered keys, explicit defaults, engine
     case) is a content-addressed cache hit: ``cache_hits`` rises on
-    ``/metrics`` and no new pool work runs,
+    ``/metrics`` and no new pool work runs, and every request so far came
+    over the client's one persistent connection,
 4.  a second in-flight job under ``--max-inflight 1`` is rejected with 429,
 5.  SIGTERM drains gracefully: new submissions get 503, the in-flight job
     *completes* (visible in the drain summary), and the process exits 0.
@@ -163,6 +164,10 @@ def main():
         check(
             metrics["repro_serve_jobs_completed"] == 1,
             "no new pool work for the duplicate (jobs_completed still 1)",
+        )
+        check(
+            metrics["repro_serve_connections_accepted"] == 1,
+            "every request so far arrived over one connection",
         )
 
         # -- 429 under the tiny in-flight cap ---------------------------

@@ -3,7 +3,7 @@
 The serving layer of the stack — where sweeps batch *one user's* grid over
 the pool, this package fronts the same pool with a long-lived HTTP process
 for *many* clients, built entirely on the stdlib (asyncio, ``json``,
-``urllib``):
+``http.client``):
 
 * :class:`JobSpec` (:mod:`repro.serve.jobs`) — one ensemble request,
   validated and normalized through the sweep layer's rejection rules, with
@@ -17,15 +17,16 @@ for *many* clients, built entirely on the stdlib (asyncio, ``json``,
   sweep cells, sharing its protocol, predicate and simulator caches.
 * :class:`SimulationServer` (:mod:`repro.serve.server`) — the asyncio
   HTTP+JSON server: ``POST /jobs`` / ``GET /jobs/<key>`` / ``GET /metrics``
-  / ``GET /healthz``, a bounded LRU result cache (duplicate submissions are
-  cache hits; concurrent duplicates coalesce onto one running job), a
-  per-client in-flight cap answered with 429, and graceful SIGTERM drain
-  (finish what's queued and running, 503 new work, exit 0) mirroring the
-  sweep claim-worker semantics.  :class:`BackgroundServer` runs the same
-  lifecycle in a daemon thread for tests and examples.
+  / ``GET /healthz`` over persistent HTTP/1.1 connections, a bounded LRU
+  result cache (duplicate submissions are cache hits; concurrent duplicates
+  coalesce onto one running job), a per-client in-flight cap answered with
+  429, and graceful SIGTERM drain (finish what's queued and running, 503
+  new work, exit 0) mirroring the sweep claim-worker semantics.
+  :class:`BackgroundServer` runs the same lifecycle in a daemon thread for
+  tests and examples.
 * :class:`ServeClient` (:mod:`repro.serve.client`) — the tiny
-  ``urllib`` client: submit / status / wait / run / metrics, with typed
-  backpressure errors.
+  ``http.client`` client over one kept connection: submit / status / wait /
+  run / metrics, with typed backpressure errors.
 * ``python -m repro.serve`` (:mod:`repro.serve.__main__`) — the deployment
   entry point; configuration flows through the ``REPRO_SERVE_*`` knobs in
   :mod:`repro.config` (flags override).

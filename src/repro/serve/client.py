@@ -1,6 +1,6 @@
 """A tiny stdlib client for the :mod:`repro.serve` job server.
 
-``urllib.request`` only — scripting a served simulation needs nothing more
+``http.client`` only — scripting a served simulation needs nothing more
 than submit / poll / wait:
 
 .. code-block:: python
@@ -11,6 +11,11 @@ than submit / poll / wait:
     result = client.run({"protocol": "majority", "population": 60})
     print(result["statistics"]["convergence_rate"])
 
+A client keeps one persistent connection and sends its requests over it
+one at a time, from any number of threads.  When the server closes that
+connection (its idle timeout, a drain, ``Connection: close``) the next
+request opens a new one.
+
 Error mapping is deliberately typed: 4xx/5xx answers raise
 :class:`ServeError` carrying the HTTP status and decoded payload, with the
 retryable rejections (429 backpressure, 503 draining) narrowed to
@@ -19,11 +24,12 @@ retryable rejections (429 backpressure, 503 draining) narrowed to
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, Mapping, Optional
+import urllib.parse
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = ["JobFailedError", "ServeClient", "ServeError", "ServeRejected"]
 
@@ -64,6 +70,25 @@ class ServeClient:
         self.base_url = base_url.rstrip("/")
         self.client_id = client_id
         self.timeout = timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme == "http":
+            connection_class = http.client.HTTPConnection
+        elif url.scheme == "https":
+            connection_class = http.client.HTTPSConnection
+        else:
+            raise ValueError(
+                f"base_url must be http:// or https://, got {base_url!r}"
+            )
+        self._path = url.path
+        #: The kept connection; http.client opens its socket on first use and
+        #: again after :meth:`close`, so a failed connect keeps no socket.
+        self._connection = connection_class(url.netloc, timeout=timeout)
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the kept connection; the next request opens a new one."""
+        with self._lock:
+            self._connection.close()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -74,25 +99,52 @@ class ServeClient:
         headers = {"Content-Type": "application/json"}
         if self.client_id:
             headers["X-Client-Id"] = self.client_id
-        request = urllib.request.Request(
-            self.base_url + path, data=body, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                raw = response.read()
-                kind = response.headers.get("Content-Type", "")
-        except urllib.error.HTTPError as error:
-            raw = error.read()
+        with self._lock:
+            status, kind, raw = self._exchange(
+                method, self._path + path, body, headers
+            )
+        if not 200 <= status < 300:
             try:
                 payload = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
                 payload = raw.decode("utf-8", "replace")
-            if error.code in (429, 503):
-                raise ServeRejected(error.code, payload) from None
-            raise ServeError(error.code, payload) from None
+            if status in (429, 503):
+                raise ServeRejected(status, payload)
+            raise ServeError(status, payload)
         if kind.startswith("application/json"):
             return json.loads(raw.decode("utf-8"))
         return raw.decode("utf-8")
+
+    def _exchange(
+        self, method: str, url: str, body: Optional[bytes], headers: Dict[str, str]
+    ) -> Tuple[int, str, bytes]:
+        """One round trip on the kept connection; the caller holds the lock.
+
+        Any failure closes the connection.  A reused connection that fails
+        before the response's status line arrives was most likely closed by
+        the server while idle, so the request is sent once more on a fresh
+        connection.  That is safe: a submission is content-addressed, so a
+        resent one hits the cache or coalesces onto the first.
+        """
+        connection = self._connection
+        reused = connection.sock is not None
+        try:
+            try:
+                connection.request(method, url, body=body, headers=headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, url, body=body, headers=headers)
+                response = connection.getresponse()
+            # A response with Connection: close has already closed the
+            # connection inside getresponse(); it still reads its body.
+            raw = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        return response.status, response.getheader("Content-Type", ""), raw
 
     # ------------------------------------------------------------------
     # The API

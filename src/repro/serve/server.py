@@ -24,8 +24,17 @@ The moving parts:
   with 503, queued and running jobs complete and land in the cache, status
   polls keep working throughout, and the process then exits 0 — the same
   finish-what-you-hold semantics as the sweep layer's ``claim_worker``.
+* **Persistent connections.**  One connection carries many requests
+  (HTTP/1.1 keeps it open by default, RFC 9112 §9.3).  The server answers
+  ``Connection: close`` and closes after a request that asks for it, an
+  HTTP/1.0 request without ``keep-alive``, a framing error (400, 413, or
+  431 for a head over the stream reader's 64 KiB limit) and any response
+  sent while draining.  A head, idle wait included, must arrive complete
+  within one :data:`_READ_TIMEOUT`, and so must a body; a connection that
+  misses either deadline is closed, and :meth:`SimulationServer.shutdown`
+  closes the ones waiting for their next request.
 
-Endpoints (HTTP/1.1, ``Connection: close``):
+Endpoints (HTTP/1.1):
 
 ========================  ====================================================
 ``POST /jobs``            submit a JSON job spec; 200 with the result on a
@@ -34,7 +43,8 @@ Endpoints (HTTP/1.1, ``Connection: close``):
                           503 while draining
 ``GET /jobs/<key>``       poll: ``queued`` / ``running`` / ``done`` (with
                           result) / ``error`` (with message), 404 unknown
-``GET /metrics``          plain-text counters (jobs, cache, queue, pool)
+``GET /metrics``          plain-text counters (jobs, cache, queue, pool,
+                          connections)
 ``GET /healthz``          ``ok`` (or ``draining``)
 ========================  ====================================================
 
@@ -65,8 +75,10 @@ __all__ = ["BackgroundServer", "ServeMetrics", "SimulationServer"]
 #: spec is a handful of scalars; anything bigger is a client bug.
 _MAX_BODY_BYTES = 1 << 20
 
-#: Per-read timeout while parsing a request (seconds); keeps a stalled
-#: client from pinning a connection handler forever.
+#: Deadline (seconds) for a whole request head, the idle wait before it
+#: included, and separately for its body: a connection idle this long
+#: between requests closes, and a stalled or trickling client cannot pin a
+#: connection handler for longer.
 _READ_TIMEOUT = 10.0
 
 _REASONS = {
@@ -77,6 +89,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -116,6 +129,14 @@ class ServeMetrics:
 
     def as_dict(self) -> Dict[str, int]:
         return {name: counter.value() for name, counter in self._counters.items()}
+
+
+class _BadRequest(Exception):
+    """A request that cannot be framed: answered with ``status``, then closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class _Job:
@@ -202,6 +223,10 @@ class SimulationServer:
             "repro_serve_job_exec_seconds",
             "Time a job spent executing (pool dispatch plus ensemble).",
         )
+        self._connections_accepted = self.metrics.registry.counter(
+            "repro_serve_connections_accepted",
+            "Client connections accepted by the listener.",
+        )
         self._pool: Optional[WorkerPool] = None
         self._cells: Optional[CellExecutor] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -217,6 +242,13 @@ class SimulationServer:
         self._failed: "collections.OrderedDict[str, str]" = collections.OrderedDict()
         self._clients: Dict[str, Set[str]] = {}
         self._draining = False
+        #: Every open connection, mapped to its handler task while it waits
+        #: for its next request (the ones :meth:`shutdown` closes at once)
+        #: and to None while it serves one.
+        self._connections: Dict[
+            asyncio.StreamWriter, "Optional[asyncio.Task[None]]"
+        ] = {}
+        self._closing = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -226,6 +258,7 @@ class SimulationServer:
         if self._http_server is not None:
             raise RuntimeError("server already started")
         loop = asyncio.get_running_loop()
+        self._closing = False
         self._work_available = asyncio.Event()
         if self.backend == "process":
             self._pool = WorkerPool(
@@ -262,10 +295,28 @@ class SimulationServer:
             await asyncio.gather(*self._consumers)
 
     async def shutdown(self) -> None:
-        """Close the listener, the executor, and the pool (after drain)."""
+        """Close the listener, idle connections, the executor and the pool.
+
+        Called after the drain.  A connection waiting for its next request
+        closes now, and its handler is awaited, since from Python 3.12 on
+        ``wait_closed`` waits for every open connection and before it the
+        loop's teardown would cancel the handler.  A busy connection closes
+        after its response, which carries ``Connection: close`` because the
+        server is draining.
+        """
         if self._http_server is not None:
             self._http_server.close()
+            self._closing = True
+            waiting = [
+                (writer, task)
+                for writer, task in self._connections.items()
+                if task is not None
+            ]
+            for writer, _ in waiting:
+                writer.close()
             await self._http_server.wait_closed()
+            if waiting:
+                await asyncio.wait([task for _, task in waiting])
             self._http_server = None
         if self._executor is not None:
             self._executor.shutdown(wait=True)
@@ -426,6 +477,7 @@ class SimulationServer:
         ("cache_entries", "Results currently held in the LRU cache."),
         ("cache_capacity", "Configured LRU cache capacity."),
         ("clients_tracked", "Clients with at least one job in flight."),
+        ("connections_open", "Client connections currently open."),
         ("draining", "1 while the server is draining, else 0."),
     )
 
@@ -449,6 +501,7 @@ class SimulationServer:
             "cache_entries": len(self._cache),
             "cache_capacity": self.cache_size,
             "clients_tracked": len(self._clients),
+            "connections_open": len(self._connections),
             "draining": int(self._draining),
         }
         for name, help_text in self._GAUGE_HELP:
@@ -490,11 +543,34 @@ class SimulationServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection's requests in order until it closes."""
+        self._connections_accepted.inc()
+        handler = asyncio.current_task()
+        peer = writer.get_extra_info("peername")
+        peer_client = str(peer[0]) if isinstance(peer, tuple) and peer else "unknown"
+        keep_alive = True
         try:
-            status, payload, content_type = await self._read_and_route(
-                reader, writer
-            )
-            await self._write_response(writer, status, payload, content_type)
+            while keep_alive and not self._closing:
+                self._connections[writer] = handler
+                try:
+                    method, target, headers, body, keep_alive = (
+                        await self._read_request(reader)
+                    )
+                except _BadRequest as error:
+                    status, payload, content_type = (
+                        error.status, {"error": str(error)}, "application/json"
+                    )
+                    keep_alive = False
+                else:
+                    client = headers.get("x-client-id") or peer_client
+                    status, payload, content_type = self._route(
+                        method, target, client, body
+                    )
+                self._connections[writer] = None
+                keep_alive = keep_alive and not self._draining
+                await self._write_response(
+                    writer, status, payload, content_type, keep_alive
+                )
         except (
             asyncio.IncompleteReadError,
             asyncio.TimeoutError,
@@ -502,45 +578,67 @@ class SimulationServer:
         ):
             pass
         finally:
+            self._connections.pop(writer, None)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
 
-    async def _read_and_route(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Tuple[int, Any, str]:
-        request_line = await asyncio.wait_for(
-            reader.readline(), timeout=_READ_TIMEOUT
-        )
-        parts = request_line.decode("latin-1").split()
+    async def _read_request(
+        self, reader: asyncio.StreamReader
+    ) -> Tuple[str, str, Dict[str, str], bytes, bool]:
+        """Read one request: (method, target, headers, body, keep alive).
+
+        The head is one read under one deadline, bounded by the stream
+        reader's limit.  Raises :class:`_BadRequest` for a request that
+        cannot be framed.
+        """
+        try:
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), timeout=_READ_TIMEOUT
+            )
+        except asyncio.LimitOverrunError:
+            raise _BadRequest(431, "request head too large") from None
+        text = head.decode("latin-1").lstrip("\r\n")
+        request_line, *lines = text.split("\r\n")
+        parts = request_line.split()
         if len(parts) < 2:
-            return 400, {"error": "malformed request line"}, "application/json"
+            raise _BadRequest(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=_READ_TIMEOUT)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        for line in lines:
+            if line:
+                name, _, value = line.partition(":")
+                name, value = name.strip().lower(), value.strip()
+                # A repeated field combines into one list (RFC 9110 §5.3), so
+                # two Content-Length values fail the digit check below.
+                if name in headers:
+                    value = f"{headers[name]}, {value}"
+                headers[name] = value
+        connection = headers.get("connection", "").lower()
+        tokens = {token.strip() for token in connection.split(",")}
+        version = parts[2].upper() if len(parts) > 2 else ""
+        if version == "HTTP/1.1":
+            keep_alive = "close" not in tokens
+        else:
+            keep_alive = version == "HTTP/1.0" and "keep-alive" in tokens
+        if "transfer-encoding" in headers:
+            raise _BadRequest(
+                400, "Transfer-Encoding is not supported; send Content-Length"
+            )
         length_text = headers.get("content-length", "0")
-        if not length_text.isdigit():
-            return 400, {"error": "invalid Content-Length"}, "application/json"
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _BadRequest(400, "invalid Content-Length")
         length = int(length_text)
         if length > _MAX_BODY_BYTES:
-            return 413, {"error": "job spec too large"}, "application/json"
+            raise _BadRequest(413, "job spec too large")
         body = b""
         if length:
             body = await asyncio.wait_for(
                 reader.readexactly(length), timeout=_READ_TIMEOUT
             )
-        peer = writer.get_extra_info("peername")
-        client = headers.get("x-client-id") or (
-            str(peer[0]) if isinstance(peer, tuple) and peer else "unknown"
-        )
-        return self._route(method, target, client, body)
+        return method, target, headers, body, keep_alive
 
     async def _write_response(
         self,
@@ -548,6 +646,7 @@ class SimulationServer:
         status: int,
         payload: Any,
         content_type: str,
+        keep_alive: bool,
     ) -> None:
         if isinstance(payload, str):
             data = payload.encode("utf-8")
@@ -557,7 +656,7 @@ class SimulationServer:
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             f"Content-Type: {content_type}",
             f"Content-Length: {len(data)}",
-            "Connection: close",
+            "Connection: keep-alive" if keep_alive else "Connection: close",
         ]
         if status in (429, 503):
             head.append("Retry-After: 1")

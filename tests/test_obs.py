@@ -538,6 +538,26 @@ class TestServeIntegration:
         second = server.metrics_text()
         assert first.encode() == second.encode()
 
+    def test_idle_scrapes_over_one_connection_are_byte_identical(self):
+        # The scraping connection itself is open and accepted: the
+        # connection metrics must not move between two scrapes over it.
+        import http.client
+
+        from repro.serve import BackgroundServer
+
+        with BackgroundServer(backend="serial") as bg:
+            connection = http.client.HTTPConnection(bg.url.split("//", 1)[1])
+            try:
+                scrapes = []
+                for _ in range(2):
+                    connection.request("GET", "/metrics")
+                    scrapes.append(connection.getresponse().read())
+            finally:
+                connection.close()
+        assert scrapes[0] == scrapes[1]
+        assert b"\nrepro_serve_connections_accepted 1\n" in scrapes[0]
+        assert b"\nrepro_serve_connections_open 1\n" in scrapes[0]
+
     def test_metrics_exposition_is_self_describing_and_sorted(self):
         server = SimulationServer(backend="serial")
         text = server.metrics_text()

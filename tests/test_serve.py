@@ -14,14 +14,30 @@ The load-bearing properties:
 * the server caches by content key (duplicate submission → cache hit, zero
   new pool work), enforces the per-client 429 cap, coalesces concurrent
   duplicates, and drains gracefully (503 for new work, in-flight completes),
+* on the wire, one connection carries many requests, answered in order and
+  framed by ``Content-Length``; a framing error (400, 413, 431), a request
+  for ``Connection: close`` or HTTP/1.0, a response while draining, and a
+  head slower than one read timeout close it,
+* one ``ServeClient`` keeps one connection across threads, reconnects
+  after the server closes it, and a drain with it open stays prompt,
 * the config knobs fail loudly on malformed values.
 """
 
 import json
+import os
+import select
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
+from contextlib import closing
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import config
 from repro.serve import (
     BackgroundServer,
@@ -31,6 +47,8 @@ from repro.serve import (
     ServeRejected,
     SimulationServer,
 )
+from repro.serve import server as server_module
+from repro.serve.client import ServeError
 from repro.simulation.simulator import Simulator
 from repro.sweep.spec import SweepSpec, build_protocol_and_inputs, derive_cell_seed
 
@@ -405,3 +423,269 @@ class TestResultCacheBounds:
         oldest = JobSpec.from_dict(_job(population=10))
         status, body = server._job_status(oldest.key)
         assert status == 404
+
+
+def _connect(url):
+    """A raw socket to a ``BackgroundServer`` URL, and its binary stream."""
+    host, port = url.rsplit("/", 1)[1].rsplit(":", 1)
+    sock = socket.create_connection((host, int(port)), timeout=5)
+    return sock, sock.makefile("rb")
+
+
+def _read_response(stream):
+    """One response off the stream: ``(status, headers, body)``, or None at EOF."""
+    status_line = stream.readline()
+    if not status_line:
+        return None
+    headers = {}
+    for line in iter(stream.readline, b"\r\n"):
+        if not line:
+            raise ConnectionError("connection closed inside a response head")
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, body
+
+
+def _at_eof(stream):
+    """Whether the server has closed the connection (EOF, or a reset)."""
+    try:
+        return stream.read(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+_HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+class TestWireProtocol:
+    """Raw-socket tests of the request framing and connection lifetime."""
+
+    def test_pipelined_requests_are_answered_in_order(self):
+        with BackgroundServer(backend="serial", concurrency=1) as bg:
+            sock, stream = _connect(bg.url)
+            with sock, stream:
+                sock.sendall(
+                    _HEALTHZ
+                    + b"GET /jobs/nope HTTP/1.1\r\n\r\n"
+                    + b"GET /metrics HTTP/1.1\r\n\r\n"
+                )
+                first, second, third = (_read_response(stream) for _ in range(3))
+                assert first[0] == 200 and first[2] == b"ok\n"
+                assert second[0] == 404 and b"unknown job 'nope'" in second[2]
+                assert third[0] == 200 and b"repro_serve_connections_open 1" in third[2]
+                assert first[1]["connection"] == "keep-alive"
+
+    def test_post_body_is_framed_by_content_length(self):
+        body = json.dumps(_job()).encode()
+        with BackgroundServer(backend="serial", concurrency=1) as bg:
+            sock, stream = _connect(bg.url)
+            with sock, stream:
+                sock.sendall(
+                    b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+                    + body
+                    + _HEALTHZ
+                )
+                status, _, submitted = _read_response(stream)
+                assert status == 202
+                assert json.loads(submitted)["job"] == JobSpec.from_dict(_job()).key
+                status, _, health = _read_response(stream)
+                assert (status, health) == (200, b"ok\n")
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, fragment, stays_open",
+        [
+            (b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", 200, b"ok", False),
+            (b"GET /healthz HTTP/1.0\r\n\r\n", 200, b"ok", False),
+            (b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", 200,
+             b"ok", True),
+            (b"GET /healthz\r\n\r\n", 200, b"ok", False),
+            (b"NONSENSE\r\n\r\n", 400, b"malformed request line", False),
+            # 0xB2 is a superscript two: str.isdigit() accepts it, int() does not.
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n", 400,
+             b"invalid Content-Length", False),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400,
+             b"invalid Content-Length", False),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}",
+             400, b"invalid Content-Length", False),
+            (b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 400,
+             b"Transfer-Encoding", False),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n", 413,
+             b"too large", False),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431,
+             b"request head too large", False),
+            (b"GET /nowhere HTTP/1.1\r\n\r\n", 404, b"no such endpoint", True),
+            (b"DELETE /healthz HTTP/1.1\r\n\r\n", 405, b"GET-only", True),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{]", 400,
+             b"not JSON", True),
+        ],
+    )
+    def test_which_responses_close_the_connection(
+        self, request_bytes, status, fragment, stays_open
+    ):
+        with BackgroundServer(backend="serial", concurrency=1) as bg:
+            sock, stream = _connect(bg.url)
+            with sock, stream:
+                sock.sendall(request_bytes)
+                answered, headers, body = _read_response(stream)
+                assert answered == status and fragment in body
+                assert headers["connection"] == ("keep-alive" if stays_open else "close")
+                if stays_open:
+                    sock.sendall(_HEALTHZ)
+                    assert _read_response(stream)[0] == 200
+                else:
+                    assert _at_eof(stream)
+
+    def test_a_response_while_draining_closes_the_connection(self):
+        # As in the drain test above: the job runs its whole budget, so it
+        # is still in flight when the poll lands.
+        job = _job(population=60, repetitions=4, max_steps=120000,
+                   stability_window=120000)
+        with BackgroundServer(backend="serial", concurrency=1) as bg:
+            with closing(ServeClient(bg.url)) as client:
+                client.submit(job)
+            sock, stream = _connect(bg.url)
+            with sock, stream:
+                bg.drain()
+                sock.sendall(_HEALTHZ)
+                status, headers, body = _read_response(stream)
+                assert (status, body) == (200, b"draining\n")
+                assert headers["connection"] == "close"
+                assert _at_eof(stream)
+
+    def test_a_head_must_arrive_within_one_read_timeout(self, monkeypatch):
+        # One header line every 0.1 s: each line used to restart the timeout,
+        # so a trickling client held its handler for as long as it liked.
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT", 0.5)
+        with BackgroundServer(backend="serial", concurrency=1) as bg:
+            sock, stream = _connect(bg.url)
+            with sock, stream:
+                started = time.monotonic()
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+                while time.monotonic() - started < 5.0:
+                    if select.select([sock], [], [], 0.1)[0]:
+                        break
+                    try:
+                        sock.sendall(b"X-Trickle: 1\r\n")
+                    except OSError:
+                        break
+                elapsed = time.monotonic() - started
+                assert _at_eof(stream)
+        assert 0.25 < elapsed < 2.0
+
+
+class TestPersistentClient:
+    def test_one_client_uses_one_connection(self):
+        with BackgroundServer(backend="serial", concurrency=1) as bg, closing(
+            ServeClient(bg.url, client_id="p1")
+        ) as client:
+            assert client.health() == "ok"
+            client.run(_job(), timeout=60)
+            with pytest.raises(ServeError, match="HTTP 404"):
+                client.status("missing")
+            metrics = client.metrics()
+        assert metrics["repro_serve_connections_accepted"] == 1
+        assert metrics["repro_serve_connections_open"] == 1
+
+    def test_client_reconnects_after_the_server_closes_its_idle_connection(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT", 0.2)
+        with BackgroundServer(backend="serial", concurrency=1) as bg, closing(
+            ServeClient(bg.url)
+        ) as client:
+            assert client.health() == "ok"
+            time.sleep(0.6)
+            assert client.health() == "ok"
+            metrics = client.metrics()
+        # The server closed the first connection when it sat idle past the
+        # read timeout; the client's second one is the only one open.
+        assert metrics["repro_serve_connections_accepted"] == 2
+        assert metrics["repro_serve_connections_open"] == 1
+
+    def test_a_failed_connect_caches_no_connection(self):
+        # The case of a client polling /healthz before its server is up.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with closing(ServeClient(f"http://127.0.0.1:{port}")) as client:
+            with pytest.raises(OSError):
+                client.health()
+            with BackgroundServer(backend="serial", concurrency=1,
+                                  host="127.0.0.1", port=port):
+                assert client.health() == "ok"
+
+    def test_threads_sharing_a_client_each_get_their_own_response(self):
+        mismatches = []
+        with BackgroundServer(backend="serial", concurrency=1) as bg, closing(
+            ServeClient(bg.url, client_id="shared")
+        ) as client:
+
+            def work(index):
+                for round_ in range(25):
+                    key = f"thread-{index}-{round_}"
+                    try:
+                        client.status(key)
+                    except ServeError as error:
+                        if error.status != 404 or key not in error.payload["error"]:
+                            mismatches.append((key, error))
+                    else:
+                        mismatches.append((key, "answered"))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert client.metrics()["repro_serve_connections_accepted"] == 1
+        assert mismatches == []
+
+
+class TestPromptDrain:
+    """A drain with an idle persistent connection open finishes at once:
+    from Python 3.12 on, asyncio's ``Server.wait_closed`` waits for every
+    open connection, so the server must close the idle ones itself."""
+
+    def test_background_server_exit_is_prompt(self, caplog):
+        with BackgroundServer(backend="serial", concurrency=1) as bg:
+            client = ServeClient(bg.url)
+            assert client.health() == "ok"
+            started = time.monotonic()
+        elapsed = time.monotonic() - started
+        client.close()
+        assert elapsed < 1.0
+        # Before 3.12 the loop's teardown would cancel a handler left
+        # waiting, and asyncio logs that as an error.
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        assert not bg._thread.is_alive()
+        assert bg.server.metrics_text().count("repro_serve_connections_open 0") == 1
+
+    def test_sigterm_drain_is_prompt(self):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--backend", "serial",
+             "--port", "0"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            url = json.loads(proc.stdout.readline())["serving"]
+            with closing(ServeClient(url)) as client:
+                assert client.health() == "ok"
+                started = time.monotonic()
+                proc.send_signal(signal.SIGTERM)
+                out, _ = proc.communicate(timeout=30)
+                elapsed = time.monotonic() - started
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert json.loads(out.strip().splitlines()[-1])["drained"] is True
+        assert elapsed < 1.0
