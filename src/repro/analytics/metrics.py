@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..core.configuration import Configuration
-from ..core.protocol import OUTPUT_ONE, OUTPUT_ZERO, Protocol
+from ..core.protocol import Protocol
+from ..simulation.compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO, CompiledNet
 from ..simulation.simulator import SimulationResult
 
 __all__ = ["AnalyticsSpec", "extract_run_metrics", "firing_histogram"]
@@ -55,15 +56,14 @@ _REPLAY_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _replay_tables(protocol: Protocol):
-    """``(class_of_state, consensus_deltas)`` for a protocol, cached.
+    """``(compiled, classes, consensus_deltas, max_delta)`` for a protocol, cached.
 
-    ``class_of_state`` maps each state to 1 / 0 / None ("*"-output) or is
-    missing for states outside the output table (they never influence the
-    consensus, mirroring :meth:`Protocol.configuration_output`).
-    ``consensus_deltas[t]`` is the ``(d_one, d_zero, d_undefined)`` effect of
-    firing transition ``t`` on the three output-class counters — the same
-    classification the dense engines maintain, so the replay reproduces their
-    consensus decisions exactly.
+    The tables are the dense engines' own (:mod:`repro.simulation.compiled`),
+    so the replay reproduces their consensus decisions exactly: ``compiled``
+    is the protocol's compiled net, ``classes`` the output class of each
+    dense state, and ``consensus_deltas[t]`` the ``(d_one, d_zero,
+    d_undefined)`` effect of firing transition ``t`` on the three
+    output-class counters.
     """
     tables = _REPLAY_TABLES.get(protocol)
     if tables is not None:
@@ -71,39 +71,9 @@ def _replay_tables(protocol: Protocol):
     net = protocol.petri_net
     if net is None:
         raise ValueError("analytics extraction requires a Petri-net based protocol")
-    output_table = protocol.output_table
-
-    def class_of(state) -> Optional[int]:
-        # 1 -> one, 0 -> zero, 2 -> undefined, None -> ignored.
-        if state not in output_table:
-            return None
-        value = output_table[state]
-        if value == OUTPUT_ONE:
-            return 1
-        if value == OUTPUT_ZERO:
-            return 0
-        return 2
-
-    deltas = []
-    for transition in net.transitions:
-        d_one = d_zero = d_undef = 0
-        for state, count in transition.post.items():
-            kind = class_of(state)
-            if kind == 1:
-                d_one += count
-            elif kind == 0:
-                d_zero += count
-            elif kind == 2:
-                d_undef += count
-        for state, count in transition.pre.items():
-            kind = class_of(state)
-            if kind == 1:
-                d_one -= count
-            elif kind == 0:
-                d_zero -= count
-            elif kind == 2:
-                d_undef -= count
-        deltas.append((d_one, d_zero, d_undef))
+    compiled = net.compiled(extra_states=protocol.states)
+    classes = compiled.output_classes(protocol.output_table)
+    deltas = compiled.consensus_deltas(classes)
     # The largest per-step movement of any single counter: the block-skip
     # replay uses it to bound how long a consensus stays provably out of
     # reach (zero when no transition moves agents across output classes).
@@ -112,24 +82,27 @@ def _replay_tables(protocol: Protocol):
          for d_one, d_zero, d_undef in deltas),
         default=0,
     )
-    tables = (class_of, tuple(deltas), max_delta)
+    tables = (compiled, classes, deltas, max_delta)
     _REPLAY_TABLES[protocol] = tables
     return tables
 
 
 def _initial_counters(
-    configuration: Configuration, class_of
+    configuration: Configuration, compiled: CompiledNet, classes: Tuple[int, ...]
 ) -> Tuple[int, int, int]:
-    one = zero = undef = 0
+    """The ``(one, zero, undef)`` counters of a configuration.
+
+    States outside the output table, or outside the compiled universe, count
+    for no class: they never influence the consensus, mirroring
+    :meth:`Protocol.configuration_output`.
+    """
+    counters = [0] * 4  # indexed by the OUT_* output classes
+    index_of = compiled.index_of
     for state, count in configuration.items():
-        kind = class_of(state)
-        if kind == 1:
-            one += count
-        elif kind == 0:
-            zero += count
-        elif kind == 2:
-            undef += count
-    return one, zero, undef
+        index = index_of.get(state)
+        if index is not None:
+            counters[classes[index]] += count
+    return counters[OUT_ONE], counters[OUT_ZERO], counters[OUT_UNDEFINED]
 
 
 def _consensus_of(one: int, zero: int, undef: int) -> Optional[int]:
@@ -353,10 +326,10 @@ def _replay_consensus(
     (curves need counter values at precise steps); curves are a
     small-ensemble analysis tool, not part of the sweep hot path.
     """
-    class_of, deltas, max_delta = _replay_tables(protocol)
-    one, zero, undef = _initial_counters(result.initial, class_of)
+    compiled, classes, deltas, max_delta = _replay_tables(protocol)
+    one, zero, undef = _initial_counters(result.initial, compiled, classes)
     fired = result.trajectory.transition_indices
-    num_transitions = protocol.petri_net.num_transitions
+    num_transitions = compiled.num_transitions
     first: Optional[int] = 0 if _consensus_of(one, zero, undef) is not None else None
 
     if wants_curve:

@@ -1,7 +1,7 @@
 """Static quality assurance for the reproduction: lint, audit, typed core.
 
 The whole value of this codebase rests on one invariant: for a fixed
-``(protocol, inputs, seed)`` the reference, compiled, and NumPy engines
+``(protocol, inputs, seed)`` the reference, compiled, and native engines
 consume the random stream identically and produce bit-identical trajectories.
 PRs 1–5 defend that invariant with example-based tests (golden trajectories,
 cross-engine equality suites); this package defends it *statically*, so the

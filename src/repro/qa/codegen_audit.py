@@ -10,24 +10,22 @@ properties the cross-engine determinism contract rests on:
    locals, and the single sanctioned global ``comb`` (pure, deterministic);
    any other free name means the generator leaked a dependency;
 2. **pure-local step loop** — inside the per-step ``while`` body there is no
-   attribute access (the one exception: ``enabled.append``, the
-   transition-scheduler's candidate list) and no global read other than
-   ``comb``: method lookups like ``rng.randrange`` must be hoisted out of the
-   loop, both for speed and so the loop's behavior is fixed at generation
-   time;
-3. **complete dispatch** — the if/elif/else chain covers every transition
-   index exactly once, in index order, and the ``c<i> += d`` statements of
-   each arm match the net's ``delta_lists`` entry for that transition (and
-   the ``one``/``zero``/``undef`` counter updates match ``consensus_deltas``);
-   for the transition discipline the ``enabled`` list is additionally built
-   by appending ``0..n-1`` in ascending order (the order the reference
-   scheduler uses — a permutation would consume the RNG differently);
+   attribute access and no global read other than ``comb``: method lookups
+   like ``rng.randrange`` must be hoisted out of the loop, both for speed and
+   so the loop's behavior is fixed at generation time;
+3. **complete dispatch** — the cumulative ``pick < (cum := ...)``
+   if/elif/else chain, the one dispatch shape of both scheduler kinds,
+   covers every transition index exactly once, in index order, and the
+   ``c<i> += d`` statements of each arm match the net's ``delta_lists`` entry
+   for that transition (and the ``one``/``zero``/``undef`` counter updates
+   match ``consensus_deltas``);
 4. **counts round-trip** — the loop loads ``c<i>`` for exactly the generator's
    ``touched`` indices and writes back exactly its ``written`` indices;
 5. **recording = fast + append statements** — the recording variant's
-   source, minus its ``append = ring.append`` hoist, its ``append(...)``
-   statements and its extra ``ring`` parameter, is byte-identical to the
-   fast variant: recording must never change *what* is simulated.
+   source, minus its ``append = ring.append`` hoist, the ``append(<arm
+   index>)`` that opens each dispatch arm and its extra ``ring`` parameter,
+   is byte-identical to the fast variant: recording must never change
+   *what* is simulated.
 
 The entry points are :func:`audit_stepper_source` (one source string — used
 by tests to prove the auditor rejects corrupted code) and
@@ -57,9 +55,6 @@ DEFAULT_AUDIT_POPULATIONS = (25, 100)
 
 #: The only global name generated code may read (pure and deterministic).
 _ALLOWED_GLOBALS = frozenset({"comb"})
-
-#: The only attribute access allowed inside the step loop.
-_ALLOWED_LOOP_ATTRS = frozenset({("enabled", "append")})
 
 _BASE_PARAMS = ("counts", "rng", "max_steps", "stability_window", "one", "zero", "undef")
 _RECORD_PARAMS = _BASE_PARAMS + ("ring",)
@@ -167,35 +162,6 @@ def _check_arm_deltas(
             )
 
 
-def _check_enabled_building(loop: ast.While, n: int, problems: List[str]) -> None:
-    """Transition kind: ``enabled`` must receive 0..n-1 in ascending order."""
-    appended: List[int] = []
-    for statement in loop.body:
-        candidates: Sequence[ast.stmt]
-        if isinstance(statement, ast.If) and not statement.orelse:
-            candidates = statement.body
-        else:
-            candidates = [statement]
-        for inner in candidates:
-            if (
-                isinstance(inner, ast.Expr)
-                and isinstance(inner.value, ast.Call)
-                and isinstance(inner.value.func, ast.Attribute)
-                and isinstance(inner.value.func.value, ast.Name)
-                and inner.value.func.value.id == "enabled"
-                and inner.value.func.attr == "append"
-                and len(inner.value.args) == 1
-                and isinstance(inner.value.args[0], ast.Constant)
-            ):
-                appended.append(inner.value.args[0].value)
-    if appended != list(range(n)):
-        problems.append(
-            f"enabled list is built as {appended}, expected 0..{n - 1} in order "
-            "(a permutation would consume the RNG differently than the "
-            "reference scheduler)"
-        )
-
-
 def audit_stepper_source(
     source: str,
     net: CompiledNet,
@@ -246,17 +212,15 @@ def audit_stepper_source(
         problems.append("no per-step while loop found")
         return problems
 
-    # 2. Pure-local loop body: no attribute access (except enabled.append),
-    #    no global reads beyond comb.
+    # 2. Pure-local loop body: no attribute access, no global reads beyond
+    #    comb.
     for node in ast.walk(loop):
         if isinstance(node, ast.Attribute):
-            owner = node.value
-            key = (owner.id if isinstance(owner, ast.Name) else "?", node.attr)
-            if key not in _ALLOWED_LOOP_ATTRS:
-                problems.append(
-                    f"attribute access {key[0]}.{key[1]} inside the step loop "
-                    f"(line {node.lineno}); method lookups must be hoisted out"
-                )
+            owner = node.value.id if isinstance(node.value, ast.Name) else "?"
+            problems.append(
+                f"attribute access {owner}.{node.attr} inside the step loop "
+                f"(line {node.lineno}); method lookups must be hoisted out"
+            )
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             if node.id not in locals_and_params and node.id not in _ALLOWED_GLOBALS:
                 # Already reported by the namespace check; keep loop-local
@@ -268,33 +232,19 @@ def audit_stepper_source(
     # 3. Complete dispatch with per-arm deltas matching the net.
     consensus_deltas = net.consensus_deltas(tuple(classes))
     n = net.num_transitions
-    if kind == "uniform":
-        chains = [s for s in loop.body if isinstance(s, ast.If) and _looks_like_dispatch(s)]
-        if n <= 1:
-            # Single transition: fire statements are inlined, no chain.
-            if n == 1:
-                _check_arm_deltas(net, consensus_deltas, [loop.body], problems)
-        else:
-            if len(chains) != 1:
-                problems.append(
-                    f"expected exactly one dispatch chain in the loop, found {len(chains)}"
-                )
-            else:
-                _check_arm_deltas(net, consensus_deltas, _dispatch_arms(chains[0]), problems)
-    elif kind == "transition":
-        _check_enabled_building(loop, n, problems)
-        if n > 1:
-            chains = [s for s in loop.body if isinstance(s, ast.If) and _looks_like_dispatch(s)]
-            if len(chains) != 1:
-                problems.append(
-                    f"expected exactly one dispatch chain in the loop, found {len(chains)}"
-                )
-            else:
-                _check_arm_deltas(net, consensus_deltas, _dispatch_arms(chains[0]), problems)
-        elif n == 1:
-            _check_arm_deltas(net, consensus_deltas, [loop.body], problems)
-    else:
+    if kind not in _KINDS:
         problems.append(f"unknown scheduler kind {kind!r}")
+    elif n == 1:
+        # Single transition: fire statements are inlined, no chain.
+        _check_arm_deltas(net, consensus_deltas, [loop.body], problems)
+    elif n > 1:
+        chains = [s for s in loop.body if isinstance(s, ast.If) and _looks_like_dispatch(s)]
+        if len(chains) != 1:
+            problems.append(
+                f"expected exactly one dispatch chain in the loop, found {len(chains)}"
+            )
+        else:
+            _check_arm_deltas(net, consensus_deltas, _dispatch_arms(chains[0]), problems)
 
     # 4. Counts round-trip: c<i> loads and counts[i] write-backs.
     loaded: Set[int] = set()
@@ -340,20 +290,16 @@ def audit_stepper_source(
 
 
 def _looks_like_dispatch(node: ast.If) -> bool:
-    """An If chain whose test involves ``pick``/``cum`` (uniform) or ``t``."""
-    for leaf in ast.walk(node.test):
-        if isinstance(leaf, ast.Name) and leaf.id in {"pick", "cum", "t"}:
-            return True
-        if isinstance(leaf, ast.NamedExpr) and isinstance(leaf.target, ast.Name):
-            if leaf.target.id == "cum":
-                return True
-    return False
+    """An If chain whose test involves ``pick``/``cum``."""
+    return any(
+        isinstance(leaf, ast.Name) and leaf.id in {"pick", "cum"}
+        for leaf in ast.walk(node.test)
+    )
 
 
 #: The statements the recording variant is allowed to add: the hoisted
-#: ``append`` and one append of the fired index (a constant arm index under
-#: the uniform dispatch, ``t`` under the transition discipline).
-_RECORDING_LINE = re.compile(r"append = ring\.append|append\((?:\d+|t)\)")
+#: ``append`` and one append of the fired index (the constant arm index).
+_RECORDING_LINE = re.compile(r"append = ring\.append|append\(\d+\)")
 
 
 def _strip_ring_statements(source: str) -> str:

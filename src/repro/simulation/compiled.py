@@ -22,9 +22,15 @@ This module compiles a Petri net once into a dense representation and then
   agents in 0-output / 1-output / ``*``-output states — and ``exec``-compiles
   it into a function operating on local integer variables.
 
-The generated steppers consume the random stream exactly like the reference
-schedulers (one ``randrange(total)`` per step for the uniform discipline, one
-``choice(enabled)`` per step for the transition discipline), so for a fixed
+Both scheduler disciplines run the same loop, as in the native engine: every
+step draws ``pick = randrange(total)`` over per-transition weights and fires
+the transition whose cumulative weight first exceeds ``pick``.  The
+discipline only chooses the weight: the binomial product of the uniform
+scheduler, or 0/1 enabledness for the transition scheduler.  The reference
+schedulers draw one ``randrange(total)`` and one ``choice(enabled)`` per
+step, and both consume a single ``_randbelow`` of the same bound (for the
+transition scheduler ``total`` is the number of enabled transitions, and the
+``pick``-th enabled one in index order is ``enabled[pick]``).  So for a fixed
 ``(protocol, inputs, seed)`` the compiled and reference engines produce
 identical trajectories step for step; the test suite asserts this.
 
@@ -92,7 +98,7 @@ StepperFn = Callable[..., Tuple[int, int, int, bool]]
 
 @runtime_checkable
 class Stepper(TypingProtocol):
-    """The compiled-engine seam: one simulation loop plus its QA hooks.
+    """The compiled-engine seam: one simulation loop plus its QA hook.
 
     :meth:`CompiledNet.stepper` hands the
     :class:`~repro.simulation.simulator.Simulator` an object satisfying this
@@ -102,15 +108,11 @@ class Stepper(TypingProtocol):
       :meth:`CompiledNet.stepper` (``counts`` mutated in place, ``-1`` as the
       ``None`` sentinel, an optional trailing recording ``ring``),
     * :meth:`source` returns the generated Python source, the input of the
-      codegen auditor (:mod:`repro.qa.codegen_audit`),
-    * :attr:`qa_meta` carries structured generator metadata (label,
-      scheduler kind, transition count, ...) for the same auditor.
+      codegen auditor (:mod:`repro.qa.codegen_audit`).
 
     Concrete implementation: :class:`GeneratedStepper` (exec-compiled
     straight-line code).
     """
-
-    qa_meta: Dict[str, object]
 
     def __call__(self, *args: Any, **kwargs: Any) -> Tuple[int, int, int, bool]:
         ...  # pragma: no cover - protocol stub
@@ -123,16 +125,14 @@ class GeneratedStepper:
     """A generated straight-line stepper with its source attached.
 
     Wraps the ``exec``-compiled function together with the emitted source and
-    the generator's structured metadata; the wrapper is entered once per run
+    a label naming the net and variant; the wrapper is entered once per run
     (the loop lives inside), so the indirection costs nothing per step.
     """
 
-    def __init__(
-        self, fn: StepperFn, source: str, qa_meta: Dict[str, object]
-    ) -> None:
+    def __init__(self, fn: StepperFn, source: str, label: str) -> None:
         self._fn = fn
         self._source = source
-        self.qa_meta = qa_meta
+        self._label = label
 
     def __call__(self, *args: Any, **kwargs: Any) -> Tuple[int, int, int, bool]:
         return self._fn(*args, **kwargs)
@@ -142,7 +142,7 @@ class GeneratedStepper:
         return self._source
 
     def __repr__(self) -> str:
-        return f"GeneratedStepper({self.qa_meta.get('label', '?')})"
+        return f"GeneratedStepper({self._label})"
 
 
 def check_kind(kind: str) -> None:
@@ -390,16 +390,15 @@ def _weight_term(index: int, needed: int) -> str:
     return f"comb(c{index}, {needed})"
 
 
-def _weight_expr(pre: Tuple[Tuple[int, int], ...]) -> str:
-    """Source of the uniform-scheduler weight ``prod_p C(counts[p], pre[p])``."""
+def _weight_expr(kind: str, pre: Tuple[Tuple[int, int], ...]) -> str:
+    """Source of a transition's scheduler weight: ``prod_p C(counts[p],
+    pre[p])`` for the uniform kind, 0/1 enabledness for the transition kind."""
     if not pre:
         return "1"
-    return " * ".join(f"({_weight_term(index, needed)})" for index, needed in pre)
-
-
-def _enabled_expr(pre: Tuple[Tuple[int, int], ...]) -> str:
-    """Source of the enabledness test of a transition (non-empty pre only)."""
-    return " and ".join(f"c{index} >= {needed}" for index, needed in pre)
+    if kind == "uniform":
+        return " * ".join(f"({_weight_term(index, needed)})" for index, needed in pre)
+    test = " and ".join(f"c{index} >= {needed}" for index, needed in pre)
+    return f"(1 if {test} else 0)"
 
 
 def _consensus_value_lines(has_undef: bool) -> List[str]:
@@ -442,28 +441,28 @@ def _fire_statements(
     for name, diff in zip(("one", "zero", "undef"), consensus_deltas[t]):
         if diff:
             statements.append(f"{name} += {diff}" if diff > 0 else f"{name} -= {-diff}")
-    if kind == "uniform":
-        # Incremental reweighing: only the transitions whose pre-sets
-        # intersect the states t displaced.  The running total is kept either
-        # by diffing the changed weights (cheap when few are affected) or by
-        # re-summing all weight locals (cheaper once most are affected).
-        affected = net.affected[t]
-        if affected:
-            num_transitions = net.num_transitions
-            diff_form = num_transitions > 2 * len(affected) + 3
-            parts = []
-            for k, u in enumerate(affected):
-                if diff_form:
-                    statements.append(f"_o{k} = w{u}")
-                statements.append(f"w{u} = {_weight_expr(net.pre_lists[u])}")
-                if diff_form:
-                    parts.append(f"w{u} - _o{k}")
+    # Incremental reweighing, the same for both kinds: only the transitions
+    # whose pre-sets intersect the states t displaced.  The running total is
+    # kept either by diffing the changed weights (cheap when few are
+    # affected) or by re-summing all weight locals (cheaper once most are
+    # affected).
+    affected = net.affected[t]
+    if affected:
+        num_transitions = net.num_transitions
+        diff_form = num_transitions > 2 * len(affected) + 3
+        parts = []
+        for k, u in enumerate(affected):
             if diff_form:
-                statements.append("total += " + " + ".join(parts))
-            else:
-                statements.append(
-                    "total = " + " + ".join(f"w{u}" for u in range(num_transitions))
-                )
+                statements.append(f"_o{k} = w{u}")
+            statements.append(f"w{u} = {_weight_expr(kind, net.pre_lists[u])}")
+            if diff_form:
+                parts.append(f"w{u} - _o{k}")
+        if diff_form:
+            statements.append("total += " + " + ".join(parts))
+        else:
+            statements.append(
+                "total = " + " + ".join(f"w{u}" for u in range(num_transitions))
+            )
     if counters_changed:
         # Only transitions that move agents across output classes can change
         # the consensus; the others inherit the invariant that
@@ -471,12 +470,11 @@ def _fire_statements(
         statements.extend(_consensus_value_lines(has_undef))
     if not statements:
         statements.append("pass")
-    if record and kind == "uniform":
-        # The transition-kind loop records the chosen index once before the
-        # dispatch; the uniform dispatch only knows it inside the branch.
-        # Prepended after the ``pass`` fallback so the recording variant is
-        # exactly the fast variant plus appends (the codegen auditor checks
-        # this by stripping them).
+    if record:
+        # The dispatch only knows the fired index inside its arm.  Prepended
+        # after the ``pass`` fallback so the recording variant is exactly the
+        # fast variant plus appends (the codegen auditor checks this by
+        # stripping them).
         statements.insert(0, f"append({t})")
     return statements
 
@@ -507,14 +505,11 @@ def _generate_stepper(
         emit(f"    c{index} = counts[{index}]")
     if record:
         emit("    append = ring.append")
-    if kind == "uniform":
-        emit("    randrange = rng.randrange")
-        for t in range(num_transitions):
-            emit(f"    w{t} = {_weight_expr(net.pre_lists[t])}")
-        totals = " + ".join(f"w{t}" for t in range(num_transitions))
-        emit(f"    total = {totals or '0'}")
-    else:
-        emit("    choice = rng.choice")
+    emit("    randrange = rng.randrange")
+    for t in range(num_transitions):
+        emit(f"    w{t} = {_weight_expr(kind, net.pre_lists[t])}")
+    totals = " + ".join(f"w{t}" for t in range(num_transitions))
+    emit(f"    total = {totals or '0'}")
     if has_undef:
         emit("    if undef == 0:")
         emit("        consensus_value = 0 if one == 0 else (1 if zero == 0 else -1)")
@@ -526,54 +521,24 @@ def _generate_stepper(
     emit("    step = 0")
     emit("    terminated = False")
     emit("    while step < max_steps:")
-    if kind == "uniform":
-        emit("        if total <= 0:")
-        emit("            terminated = True")
-        emit("            break")
-        emit("        pick = randrange(total)")
-        emit("        step += 1")
-        if num_transitions == 1:
-            for statement in _fire_statements(net, 0, consensus_deltas, kind, has_undef, record):
-                emit(f"        {statement}")
-        else:
-            for t in range(num_transitions):
-                if t == 0:
-                    emit("        if pick < (cum := w0):")
-                elif t < num_transitions - 1:
-                    emit(f"        elif pick < (cum := cum + w{t}):")
-                else:
-                    emit("        else:")
-                for statement in _fire_statements(net, t, consensus_deltas, kind, has_undef, record):
-                    emit(f"            {statement}")
+    emit("        if total <= 0:")
+    emit("            terminated = True")
+    emit("            break")
+    emit("        pick = randrange(total)")
+    emit("        step += 1")
+    if num_transitions == 1:
+        for statement in _fire_statements(net, 0, consensus_deltas, kind, has_undef, record):
+            emit(f"        {statement}")
     else:
-        emit("        enabled = []")
         for t in range(num_transitions):
-            pre = net.pre_lists[t]
-            if pre:
-                emit(f"        if {_enabled_expr(pre)}:")
-                emit(f"            enabled.append({t})")
+            if t == 0:
+                emit("        if pick < (cum := w0):")
+            elif t < num_transitions - 1:
+                emit(f"        elif pick < (cum := cum + w{t}):")
             else:
-                emit(f"        enabled.append({t})")
-        emit("        if not enabled:")
-        emit("            terminated = True")
-        emit("            break")
-        emit("        t = choice(enabled)")
-        emit("        step += 1")
-        if record:
-            emit("        append(t)")
-        if num_transitions == 1:
-            for statement in _fire_statements(net, 0, consensus_deltas, kind, has_undef):
-                emit(f"        {statement}")
-        elif num_transitions > 1:
-            for t in range(num_transitions):
-                if t == 0:
-                    emit("        if t == 0:")
-                elif t < num_transitions - 1:
-                    emit(f"        elif t == {t}:")
-                else:
-                    emit("        else:")
-                for statement in _fire_statements(net, t, consensus_deltas, kind, has_undef):
-                    emit(f"            {statement}")
+                emit("        else:")
+            for statement in _fire_statements(net, t, consensus_deltas, kind, has_undef, record):
+                emit(f"            {statement}")
     emit("        if consensus_value >= 0 and step - consensus_since >= stability_window:")
     emit("            break")
     for index in written:
@@ -595,15 +560,4 @@ def _generate_stepper(
             "use engine='native' (or engine='auto', which selects it when a C "
             "compiler is available)"
         ) from None
-    # Structured metadata for the codegen auditor (repro.qa.codegen_audit):
-    # what the generator *intended*, so the auditor can check the emitted
-    # source against it instead of re-deriving the dense mapping.
-    qa_meta: Dict[str, object] = {
-        "label": label,
-        "kind": kind,
-        "record": record,
-        "num_transitions": num_transitions,
-        "touched": tuple(touched),
-        "written": tuple(written),
-    }
-    return GeneratedStepper(namespace["__compiled_stepper"], source, qa_meta)
+    return GeneratedStepper(namespace["__compiled_stepper"], source, label)

@@ -6,9 +6,10 @@
  * uniform-scheduler weights are products of binomials C(count, multiplicity),
  * transition-scheduler weights are 0/1 enabledness, and either way a step
  * draws pick = randbelow(total) and fires the transition whose cumulative
- * weight first exceeds pick.  That is the draw discipline of the Python
- * engines (randrange(total) and choice(enabled) both consume one
- * _randbelow), and the generator is CPython's MT19937 with its seeding,
+ * weight first exceeds pick.  The compiled engine's generated loop draws the
+ * same way (randrange(total)), and so do the reference schedulers, whose
+ * randrange(total) and choice(enabled) each consume one _randbelow of the
+ * same bound.  The generator is CPython's MT19937 with its seeding,
  * getrandbits and _randbelow, so a run fires the same transitions as the
  * compiled and reference engines and leaves the generator in the same state.
  *

@@ -43,11 +43,13 @@ class Scheduler(abc.ABC):
     def compiled_kind(self) -> Optional[str]:
         """The compiled-engine discipline this scheduler admits, or ``None``.
 
-        The compiled simulation engine (:mod:`repro.simulation.compiled`)
-        generates a specialized run loop per scheduling discipline; the
-        built-in schedulers return ``"uniform"`` / ``"transition"`` here.
-        Custom schedulers return ``None`` and are run through the sparse
-        reference engine.  A subclass that overrides :meth:`choose` with
+        The dense simulation engines (:mod:`repro.simulation.compiled`,
+        :mod:`repro.simulation.native`) run one loop for both built-in
+        disciplines, which differ only in the per-transition weight the loop
+        draws from: a binomial product for ``"uniform"``, 0/1 enabledness for
+        ``"transition"``.  The built-in schedulers return their discipline
+        here.  Custom schedulers return ``None`` and are run through the
+        sparse reference engine.  A subclass that overrides :meth:`choose` with
         different semantics must override this to return ``None`` as well,
         otherwise the compiled engine would silently ignore its ``choose``.
         """

@@ -65,8 +65,8 @@ def _recorded_run(protocol, inputs, seed=2022, max_steps=400, window=80,
 
 def _naive_first_consensus(result, protocol):
     """Per-step reference implementation the block-skip replay must match."""
-    class_of, deltas, _ = _replay_tables(protocol)
-    one, zero, undef = _initial_counters(result.initial, class_of)
+    compiled, classes, deltas, _ = _replay_tables(protocol)
+    one, zero, undef = _initial_counters(result.initial, compiled, classes)
     if _consensus_of(one, zero, undef) is not None:
         return 0
     for step, index in enumerate(result.trajectory.transition_indices, start=1):

@@ -12,6 +12,7 @@ multisets) that goes beyond the named protocols.
 """
 
 import random
+import re
 
 import pytest
 
@@ -298,12 +299,13 @@ def _random_multiset(rng, states, min_size, max_size):
     return Configuration(counts)
 
 
-def _random_protocol(rng):
-    """A random small Petri-net protocol: arbitrary pre/post multisets,
-    possibly non-conservative, possibly with '*'-output states."""
-    states = [f"s{i}" for i in range(rng.randint(2, 4))]
+def _random_protocol(rng, num_states=(2, 4), num_transitions=(1, 5)):
+    """A random Petri-net protocol: arbitrary pre/post multisets, possibly
+    non-conservative, possibly with '*'-output states.  The sizes are drawn
+    from the inclusive ``num_states`` / ``num_transitions`` ranges."""
+    states = [f"s{i}" for i in range(rng.randint(*num_states))]
     transitions = []
-    for t in range(rng.randint(1, 5)):
+    for t in range(rng.randint(*num_transitions)):
         pre = _random_multiset(rng, states, 1, 2)
         post = _random_multiset(rng, states, 0, 3)
         transitions.append(Transition(pre, post, name=f"t{t}"))
@@ -325,6 +327,22 @@ def _random_protocol(rng):
 
 #: The engines of the cross-engine property sweep, the reference first.
 ENGINES_UNDER_TEST = ("reference", "compiled", "native")
+
+#: Wide random nets: ``(num_states, num_transitions)`` ranges large enough
+#: that a generated arm usually reweighs few of the net's transitions and
+#: keeps the total by diffing them (``total +=``), while the busiest arms
+#: re-sum it (``total =``).  The small nets only ever take the second form.
+WIDE_NETS = ((4, 8), (6, 12))
+WIDE_NET_SEED = 9500
+
+#: The seed-list sweep's cases: ten small nets (seeds 9000+) and ten wide
+#: ones (seeds 9500+).
+SEED_LIST_CASES = [
+    pytest.param(case, 9000 + case, (), id=str(case)) for case in range(10)
+] + [
+    pytest.param(case, WIDE_NET_SEED + case, WIDE_NETS, id=f"wide-{case}")
+    for case in range(10)
+]
 
 
 class TestRandomNetEquivalence:
@@ -371,15 +389,17 @@ class TestRandomNetEquivalence:
             )
             assert_same_result(fast, reference)
 
-    @pytest.mark.parametrize("case", range(10))
+    @pytest.mark.parametrize("case, net_seed, sizes", SEED_LIST_CASES)
     @pytest.mark.parametrize(
         "scheduler", [UniformScheduler(), TransitionScheduler()],
         ids=["uniform", "transition"],
     )
-    def test_random_net_seed_lists_match_step_for_step(self, case, scheduler):
+    def test_random_net_seed_lists_match_step_for_step(
+        self, case, net_seed, sizes, scheduler
+    ):
         # run_many hands the native engine the whole seed list in one call.
-        rng = random.Random(9000 + case)
-        protocol, inputs = _random_protocol(rng)
+        rng = random.Random(net_seed)
+        protocol, inputs = _random_protocol(rng, *sizes)
         results = {
             engine: Simulator(
                 protocol, scheduler=scheduler, engine=engine, seed=case
@@ -394,6 +414,20 @@ class TestRandomNetEquivalence:
             for fast_result, reference_result in zip(fast, reference):
                 assert_same_result(fast_result, reference_result)
                 assert fast_result.trajectory == reference_result.trajectory
+
+    @pytest.mark.parametrize("kind", ["uniform", "transition"])
+    def test_wide_random_nets_take_both_total_updates(self, kind):
+        # The seed-list sweep's wide nets must exercise both ways a
+        # generated arm keeps the running total, under either kind.
+        forms = set()
+        for case in range(10):
+            protocol, _ = _random_protocol(random.Random(WIDE_NET_SEED + case), *WIDE_NETS)
+            compiled = protocol.petri_net.compiled(extra_states=protocol.states)
+            source = compiled.stepper_source(
+                kind, compiled.output_classes(protocol.output_table)
+            )
+            forms.update(re.findall(r"^ {12}total (\+=|=) ", source, flags=re.MULTILINE))
+        assert forms == {"+=", "="}
 
     @pytest.mark.parametrize("case", range(8))
     def test_random_net_batches_match_across_backends(self, case):

@@ -510,34 +510,56 @@ class TestCodegenAudit:
         compiled, classes = _compiled_for(name, population)
         assert codegen_audit.audit_compiled_net(compiled, classes) == []
 
-    def test_corrupted_source_fails(self):
+    @pytest.mark.parametrize("kind", ["uniform", "transition"])
+    def test_corrupted_source_fails(self, kind):
         compiled, classes = _compiled_for("majority", 25)
-        source = compiled.stepper_source("uniform", classes)
+        source = compiled.stepper_source(kind, classes)
         corrupted = source.replace("step += 1", "step += leaked_global", 1)
         problems = codegen_audit.audit_stepper_source(
-            corrupted, compiled, "uniform", classes
+            corrupted, compiled, kind, classes
         )
         assert any("leaked_global" in problem for problem in problems)
 
-    def test_attribute_access_in_loop_fails(self):
+    @pytest.mark.parametrize("kind", ["uniform", "transition"])
+    def test_attribute_access_in_loop_fails(self, kind):
         compiled, classes = _compiled_for("majority", 25)
-        source = compiled.stepper_source("uniform", classes)
+        source = compiled.stepper_source(kind, classes)
         corrupted = source.replace(
             "        pick = randrange(total)",
             "        pick = rng.randrange(total)",
             1,
         )
+        assert corrupted != source
         problems = codegen_audit.audit_stepper_source(
-            corrupted, compiled, "uniform", classes
+            corrupted, compiled, kind, classes
         )
         assert any("rng.randrange" in problem for problem in problems)
 
-    def test_wrong_delta_fails(self):
+    def test_enabled_list_append_in_transition_loop_fails(self):
+        # The transition kind draws from the same weights as the uniform
+        # kind, so a candidate list filled inside its loop is an attribute
+        # access like any other.  The list is hoisted so only rule 2 fires.
         compiled, classes = _compiled_for("majority", 25)
-        source = compiled.stepper_source("uniform", classes)
-        # Flip the first firing displacement found in the dispatch.
-        import re
+        source = compiled.stepper_source("transition", classes)
+        corrupted = source.replace(
+            "    step = 0\n", "    enabled = []\n    step = 0\n", 1
+        ).replace(
+            "        if pick < (cum := w0):\n",
+            "        if pick < (cum := w0):\n            enabled.append(0)\n",
+            1,
+        )
+        assert corrupted.count("enabled") == 2
+        problems = codegen_audit.audit_stepper_source(
+            corrupted, compiled, "transition", classes
+        )
+        assert len(problems) == 1
+        assert "attribute access enabled.append inside the step loop" in problems[0]
 
+    @pytest.mark.parametrize("kind", ["uniform", "transition"])
+    def test_wrong_delta_fails(self, kind):
+        compiled, classes = _compiled_for("majority", 25)
+        source = compiled.stepper_source(kind, classes)
+        # Flip the first firing displacement found in the dispatch.
         corrupted, replacements = re.subn(
             r"^(            c\d+) \+= (\d+)$",
             r"\1 += 7",
@@ -547,7 +569,7 @@ class TestCodegenAudit:
         )
         assert replacements == 1
         problems = codegen_audit.audit_stepper_source(
-            corrupted, compiled, "uniform", classes
+            corrupted, compiled, kind, classes
         )
         assert any("net says" in problem for problem in problems)
 
@@ -594,14 +616,6 @@ class TestCodegenAudit:
             f"{kind}: recording variant differs from the fast variant by more "
             "than append statements"
         ]
-
-    def test_qa_meta_attached(self):
-        compiled, classes = _compiled_for("majority", 25)
-        stepper = compiled.stepper("uniform", classes)
-        meta = stepper.qa_meta
-        assert meta["kind"] == "uniform"
-        assert meta["record"] is False
-        assert meta["num_transitions"] == compiled.num_transitions
 
 
 class TestUniverseGuard:
