@@ -19,8 +19,8 @@ the engines is recorded across PRs:
 
 2. **Persistent pools**: a :class:`~repro.simulation.batch.WorkerPool`
    starts its worker processes once; a second ``run_seeds`` on the same pool
-   skips pool startup, protocol unpickling and per-worker stepper
-   compilation, and must be at least 1.5x faster than the build-per-call
+   skips pool startup, protocol unpickling and per-worker stepper table
+   building, and must be at least 1.5x faster than the build-per-call
    behavior (a fresh pool per ensemble, which is what every one-shot
    ``run_many(backend="process")`` pays) — while remaining bit-identical to
    both the fresh-pool and the serial ensembles.
@@ -100,8 +100,8 @@ def test_bench_e11_large_net_throughput(benchmark):
 
 def test_bench_e11_persistent_pool():
     # A moderately sized random net: per-worker initialization (protocol
-    # unpickling + stepper codegen) is a real cost, which is exactly what the
-    # persistent pool amortizes.
+    # unpickling + building the native stepper's tables) is a real cost,
+    # which is exactly what the persistent pool amortizes.
     protocol, inputs = random_interaction_protocol(240, random.Random(5))
     repetitions, seed, max_steps = 64, 2022, 400
     seeds = repetition_seeds(seed, repetitions)

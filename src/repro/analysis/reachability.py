@@ -11,7 +11,18 @@ for explorations truncated by a node budget.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from ..core.configuration import Configuration, State
 from ..core.petrinet import PetriNet, ReachabilityGraph
@@ -21,8 +32,11 @@ __all__ = [
     "enumerate_configurations_up_to",
     "shortest_distances",
     "strongly_connected_components",
+    "tarjan_components",
     "condensation_is_bottom",
 ]
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 def enumerate_configurations(states: Sequence[State], total: int) -> Iterator[Configuration]:
@@ -74,43 +88,47 @@ def shortest_distances(
     return distances
 
 
-def strongly_connected_components(
-    graph: ReachabilityGraph,
-) -> List[Set[Configuration]]:
-    """Tarjan's algorithm on a reachability graph.
+def tarjan_components(
+    nodes: Iterable[Node], successors: Callable[[Node], Iterable[Node]]
+) -> List[Set[Node]]:
+    """Tarjan's algorithm over ``nodes`` and a successor function, iterative
+    so deep graphs do not hit the recursion limit.
 
-    The returned components are in reverse topological order of the
-    condensation (every edge of the condensation goes from a later component
-    to an earlier one in the list), which is the order Tarjan naturally emits.
+    Roots are taken in the order of ``nodes`` and successors in the order
+    ``successors`` yields them.  The returned components are in reverse
+    topological order of the condensation (every edge of the condensation
+    goes from a later component to an earlier one in the list), which is the
+    order Tarjan naturally emits.
     """
-    index_counter = [0]
-    stack: List[Configuration] = []
-    lowlink: Dict[Configuration, int] = {}
-    index: Dict[Configuration, int] = {}
-    on_stack: Dict[Configuration, bool] = {}
-    components: List[Set[Configuration]] = []
+    counter = 0
+    stack: List[Node] = []
+    lowlink: Dict[Node, int] = {}
+    index: Dict[Node, int] = {}
+    on_stack: Set[Node] = set()
+    components: List[Set[Node]] = []
 
-    def strongconnect(node: Configuration) -> None:
-        work: List[Tuple[Configuration, Iterator[Tuple[object, Configuration]]]] = [
-            (node, iter(graph.successors(node)))
-        ]
-        index[node] = lowlink[node] = index_counter[0]
-        index_counter[0] += 1
+    def visit(node: Node) -> None:
+        nonlocal counter
+        index[node] = lowlink[node] = counter
+        counter += 1
         stack.append(node)
-        on_stack[node] = True
+        on_stack.add(node)
+
+    for root in nodes:
+        if root in index:
+            continue
+        visit(root)
+        work: List[Tuple[Node, Iterator[Node]]] = [(root, iter(successors(root)))]
         while work:
             current, successor_iterator = work[-1]
             advanced = False
-            for _, successor in successor_iterator:
+            for successor in successor_iterator:
                 if successor not in index:
-                    index[successor] = lowlink[successor] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(successor)
-                    on_stack[successor] = True
-                    work.append((successor, iter(graph.successors(successor))))
+                    visit(successor)
+                    work.append((successor, iter(successors(successor))))
                     advanced = True
                     break
-                if on_stack.get(successor, False):
+                if successor in on_stack:
                     lowlink[current] = min(lowlink[current], index[successor])
             if advanced:
                 continue
@@ -119,19 +137,25 @@ def strongly_connected_components(
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[current])
             if lowlink[current] == index[current]:
-                component: Set[Configuration] = set()
+                component: Set[Node] = set()
                 while True:
                     member = stack.pop()
-                    on_stack[member] = False
+                    on_stack.discard(member)
                     component.add(member)
                     if member == current:
                         break
                 components.append(component)
-
-    for node in graph.nodes:
-        if node not in index:
-            strongconnect(node)
     return components
+
+
+def strongly_connected_components(
+    graph: ReachabilityGraph,
+) -> List[Set[Configuration]]:
+    """Tarjan's algorithm on a reachability graph (:func:`tarjan_components`
+    over its nodes and edge targets, in the same order)."""
+    return tarjan_components(
+        graph.nodes, lambda node: (target for _, target in graph.successors(node))
+    )
 
 
 def condensation_is_bottom(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..analysis.reachability import tarjan_components
 from ..core.configuration import Configuration, State
 from ..core.petrinet import PetriNet
 from ..core.transition import Transition
@@ -219,55 +220,9 @@ class ControlStatePetriNet:
 
     def strongly_connected_components(self) -> List[Set[ControlState]]:
         """Tarjan's algorithm: the strongly connected components of ``(S, E)``."""
-        index_counter = [0]
-        stack: List[ControlState] = []
-        lowlink: Dict[ControlState, int] = {}
-        index: Dict[ControlState, int] = {}
-        on_stack: Dict[ControlState, bool] = {}
-        components: List[Set[ControlState]] = []
-
-        def strongconnect(node: ControlState) -> None:
-            # Iterative Tarjan to avoid recursion limits on large components.
-            work = [(node, iter(self.outgoing(node)))]
-            index[node] = lowlink[node] = index_counter[0]
-            index_counter[0] += 1
-            stack.append(node)
-            on_stack[node] = True
-            while work:
-                current, edge_iterator = work[-1]
-                advanced = False
-                for edge in edge_iterator:
-                    successor = edge.target
-                    if successor not in index:
-                        index[successor] = lowlink[successor] = index_counter[0]
-                        index_counter[0] += 1
-                        stack.append(successor)
-                        on_stack[successor] = True
-                        work.append((successor, iter(self.outgoing(successor))))
-                        advanced = True
-                        break
-                    if on_stack.get(successor, False):
-                        lowlink[current] = min(lowlink[current], index[successor])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[current])
-                if lowlink[current] == index[current]:
-                    component: Set[ControlState] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack[member] = False
-                        component.add(member)
-                        if member == current:
-                            break
-                    components.append(component)
-
-        for state in self.control_states:
-            if state not in index:
-                strongconnect(state)
-        return components
+        return tarjan_components(
+            self.control_states, lambda state: (edge.target for edge in self.outgoing(state))
+        )
 
 
 def component_control_net(

@@ -189,12 +189,12 @@ class PetriNet:
         return f"{label}(|P|={self.num_states}, |T|={self.num_transitions}, width={self.width})"
 
     def __getstate__(self) -> Dict[str, object]:
-        """Drop the compiled-net and coverability-basis caches:
-        the compiled cache holds ``exec``-generated stepper functions that
-        cannot be pickled, and the others are dropped alongside it so pickled
-        nets stay the size of their transitions (rebuilding them is cheap).
-        Unpickled nets (e.g. in batch worker processes) recompute on first
-        use and re-cache locally."""
+        """Drop the compiled-net and coverability-basis caches, so pickled
+        nets stay the size of their transitions.  The compiled cache holds
+        :class:`~repro.simulation.compiled.CompiledNet` tables, which pickle
+        (their own ``__getstate__`` drops their steppers) but are cheap to
+        rebuild.  Unpickled nets (e.g. in batch worker processes) recompute
+        on first use and re-cache locally."""
         state = self.__dict__.copy()
         state["_compiled_cache"] = {}
         state["_basis_cache"] = {}

@@ -14,8 +14,8 @@ one finding/suppression pipeline:
 ``rules``
     The rule catalogue (``DET1xx`` determinism errors, ``DET2xx`` ordering
     warnings, ``PKL001`` pickle safety), :class:`~repro.qa.rules.Finding`,
-    ``# qa: allow[rule-id]`` pragma parsing, and the committed-baseline
-    machinery.  Everything a pass emits flows through here.
+    and ``# qa: allow[rule-id]`` pragma parsing, the one way to accept a
+    finding.  Everything a pass emits flows through here.
 
 ``determinism``
     An ``ast`` walker over the *library sources*: module-level ``random``
@@ -24,12 +24,15 @@ one finding/suppression pipeline:
     un-keyed ``sorted``/``min``/``max`` over sets.
 
 ``codegen_audit``
-    A structural verifier over the *generated stepper sources* that
-    :class:`~repro.simulation.compiled.CompiledNet` ``exec``-compiles:
-    closed namespaces, pure-local step loops, complete transition dispatch
-    matching the net's delta lists, recording variant = fast variant +
-    deque appends.  Nothing human reviews the per-net generated code; this
-    pass does.
+    A verifier of the *generated steppers* that
+    :class:`~repro.simulation.compiled.CompiledNet` ``exec``-compiles,
+    against the net tables they were generated from: closed namespaces,
+    pure-local step loops and the counts round-trip are checked on the
+    compiled function, and every dispatch arm, fired through a stand-in
+    generator, must move the counts, the consensus counters, the recording
+    and the next step's weights as the tables say.  The recording
+    variant must be the fast variant plus deque appends.  Nothing human
+    reviews the per-net generated code; this pass does.
 
 ``picklesafety``
     A shape-based scan for classes caching generated functions/closures on

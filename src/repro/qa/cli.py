@@ -6,16 +6,14 @@ Subcommands, mirroring the ``repro.analytics`` exit-code convention
 ``lint <paths...>``
     Run the determinism linter (:mod:`repro.qa.determinism`) and the
     pickle-safety checker (:mod:`repro.qa.picklesafety`) over source trees.
-    ``--baseline`` names a committed baseline file (default
-    ``qa_baseline.json`` next to the first path's repo root if present);
-    ``--write-baseline`` records the current unsuppressed findings instead of
-    failing on them.  ``--fail-on {error,warning,info}`` sets the gating
-    threshold (default ``warning``).
+    Every finding not allowed by a ``# qa: allow[...]`` pragma on its line
+    counts; ``--fail-on {error,warning,info}`` sets the gating threshold
+    (default ``warning``).
 
 ``audit-codegen``
-    Generate and structurally audit the compiled steppers (fast + recording,
-    both scheduler kinds) of every registered sweep protocol at several
-    populations (:mod:`repro.qa.codegen_audit`).
+    Generate the compiled steppers (fast + recording, both scheduler kinds)
+    of every registered sweep protocol at several populations and audit them
+    against their nets' tables (:mod:`repro.qa.codegen_audit`).
 
 ``check-pickle <paths...>``
     Run only the pickle-safety pass (the lint subcommand includes it; this
@@ -37,19 +35,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import codegen_audit, determinism, picklesafety
-from .rules import (
-    RULES,
-    SEVERITIES,
-    Finding,
-    apply_baseline,
-    load_baseline,
-    severity_at_least,
-    write_baseline,
-)
+from .rules import RULES, SEVERITIES, Finding, severity_at_least
 
 __all__ = ["main"]
-
-_DEFAULT_BASELINE = "qa_baseline.json"
 
 
 def _print_findings(findings: Sequence[Finding], show_suppressed: bool) -> None:
@@ -99,23 +87,6 @@ def _command_lint(arguments: argparse.Namespace) -> int:
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-    baseline_path = Path(arguments.baseline) if arguments.baseline else Path(_DEFAULT_BASELINE)
-    if arguments.write_baseline:
-        write_baseline(baseline_path, findings)
-        live = sum(1 for finding in findings if finding.suppressed is None)
-        print(f"qa: wrote baseline with {live} finding(s) to {baseline_path}")
-        return 0
-    if baseline_path.exists():
-        try:
-            findings = apply_baseline(findings, load_baseline(baseline_path))
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    elif arguments.baseline:
-        print(f"error: baseline {baseline_path} does not exist", file=sys.stderr)
-        return 2
-
     _print_findings(findings, show_suppressed=arguments.show_suppressed)
     return _gate(findings, arguments.fail_on)
 
@@ -205,12 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser("lint", help="run the determinism + pickle-safety lint")
     lint.add_argument("paths", nargs="+", help="files or directories to lint")
-    lint.add_argument("--baseline", help=f"baseline file (default {_DEFAULT_BASELINE})")
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the baseline instead of failing",
-    )
     lint.add_argument(
         "--fail-on",
         choices=SEVERITIES,
@@ -225,11 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--show-suppressed",
         action="store_true",
-        help="also print pragma- and baseline-suppressed findings",
+        help="also print pragma-suppressed findings",
     )
 
     audit = subparsers.add_parser(
-        "audit-codegen", help="structurally audit the generated steppers"
+        "audit-codegen", help="audit the generated steppers against their nets' tables"
     )
     audit.add_argument(
         "--protocol",

@@ -1,165 +1,159 @@
-"""Codegen auditor: structural verification of the generated steppers.
+"""Codegen auditor: the generated steppers, fired against their net's tables.
 
-:class:`~repro.simulation.compiled.CompiledNet` ``exec``-compiles a
-specialized Python simulation loop per ``(scheduler kind, output classes,
-recording)`` — straight-line code that nothing human reviews per net.  This
-pass parses those generated sources back into an ``ast`` and verifies the
-properties the cross-engine determinism contract rests on:
+:class:`~repro.simulation.compiled.CompiledNet` ``exec``-compiles a Python
+simulation loop per ``(scheduler kind, output classes, recording)`` that
+nothing human reviews per net.  This pass compiles each generated source and
+checks the function against the ``CompiledNet`` tables it was generated
+from instead of re-deriving the loop from its text, so only the generator
+knows how the loop is written:
 
-1. **closed namespace** — the function reads only its parameters, its own
-   locals, and the single sanctioned global ``comb`` (pure, deterministic);
-   any other free name means the generator leaked a dependency;
-2. **pure-local step loop** — inside the per-step ``while`` body there is no
-   attribute access and no global read other than ``comb``: method lookups
-   like ``rng.randrange`` must be hoisted out of the loop, both for speed and
-   so the loop's behavior is fixed at generation time;
-3. **complete dispatch** — the cumulative ``pick < (cum := ...)``
-   if/elif/else chain, the one dispatch shape of both scheduler kinds,
-   covers every transition index exactly once, in index order, and the
-   ``c<i> += d`` statements of each arm match the net's ``delta_lists`` entry
-   for that transition (and the ``one``/``zero``/``undef`` counter updates
-   match ``consensus_deltas``);
-4. **counts round-trip** — the loop loads ``c<i>`` for exactly the generator's
-   ``touched`` indices and writes back exactly its ``written`` indices;
-5. **recording = fast + append statements** — the recording variant's
-   source, minus its ``append = ring.append`` hoist, the ``append(<arm
-   index>)`` that opens each dispatch arm and its extra ``ring`` parameter,
-   is byte-identical to the fast variant: recording must never change
-   *what* is simulated.
+1. **closed namespace** — the code object's ``co_names`` hold only the global
+   ``comb`` (pure, deterministic) and the hoisted ``randrange`` and ``append``;
+2. **pure-local step loop** — the ``while`` block holds no ``name.attr``:
+   method lookups like ``rng.randrange`` are hoisted out of the loop;
+3. **counts round-trip** — the ``c<i>`` locals are exactly the touched state
+   indices, and a run of zero steps writes back exactly the written ones;
+4. **dispatch** — every arm is fired through a stand-in generator whose
+   ``randrange`` returns chosen picks, from counts that enable every
+   transition (distinct primes, so the uniform weights differ).  At the
+   first and at the last pick of transition ``t`` one step must draw from the
+   tables' weight total, move the counts by ``delta_lists[t]``, record
+   ``[t]``, and end in consensus 0 and then 1 from two ``(one, zero, undef)``
+   values that reach ``(0, 1, 0)`` and ``(1, 0, 0)`` only through
+   ``consensus_deltas[t]``.  A second step, at the first and the last pick of
+   each transition under the reweighed weights, must fire that transition;
+5. **recording = fast + append statements** — the recording variant's source,
+   minus its ``append = ring.append`` hoist, the ``append(<arm index>)``
+   opening each dispatch arm and its ``ring`` parameter, is byte-identical to
+   the fast variant: recording must never change *what* is simulated.
 
-The entry points are :func:`audit_stepper_source` (one source string — used
-by tests to prove the auditor rejects corrupted code) and
-:func:`audit_compiled_net` (every variant of one net); the CLI subcommand
-``python -m repro.qa audit-codegen`` runs the latter over every registered
-sweep protocol at several populations.
+:func:`audit_stepper_source` audits one source (tests feed it corrupted
+code), :func:`audit_compiled_net` every variant of one net, and ``python -m
+repro.qa audit-codegen`` every registered sweep protocol.
 """
 
 from __future__ import annotations
 
-import ast
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from collections import ChainMap
+from itertools import count, islice
+from math import comb, isqrt, prod
+from types import CodeType, FunctionType
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..simulation.compiled import OUT_IGNORED, CompiledNet, _KINDS
 
-__all__ = [
-    "audit_stepper_source",
-    "audit_compiled_net",
-    "DEFAULT_AUDIT_POPULATIONS",
-]
+__all__ = ["audit_stepper_source", "audit_compiled_net", "DEFAULT_AUDIT_POPULATIONS"]
 
 #: Populations the CLI audits every registered protocol at.  Two sizes on
 #: purpose: protocol builders may change net structure with population (e.g.
 #: threshold parameters), so a single size under-covers the generator.
 DEFAULT_AUDIT_POPULATIONS = (25, 100)
 
-#: The only global name generated code may read (pure and deterministic).
-_ALLOWED_GLOBALS = frozenset({"comb"})
+#: The only names a generated stepper's code object may hold.
+_ALLOWED_NAMES = frozenset({"comb", "randrange", "append"})
+
+#: A ``while`` statement with every deeper-indented line after it, and a
+#: ``name.attr`` in generated code (which holds no strings or comments).
+_WHILE_BLOCK = re.compile(r"^( *)while\b.*(?:\n\1 .*)*", re.MULTILINE)
+_ATTRIBUTE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 
 _BASE_PARAMS = ("counts", "rng", "max_steps", "stability_window", "one", "zero", "undef")
 _RECORD_PARAMS = _BASE_PARAMS + ("ring",)
 
 
-def _assigned_names(func: ast.FunctionDef) -> Set[str]:
-    names: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                for leaf in ast.walk(target):
-                    if isinstance(leaf, ast.Name):
-                        names.add(leaf.id)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
-            target = node.target
-            for leaf in ast.walk(target):
-                if isinstance(leaf, ast.Name):
-                    names.add(leaf.id)
-        elif isinstance(node, ast.NamedExpr):
-            if isinstance(node.target, ast.Name):
-                names.add(node.target.id)
-    return names
+class _Picks:
+    """A stand-in generator whose ``randrange`` returns chosen picks in turn
+    and keeps the bounds it was called with."""
+
+    def __init__(self, picks: Sequence[int]) -> None:
+        self._picks = iter(picks)
+        self.bounds: List[int] = []
+
+    def randrange(self, bound: int) -> int:
+        self.bounds.append(bound)
+        return next(self._picks)
 
 
-def _delta_of_arm(statements: Sequence[ast.stmt]) -> Tuple[Dict[int, int], Dict[str, int]]:
-    """The ``c<i>`` displacements and counter updates an arm performs."""
-    counts: Dict[int, int] = {}
-    counters: Dict[str, int] = {}
-    for statement in statements:
-        if not isinstance(statement, ast.AugAssign) or not isinstance(
-            statement.target, ast.Name
-        ):
-            continue
-        if not isinstance(statement.value, ast.Constant) or not isinstance(
-            statement.value.value, int
-        ):
-            continue
-        magnitude = statement.value.value
-        if isinstance(statement.op, ast.Add):
-            diff = magnitude
-        elif isinstance(statement.op, ast.Sub):
-            diff = -magnitude
-        else:
-            continue
-        name = statement.target.id
-        if name.startswith("c") and name[1:].isdigit():
-            index = int(name[1:])
-            counts[index] = counts.get(index, 0) + diff
-        elif name in ("one", "zero", "undef"):
-            counters[name] = counters.get(name, 0) + diff
-    return counts, counters
+def _probe_counts(net: CompiledNet) -> List[int]:
+    """Distinct primes above every pre-set multiplicity: every transition is
+    enabled, no count empties in one firing, and single-agent pre-sets get
+    distinct uniform weights."""
+    floor = 1 + max((need for pre in net.pre_lists for _, need in pre), default=1)
+    primes = (n for n in count(floor) if all(n % d for d in range(2, isqrt(n) + 1)))
+    return list(islice(primes, net.num_states))
 
 
-def _dispatch_arms(chain: ast.If) -> List[List[ast.stmt]]:
-    """Flatten an if/elif/else chain into its arm bodies, in order."""
-    arms: List[List[ast.stmt]] = []
-    node: ast.stmt = chain
-    while True:
-        assert isinstance(node, ast.If)
-        arms.append(node.body)
-        orelse = node.orelse
-        if len(orelse) == 1 and isinstance(orelse[0], ast.If):
-            node = orelse[0]
-            continue
-        if orelse:
-            arms.append(orelse)
-        return arms
+def _weights(net: CompiledNet, kind: str, counts: Sequence[int]) -> List[int]:
+    """The scheduler weights the tables give at ``counts``."""
+    if kind == "uniform":
+        return [prod(comb(counts[i], need) for i, need in pre) for pre in net.pre_lists]
+    return [int(all(counts[i] >= need for i, need in pre)) for pre in net.pre_lists]
 
 
-def _find_step_loop(func: ast.FunctionDef) -> Optional[ast.While]:
-    for statement in func.body:
-        if isinstance(statement, ast.While):
-            return statement
-    return None
+def _end_picks(weights: Sequence[int], t: int) -> Tuple[int, ...]:
+    """The first and the last pick that fire transition ``t``."""
+    first = sum(weights[:t])
+    return (first, first + weights[t] - 1) if weights[t] else ()
 
 
-def _check_arm_deltas(
-    net: CompiledNet,
-    consensus_deltas: Sequence[Tuple[int, int, int]],
-    arms: Sequence[Sequence[ast.stmt]],
-    problems: List[str],
-) -> None:
-    if len(arms) != net.num_transitions:
-        problems.append(
-            f"dispatch covers {len(arms)} arms for {net.num_transitions} transitions"
+def _misfires(
+    fn: FunctionType, net: CompiledNet, kind: str, classes: Sequence[int], record: bool
+) -> List[str]:
+    """The problems of the first firing of rule 4 that disagrees with the
+    tables."""
+    deltas = net.consensus_deltas(tuple(classes))
+    base = _probe_counts(net)
+    weights = _weights(net, kind, base)
+
+    def moved(counts: List[int], t: int) -> List[int]:
+        after = list(counts)
+        for index, diff in net.delta_lists[t]:
+            after[index] += diff
+        return after
+
+    def shift(counts: List[int]) -> Dict[int, int]:
+        return {i: b - a for i, (a, b) in enumerate(zip(base, counts)) if a != b}
+
+    def firings() -> Iterator[Tuple[Any, ...]]:
+        total = sum(weights)
+        for t in range(net.num_transitions):
+            after = moved(base, t)
+            for pick in _end_picks(weights, t):
+                for due, goal in ((0, (0, 1, 0)), (1, (1, 0, 0))):
+                    start = tuple(g - d for g, d in zip(goal, deltas[t]))
+                    yield f"transition {t} at pick {pick}", [pick], [t], after, [total], start, due
+        for t in range(net.num_transitions):
+            after = moved(base, t)
+            reweighed = _weights(net, kind, after)
+            totals = [total, sum(reweighed)]
+            for u in range(net.num_transitions):
+                for pick in _end_picks(reweighed, u):
+                    where = f"transition {u} at pick {pick} after transition {t}"
+                    picks = [_end_picks(weights, t)[0], pick]
+                    yield where, picks, [t, u], moved(after, u), totals, (0, 1, 0), None
+
+    for where, picks, fired, want, totals, counters, due in firings():
+        rng, final, ring = _Picks(picks), list(base), []
+        steps, value, _, terminated = fn(
+            final, rng, len(picks), len(picks) + 1, *counters, *([ring] if record else [])
         )
-        return
-    counter_names = ("one", "zero", "undef")
-    for t, arm in enumerate(arms):
-        got_counts, got_counters = _delta_of_arm(arm)
-        want_counts = {index: diff for index, diff in net.delta_lists[t]}
-        if got_counts != want_counts:
-            problems.append(
-                f"transition {t}: arm displaces {got_counts}, net says {want_counts}"
-            )
-        want_counters = {
-            name: diff
-            for name, diff in zip(counter_names, consensus_deltas[t])
-            if diff
-        }
-        if got_counters != want_counters:
-            problems.append(
-                f"transition {t}: arm moves counters {got_counters}, "
-                f"consensus deltas say {want_counters}"
-            )
+        problems = []
+        if rng.bounds != totals:
+            problems.append(f"drew randrange{tuple(rng.bounds)}, the tables' weight "
+                            f"totals are {tuple(totals)}")
+        if final != want:
+            problems.append(f"counts moved by {shift(final)}, net says {shift(want)}")
+        if (steps, terminated) != (len(picks), False):
+            problems.append(f"stopped after {steps} steps, terminated={terminated}")
+        if record and ring != fired:
+            problems.append(f"recorded {ring}, expected {fired}")
+        if due is not None and value != due:
+            problems.append(f"consensus {value} from counters {counters}, the "
+                            f"consensus deltas make it {due}")
+        if problems:
+            return [f"{where}: {problem}" for problem in problems]
+    return []
 
 
 def audit_stepper_source(
@@ -169,132 +163,52 @@ def audit_stepper_source(
     classes: Sequence[int],
     record: bool = False,
 ) -> List[str]:
-    """Structurally audit one generated stepper source against its net.
-
-    Returns a list of problem descriptions; an empty list means the source
-    passes every check.  Exposed separately from :func:`audit_compiled_net`
-    so tests can feed deliberately corrupted sources and prove the auditor
-    rejects them.
-    """
-    problems: List[str] = []
+    """Audit one generated stepper source against its net's tables: the
+    problems found, none if the source passes every check."""
     try:
-        tree = ast.parse(source)
+        module = compile(source, "<audited stepper>", "exec")
     except SyntaxError as error:
         return [f"generated source does not parse: {error.msg} (line {error.lineno})"]
-
-    if len(tree.body) != 1 or not isinstance(tree.body[0], ast.FunctionDef):
+    functions = [const for const in module.co_consts if isinstance(const, CodeType)]
+    if len(functions) != 1 or module.co_names != (functions[0].co_name,):
         return ["generated source is not a single function definition"]
-    func = tree.body[0]
-    if func.name != "__compiled_stepper":
-        problems.append(f"unexpected function name {func.name!r}")
-
-    expected_params = _RECORD_PARAMS if record else _BASE_PARAMS
-    params = tuple(argument.arg for argument in func.args.args)
-    if params != expected_params:
-        problems.append(f"parameters are {params}, expected {expected_params}")
-
-    # 1. Closed namespace: every loaded name is a parameter, a local, or comb.
-    locals_and_params = _assigned_names(func) | set(params)
-    for node in ast.walk(func):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if node.id not in locals_and_params and node.id not in _ALLOWED_GLOBALS:
-                problems.append(
-                    f"free name {node.id!r} (line {node.lineno}) is neither a "
-                    "parameter, a local, nor a sanctioned global"
-                )
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
-            problems.append(f"global/nonlocal declaration (line {node.lineno})")
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            problems.append(f"import inside generated code (line {node.lineno})")
-
-    loop = _find_step_loop(func)
-    if loop is None:
-        problems.append("no per-step while loop found")
-        return problems
-
-    # 2. Pure-local loop body: no attribute access, no global reads beyond
-    #    comb.
-    for node in ast.walk(loop):
-        if isinstance(node, ast.Attribute):
-            owner = node.value.id if isinstance(node.value, ast.Name) else "?"
-            problems.append(
-                f"attribute access {owner}.{node.attr} inside the step loop "
-                f"(line {node.lineno}); method lookups must be hoisted out"
-            )
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if node.id not in locals_and_params and node.id not in _ALLOWED_GLOBALS:
-                # Already reported by the namespace check; keep loop-local
-                # context anyway for corrupted single-line injections.
-                problems.append(
-                    f"global read {node.id!r} inside the step loop (line {node.lineno})"
-                )
-
-    # 3. Complete dispatch with per-arm deltas matching the net.
-    consensus_deltas = net.consensus_deltas(tuple(classes))
-    n = net.num_transitions
     if kind not in _KINDS:
-        problems.append(f"unknown scheduler kind {kind!r}")
-    elif n == 1:
-        # Single transition: fire statements are inlined, no chain.
-        _check_arm_deltas(net, consensus_deltas, [loop.body], problems)
-    elif n > 1:
-        chains = [s for s in loop.body if isinstance(s, ast.If) and _looks_like_dispatch(s)]
-        if len(chains) != 1:
-            problems.append(
-                f"expected exactly one dispatch chain in the loop, found {len(chains)}"
-            )
-        else:
-            _check_arm_deltas(net, consensus_deltas, _dispatch_arms(chains[0]), problems)
+        return [f"unknown scheduler kind {kind!r}"]
+    code = functions[0]
+    problems: List[str] = []
+    signature = (code.co_name, code.co_varnames[: code.co_argcount])
+    if signature != ("__compiled_stepper", _RECORD_PARAMS if record else _BASE_PARAMS):
+        problems.append(f"unexpected signature {signature}")
 
-    # 4. Counts round-trip: c<i> loads and counts[i] write-backs.
-    loaded: Set[int] = set()
-    written_back: Set[int] = set()
-    for statement in func.body:
-        if (
-            isinstance(statement, ast.Assign)
-            and len(statement.targets) == 1
-            and isinstance(statement.targets[0], ast.Name)
-            and statement.targets[0].id.startswith("c")
-            and statement.targets[0].id[1:].isdigit()
-            and isinstance(statement.value, ast.Subscript)
-            and isinstance(statement.value.value, ast.Name)
-            and statement.value.value.id == "counts"
-            and isinstance(statement.value.slice, ast.Constant)
-        ):
-            loaded.add(statement.value.slice.value)
-        if (
-            isinstance(statement, ast.Assign)
-            and len(statement.targets) == 1
-            and isinstance(statement.targets[0], ast.Subscript)
-            and isinstance(statement.targets[0].value, ast.Name)
-            and statement.targets[0].value.id == "counts"
-            and isinstance(statement.targets[0].slice, ast.Constant)
-        ):
-            written_back.add(statement.targets[0].slice.value)
-    read = {index for pre in net.pre_lists for index, _ in pre}
+    # 1. Closed namespace.
+    for name in sorted(set(code.co_names) - _ALLOWED_NAMES, key=str):
+        problems.append(f"free name {name!r} is neither a local nor comb, randrange, append")
+
+    # 2. Pure-local step loop.
+    loop = _WHILE_BLOCK.search(source)
+    for access in _ATTRIBUTE.findall(loop.group(0)) if loop else ():
+        problems.append(f"attribute access {access} inside the step loop; hoist it out")
+
+    # 3. Counts round-trip: the count locals, then the write-backs, which
+    #    land in the ChainMap's first map.
     written = {index for delta in net.delta_lists for index, _ in delta}
-    touched = read | written
+    touched = written.union(*({index for index, _ in pre} for pre in net.pre_lists))
+    loaded = {int(name[1:]) for name in code.co_varnames if re.fullmatch(r"c\d+", name)}
     if loaded != touched:
-        problems.append(
-            "loop loads count indices "
-            # qa: allow[DET202] -- dense int state indices, totally ordered
-            f"{sorted(loaded)}, expected the touched set {sorted(touched)}"
-        )
-    if written_back != written:
-        problems.append(
-            "loop writes back count indices "
-            # qa: allow[DET202] -- dense int state indices, totally ordered
-            f"{sorted(written_back)}, expected the written set {sorted(written)}"
-        )
+        problems.append(f"count locals {loaded}, expected the touched set {touched}")
+    fn = FunctionType(code, {"comb": comb})
+    base = _probe_counts(net)
+    counts: ChainMap = ChainMap({}, dict(enumerate(base)))
+    try:
+        fn(counts, _Picks(()), 0, 1, 0, 1, 0, *([[]] if record else []))
+        if counts.maps[0] != {index: base[index] for index in written}:
+            problems.append(f"loop writes back {counts.maps[0]}, expected the "
+                            f"written set {written} unchanged")
+        # 4. Dispatch.
+        problems += _misfires(fn, net, kind, classes, record)
+    except Exception as error:
+        problems.append(f"firing the stepper raised {type(error).__name__}: {error}")
     return problems
-
-
-def _looks_like_dispatch(node: ast.If) -> bool:
-    """An If chain whose test involves ``pick``/``cum``."""
-    return any(
-        isinstance(leaf, ast.Name) and leaf.id in {"pick", "cum"}
-        for leaf in ast.walk(node.test)
-    )
 
 
 #: The statements the recording variant is allowed to add: the hoisted
@@ -306,12 +220,8 @@ def _strip_ring_statements(source: str) -> str:
     """The recording variant's source with every recording statement removed
     and the extra ``ring`` parameter dropped — what must equal the fast
     variant."""
-    lines = []
-    for line in source.splitlines():
-        if _RECORDING_LINE.fullmatch(line.strip()):
-            continue
-        lines.append(line.replace("undef, ring):", "undef):"))
-    return "\n".join(lines)
+    kept = (line for line in source.splitlines() if not _RECORDING_LINE.fullmatch(line.strip()))
+    return "\n".join(kept).replace("undef, ring):", "undef):")
 
 
 def audit_compiled_net(
@@ -323,9 +233,8 @@ def audit_compiled_net(
 
     Returns problem descriptions prefixed with the variant that raised them;
     an empty list means the net's generated code passes every check.  With
-    ``classes=None`` all states are treated as consensus-ignored, which still
-    exercises dispatch/delta/namespace checks; pass the protocol's real
-    output classes for counter coverage.
+    ``classes=None`` every state is consensus-ignored, which leaves the
+    consensus counters unchecked; pass the protocol's output classes.
     """
     if classes is None:
         classes = (OUT_IGNORED,) * net.num_states
@@ -333,12 +242,10 @@ def audit_compiled_net(
     problems: List[str] = []
     for kind in kinds:
         sources = {}
-        for record in (False, True):
-            source = net.stepper_source(kind, classes, record=record)
-            sources[record] = source
-            variant = f"{kind}/{'recording' if record else 'fast'}"
+        for record, variant in ((False, "fast"), (True, "recording")):
+            sources[record] = source = net.stepper_source(kind, classes, record=record)
             for problem in audit_stepper_source(source, net, kind, classes, record=record):
-                problems.append(f"{variant}: {problem}")
+                problems.append(f"{kind}/{variant}: {problem}")
         if _strip_ring_statements(sources[True]) != sources[False]:
             problems.append(
                 f"{kind}: recording variant differs from the fast variant by "

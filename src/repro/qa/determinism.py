@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Union
 
 from .rules import Finding, apply_pragmas, parse_pragmas
 
@@ -67,12 +67,6 @@ _ENTROPY_UUID_ATTRS = {"uuid1", "uuid4"}
 #: module is hazardous; the set exists only to skip non-call attributes like
 #: ``random.Random`` (the fix, not the bug).
 _RANDOM_MODULE_SAFE_ATTRS = {"Random", "SystemRandom"}
-
-
-def _line_of(source_lines: Sequence[str], lineno: int) -> str:
-    if 1 <= lineno <= len(source_lines):
-        return source_lines[lineno - 1]
-    return ""
 
 
 def _is_name(node: ast.AST, name: str) -> bool:
@@ -159,9 +153,8 @@ def _loop_target_names(target: ast.AST) -> Set[str]:
 
 
 class _DeterminismVisitor(ast.NodeVisitor):
-    def __init__(self, path: str, source_lines: Sequence[str]) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.source_lines = source_lines
         self.findings: List[Finding] = []
         #: Stack of per-function sets of locals known to hold sets.
         self._set_locals: List[Set[str]] = [set()]
@@ -175,7 +168,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 path=self.path,
                 line=lineno,
                 message=message,
-                source=_line_of(self.source_lines, lineno).strip(),
             )
         )
 
@@ -313,7 +305,7 @@ def lint_source(source: str, path: str) -> List[Finding]:
                 message=f"file does not parse: {error.msg}",
             )
         ]
-    visitor = _DeterminismVisitor(path, source.splitlines())
+    visitor = _DeterminismVisitor(path)
     visitor.visit(tree)
     findings = sorted(visitor.findings, key=lambda f: (f.line, f.rule))
     return apply_pragmas(findings, parse_pragmas(source))

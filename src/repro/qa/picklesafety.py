@@ -175,12 +175,10 @@ def _check_batch(modules: Sequence[Tuple[str, str]]) -> List[Finding]:
     classes: Dict[str, _ClassInfo] = {}
     per_file: Dict[str, List[_ClassInfo]] = {}
     pragma_maps: Dict[str, Dict[int, frozenset]] = {}
-    source_lines: Dict[str, List[str]] = {}
     parse_errors: List[Finding] = []
 
     for source, path in modules:
         pragma_maps[path] = parse_pragmas(source)
-        source_lines[path] = source.splitlines()
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as error:
@@ -222,9 +220,7 @@ def _check_batch(modules: Sequence[Tuple[str, str]]) -> List[Finding]:
         for info in infos:
             if not info.hazards or _inherits_getstate(info, {info.name}):
                 continue
-            lines = source_lines[path]
             for lineno, attr, reason in info.hazards:
-                text = lines[lineno - 1].strip() if 1 <= lineno <= len(lines) else ""
                 file_findings.append(
                     Finding(
                         rule="PKL001",
@@ -235,7 +231,6 @@ def _check_batch(modules: Sequence[Tuple[str, str]]) -> List[Finding]:
                             f"{info.name} defines no __getstate__ to drop it "
                             "before pickling to batch workers"
                         ),
-                        source=text,
                     )
                 )
         findings.extend(apply_pragmas(file_findings, pragma_maps[path]))

@@ -1,22 +1,14 @@
-"""The QA rule catalogue, findings, suppression pragmas, and baselines.
+"""The QA rule catalogue, findings and suppression pragmas.
 
 Shared plumbing of the static-analysis passes (:mod:`repro.qa.determinism`,
 :mod:`repro.qa.picklesafety`): every pass emits :class:`Finding` values whose
-``rule`` field names an entry of :data:`RULES`, and the CLI funnels them
-through the same suppression pipeline —
-
-1. **pragmas**: a finding on a line carrying ``# qa: allow[RULE-ID]`` (ids
-   comma-separated, optionally followed by ``-- justification``) is dropped
-   at the source.  Pragmas are the per-site escape hatch for code that is
-   *provably* safe despite matching a rule (e.g. an un-keyed ``sorted`` over
-   a set of dense integer indices, which are totally ordered);
-2. **baseline**: findings whose :meth:`Finding.fingerprint` appears in a
-   committed baseline file are reported as baselined and do not fail the
-   lint.  The baseline is the adoption path for pre-existing accepted sites:
-   ``python -m repro.qa lint --write-baseline`` records the current findings,
-   and CI gates only on *new* ones.  Fingerprints are line-number-free
-   (path, rule, stripped source text), so unrelated edits above a baselined
-   site do not invalidate it.
+``rule`` field names an entry of :data:`RULES`.  Pragmas are the one way to
+accept a finding: a finding on a line carrying ``# qa: allow[RULE-ID]`` (ids
+comma-separated, optionally followed by ``-- justification``) is marked
+suppressed at the source.  They are the per-site escape hatch for code that
+is *provably* safe despite matching a rule (e.g. an un-keyed ``sorted`` over
+a set of dense integer indices, which are totally ordered), and the
+justification stays next to the code it excuses.
 
 Severities order ``error > warning > info``; the CLI fails (exit 1) on any
 unsuppressed finding at or above its ``--fail-on`` threshold (default
@@ -25,11 +17,9 @@ unsuppressed finding at or above its ``--fail-on`` threshold (default
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "SEVERITIES",
@@ -38,9 +28,6 @@ __all__ = [
     "Finding",
     "parse_pragmas",
     "apply_pragmas",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
     "severity_at_least",
 ]
 
@@ -63,8 +50,8 @@ class Rule:
             )
 
 
-#: The rule catalogue.  Ids are stable — pragmas and baselines reference
-#: them — so renumbering is a breaking change.
+#: The rule catalogue.  Ids are stable — pragmas reference them — so
+#: renumbering is a breaking change.
 RULES: Dict[str, Rule] = {
     rule.id: rule
     for rule in (
@@ -116,26 +103,14 @@ class Finding:
     path: str
     line: int
     message: str
-    #: Stripped text of the flagged source line, the line-number-free part of
-    #: the baseline fingerprint.
-    source: str = ""
-    #: Set by the suppression pipeline: ``None`` = live, else the reason the
-    #: finding does not gate ("pragma" / "baseline").
+    #: ``None`` = live, ``"pragma"`` = allowed by a pragma on its line (and
+    #: so not gating).
     suppressed: Optional[str] = field(default=None, compare=False)
 
     @property
     def severity(self) -> str:
         rule = RULES.get(self.rule)
         return rule.severity if rule is not None else "error"
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """The baseline identity: path, rule, and flagged source text.
-
-        Line numbers are deliberately absent so edits elsewhere in the file
-        do not churn the baseline; two identical lines in one file share a
-        fingerprint and are matched with multiset semantics.
-        """
-        return (Path(self.path).as_posix(), self.rule, self.source.strip())
 
     def render(self) -> str:
         tag = f" [{self.suppressed}]" if self.suppressed else ""
@@ -185,89 +160,7 @@ def apply_pragmas(findings: Iterable[Finding], pragmas: Dict[int, frozenset]) ->
                 path=finding.path,
                 line=finding.line,
                 message=finding.message,
-                source=finding.source,
                 suppressed="pragma",
-            )
-        result.append(finding)
-    return result
-
-
-# ----------------------------------------------------------------------
-# Baselines
-# ----------------------------------------------------------------------
-_BASELINE_VERSION = 1
-
-
-def load_baseline(path: Path) -> List[Tuple[str, str, str]]:
-    """Read a baseline file into a list of fingerprints.
-
-    Raises :class:`ValueError` on malformed files — a corrupt baseline must
-    fail the lint rather than silently baseline nothing (or everything).
-    """
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise ValueError(f"baseline {path} is not valid JSON: {error}") from None
-    if not isinstance(payload, dict) or payload.get("version") != _BASELINE_VERSION:
-        raise ValueError(
-            f"baseline {path} has an unsupported format "
-            f"(expected a JSON object with version={_BASELINE_VERSION})"
-        )
-    entries = payload.get("findings")
-    if not isinstance(entries, list):
-        raise ValueError(f"baseline {path} is missing its findings list")
-    fingerprints = []
-    for entry in entries:
-        try:
-            fingerprints.append((entry["path"], entry["rule"], entry["source"]))
-        except (TypeError, KeyError):
-            raise ValueError(
-                f"baseline {path} contains a malformed entry: {entry!r}"
-            ) from None
-    return fingerprints
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    """Write the fingerprints of the (unsuppressed) findings as the baseline.
-
-    Entries are sorted so the file is byte-stable for a given finding set
-    regardless of scan order — a committed baseline should not churn.
-    """
-    entries = sorted(
-        (
-            {"path": p, "rule": r, "source": s}
-            for (p, r, s) in (f.fingerprint() for f in findings if f.suppressed is None)
-        ),
-        key=lambda entry: (entry["path"], entry["rule"], entry["source"]),
-    )
-    payload = {"version": _BASELINE_VERSION, "findings": entries}
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def apply_baseline(
-    findings: Iterable[Finding], fingerprints: Sequence[Tuple[str, str, str]]
-) -> List[Finding]:
-    """Mark findings matching baseline fingerprints as suppressed.
-
-    Matching is multiset-style: a fingerprint occurring once in the baseline
-    absorbs only one occurrence of an identical finding, so *adding* a second
-    copy of a baselined hazard still fails the lint.
-    """
-    budget: Dict[Tuple[str, str, str], int] = {}
-    for fingerprint in fingerprints:
-        budget[fingerprint] = budget.get(fingerprint, 0) + 1
-    result = []
-    for finding in findings:
-        key = finding.fingerprint()
-        if finding.suppressed is None and budget.get(key, 0) > 0:
-            budget[key] -= 1
-            finding = Finding(
-                rule=finding.rule,
-                path=finding.path,
-                line=finding.line,
-                message=finding.message,
-                source=finding.source,
-                suppressed="baseline",
             )
         result.append(finding)
     return result

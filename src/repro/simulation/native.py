@@ -19,7 +19,8 @@ generator's state carried in and out through ``getstate`` / ``setstate``) and
 adds :meth:`NativeStepper.run_seeds`, which runs a whole seed list in one call
 and seeds each generator inside C.  A run whose counts leave int64 or whose
 weight total reaches 2**64 is redone on the compiled engine from the same
-counts and generator state, so no result depends on the engine.
+counts and generator state, so no result depends on the engine; on a net too
+large for the compiled engine such a run raises :class:`OverflowError`.
 
 Every buffer the C code touches is an :class:`array.array` allocated here for
 the call: the C side allocates nothing, so ``tracemalloc`` sees all of the
@@ -298,9 +299,21 @@ class NativeStepper:
         counters: Tuple[int, int, int],
         ring: Optional[Deque[int]],
     ) -> RunOutcome:
-        """The run on the compiled engine, for values beyond 64 bits."""
+        """The run on the compiled engine, for values beyond 64 bits.
+
+        Raises :class:`OverflowError` when the net is too large for the
+        compiled engine to generate its stepper.
+        """
         final = list(counts)
-        stepper = self.net.stepper(self.kind, self.classes, record=ring is not None)
+        try:
+            stepper = self.net.stepper(self.kind, self.classes, record=ring is not None)
+        except RecursionError as error:
+            raise OverflowError(
+                "a count or weight of this run leaves 64 bits, which the native "
+                "engine hands to the compiled engine, but this net "
+                f"({self.net.num_transitions} transitions) is too large for it; "
+                "use engine='reference'"
+            ) from error
         extra = () if ring is None else (ring,)
         return stepper(final, rng, max_steps, stability_window, *counters, *extra) + (final,)
 

@@ -781,18 +781,6 @@ class SqliteResultStore:
             ).fetchone()
         return int(count)
 
-    def next_attempt_at(self) -> Optional[float]:
-        """The soonest moment any backoff/lease makes a row eligible."""
-        with self._lock:
-            (soonest,) = self._connection.execute(
-                'SELECT MIN(t) FROM (SELECT "next_attempt" AS t FROM cells '
-                'WHERE "status" = ? AND "next_attempt" IS NOT NULL '
-                'UNION ALL SELECT "lease_expires" AS t FROM cells '
-                'WHERE "status" = ? AND "lease_expires" IS NOT NULL)',
-                (STATUS_ERROR, STATUS_RUNNING),
-            ).fetchone()
-        return None if soonest is None else float(soonest)
-
     def bookkeeping(self, cell_id: str) -> Dict[str, object]:
         """The claim-bookkeeping columns of one row (tests and diagnostics)."""
         with self._lock:

@@ -418,6 +418,24 @@ class TestOverflowFallback:
         )
 
 
+    def test_redo_on_a_net_too_large_to_generate_raises_overflow(self, monkeypatch):
+        # Past the codegen ceiling the compiled redo cannot be built: the
+        # error names the overflow and the engine that can run the net.
+        from repro.simulation.compiled import CompiledNet
+
+        def too_large(*args, **kwargs):
+            raise RecursionError("net is too large for the compiled engine")
+
+        inputs = Configuration({"A": 2 ** 33, "B": 2 ** 33})
+        simulator = Simulator(majority_protocol(), engine="native", seed=4)
+        monkeypatch.setattr(CompiledNet, "stepper", too_large)
+        expected = r"leaves 64 bits.*use engine='reference'"
+        with pytest.raises(OverflowError, match=expected):
+            simulator.run(inputs, max_steps=5)
+        with pytest.raises(OverflowError, match=expected):
+            simulator.run_many(inputs, 2, max_steps=5)
+
+
 class TestEngineSelection:
     def test_auto_picks_native(self, monkeypatch):
         monkeypatch.delenv(FORCE_ENGINE_ENV, raising=False)

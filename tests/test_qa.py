@@ -1,12 +1,12 @@
 """Tests for the static QA toolchain (repro.qa).
 
 Covers every lint rule with a seeded-violation fixture *and* a clean twin,
-the codegen auditor on all four paper protocols (plus corrupted sources that
-must fail), pickle-safety positives/negatives, the pragma and baseline
-suppression round-trips, and the CLI exit-code contract the CI gates on.
+the codegen auditor on all four paper protocols and on seeded random nets
+(plus corrupted sources that must fail), pickle-safety positives/negatives,
+pragma suppression, and the CLI exit-code contract the CI gates on.
 """
 
-import json
+import random
 import re
 import textwrap
 
@@ -14,17 +14,9 @@ import pytest
 
 from repro.qa import codegen_audit, determinism, picklesafety
 from repro.qa.cli import main as qa_main
-from repro.qa.rules import (
-    RULES,
-    Finding,
-    apply_baseline,
-    apply_pragmas,
-    load_baseline,
-    parse_pragmas,
-    severity_at_least,
-    write_baseline,
-)
+from repro.qa.rules import RULES, parse_pragmas, severity_at_least
 from repro.sweep.spec import available_sweep_protocols, build_protocol_and_inputs
+from test_compiled_engine import WIDE_NET_SEED, WIDE_NETS, _random_protocol
 
 PAPER_PROTOCOLS = ("majority", "modulo", "succinct", "flock")
 AUDIT_POPULATIONS = (25, 100)
@@ -264,7 +256,7 @@ class TestDet202UnkeyedSortedOverSet:
 
 
 # ----------------------------------------------------------------------
-# Pragmas and baseline
+# Pragmas
 # ----------------------------------------------------------------------
 class TestPragmas:
     def test_trailing_pragma_suppresses(self):
@@ -308,54 +300,6 @@ class TestPragmas:
     def test_parse_pragmas_multiple_ids(self):
         pragmas = parse_pragmas("x = 1  # qa: allow[DET101, DET202]\n")
         assert pragmas[1] == frozenset({"DET101", "DET202"})
-
-
-class TestBaseline:
-    def _finding(self, line=3):
-        return Finding(
-            rule="DET202",
-            path="pkg/mod.py",
-            line=line,
-            message="un-keyed sorted",
-            source="return sorted(set(items))",
-        )
-
-    def test_round_trip(self, tmp_path):
-        baseline_path = tmp_path / "qa_baseline.json"
-        write_baseline(baseline_path, [self._finding()])
-        fingerprints = load_baseline(baseline_path)
-        suppressed = apply_baseline([self._finding()], fingerprints)
-        assert [finding.suppressed for finding in suppressed] == ["baseline"]
-
-    def test_line_moves_do_not_invalidate(self, tmp_path):
-        baseline_path = tmp_path / "qa_baseline.json"
-        write_baseline(baseline_path, [self._finding(line=3)])
-        fingerprints = load_baseline(baseline_path)
-        moved = apply_baseline([self._finding(line=42)], fingerprints)
-        assert moved[0].suppressed == "baseline"
-
-    def test_multiset_semantics(self, tmp_path):
-        baseline_path = tmp_path / "qa_baseline.json"
-        write_baseline(baseline_path, [self._finding()])
-        fingerprints = load_baseline(baseline_path)
-        duplicated = apply_baseline(
-            [self._finding(line=3), self._finding(line=9)], fingerprints
-        )
-        assert sorted(
-            finding.suppressed or "live" for finding in duplicated
-        ) == ["baseline", "live"]
-
-    def test_corrupt_baseline_raises(self, tmp_path):
-        baseline_path = tmp_path / "qa_baseline.json"
-        baseline_path.write_text("not json at all")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_baseline(baseline_path)
-
-    def test_wrong_version_raises(self, tmp_path):
-        baseline_path = tmp_path / "qa_baseline.json"
-        baseline_path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError, match="unsupported format"):
-            load_baseline(baseline_path)
 
 
 # ----------------------------------------------------------------------
@@ -618,6 +562,52 @@ class TestCodegenAudit:
         ]
 
 
+    def test_wrong_weight_in_a_dispatch_test_fails(self):
+        # The second arm's test adds w2 where the cumulative chain needs w1,
+        # so the boundary picks of transitions 1 and 2 fire the wrong arm.
+        # The source keeps every statement the net's tables predict.
+        compiled, classes = _compiled_for("majority", 25)
+        source = compiled.stepper_source("uniform", classes)
+        corrupted = source.replace("(cum := cum + w1)", "(cum := cum + w2)", 1)
+        assert corrupted != source
+        problems = codegen_audit.audit_stepper_source(
+            corrupted, compiled, "uniform", classes
+        )
+        assert any("net says" in problem for problem in problems)
+
+    def test_wrong_reweighing_fails(self):
+        # Transition 0's arm reweighs w1 over the wrong pre-set: every weight
+        # is right until transition 0 fires, and the next draw is wrong.
+        compiled, classes = _compiled_for("majority", 25)
+        source = compiled.stepper_source("uniform", classes)
+        corrupted, replacements = re.subn(
+            r"^(            w1 = \(c0\) \* \()c3(\))$",
+            r"\1c2\2",
+            source,
+            count=1,
+            flags=re.MULTILINE,
+        )
+        assert replacements == 1
+        problems = codegen_audit.audit_stepper_source(
+            corrupted, compiled, "uniform", classes
+        )
+        assert any("after transition 0" in problem for problem in problems)
+
+    @pytest.mark.parametrize(
+        "first_seed, cases, sizes",
+        [(6000, 25, ()), (7000, 10, ()), (9000, 10, ()), (WIDE_NET_SEED, 10, WIDE_NETS)],
+        ids=["small", "transition", "seed-list", "wide"],
+    )
+    def test_random_nets_pass(self, first_seed, cases, sizes):
+        # The seeded random nets of the cross-engine sweep: spawning and
+        # dying transitions, multiplicities and '*'-output states.
+        for case in range(cases):
+            protocol, _ = _random_protocol(random.Random(first_seed + case), *sizes)
+            compiled = protocol.petri_net.compiled(extra_states=protocol.states)
+            classes = compiled.output_classes(protocol.output_table)
+            assert codegen_audit.audit_compiled_net(compiled, classes) == [], case
+
+
 class TestUniverseGuard:
     def test_colliding_str_renderings_rejected(self):
         from repro.core.configuration import Configuration
@@ -687,28 +677,8 @@ class TestCliExitCodes:
         monkeypatch.chdir(tmp_path)
         assert qa_main(["lint", "no/such/path.py"]) == 2
 
-    def test_lint_baseline_workflow(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "dirty.py").write_text(VIOLATION_SOURCE)
-        assert qa_main(["lint", "dirty.py", "--write-baseline"]) == 0
-        assert (tmp_path / "qa_baseline.json").exists()
-        capsys.readouterr()
-        # Baselined finding no longer gates ...
-        assert qa_main(["lint", "dirty.py"]) == 0
-        assert "suppressed" in capsys.readouterr().out
-        # ... but a second copy of the same hazard does.
-        (tmp_path / "dirty.py").write_text(
-            VIOLATION_SOURCE + "\n\ndef draw2():\n    return random.random()\n"
-        )
-        assert qa_main(["lint", "dirty.py"]) == 1
-
-    def test_lint_explicit_missing_baseline_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "clean.py").write_text(CLEAN_SOURCE)
-        assert qa_main(["lint", "clean.py", "--baseline", "absent.json"]) == 2
-
     def test_lint_shipped_tree_is_clean(self, repo_src, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # no baseline in cwd: findings must gate
+        monkeypatch.chdir(tmp_path)
         assert qa_main(["lint", str(repo_src)]) == 0
 
     def test_check_pickle_exit_codes(self, tmp_path, capsys, monkeypatch):
