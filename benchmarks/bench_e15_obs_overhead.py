@@ -16,8 +16,8 @@ The load is the compiled engine, named explicitly so the bound always gates
 the same per-run loop.
 
 A second round flips tracing ON (into an in-memory capture) to report —
-not assert — the enabled cost, so EXPERIMENTS.md regenerations show what a
-traced run pays.
+not assert — the enabled cost, so a benchmark run shows what a traced run
+pays.
 """
 
 import random

@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark wraps one experiment runner (E1..E8, see DESIGN.md) with
-pytest-benchmark, checks the shape assertions that correspond to the paper's
-claims, and prints the resulting table so that a benchmark run doubles as a
-regeneration of the EXPERIMENTS.md data.
+Benchmarks ``bench_e1`` to ``bench_e14`` each wrap one experiment runner of
+:mod:`repro.experiments` (E1..E14) with pytest-benchmark, check the shape
+assertions that correspond to the paper's claims, and print the resulting
+table so that a benchmark run doubles as a regeneration of its data.
 """
 
 import pytest

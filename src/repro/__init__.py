@@ -16,7 +16,7 @@ The package is organised as follows:
   Blondin–Esparza–Jaax succinct protocols (the upper-bound baselines).
 * :mod:`repro.simulation` — random-scheduler simulation of protocols.
 * :mod:`repro.experiments` — the experiment harness backing the benchmark
-  suite and EXPERIMENTS.md.
+  suite.
 """
 
 __version__ = "1.0.0"

@@ -27,10 +27,10 @@ This module provides:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set
 
 from ..core.configuration import Configuration, State
-from ..core.petrinet import ExplorationLimitError, PetriNet
+from ..core.petrinet import ExplorationLimitError, PetriNet, breadth_first, word_to
 from ..core.transition import Transition
 from .reachability import condensation_is_bottom, strongly_connected_components
 
@@ -170,13 +170,7 @@ def find_bottom_witness(
     by the theorem, means the budget was too small — not that no witness
     exists).
     """
-    try:
-        graph = net.reachability_graph([origin], max_nodes=max_nodes)
-    except ExplorationLimitError:
-        graph = _truncated_graph(net, origin, max_nodes)
-
-    order = _bfs_order(graph, origin)
-    parents = _bfs_parents(graph, origin)
+    parents, order, _ = breadth_first([origin], net.successors, max_nodes=max_nodes)
     states = sorted(net.states, key=str)
 
     subsets: List[FrozenSet[State]] = []
@@ -184,8 +178,10 @@ def find_bottom_witness(
         for combination in itertools.combinations(states, size):
             subsets.append(frozenset(combination))
 
-    for alpha in order:
-        sigma = _path_from_parents(parents, origin, alpha)
+    # The first ``max_nodes`` discovered configurations (the search stops one
+    # past the budget), and always the origin.
+    for alpha in order[: max(max_nodes, 1)]:
+        sigma = word_to(parents, alpha)
         for places in subsets:
             restricted = net.restrict(places)
             alpha_q = alpha.restrict(places)
@@ -219,99 +215,8 @@ def _find_pump(
             return False
         return all(candidate[state] > alpha[state] for state in outside)
 
-    # BFS limited to max_nodes distinct configurations.
-    from collections import deque
-
-    parents: Dict[Configuration, Tuple[Configuration, Transition]] = {}
-    visited = {alpha}
-    frontier = deque([alpha])
-    while frontier:
-        current = frontier.popleft()
-        for transition, successor in net.successors(current):
-            if successor in visited:
-                continue
-            visited.add(successor)
-            parents[successor] = (current, transition)
-            if is_target(successor):
-                word: List[Transition] = []
-                node = successor
-                while node != alpha:
-                    previous, transition_taken = parents[node]
-                    word.append(transition_taken)
-                    node = previous
-                word.reverse()
-                return word
-            if len(visited) > max_nodes:
-                return None
-            frontier.append(successor)
-    return None
-
-
-def _truncated_graph(net: PetriNet, origin: Configuration, max_nodes: int):
-    """A bounded prefix of the reachability graph (used when the full one is too big)."""
-    from collections import deque
-
-    from ..core.petrinet import ReachabilityGraph
-
-    graph = ReachabilityGraph()
-    graph.add_node(origin)
-    graph.roots.append(origin)
-    frontier = deque([origin])
-    while frontier and len(graph) < max_nodes:
-        current = frontier.popleft()
-        for transition, target in net.successors(current):
-            is_new = target not in graph.nodes
-            if is_new and len(graph) >= max_nodes:
-                continue
-            graph.add_edge(current, transition, target)
-            if is_new:
-                frontier.append(target)
-    return graph
-
-
-def _bfs_order(graph, root: Configuration) -> List[Configuration]:
-    from collections import deque
-
-    if root not in graph.nodes:
-        return []
-    order = [root]
-    seen = {root}
-    frontier = deque([root])
-    while frontier:
-        current = frontier.popleft()
-        for _, target in graph.successors(current):
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                frontier.append(target)
-    return order
-
-
-def _bfs_parents(graph, root: Configuration) -> Dict[Configuration, Tuple[Configuration, Transition]]:
-    from collections import deque
-
-    parents: Dict[Configuration, Tuple[Configuration, Transition]] = {}
-    seen = {root}
-    frontier = deque([root])
-    while frontier:
-        current = frontier.popleft()
-        for transition, target in graph.successors(current):
-            if target not in seen:
-                seen.add(target)
-                parents[target] = (current, transition)
-                frontier.append(target)
-    return parents
-
-
-def _path_from_parents(parents, root: Configuration, target: Configuration) -> List[Transition]:
-    word: List[Transition] = []
-    current = target
-    while current != root:
-        previous, transition = parents[current]
-        word.append(transition)
-        current = previous
-    word.reverse()
-    return word
+    parents, _, beta = breadth_first([alpha], net.successors, is_target, max_nodes)
+    return None if beta is None else word_to(parents, beta)
 
 
 # ----------------------------------------------------------------------

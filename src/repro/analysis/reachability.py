@@ -10,7 +10,6 @@ for explorations truncated by a node budget.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
     Callable,
     Dict,
@@ -25,7 +24,7 @@ from typing import (
 )
 
 from ..core.configuration import Configuration, State
-from ..core.petrinet import PetriNet, ReachabilityGraph
+from ..core.petrinet import ReachabilityGraph, breadth_first
 
 __all__ = [
     "enumerate_configurations",
@@ -77,14 +76,11 @@ def shortest_distances(
     """BFS distances (in transition firings) from ``root`` within the graph."""
     if root not in graph.nodes:
         return {}
-    distances = {root: 0}
-    frontier = deque([root])
-    while frontier:
-        current = frontier.popleft()
-        for _, target in graph.successors(current):
-            if target not in distances:
-                distances[target] = distances[current] + 1
-                frontier.append(target)
+    parents, order, _ = breadth_first([root], graph.successors)
+    distances: Dict[Configuration, int] = {}
+    for node in order:
+        step = parents[node]
+        distances[node] = 0 if step is None else distances[step[0]] + 1
     return distances
 
 

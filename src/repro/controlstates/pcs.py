@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional
 
 from ..analysis.reachability import tarjan_components
 from ..core.configuration import Configuration, State
-from ..core.petrinet import PetriNet
+from ..core.petrinet import PetriNet, breadth_first, word_to
 from ..core.transition import Transition
 
 ControlState = Hashable
@@ -150,37 +150,14 @@ class ControlStatePetriNet:
         """A shortest path of edges from ``source`` to ``target`` (None if none)."""
         if source == target:
             return []
-        parents: Dict[ControlState, Tuple[ControlState, Edge]] = {}
-        visited = {source}
-        frontier = [source]
-        while frontier:
-            next_frontier = []
-            for current in frontier:
-                for edge in self.outgoing(current):
-                    if edge.target in visited:
-                        continue
-                    visited.add(edge.target)
-                    parents[edge.target] = (current, edge)
-                    if edge.target == target:
-                        return self._rebuild(parents, source, target)
-                    next_frontier.append(edge.target)
-            frontier = next_frontier
-        return None
+        parents, _, goal = breadth_first(
+            [source], self._steps, lambda state: state == target
+        )
+        return None if goal is None else word_to(parents, goal)
 
-    def _rebuild(
-        self,
-        parents: Dict[ControlState, Tuple[ControlState, Edge]],
-        source: ControlState,
-        target: ControlState,
-    ) -> List[Edge]:
-        path: List[Edge] = []
-        current = target
-        while current != source:
-            previous, edge = parents[current]
-            path.append(edge)
-            current = previous
-        path.reverse()
-        return path
+    def _steps(self, control_state: ControlState) -> Iterator[Tuple[Edge, ControlState]]:
+        """The ``(edge, target)`` pairs leaving a control-state, for :func:`breadth_first`."""
+        return ((edge, edge.target) for edge in self.outgoing(control_state))
 
     def is_strongly_connected(self) -> bool:
         """True if every control-state reaches every other through edges.
@@ -192,31 +169,14 @@ class ControlStatePetriNet:
         if len(states) <= 1:
             return True
         root = states[0]
-        if len(self._reachable_from(root)) != len(states):
+        forward, _, _ = breadth_first([root], self._steps)
+        if len(forward) != len(states):
             return False
-        reverse_adjacency: Dict[ControlState, List[ControlState]] = {s: [] for s in states}
+        incoming: Dict[ControlState, List[Tuple[Edge, ControlState]]] = {s: [] for s in states}
         for edge in self.edges:
-            reverse_adjacency[edge.target].append(edge.source)
-        reached = {root}
-        frontier = [root]
-        while frontier:
-            current = frontier.pop()
-            for predecessor in reverse_adjacency[current]:
-                if predecessor not in reached:
-                    reached.add(predecessor)
-                    frontier.append(predecessor)
-        return len(reached) == len(states)
-
-    def _reachable_from(self, root: ControlState) -> Set[ControlState]:
-        reached = {root}
-        frontier = [root]
-        while frontier:
-            current = frontier.pop()
-            for edge in self.outgoing(current):
-                if edge.target not in reached:
-                    reached.add(edge.target)
-                    frontier.append(edge.target)
-        return reached
+            incoming[edge.target].append((edge, edge.source))
+        backward, _, _ = breadth_first([root], incoming.__getitem__)
+        return len(backward) == len(states)
 
     def strongly_connected_components(self) -> List[Set[ControlState]]:
         """Tarjan's algorithm: the strongly connected components of ``(S, E)``."""

@@ -8,7 +8,7 @@ semantics.
 """
 
 from .configuration import Configuration, State, from_counts, from_sequence, unit, zero
-from .petrinet import ExplorationLimitError, PetriNet, ReachabilityGraph
+from .petrinet import ExplorationLimitError, PetriNet, ReachabilityGraph, breadth_first, word_to
 from .predicates import (
     AndPredicate,
     ConstantPredicate,
@@ -25,7 +25,6 @@ from .protocol import OUTPUT_ONE, OUTPUT_UNDEFINED, OUTPUT_ZERO, Output, Protoco
 from .semantics import (
     DenseReachabilityGraph,
     always_eventually_stable,
-    forward_closure,
     is_output_stable,
     output_stable_nodes,
     stable_consensus_value,
@@ -46,6 +45,8 @@ __all__ = [
     "PetriNet",
     "ReachabilityGraph",
     "ExplorationLimitError",
+    "breadth_first",
+    "word_to",
     "AdditivePreorder",
     "PetriNetPreorder",
     "RelationPreorder",
@@ -63,7 +64,6 @@ __all__ = [
     "OrPredicate",
     "ConstantPredicate",
     "counting",
-    "forward_closure",
     "DenseReachabilityGraph",
     "is_output_stable",
     "output_stable_nodes",

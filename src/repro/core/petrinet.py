@@ -15,7 +15,10 @@ and exploration primitives used by the analysis layer:
 * bounded forward exploration of the reachability set
   (:meth:`PetriNet.reachable_set`, :meth:`PetriNet.reachability_graph`),
 * witness search for reachability between two configurations,
-* restriction ``T|_Q`` (paper, Section 5).
+* restriction ``T|_Q`` (paper, Section 5),
+* :func:`breadth_first` and :func:`word_to`, the one search and word rebuild
+  behind every shortest witness word of the library (covering words,
+  Theorem 6.1's ``sigma`` and ``w``, control-state return paths).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -33,6 +37,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
 
 from .configuration import Configuration, State
@@ -41,11 +46,73 @@ from .transition import Transition
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from ..simulation.compiled import CompiledNet
 
-__all__ = ["PetriNet", "ReachabilityGraph", "ExplorationLimitError"]
+__all__ = ["PetriNet", "ReachabilityGraph", "ExplorationLimitError", "breadth_first", "word_to"]
+
+Node = TypeVar("Node", bound=Hashable)
+Label = TypeVar("Label")
 
 
 class ExplorationLimitError(RuntimeError):
     """Raised when an explicit-state exploration exceeds its node budget."""
+
+
+def breadth_first(
+    roots: Iterable[Node],
+    successors: Callable[[Node], Iterable[Tuple[Label, Node]]],
+    is_goal: Optional[Callable[[Node], bool]] = None,
+    max_nodes: Optional[int] = None,
+) -> Tuple[Dict[Node, Optional[Tuple[Node, Label]]], List[Node], Optional[Node]]:
+    """Breadth-first search from ``roots`` over ``(label, node)`` successor pairs.
+
+    Nodes are discovered first-in, first-out: the roots in order (duplicates
+    once), then each node's successors in the order ``successors`` yields
+    them.  This is the order in which :meth:`PetriNet.reachability_graph`
+    discovers nodes, and the first path found to a node is a shortest one.
+
+    Returns ``(parents, order, goal)``:
+
+    * ``parents`` maps every discovered node to ``(previous, label)``, the
+      edge that discovered it, or to ``None`` for a root (see :func:`word_to`);
+    * ``order`` lists the discovered nodes in discovery order;
+    * ``goal`` is the first discovered node satisfying ``is_goal``, where the
+      search stops, or ``None``.  Roots are never goal-tested.
+
+    With ``max_nodes`` the search stops once more than ``max_nodes`` nodes
+    have been discovered, after goal-testing the node that crossed the
+    budget, so ``goal is None and len(order) > max_nodes`` says the budget
+    ran out.
+    """
+    parents: Dict[Node, Optional[Tuple[Node, Label]]] = {}
+    order: List[Node] = []
+    for root in roots:
+        if root not in parents:
+            parents[root] = None
+            order.append(root)
+    # Iterating a list that grows while it is walked is a FIFO queue.
+    for current in order:
+        for label, node in successors(current):
+            if node in parents:
+                continue
+            parents[node] = (current, label)
+            order.append(node)
+            if is_goal is not None and is_goal(node):
+                return parents, order, node
+            if max_nodes is not None and len(order) > max_nodes:
+                return parents, order, None
+    return parents, order, None
+
+
+def word_to(parents: Dict[Node, Optional[Tuple[Node, Label]]], node: Node) -> List[Label]:
+    """The labels on the path of :func:`breadth_first`'s ``parents`` from a
+    root to ``node`` (``[]`` for a root)."""
+    word: List[Label] = []
+    step = parents[node]
+    while step is not None:
+        node, label = step
+        word.append(label)
+        step = parents[node]
+    word.reverse()
+    return word
 
 
 class ReachabilityGraph:
@@ -348,12 +415,19 @@ class PetriNet:
     ) -> bool:
         """Decide ``source --T*--> target`` by explicit forward exploration.
 
-        Only terminates in general for conservative nets or when ``max_nodes``
-        is given; in the latter case a negative answer within the budget is
-        still sound for conservative nets but may be incomplete otherwise.
+        Terminates in general only for conservative nets or when ``max_nodes``
+        is given.  A budget that runs out before ``target`` is met raises
+        :class:`ExplorationLimitError`: a truncated search proves nothing,
+        not even on a conservative net.
         """
-        witness = self.find_path(source, target, max_nodes=max_nodes)
-        return witness is not None
+        if source == target:
+            return True
+        _, order, goal = breadth_first(
+            [source], self.successors, lambda node: node == target, max_nodes
+        )
+        if goal is None and max_nodes is not None and len(order) > max_nodes:
+            raise ExplorationLimitError(f"exploration exceeded {max_nodes} configurations")
+        return goal is not None
 
     def find_path(
         self,
@@ -368,22 +442,10 @@ class PetriNet:
         """
         if source == target:
             return []
-        parents: Dict[Configuration, Tuple[Configuration, Transition]] = {}
-        visited: Set[Configuration] = {source}
-        frontier: deque = deque([source])
-        while frontier:
-            current = frontier.popleft()
-            for transition, successor in self.successors(current):
-                if successor in visited:
-                    continue
-                visited.add(successor)
-                parents[successor] = (current, transition)
-                if successor == target:
-                    return _rebuild_path(parents, source, target)
-                if max_nodes is not None and len(visited) > max_nodes:
-                    return None
-                frontier.append(successor)
-        return None
+        parents, _, goal = breadth_first(
+            [source], self.successors, lambda node: node == target, max_nodes
+        )
+        return None if goal is None else word_to(parents, goal)
 
     def find_covering_path(
         self,
@@ -394,22 +456,10 @@ class PetriNet:
         """Return a word reaching some ``beta >= target`` from ``source`` (coverability witness)."""
         if source.covers(target):
             return []
-        parents: Dict[Configuration, Tuple[Configuration, Transition]] = {}
-        visited: Set[Configuration] = {source}
-        frontier: deque = deque([source])
-        while frontier:
-            current = frontier.popleft()
-            for transition, successor in self.successors(current):
-                if successor in visited:
-                    continue
-                visited.add(successor)
-                parents[successor] = (current, transition)
-                if successor.covers(target):
-                    return _rebuild_path(parents, source, successor)
-                if max_nodes is not None and len(visited) > max_nodes:
-                    return None
-                frontier.append(successor)
-        return None
+        parents, _, goal = breadth_first(
+            [source], self.successors, lambda node: node.covers(target), max_nodes
+        )
+        return None if goal is None else word_to(parents, goal)
 
     # ------------------------------------------------------------------
     # Pretty printing
@@ -422,17 +472,3 @@ class PetriNet:
             lines.append(f"  {transition.pre.pretty()} -> {transition.post.pretty()}  {label}".rstrip())
         return "\n".join(lines)
 
-
-def _rebuild_path(
-    parents: Dict[Configuration, Tuple[Configuration, Transition]],
-    source: Configuration,
-    target: Configuration,
-) -> List[Transition]:
-    path: List[Transition] = []
-    current = target
-    while current != source:
-        previous, transition = parents[current]
-        path.append(transition)
-        current = previous
-    path.reverse()
-    return path

@@ -27,7 +27,7 @@ import abc
 from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 from .configuration import Configuration
-from .petrinet import PetriNet
+from .petrinet import PetriNet, breadth_first
 from .transition import Transition
 
 __all__ = ["AdditivePreorder", "PetriNetPreorder", "RelationPreorder"]
@@ -61,20 +61,19 @@ class AdditivePreorder(abc.ABC):
     def reachable_from(
         self, configuration: Configuration, max_nodes: Optional[int] = None
     ) -> Set[Configuration]:
-        """Explore the configurations reachable from ``configuration``."""
-        visited: Set[Configuration] = {configuration}
-        frontier: List[Configuration] = [configuration]
-        while frontier:
-            current = frontier.pop()
-            for successor in self.successors(current):
-                if successor not in visited:
-                    visited.add(successor)
-                    if max_nodes is not None and len(visited) > max_nodes:
-                        raise RuntimeError(
-                            f"preorder exploration exceeded {max_nodes} configurations"
-                        )
-                    frontier.append(successor)
-        return visited
+        """Explore the configurations reachable from ``configuration``.
+
+        Raises :class:`RuntimeError` once more than ``max_nodes``
+        configurations are discovered.
+        """
+        reached, order, _ = breadth_first(
+            [configuration],
+            lambda node: ((None, successor) for successor in self.successors(node)),
+            max_nodes=max_nodes,
+        )
+        if max_nodes is not None and len(order) > max_nodes:
+            raise RuntimeError(f"preorder exploration exceeded {max_nodes} configurations")
+        return set(reached)
 
 
 class PetriNetPreorder(AdditivePreorder):

@@ -30,30 +30,20 @@ This module computes these notions **exactly** on finite reachability graphs
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .configuration import Configuration
-from .petrinet import ExplorationLimitError, PetriNet, ReachabilityGraph
+from .petrinet import ExplorationLimitError, ReachabilityGraph, breadth_first
 from .protocol import OUTPUT_ONE, OUTPUT_ZERO, Protocol
+from .transition import Transition
 
 __all__ = [
-    "forward_closure",
     "DenseReachabilityGraph",
     "is_output_stable",
     "output_stable_nodes",
     "always_eventually_stable",
     "stable_consensus_value",
 ]
-
-
-def forward_closure(
-    net: PetriNet,
-    roots: Iterable[Configuration],
-    max_nodes: Optional[int] = None,
-) -> ReachabilityGraph:
-    """The reachability graph of ``net`` from ``roots`` (a thin convenience wrapper)."""
-    return net.reachability_graph(roots, max_nodes=max_nodes)
 
 
 class DenseReachabilityGraph:
@@ -214,19 +204,14 @@ def _backward_reachable(
     graph: ReachabilityGraph, targets: Set[Configuration]
 ) -> Set[Configuration]:
     """All graph nodes that can reach a node of ``targets`` (including ``targets``)."""
-    predecessors: Dict[Configuration, List[Configuration]] = {node: [] for node in graph.nodes}
+    predecessors: Dict[Configuration, List[Tuple[Transition, Configuration]]] = {
+        node: [] for node in graph.nodes
+    }
     for source in graph.nodes:
-        for _, target in graph.successors(source):
-            predecessors[target].append(source)
-    reached = set(targets)
-    frontier = deque(targets)
-    while frontier:
-        current = frontier.popleft()
-        for predecessor in predecessors.get(current, ()):
-            if predecessor not in reached:
-                reached.add(predecessor)
-                frontier.append(predecessor)
-    return reached
+        for transition, target in graph.successors(source):
+            predecessors[target].append((transition, source))
+    reached, _, _ = breadth_first(targets, lambda node: predecessors.get(node, []))
+    return set(reached)
 
 
 def always_eventually_stable(
@@ -252,15 +237,8 @@ def _forward_reachable(graph: ReachabilityGraph, root: Configuration) -> Set[Con
     """All graph nodes reachable from ``root`` within the graph."""
     if root not in graph.nodes:
         return set()
-    reached = {root}
-    frontier = deque([root])
-    while frontier:
-        current = frontier.popleft()
-        for _, target in graph.successors(current):
-            if target not in reached:
-                reached.add(target)
-                frontier.append(target)
-    return reached
+    reached, _, _ = breadth_first([root], graph.successors)
+    return set(reached)
 
 
 def stable_consensus_value(

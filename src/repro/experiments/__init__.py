@@ -1,4 +1,4 @@
-"""Experiment harness and the E1..E13 experiment definitions (see DESIGN.md)."""
+"""Experiment harness and the E1..E14 experiment definitions."""
 
 from . import experiment_defs  # noqa: F401  (registers the experiments)
 from .experiment_defs import (

@@ -1,9 +1,9 @@
-"""Experiment definitions E1..E14 (see DESIGN.md, "Experiment index").
+"""Experiment definitions E1..E14.
 
 Each function builds an :class:`~repro.experiments.harness.ExperimentTable`
 reproducing one of the paper's quantitative claims on laptop-scale instances.
-The benchmark suite wraps these runners with pytest-benchmark; the examples
-print their tables; EXPERIMENTS.md records a snapshot of the output.
+The benchmark suite wraps these runners with pytest-benchmark and the
+examples print their tables.
 
 Default parameters are sized so that the complete suite runs in minutes.
 """
@@ -16,7 +16,7 @@ import time
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.ackermann import czerner_esparza_lower_bound
-from ..analysis.components import find_bottom_witness, theorem_6_1_bound_log2
+from ..analysis.components import component_of, find_bottom_witness, theorem_6_1_bound_log2
 from ..analysis.coverability import (
     rackoff_bound,
     rackoff_stabilization_threshold,
@@ -417,13 +417,8 @@ def _e7_component_nets() -> List[dict]:
     net = example_4_2_petri_net()
     for count in (1, 2):
         seed = Configuration({STATE_P: count, STATE_Q: count, STATE_I_BAR: 1})
-        graph = net.reachability_graph([seed], max_nodes=5000)
-        # Keep only the configurations mutually reachable with the seed.
-        component = [
-            node
-            for node in graph.nodes
-            if net.is_reachable(node, seed, max_nodes=5000)
-        ]
+        # The configurations mutually reachable with the seed.
+        component = component_of(net, seed, max_nodes=5000)
         control = component_control_net(net, component)
         instances.append({"name": f"ex4.2 witnesses x{count}", "net": control})
 

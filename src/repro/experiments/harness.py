@@ -1,9 +1,10 @@
 """Experiment harness: tables, registry, and text rendering.
 
-Every experiment (E1..E8, see DESIGN.md) produces an :class:`ExperimentTable`:
-a named list of rows with a fixed column set.  The benchmark suite runs the
-experiment functions through pytest-benchmark, the examples print the tables,
-and EXPERIMENTS.md records a snapshot of their output.
+Every experiment (E1..E14, registered in
+:mod:`repro.experiments.experiment_defs`) produces an
+:class:`ExperimentTable`: a named list of rows with a fixed column set.  The
+benchmark suite runs the experiment functions through pytest-benchmark and
+prints their tables, and the examples print them too.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class ExperimentTable:
         return [row[name] for row in self.rows]
 
     def render(self, float_format: str = "{:.3g}") -> str:
-        """Render the table as aligned plain text (used by examples and EXPERIMENTS.md)."""
+        """Render the table as aligned plain text (used by examples and benchmarks)."""
         header = list(self.columns)
         body: List[List[str]] = []
         for row in self.rows:

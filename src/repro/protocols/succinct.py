@@ -9,8 +9,8 @@ Esparza & Jaax (STACS 2018):
   "collector" chain absorbs the binary digits of ``n`` from the most
   significant one down, and an accepting state is produced exactly when value
   at least ``n`` has been assembled.  The construction below is a
-  correct-by-construction variant of the BEJ protocol (documented substitution
-  in DESIGN.md): it adds the reverse of every value-conserving rule, which
+  correct-by-construction variant of the BEJ protocol (a deliberate
+  substitution): it adds the reverse of every value-conserving rule, which
   keeps the state count at ``O(log n)`` while making the completeness argument
   (and the exhaustive verification in the test suite) straightforward.
 
@@ -19,8 +19,7 @@ Esparza & Jaax (STACS 2018):
   represented here by its *state-count model*
   (:func:`bej_with_leaders_state_count`, :func:`bej_family_threshold`) which is
   what the comparison experiments (E1, E3) consume, together with the paper's
-  own Example 4.2 as the concrete with-leaders protocol.  See DESIGN.md
-  ("Substitutions") for the rationale.
+  own Example 4.2 as the concrete with-leaders protocol.
 """
 
 from __future__ import annotations

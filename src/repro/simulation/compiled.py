@@ -365,12 +365,12 @@ class CompiledNet:
         """The generated Python source of the specialized stepper.
 
         This is the entry point of the codegen auditor
-        (:mod:`repro.qa.codegen_audit`); it regenerates a fresh
-        :class:`GeneratedStepper` — via the protocol's source hook — rather
-        than consulting the stepper cache, so auditing never perturbs the
-        functions actually used for simulation.
+        (:mod:`repro.qa.codegen_audit`).  It emits the text that
+        :meth:`stepper` compiles, without compiling it and without consulting
+        the stepper cache, so auditing never perturbs the functions actually
+        used for simulation and the auditor's own compile is the only one.
         """
-        return _generate_stepper(self, kind, tuple(classes), record=record).source()
+        return _stepper_source(self, kind, tuple(classes), record=record)
 
 
 # Type alias only used in docstrings/signatures above; kept loose on purpose
@@ -479,10 +479,10 @@ def _fire_statements(
     return statements
 
 
-def _generate_stepper(
+def _stepper_source(
     net: CompiledNet, kind: str, classes: Tuple[int, ...], record: bool = False
-) -> GeneratedStepper:
-    """Emit and compile the specialized simulation loop for ``net``."""
+) -> str:
+    """Emit the source of the specialized simulation loop for ``net``."""
     check_kind(kind)
     consensus_deltas = net.consensus_deltas(classes)
     # Nets without '*'-output states keep ``undef`` identically zero; the
@@ -544,8 +544,14 @@ def _generate_stepper(
     for index in written:
         emit(f"    counts[{index}] = c{index}")
     emit("    return step, consensus_value, consensus_since, terminated")
+    return "\n".join(lines)
 
-    source = "\n".join(lines)
+
+def _generate_stepper(
+    net: CompiledNet, kind: str, classes: Tuple[int, ...], record: bool = False
+) -> GeneratedStepper:
+    """Emit and compile the specialized simulation loop for ``net``."""
+    source = _stepper_source(net, kind, classes, record)
     namespace: Dict[str, Any] = {"comb": comb}
     label = f"{net.net.name or 'net'}/{kind}" + ("/recording" if record else "")
     try:
@@ -555,7 +561,7 @@ def _generate_stepper(
         # compiler recurses once per branch, so a few thousand transitions
         # overflow its recursion guard before the code even runs.
         raise RecursionError(
-            f"net is too large for the compiled engine ({num_transitions} transitions "
+            f"net is too large for the compiled engine ({net.num_transitions} transitions "
             "overflow the CPython compiler while building the generated stepper); "
             "use engine='native' (or engine='auto', which selects it when a C "
             "compiler is available)"
