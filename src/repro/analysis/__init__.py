@@ -29,9 +29,9 @@ from .ackermann import (
 )
 from .components import (
     BottomWitness,
+    bottom_component,
     component_of,
     find_bottom_witness,
-    is_bottom,
     lemma_6_2_word_bound,
     theorem_6_1_bound,
 )
@@ -46,11 +46,9 @@ from .coverability import (
     shortest_covering_word,
 )
 from .reachability import (
-    condensation_is_bottom,
     enumerate_configurations,
     enumerate_configurations_up_to,
     shortest_distances,
-    strongly_connected_components,
 )
 from .stability import (
     StabilizationCertificate,
@@ -96,8 +94,6 @@ __all__ = [
     "enumerate_configurations",
     "enumerate_configurations_up_to",
     "shortest_distances",
-    "strongly_connected_components",
-    "condensation_is_bottom",
     "unstabilized_basis",
     "is_stabilized",
     "violating_state",
@@ -105,7 +101,7 @@ __all__ = [
     "stabilization_certificate",
     "lift_restricted_word",
     "component_of",
-    "is_bottom",
+    "bottom_component",
     "BottomWitness",
     "find_bottom_witness",
     "theorem_6_1_bound",

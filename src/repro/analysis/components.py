@@ -2,9 +2,11 @@
 
 The *T-component* of a configuration ``rho`` is the set of configurations
 ``beta`` with ``rho -->* beta -->* rho`` (its mutual-reachability class).  A
-configuration is *T-bottom* when its component is finite and every reachable
-configuration can come back — i.e. its component is a terminal strongly
-connected component of the reachability graph.
+configuration is *T-bottom* when its forward closure is finite and every
+configuration in it can come back; its component is then the whole closure.
+Both are answered by one forward and one backward breadth-first search
+(:func:`~repro.core.petrinet.breadth_first`), with no strongly connected
+component decomposition of the reachability graph.
 
 Theorem 6.1 states that from any configuration one can reach, with short
 words, a configuration ``alpha`` and then a configuration ``beta`` that agree
@@ -14,8 +16,16 @@ springboard of the Section 8 pumping argument.
 
 This module provides:
 
-* :func:`component_of` / :func:`is_bottom` — exact component computation and
-  bottom test by bounded exploration,
+* :func:`component_of` — the component, from the forward closure and a
+  backward search from ``rho`` kept inside it,
+* :func:`bottom_component` — the bottom test, which returns the component
+  when ``rho`` is bottom and ``None`` otherwise.  Its forward search stops
+  at the first configuration strictly above ``rho`` (``rho`` then pumps, so
+  it is not bottom whatever the budget); otherwise a closure larger than the
+  budget raises :class:`~repro.core.petrinet.ExplorationLimitError`, as
+  :func:`component_of` does.  The early stop only catches a closure that
+  pumps from ``rho`` itself: from ``a`` with ``a -> b`` and ``b -> b + c``
+  the budget is still spent,
 * :class:`BottomWitness` and :func:`find_bottom_witness` — a constructive
   search for the tuple ``(sigma, w, Q, alpha, beta)`` of Theorem 6.1 on
   laptop-scale instances (exhaustive over subsets ``Q``, bounded BFS
@@ -27,16 +37,15 @@ This module provides:
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, List, Optional, Sequence, Set
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.configuration import Configuration, State
 from ..core.petrinet import ExplorationLimitError, PetriNet, breadth_first, word_to
 from ..core.transition import Transition
-from .reachability import condensation_is_bottom, strongly_connected_components
 
 __all__ = [
     "component_of",
-    "is_bottom",
+    "bottom_component",
     "BottomWitness",
     "find_bottom_witness",
     "theorem_6_1_bound",
@@ -50,37 +59,56 @@ def component_of(
 ) -> Set[Configuration]:
     """The T-component of ``configuration``: all ``beta`` with ``rho -->* beta -->* rho``.
 
-    Computed by forward exploration followed by a membership filter (``beta``
-    must reach ``rho`` back).  For nets whose forward closure is infinite a
-    ``max_nodes`` budget must be supplied; exceeding it raises
+    Computed by forward exploration (:meth:`PetriNet.reachable_set`) followed
+    by a backward search from ``rho`` that keeps to the forward closure.  For
+    nets whose forward closure is infinite a ``max_nodes`` budget must be
+    supplied; a closure of more than ``max_nodes`` configurations raises
     :class:`~repro.core.petrinet.ExplorationLimitError`.
     """
-    graph = net.reachability_graph([configuration], max_nodes=max_nodes)
-    components = strongly_connected_components(graph)
-    for component in components:
-        if configuration in component:
-            return component
-    return {configuration}
+    closure = net.reachable_set([configuration], max_nodes=max_nodes)
+    return _returning(net, configuration, closure)
 
 
-def is_bottom(
+def bottom_component(
     net: PetriNet, configuration: Configuration, max_nodes: Optional[int] = None
-) -> bool:
-    """True if ``configuration`` is T-bottom.
+) -> Optional[Set[Configuration]]:
+    """The T-component of ``configuration`` if it is T-bottom, else ``None``.
 
-    The component must be finite and every reachable configuration must be
-    able to return — equivalently, the forward closure equals the component.
-    With a ``max_nodes`` budget, a ``False`` answer may be caused by budget
-    exhaustion (an :class:`ExplorationLimitError` is raised in that case so
-    the caller can tell the difference).
+    A configuration strictly above ``rho`` in the forward search means that
+    ``rho`` pumps (by monotonicity its closure is infinite), so the answer is
+    ``None`` whatever the budget.  Otherwise a closure of more than
+    ``max_nodes`` configurations raises
+    :class:`~repro.core.petrinet.ExplorationLimitError`, so the caller can
+    tell a spent budget from a "not bottom".
     """
-    graph = net.reachability_graph([configuration], max_nodes=max_nodes)
-    for component in strongly_connected_components(graph):
-        if configuration in component:
-            return len(component) == len(graph.nodes) and condensation_is_bottom(
-                graph, component
-            )
-    return False
+    _, closure, above = breadth_first(
+        [configuration], net.successors, configuration.__lt__, max_nodes
+    )
+    if above is not None:
+        return None
+    # The root alone never spends the budget, as in reachable_set.
+    if max_nodes is not None and len(closure) > max(max_nodes, 1):
+        raise ExplorationLimitError(f"exploration exceeded {max_nodes} configurations")
+    component = _returning(net, configuration, set(closure))
+    return component if len(component) == len(closure) else None
+
+
+def _returning(
+    net: PetriNet, configuration: Configuration, closure: Set[Configuration]
+) -> Set[Configuration]:
+    """The members of ``configuration``'s forward ``closure`` that reach it back.
+
+    A backward search from ``configuration`` over the reversed net, kept to
+    ``closure``: every configuration the closure's members reach is in the
+    closure, so no return path leaves it.
+    """
+    reverse = net.reverse()
+
+    def predecessors(node: Configuration) -> List[Tuple[Transition, Configuration]]:
+        return [step for step in reverse.successors(node) if step[1] in closure]
+
+    _, returning, _ = breadth_first([configuration], predecessors)
+    return set(returning)
 
 
 class BottomWitness:
@@ -137,7 +165,8 @@ class BottomWitness:
         if not all(alpha[state] < beta[state] for state in outside):
             return False
         restricted = net.restrict(self.places)
-        return is_bottom(restricted, alpha.restrict(self.places), max_nodes=100000)
+        component = bottom_component(restricted, alpha.restrict(self.places), max_nodes=100000)
+        return component == self.component
 
     def __repr__(self) -> str:
         return (
@@ -162,9 +191,11 @@ def find_bottom_witness(
        by ``max_nodes``),
     2. for every reachable ``alpha`` (in BFS order, so ``sigma`` is short) and
        every subset ``Q`` of places (largest first, so the pump condition is
-       as weak as possible), test that ``alpha|_Q`` is ``T|_Q``-bottom with a
-       finite component and search a pump word ``w`` to a ``beta`` agreeing on
-       ``Q`` and strictly larger outside.
+       as weak as possible), test that ``alpha|_Q`` is ``T|_Q``-bottom with
+       :func:`bottom_component` (one call per pair, budget
+       ``max_component_nodes``; a spent budget counts as "not bottom") and
+       search a pump word ``w`` to a ``beta`` agreeing on ``Q`` and strictly
+       larger outside.
 
     Returns ``None`` when the budget is exhausted without a witness (which,
     by the theorem, means the budget was too small — not that no witness
@@ -172,24 +203,24 @@ def find_bottom_witness(
     """
     parents, order, _ = breadth_first([origin], net.successors, max_nodes=max_nodes)
     states = sorted(net.states, key=str)
-
-    subsets: List[FrozenSet[State]] = []
-    for size in range(len(states), -1, -1):
-        for combination in itertools.combinations(states, size):
-            subsets.append(frozenset(combination))
+    restrictions = [
+        (places, net.restrict(places))
+        for size in range(len(states), -1, -1)
+        for places in map(frozenset, itertools.combinations(states, size))
+    ]
 
     # The first ``max_nodes`` discovered configurations (the search stops one
     # past the budget), and always the origin.
     for alpha in order[: max(max_nodes, 1)]:
         sigma = word_to(parents, alpha)
-        for places in subsets:
-            restricted = net.restrict(places)
-            alpha_q = alpha.restrict(places)
+        for places, restricted in restrictions:
             try:
-                if not is_bottom(restricted, alpha_q, max_nodes=max_component_nodes):
-                    continue
-                component = component_of(restricted, alpha_q, max_nodes=max_component_nodes)
+                component = bottom_component(
+                    restricted, alpha.restrict(places), max_nodes=max_component_nodes
+                )
             except ExplorationLimitError:
+                continue
+            if component is None:
                 continue
             pump = _find_pump(net, alpha, places, max_nodes=max_nodes)
             if pump is None:

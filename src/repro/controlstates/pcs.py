@@ -9,8 +9,9 @@ In the lower-bound proof the control-states are the configurations of the
 ``T|_Q``-component of a bottom configuration (Section 8), and the edges are
 the transitions connecting them; this module keeps the structure generic.
 
-The module also provides strong-connectivity checks (Tarjan) and the
-construction used in Section 8 that builds ``(S, T, E)`` from a Petri net and
+The module also provides a strong-connectivity check (a forward and a
+backward breadth-first search from one control-state) and the construction
+used in Section 8 that builds ``(S, T, E)`` from a Petri net and
 a finite component of mutually-reachable configurations.
 """
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..analysis.reachability import tarjan_components
 from ..core.configuration import Configuration, State
 from ..core.petrinet import PetriNet, breadth_first, word_to
 from ..core.transition import Transition
@@ -94,14 +94,14 @@ class ControlStatePetriNet:
         self.net = net
         transition_set = set(net.transitions)
         edge_list: List[Edge] = []
-        seen: Set[Edge] = set()
+        self._edge_set: Set[Edge] = set()
         for edge in edges:
             if edge.source not in self.control_states or edge.target not in self.control_states:
                 raise ValueError(f"edge endpoints not in S: {edge!r}")
             if edge.transition not in transition_set:
                 raise ValueError(f"edge transition not in T: {edge!r}")
-            if edge not in seen:
-                seen.add(edge)
+            if edge not in self._edge_set:
+                self._edge_set.add(edge)
                 edge_list.append(edge)
         self.edges: Tuple[Edge, ...] = tuple(edge_list)
         self._outgoing: Dict[ControlState, List[Edge]] = {s: [] for s in self.control_states}
@@ -138,11 +138,12 @@ class ControlStatePetriNet:
     # Paths and connectivity
     # ------------------------------------------------------------------
     def is_path(self, edges: Sequence[Edge]) -> bool:
-        """True if consecutive edges chain up (``target`` of one is ``source`` of the next)."""
+        """True if every edge is in ``E`` and consecutive edges chain up
+        (``target`` of one is ``source`` of the next)."""
         for previous, current in zip(edges, edges[1:]):
             if previous.target != current.source:
                 return False
-        return all(edge in set(self.edges) for edge in edges)
+        return all(edge in self._edge_set for edge in edges)
 
     def find_path(
         self, source: ControlState, target: ControlState
@@ -177,12 +178,6 @@ class ControlStatePetriNet:
             incoming[edge.target].append((edge, edge.source))
         backward, _, _ = breadth_first([root], incoming.__getitem__)
         return len(backward) == len(states)
-
-    def strongly_connected_components(self) -> List[Set[ControlState]]:
-        """Tarjan's algorithm: the strongly connected components of ``(S, E)``."""
-        return tarjan_components(
-            self.control_states, lambda state: (edge.target for edge in self.outgoing(state))
-        )
 
 
 def component_control_net(

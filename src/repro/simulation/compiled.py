@@ -53,10 +53,8 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Protocol as TypingProtocol,
     TYPE_CHECKING,
     Tuple,
-    runtime_checkable,
 )
 
 from ..core.configuration import Configuration, State
@@ -72,8 +70,6 @@ __all__ = [
     "OUT_UNDEFINED",
     "OUT_IGNORED",
     "CompiledNet",
-    "GeneratedStepper",
-    "Stepper",
     "check_kind",
 ]
 
@@ -94,55 +90,6 @@ _KINDS = ("uniform", "transition")
 #: consensus_since, terminated)`` from a mutated counts array (see
 #: :meth:`CompiledNet.stepper` for the parameter contract).
 StepperFn = Callable[..., Tuple[int, int, int, bool]]
-
-
-@runtime_checkable
-class Stepper(TypingProtocol):
-    """The compiled-engine seam: one simulation loop plus its QA hook.
-
-    :meth:`CompiledNet.stepper` hands the
-    :class:`~repro.simulation.simulator.Simulator` an object satisfying this
-    protocol instead of a bare closure:
-
-    * calling it runs the whole loop with the stepper signature documented on
-      :meth:`CompiledNet.stepper` (``counts`` mutated in place, ``-1`` as the
-      ``None`` sentinel, an optional trailing recording ``ring``),
-    * :meth:`source` returns the generated Python source, the input of the
-      codegen auditor (:mod:`repro.qa.codegen_audit`).
-
-    Concrete implementation: :class:`GeneratedStepper` (exec-compiled
-    straight-line code).
-    """
-
-    def __call__(self, *args: Any, **kwargs: Any) -> Tuple[int, int, int, bool]:
-        ...  # pragma: no cover - protocol stub
-
-    def source(self) -> Optional[str]:
-        ...  # pragma: no cover - protocol stub
-
-
-class GeneratedStepper:
-    """A generated straight-line stepper with its source attached.
-
-    Wraps the ``exec``-compiled function together with the emitted source and
-    a label naming the net and variant; the wrapper is entered once per run
-    (the loop lives inside), so the indirection costs nothing per step.
-    """
-
-    def __init__(self, fn: StepperFn, source: str, label: str) -> None:
-        self._fn = fn
-        self._source = source
-        self._label = label
-
-    def __call__(self, *args: Any, **kwargs: Any) -> Tuple[int, int, int, bool]:
-        return self._fn(*args, **kwargs)
-
-    def source(self) -> str:
-        """The emitted Python source of the loop (the QA audit hook)."""
-        return self._source
-
-    def __repr__(self) -> str:
-        return f"GeneratedStepper({self._label})"
 
 
 def check_kind(kind: str) -> None:
@@ -216,7 +163,7 @@ class CompiledNet:
             affected.append(tuple(sorted(hit)))
         self.affected: Tuple[Tuple[int, ...], ...] = tuple(affected)
 
-        self._steppers: Dict[Tuple[str, Tuple[int, ...], bool], Stepper] = {}
+        self._steppers: Dict[Tuple[str, Tuple[int, ...], bool], StepperFn] = {}
         self._native: Dict[Tuple[str, Tuple[int, ...]], "NativeStepper"] = {}
 
     def __getstate__(self) -> Dict[str, object]:
@@ -317,11 +264,12 @@ class CompiledNet:
     # ------------------------------------------------------------------
     # Stepper generation
     # ------------------------------------------------------------------
-    def stepper(self, kind: str, classes: Tuple[int, ...], record: bool = False) -> Stepper:
+    def stepper(self, kind: str, classes: Tuple[int, ...], record: bool = False) -> StepperFn:
         """The generated simulation loop for a scheduler ``kind`` and output classes.
 
-        Returns a :class:`Stepper` (a :class:`GeneratedStepper`) whose call
-        signature is::
+        Returns the ``exec``-compiled function (its code's filename names the
+        net and variant, ``<compiled stepper: ...>``), whose call signature
+        is::
 
             stepper(counts, rng, max_steps, stability_window, one, zero, undef)
                 -> (steps, consensus_value, consensus_since, terminated)
@@ -549,7 +497,7 @@ def _stepper_source(
 
 def _generate_stepper(
     net: CompiledNet, kind: str, classes: Tuple[int, ...], record: bool = False
-) -> GeneratedStepper:
+) -> StepperFn:
     """Emit and compile the specialized simulation loop for ``net``."""
     source = _stepper_source(net, kind, classes, record)
     namespace: Dict[str, Any] = {"comb": comb}
@@ -566,4 +514,4 @@ def _generate_stepper(
             "use engine='native' (or engine='auto', which selects it when a C "
             "compiler is available)"
         ) from None
-    return GeneratedStepper(namespace["__compiled_stepper"], source, label)
+    return namespace["__compiled_stepper"]

@@ -68,6 +68,19 @@ class TestControlStatePetriNet:
         assert len(path) == 2
         assert control.is_path(path)
 
+    def test_chained_path_with_an_edge_outside_the_net_is_not_a_path(self, ring_net):
+        net, control = ring_net
+        first = control.outgoing(from_counts(r0=1))[0]
+        # t01 does not lead r1 to r2, so this edge is not in E.
+        stray = Edge(from_counts(r1=1), net.transitions[0], from_counts(r2=1))
+        assert control.is_path([first, stray]) is False
+
+    def test_edges_that_do_not_chain_are_not_a_path(self, ring_net):
+        _, control = ring_net
+        first, second, third = control.edges
+        assert control.is_path([first, second, third])
+        assert control.is_path([first, third]) is False
+
     def test_find_path_to_self_is_empty(self, ring_net):
         _, control = ring_net
         assert control.find_path(from_counts(r0=1), from_counts(r0=1)) == []
@@ -87,18 +100,6 @@ class TestControlStatePetriNet:
         control = component_control_net(net, [from_counts(a=1)])
         assert control.is_strongly_connected()
 
-    def test_strongly_connected_components(self, ring_net):
-        _, control = ring_net
-        components = control.strongly_connected_components()
-        assert len(components) == 1
-        assert components[0] == set(control.control_states)
-
-    def test_scc_of_chain(self):
-        transitions = [Transition({"a": 1}, {"b": 1})]
-        net = PetriNet(transitions)
-        control = component_control_net(net, [from_counts(a=1), from_counts(b=1)])
-        components = control.strongly_connected_components()
-        assert len(components) == 2
 
 
 class TestComponentControlNet:

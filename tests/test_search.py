@@ -307,6 +307,19 @@ class TestBottomWitnessUnderTruncation:
         assert witness.beta == from_counts(s0=4, s2=1)
         assert witness.component_size == 1
 
+    def test_each_restriction_is_built_once(self, net, monkeypatch):
+        restrict = PetriNet.restrict
+        calls = []
+
+        def counting_restrict(self, states):
+            calls.append(frozenset(states))
+            return restrict(self, states)
+
+        monkeypatch.setattr(PetriNet, "restrict", counting_restrict)
+        witness = find_bottom_witness(net, self.ORIGIN, max_nodes=40, max_component_nodes=200)
+        assert witness.alpha == from_counts(s0=3)
+        assert len(calls) == len(set(calls)) == 2 ** net.num_states
+
     def test_budget_too_small_for_the_pump_finds_none(self, net):
         assert find_bottom_witness(net, self.ORIGIN, max_nodes=5, max_component_nodes=200) is None
 
