@@ -1,17 +1,16 @@
 """Benchmark E15 — zero-cost observability when tracing is disabled.
 
 The observability layer instruments the serial per-seed loop
-(:meth:`Simulator._run_seeds`) with run spans and profiler records.  There
-is one loop: whether anything observes is decided once per *ensemble*, and
-with tracing and profiling off each run pays only two ``if observing``
-branches — no clock reads, no span, no profiler record.  This benchmark
-pins that contract.
+(:meth:`Simulator._run_seeds`) with run spans.  There is one loop: whether
+anything observes is decided once per *ensemble*, and with tracing off each
+run pays only two ``if observing`` branches — no clock reads, no span.
+This benchmark pins that contract.
 
 It replicates the uninstrumented compiled loop body locally (the code the
 disabled path executes, minus those two branches per run) as the baseline,
-then interleaves it against the real entry point with tracing and profiling
-off.  Best-of-N on both sides, same machine, same buffers; the real entry
-point may cost at most 2% more — the acceptance budget from the obs design.
+then interleaves it against the real entry point with tracing off.
+Best-of-N on both sides, same machine, same buffers; the real entry point
+may cost at most 2% more — the acceptance budget from the obs design.
 The load is the compiled engine, named explicitly so the bound always gates
 the same per-run loop.
 
@@ -26,7 +25,6 @@ import time
 from conftest import report
 
 from repro.experiments.harness import ExperimentTable
-from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.simulation import Simulator
 from repro.sweep.spec import build_protocol_and_inputs
@@ -64,7 +62,6 @@ def run_overhead_experiment():
     configuration = protocol.initial_configuration(inputs)
     assert simulator._choice == "compiled", "compiled engine required for E15"
     assert not obs_trace.tracing_active()
-    assert obs_profile.active_profiler() is None
     seeds = [random.Random(2022).getrandbits(64) for _ in range(REPETITIONS)]
 
     # Warm both paths (JIT-free, but touches allocators and branch caches).
@@ -94,7 +91,7 @@ def run_overhead_experiment():
         columns=["mode", "best seconds", "overhead"],
         notes=(
             "baseline replicates the uninstrumented loop body; 'disabled' is the "
-            "real _run_seeds entry with no tracer/profiler installed "
+            "real _run_seeds entry with no tracer installed "
             f"(budget {MAX_DISABLED_OVERHEAD}x); 'traced' captures spans "
             "in memory and is informational"
         ),

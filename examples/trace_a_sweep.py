@@ -15,9 +15,9 @@ traced sweep is bit-identical to an untraced one.  This example:
 3. canonicalizes both traces (timing and topology attributes stripped) and
    verifies they are **byte-identical** — the logical execution does not
    depend on the backend,
-4. enables the engine profiler for the serial pass and prints the
-   metrics-registry rendering of its per-engine counters in Prometheus
-   text exposition format.
+4. prints the summary of the process-backed trace: the per-layer latency
+   breakdown, then each engine's runs, steps and steps per second, read
+   from the ``run`` spans the pool workers shipped back.
 
 The same inspection runs from the shell against any trace file:
 
@@ -32,10 +32,8 @@ Run with:  python examples/trace_a_sweep.py
 import tempfile
 from pathlib import Path
 
-from repro.obs import profile as obs_profile
 from repro.obs import render
 from repro.obs import trace as obs_trace
-from repro.obs.registry import get_registry
 from repro.sweep import SqliteResultStore, SweepRunner, SweepSpec
 
 
@@ -69,14 +67,7 @@ def main() -> None:
     process_path = workdir / "process.jsonl"
 
     print("== 1. Run the sweep under a tracer, on both backends ==")
-    # Profiler on for the serial pass: per-engine run/step counters and the
-    # steps/sec gauge accumulate in the process-wide registry (workers keep
-    # their own registries, so the process pass profiles there, not here).
-    obs_profile.enable_profiling(sample_every=4)
-    try:
-        traced_sweep(serial_path, "serial")
-    finally:
-        obs_profile.disable_profiling()
+    traced_sweep(serial_path, "serial")
     traced_sweep(process_path, "process")
 
     print()
@@ -93,14 +84,8 @@ def main() -> None:
     print(f"    {lines[0]}")
 
     print()
-    print("== 4. Profiler counters accumulated in the process-wide registry ==")
-    text = get_registry().render()
-    for line in text.splitlines():
-        if line.startswith(
-            ("repro_engine_runs_total", "repro_engine_steps_total",
-             "repro_engine_steps_per_second")
-        ):
-            print(f"  {line}")
+    print("== 4. Per-layer time and per-engine throughput of the process-backed sweep ==")
+    print(render.summary(events))
 
     print()
     print(f"traces kept in {workdir} — inspect with python -m repro.obs")

@@ -40,7 +40,7 @@ import itertools
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.configuration import Configuration, State
-from ..core.petrinet import ExplorationLimitError, PetriNet, breadth_first, word_to
+from ..core.petrinet import ExplorationLimitError, PetriNet, breadth_first, check_budget, word_to
 from ..core.transition import Transition
 
 __all__ = [
@@ -86,9 +86,7 @@ def bottom_component(
     )
     if above is not None:
         return None
-    # The root alone never spends the budget, as in reachable_set.
-    if max_nodes is not None and len(closure) > max(max_nodes, 1):
-        raise ExplorationLimitError(f"exploration exceeded {max_nodes} configurations")
+    check_budget(closure, 1, max_nodes)
     component = _returning(net, configuration, set(closure))
     return component if len(component) == len(closure) else None
 

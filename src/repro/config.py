@@ -62,13 +62,6 @@ The recognized variables:
     :func:`trace_path`.  Tracing never feeds back into simulation state, so
     the knob cannot change any computed result.
 
-``REPRO_METRICS``
-    Enables the engine profiling hooks (:mod:`repro.obs.profile`): sampled
-    stepper timings flow into the process-wide metrics registry.  Off by
-    default — the hooks compile down to a single predicate check per run,
-    bench-asserted to cost ≤2% on the compiled engine.  Read through
-    :func:`metrics_enabled`.
-
 All integer knobs share one discipline (:func:`_positive_int_env`): malformed
 or out-of-range values raise a :class:`ValueError` naming the variable —
 configuration is never silently repaired.  Boolean knobs
@@ -105,7 +98,6 @@ __all__ = [
     "DEFAULT_TRACE_PATH",
     "FAULT_PLAN_ENV",
     "FORCE_ENGINE_ENV",
-    "METRICS_ENV",
     "SERVE_CACHE_SIZE_ENV",
     "SERVE_HOST_ENV",
     "SERVE_MAX_INFLIGHT_ENV",
@@ -115,7 +107,6 @@ __all__ = [
     "default_batch_workers",
     "fault_plan_text",
     "forced_engine",
-    "metrics_enabled",
     "monotonic_time",
     "notice_explicit_engine",
     "serve_cache_size",
@@ -152,11 +143,10 @@ DEFAULT_SERVE_PORT = 8765
 DEFAULT_SERVE_CACHE_SIZE = 256
 DEFAULT_SERVE_MAX_INFLIGHT = 8
 
-#: Observability knobs: the tracing switch, the trace file path, and the
-#: engine-profiling switch (see :func:`trace_enabled` and friends).
+#: Observability knobs: the tracing switch and the trace file path (see
+#: :func:`trace_enabled` and :func:`trace_path`).
 TRACE_ENV = "REPRO_TRACE"
 TRACE_PATH_ENV = "REPRO_TRACE_PATH"
-METRICS_ENV = "REPRO_METRICS"
 
 #: Where trace events land when ``REPRO_TRACE`` is on and no path is given.
 DEFAULT_TRACE_PATH = "repro_trace.jsonl"
@@ -346,17 +336,8 @@ def trace_path() -> str:
     return override or DEFAULT_TRACE_PATH
 
 
-def metrics_enabled() -> bool:
-    """Whether ``REPRO_METRICS`` enables the engine profiling hooks.
-
-    Off by default: with the hooks disabled the stepper entry points pay one
-    predicate check per run (bench E15 asserts ≤2% on the compiled engine).
-    """
-    return _bool_env(METRICS_ENV, False)
-
-
 def monotonic_time() -> float:
-    """The sanctioned monotonic clock for span durations and profiling.
+    """The sanctioned monotonic clock for span durations.
 
     ``time.monotonic`` is DET102-exempt (it measures, it cannot leak into
     results that are pure functions of inputs and seed), but the

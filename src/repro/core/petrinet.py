@@ -46,7 +46,14 @@ from .transition import Transition
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from ..simulation.compiled import CompiledNet
 
-__all__ = ["PetriNet", "ReachabilityGraph", "ExplorationLimitError", "breadth_first", "word_to"]
+__all__ = [
+    "PetriNet",
+    "ReachabilityGraph",
+    "ExplorationLimitError",
+    "breadth_first",
+    "check_budget",
+    "word_to",
+]
 
 Node = TypeVar("Node", bound=Hashable)
 Label = TypeVar("Label")
@@ -100,6 +107,19 @@ def breadth_first(
             if max_nodes is not None and len(order) > max_nodes:
                 return parents, order, None
     return parents, order, None
+
+
+def check_budget(order: Sequence[Hashable], roots: int, max_nodes: Optional[int]) -> None:
+    """Raise :class:`ExplorationLimitError` if a :func:`breadth_first` search
+    that met no goal was cut off by its ``max_nodes`` budget.
+
+    ``order`` is the search's discovery order and ``roots`` its number of
+    distinct roots.  The search is cut off iff it discovered more than
+    ``max(max_nodes, roots)`` configurations: the roots never spend the
+    budget, so roots without successors are a complete search at any budget.
+    """
+    if max_nodes is not None and len(order) > max(max_nodes, roots):
+        raise ExplorationLimitError(f"exploration exceeded {max_nodes} configurations")
 
 
 def word_to(parents: Dict[Node, Optional[Tuple[Node, Label]]], node: Node) -> List[Label]:
@@ -370,14 +390,21 @@ class PetriNet:
             Initial configurations.
         max_nodes:
             Abort with :class:`ExplorationLimitError` if more than this many
-            distinct configurations are discovered.  ``None`` means no limit —
-            only safe for conservative nets (finite reachability sets).
+            distinct configurations are discovered (see :func:`check_budget`;
+            the roots never spend it).  ``None`` means no limit — only safe
+            for conservative nets (finite reachability sets).
         prune:
             Optional predicate; configurations for which it returns True are
             kept in the result but not expanded further.
         """
-        graph = self.reachability_graph(roots, max_nodes=max_nodes, prune=prune)
-        return set(graph.nodes)
+        distinct = list(dict.fromkeys(roots))
+
+        def expand(node: Configuration) -> List[Tuple[Transition, Configuration]]:
+            return [] if prune is not None and prune(node) else self.successors(node)
+
+        _, order, _ = breadth_first(distinct, expand, max_nodes=max_nodes)
+        check_budget(order, len(distinct), max_nodes)
+        return set(order)
 
     def reachability_graph(
         self,
@@ -425,8 +452,8 @@ class PetriNet:
         _, order, goal = breadth_first(
             [source], self.successors, lambda node: node == target, max_nodes
         )
-        if goal is None and max_nodes is not None and len(order) > max_nodes:
-            raise ExplorationLimitError(f"exploration exceeded {max_nodes} configurations")
+        if goal is None:
+            check_budget(order, 1, max_nodes)
         return goal is not None
 
     def find_path(

@@ -1,4 +1,4 @@
-"""Unified observability: metrics registry, structured tracing, profiling.
+"""Unified observability: metrics registry and structured tracing.
 
 The stack spans four layers — engines, worker pools, distributed sweep
 runners, and the :mod:`repro.serve` HTTP front — and before this package
@@ -19,13 +19,13 @@ the one telemetry substrate they all share:
   sanctioned :mod:`repro.config` clock funnel.  Worker processes buffer
   their span events and ship them back with results, so a sweep cell's
   trace includes its worker-side execution — cross-process propagation
-  without any shared trace file.
-* :mod:`repro.obs.profile` — **profiling hooks** in the stepper entry
-  points: interactions/sec and per-engine step timing sampled every N
-  steps, compiling down to a single predicate check per run when disabled
-  (bench E15 asserts the disabled cost is ≤2% on the compiled engine).
+  without any shared trace file.  Each simulation run is one ``run`` span
+  carrying its engine and step count; with tracing off a run reads no
+  clock and emits nothing (bench E15 asserts the disabled cost is ≤2% on
+  the compiled engine).
 * :mod:`repro.obs.render` / ``python -m repro.obs`` — trace-file analysis:
-  ``summary`` (per-layer latency breakdown), ``tail``, ``timeline`` (the
+  ``summary`` (per-layer latency breakdown, then per-engine runs, steps and
+  steps/s read from the ``run`` spans), ``tail``, ``timeline`` (the
   span tree), and ``canon`` (a canonical rendering with every
   non-deterministic field stripped — byte-identical across serial and
   process backends for a fixed seed, the cross-backend determinism check).
@@ -35,20 +35,12 @@ metrics observe result objects and clocks, never RNG streams, so enabling
 them cannot change any computed value.
 """
 
-from .profile import (
-    EngineProfiler,
-    active_profiler,
-    disable_profiling,
-    enable_profiling,
-    profiling_from_env,
-)
 from .registry import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
-    set_registry,
 )
 from .trace import (
     Tracer,
@@ -64,21 +56,15 @@ from .trace import (
 
 __all__ = [
     "Counter",
-    "EngineProfiler",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Tracer",
-    "active_profiler",
     "active_tracer",
     "capture_events",
-    "disable_profiling",
-    "enable_profiling",
     "event",
     "get_registry",
     "install_tracer",
-    "profiling_from_env",
-    "set_registry",
     "span",
     "tracer_from_env",
     "tracing_active",

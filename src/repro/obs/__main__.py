@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``summary <trace>`` — per-layer latency breakdown (count/total/mean/max
-  per span kind, point-event tallies).
+  per span kind), per-engine runs, steps and steps/s from the ``run``
+  spans, and point-event tallies.
 * ``tail <trace> [-n N]`` — the last N events as one-liners.
 * ``timeline <trace>`` — the span tree (serve job → dispatch → worker
   chunks → runs; sweep cell → worker chunks → runs), children in emission
@@ -30,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_summary = sub.add_parser(
-        "summary", help="per-layer latency breakdown"
+        "summary", help="per-layer latency breakdown and per-engine throughput"
     )
     p_summary.add_argument("trace", help="path to a JSONL trace file")
 

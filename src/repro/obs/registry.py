@@ -21,8 +21,8 @@ values, every family carries ``# HELP``/``# TYPE`` lines, and a value
 renders identically for identical state — two scrapes of an idle server are
 byte-identical, which is what makes ``/metrics`` diffable in tests and CI.
 
-A process-wide default registry (:func:`get_registry`) serves the sweep and
-pool layers; components that need isolation (each
+A process-wide default registry (:func:`get_registry`) serves the sweep
+claim loop; components that need isolation (each
 :class:`~repro.serve.server.SimulationServer`, unit tests) construct their
 own.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "set_registry",
 ]
 
 #: The default histogram bucket bounds (seconds): a fixed 1-2.5-5 ladder from
@@ -392,18 +391,10 @@ class MetricsRegistry:
             return f"MetricsRegistry({len(self._families)} families)"
 
 
-#: The process-wide default registry (sweep claims, pools, profiling).
+#: The process-wide default registry (the sweep claim loop's counters).
 _DEFAULT_REGISTRY = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry."""
     return _DEFAULT_REGISTRY
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry (tests); returns the previous one."""
-    global _DEFAULT_REGISTRY
-    previous = _DEFAULT_REGISTRY
-    _DEFAULT_REGISTRY = registry
-    return previous

@@ -94,16 +94,28 @@ def _kind_sort_key(kind: str) -> Tuple[int, str]:
 
 
 def summary(events: Iterable[Dict[str, Any]]) -> str:
-    """A per-layer latency breakdown: count, total, mean, max per span kind."""
+    """A per-layer latency breakdown: count, total, mean, max per span kind.
+
+    Under it, one row per engine named by a ``run`` span: its runs, summed
+    steps, and summed steps over summed run time.
+    """
     spans: Dict[str, List[float]] = {}
+    engines: Dict[str, Tuple[int, int, float]] = {}
     points: Dict[str, int] = {}
     errors = 0
     for record in events:
         ev = record.get("ev")
         if ev == "span":
-            spans.setdefault(str(record.get("kind")), []).append(
-                float(record.get("dur", 0.0))
-            )
+            kind = str(record.get("kind"))
+            dur = float(record.get("dur", 0.0))
+            spans.setdefault(kind, []).append(dur)
+            attrs = record.get("attrs")
+            if kind == "run" and isinstance(attrs, dict) and "engine" in attrs:
+                engine = str(attrs["engine"])
+                runs, steps, seconds = engines.get(engine, (0, 0, 0.0))
+                engines[engine] = (
+                    runs + 1, steps + int(attrs.get("steps", 0)), seconds + dur
+                )
             if record.get("error"):
                 errors += 1
         elif ev == "event":
@@ -122,6 +134,15 @@ def summary(events: Iterable[Dict[str, Any]]) -> str:
         )
     if not spans:
         lines.append("(no spans)")
+    if engines:
+        lines.append("")
+        header = f"{'engine':<12} {'runs':>7} {'steps':>12} {'steps/s':>12}"
+        lines.append(header)
+        lines.append("-" * len(header))
+        for engine in sorted(engines):
+            runs, steps, seconds = engines[engine]
+            rate = f"{steps / seconds:.0f}" if seconds > 0 else "-"
+            lines.append(f"{engine:<12} {runs:>7} {steps:>12} {rate:>12}")
     if points:
         lines.append("")
         lines.append("point events:")

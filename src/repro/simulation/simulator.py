@@ -57,7 +57,6 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..config import forced_engine, monotonic_time, notice_explicit_engine
 from ..core.configuration import Configuration
-from ..obs import profile as _obs_profile
 from ..obs import trace as _obs_trace
 from ..core.protocol import OUTPUT_ONE, OUTPUT_ZERO, Protocol
 from .compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO, CompiledNet
@@ -257,11 +256,10 @@ class Simulator:
         """Simulate one execution from an arbitrary starting configuration."""
         capacity = _recording_capacity(record_trajectory, trajectory_capacity, max_steps)
         ring = deque(maxlen=capacity) if capacity else None
-        profiler = _obs_profile.active_profiler()
-        observing = profiler is not None or _obs_trace.tracing_active()
+        observing = _obs_trace.tracing_active()
         t0 = monotonic_time() if observing else 0.0
         outcome = self._dispatch(configuration, max_steps, stability_window, self.rng, ring)
-        timing = (profiler, t0, monotonic_time() - t0) if observing else None
+        timing = (t0, monotonic_time() - t0) if observing else None
         return self._finish(configuration, outcome, ring, timing)
 
     def _dispatch(
@@ -321,7 +319,7 @@ class Simulator:
         initial: Configuration,
         outcome: Outcome,
         ring: Optional[Deque[int]],
-        timing: Optional[Tuple[Any, float, float]],
+        timing: Optional[Tuple[float, float]],
         analytics: Any = None,
         record_trajectory: bool = False,
         trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
@@ -332,8 +330,8 @@ class Simulator:
         ``outcome`` is an engine's raw ``(steps, consensus_value,
         consensus_since, terminated, final)`` with ``-1`` as the ``None``
         sentinel, and ``ring`` the deque the run recorded into.  ``timing``
-        is ``(profiler, t0, elapsed)`` for an observed run, which gets one
-        profiler record and one ``run`` span tagged with ``attrs``;
+        is ``(t0, elapsed)`` for a traced run, which gets one ``run`` span
+        tagged with ``attrs``;
         instrumentation reads results and clocks, never the RNG stream, so an
         observed run is bit-identical to an unobserved one.  With
         ``analytics`` the metric dict is extracted from the complete
@@ -354,13 +352,10 @@ class Simulator:
             ),
         )
         if timing is not None:
-            profiler, t0, elapsed = timing
-            engine_name = self._choice or "reference"
-            if profiler is not None:
-                profiler.record(engine_name, steps, elapsed)
+            t0, elapsed = timing
             _obs_trace.span_event(
                 "run", "run", t0, elapsed,
-                engine=engine_name, steps=steps,
+                engine=self._choice or "reference", steps=steps,
                 consensus=result.consensus, terminated=terminated, **attrs,
             )
         if analytics is not None:
@@ -463,11 +458,10 @@ class Simulator:
         capacity = _recording_capacity(
             record_trajectory, trajectory_capacity, max_steps, analytics
         )
-        # Tracing or profiling adds two clock reads, one profiler record and
-        # one span per run; disabled, it costs two branches per run (bench
-        # E15 asserts the disabled cost is <=2%).
-        profiler = _obs_profile.active_profiler()
-        observing = profiler is not None or _obs_trace.tracing_active()
+        # Tracing adds two clock reads and one span per run; disabled, it
+        # costs two branches per run (bench E15 asserts the disabled cost is
+        # <=2%).
+        observing = _obs_trace.tracing_active()
         counts: Optional[List[int]] = None
         if self._stepper is not None:
             counts = self._compiled.counts_of(configuration)
@@ -490,7 +484,7 @@ class Simulator:
             return [
                 finish(
                     (steps, value, since, terminated, self._compiled.configuration_of(final)),
-                    ring, (profiler, t0 + index * share, share) if observing else None,
+                    ring, (t0 + index * share, share) if observing else None,
                     seed=int(seed),
                 )
                 for index, ((steps, value, since, terminated, final), ring, seed)
@@ -504,7 +498,7 @@ class Simulator:
                 configuration, max_steps, stability_window, random.Random(seed),
                 ring, counts,
             )
-            timing = (profiler, t0, monotonic_time() - t0) if observing else None
+            timing = (t0, monotonic_time() - t0) if observing else None
             results.append(finish(outcome, ring, timing, seed=int(seed)))
         return results
 

@@ -59,7 +59,6 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from ..obs import profile as _obs_profile
 from ..obs import trace as _obs_trace
 from .dbstore import SQLITE_SUFFIXES, SqliteResultStore, open_store
 from .runner import SweepRunner, claim_worker, to_experiment_table
@@ -455,18 +454,15 @@ def _command_show(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
-        # REPRO_TRACE=1 traces the sweep (spans land in REPRO_TRACE_PATH);
-        # REPRO_METRICS=1 enables the engine profiler.  Env knobs are only
-        # consulted at CLI entry points like this one — library callers
-        # install tracers/profilers programmatically.
+        # REPRO_TRACE=1 traces the sweep (spans land in REPRO_TRACE_PATH).
+        # Env knobs are only consulted at CLI entry points like this one —
+        # library callers install tracers programmatically.
         _obs_trace.tracer_from_env()
-        _obs_profile.profiling_from_env()
         return _command_run(args)
     if args.command == "workers":
         # The launcher's runner processes call tracer_from_env themselves
         # (claim_worker); installing here too covers the parent's own spans.
         _obs_trace.tracer_from_env()
-        _obs_profile.profiling_from_env()
         return _command_workers(args)
     if args.command == "export":
         return _command_export(args)

@@ -29,7 +29,6 @@ from repro.core import from_counts
 from repro.obs import render
 from repro.obs import trace as obs_trace
 from repro.obs.__main__ import main as obs_main
-from repro.obs.profile import RUN_SECONDS_BUCKETS, EngineProfiler
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.protocols import majority_protocol
 from repro.serve.server import SimulationServer
@@ -254,53 +253,6 @@ class TestTracing:
 
 
 # ---------------------------------------------------------------------------
-# Profiler
-# ---------------------------------------------------------------------------
-
-
-class TestEngineProfiler:
-    def test_record_flushes_counters_and_rate(self):
-        registry = MetricsRegistry()
-        profiler = EngineProfiler(registry=registry, sample_every=4)
-        for _ in range(4):
-            profiler.record("compiled", steps=100, seconds=0.01)
-        runs = registry.counter(
-            "repro_engine_runs_total", "", labelnames=("engine",)
-        )
-        steps = registry.counter(
-            "repro_engine_steps_total", "", labelnames=("engine",)
-        )
-        assert runs.value(engine="compiled") == 4
-        assert steps.value(engine="compiled") == 400
-        rate = registry.gauge(
-            "repro_engine_steps_per_second", "", labelnames=("engine",)
-        )
-        assert rate.value(engine="compiled") == pytest.approx(10000.0)
-
-    def test_flush_drains_partial_window(self):
-        registry = MetricsRegistry()
-        profiler = EngineProfiler(registry=registry, sample_every=100)
-        profiler.record("reference", steps=10, seconds=0.5)
-        runs = registry.counter(
-            "repro_engine_runs_total", "", labelnames=("engine",)
-        )
-        assert runs.value(engine="reference") == 0  # window not full yet
-        profiler.flush()
-        assert runs.value(engine="reference") == 1
-
-    def test_every_run_lands_in_the_seconds_histogram(self):
-        registry = MetricsRegistry()
-        profiler = EngineProfiler(registry=registry, sample_every=1000)
-        profiler.record("compiled", steps=1, seconds=0.25)
-        hist = registry.histogram(
-            "repro_engine_run_seconds", "", labelnames=("engine",),
-            buckets=RUN_SECONDS_BUCKETS,
-        )
-        count, total = hist.snapshot(engine="compiled")
-        assert (count, total) == (1, 0.25)
-
-
-# ---------------------------------------------------------------------------
 # Engine / pool integration and cross-backend byte-identity
 # ---------------------------------------------------------------------------
 
@@ -316,6 +268,19 @@ def _traced_ensemble(path, backend, **kwargs):
     finally:
         obs_trace.uninstall_tracer()
     return results
+
+
+def _engine_rows(text):
+    """The summary's per-engine rows as ``(engine, runs, steps, steps/s)``."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("engine "))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.strip():
+            break
+        engine, runs, steps, rate = line.split()
+        rows.append((engine, int(runs), int(steps), rate))
+    return rows
 
 
 class TestEngineIntegration:
@@ -344,6 +309,20 @@ class TestEngineIntegration:
         assert all(c["parent"] == dispatch["id"] for c in by_kind["chunk"])
         assert all(r["parent"] in chunk_ids for r in by_kind["run"])
         assert len(by_kind["run"]) == 8
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_summary_reports_every_run_of_the_engine(self, tmp_path, backend):
+        # Worker runs come home as spans, so the process backend's engine row
+        # counts them as the serial one does.
+        path = tmp_path / f"{backend}.jsonl"
+        kwargs = {"max_workers": 2} if backend == "process" else {}
+        results = _traced_ensemble(path, backend, **kwargs)
+        text = render.summary(render.load_events(str(path)))
+        ((engine, runs, steps, rate),) = _engine_rows(text)
+        assert engine == Simulator(majority_protocol())._choice
+        assert runs == len(results)
+        assert steps == sum(r.steps for r in results)
+        assert float(rate) > 0
 
     def test_canon_is_byte_identical_across_backends(self, tmp_path):
         # The acceptance criterion: strip timing/topology, and a fixed-seed
@@ -616,8 +595,12 @@ class TestRenderAndCli:
         _install_file_tracer(path)
         try:
             with obs_trace.span("sweep-cell", kind="sweep-cell", cell="c"):
-                obs_trace.span_event("run", "run", 0.0, 0.1, seed=1, steps=5)
-                obs_trace.span_event("run", "run", 0.1, 0.2, seed=2, steps=9)
+                obs_trace.span_event(
+                    "run", "run", 0.0, 0.1, engine="compiled", seed=1, steps=5
+                )
+                obs_trace.span_event(
+                    "run", "run", 0.1, 0.2, engine="compiled", seed=2, steps=9
+                )
             obs_trace.event("heartbeat-skipped", kind="warning", reason="skipped")
         finally:
             obs_trace.uninstall_tracer()
@@ -628,6 +611,8 @@ class TestRenderAndCli:
         text = render.summary(render.load_events(str(path)))
         assert "run" in text and "sweep-cell" in text
         assert "warning" in text
+        # 14 steps over 0.3 s of run spans.
+        assert _engine_rows(text) == [("compiled", 2, 14, "47")]
 
     def test_timeline_nests_children(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -119,6 +119,10 @@ class TestExploration:
         with pytest.raises(ExplorationLimitError):
             spawn_net.reachable_set([from_counts(a=1)], max_nodes=10)
 
+    def test_roots_without_successors_do_not_spend_the_budget(self, doubling_net):
+        roots = [from_counts(i=1), from_counts(p=1)]
+        assert doubling_net.reachable_set(roots, max_nodes=1) == set(roots)
+
     def test_prune_stops_expansion(self, spawn_net):
         reachable = spawn_net.reachable_set(
             [from_counts(a=1)], max_nodes=100, prune=lambda c: c["b"] >= 3

@@ -145,8 +145,10 @@ class TestSpentBudget:
         assert chain_net.is_reachable(unit("s0"), unit("s9"), max_nodes=max_nodes)
         assert PetriNetPreorder(chain_net, max_nodes=max_nodes).relates(unit("s0"), unit("s9"))
 
-    def test_a_search_finished_within_the_budget_answers_false(self, chain_net):
-        assert not chain_net.is_reachable(unit("s9"), unit("s0"), max_nodes=5)
+    @pytest.mark.parametrize("max_nodes", [0, 5])
+    def test_a_search_finished_within_the_budget_answers_false(self, chain_net, max_nodes):
+        # s9 has no successor: the root alone never spends the budget.
+        assert not chain_net.is_reachable(unit("s9"), unit("s0"), max_nodes=max_nodes)
 
     def test_witness_searches_keep_returning_none(self, chain_net):
         assert chain_net.find_path(unit("s0"), unit("s9"), max_nodes=5) is None
@@ -205,6 +207,7 @@ class TestShortestWitnessesOnRandomNets:
         # a conservative net's closure), so their distances are exact.
         limit = source.size + 2 * DEPTH
         graph = net.reachability_graph([source], prune=lambda c: c.size > limit)
+        assert net.reachable_set([source], prune=lambda c: c.size > limit) == set(graph)
         distances = shortest_distances(graph, source)
         exact = {
             node: distance
