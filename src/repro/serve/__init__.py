@@ -28,8 +28,8 @@ for *many* clients, built entirely on the stdlib (asyncio, ``json``,
   ``http.client`` client over one kept connection: submit / status / wait /
   run / metrics, with typed backpressure errors.
 * ``python -m repro.serve`` (:mod:`repro.serve.__main__`) — the deployment
-  entry point; configuration flows through the ``REPRO_SERVE_*`` knobs in
-  :mod:`repro.config` (flags override).
+  entry point; every setting is a flag (``--host``, ``--port``,
+  ``--cache-size``, ``--max-inflight``, ...).
 
 Everything cacheable hangs off the content key, never the request bytes:
 the cache can only ever conflate requests whose simulations are provably

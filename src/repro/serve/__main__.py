@@ -5,9 +5,8 @@ wrapper scripts can discover the bound port (``--port 0`` asks the OS for an
 ephemeral one), then serves until SIGTERM/SIGINT.  On a signal the server
 drains — running and queued jobs complete, new submissions get 503 — and the
 process exits 0 after printing a JSON drain summary with the final counters.
-
-Defaults come from the ``REPRO_SERVE_*`` environment knobs (see
-:mod:`repro.config`); flags override them.
+Every setting is a flag; ``REPRO_TRACE`` / ``REPRO_TRACE_PATH`` (see
+:mod:`repro.config`) switch tracing on.
 """
 
 from __future__ import annotations
@@ -21,7 +20,13 @@ import sys
 from typing import List, Optional
 
 from ..obs import trace as _obs_trace
-from .server import SimulationServer
+from .server import (
+    DEFAULT_CACHE_SIZE,
+    DEFAULT_HOST,
+    DEFAULT_MAX_INFLIGHT,
+    DEFAULT_PORT,
+    SimulationServer,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,13 +34,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.serve",
         description="Serve population-protocol simulation jobs over HTTP.",
     )
-    parser.add_argument("--host", default=None, help="bind host (default: REPRO_SERVE_HOST or 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=None, help="bind port; 0 = ephemeral (default: REPRO_SERVE_PORT or 8765)")
+    parser.add_argument("--host", default=DEFAULT_HOST, help=f"bind host (default: {DEFAULT_HOST})")
+    parser.add_argument("--port", type=int, default=DEFAULT_PORT, help=f"bind port, 0-65535; 0 = ephemeral (default: {DEFAULT_PORT})")
     parser.add_argument("--backend", choices=("process", "serial"), default="process", help="ensemble backend (default: process)")
-    parser.add_argument("--workers", type=int, default=None, help="worker-pool process count (default: REPRO_BATCH_DEFAULT_WORKERS or CPU count)")
+    parser.add_argument("--workers", type=int, default=None, help="worker-pool process count (default: CPU count)")
     parser.add_argument("--concurrency", type=int, default=2, help="jobs executing at once (default: 2)")
-    parser.add_argument("--cache-size", type=int, default=None, help="result-cache capacity (default: REPRO_SERVE_CACHE_SIZE or 256)")
-    parser.add_argument("--max-inflight", type=int, default=None, help="per-client in-flight cap (default: REPRO_SERVE_MAX_INFLIGHT or 8)")
+    parser.add_argument("--cache-size", type=int, default=DEFAULT_CACHE_SIZE, help=f"result-cache capacity (default: {DEFAULT_CACHE_SIZE})")
+    parser.add_argument("--max-inflight", type=int, default=DEFAULT_MAX_INFLIGHT, help=f"per-client in-flight cap (default: {DEFAULT_MAX_INFLIGHT})")
     parser.add_argument("--job-timeout", type=float, default=None, help="per-job wall-clock budget in seconds, --backend process only (default: none)")
     parser.add_argument("--start-method", default=None, help="multiprocessing start method (default: platform)")
     return parser

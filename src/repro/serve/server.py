@@ -11,10 +11,10 @@ The moving parts:
 * **Content-addressed cache.**  Jobs are keyed by
   :attr:`~repro.serve.jobs.JobSpec.key` (SHA-256 of the canonical cell
   identity plus run policy).  A completed payload lands in a bounded LRU
-  (:data:`~repro.config.DEFAULT_SERVE_CACHE_SIZE` entries); a resubmission
-  of the same key is answered from cache with zero pool work.  Submissions
-  of a key that is *currently* queued or running coalesce onto the existing
-  job — the duplicate does not enqueue twice.
+  (``cache_size`` entries, :data:`DEFAULT_CACHE_SIZE` by default); a
+  resubmission of the same key is answered from cache with zero pool work.
+  Submissions of a key that is *currently* queued or running coalesce onto
+  the existing job — the duplicate does not enqueue twice.
 * **Backpressure.**  Each client (the ``X-Client-Id`` header, else the peer
   address) may have at most ``max_inflight`` uncompleted jobs attached; the
   next submission is rejected with HTTP 429 and a ``Retry-After`` hint,
@@ -70,6 +70,15 @@ from ..sweep.executor import CellExecutor
 from .jobs import JobSpec, run_job
 
 __all__ = ["BackgroundServer", "ServeMetrics", "SimulationServer"]
+
+#: Defaults of the constructor and of ``python -m repro.serve``'s flags: the
+#: bind address (port ``0`` asks the OS for an ephemeral one), the result
+#: cache's capacity in completed-job payloads, and the per-client in-flight
+#: cap before HTTP 429.
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8765
+DEFAULT_CACHE_SIZE = 256
+DEFAULT_MAX_INFLIGHT = 8
 
 #: Submission bodies larger than this are refused outright (413) — a job
 #: spec is a handful of scalars; anything bigger is a client bug.
@@ -156,10 +165,12 @@ class _Job:
 class SimulationServer:
     """The job server: HTTP front, queue, cache, and one shared pool.
 
-    Parameters default to the ``REPRO_SERVE_*`` knobs in :mod:`repro.config`
-    (the sanctioned environment funnel).  ``backend="serial"`` skips the
-    worker pool and runs ensembles on cached in-process simulators — the
-    fast path for tests; ``backend="process"`` (the default) fronts a
+    ``host`` and ``port`` are the bind address (``port=0`` asks the OS for
+    an ephemeral port), ``cache_size`` the result cache's capacity and
+    ``max_inflight`` the per-client cap on uncompleted jobs before HTTP 429.
+    ``backend="serial"`` skips the worker pool and runs ensembles on cached
+    in-process simulators — the fast path for tests;
+    ``backend="process"`` (the default) fronts a
     :class:`~repro.simulation.batch.WorkerPool` of ``max_workers``
     processes.  ``concurrency`` is how many jobs may execute at once (the
     consumer-task count; pool dispatch still serializes ensembles, so this
@@ -170,12 +181,12 @@ class SimulationServer:
 
     def __init__(
         self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
+        host: str = DEFAULT_HOST,
+        port: int = DEFAULT_PORT,
         backend: str = "process",
         max_workers: Optional[int] = None,
-        cache_size: Optional[int] = None,
-        max_inflight: Optional[int] = None,
+        cache_size: int = DEFAULT_CACHE_SIZE,
+        max_inflight: int = DEFAULT_MAX_INFLIGHT,
         concurrency: int = 2,
         start_method: Optional[str] = None,
         job_timeout: Optional[float] = None,
@@ -186,29 +197,25 @@ class SimulationServer:
             )
         if concurrency < 1:
             raise ValueError(f"concurrency must be at least 1, got {concurrency}")
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port must be in 0..65535, got {port}")
+        if cache_size < 1:
+            raise ValueError(f"cache_size must be at least 1, got {cache_size}")
+        if max_inflight < 1:
+            raise ValueError(f"max_inflight must be at least 1, got {max_inflight}")
         if job_timeout is not None and backend == "serial":
             raise ValueError(
                 "job_timeout needs backend='process': the serial backend "
                 "cannot interrupt a job's ensemble"
             )
-        self.host = host if host is not None else config.serve_host()
-        self.requested_port = port if port is not None else config.serve_port()
+        self.host = host
+        self.requested_port = port
         self.backend = backend
         self.max_workers = max_workers
-        self.cache_size = (
-            cache_size if cache_size is not None else config.serve_cache_size()
-        )
-        if self.cache_size < 1:
-            raise ValueError(
-                f"cache_size must be at least 1, got {self.cache_size}"
-            )
-        self.max_inflight = (
-            max_inflight if max_inflight is not None else config.serve_max_inflight()
-        )
-        if self.max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be at least 1, got {self.max_inflight}"
-            )
+        self.cache_size = cache_size
+        self.max_inflight = max_inflight
         self.concurrency = concurrency
         self.start_method = start_method
         self.job_timeout = job_timeout

@@ -28,8 +28,8 @@ for step and the generator ends in the same state; the test suite asserts
 this across the named protocols and a seeded sweep of random nets.
 ``engine="auto"`` (the default) selects the native engine whenever its
 library loads and the compiled engine otherwise, falling back to the
-reference engine for custom schedulers.  The ``REPRO_FORCE_ENGINE``
-environment variable overrides the auto choice.
+reference engine for custom schedulers.  Nothing in the environment
+overrides that choice; name an engine to run that one.
 
 **Batches** (:mod:`~repro.simulation.batch`).  Ensembles of independent runs
 derive one seed per repetition from a master seed up front

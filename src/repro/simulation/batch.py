@@ -45,6 +45,7 @@ this).
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import random
 import threading
@@ -52,7 +53,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..config import default_batch_workers as _default_max_workers
 from ..config import monotonic_time
 from ..core.configuration import Configuration
 from ..core.protocol import Protocol
@@ -130,11 +130,6 @@ class WorkerTimeoutError(RuntimeError):
             f"did not finish within {timeout} s; the pool was torn down and "
             "will be rebuilt on next use"
         )
-
-# The default worker count honours the ``REPRO_BATCH_DEFAULT_WORKERS``
-# environment override (used by the CI batch smoke job to pin the suite to a
-# known degree of parallelism), read through the sanctioned
-# :mod:`repro.config` helper.
 
 
 def repetition_seeds(master_seed: Optional[int], n: int) -> List[int]:
@@ -343,8 +338,7 @@ class WorkerPool:
     Parameters
     ----------
     max_workers:
-        Process count (default: the ``REPRO_BATCH_DEFAULT_WORKERS``
-        environment override, else the CPU count).
+        Process count (default: the CPU count).
     start_method:
         Optional ``multiprocessing`` start method; ``None`` uses the
         platform default.
@@ -382,9 +376,7 @@ class WorkerPool:
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be at least 1, got {max_workers}")
-        self.workers = (
-            max_workers if max_workers is not None else _default_max_workers()
-        )
+        self.workers = max_workers if max_workers is not None else os.cpu_count() or 1
         self.start_method = start_method
         self._pool = None
         self._closed = False
@@ -749,8 +741,7 @@ def run_ensemble(
         ``"serial"`` runs in-process; ``"process"`` fans the seeds out over a
         ``multiprocessing`` pool.  Both orderings are bit-identical.
     max_workers:
-        Process count for the ``"process"`` backend (default: the
-        ``REPRO_BATCH_DEFAULT_WORKERS`` environment override, else the CPU
+        Process count for the ``"process"`` backend (default: the CPU
         count).  Clamped to the number of repetitions; must be at least 1.
     start_method:
         Optional ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
@@ -808,7 +799,7 @@ def _run_ensemble(
     seeds = list(seeds)
     process = backend == "process" and bool(seeds)
     if process:
-        workers = max_workers if max_workers is not None else _default_max_workers()
+        workers = max_workers if max_workers is not None else os.cpu_count() or 1
     with _obs_trace.span(
         "ensemble", kind="ensemble", reps=len(seeds), engine=simulator.engine,
         backend="process" if process else "serial",

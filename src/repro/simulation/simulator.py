@@ -38,12 +38,9 @@ All engines consume the random stream identically, so for a fixed
 and leave the generator in the same state.  ``engine="auto"`` (the default)
 picks the native engine whenever its library loads and the compiled engine
 otherwise, and falls back to the reference engine for custom schedulers and
-configurations mentioning states outside the compiled universe.  Engine
-precedence is: an explicit ``engine=`` argument always wins
-(``REPRO_FORCE_ENGINE`` then warns once that it is being ignored), the
-``REPRO_FORCE_ENGINE`` environment variable overrides the ``engine="auto"``
-choice — the knob the CI uses to drive the whole suite through one engine —
-and the native library's availability decides otherwise.
+configurations mentioning states outside the compiled universe.  An explicit
+``engine=`` argument names the engine to run; nothing in the environment
+overrides either choice.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from functools import partial
 from itertools import repeat
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..config import forced_engine, monotonic_time, notice_explicit_engine
+from ..config import monotonic_time
 from ..core.configuration import Configuration
 from ..obs import trace as _obs_trace
 from ..core.protocol import OUTPUT_ONE, OUTPUT_ZERO, Protocol
@@ -69,15 +66,9 @@ __all__ = ["SimulationResult", "Simulator", "simulate"]
 _ENGINES = ("auto", "native", "compiled", "reference")
 
 #: An engine's raw outcome of one run: ``(steps, consensus_value,
-#: consensus_since, terminated, final)``, ``-1`` standing for ``None``.
-Outcome = Tuple[int, int, int, bool, Configuration]
-
-# The ``engine="auto"`` override (one of ``native`` / ``compiled`` /
-# ``reference`` / ``auto``) is the ``REPRO_FORCE_ENGINE`` environment
-# variable, read through the sanctioned :mod:`repro.config` helper.  Explicit
-# ``engine=`` arguments are never overridden, so engine-equivalence tests
-# keep testing what they name.  Worker processes inherit the environment, so
-# a forced engine applies to process-backend ensembles too.
+#: consensus_since, terminated, final, engine)``, ``-1`` standing for
+#: ``None`` and ``engine`` naming the engine that ran it.
+Outcome = Tuple[int, int, int, bool, Configuration, str]
 
 
 @dataclass
@@ -143,18 +134,12 @@ class Simulator:
     engine:
         ``"auto"`` (default) picks a dense engine when the scheduler admits
         one — the native engine when its library loads, silently the
-        compiled engine otherwise — honouring the ``REPRO_FORCE_ENGINE``
-        environment override.  ``"native"`` and ``"compiled"`` require that
-        engine, raising ``ValueError`` for schedulers without a dense fast
-        path, and ``"native"`` raising
+        compiled engine otherwise.  ``"native"`` and ``"compiled"`` require
+        that engine, raising ``ValueError`` for schedulers without a dense
+        fast path, and ``"native"`` raising
         :class:`~repro.simulation.native.NativeUnavailable` (which names the
         missing compiler or the unusable cache) when its library cannot be
         built or loaded.  ``"reference"`` forces the sparse reference engine.
-
-        An explicit ``engine=`` argument is never overridden by
-        ``REPRO_FORCE_ENGINE`` — the override applies to ``engine="auto"``
-        only, and :func:`repro.config.notice_explicit_engine` warns once
-        when it is being ignored.
     """
 
     def __init__(
@@ -168,10 +153,6 @@ class Simulator:
             raise ValueError("simulation requires a Petri-net based protocol")
         if engine not in _ENGINES:
             raise ValueError(f"unknown engine {engine!r} (expected one of {_ENGINES})")
-        if engine != "auto":
-            # One-time warning when REPRO_FORCE_ENGINE is set but ignored
-            # (the override only applies to engine="auto").
-            notice_explicit_engine(engine, _ENGINES)
         self.protocol = protocol
         self.net = protocol.petri_net
         self.scheduler = scheduler or UniformScheduler()
@@ -182,7 +163,8 @@ class Simulator:
         self._classes: Optional[Tuple[int, ...]] = None
         self._stepper: Optional[Any] = None
         self._kind: Optional[str] = None
-        self._choice: Optional[str] = None
+        #: The engine that runs a configuration inside the compiled universe.
+        self._choice = "reference"
         if engine != "reference":
             kind = self.scheduler.compiled_kind()
             if kind is None:
@@ -192,31 +174,16 @@ class Simulator:
                         "path; use engine='auto' or engine='reference'"
                     )
             else:
-                choice = self._resolve_auto(engine)
-                if choice != "reference":
-                    self._compiled = self.net.compiled(extra_states=self.protocol.states)
-                    self._classes = self._compiled.output_classes(self.protocol.output_table)
-                    if choice == "native":
-                        self._stepper = self._compiled.native_stepper(kind, self._classes)
-                    else:
-                        self._stepper = self._compiled.stepper(kind, self._classes)
-                    self._kind = kind
-                    self._choice = choice
-
-    def _resolve_auto(self, engine: str) -> str:
-        """The engine to build for a scheduler that admits a dense one.
-
-        Explicit engines pass through; only ``engine="auto"`` consults
-        ``REPRO_FORCE_ENGINE`` (a forced ``"native"`` raises when the library
-        is missing rather than silently testing another engine) and then
-        the native library's availability.
-        """
-        if engine != "auto":
-            return engine
-        forced = forced_engine(_ENGINES)
-        if forced is not None:
-            return forced
-        return "native" if native_available() else "compiled"
+                self._choice = engine
+                if engine == "auto":
+                    self._choice = "native" if native_available() else "compiled"
+                self._compiled = self.net.compiled(extra_states=self.protocol.states)
+                self._classes = self._compiled.output_classes(self.protocol.output_table)
+                if self._choice == "native":
+                    self._stepper = self._compiled.native_stepper(kind, self._classes)
+                else:
+                    self._stepper = self._compiled.stepper(kind, self._classes)
+                self._kind = kind
 
     # ------------------------------------------------------------------
     # Single runs
@@ -272,7 +239,8 @@ class Simulator:
         counts: Optional[List[int]] = None,
     ) -> Outcome:
         """Run one execution on the dense engine when the configuration fits
-        its universe, else on the reference engine.
+        its universe, else on the reference engine; the outcome names the
+        engine that ran it.
 
         ``ring`` is the deque to record into (``None`` records nothing) and
         ``counts`` an optional dense buffer to reuse across runs.
@@ -291,7 +259,7 @@ class Simulator:
                         stepper = self._compiled.stepper(self._kind, self._classes, record=True)
                 steps, value, since, terminated = stepper(*args)
                 final = self._compiled.configuration_of(counts)
-                return steps, value, since, terminated, final
+                return steps, value, since, terminated, final, self._choice
             if self.engine in ("native", "compiled"):
                 raise ValueError(
                     "configuration mentions states outside the compiled universe; "
@@ -328,17 +296,17 @@ class Simulator:
         """Turn one engine outcome into a :class:`SimulationResult`.
 
         ``outcome`` is an engine's raw ``(steps, consensus_value,
-        consensus_since, terminated, final)`` with ``-1`` as the ``None``
-        sentinel, and ``ring`` the deque the run recorded into.  ``timing``
-        is ``(t0, elapsed)`` for a traced run, which gets one ``run`` span
-        tagged with ``attrs``;
+        consensus_since, terminated, final, engine)`` with ``-1`` as the
+        ``None`` sentinel, and ``ring`` the deque the run recorded into.
+        ``timing`` is ``(t0, elapsed)`` for a traced run, which gets one
+        ``run`` span tagged with the engine that ran it and ``attrs``;
         instrumentation reads results and clocks, never the RNG stream, so an
         observed run is bit-identical to an unobserved one.  With
         ``analytics`` the metric dict is extracted from the complete
         recording, then the trajectory is cut back to what the caller asked
         for, so enabling analytics never changes the other fields.
         """
-        steps, value, since, terminated, final = outcome
+        steps, value, since, terminated, final, engine = outcome
         result = SimulationResult(
             initial=initial,
             final=final,
@@ -355,7 +323,7 @@ class Simulator:
             t0, elapsed = timing
             _obs_trace.span_event(
                 "run", "run", t0, elapsed,
-                engine=self._choice or "reference", steps=steps,
+                engine=engine, steps=steps,
                 consensus=result.consensus, terminated=terminated, **attrs,
             )
         if analytics is not None:
@@ -413,6 +381,7 @@ class Simulator:
             -1 if consensus_since is None else consensus_since,
             terminated,
             current,
+            "reference",
         )
 
     def _consensus(self, configuration: Configuration) -> Optional[int]:
@@ -483,7 +452,10 @@ class Simulator:
             share = (monotonic_time() - t0) / max(len(seeds), 1) if observing else 0.0
             return [
                 finish(
-                    (steps, value, since, terminated, self._compiled.configuration_of(final)),
+                    (
+                        steps, value, since, terminated,
+                        self._compiled.configuration_of(final), "native",
+                    ),
                     ring, (t0 + index * share, share) if observing else None,
                     seed=int(seed),
                 )

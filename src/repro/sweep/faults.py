@@ -54,9 +54,10 @@ Actions (:data:`ACTIONS`)
     proven).
 
 Plans travel as text (``"mid-cell@1:kill;heartbeat-loss@2:drop"``) through
-the ``REPRO_FAULT_PLAN`` environment variable — read via the sanctioned
-:func:`repro.config.fault_plan_text` funnel — or are installed
-programmatically with :func:`install_fault_plan`.  :meth:`FaultPlan.seeded`
+``python -m repro.sweep``'s ``--fault-plan`` flag or ``claim_worker``'s
+``fault_plan`` argument, or are installed programmatically with
+:func:`install_fault_plan`.  A process starts with the empty plan, so no
+fault fires unless a caller installs one.  :meth:`FaultPlan.seeded`
 derives a plan from an integer seed for randomized-but-reproducible sweeps
 of the fault space.
 
@@ -74,8 +75,6 @@ import random
 import signal
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
-
-from ..config import fault_plan_text
 
 __all__ = [
     "ACTIONS",
@@ -229,7 +228,7 @@ class FaultPlan:
         )
 
     def render(self) -> str:
-        """The text form accepted by :meth:`parse` (and the environment)."""
+        """The text form accepted by :meth:`parse` (and ``--fault-plan``)."""
         return ";".join(rule.render() for rule in self.rules)
 
     def __eq__(self, other: object) -> bool:
@@ -248,32 +247,22 @@ class _FaultState:
         self.sticky_drops: Set[str] = set()
 
 
-#: ``None`` means "not yet initialized": the first :func:`fault_point` call
-#: parses ``REPRO_FAULT_PLAN`` from the environment.  Chaos subprocesses
-#: therefore need no code changes — exporting the variable is enough.
-_STATE: Optional[_FaultState] = None
+#: The installed plan and its hit counters; the empty plan until a caller
+#: installs one.
+_STATE = _FaultState(FaultPlan())
 
 
 def install_fault_plan(plan: Union[FaultPlan, str, None]) -> None:
     """Install a plan programmatically (resetting all hit counters).
 
-    ``None`` clears back to the uninitialized state, so the next evaluation
-    re-reads the environment — tests use this to restore isolation.
+    ``None`` restores the empty plan — tests use this to restore isolation.
     """
     global _STATE
     if plan is None:
-        _STATE = None
-        return
-    if isinstance(plan, str):
+        plan = FaultPlan()
+    elif isinstance(plan, str):
         plan = FaultPlan.parse(plan)
     _STATE = _FaultState(plan)
-
-
-def _ensure_state() -> _FaultState:
-    global _STATE
-    if _STATE is None:
-        _STATE = _FaultState(FaultPlan.parse(fault_plan_text()))
-    return _STATE
 
 
 def _kill_self() -> None:  # pragma: no cover - the process dies here
@@ -294,7 +283,7 @@ def fault_point(point: str) -> bool:
         raise ValueError(
             f"unknown injection point {point!r} (expected one of {INJECTION_POINTS})"
         )
-    state = _ensure_state()
+    state = _STATE
     if point in state.sticky_drops:
         return False
     state.counts[point] += 1

@@ -857,8 +857,8 @@ def claim_worker(
     a claim, and that is exactly the case the lease-expiry recovery covers.
 
     ``fault_plan`` optionally installs a per-runner deterministic fault plan
-    (see :mod:`repro.sweep.faults`) — passed explicitly rather than through
-    the environment so a launcher can aim chaos at one runner of a fleet.
+    (see :mod:`repro.sweep.faults`), so a launcher can aim chaos at one
+    runner of a fleet.
     """
     import signal
 

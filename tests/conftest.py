@@ -1,31 +1,20 @@
-"""Shared fixtures for the test suite.
+"""Shared test helpers: which engines this host can run.
 
-The suite honours the ``REPRO_FORCE_ENGINE`` environment variable (also
-consulted by ``Simulator(engine="auto")`` itself): the CI matrix sets it to
-``compiled`` to drive every auto-mode simulation — including all the batch
-and trajectory tests — through the compiled engine, the fallback for hosts
-without a C compiler.  The session fixture below validates the value up front
-and skips the run with a clear message when a forced ``native`` engine cannot
-be built, instead of failing every test individually.
+The native engine needs a C compiler (``cc``) to build its library.  On a
+host without one, ``engine="auto"`` runs the compiled engine, the engine
+tuples below leave ``native`` out, and tests marked ``requires_native`` skip.
+With ``cc`` every test runs.
 """
-
-import os
 
 import pytest
 
 from repro.simulation import native
-from repro.simulation.simulator import _ENGINES
 
+#: The engines whose results the cross-engine tests compare on this host,
+#: the reference engine first.
+ENGINES = ("reference", "compiled") + (("native",) if native.available() else ())
 
-@pytest.fixture(scope="session", autouse=True)
-def _honour_forced_engine():
-    forced = os.environ.get("REPRO_FORCE_ENGINE")
-    if forced:
-        if forced not in _ENGINES:
-            pytest.exit(
-                f"REPRO_FORCE_ENGINE must be one of {_ENGINES}, got {forced!r}",
-                returncode=4,
-            )
-        if forced == "native" and not native.available():
-            pytest.skip("REPRO_FORCE_ENGINE=native needs a C compiler (cc)")
-    yield
+#: Skips a test or class that runs the native engine on a host without ``cc``.
+requires_native = pytest.mark.skipif(
+    not native.available(), reason="the native engine needs a C compiler (cc)"
+)

@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from conftest import ENGINES
 from repro.analytics import (
     AnalyticsSpec,
     EnsembleAnalytics,
@@ -243,7 +244,7 @@ class TestExtractRunMetrics:
         with pytest.raises(ValueError, match="outside"):
             firing_histogram(result.trajectory, 2)
 
-    @pytest.mark.parametrize("engine", ["reference", "compiled", "native"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_engines_extract_identical_metrics(self, engine):
         protocol, inputs = _majority()
         spec = AnalyticsSpec(curve_checkpoints=(0, 50, 400), expected_output=1)

@@ -131,6 +131,24 @@ class TestWorkerCountEdgeCases:
         with pytest.raises(ValueError, match="max_workers"):
             WorkerPool(max_workers=-2)
 
+    @pytest.mark.parametrize("cpus,expected", [(3, 3), (None, 1)], ids=["known", "unknown"])
+    def test_default_worker_count_is_the_cpu_count(self, monkeypatch, cpus, expected):
+        # os.cpu_count() returns None when the count cannot be determined.
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with WorkerPool() as pool:
+            assert pool.workers == expected
+
+    def test_default_worker_count_matches_serial(self, monkeypatch):
+        # Without max_workers the process backend sizes its pool from the
+        # CPU count, and the results are still bit-identical to serial.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        protocol = majority_protocol()
+        inputs = _majority_inputs(18)
+        seeds = [41, 42, 43, 44]
+        serial = run_ensemble(protocol, inputs, seeds, max_steps=500)
+        parallel = run_ensemble(protocol, inputs, seeds, max_steps=500, backend="process")
+        assert parallel == serial
+
     def test_single_worker_matches_serial(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(21)
@@ -198,40 +216,6 @@ class TestWorkerCountEdgeCases:
                     _majority_inputs(9), repetitions=2, backend=backend,
                     max_workers=2 if backend == "process" else None,
                     record_trajectory=True, trajectory_capacity=0,
-                )
-
-    def test_malformed_worker_env_override_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_DEFAULT_WORKERS", "two")
-        with pytest.raises(ValueError, match="REPRO_BATCH_DEFAULT_WORKERS"):
-            run_ensemble(
-                majority_protocol(), _majority_inputs(9), [1, 2], backend="process"
-            )
-
-    def test_default_worker_count_honors_env_override(self, monkeypatch):
-        # Without an explicit max_workers the env override supplies the
-        # default — the knob the CI batch-smoke job pins to 2 — and the
-        # results must still be bit-identical to serial.
-        monkeypatch.setenv("REPRO_BATCH_DEFAULT_WORKERS", "2")
-        protocol = majority_protocol()
-        inputs = _majority_inputs(18)
-        seeds = [41, 42, 43, 44]
-        serial = run_ensemble(protocol, inputs, seeds, max_steps=500)
-        parallel = run_ensemble(protocol, inputs, seeds, max_steps=500, backend="process")
-        assert parallel == serial
-
-    def test_zero_and_negative_worker_env_overrides_rejected(self, monkeypatch):
-        # Regression: values below 1 used to be silently clamped to 1 while
-        # a non-integer raised — now every malformed value fails loudly,
-        # naming the variable, like the REPRO_FORCE_ENGINE convention.
-        from repro.config import default_batch_workers
-
-        for bad in ("0", "-3"):
-            monkeypatch.setenv("REPRO_BATCH_DEFAULT_WORKERS", bad)
-            with pytest.raises(ValueError, match="REPRO_BATCH_DEFAULT_WORKERS"):
-                default_batch_workers()
-            with pytest.raises(ValueError, match="REPRO_BATCH_DEFAULT_WORKERS"):
-                run_ensemble(
-                    majority_protocol(), _majority_inputs(9), [1], backend="process"
                 )
 
 

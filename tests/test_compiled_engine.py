@@ -16,6 +16,7 @@ import re
 
 import pytest
 
+from conftest import ENGINES
 from repro.core import Configuration, Protocol, Transition, from_counts
 from repro.core.petrinet import PetriNet
 from repro.core.protocol import OUTPUT_ONE, OUTPUT_UNDEFINED, OUTPUT_ZERO
@@ -326,9 +327,6 @@ def _random_protocol(rng, num_states=(2, 4), num_transitions=(1, 5)):
     return protocol, inputs
 
 
-#: The engines of the cross-engine property sweep, the reference first.
-ENGINES_UNDER_TEST = ("reference", "compiled", "native")
-
 #: Wide random nets: ``(num_states, num_transitions)`` ranges large enough
 #: that a generated arm usually reweighs few of the net's transitions and
 #: keeps the total by diffing them (``total +=``), while the busiest arms
@@ -369,7 +367,7 @@ class TestRandomNetEquivalence:
                     record_trajectory=True,
                     trajectory_capacity=10 ** 6,
                 )
-                for engine in ENGINES_UNDER_TEST
+                for engine in ENGINES
             }
             reference = results.pop("reference")
             for engine, fast in results.items():
@@ -384,7 +382,7 @@ class TestRandomNetEquivalence:
         reference = Simulator(
             protocol, scheduler=scheduler, engine="reference", seed=3
         ).run(inputs, max_steps=200, stability_window=50)
-        for engine in ENGINES_UNDER_TEST[1:]:
+        for engine in ENGINES[1:]:
             fast = Simulator(protocol, scheduler=scheduler, engine=engine, seed=3).run(
                 inputs, max_steps=200, stability_window=50
             )
@@ -408,7 +406,7 @@ class TestRandomNetEquivalence:
                 inputs, repetitions=3, max_steps=200, stability_window=50,
                 record_trajectory=True, trajectory_capacity=10 ** 6,
             )
-            for engine in ENGINES_UNDER_TEST
+            for engine in ENGINES
         }
         reference = results.pop("reference")
         for engine, fast in results.items():

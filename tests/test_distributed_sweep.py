@@ -180,6 +180,10 @@ class TestFaultPlan:
         assert caught.value.point == "mid-cell"
         assert caught.value.hit == 2
         assert fault_point("mid-cell") is True
+        # Clearing restores the empty plan with fresh counters: no hit raises.
+        install_fault_plan("mid-cell@2:raise")
+        install_fault_plan(None)
+        assert all(fault_point("mid-cell") for _ in range(3))
 
     def test_drop_is_one_shot_except_heartbeat_loss(self):
         install_fault_plan("before-result-write@1:drop;heartbeat-loss@1:drop")
@@ -187,12 +191,6 @@ class TestFaultPlan:
         assert fault_point("before-result-write") is True
         assert fault_point("heartbeat-loss") is False
         assert fault_point("heartbeat-loss") is False
-
-    def test_plan_arrives_through_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "mid-cell@1:raise")
-        install_fault_plan(None)
-        with pytest.raises(InjectedFault):
-            fault_point("mid-cell")
 
     def test_unknown_point_is_rejected_at_evaluation(self):
         with pytest.raises(ValueError, match="unknown injection point"):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import requires_native
 from repro.experiments import (
     ExperimentTable,
     experiment_e1_state_counts,
@@ -167,6 +168,7 @@ class TestExperimentE8:
         assert all(row["inputs"] > 0 for row in table.rows)
 
 
+@requires_native
 class TestExperimentE9:
     def test_engines_agree_and_rows_are_paired(self):
         table = experiment_e9_simulation_throughput(populations=(60,), max_steps=1500)
@@ -211,6 +213,7 @@ class TestExperimentE11:
         # Every state starts populated, so every transition is enabled.
         assert len(net.enabled_transitions(protocol.initial_configuration(inputs))) == 40
 
+    @requires_native
     def test_reduced_sweep_cross_checks_engines(self):
         # A tiny sweep: the experiment raises internally if any engine
         # diverges from the compiled trajectory, so a clean table is itself
@@ -229,6 +232,7 @@ class TestExperimentE11:
             measured = {row["interactions"] for row in engines.values()}
             assert len(measured) == 1  # identical trajectories everywhere
 
+    @requires_native
     def test_fallback_baseline_labels_rows_when_codegen_is_unavailable(self):
         # Above compiled_up_to the compiled denominator does not exist; the
         # measured engines must still report a speedup, against a labeled
@@ -250,6 +254,7 @@ class TestExperimentE11:
             assert rows[engine]["speedup"] > 0
 
 
+@requires_native
 class TestExperimentE14:
     def test_reduced_sweep_is_bit_identical_and_reports_speedups(self):
         # The experiment raises internally unless every native row is

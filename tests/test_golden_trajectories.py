@@ -10,9 +10,10 @@ for a committed (protocol, population, scheduler, seed, budget) each file
 records the transition-name order, the exact sequence of fired transition
 indices, the run's final summary, and the **trajectory analytics** extracted
 from the run (firing histogram, first/stable consensus times, predicate
-correctness, consensus-fraction curve).  Every engine must reproduce each
-golden bit for bit, so RNG-discipline drift — and analytics-extraction
-drift — is caught by tier 1 directly.
+correctness, consensus-fraction curve).  Every engine the host runs
+(``native`` only where ``cc`` builds it) must reproduce each golden bit for
+bit, so RNG-discipline drift — and analytics-extraction drift — is caught by
+tier 1 directly.
 
 The goldens are deliberately hash-seed- and platform-independent: transition
 indices follow the net's construction-ordered transition tuple, and the
@@ -31,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import ENGINES
 from repro.analytics import AnalyticsSpec, extract_run_metrics
 from repro.simulation import Simulator
 from repro.sweep import SCHEDULERS, build_predicate_for, build_protocol_and_inputs
@@ -71,9 +73,6 @@ CASE_DEFINITIONS = (
         "max_steps": 400, "stability_window": 80,
     },
 )
-
-#: All three engines must reproduce every golden.
-ENGINES = ("reference", "compiled", "native")
 
 
 def _golden_paths():

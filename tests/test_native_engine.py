@@ -5,10 +5,12 @@ reference and compiled engines for every ``(protocol, inputs, seed)`` and
 leaves the generator in the same state — single runs carry the simulator's
 generator through ``getstate``/``setstate``, seed lists seed every generator
 inside C.  Plus the machinery around it: CPython's MT19937 reproduced in C,
-``engine="auto"`` picking the native engine and the ``REPRO_FORCE_ENGINE``
-override, the compiled fallback for runs that overflow 64 bits, the
-no-compiler and unusable-cache paths, the per-user build cache, the cached
-steppers across pickling, the batch backends and the run spans of one call.
+``engine="auto"`` picking the native engine, the compiled fallback for runs
+that overflow 64 bits, the no-compiler and unusable-cache paths, the per-user
+build cache, the cached steppers across pickling, the batch backends and the
+run spans of one call.  Every test that runs the native engine is marked
+``requires_native`` and skips on a host without ``cc``; the no-compiler and
+unusable-cache tests run everywhere.
 """
 
 import os
@@ -17,13 +19,11 @@ import random
 import stat
 import sys
 import threading
-import warnings
 from array import array
 from collections import deque
 
 import pytest
 
-from repro.config import FORCE_ENGINE_ENV
 from repro.core import Configuration, Protocol, Transition, from_counts
 from repro.core.petrinet import PetriNet
 from repro.core.protocol import OUTPUT_ONE, OUTPUT_ZERO
@@ -42,9 +42,11 @@ from repro.simulation import (
     UniformScheduler,
     native,
 )
+from repro.simulation import simulator as simulator_module
 from repro.simulation.batch import WorkerPool, repetition_seeds, run_ensemble
 from repro.sweep.spec import build_protocol_and_inputs
 
+from conftest import requires_native
 from test_compiled_engine import _random_protocol, assert_same_result
 
 PAPER_PROTOCOLS = ("majority", "modulo", "succinct", "flock")
@@ -128,6 +130,7 @@ def no_library(monkeypatch):
     monkeypatch.setattr(native, "_failure", None)
 
 
+@requires_native
 class TestGenerator:
     SEEDS = [0, 1, 12345, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1, 2 ** 70 + 3, -17]
     MODULI = [1, 2, 3, 7, 255, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
@@ -164,6 +167,7 @@ class TestGenerator:
         assert states[0] == states[1]
 
 
+@requires_native
 class TestEquivalence:
     @pytest.mark.parametrize("name,protocol,inputs", CASES, ids=CASE_IDS)
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
@@ -268,6 +272,7 @@ class TestEquivalence:
             assert fast.trajectory == reference.trajectory
 
 
+@requires_native
 class TestSeedLists:
     @pytest.mark.parametrize("name", PAPER_PROTOCOLS)
     @SCHEDULERS
@@ -341,6 +346,7 @@ class TestSeedLists:
         assert len({round(run["dur"], 12) for run in runs}) == 1
 
 
+@requires_native
 class TestOverflowFallback:
     """Values beyond 64 bits redo the run on the compiled engine, bit-identically."""
 
@@ -436,67 +442,44 @@ class TestOverflowFallback:
             simulator.run_many(inputs, 2, max_steps=5)
 
 
+class _NoFastPath(UniformScheduler):
+    """A scheduler without a compiled fast path."""
+
+    def compiled_kind(self):
+        return None
+
+
 class TestEngineSelection:
-    def test_auto_picks_native(self, monkeypatch):
-        monkeypatch.delenv(FORCE_ENGINE_ENV, raising=False)
+    @requires_native
+    def test_auto_picks_native(self):
         simulator = Simulator(majority_protocol(), seed=0)
         assert simulator._choice == "native"
         assert isinstance(simulator._stepper, native.NativeStepper)
 
-    def test_force_engine_env_overrides_auto(self, monkeypatch):
-        protocol = majority_protocol()
-        for forced in ("native", "compiled"):
-            monkeypatch.setenv(FORCE_ENGINE_ENV, forced)
-            assert Simulator(protocol, seed=0)._choice == forced
-        monkeypatch.setenv(FORCE_ENGINE_ENV, "reference")
-        assert Simulator(protocol, seed=0)._stepper is None
-        monkeypatch.setenv(FORCE_ENGINE_ENV, "auto")
-        assert Simulator(protocol, seed=0)._choice == "native"
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_force_engine_env_does_not_override_explicit_engines(self, monkeypatch):
-        monkeypatch.setenv(FORCE_ENGINE_ENV, "native")
-        assert Simulator(majority_protocol(), seed=0, engine="compiled")._choice == "compiled"
-        assert Simulator(majority_protocol(), seed=0, engine="reference")._stepper is None
-
-    def test_shadowed_override_warns_once_per_pair(self, monkeypatch):
-        import repro.config as config
-
-        monkeypatch.setenv(FORCE_ENGINE_ENV, "compiled")
-        monkeypatch.setattr(config, "_IGNORED_FORCE_WARNED", set())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            Simulator(majority_protocol(), engine="native", seed=0)
-            Simulator(majority_protocol(), engine="native", seed=1)
-        runtime_warnings = [
-            warning for warning in caught
-            if issubclass(warning.category, RuntimeWarning)
-        ]
-        assert len(runtime_warnings) == 1
-        message = str(runtime_warnings[0].message)
-        assert "REPRO_FORCE_ENGINE=compiled" in message
-        assert "native" in message
-
-    def test_matching_override_stays_silent(self, monkeypatch):
-        import repro.config as config
-
-        monkeypatch.setenv(FORCE_ENGINE_ENV, "native")
-        monkeypatch.setattr(config, "_IGNORED_FORCE_WARNED", set())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            Simulator(majority_protocol(), engine="native", seed=0)
-        assert not [
-            warning for warning in caught
-            if issubclass(warning.category, RuntimeWarning)
-        ]
-
-    @pytest.mark.parametrize("value", ["turbo", "numpy", "ensemble"])
-    def test_invalid_override_rejected(self, monkeypatch, value):
-        monkeypatch.setenv(FORCE_ENGINE_ENV, value)
-        with pytest.raises(ValueError, match="REPRO_FORCE_ENGINE"):
-            Simulator(majority_protocol(), seed=0)
-        with pytest.raises(ValueError, match="REPRO_FORCE_ENGINE"):
-            Simulator(majority_protocol(), engine="native", seed=0)
+    @pytest.mark.parametrize(
+        "scheduler,loads,expected",
+        [
+            pytest.param(UniformScheduler(), True, "native", marks=requires_native),
+            (UniformScheduler(), False, "compiled"),
+            pytest.param(TransitionScheduler(), True, "native", marks=requires_native),
+            (TransitionScheduler(), False, "compiled"),
+            (_NoFastPath(), True, "reference"),
+            (_NoFastPath(), False, "reference"),
+        ],
+        ids=[
+            "uniform-loads", "uniform-no-library", "transition-loads",
+            "transition-no-library", "no-fast-path-loads", "no-fast-path-no-library",
+        ],
+    )
+    def test_auto_depends_only_on_scheduler_and_library(
+        self, monkeypatch, scheduler, loads, expected
+    ):
+        # engine="auto" runs native when the library loads and compiled when
+        # it does not; a scheduler without a fast path runs the reference.
+        monkeypatch.setattr(simulator_module, "native_available", lambda: loads)
+        simulator = Simulator(majority_protocol(), scheduler=scheduler, seed=0)
+        assert simulator._choice == expected
+        assert (simulator._stepper is None) == (expected == "reference")
 
     @pytest.mark.parametrize("engine", ["warp", "numpy", "ensemble"])
     def test_unknown_engine_rejected(self, engine):
@@ -511,6 +494,7 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="no compiled fast path"):
             Simulator(majority_protocol(), scheduler=FirstEnabled(), engine="native")
 
+    @requires_native
     def test_unknown_states_rejected_in_native_mode(self):
         simulator = Simulator(majority_protocol(), engine="native", seed=0)
         with pytest.raises(ValueError, match="outside the compiled universe"):
@@ -523,6 +507,7 @@ class TestBuild:
         monkeypatch.setenv("HOME", str(tmp_path))
         return tmp_path / ".cache" / "repro-native"
 
+    @requires_native
     def test_cache_is_private_and_holds_only_the_build(self, monkeypatch, tmp_path, no_library):
         cache = self._home(monkeypatch, tmp_path)
         assert native.available()
@@ -539,7 +524,6 @@ class TestBuild:
     def test_no_compiler(self, monkeypatch, tmp_path, no_library):
         self._home(monkeypatch, tmp_path)
         monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
-        monkeypatch.delenv(FORCE_ENGINE_ENV, raising=False)
         protocol, inputs = build_protocol_and_inputs("majority", 30)
         with pytest.raises(NativeUnavailable, match="'cc'"):
             Simulator(protocol, engine="native")
@@ -558,7 +542,6 @@ class TestBuild:
         else:
             cache.mkdir(parents=True)
             os.chmod(cache, 0o777)
-        monkeypatch.delenv(FORCE_ENGINE_ENV, raising=False)
         protocol, inputs = build_protocol_and_inputs("modulo", 20)
         with pytest.raises(NativeUnavailable, match="cache"):
             Simulator(protocol, engine="native")
@@ -570,6 +553,7 @@ class TestBuild:
             assert list(cache.iterdir()) == []
 
 
+@requires_native
 class TestCaching:
     def test_threads_share_one_stepper_safely(self):
         # Simulators of one protocol share the cached stepper, whose C calls
@@ -651,6 +635,7 @@ class TestCaching:
         assert rebuilt == original
 
 
+@requires_native
 class TestBatchIntegration:
     def test_backends_agree(self):
         protocol, inputs = build_protocol_and_inputs("majority", 30)

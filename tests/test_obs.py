@@ -25,7 +25,8 @@ import time
 
 import pytest
 
-from repro.core import from_counts
+from conftest import ENGINES
+from repro.core import Configuration, from_counts
 from repro.obs import render
 from repro.obs import trace as obs_trace
 from repro.obs.__main__ import main as obs_main
@@ -323,6 +324,33 @@ class TestEngineIntegration:
         assert runs == len(results)
         assert steps == sum(r.steps for r in results)
         assert float(rate) > 0
+
+    def test_run_outside_the_compiled_universe_is_tagged_reference(self):
+        # engine="auto" sends a configuration that mentions a state outside
+        # the compiled universe to the reference engine; its span, and so
+        # the summary's engine row, name the engine that ran it.
+        protocol = majority_protocol()
+        configuration = protocol.initial_configuration(
+            from_counts(A=16, B=8)
+        ) + Configuration({"zzz": 1})
+        with obs_trace.capture_events() as events:
+            result = Simulator(protocol, seed=1).run_from(configuration, max_steps=50)
+        (run,) = [e for e in events if e.get("kind") == "run"]
+        assert run["attrs"]["engine"] == "reference"
+        ((engine, runs, steps, _),) = _engine_rows(render.summary(events))
+        assert (engine, runs, steps) == ("reference", 1, result.steps)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_seed_list_runs_are_tagged_with_their_engine(self, engine):
+        # A serial seed list runs in one call on the native engine and run
+        # by run on the others; either way every run span names the engine.
+        simulator = Simulator(majority_protocol(), engine=engine, seed=4)
+        with obs_trace.capture_events() as events:
+            results = simulator.run_many(from_counts(A=16, B=8), 3, max_steps=400)
+        runs = [e for e in events if e.get("kind") == "run"]
+        assert [run["attrs"]["engine"] for run in runs] == [engine] * 3
+        ((row, count, steps, _),) = _engine_rows(render.summary(events))
+        assert (row, count, steps) == (engine, 3, sum(r.steps for r in results))
 
     def test_canon_is_byte_identical_across_backends(self, tmp_path):
         # The acceptance criterion: strip timing/topology, and a fixed-seed

@@ -20,7 +20,8 @@ The load-bearing properties:
   head slower than one read timeout close it,
 * one ``ServeClient`` keeps one connection across threads, reconnects
   after the server closes it, and a drain with it open stays prompt,
-* the config knobs fail loudly on malformed values.
+* the server's settings have fixed defaults and fail loudly on malformed
+  values, in the constructor and on the command line (exit 2).
 """
 
 import json
@@ -38,7 +39,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import config
 from repro.serve import (
     BackgroundServer,
     JobFailedError,
@@ -365,39 +365,17 @@ class TestBackpressureAndCoalescing:
 
 
 class TestServeConfigKnobs:
-    def test_defaults_without_environment(self, monkeypatch):
-        for var in (
-            config.SERVE_HOST_ENV,
-            config.SERVE_PORT_ENV,
-            config.SERVE_CACHE_SIZE_ENV,
-            config.SERVE_MAX_INFLIGHT_ENV,
-        ):
-            monkeypatch.delenv(var, raising=False)
-        assert config.serve_host() == config.DEFAULT_SERVE_HOST
-        assert config.serve_port() == config.DEFAULT_SERVE_PORT
-        assert config.serve_cache_size() == config.DEFAULT_SERVE_CACHE_SIZE
-        assert config.serve_max_inflight() == config.DEFAULT_SERVE_MAX_INFLIGHT
+    def test_defaults(self):
+        from repro.serve.__main__ import _build_parser
 
-    def test_overrides_are_honored(self, monkeypatch):
-        monkeypatch.setenv(config.SERVE_HOST_ENV, "0.0.0.0")
-        monkeypatch.setenv(config.SERVE_PORT_ENV, "0")
-        monkeypatch.setenv(config.SERVE_CACHE_SIZE_ENV, "5")
-        monkeypatch.setenv(config.SERVE_MAX_INFLIGHT_ENV, "2")
-        assert config.serve_host() == "0.0.0.0"
-        assert config.serve_port() == 0
-        assert config.serve_cache_size() == 5
-        assert config.serve_max_inflight() == 2
-
-    def test_malformed_values_fail_loudly(self, monkeypatch):
-        monkeypatch.setenv(config.SERVE_PORT_ENV, "http")
-        with pytest.raises(ValueError, match=config.SERVE_PORT_ENV):
-            config.serve_port()
-        monkeypatch.setenv(config.SERVE_CACHE_SIZE_ENV, "0")
-        with pytest.raises(ValueError, match=config.SERVE_CACHE_SIZE_ENV):
-            config.serve_cache_size()
-        monkeypatch.setenv(config.SERVE_MAX_INFLIGHT_ENV, "-1")
-        with pytest.raises(ValueError, match=config.SERVE_MAX_INFLIGHT_ENV):
-            config.serve_max_inflight()
+        server = SimulationServer(backend="serial")
+        assert (
+            server.host, server.requested_port, server.cache_size, server.max_inflight
+        ) == ("127.0.0.1", 8765, 256, 8)
+        args = _build_parser().parse_args([])
+        assert (args.host, args.port, args.cache_size, args.max_inflight) == (
+            "127.0.0.1", 8765, 256, 8
+        )
 
     def test_server_constructor_validates_knobs(self):
         with pytest.raises(ValueError, match="backend"):
@@ -408,6 +386,25 @@ class TestServeConfigKnobs:
             SimulationServer(backend="serial", cache_size=0)
         with pytest.raises(ValueError, match="max_inflight"):
             SimulationServer(backend="serial", max_inflight=0)
+        with pytest.raises(ValueError, match="max_workers"):
+            SimulationServer(backend="process", max_workers=0)
+        for port in (-5, 65536, 70000):
+            with pytest.raises(ValueError, match="port"):
+                SimulationServer(backend="serial", port=port)
+        assert SimulationServer(backend="serial", port=65535).requested_port == 65535
+
+    @pytest.mark.parametrize("port", ["70000", "-5"])
+    def test_cli_exits_2_on_an_out_of_range_port(self, capsys, port):
+        from repro.serve.__main__ import main as serve_main
+
+        assert serve_main(["--backend", "serial", "--port", port]) == 2
+        assert capsys.readouterr().err.startswith("error: port")
+
+    def test_cli_exits_2_on_zero_workers(self, capsys):
+        from repro.serve.__main__ import main as serve_main
+
+        assert serve_main(["--backend", "process", "--port", "0", "--workers", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: max_workers")
 
 
 class TestResultCacheBounds:

@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+from conftest import ENGINES
 from repro.analytics.metrics import AnalyticsSpec
 from repro.core import Configuration, from_counts
 from repro.protocols import flock_of_birds_protocol, majority_protocol
@@ -19,8 +20,7 @@ from repro.simulation import Simulator, TransitionScheduler, UniformScheduler
 from repro.sweep.spec import build_protocol_and_inputs
 
 #: The dense engines, checked against the sparse reference engine.
-DENSE_ENGINES = ("compiled", "native")
-ENGINES = DENSE_ENGINES + ("reference",)
+DENSE_ENGINES = ENGINES[1:]
 SCHEDULERS = pytest.mark.parametrize(
     "scheduler", [UniformScheduler(), TransitionScheduler()],
     ids=["uniform", "transition"],
