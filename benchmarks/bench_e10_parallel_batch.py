@@ -13,7 +13,7 @@ gated on the visible CPU count; the determinism cross-check runs everywhere.
 
 import os
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import experiment_e10_parallel_batch
 

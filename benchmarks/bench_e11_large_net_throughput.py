@@ -31,7 +31,7 @@ import random
 import time
 from pathlib import Path
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import (
     experiment_e11_large_net_throughput,

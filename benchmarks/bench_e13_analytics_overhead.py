@@ -25,7 +25,7 @@ stepper the same extraction is a larger share of the wall clock.
 import pickle
 import time
 
-from conftest import report
+from reporting import report
 
 from repro.analytics import AnalyticsSpec
 from repro.experiments.harness import ExperimentTable

@@ -22,7 +22,7 @@ engine's performance trajectory is recorded across PRs.
 import json
 from pathlib import Path
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import experiment_e14_ensemble_throughput
 

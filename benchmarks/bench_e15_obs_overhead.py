@@ -22,7 +22,7 @@ pays.
 import random
 import time
 
-from conftest import report
+from reporting import report
 
 from repro.experiments.harness import ExperimentTable
 from repro.obs import trace as obs_trace

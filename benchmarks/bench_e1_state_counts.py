@@ -6,7 +6,7 @@ by cheating on width/leaders, the BEJ constructions need ``O(log n)`` /
 ``O(log log n)`` states, and Corollary 4.4 lower-bounds the achievable count.
 """
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import experiment_e1_state_counts
 

@@ -4,7 +4,7 @@ Regenerates the doubly-exponential upper-bound curve of Theorem 4.3 (on a
 log-log scale) for several width/leader bounds ``m``.
 """
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import experiment_e2_theorem_4_3
 

@@ -5,7 +5,7 @@ inverse-Ackermann bound of PODC'21 stays at 3 while the paper's
 ``(log log n)^h`` bound tracks the ``O(log log n)`` upper bound.
 """
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import experiment_e3_lower_bounds
 

@@ -6,7 +6,7 @@ the length of actual shortest covering words on the paper's nets.
 
 import math
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import experiment_e4_rackoff
 

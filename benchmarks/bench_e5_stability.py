@@ -5,7 +5,7 @@ restriction to the states below the Rackoff threshold) transfers stability to
 every configuration below it, matching the exact backward-coverability test.
 """
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import experiment_e5_stability
 

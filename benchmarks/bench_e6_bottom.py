@@ -6,7 +6,7 @@ default leader counts (1, 2, 3) and compares the measured witness sizes
 against the doubly-exponential bound ``b``.
 """
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import experiment_e6_bottom
 

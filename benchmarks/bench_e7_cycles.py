@@ -4,7 +4,7 @@ Regenerates the total-cycle construction on control-state nets built from
 protocol components and checks the ``|E||S|`` length bound.
 """
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import experiment_e7_cycles
 

@@ -5,7 +5,7 @@ compares (classic, the paper's Examples 4.1/4.2, the succinct construction)
 actually stably computes its counting predicate on bounded populations.
 """
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import experiment_e8_verification
 

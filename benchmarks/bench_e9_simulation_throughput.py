@@ -9,7 +9,7 @@ the exact same trajectory (the experiment itself raises if the engines
 diverge).
 """
 
-from conftest import report
+from reporting import report
 
 from repro.experiments import experiment_e9_simulation_throughput
 

@@ -26,7 +26,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from conftest import report
+from reporting import report
 
 from repro.experiments.harness import ExperimentTable
 from repro.simulation.statistics import ConvergenceStatistics

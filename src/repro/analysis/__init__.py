@@ -16,8 +16,8 @@ Two representations keep the exact checks cheap:
   :class:`~repro.core.petrinet.PetriNet` instance and dropped when it is
   pickled;
 * :func:`verify_input` / :func:`check_protocol` explore reachability graphs
-  as tuples of ints over the net's compiled tables and propagate output
-  stability on integer node ids
+  with each configuration packed into one int over the net's compiled
+  tables and propagate output stability on integer node ids
   (:class:`~repro.core.semantics.DenseReachabilityGraph`).
 """
 

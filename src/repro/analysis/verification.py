@@ -5,8 +5,9 @@ the well-specification problem, which is Ackermann-complete in general (see
 the paper's introduction).  The experiments only need exactness on bounded
 populations: this module exhaustively checks the stable-computation condition
 of Section 2 for every input configuration up to a given number of agents,
-using the dense explicit reachability graph and output-stability propagation
-of :class:`repro.core.semantics.DenseReachabilityGraph`.
+using the explicit reachability graph of
+:class:`repro.core.semantics.DenseReachabilityGraph`, which packs each
+configuration into one int and propagates output stability on node ids.
 
 The main entry points are:
 
@@ -121,8 +122,8 @@ def verify_input(
     """Check the stable-computation condition for a single input configuration.
 
     The protocol must be Petri-net based.  The reachability graph from the
-    initial configuration ``rho_L + inputs|_P`` is built explicitly, on
-    tuples of ints over the net's compiled tables
+    initial configuration ``rho_L + inputs|_P`` is built explicitly, one int
+    per configuration with a bit field per state
     (:class:`~repro.core.semantics.DenseReachabilityGraph`), and the paper's
     condition — from every reachable configuration, a
     ``phi(rho)``-output-stable configuration remains reachable — is evaluated

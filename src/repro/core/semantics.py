@@ -17,8 +17,9 @@ every configuration ``alpha`` reachable from the initial configuration
 This module computes these notions **exactly** on finite reachability graphs
 (conservative protocols, or bounded exploration for non-conservative ones):
 
-* :class:`DenseReachabilityGraph` explores the graph from one root with
-  configurations as tuples of ints over the net's compiled integer tables and
+* :class:`DenseReachabilityGraph` explores the graph from one root with each
+  configuration packed into one int (a bit field per state, over the net's
+  compiled integer tables), fires a transition with one addition and
   propagates output stability on integer node ids.  It is the workhorse of
   :func:`is_output_stable`, :func:`stable_consensus_value` and the
   verification layer (:mod:`repro.analysis.verification`),
@@ -30,7 +31,7 @@ This module computes these notions **exactly** on finite reachability graphs
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .configuration import Configuration
 from .petrinet import ExplorationLimitError, ReachabilityGraph, breadth_first
@@ -49,14 +50,27 @@ __all__ = [
 class DenseReachabilityGraph:
     """The reachability graph of a protocol's net from one root, on integers.
 
-    Configurations are tuples of counts in the state order of
-    ``net.compiled(...)`` over the protocol's states, and transitions fire
-    through that compiled net's ``pre_lists`` and ``delta_lists``.  Nodes are
-    numbered in breadth-first discovery order (the root is node 0), the order
-    of :meth:`~repro.core.petrinet.PetriNet.reachability_graph`, and
-    ``successors[i]`` lists the ids that one enabled transition leads to from
-    node ``i`` (``predecessors`` is the reverse).  The graph has the same
-    nodes as the sparse one and raises
+    Each configuration is one int.  State ``i`` of ``net.compiled(...)``
+    over the protocol's states owns the bit field of ``width`` bits at shift
+    ``i * width``: its count, and above it one guard bit that a configuration
+    keeps clear.  The count bits hold the largest of the population, any pre
+    count and any one-step gain.  Firing a transition adds its delta code.
+    A transition is enabled iff ``(code + key) & guards == guards``, where
+    ``key`` holds ``guard - pre_i`` in field ``i``: a field below its pre
+    count borrows its own guard bit, and nothing carries into the next field.
+    A count that outgrows its field sets its guard bit, and the search
+    restarts on fields twice as wide; counts of a conservative net never
+    exceed the population, so only other nets restart.  Consensus tests are
+    ANDs with the fields of each output class.
+
+    Nodes are numbered in breadth-first discovery order (the root is node
+    0), the order of
+    :meth:`~repro.core.petrinet.PetriNet.reachability_graph`, and
+    ``predecessors[i]`` lists the ids from which one enabled transition leads
+    to node ``i``.  Transitions whose pre-set equals their post-set only add
+    self-loops, which change neither reachability nor stability, and are
+    skipped.  The graph has the same nodes as the sparse one (``nodes``
+    decodes them to tuples of counts) and raises
     :class:`~repro.core.petrinet.ExplorationLimitError` on exactly the same
     ``max_nodes`` budgets.
 
@@ -73,70 +87,56 @@ class DenseReachabilityGraph:
             raise ValueError("exact stability analysis requires a Petri-net based protocol")
         compiled = net.compiled(protocol.states | root.support)
         classes = compiled.output_classes(protocol.output_table)
-        # State indices per output class; states outside the output table
+        # The universe holds the root's support, so ``counts_of`` answers a list.
+        counts = compiled.counts_of(root) or []
+        moves = [
+            (pre, delta) for pre, delta in zip(compiled.pre_lists, compiled.delta_lists) if delta
+        ]
+        largest = max([sum(counts)] + [count for pre, delta in moves for _, count in pre + delta])
+        width = largest.bit_length() + 1
+        while True:
+            guards = _pack([(i, 1 << (width - 1)) for i in range(len(counts))], width)
+            steps = [(guards - _pack(pre, width), _pack(delta, width)) for pre, delta in moves]
+            explored = _explore(_pack(enumerate(counts), width), steps, guards, max_nodes)
+            if explored is not None:
+                break
+            width *= 2
+        self._codes, self.predecessors = explored
+        self._width = width
+        self._num_states = len(counts)
+        # The fields of each output class; states outside the output table
         # never influence the consensus.
-        self._ones = [i for i, kind in enumerate(classes) if kind == OUT_ONE]
-        self._zeros = [i for i, kind in enumerate(classes) if kind == OUT_ZERO]
-        self._undefined = [i for i, kind in enumerate(classes) if kind == OUT_UNDEFINED]
+        field = (1 << (width - 1)) - 1
+        self._ones, self._zeros, self._undefined = (
+            _pack([(i, field) for i, kind in enumerate(classes) if kind == wanted], width)
+            for wanted in (OUT_ONE, OUT_ZERO, OUT_UNDEFINED)
+        )
 
-        start = tuple(compiled.counts_of(root))
-        moves = list(zip(compiled.pre_lists, compiled.delta_lists))
-        ids: Dict[Tuple[int, ...], int] = {start: 0}
-        nodes: List[Tuple[int, ...]] = [start]
-        successors: List[List[int]] = []
-        # Iterating a list that grows while it is walked is a FIFO queue.
-        for current in nodes:
-            targets: List[int] = []
-            for pre, delta in moves:
-                for index, needed in pre:
-                    if current[index] < needed:
-                        break
-                else:
-                    counts = list(current)
-                    for index, diff in delta:
-                        counts[index] += diff
-                    target = tuple(counts)
-                    node = ids.get(target)
-                    if node is None:
-                        node = len(nodes)
-                        if max_nodes is not None and node >= max_nodes:
-                            raise ExplorationLimitError(
-                                f"exploration exceeded {max_nodes} configurations"
-                            )
-                        ids[target] = node
-                        nodes.append(target)
-                    targets.append(node)
-            successors.append(targets)
-        predecessors: List[List[int]] = [[] for _ in nodes]
-        for source, targets in enumerate(successors):
-            for node in targets:
-                predecessors[node].append(source)
-        self.nodes: List[Tuple[int, ...]] = nodes
-        self.successors: List[List[int]] = successors
-        self.predecessors: List[List[int]] = predecessors
+    @property
+    def nodes(self) -> List[Tuple[int, ...]]:
+        """The configurations by node id, as counts in the compiled state order."""
+        field = (1 << (self._width - 1)) - 1
+        shifts = range(0, self._num_states * self._width, self._width)
+        return [tuple(code >> shift & field for shift in shifts) for code in self._codes]
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._codes)
 
     def consensus(self, value: int) -> List[bool]:
         """Per node, whether it has consensus ``value``
         (:meth:`~repro.core.protocol.Protocol.has_consensus`)."""
         if value == OUTPUT_ONE:
-            blocking, witnesses = self._zeros + self._undefined, self._ones
-        elif value == OUTPUT_ZERO:
-            blocking, witnesses = self._ones + self._undefined, None
-        else:
-            raise ValueError("consensus value must be 0 or 1")
-        return [
-            not any(map(node.__getitem__, blocking))
-            and (witnesses is None or any(map(node.__getitem__, witnesses)))
-            for node in self.nodes
-        ]
+            blocking, ones = self._zeros | self._undefined, self._ones
+            return [not code & blocking and code & ones != 0 for code in self._codes]
+        if value == OUTPUT_ZERO:
+            blocking = self._ones | self._undefined
+            return [not code & blocking for code in self._codes]
+        raise ValueError("consensus value must be 0 or 1")
 
     def _reaching(self, seeds: List[int]) -> List[bool]:
         """Per node, whether it can reach a node of ``seeds`` (seeds included)."""
         predecessors = self.predecessors
-        reached = [False] * len(self.nodes)
+        reached = [False] * len(self._codes)
         for seed in seeds:
             reached[seed] = True
         stack = list(seeds)
@@ -164,6 +164,47 @@ class DenseReachabilityGraph:
             if self.always_eventually_stable(value):
                 return value
         return None
+
+
+def _pack(counts: Iterable[Tuple[int, int]], width: int) -> int:
+    """The code of ``(state index, count)`` pairs on fields of ``width`` bits;
+    a negative count subtracts from its field."""
+    code = 0
+    for index, count in counts:
+        code += count << (index * width)
+    return code
+
+
+def _explore(
+    root: int, steps: List[Tuple[int, int]], guards: int, max_nodes: Optional[int]
+) -> Optional[Tuple[List[int], List[List[int]]]]:
+    """Breadth-first search from ``root`` over ``(key, delta)`` steps: the
+    codes in discovery order and each node's predecessor ids, or ``None``
+    once a count outgrows its field."""
+    ids: Dict[int, int] = {root: 0}
+    codes: List[int] = [root]
+    predecessors: List[List[int]] = [[]]
+    known = ids.get
+    # Iterating a list that grows while it is walked is a FIFO queue.
+    for source, code in enumerate(codes):
+        for key, delta in steps:
+            if (code + key) & guards == guards:
+                target = code + delta
+                node = known(target)
+                if node is None:
+                    if target & guards:
+                        return None
+                    node = len(codes)
+                    if max_nodes is not None and node >= max_nodes:
+                        raise ExplorationLimitError(
+                            f"exploration exceeded {max_nodes} configurations"
+                        )
+                    ids[target] = node
+                    codes.append(target)
+                    predecessors.append([source])
+                else:
+                    predecessors[node].append(source)
+    return codes, predecessors
 
 
 def is_output_stable(

@@ -5,7 +5,8 @@ wrapper scripts can discover the bound port (``--port 0`` asks the OS for an
 ephemeral one), then serves until SIGTERM/SIGINT.  On a signal the server
 drains — running and queued jobs complete, new submissions get 503 — and the
 process exits 0 after printing a JSON drain summary with the final counters.
-Every setting is a flag; ``REPRO_TRACE`` / ``REPRO_TRACE_PATH`` (see
+A bad flag, a host that does not resolve or a port already in use prints one
+``error:`` line and exits 2.  Every setting is a flag; ``REPRO_TRACE`` / ``REPRO_TRACE_PATH`` (see
 :mod:`repro.config`) switch tracing on.
 """
 
@@ -46,8 +47,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _amain(server: SimulationServer) -> None:
-    await server.start()
+async def _amain(server: SimulationServer) -> int:
+    try:
+        await server.start()
+    except OSError as error:
+        # asyncio words a failed bind "error while attempting to bind on
+        # address ...: <reason>"; a positive errno names the reason alone.
+        errno = error.errno or 0
+        reason = os.strerror(errno) if errno > 0 else error.strerror or str(error)
+        print(
+            f"error: cannot listen on {server.host}:{server.requested_port}: {reason}",
+            file=sys.stderr,
+        )
+        return 2
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
         try:
@@ -74,6 +86,7 @@ async def _amain(server: SimulationServer) -> None:
         json.dumps({"drained": True, **server.metrics.as_dict()}),
         flush=True,
     )
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -95,10 +108,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     _obs_trace.tracer_from_env()
     try:
-        asyncio.run(_amain(server))
+        return asyncio.run(_amain(server))
     finally:
         _obs_trace.uninstall_tracer()
-    return 0
 
 
 if __name__ == "__main__":

@@ -261,7 +261,11 @@ class SimulationServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener, build the pool, and start the consumers."""
+        """Build the pool, bind the listener, and start the consumers.
+
+        A host that does not resolve or a port already in use raises
+        :class:`OSError`, with the executor and the pool released.
+        """
         if self._http_server is not None:
             raise RuntimeError("server already started")
         loop = asyncio.get_running_loop()
@@ -275,9 +279,14 @@ class SimulationServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.concurrency, thread_name_prefix="repro-serve-job"
         )
-        self._http_server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.requested_port
-        )
+        try:
+            self._http_server = await asyncio.start_server(
+                self._handle_connection, host=self.host, port=self.requested_port
+            )
+        except OSError:
+            # Nothing is listening yet: release the executor and the pool.
+            await self.shutdown()
+            raise
         sockets = self._http_server.sockets or []
         self.port = sockets[0].getsockname()[1] if sockets else self.requested_port
         self._consumers = [

@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from conftest import ENGINES
+from engines import ENGINES
 from repro.analytics import (
     AnalyticsSpec,
     EnsembleAnalytics,

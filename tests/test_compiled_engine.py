@@ -16,7 +16,7 @@ import re
 
 import pytest
 
-from conftest import ENGINES
+from engines import ENGINES
 from repro.core import Configuration, Protocol, Transition, from_counts
 from repro.core.petrinet import PetriNet
 from repro.core.protocol import OUTPUT_ONE, OUTPUT_UNDEFINED, OUTPUT_ZERO

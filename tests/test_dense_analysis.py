@@ -3,10 +3,10 @@
 * ``verify_input`` / ``stable_consensus_value`` / ``is_output_stable`` run on
   :class:`repro.core.semantics.DenseReachabilityGraph`.  On seeded random
   small protocols (conservative or not, with leaders, '*'-outputs and
-  isolated states) they must agree with the sparse
-  ``net.reachability_graph`` + ``always_eventually_stable`` path: same
-  ``computed``, same ``explored``, and ``ExplorationLimitError`` on exactly
-  the same ``max_nodes`` budgets.
+  isolated states), and on nets at the edges of its bit-field encoding,
+  they must agree with the sparse ``net.reachability_graph`` +
+  ``always_eventually_stable`` path: same ``computed``, same ``explored``,
+  and ``ExplorationLimitError`` on exactly the same ``max_nodes`` budgets.
 * ``backward_coverability`` and ``is_stabilized`` are membership tests
   against bases cached on the net.  They must equal a from-scratch backward
   fixpoint for every target tried and every set of forbidden states, and the
@@ -107,6 +107,64 @@ def _cases(count):
         yield index, conservative, protocol, inputs
 
 
+def _edge_protocol(name, output, *moves):
+    """A leaderless protocol whose transitions are the ``(pre, post)`` pairs
+    ``moves`` over the states of ``output``."""
+    net = PetriNet(
+        [Transition(pre, post, name=f"t{t}") for t, (pre, post) in enumerate(moves)],
+        states=list(output),
+        name=name,
+    )
+    return Protocol.from_petri_net(
+        net, leaders=Configuration({}), initial_states=list(output), output=output, name=name
+    )
+
+
+def _edge_cases():
+    """Cases at the edges of the dense graph's bit fields, shaped like
+    :func:`_cases` with a label for the index.  A field holds the largest of
+    the population, any pre count and any one-step gain, plus a guard bit:
+
+    * spawning nets whose counts outgrow that field, so the search restarts
+      on wider fields (``quadruple`` is finite, ``spawn`` is not);
+    * a pre-set that needs more agents than the population holds;
+    * populations of exactly 2^k - 1 and 2^k agents, which can all gather in
+      any one state, the last field included;
+    * a transition whose pre-set equals its post-set.
+    """
+    quadruple = _edge_protocol(
+        "quadruple", {"a": 0, "b": 1, "c": 1}, ({"a": 1}, {"b": 4}), ({"b": 1}, {"c": 4})
+    )
+    for agents in (1, 3):
+        yield f"quadruple-{agents}", False, quadruple, from_counts(a=agents)
+    spawn = _edge_protocol("spawn", {"a": 0, "b": 1}, ({"b": 1}, {"a": 1, "b": 1}))
+    yield "spawn", False, spawn, from_counts(b=1)
+    greedy = _edge_protocol(
+        "greedy", {"a": 0, "b": 1}, ({"a": 9}, {"a": 8, "b": 1}), ({"b": 1}, {"a": 1})
+    )
+    for a in range(8):
+        for b in range(8 - a):
+            yield f"greedy-{a}a{b}b", True, greedy, from_counts(a=a, b=b)
+    gather = _edge_protocol(
+        "gather",
+        {"a": 0, "b": 1, "c": 0},
+        ({"a": 1, "b": 1}, {"b": 2}),
+        ({"b": 1, "c": 1}, {"c": 2}),
+        ({"c": 1, "a": 1}, {"a": 2}),
+    )
+    for agents in (3, 4, 7, 8, 15, 16):
+        yield f"gather-{agents}", True, gather, from_counts(a=agents - 2, b=1, c=1)
+    idle = _edge_protocol(
+        "idle",
+        {"a": 1, "b": 0},
+        ({"a": 1, "b": 1}, {"a": 1, "b": 1}),
+        ({"a": 1, "b": 1}, {"b": 2}),
+        ({"b": 2}, {"a": 2}),
+    )
+    for agents in (0, 2, 5):
+        yield f"idle-{agents}", True, idle, from_counts(a=agents, b=1)
+
+
 def _sparse_verdict(protocol, inputs, max_nodes):
     """``(computed, explored)`` on the sparse reachability graph: the oracle."""
     root = protocol.initial_configuration(inputs)
@@ -131,7 +189,9 @@ def _dense_verdict(protocol, inputs, max_nodes):
 
 
 class TestDenseVerificationOracle:
-    @pytest.mark.parametrize("index, conservative, protocol, inputs", list(_cases(120)))
+    @pytest.mark.parametrize(
+        "index, conservative, protocol, inputs", list(_cases(120)) + list(_edge_cases())
+    )
     def test_verify_input_matches_sparse_graph(self, index, conservative, protocol, inputs):
         budget = None if conservative else BUDGET
         expected = _outcome(_sparse_verdict, protocol, inputs, budget)
@@ -139,7 +199,9 @@ class TestDenseVerificationOracle:
         computed = "limit" if expected == "limit" else expected[0]
         assert _outcome(stable_consensus_value, protocol, inputs, budget) == computed
 
-    @pytest.mark.parametrize("index, conservative, protocol, inputs", list(_cases(120)))
+    @pytest.mark.parametrize(
+        "index, conservative, protocol, inputs", list(_cases(120)) + list(_edge_cases())
+    )
     def test_same_exploration_budgets(self, index, conservative, protocol, inputs):
         if conservative:
             size = _sparse_verdict(protocol, inputs, None)[1]

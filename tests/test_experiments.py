@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import requires_native
+from engines import requires_native
 from repro.experiments import (
     ExperimentTable,
     experiment_e1_state_counts,

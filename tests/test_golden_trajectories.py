@@ -32,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ENGINES
+from engines import ENGINES
 from repro.analytics import AnalyticsSpec, extract_run_metrics
 from repro.simulation import Simulator
 from repro.sweep import SCHEDULERS, build_predicate_for, build_protocol_and_inputs

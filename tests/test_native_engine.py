@@ -46,7 +46,7 @@ from repro.simulation import simulator as simulator_module
 from repro.simulation.batch import WorkerPool, repetition_seeds, run_ensemble
 from repro.sweep.spec import build_protocol_and_inputs
 
-from conftest import requires_native
+from engines import requires_native
 from test_compiled_engine import _random_protocol, assert_same_result
 
 PAPER_PROTOCOLS = ("majority", "modulo", "succinct", "flock")

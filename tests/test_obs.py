@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from conftest import ENGINES
+from engines import ENGINES
 from repro.core import Configuration, from_counts
 from repro.obs import render
 from repro.obs import trace as obs_trace

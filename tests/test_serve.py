@@ -21,9 +21,12 @@ The load-bearing properties:
 * one ``ServeClient`` keeps one connection across threads, reconnects
   after the server closes it, and a drain with it open stays prompt,
 * the server's settings have fixed defaults and fail loudly on malformed
-  values, in the constructor and on the command line (exit 2).
+  values, in the constructor and on the command line (exit 2), and a
+  listener that cannot bind is one ``error:`` line and exit 2.
 """
 
+import asyncio
+import errno
 import json
 import os
 import select
@@ -405,6 +408,41 @@ class TestServeConfigKnobs:
 
         assert serve_main(["--backend", "process", "--port", "0", "--workers", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: max_workers")
+
+    def test_cli_exits_2_on_a_busy_port(self, capsys):
+        from repro.serve.__main__ import main as serve_main
+
+        with closing(socket.socket()) as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            assert serve_main(["--backend", "serial", "--port", str(port)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot listen on 127.0.0.1:{port}: {os.strerror(errno.EADDRINUSE)}\n"
+        )
+
+    def test_cli_exits_2_on_a_host_that_does_not_resolve(self, capsys, monkeypatch):
+        from repro.serve.__main__ import main as serve_main
+
+        async def unresolved(*args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(server_module.asyncio, "start_server", unresolved)
+        assert serve_main(["--backend", "serial", "--host", "nowhere.invalid"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot listen on nowhere.invalid:8765: Name or service not known\n"
+        )
+
+    def test_a_failed_bind_releases_the_executor_and_the_pool(self):
+        with closing(socket.socket()) as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            server = SimulationServer(
+                backend="process", max_workers=1, port=busy.getsockname()[1]
+            )
+            with pytest.raises(OSError):
+                asyncio.run(server.start())
+        assert server._executor is None and server._pool is None
 
 
 class TestResultCacheBounds:

@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import ENGINES
+from engines import ENGINES
 from repro.analytics.metrics import AnalyticsSpec
 from repro.core import Configuration, from_counts
 from repro.protocols import flock_of_birds_protocol, majority_protocol
