@@ -152,14 +152,12 @@ def firing_histogram(trajectory, num_transitions: int) -> Tuple[int, ...]:
 class AnalyticsSpec:
     """What to extract from each run, and against which expectation.
 
+    Every run yields its per-transition firing histogram and, by counter
+    replay, its ``time_to_first_consensus`` (``time_to_stable_consensus`` is
+    free — the result already carries it).
+
     Parameters
     ----------
-    histogram:
-        Record the per-transition firing histogram.
-    consensus_times:
-        Recover ``time_to_first_consensus`` by counter replay
-        (``time_to_stable_consensus`` is free — the result already carries
-        it).
     curve_checkpoints:
         Steps at which to sample the consensus-fraction curve (sorted unique
         non-negative ints; empty disables the curve).  Checkpoints beyond the
@@ -173,8 +171,6 @@ class AnalyticsSpec:
     them to worker processes unchanged.
     """
 
-    histogram: bool = True
-    consensus_times: bool = True
     curve_checkpoints: Tuple[int, ...] = ()
     expected_output: Optional[int] = None
 
@@ -215,10 +211,10 @@ def extract_run_metrics(
 ) -> Dict[str, object]:
     """Extract a compact metric dict from one simulation result.
 
-    The result must carry a recorded trajectory whenever the spec asks for a
-    path-derived quantity (histogram, first-consensus time, curve).  Returned
-    keys are always present, with ``None`` marking quantities that were
-    disabled or unrecoverable:
+    The result must carry a recorded trajectory: the histogram, the
+    first-consensus time and the curve are read from the path.  Returned
+    keys are always present, with ``None`` marking quantities that were not
+    asked for or are unrecoverable:
 
     ========================== ==============================================
     key                        value
@@ -229,12 +225,12 @@ def extract_run_metrics(
                                for unconverged runs)
     ``time_to_first_consensus``  first step *any* consensus held (0 when the
                                initial configuration already agrees; None
-                               when no consensus ever appeared, the replay
-                               was disabled, or the trajectory is truncated)
+                               when no consensus ever appeared or the
+                               trajectory is truncated)
     ``correct``                consensus == expected (None without an
                                expectation)
     ``trajectory_complete``    whether the full path survived the recording
-    ``histogram``              per-transition firing counts (tuple), or None
+    ``histogram``              per-transition firing counts (tuple)
     ``curve``                  ``((checkpoint, fraction), ...)`` consensus
                                fractions, or None (disabled / truncated /
                                unconverged run)
@@ -248,46 +244,34 @@ def extract_run_metrics(
     if spec is None:
         spec = AnalyticsSpec()
     trajectory = result.trajectory
-    needs_path = spec.histogram or spec.consensus_times or spec.curve_checkpoints
-    if needs_path and trajectory is None:
+    if trajectory is None:
         raise ValueError(
             "result carries no recorded trajectory; run with "
             "record_trajectory=True (or hand the spec to the batch layer's "
             "analytics= knob, which records internally)"
         )
-    complete = trajectory.is_complete if trajectory is not None else False
-
-    metrics: Dict[str, object] = {
+    complete = trajectory.is_complete
+    first: Optional[int] = None
+    curve: Optional[Tuple[Tuple[int, float], ...]] = None
+    if complete:
+        wants_curve = bool(spec.curve_checkpoints) and result.consensus is not None
+        first, curve, histogram = _replay_consensus(result, protocol, spec, wants_curve)
+    else:
+        histogram = firing_histogram(trajectory, protocol.petri_net.num_transitions)
+    return {
         "steps": result.steps,
         "consensus": result.consensus,
         "time_to_stable_consensus": result.consensus_step,
-        "time_to_first_consensus": None,
+        "time_to_first_consensus": first,
         "correct": (
             None
             if spec.expected_output is None
             else result.consensus == spec.expected_output
         ),
         "trajectory_complete": complete,
-        "histogram": None,
-        "curve": None,
+        "histogram": histogram,
+        "curve": curve,
     }
-
-    wants_curve = bool(spec.curve_checkpoints) and result.consensus is not None
-    if complete and (spec.consensus_times or wants_curve):
-        first, curve, histogram = _replay_consensus(
-            result, protocol, spec, wants_curve
-        )
-        if spec.consensus_times:
-            metrics["time_to_first_consensus"] = first
-        if wants_curve:
-            metrics["curve"] = curve
-        if spec.histogram:
-            metrics["histogram"] = histogram
-    elif spec.histogram:
-        metrics["histogram"] = firing_histogram(
-            trajectory, protocol.petri_net.num_transitions
-        )
-    return metrics
 
 
 #: Exact-scan chunk used by the block-skip replay when a consensus is within
@@ -303,13 +287,13 @@ def _replay_consensus(
 ) -> Tuple[
     Optional[int],
     Optional[Tuple[Tuple[int, float], ...]],
-    Optional[Tuple[int, ...]],
+    Tuple[int, ...],
 ]:
     """Replay the output-class counters along the trajectory.
 
     Returns ``(first_consensus_step, curve, histogram)``, the histogram as a
-    by-product (``None`` unless the spec asked for it): the replay counts
-    block occurrences anyway, so folding the histogram in here makes it free.
+    by-product: the replay counts block occurrences anyway, so folding the
+    histogram in here makes it free.
 
     Without a curve the replay runs in **block-skip** mode: while
     ``undef > 0`` no consensus can exist until ``undef`` reaches zero, and
@@ -377,11 +361,8 @@ def _replay_consensus(
                         first = position
                         break
 
-    histogram: Optional[Tuple[int, ...]] = None
-    if spec.histogram:
-        counter.update(fired[position:])  # bulk-count the unscanned suffix
-        histogram = _histogram_from_counter(counter, num_transitions)
-    return first, None, histogram
+    counter.update(fired[position:])  # bulk-count the unscanned suffix
+    return first, None, _histogram_from_counter(counter, num_transitions)
 
 
 def _replay_exact(
@@ -397,7 +378,7 @@ def _replay_exact(
 ) -> Tuple[
     Optional[int],
     Optional[Tuple[Tuple[int, float], ...]],
-    Optional[Tuple[int, ...]],
+    Tuple[int, ...],
 ]:
     """The per-step replay variant, sampling curve checkpoints exactly."""
     samples = []
@@ -424,10 +405,9 @@ def _replay_exact(
         samples.append((0, fraction()))
         pending += 1
 
-    histogram = [0] * num_transitions if spec.histogram else None
+    histogram = [0] * num_transitions
     for step, index in enumerate(fired, start=1):
-        if histogram is not None:
-            histogram[index] += 1
+        histogram[index] += 1
         d_one, d_zero, d_undef = deltas[index]
         if d_one or d_zero or d_undef:
             one += d_one
@@ -443,8 +423,4 @@ def _replay_exact(
     # configuration.
     for checkpoint in checkpoints[pending:]:
         samples.append((checkpoint, fraction()))
-    return (
-        first,
-        tuple(samples),
-        tuple(histogram) if histogram is not None else None,
-    )
+    return first, tuple(samples), tuple(histogram)

@@ -203,7 +203,10 @@ def _command_hist(args: argparse.Namespace) -> int:
         f"consensus={result.consensus} (step {result.consensus_step})"
     )
     if total == 0:
-        print("no transitions fired (the initial configuration is terminal)")
+        print(
+            "no transitions fired (the initial configuration is terminal)"
+            if result.terminated else "no transitions fired"
+        )
         return 0
     table = ExperimentTable(
         experiment_id="HIST",

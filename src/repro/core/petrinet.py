@@ -45,6 +45,7 @@ from .transition import Transition
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from ..simulation.compiled import CompiledNet
+    from .semantics import _PackedTables
 
 __all__ = [
     "PetriNet",
@@ -220,6 +221,9 @@ class PetriNet:
         # depend only on the net, so they live exactly as long as it does.
         self._basis_cache: Dict[Configuration, Tuple[Configuration, ...]] = {}
         self._union_basis_cache: Dict[FrozenSet[State], Tuple[Configuration, ...]] = {}
+        # The packing tables of repro.core.semantics.DenseReachabilityGraph,
+        # per (compiled net, output classes).
+        self._dense_cache: Dict[Tuple["CompiledNet", Tuple[int, ...]], "_PackedTables"] = {}
 
     # ------------------------------------------------------------------
     # Basic accessors and measures
@@ -276,16 +280,17 @@ class PetriNet:
         return f"{label}(|P|={self.num_states}, |T|={self.num_transitions}, width={self.width})"
 
     def __getstate__(self) -> Dict[str, object]:
-        """Drop the compiled-net and coverability-basis caches, so pickled
-        nets stay the size of their transitions.  The compiled cache holds
-        :class:`~repro.simulation.compiled.CompiledNet` tables, which pickle
-        (their own ``__getstate__`` drops their steppers) but are cheap to
-        rebuild.  Unpickled nets (e.g. in batch worker processes) recompute
-        on first use and re-cache locally."""
+        """Drop the compiled-net, coverability-basis and packing-table
+        caches, so pickled nets stay the size of their transitions.  The
+        compiled cache holds :class:`~repro.simulation.compiled.CompiledNet`
+        tables, which pickle (their own ``__getstate__`` drops their
+        steppers) but are cheap to rebuild.  Unpickled nets (e.g. in batch
+        worker processes) recompute on first use and re-cache locally."""
         state = self.__dict__.copy()
         state["_compiled_cache"] = {}
         state["_basis_cache"] = {}
         state["_union_basis_cache"] = {}
+        state["_dense_cache"] = {}
         return state
 
     # ------------------------------------------------------------------

@@ -31,12 +31,15 @@ This module computes these notions **exactly** on finite reachability graphs
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from .configuration import Configuration
 from .petrinet import ExplorationLimitError, ReachabilityGraph, breadth_first
 from .protocol import OUTPUT_ONE, OUTPUT_ZERO, Protocol
 from .transition import Transition
+
+if TYPE_CHECKING:
+    from ..simulation.compiled import CompiledNet
 
 __all__ = [
     "DenseReachabilityGraph",
@@ -80,23 +83,19 @@ class DenseReachabilityGraph:
     def __init__(
         self, protocol: Protocol, root: Configuration, max_nodes: Optional[int] = None
     ) -> None:
-        from ..simulation.compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO
-
         net = protocol.petri_net
         if net is None:
             raise ValueError("exact stability analysis requires a Petri-net based protocol")
         compiled = net.compiled(protocol.states | root.support)
-        classes = compiled.output_classes(protocol.output_table)
+        key = (compiled, compiled.output_classes(protocol.output_table))
+        tables = net._dense_cache.get(key)
+        if tables is None:
+            tables = net._dense_cache[key] = _PackedTables(*key)
         # The universe holds the root's support, so ``counts_of`` answers a list.
         counts = compiled.counts_of(root) or []
-        moves = [
-            (pre, delta) for pre, delta in zip(compiled.pre_lists, compiled.delta_lists) if delta
-        ]
-        largest = max([sum(counts)] + [count for pre, delta in moves for _, count in pre + delta])
-        width = largest.bit_length() + 1
+        width = max(sum(counts), tables.largest).bit_length() + 1
         while True:
-            guards = _pack([(i, 1 << (width - 1)) for i in range(len(counts))], width)
-            steps = [(guards - _pack(pre, width), _pack(delta, width)) for pre, delta in moves]
+            guards, steps, masks = tables.at(width)
             explored = _explore(_pack(enumerate(counts), width), steps, guards, max_nodes)
             if explored is not None:
                 break
@@ -104,13 +103,7 @@ class DenseReachabilityGraph:
         self._codes, self.predecessors = explored
         self._width = width
         self._num_states = len(counts)
-        # The fields of each output class; states outside the output table
-        # never influence the consensus.
-        field = (1 << (width - 1)) - 1
-        self._ones, self._zeros, self._undefined = (
-            _pack([(i, field) for i, kind in enumerate(classes) if kind == wanted], width)
-            for wanted in (OUT_ONE, OUT_ZERO, OUT_UNDEFINED)
-        )
+        self._ones, self._zeros, self._undefined = masks
 
     @property
     def nodes(self) -> List[Tuple[int, ...]]:
@@ -164,6 +157,46 @@ class DenseReachabilityGraph:
             if self.always_eventually_stable(value):
                 return value
         return None
+
+
+class _PackedTables:
+    """The packing tables of one compiled net and output classes, per field
+    width: the transitions that change a configuration, the largest pre
+    count or one-step gain, and for each width the guard word, every
+    transition's ``(key, delta)`` codes and the fields of each output class.
+    They depend on nothing else, so the net keeps them (``_dense_cache``)
+    for every root :class:`DenseReachabilityGraph` explores."""
+
+    def __init__(self, compiled: "CompiledNet", classes: Tuple[int, ...]) -> None:
+        self._moves = [
+            (pre, delta) for pre, delta in zip(compiled.pre_lists, compiled.delta_lists) if delta
+        ]
+        self.largest = max(
+            [0] + [count for pre, delta in self._moves for _, count in pre + delta]
+        )
+        self._classes = classes
+        self._by_width: Dict[int, Tuple[int, List[Tuple[int, int]], Tuple[int, int, int]]] = {}
+
+    def at(self, width: int) -> Tuple[int, List[Tuple[int, int]], Tuple[int, int, int]]:
+        """``(guards, steps, (ones, zeros, undefined))`` on fields of ``width`` bits."""
+        tables = self._by_width.get(width)
+        if tables is None:
+            from ..simulation.compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO
+
+            states = range(len(self._classes))
+            guards = _pack([(i, 1 << (width - 1)) for i in states], width)
+            steps = [
+                (guards - _pack(pre, width), _pack(delta, width)) for pre, delta in self._moves
+            ]
+            # The fields of each output class; states outside the output
+            # table never influence the consensus.
+            field = (1 << (width - 1)) - 1
+            ones, zeros, undefined = (
+                _pack([(i, field) for i in states if self._classes[i] == wanted], width)
+                for wanted in (OUT_ONE, OUT_ZERO, OUT_UNDEFINED)
+            )
+            tables = self._by_width[width] = (guards, steps, (ones, zeros, undefined))
+        return tables
 
 
 def _pack(counts: Iterable[Tuple[int, int]], width: int) -> int:

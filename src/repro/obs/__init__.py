@@ -1,18 +1,12 @@
-"""Unified observability: metrics registry and structured tracing.
+"""Observability: structured tracing and its analysis.
 
 The stack spans four layers — engines, worker pools, distributed sweep
-runners, and the :mod:`repro.serve` HTTP front — and before this package
-each grew its own blind spot: hand-rolled counter structs, silent heartbeat
-misses, hot loops with no timing at all, and no way to tie a served job to
-the pool dispatch and worker execution that produced it.  ``repro.obs`` is
-the one telemetry substrate they all share:
+runners, and the :mod:`repro.serve` HTTP front — and ``repro.obs`` is the
+one trace they all write to, so a served job or a sweep cell can be tied to
+the pool dispatch and worker execution that produced it.  (The only
+metrics exposition is each server's own ``/metrics``, kept by
+:class:`repro.serve.ServeMetrics`.)
 
-* :mod:`repro.obs.registry` — a process-wide **metrics registry**: counters,
-  gauges, and histograms with fixed deterministic bucket bounds, labeled
-  series, and Prometheus-style text exposition whose output is byte-stable
-  for a given state (``# HELP``/``# TYPE`` lines, lexicographic family and
-  label order).  The serve layer's ``/metrics`` endpoint and the sweep
-  runners' claim counters are rebased onto it.
 * :mod:`repro.obs.trace` — **structured tracing**: :func:`span` context
   managers emitting JSONL events (run, ensemble, sweep-cell, claim,
   serve-job spans with queue-wait vs execution breakdown) through the
@@ -30,18 +24,11 @@ the one telemetry substrate they all share:
   non-deterministic field stripped — byte-identical across serial and
   process backends for a fixed seed, the cross-backend determinism check).
 
-Nothing in this package feeds back into simulation state: tracing and
-metrics observe result objects and clocks, never RNG streams, so enabling
-them cannot change any computed value.
+Nothing in this package feeds back into simulation state: tracing
+observes result objects and clocks, never RNG streams, so enabling it
+cannot change any computed value.
 """
 
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
 from .trace import (
     Tracer,
     active_tracer,
@@ -55,15 +42,10 @@ from .trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Tracer",
     "active_tracer",
     "capture_events",
     "event",
-    "get_registry",
     "install_tracer",
     "span",
     "tracer_from_env",

@@ -199,8 +199,8 @@ class ServeClient:
         """``GET /metrics`` parsed into a ``{name: value}`` mapping.
 
         The payload is Prometheus text exposition: ``# HELP``/``# TYPE``
-        comment lines are skipped, and a labeled series keeps its label
-        suffix in the key (``repro_serve_jobs_total{status="done"}``).
+        comment lines are skipped, and a histogram bucket keeps its label
+        in the key (``repro_serve_job_exec_seconds_bucket{le="0.5"}``).
         """
         text = self._request("GET", "/metrics")
         parsed: Dict[str, float] = {}

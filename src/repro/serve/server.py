@@ -55,16 +55,17 @@ an ephemeral port for tests and the quickstart example.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import collections
 import contextvars
+import itertools
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from .. import config
 from ..obs import trace as _obs_trace
-from ..obs.registry import MetricsRegistry
 from ..simulation.batch import WorkerPool
 from ..sweep.executor import CellExecutor
 from .jobs import JobSpec, run_job
@@ -104,40 +105,128 @@ _REASONS = {
 }
 
 
-class ServeMetrics:
-    """The server's job counters, backed by a metrics registry.
+def _number(value: float) -> str:
+    """A sample value: integral numbers bare, other floats by ``repr``,
+    which round-trips, so equal values render to equal bytes."""
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
 
-    Each :class:`SimulationServer` owns a private
-    :class:`~repro.obs.registry.MetricsRegistry` (servers constructed in the
-    same process — tests, embedded replicas — must not share counters), and
-    these counters live in it as ``repro_serve_<name>`` families.  Mutation
-    goes through :meth:`inc` (only on the event loop); :meth:`as_dict`
-    reads every counter.
+
+#: Upper bounds (seconds) of the job-timing histograms' buckets: a fixed
+#: 1-2.5-5 ladder from 1 ms to 10 s that never adapts to the data, so two
+#: servers that observe the same values render the same buckets.
+_BUCKETS = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
+    1.0, 2.5, 5.0, 10.0,
+)
+#: The buckets' ``le`` labels, the last one for the bucket past every bound.
+_LE = [_number(bound) for bound in _BUCKETS] + ["+Inf"]
+
+#: The job counters, as ``(name, help)``: what :meth:`ServeMetrics.as_dict`
+#: reports.
+_JOB_COUNTERS = (
+    ("jobs_submitted", "Jobs accepted (cache hits, coalesced, queued)."),
+    ("jobs_completed", "Jobs that finished and entered the cache."),
+    ("jobs_failed", "Jobs whose execution raised."),
+    ("jobs_coalesced", "Submissions merged onto an in-flight job."),
+    ("rejected_backpressure", "Submissions refused with HTTP 429."),
+    ("rejected_draining", "Submissions refused while draining."),
+    ("cache_hits", "Submissions answered from the result cache."),
+    ("cache_misses", "Submissions that missed the result cache."),
+)
+
+#: Every ``/metrics`` family as ``(name, type, help)``, exposed as
+#: ``repro_serve_<name>``; sorting by name sorts by full name.  Gauges are
+#: the server's state, read at each scrape.
+_FAMILIES = sorted(
+    [(name, "counter", help_text) for name, help_text in _JOB_COUNTERS]
+    + [
+        ("connections_accepted", "counter",
+         "Client connections accepted by the listener."),
+        ("job_queue_wait_seconds", "histogram",
+         "Time a job spent queued before a consumer picked it up."),
+        ("job_exec_seconds", "histogram",
+         "Time a job spent executing (pool dispatch plus ensemble)."),
+        ("queue_depth", "gauge", "Jobs queued and waiting for a pool slot."),
+        ("jobs_inflight", "gauge", "Jobs currently executing."),
+        ("pool_utilization", "gauge", "Fraction of the concurrency cap in use."),
+        ("pool_workers", "gauge", "Worker processes in the backing pool."),
+        ("cache_entries", "gauge", "Results currently held in the LRU cache."),
+        ("cache_capacity", "gauge", "Configured LRU cache capacity."),
+        ("clients_tracked", "gauge", "Clients with at least one job in flight."),
+        ("connections_open", "gauge", "Client connections currently open."),
+        ("draining", "gauge", "1 while the server is draining, else 0."),
+    ]
+)
+
+
+class ServeMetrics:
+    """The server's counters and job-timing histograms, and their exposition.
+
+    Each :class:`SimulationServer` owns one, so servers in one process
+    (tests, embedded replicas) never share counts.  Updates (:meth:`inc`,
+    :meth:`observe`) run on the event loop, but scrapes may come from other
+    threads, so updates and :meth:`render` hold one lock and a scrape is
+    never torn.
     """
 
-    _COUNTER_HELP = (
-        ("jobs_submitted", "Jobs accepted (cache hits, coalesced, queued)."),
-        ("jobs_completed", "Jobs that finished and entered the cache."),
-        ("jobs_failed", "Jobs whose execution raised."),
-        ("jobs_coalesced", "Submissions merged onto an in-flight job."),
-        ("rejected_backpressure", "Submissions refused with HTTP 429."),
-        ("rejected_draining", "Submissions refused while draining."),
-        ("cache_hits", "Submissions answered from the result cache."),
-        ("cache_misses", "Submissions that missed the result cache."),
-    )
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter(f"repro_serve_{name}", help_text)
-            for name, help_text in self._COUNTER_HELP
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: Counter totals and per-bucket histogram counts (the last bucket
+        #: past every bound) by family name, None until the first update: a
+        #: family never updated renders only its header lines, and an
+        #: unknown name raises :class:`KeyError`.
+        self._counts: Dict[str, Optional[int]] = {
+            name: None for name, kind, _ in _FAMILIES if kind == "counter"
         }
+        self._buckets: Dict[str, Optional[List[int]]] = {
+            name: None for name, kind, _ in _FAMILIES if kind == "histogram"
+        }
+        self._sums: Dict[str, float] = {}
 
     def inc(self, name: str, amount: int = 1) -> None:
-        self._counters[name].inc(amount)
+        """Add ``amount`` to the counter ``repro_serve_<name>``."""
+        with self._lock:
+            self._counts[name] = (self._counts[name] or 0) + amount
+
+    def observe(self, name: str, seconds: float) -> None:
+        """Count one observation in the histogram ``repro_serve_<name>``."""
+        with self._lock:
+            buckets = self._buckets[name]
+            if buckets is None:
+                buckets = self._buckets[name] = [0] * (len(_BUCKETS) + 1)
+            buckets[bisect.bisect_left(_BUCKETS, seconds)] += 1
+            self._sums[name] = self._sums.get(name, 0.0) + seconds
 
     def as_dict(self) -> Dict[str, int]:
-        return {name: counter.value() for name, counter in self._counters.items()}
+        """The job counters, 0 for one never updated."""
+        with self._lock:
+            return {name: self._counts[name] or 0 for name, _ in _JOB_COUNTERS}
+
+    def render(self, gauges: Mapping[str, float]) -> str:
+        """Prometheus text exposition, with ``gauges`` the gauges' values.
+
+        Families come sorted by full name, each led by its ``# HELP`` and
+        ``# TYPE`` lines, so equal state renders to equal bytes.
+        """
+        lines: List[str] = []
+        with self._lock:
+            for name, kind, help_text in _FAMILIES:
+                full = f"repro_serve_{name}"
+                lines += [f"# HELP {full} {help_text}", f"# TYPE {full} {kind}"]
+                value = gauges[name] if kind == "gauge" else self._counts.get(name)
+                buckets = self._buckets.get(name)
+                if value is not None:
+                    lines.append(f"{full} {_number(value)}")
+                elif buckets is not None:
+                    lines += [
+                        f'{full}_bucket{{le="{le}"}} {total}'
+                        for le, total in zip(_LE, itertools.accumulate(buckets))
+                    ]
+                    lines.append(f"{full}_sum {_number(self._sums[name])}")
+                    lines.append(f"{full}_count {sum(buckets)}")
+        return "\n".join(lines) + "\n"
 
 
 class _BadRequest(Exception):
@@ -222,18 +311,6 @@ class SimulationServer:
 
         self.port: Optional[int] = None
         self.metrics = ServeMetrics()
-        self._queue_wait = self.metrics.registry.histogram(
-            "repro_serve_job_queue_wait_seconds",
-            "Time a job spent queued before a consumer picked it up.",
-        )
-        self._exec_seconds = self.metrics.registry.histogram(
-            "repro_serve_job_exec_seconds",
-            "Time a job spent executing (pool dispatch plus ensemble).",
-        )
-        self._connections_accepted = self.metrics.registry.counter(
-            "repro_serve_connections_accepted",
-            "Client connections accepted by the listener.",
-        )
         self._pool: Optional[WorkerPool] = None
         self._cells: Optional[CellExecutor] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -370,7 +447,7 @@ class SimulationServer:
         self._running += 1
         assert self._cells is not None
         queue_wait = config.monotonic_time() - job.submitted_at
-        self._queue_wait.observe(queue_wait)
+        self.metrics.observe("job_queue_wait_seconds", queue_wait)
         with _obs_trace.span(
             "serve-job", kind="serve-job", job=job.key, queue_wait=queue_wait
         ) as job_span:
@@ -400,7 +477,7 @@ class SimulationServer:
                 self.metrics.inc("jobs_completed")
             finally:
                 exec_seconds = config.monotonic_time() - exec_t0
-                self._exec_seconds.observe(exec_seconds)
+                self.metrics.observe("job_exec_seconds", exec_seconds)
                 job_span.set(exec_seconds=exec_seconds)
                 self._running -= 1
                 self._active.pop(job.key, None)
@@ -485,29 +562,16 @@ class SimulationServer:
             return 200, {"job": key, "status": "error", "error": error}
         return 404, {"error": f"unknown job {key!r}"}
 
-    _GAUGE_HELP = (
-        ("queue_depth", "Jobs queued and waiting for a pool slot."),
-        ("jobs_inflight", "Jobs currently executing."),
-        ("pool_utilization", "Fraction of the concurrency cap in use."),
-        ("pool_workers", "Worker processes in the backing pool."),
-        ("cache_entries", "Results currently held in the LRU cache."),
-        ("cache_capacity", "Configured LRU cache capacity."),
-        ("clients_tracked", "Clients with at least one job in flight."),
-        ("connections_open", "Client connections currently open."),
-        ("draining", "1 while the server is draining, else 0."),
-    )
-
     def metrics_text(self) -> str:
         """The ``/metrics`` payload in Prometheus text exposition format.
 
-        Point-in-time state is refreshed into registry gauges on every
-        scrape; counters and histograms accumulate at their call sites.
+        The gauges are read from the server's state on every scrape;
+        counters and histograms accumulate at their call sites.
         Deliberately excludes anything clock-derived (no uptime), so two
         scrapes of an idle server are byte-identical — a property the
         regression tests pin.
         """
-        registry = self.metrics.registry
-        values = {
+        return self.metrics.render({
             "queue_depth": len(self._pending),
             "jobs_inflight": self._running,
             "pool_utilization": round(self._running / self.concurrency, 3),
@@ -519,10 +583,7 @@ class SimulationServer:
             "clients_tracked": len(self._clients),
             "connections_open": len(self._connections),
             "draining": int(self._draining),
-        }
-        for name, help_text in self._GAUGE_HELP:
-            registry.gauge(f"repro_serve_{name}", help_text).set(values[name])
-        return registry.render()
+        })
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -560,7 +621,7 @@ class SimulationServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Serve one connection's requests in order until it closes."""
-        self._connections_accepted.inc()
+        self.metrics.inc("connections_accepted")
         handler = asyncio.current_task()
         peer = writer.get_extra_info("peername")
         peer_client = str(peer[0]) if isinstance(peer, tuple) and peer else "unknown"

@@ -58,7 +58,7 @@ from ..core.configuration import Configuration
 from ..core.protocol import Protocol
 from ..obs import trace as _obs_trace
 from .scheduler import Scheduler
-from .simulator import SimulationResult, Simulator
+from .simulator import SimulationResult, Simulator, _recording_capacity
 from .trajectory import DEFAULT_TRAJECTORY_CAPACITY
 
 __all__ = [
@@ -618,8 +618,9 @@ class WorkerPool:
     @staticmethod
     def _prepare(ensemble: Ensemble) -> Tuple[Configuration, List[int], bytes]:
         """Validate an ensemble here; returns its configuration, seeds and spec."""
-        if ensemble.record_trajectory and ensemble.trajectory_capacity < 1:
-            raise ValueError("trajectory_capacity must be at least 1")
+        _recording_capacity(
+            ensemble.record_trajectory, ensemble.trajectory_capacity, ensemble.max_steps
+        )
         _validate_analytics(ensemble.analytics, process_backend=True)
         seeds = list(ensemble.seeds)
         configuration = ensemble.protocol.initial_configuration(ensemble.inputs)

@@ -110,8 +110,13 @@ def _recording_capacity(
 
     Analytics needs the complete path, and a run fires at most ``max_steps``
     transitions.  A deque grows with the steps actually fired, so a large
-    capacity or budget costs nothing until a run uses it.
+    capacity or budget costs nothing until a run uses it.  Every run path
+    comes here first, so this is where a negative step budget (which each
+    engine would run differently) or a recording capacity below 1 is
+    refused.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     if record_trajectory and trajectory_capacity < 1:
         raise ValueError("trajectory_capacity must be at least 1")
     capacity = trajectory_capacity if record_trajectory else 0

@@ -136,8 +136,6 @@ class CellExecutor:
             from ..analytics.metrics import AnalyticsSpec
 
             return AnalyticsSpec(
-                histogram=True,
-                consensus_times=True,
                 expected_output=(
                     None if predicate is None else predicate.evaluate(inputs)
                 ),

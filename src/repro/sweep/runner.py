@@ -45,7 +45,6 @@ from typing import Callable, Counter as CounterType, Dict, List, Optional, Set
 
 from ..config import monotonic_time
 from ..obs import trace as _obs_trace
-from ..obs.registry import get_registry
 from ..simulation.batch import EnsembleOutcome, WorkerPool, repetition_seeds
 from ..simulation.simulator import SimulationResult
 from ..simulation.statistics import (
@@ -199,10 +198,10 @@ class _HeartbeatPump:
     Lease trouble is never silent: a beat that lands late (more than two
     intervals since the previous one — a starved thread or a blocked store),
     a gap that eats into the final beat of the lease window, and a beat
-    whose claim is already gone each emit a structured ``warning`` event
-    through :mod:`repro.obs.trace` and bump the
-    ``repro_sweep_heartbeat_warnings_total{reason=...}`` counter; the
-    reasons are also kept on :attr:`warnings`.
+    whose claim is already gone each emit a ``heartbeat-<reason>``
+    ``warning`` event through :mod:`repro.obs.trace` (``python -m repro.obs
+    summary`` counts them under point events), and the reasons are kept on
+    :attr:`warnings`.
     """
 
     def __init__(self, store: SqliteResultStore, interval: float):
@@ -215,11 +214,6 @@ class _HeartbeatPump:
         self.claim_alive = True
         self.lost: Set[str] = set()
         self.warnings: List[str] = []
-        self._warn_counter = get_registry().counter(
-            "repro_sweep_heartbeat_warnings_total",
-            "Heartbeat-pump lease warnings by reason.",
-            labelnames=("reason",),
-        )
         self._thread = threading.Thread(target=self._beat, daemon=True)
 
     def __enter__(self) -> "_HeartbeatPump":
@@ -246,7 +240,6 @@ class _HeartbeatPump:
 
     def _warn(self, reason: str, claim: Claim, **attrs: object) -> None:
         self.warnings.append(reason)
-        self._warn_counter.inc(reason=reason)
         _obs_trace.event(
             f"heartbeat-{reason}",
             kind="warning",
@@ -550,13 +543,6 @@ class SweepRunner:
         batch_cells = self._batch_cells(pool, cell_timeout)
         if heartbeat_interval is None:
             heartbeat_interval = self.store.lease_seconds / 3.0
-        # The registry mirror of the loop's counters: cumulative across
-        # claim loops in the process, scrapeable while the loop runs.
-        claim_counter = get_registry().counter(
-            "repro_sweep_claims_total",
-            "Claim outcomes processed by the sweep claim loop.",
-            labelnames=("outcome",),
-        )
         record = self.store._park_claim if single_owner else self.store.fail_claim
         try:
             with _HeartbeatPump(self.store, heartbeat_interval) as pump:
@@ -628,9 +614,6 @@ class SweepRunner:
                             first_failure = first_failure or error
                             fate = record(claim, str(error))
                             tally[fate] += 1
-                            claim_counter.inc(
-                                outcome="retried" if fate == "retry" else fate
-                            )
                             if progress is not None:
                                 progress(
                                     f"{prefix} FAILED ({_lost(fate, alive)}): "
@@ -639,7 +622,6 @@ class SweepRunner:
                             continue
                         won = next(committed)
                         tally["executed" if won else "lost"] += 1
-                        claim_counter.inc(outcome="executed" if won else "lost")
                         if progress is not None:
                             progress(
                                 f"{prefix} "

@@ -739,6 +739,29 @@ class TestAnalyticsCli:
         assert "firing histogram" in output
         assert "convert_a" in output
 
+    def test_hist_calls_only_a_terminal_configuration_terminal(self, capsys):
+        # A zero budget fires nothing from a configuration that is not
+        # terminal; a lone majority agent has no transition to fire.
+        assert analytics_main([
+            "hist", "--protocol", "majority", "--population", "10",
+            "--max-steps", "0",
+        ]) == 0
+        output = capsys.readouterr().out
+        assert "no transitions fired\n" in output
+        assert "terminal" not in output
+        assert analytics_main(["hist", "--protocol", "majority", "--population", "1"]) == 0
+        assert (
+            "no transitions fired (the initial configuration is terminal)"
+            in capsys.readouterr().out
+        )
+
+    def test_diff_rejects_a_negative_budget(self, capsys):
+        assert analytics_main([
+            "diff", "--protocol", "majority", "--population", "10",
+            "--engine", "reference", "--vs-engine", "compiled", "--max-steps", "-5",
+        ]) == 2
+        assert "max_steps must be non-negative" in capsys.readouterr().err
+
     def test_diff_engines_identical_exit_zero(self, capsys):
         assert analytics_main([
             "diff", "--protocol", "majority", "--population", "13",

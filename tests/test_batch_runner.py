@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from engines import ENGINES
 from repro.core import Configuration, from_counts
 from repro.protocols import flock_of_birds_protocol, majority_protocol
 from repro.simulation import (
@@ -217,6 +218,29 @@ class TestWorkerCountEdgeCases:
                     max_workers=2 if backend == "process" else None,
                     record_trajectory=True, trajectory_capacity=0,
                 )
+
+
+class TestStepBudget:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_run_path_rejects_a_negative_budget(self, engine):
+        # Each engine used to run max_steps=-5 its own way: the reference
+        # engine reported steps=-5, the dense ones steps=0.
+        protocol = majority_protocol()
+        inputs = _majority_inputs(10)
+        simulator = Simulator(protocol, seed=0, engine=engine)
+        state = simulator.rng.getstate()
+        with pytest.raises(ValueError, match="max_steps"):
+            simulator.run(inputs, max_steps=-5)
+        with pytest.raises(ValueError, match="max_steps"):
+            simulator.run_many(inputs, repetitions=3, max_steps=-5)
+        assert simulator.rng.getstate() == state
+        with WorkerPool(max_workers=1) as pool:
+            with pytest.raises(ValueError, match="max_steps"):
+                pool.run_seeds(protocol, inputs, [1, 2], engine=engine, max_steps=-5)
+        # A zero budget stays allowed and fires nothing on every engine.
+        result = simulator.run(inputs, max_steps=0)
+        assert result.steps == 0 and not result.terminated
+        assert [r.steps for r in simulator.run_many(inputs, 2, max_steps=0)] == [0, 0]
 
 
 class TestReproducibility:

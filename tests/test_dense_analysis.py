@@ -263,6 +263,91 @@ class TestDenseVerificationOracle:
             graph.consensus(OUTPUT_UNDEFINED)
 
 
+def _gather_protocol(output):
+    """A conservative protocol where any agent can recruit the next state's."""
+    return _edge_protocol(
+        "gather",
+        output,
+        ({"a": 1, "b": 1}, {"b": 2}),
+        ({"b": 1, "c": 1}, {"c": 2}),
+        ({"c": 1, "a": 1}, {"a": 2}),
+    )
+
+
+def _graph_facts(protocol, inputs):
+    """Nodes in order, stable value and consensus lists of the dense graph."""
+    graph = DenseReachabilityGraph(protocol, protocol.initial_configuration(inputs))
+    return (
+        graph.nodes,
+        graph.stable_value(),
+        graph.consensus(OUTPUT_ONE),
+        graph.consensus(OUTPUT_ZERO),
+    )
+
+
+def _consensus_from_protocol(protocol, inputs, value):
+    """Per dense node, ``protocol.has_consensus``: the sparse reading."""
+    root = protocol.initial_configuration(inputs)
+    compiled = protocol.petri_net.compiled(protocol.states)
+    return [
+        protocol.has_consensus(compiled.configuration_of(list(node)), value)
+        for node in DenseReachabilityGraph(protocol, root).nodes
+    ]
+
+
+class TestPackedTablesCache:
+    """The packing tables are built once per net, compiled universe and
+    output classes, and kept on the net."""
+
+    @pytest.mark.parametrize("order", [(7, 8), (8, 7)])
+    def test_warm_tables_across_a_width_boundary(self, order):
+        # 7 agents fit 3 count bits, 8 need 4: the second population reuses
+        # the net's tables, built on the other width.
+        output = {"a": 0, "b": 1, "c": 0}
+        warm = _gather_protocol(output)
+        for agents in order:
+            inputs = from_counts(a=agents - 2, b=1, c=1)
+            assert _dense_verdict(warm, inputs, None) == _sparse_verdict(warm, inputs, None)
+            cold = _gather_protocol(output)
+            assert _graph_facts(warm, inputs) == _graph_facts(cold, inputs)
+        assert len(warm.petri_net._dense_cache) == 1
+
+    def test_swapped_outputs_on_one_net_do_not_share_tables(self):
+        net = _gather_protocol({"a": 0, "b": 1, "c": 0}).petri_net
+        protocols = [
+            Protocol.from_petri_net(
+                net, leaders=Configuration({}), initial_states=["a", "b", "c"], output=output
+            )
+            for output in ({"a": 0, "b": 1, "c": 1}, {"a": 1, "b": 0, "c": 0})
+        ]
+        for agents in (3, 4, 5):
+            inputs = from_counts(a=agents - 2, b=1, c=1)
+            for protocol in protocols:
+                assert _dense_verdict(protocol, inputs, None) == _sparse_verdict(
+                    protocol, inputs, None
+                )
+                for value in (OUTPUT_ONE, OUTPUT_ZERO):
+                    graph = DenseReachabilityGraph(
+                        protocol, protocol.initial_configuration(inputs)
+                    )
+                    assert graph.consensus(value) == _consensus_from_protocol(
+                        protocol, inputs, value
+                    )
+        assert len(net._dense_cache) == 2
+
+    def test_pickles_do_not_grow(self):
+        protocol = _gather_protocol({"a": 0, "b": 1, "c": 0})
+        net = protocol.petri_net
+        size = len(pickle.dumps(net))
+        inputs = from_counts(a=3, b=1, c=1)
+        verdict = verify_input(protocol, inputs, OUTPUT_ONE)
+        assert net._dense_cache
+        assert len(pickle.dumps(net)) == size
+        assert pickle.loads(pickle.dumps(net))._dense_cache == {}
+        clone = pickle.loads(pickle.dumps(protocol))
+        assert verify_input(clone, inputs, OUTPUT_ONE) == verdict
+
+
 def _scratch_basis(net, target):
     """The minimal coverability basis of ``target`` by a naive backward
     fixpoint: every round expands every element, until nothing new appears."""

@@ -80,9 +80,9 @@ def _golden_paths():
 
 
 def _analytics_spec(case, inputs):
-    """The fixed extraction spec of a case: everything on, checkpoints
-    derived from the step budget, correctness scored against the registered
-    predicate — so the goldens also pin the analytics subsystem."""
+    """The fixed extraction spec of a case: checkpoints derived from the
+    step budget, correctness scored against the registered predicate — so
+    the goldens also pin the analytics subsystem."""
     budget = case["max_steps"]
     checkpoints = tuple(
         sorted({0, budget // 8, budget // 4, budget // 2, budget})
@@ -92,8 +92,6 @@ def _analytics_spec(case, inputs):
     )
     expected = None if predicate is None else predicate.evaluate(inputs)
     return AnalyticsSpec(
-        histogram=True,
-        consensus_times=True,
         curve_checkpoints=checkpoints,
         expected_output=expected,
     )

@@ -2,10 +2,9 @@
 
 The load-bearing properties:
 
-* the metrics registry renders deterministic Prometheus text exposition —
-  stable sort, ``# HELP``/``# TYPE`` headers, integers bare — and survives
-  threaded hammering without losing updates or corrupting a concurrent
-  scrape,
+* the server's ``/metrics`` text is byte-identical to a golden file after
+  a scripted sequence of updates, and survives threaded hammering without
+  losing updates or tearing a concurrent scrape,
 * spans nest by call stack, ship across process boundaries via
   capture/adopt with ids remapped and top-level spans re-parented,
 * the canonical rendering of a traced ensemble is **byte-identical**
@@ -20,8 +19,10 @@ The load-bearing properties:
 
 import itertools
 import json
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,15 +31,16 @@ from repro.core import Configuration, from_counts
 from repro.obs import render
 from repro.obs import trace as obs_trace
 from repro.obs.__main__ import main as obs_main
-from repro.obs.registry import MetricsRegistry, get_registry
 from repro.protocols import majority_protocol
-from repro.serve.server import SimulationServer
+from repro.serve.server import ServeMetrics, SimulationServer
 from repro.simulation import Simulator
 from repro.sweep import SqliteResultStore, SweepRunner, SweepSpec
 from repro.sweep import runner as sweep_runner
 from repro.sweep.runner import _HeartbeatPump
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(autouse=True)
@@ -54,124 +56,109 @@ def _install_file_tracer(path):
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry
+# The server's metrics
 # ---------------------------------------------------------------------------
 
 
-class TestMetricsRegistry:
-    def test_counter_accumulates_and_rejects_negative(self):
-        registry = MetricsRegistry()
-        jobs = registry.counter("repro_test_jobs_total", "Jobs.")
-        jobs.inc()
-        jobs.inc(4)
-        assert jobs.value() == 5
-        with pytest.raises(ValueError, match="only go up"):
-            jobs.inc(-1)
+class TestServeMetrics:
+    def test_exposition_matches_the_golden_file(self):
+        # A fresh scrape, then counter increments (one counter twice),
+        # queue waits on a bucket bound and past the last bound, one
+        # execution time, two connections, and a second scrape.
+        server = SimulationServer(backend="serial")
+        first = server.metrics_text()
+        for name in ("jobs_submitted", "cache_misses", "jobs_submitted",
+                     "jobs_completed", "cache_hits"):
+            server.metrics.inc(name)
+        for seconds in (0.0004, 0.0025, 0.3, 12.5):
+            server.metrics.observe("job_queue_wait_seconds", seconds)
+        server.metrics.observe("job_exec_seconds", 0.0421)
+        server.metrics.inc("connections_accepted")
+        server.metrics.inc("connections_accepted")
+        second = server.metrics_text()
+        golden = (GOLDEN / "serve_metrics.txt").read_bytes()
+        assert (first + second).encode() == golden
 
-    def test_labeled_series_are_independent(self):
-        registry = MetricsRegistry()
-        claims = registry.counter(
-            "repro_test_claims_total", "Claims.", labelnames=("outcome",)
-        )
-        claims.inc(outcome="executed")
-        claims.inc(2, outcome="lost")
-        assert claims.value(outcome="executed") == 1
-        assert claims.value(outcome="lost") == 2
-        assert claims.value(outcome="parked") == 0
-
-    def test_gauge_set_inc_dec(self):
-        registry = MetricsRegistry()
-        depth = registry.gauge("repro_test_depth", "Queue depth.")
-        depth.set(7)
-        depth.inc(2)
-        depth.dec()
-        assert depth.value() == 8
+    def test_an_unknown_family_name_raises(self):
+        metrics = ServeMetrics()
+        with pytest.raises(KeyError):
+            metrics.inc("jobs_total")
+        with pytest.raises(KeyError):
+            metrics.observe("jobs_submitted", 0.1)
 
     def test_histogram_buckets_are_cumulative_with_inf(self):
-        registry = MetricsRegistry()
-        lat = registry.histogram(
-            "repro_test_latency_seconds", "Latency.", buckets=(0.1, 1.0)
-        )
-        for value in (0.05, 0.5, 5.0):
-            lat.observe(value)
-        text = registry.render()
-        assert 'repro_test_latency_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_test_latency_seconds_bucket{le="1"} 2' in text
-        assert 'repro_test_latency_seconds_bucket{le="+Inf"} 3' in text
-        assert "repro_test_latency_seconds_count 3" in text
-        assert "repro_test_latency_seconds_sum 5.55" in text
-
-    def test_get_or_create_returns_same_family_and_rejects_mismatch(self):
-        registry = MetricsRegistry()
-        first = registry.counter("repro_test_total", "Help.")
-        assert registry.counter("repro_test_total", "Help.") is first
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("repro_test_total", "Help.")
-        with pytest.raises(ValueError, match="label"):
-            registry.counter("repro_test_total", "Help.", labelnames=("x",))
-
-    def test_render_is_sorted_self_describing_and_deterministic(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_z_total", "Last.").inc()
-        registry.gauge("repro_a_value", "First.").set(3)
-        text = registry.render()
-        assert text == registry.render()  # no mutation -> byte-identical
-        assert "# HELP repro_a_value First." in text
-        assert "# TYPE repro_a_value gauge" in text
-        assert "# TYPE repro_z_total counter" in text
-        assert text.index("repro_a_value") < text.index("repro_z_total")
-        # Integers render bare (no trailing .0) for byte-stability.
-        assert "repro_a_value 3\n" in text
+        server = SimulationServer(backend="serial")
+        for value in (0.05, 0.5, 50.0):
+            server.metrics.observe("job_exec_seconds", value)
+        text = server.metrics_text()
+        assert 'repro_serve_job_exec_seconds_bucket{le="0.05"} 1' in text
+        assert 'repro_serve_job_exec_seconds_bucket{le="0.5"} 2' in text
+        assert 'repro_serve_job_exec_seconds_bucket{le="10"} 2' in text
+        assert 'repro_serve_job_exec_seconds_bucket{le="+Inf"} 3' in text
+        assert "repro_serve_job_exec_seconds_count 3" in text
+        assert "repro_serve_job_exec_seconds_sum 50.55" in text
 
     def test_threaded_increments_lose_no_updates(self):
-        # Satellite: the registry is hammered from pool callback threads and
-        # the heartbeat pump; dropped updates would silently skew metrics.
-        registry = MetricsRegistry()
-        counter = registry.counter(
-            "repro_test_hammer_total", "Hammered.", labelnames=("lane",)
-        )
-        hist = registry.histogram("repro_test_hammer_seconds", "Hammered.")
-        threads, per_thread, scrapes = 8, 2000, []
+        # Updates run on the event loop while scrapes come from other
+        # threads; dropped updates would silently skew the metrics.  A short
+        # switch interval makes a read-modify-write without the lock lose
+        # updates.
+        server = SimulationServer(backend="serial")
+        threads, per_thread, scrapes = 4, 100000, []
 
-        def hammer(lane):
+        def count():
             for _ in range(per_thread):
-                counter.inc(lane=lane)
-                hist.observe(0.01)
+                server.metrics.inc("jobs_submitted")
+
+        def observe():
+            for _ in range(per_thread):
+                server.metrics.observe("job_exec_seconds", 0.01)
 
         def scrape():
             for _ in range(50):
-                scrapes.append(registry.render())
+                scrapes.append(server.metrics_text())
 
         workers = [
-            threading.Thread(target=hammer, args=(f"lane{i % 2}",))
-            for i in range(threads)
-        ] + [threading.Thread(target=scrape)]
-        for thread in workers:
-            thread.start()
-        for thread in workers:
-            thread.join()
-        assert counter.value(lane="lane0") == 4 * per_thread
-        assert counter.value(lane="lane1") == 4 * per_thread
-        count, total = hist.snapshot()
-        assert count == threads * per_thread
-        assert total == pytest.approx(threads * per_thread * 0.01)
+            threading.Thread(target=target)
+            for target in [count] * threads + [observe] * threads + [scrape]
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert server.metrics.as_dict()["jobs_submitted"] == threads * per_thread
+        samples = _samples(server.metrics_text())
+        assert samples["repro_serve_job_exec_seconds_count"] == threads * per_thread
+        assert samples["repro_serve_job_exec_seconds_sum"] == pytest.approx(
+            threads * per_thread * 0.01
+        )
         # A concurrent scrape may be stale but never torn: every sample line
-        # must parse, and bucket counts must stay cumulative.
+        # parses, and the histogram's last bucket holds its whole count.
         for text in scrapes:
-            for line in text.splitlines():
-                if line.startswith("#") or not line:
-                    continue
-                name, _, value = line.rpartition(" ")
-                assert name
-                float(value)
+            samples = _samples(text)
+            if "repro_serve_job_exec_seconds_count" in samples:
+                assert (
+                    samples['repro_serve_job_exec_seconds_bucket{le="+Inf"}']
+                    == samples["repro_serve_job_exec_seconds_count"]
+                )
 
-    def test_sample_values_flattens_counters_and_gauges(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_test_total", "T.", labelnames=("k",)).inc(k="a")
-        registry.gauge("repro_test_depth", "D.").set(2)
-        values = registry.sample_values()
-        assert values['repro_test_total{k="a"}'] == 1
-        assert values["repro_test_depth"] == 2
+
+def _samples(text):
+    """``{sample: value}`` of a ``/metrics`` text; comment lines skipped."""
+    samples = {}
+    for line in text.splitlines():
+        if line.startswith("#") or not line:
+            continue
+        name, _, value = line.rpartition(" ")
+        assert name
+        samples[name] = float(value)
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +384,7 @@ def _pump_until_lost(store, claim, timeout=5.0):
 
 
 class TestSweepIntegration:
-    def test_sweep_cell_span_tree_and_claim_counters(self, tmp_path):
+    def test_sweep_cell_span_tree(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         _install_file_tracer(path)
         try:
@@ -439,11 +426,6 @@ class TestSweepIntegration:
                 return False
 
         claim = type("Claim", (), {"cell": "c1", "owner": "w1"})()
-        before = get_registry().counter(
-            "repro_sweep_heartbeat_warnings_total",
-            "Heartbeat-pump lease warnings by reason.",
-            labelnames=("reason",),
-        ).value(reason="lost")
         with obs_trace.capture_events() as events:
             pump = _pump_until_lost(_LostStore(), claim)
         assert pump.claim_alive is False
@@ -451,12 +433,6 @@ class TestSweepIntegration:
         warning = next(e for e in events if e.get("kind") == "warning")
         assert warning["name"] == "heartbeat-lost"
         assert warning["attrs"]["cell"] == "c1"
-        after = get_registry().counter(
-            "repro_sweep_heartbeat_warnings_total",
-            "Heartbeat-pump lease warnings by reason.",
-            labelnames=("reason",),
-        ).value(reason="lost")
-        assert after == before + 1
 
     def test_heartbeat_pump_warns_when_lease_margin_gone(self):
         class _TightStore:
@@ -609,8 +585,10 @@ class TestServeIntegration:
         runs = [e for e in events if e.get("kind") == "run"]
         assert len(runs) == 3
         assert all(r["parent"] == serve_job["id"] for r in runs)
-        hist_count, _ = bg.server._queue_wait.snapshot()
-        assert hist_count == 1
+        assert (
+            "\nrepro_serve_job_queue_wait_seconds_count 1\n"
+            in bg.server.metrics_text()
+        )
 
 
 # ---------------------------------------------------------------------------
