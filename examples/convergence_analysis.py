@@ -65,10 +65,7 @@ def ensemble_analytics(protocol, inputs, expected):
 def consensus_curve(protocol, inputs):
     """How the consensus fraction builds up along one recorded run."""
     simulator = Simulator(protocol, seed=SEED)
-    result = simulator.run(
-        inputs, max_steps=MAX_STEPS, record_trajectory=True,
-        trajectory_capacity=MAX_STEPS,
-    )
+    result = simulator.run(inputs, max_steps=MAX_STEPS, record_trajectory=True)
     checkpoints = tuple(sorted({
         step for step in (0, 50, 100, 250, 500, 1000, 2500, 5000)
         if step <= result.steps
@@ -92,10 +89,7 @@ def diff_schedulers_and_engines(protocol, inputs):
 
     def recorded(scheduler=None, engine="auto"):
         simulator = Simulator(protocol, scheduler=scheduler, seed=SEED, engine=engine)
-        return simulator.run(
-            inputs, max_steps=MAX_STEPS, record_trajectory=True,
-            trajectory_capacity=MAX_STEPS,
-        )
+        return simulator.run(inputs, max_steps=MAX_STEPS, record_trajectory=True)
 
     uniform = recorded()
     transition = recorded(scheduler=TransitionScheduler())

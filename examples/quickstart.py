@@ -57,15 +57,15 @@ def main() -> None:
     print()
 
     # 4. Trajectory recording: every engine can append the fired transition
-    #    indices to a bounded deque (memory proportional to min(steps fired,
-    #    capacity)); a complete trajectory replays on the net to exactly the
-    #    run's final configuration.
+    #    indices to a deque (memory proportional to the steps fired); the
+    #    trajectory replays on the net to exactly the run's final
+    #    configuration.
     result = simulator.run(inputs, max_steps=50000, record_trajectory=True)
     trajectory = result.trajectory
     replayed = trajectory.replay(protocol.petri_net, result.initial)
     last = [t.name or "?" for t in trajectory.transitions(protocol.petri_net)[-3:]]
     print(
-        f"recorded trajectory: {len(trajectory)} firings (dropped {trajectory.dropped}), "
+        f"recorded trajectory: {len(trajectory)} firings, "
         f"last transitions {last}, replay matches final: {replayed == result.final}"
     )
     print()

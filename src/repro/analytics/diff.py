@@ -7,17 +7,15 @@ is the debugging signal: everything before it is shared history, the firing
 at it is where the RNG discipline (or the scheduler) split.  This module
 turns two recorded trajectories into exactly that:
 
-* :func:`diff_trajectories` / :func:`diff_results` — compare two complete
-  recorded paths and locate the first index where they fire different
-  transitions (engine-vs-engine diffs should come back identical; a
+* :func:`diff_trajectories` / :func:`diff_results` — compare two recorded
+  paths and locate the first index where they fire different transitions
+  (engine-vs-engine diffs should come back identical; a
   scheduler-vs-scheduler diff typically splits within a few steps),
 * :func:`describe_diff` — render the verdict as human-readable text, naming
   the divergent transitions when the net is supplied.
 
-Truncated trajectories are rejected: a bounded recording deque that dropped
-early firings lost the shared prefix, so index ``i`` of one recording no longer
-corresponds to index ``i`` of the other and any "divergence" found would be
-an artifact of the truncation.
+A recording holds the whole run from its first step, so index ``i`` of one
+recording is step ``i + 1`` of its run, as it is in the other.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ __all__ = ["TrajectoryDiff", "diff_results", "diff_trajectories", "describe_diff
 
 @dataclass(frozen=True)
 class TrajectoryDiff:
-    """The comparison of two complete fired-transition sequences."""
+    """The comparison of two fired-transition sequences."""
 
     #: 0-based index of the first position firing different transitions, or
     #: ``None`` when one sequence is a prefix of the other (or they are equal).
@@ -68,14 +66,7 @@ class TrajectoryDiff:
 
 
 def diff_trajectories(a: Trajectory, b: Trajectory) -> TrajectoryDiff:
-    """Locate the first divergent fired index between two complete paths."""
-    for label, trajectory in (("first", a), ("second", b)):
-        if not trajectory.is_complete:
-            raise ValueError(
-                f"cannot diff a truncated trajectory: the {label} recording "
-                f"dropped {trajectory.dropped} early firings, so positions no "
-                "longer align; record with a larger trajectory_capacity"
-            )
+    """Locate the first divergent fired index between two recorded paths."""
     fired_a = a.transition_indices
     fired_b = b.transition_indices
     shared = min(len(fired_a), len(fired_b))

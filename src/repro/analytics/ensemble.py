@@ -136,8 +136,6 @@ class EnsembleAnalytics:
     histogram: Optional[Tuple[int, ...]]
     #: Mean consensus-fraction per checkpoint over runs carrying a curve.
     mean_curve: Optional[Tuple[Tuple[int, float], ...]]
-    #: True when every aggregated run's full path was recorded (none dropped).
-    all_complete: bool
 
     @property
     def convergence_rate(self) -> float:
@@ -221,5 +219,4 @@ def aggregate_run_metrics(
         ),
         histogram=pooled_histogram(histograms) if histograms else None,
         mean_curve=mean_curve,
-        all_complete=all(m.get("trajectory_complete", False) for m in metrics),
     )

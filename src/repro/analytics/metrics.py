@@ -20,9 +20,11 @@ paper's convergence experiments actually consume:
 
 The replay never re-simulates: it only folds each fired transition's
 precomputed effect on the three output-class counters (1-output / 0-output /
-``*``-output agents), which costs a few integer additions per step — far less
-than the simulation step that produced it — and stops early once every
-requested quantity is known.  Extraction is a pure function of
+``*``-output agents).  One loop does it, in whole blocks wherever no
+consensus can form and step by step only where one is within reach; blocks
+stop at each curve checkpoint, and the loop stops once every requested
+quantity is known.  A recording holds the whole run, so every quantity is
+always recoverable.  Extraction is a pure function of
 ``(protocol, result)``, so the three engines and both batch backends produce
 **identical metric dicts** for identical trajectories; the golden-metric
 tests pin this.
@@ -39,7 +41,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.configuration import Configuration
 from ..core.protocol import Protocol
@@ -136,12 +138,10 @@ def _histogram_from_counter(
 
 
 def firing_histogram(trajectory, num_transitions: int) -> Tuple[int, ...]:
-    """How often each transition index fired, over the recorded suffix.
+    """How often each transition index fired over the recorded run.
 
     Indexed by the net's transition order (the order trajectories record).
-    An empty trajectory yields an all-zero histogram; for a *truncated* one
-    the counts cover only the surviving suffix (the caller can check
-    :attr:`~repro.simulation.trajectory.Trajectory.is_complete`).
+    An empty trajectory yields an all-zero histogram.
     """
     return _histogram_from_counter(
         Counter(trajectory.transition_indices), num_transitions
@@ -214,7 +214,7 @@ def extract_run_metrics(
     The result must carry a recorded trajectory: the histogram, the
     first-consensus time and the curve are read from the path.  Returned
     keys are always present, with ``None`` marking quantities that were not
-    asked for or are unrecoverable:
+    asked for or do not exist:
 
     ========================== ==============================================
     key                        value
@@ -225,39 +225,26 @@ def extract_run_metrics(
                                for unconverged runs)
     ``time_to_first_consensus``  first step *any* consensus held (0 when the
                                initial configuration already agrees; None
-                               when no consensus ever appeared or the
-                               trajectory is truncated)
+                               when no consensus ever appeared)
     ``correct``                consensus == expected (None without an
                                expectation)
-    ``trajectory_complete``    whether the full path survived the recording
+    ``trajectory_complete``    always True: a recording holds the whole run
     ``histogram``              per-transition firing counts (tuple)
     ``curve``                  ``((checkpoint, fraction), ...)`` consensus
-                               fractions, or None (disabled / truncated /
-                               unconverged run)
+                               fractions, or None (disabled / unconverged
+                               run)
     ========================== ==============================================
-
-    A truncated trajectory (the bounded deque dropped early firings) cannot
-    be replayed from the initial configuration: consensus times and curve
-    degrade to ``None`` and the histogram covers the surviving suffix only,
-    with ``trajectory_complete`` flagging the loss.
     """
     if spec is None:
         spec = AnalyticsSpec()
-    trajectory = result.trajectory
-    if trajectory is None:
+    if result.trajectory is None:
         raise ValueError(
             "result carries no recorded trajectory; run with "
             "record_trajectory=True (or hand the spec to the batch layer's "
             "analytics= knob, which records internally)"
         )
-    complete = trajectory.is_complete
-    first: Optional[int] = None
-    curve: Optional[Tuple[Tuple[int, float], ...]] = None
-    if complete:
-        wants_curve = bool(spec.curve_checkpoints) and result.consensus is not None
-        first, curve, histogram = _replay_consensus(result, protocol, spec, wants_curve)
-    else:
-        histogram = firing_histogram(trajectory, protocol.petri_net.num_transitions)
+    checkpoints = spec.curve_checkpoints if result.consensus is not None else ()
+    first, curve, histogram = _replay(result, protocol, checkpoints)
     return {
         "steps": result.steps,
         "consensus": result.consensus,
@@ -268,7 +255,7 @@ def extract_run_metrics(
             if spec.expected_output is None
             else result.consensus == spec.expected_output
         ),
-        "trajectory_complete": complete,
+        "trajectory_complete": True,
         "histogram": histogram,
         "curve": curve,
     }
@@ -279,11 +266,21 @@ def extract_run_metrics(
 _SCAN_CHUNK = 32
 
 
-def _replay_consensus(
+def _fraction(one: int, zero: int, undef: int, final_consensus: Optional[int]) -> float:
+    """The share of output-carrying agents whose output is the final consensus."""
+    population = one + zero + undef
+    if population == 0:
+        raise ValueError(
+            "cannot sample a consensus-fraction curve: the configuration "
+            "lost every output-carrying agent mid-run"
+        )
+    return (one if final_consensus == 1 else zero) / population
+
+
+def _replay(
     result: SimulationResult,
     protocol: Protocol,
-    spec: AnalyticsSpec,
-    wants_curve: bool,
+    checkpoints: Tuple[int, ...],
 ) -> Tuple[
     Optional[int],
     Optional[Tuple[Tuple[int, float], ...]],
@@ -291,52 +288,64 @@ def _replay_consensus(
 ]:
     """Replay the output-class counters along the trajectory.
 
-    Returns ``(first_consensus_step, curve, histogram)``, the histogram as a
+    Returns ``(first_consensus_step, curve, histogram)``, the curve sampled
+    at ``checkpoints`` (``None`` without checkpoints) and the histogram as a
     by-product: the replay counts block occurrences anyway, so folding the
     histogram in here makes it free.
 
-    Without a curve the replay runs in **block-skip** mode: while
-    ``undef > 0`` no consensus can exist until ``undef`` reaches zero, and
-    with ``undef == 0`` none can exist until ``one`` or ``zero`` does — and
-    one step moves each counter by at most ``max_delta``.  Whole stretches of
-    ``(counter - 1) // max_delta`` steps are therefore provably
-    consensus-free and are folded in C speed via a :class:`collections.Counter`
-    over the block (which also feeds the histogram); only the stretches where
-    a consensus is arithmetically within reach are scanned step by step.  The
-    loop stops at the first consensus, with the histogram finished by one
-    bulk count over the remaining suffix — this is what keeps in-worker
-    extraction a small fraction of the simulation cost (benchmark E13 bounds
-    it).  With curve checkpoints the exact per-step loop runs instead
-    (curves need counter values at precise steps); curves are a
-    small-ensemble analysis tool, not part of the sweep hot path.
+    The replay runs in **block-skip** mode: while ``undef > 0`` no consensus
+    can exist until ``undef`` reaches zero, and with ``undef == 0`` none can
+    exist until ``one`` or ``zero`` does — and one step moves each counter
+    by at most ``max_delta``.  Whole stretches of ``(counter - 1) //
+    max_delta`` steps are therefore provably consensus-free and are folded
+    in C speed via a :class:`collections.Counter` over the block (which also
+    feeds the histogram); only the stretches where a consensus is
+    arithmetically within reach are scanned step by step.  Once the first
+    consensus is known, the rest of the path folds in whole blocks.  Blocks
+    and scans stop at each curve checkpoint, where the folded counters are
+    exact, so the curve is sampled there.  The loop stops once the first
+    consensus is known and no checkpoint is left inside the run, with the
+    histogram finished by one bulk count over the remaining suffix — this
+    is what keeps in-worker extraction a small fraction of the simulation
+    cost (benchmark E13 bounds it).
     """
     compiled, classes, deltas, max_delta = _replay_tables(protocol)
     one, zero, undef = _initial_counters(result.initial, compiled, classes)
-    fired = result.trajectory.transition_indices
-    num_transitions = compiled.num_transitions
-    first: Optional[int] = 0 if _consensus_of(one, zero, undef) is not None else None
-
-    if wants_curve:
-        return _replay_exact(
-            spec, deltas, fired, num_transitions, one, zero, undef, first,
-            result.consensus,
+    if checkpoints and one + zero + undef == 0:
+        raise ValueError(
+            "cannot sample a consensus-fraction curve: no agent occupies an "
+            "output-carrying state (the protocol's output table does not "
+            "cover the initial configuration)"
         )
-
+    fired = result.trajectory.transition_indices
+    length = len(fired)
+    final_consensus = result.consensus
+    first: Optional[int] = 0 if _consensus_of(one, zero, undef) is not None else None
+    samples: List[Tuple[int, float]] = []
+    pending = 0  # index of the next unsampled checkpoint
     counter: Counter = Counter()
     position = 0
-    # max_delta == 0 means no transition moves agents across output classes:
-    # the initial consensus state is the run's consensus state forever, so
-    # the scan is skipped entirely (the histogram still counts the full
-    # sequence via the suffix bulk-count below).
-    while max_delta > 0 and first is None and position < len(fired):
-        guard = undef if undef else (one if one < zero else zero)
-        skip = (guard - 1) // max_delta
-        remaining = len(fired) - position
-        if skip > remaining:
-            skip = remaining
-        if skip >= _SCAN_CHUNK:
-            # Consensus provably impossible for `skip` steps: fold the whole
-            # block at C speed.
+    while True:
+        while pending < len(checkpoints) and checkpoints[pending] == position:
+            samples.append((position, _fraction(one, zero, undef, final_consensus)))
+            pending += 1
+        # max_delta == 0 means no transition moves agents across output
+        # classes: the initial consensus state is the run's consensus state
+        # forever, so there is no first consensus to search for.
+        searching = first is None and max_delta > 0
+        if position == length or not (searching or pending < len(checkpoints)):
+            break
+        stop = length
+        if pending < len(checkpoints) and checkpoints[pending] < stop:
+            stop = checkpoints[pending]
+        skip = stop - position
+        if searching:
+            guard = undef if undef else (one if one < zero else zero)
+            if (guard - 1) // max_delta < skip:
+                skip = (guard - 1) // max_delta
+        if not searching or skip >= _SCAN_CHUNK:
+            # No consensus to find, or one provably impossible for `skip`
+            # steps: fold the whole block at C speed.
             block = Counter(fired[position:position + skip])
             for index, count in block.items():
                 d_one, d_zero, d_undef = deltas[index]
@@ -347,7 +356,7 @@ def _replay_consensus(
             position += skip
         else:
             # A consensus is within arithmetic reach: scan step by step.
-            end = min(position + _SCAN_CHUNK, len(fired))
+            end = min(position + _SCAN_CHUNK, stop)
             while position < end:
                 index = fired[position]
                 counter[index] += 1
@@ -362,65 +371,9 @@ def _replay_consensus(
                         break
 
     counter.update(fired[position:])  # bulk-count the unscanned suffix
-    return first, None, _histogram_from_counter(counter, num_transitions)
-
-
-def _replay_exact(
-    spec: AnalyticsSpec,
-    deltas,
-    fired,
-    num_transitions: int,
-    one: int,
-    zero: int,
-    undef: int,
-    first: Optional[int],
-    final_consensus: Optional[int],
-) -> Tuple[
-    Optional[int],
-    Optional[Tuple[Tuple[int, float], ...]],
-    Tuple[int, ...],
-]:
-    """The per-step replay variant, sampling curve checkpoints exactly."""
-    samples = []
-    checkpoints = spec.curve_checkpoints
-    pending = 0  # index of the next unsampled checkpoint
-    if one + zero + undef == 0:
-        raise ValueError(
-            "cannot sample a consensus-fraction curve: no agent occupies an "
-            "output-carrying state (the protocol's output table does not "
-            "cover the initial configuration)"
-        )
-
-    def fraction() -> float:
-        population = one + zero + undef
-        if population == 0:
-            raise ValueError(
-                "cannot sample a consensus-fraction curve: the configuration "
-                "lost every output-carrying agent mid-run"
-            )
-        agreeing = one if final_consensus == 1 else zero
-        return agreeing / population
-
-    while pending < len(checkpoints) and checkpoints[pending] == 0:
-        samples.append((0, fraction()))
-        pending += 1
-
-    histogram = [0] * num_transitions
-    for step, index in enumerate(fired, start=1):
-        histogram[index] += 1
-        d_one, d_zero, d_undef = deltas[index]
-        if d_one or d_zero or d_undef:
-            one += d_one
-            zero += d_zero
-            undef += d_undef
-            if first is None and _consensus_of(one, zero, undef) is not None:
-                first = step
-        while pending < len(checkpoints) and checkpoints[pending] == step:
-            samples.append((step, fraction()))
-            pending += 1
-
     # Checkpoints beyond the run's length sample the final, unchanging
     # configuration.
     for checkpoint in checkpoints[pending:]:
-        samples.append((checkpoint, fraction()))
-    return first, tuple(samples), tuple(histogram)
+        samples.append((checkpoint, _fraction(one, zero, undef, final_consensus)))
+    curve = tuple(samples) if checkpoints else None
+    return first, curve, _histogram_from_counter(counter, compiled.num_transitions)

@@ -120,7 +120,6 @@ def _run_recorded(args, scheduler_kind: str, engine: str):
         max_steps=args.max_steps,
         stability_window=args.stability_window,
         record_trajectory=True,
-        trajectory_capacity=max(1, args.max_steps),
     )
     return protocol, result
 

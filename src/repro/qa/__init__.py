@@ -40,7 +40,7 @@ one finding/suppression pipeline:
     breaks shipping net specs to batch worker processes.
 
 ``cli`` / ``__main__``
-    ``python -m repro.qa {lint,audit-codegen,check-pickle,typecheck,rules}``
+    ``python -m repro.qa {lint,audit-codegen,typecheck,rules}``
     with the 0/1/2 exit-code convention of ``repro.analytics``, which is what
     the CI ``qa`` job gates on.  ``typecheck`` drives ``mypy`` (optional
     ``qa`` extra) over the annotated ``repro.core`` + ``repro.simulation``

@@ -7,17 +7,12 @@ Subcommands, mirroring the ``repro.analytics`` exit-code convention
     Run the determinism linter (:mod:`repro.qa.determinism`) and the
     pickle-safety checker (:mod:`repro.qa.picklesafety`) over source trees.
     Every finding not allowed by a ``# qa: allow[...]`` pragma on its line
-    counts; ``--fail-on {error,warning,info}`` sets the gating threshold
-    (default ``warning``).
+    fails the lint.
 
 ``audit-codegen``
     Generate the compiled steppers (fast + recording, both scheduler kinds)
     of every registered sweep protocol at several populations and audit them
     against their nets' tables (:mod:`repro.qa.codegen_audit`).
-
-``check-pickle <paths...>``
-    Run only the pickle-safety pass (the lint subcommand includes it; this
-    exists so CI can gate the two hazard families separately).
 
 ``typecheck``
     Run ``mypy`` on the typed packages (``repro.core``, ``repro.simulation``)
@@ -35,7 +30,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import codegen_audit, determinism, picklesafety
-from .rules import RULES, SEVERITIES, Finding, severity_at_least
+from .rules import RULES, SEVERITIES, Finding
 
 __all__ = ["main"]
 
@@ -47,16 +42,11 @@ def _print_findings(findings: Sequence[Finding], show_suppressed: bool) -> None:
         print(finding.render())
 
 
-def _gate(findings: Sequence[Finding], threshold: str) -> int:
-    live = [
-        finding
-        for finding in findings
-        if finding.suppressed is None and severity_at_least(finding.severity, threshold)
-    ]
+def _gate(findings: Sequence[Finding]) -> int:
+    live = [finding for finding in findings if finding.suppressed is None]
     counts = {severity: 0 for severity in SEVERITIES}
-    for finding in findings:
-        if finding.suppressed is None:
-            counts[finding.severity] += 1
+    for finding in live:
+        counts[finding.severity] += 1
     suppressed = sum(1 for finding in findings if finding.suppressed is not None)
     summary = ", ".join(f"{count} {severity}(s)" for severity, count in counts.items() if count)
     print(
@@ -66,7 +56,7 @@ def _gate(findings: Sequence[Finding], threshold: str) -> int:
     return 1 if live else 0
 
 
-def _collect_lint(paths: Sequence[str], pickle_too: bool) -> List[Finding]:
+def _collect_lint(paths: Sequence[str]) -> List[Finding]:
     findings: List[Finding] = []
     cwd = Path.cwd()
     for raw in paths:
@@ -76,34 +66,18 @@ def _collect_lint(paths: Sequence[str], pickle_too: bool) -> List[Finding]:
         relative_to = cwd if not root.is_absolute() else None
         target = root if root.is_absolute() else (cwd / root)
         findings.extend(determinism.lint_path(target, relative_to=relative_to))
-        if pickle_too:
-            findings.extend(picklesafety.check_paths(target, relative_to=relative_to))
+        findings.extend(picklesafety.check_paths(target, relative_to=relative_to))
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
 
 
 def _command_lint(arguments: argparse.Namespace) -> int:
     try:
-        findings = _collect_lint(arguments.paths, pickle_too=not arguments.no_pickle)
+        findings = _collect_lint(arguments.paths)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     _print_findings(findings, show_suppressed=arguments.show_suppressed)
-    return _gate(findings, arguments.fail_on)
-
-
-def _command_check_pickle(arguments: argparse.Namespace) -> int:
-    cwd = Path.cwd()
-    findings: List[Finding] = []
-    for raw in arguments.paths:
-        root = Path(raw)
-        if not root.exists():
-            print(f"error: no such file or directory: {raw}", file=sys.stderr)
-            return 2
-        relative_to = cwd if not root.is_absolute() else None
-        target = root if root.is_absolute() else (cwd / root)
-        findings.extend(picklesafety.check_paths(target, relative_to=relative_to))
-    _print_findings(findings, show_suppressed=arguments.show_suppressed)
-    return _gate(findings, "error")
+    return _gate(findings)
 
 
 def _command_audit_codegen(arguments: argparse.Namespace) -> int:
@@ -177,17 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint = subparsers.add_parser("lint", help="run the determinism + pickle-safety lint")
     lint.add_argument("paths", nargs="+", help="files or directories to lint")
     lint.add_argument(
-        "--fail-on",
-        choices=SEVERITIES,
-        default="warning",
-        help="minimum severity that fails the lint (default: warning)",
-    )
-    lint.add_argument(
-        "--no-pickle",
-        action="store_true",
-        help="skip the pickle-safety pass (determinism rules only)",
-    )
-    lint.add_argument(
         "--show-suppressed",
         action="store_true",
         help="also print pragma-suppressed findings",
@@ -207,16 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="audit at this population (repeatable; default: "
         f"{', '.join(map(str, codegen_audit.DEFAULT_AUDIT_POPULATIONS))})",
-    )
-
-    pickle_cmd = subparsers.add_parser(
-        "check-pickle", help="run only the pickle-safety pass"
-    )
-    pickle_cmd.add_argument("paths", nargs="+", help="files or directories to scan")
-    pickle_cmd.add_argument(
-        "--show-suppressed",
-        action="store_true",
-        help="also print pragma-suppressed findings",
     )
 
     typecheck = subparsers.add_parser(
@@ -246,8 +199,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_lint(arguments)
     if arguments.command == "audit-codegen":
         return _command_audit_codegen(arguments)
-    if arguments.command == "check-pickle":
-        return _command_check_pickle(arguments)
     if arguments.command == "typecheck":
         return _command_typecheck(arguments)
     if arguments.command == "rules":

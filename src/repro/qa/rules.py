@@ -10,9 +10,8 @@ is *provably* safe despite matching a rule (e.g. an un-keyed ``sorted`` over
 a set of dense integer indices, which are totally ordered), and the
 justification stays next to the code it excuses.
 
-Severities order ``error > warning > info``; the CLI fails (exit 1) on any
-unsuppressed finding at or above its ``--fail-on`` threshold (default
-``warning``).
+Severities order ``error > warning``; the CLI fails (exit 1) on any
+unsuppressed finding, whatever its severity.
 """
 
 from __future__ import annotations
@@ -28,11 +27,10 @@ __all__ = [
     "Finding",
     "parse_pragmas",
     "apply_pragmas",
-    "severity_at_least",
 ]
 
 #: Severity levels, most severe first.
-SEVERITIES = ("error", "warning", "info")
+SEVERITIES = ("error", "warning")
 
 
 @dataclass(frozen=True)
@@ -115,11 +113,6 @@ class Finding:
     def render(self) -> str:
         tag = f" [{self.suppressed}]" if self.suppressed else ""
         return f"{self.path}:{self.line}: {self.rule} {self.severity}: {self.message}{tag}"
-
-
-def severity_at_least(severity: str, threshold: str) -> bool:
-    """True if ``severity`` is at least as severe as ``threshold``."""
-    return SEVERITIES.index(severity) <= SEVERITIES.index(threshold)
 
 
 # ----------------------------------------------------------------------

@@ -101,7 +101,7 @@ class JobSpec:
             master_seed=self.master_seed,
             max_steps=self.max_steps,
             stability_window=self.stability_window,
-            analytics=bool(self.analytics),
+            analytics=self.analytics,
         )
         # Read the normalized scalars back out of the validated spec, so a
         # job submitted with e.g. ``population: 25.0`` is field-identical

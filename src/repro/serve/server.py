@@ -264,8 +264,9 @@ class SimulationServer:
     processes.  ``concurrency`` is how many jobs may execute at once (the
     consumer-task count; pool dispatch still serializes ensembles, so this
     mainly overlaps Python-side build/render work with simulation).
-    ``job_timeout`` bounds each job's ensemble in wall-clock seconds; only
-    the pool can interrupt an ensemble, so ``backend="serial"`` rejects it.
+    ``job_timeout`` bounds each job's ensemble in wall-clock seconds and
+    must be positive; only the pool can interrupt an ensemble, so
+    ``backend="serial"`` rejects it.
     """
 
     def __init__(
@@ -294,6 +295,8 @@ class SimulationServer:
             raise ValueError(f"cache_size must be at least 1, got {cache_size}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be at least 1, got {max_inflight}")
+        if job_timeout is not None and job_timeout <= 0:
+            raise ValueError(f"job_timeout must be positive, got {job_timeout}")
         if job_timeout is not None and backend == "serial":
             raise ValueError(
                 "job_timeout needs backend='process': the serial backend "

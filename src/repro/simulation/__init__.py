@@ -51,10 +51,9 @@ server (:mod:`repro.serve`).  Release the pool with ``close()`` or a
 
 **Trajectories** (:mod:`~repro.simulation.trajectory`).  Opt-in path
 recording (``record_trajectory=True``): every engine appends the fired
-transition indices to a bounded deque (``maxlen=trajectory_capacity``;
-memory proportional to min(steps fired, capacity)), turned into a
-:class:`Trajectory` that keeps the last ``trajectory_capacity`` firings,
-counts what was dropped, and can replay complete paths on the net.  The
+transition indices to a deque that grows with the steps fired (so
+``max_steps`` bounds it), turned into a :class:`Trajectory` of the whole
+run that replays on the net to the final configuration.  The
 ``analytics=`` knob on the batch entry points goes one step further:
 instead of shipping paths out of the workers, each worker records, extracts
 a compact metric dict (time-to-consensus, firing histogram, predicate
@@ -86,7 +85,7 @@ from .statistics import (
     interactions_per_second,
     summarize_runs,
 )
-from .trajectory import DEFAULT_TRAJECTORY_CAPACITY, Trajectory
+from .trajectory import Trajectory
 
 __all__ = [
     "Scheduler",
@@ -103,7 +102,6 @@ __all__ = [
     "repetition_seeds",
     "run_ensemble",
     "Trajectory",
-    "DEFAULT_TRAJECTORY_CAPACITY",
     "ConvergenceStatistics",
     "summarize_runs",
     "accuracy_against_predicate",

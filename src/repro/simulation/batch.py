@@ -58,8 +58,7 @@ from ..core.configuration import Configuration
 from ..core.protocol import Protocol
 from ..obs import trace as _obs_trace
 from .scheduler import Scheduler
-from .simulator import SimulationResult, Simulator, _recording_capacity
-from .trajectory import DEFAULT_TRAJECTORY_CAPACITY
+from .simulator import SimulationResult, Simulator, _check_max_steps
 
 __all__ = [
     "Ensemble",
@@ -236,7 +235,7 @@ def _run_worker_task(
     method.  ``events`` is ``None`` otherwise.
     """
     (spec_bytes, configuration, seeds, max_steps, stability_window,
-     record, capacity, analytics, trace) = task
+     record, analytics, trace) = task
     events: Optional[List[dict]] = None
     try:
         simulator = _worker_simulator(spec_bytes)
@@ -244,7 +243,7 @@ def _run_worker_task(
             return (
                 simulator._run_seeds(
                     configuration, list(seeds), max_steps, stability_window,
-                    record, capacity, analytics,
+                    record, analytics,
                 ),
                 None,
                 None,
@@ -253,7 +252,7 @@ def _run_worker_task(
             with _obs_trace.span("chunk", kind="chunk", seeds=len(seeds)):
                 results = simulator._run_seeds(
                     configuration, list(seeds), max_steps, stability_window,
-                    record, capacity, analytics,
+                    record, analytics,
                 )
         return results, events, None
     except Exception as error:
@@ -282,7 +281,6 @@ class Ensemble:
     max_steps: int = 100000
     stability_window: int = 200
     record_trajectory: bool = False
-    trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY
     analytics: Any = None
     spec_bytes: Optional[bytes] = None
 
@@ -476,7 +474,6 @@ class WorkerPool:
         max_steps: int = 100000,
         stability_window: int = 200,
         record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
         analytics: Any = None,
         spec_bytes: Optional[bytes] = None,
         timeout: Optional[float] = None,
@@ -512,8 +509,7 @@ class WorkerPool:
         """
         ensemble = Ensemble(
             protocol, inputs, seeds, scheduler, engine, max_steps,
-            stability_window, record_trajectory, trajectory_capacity,
-            analytics, spec_bytes,
+            stability_window, record_trajectory, analytics, spec_bytes,
         )
         with _obs_trace.span(
             "dispatch", kind="dispatch", workers=self.workers
@@ -585,8 +581,7 @@ class WorkerPool:
                 tasks.append(
                     (spec_bytes, configuration, ensemble_seeds[start : start + size],
                      ensemble.max_steps, ensemble.stability_window,
-                     ensemble.record_trajectory, ensemble.trajectory_capacity,
-                     ensemble.analytics, tracing)
+                     ensemble.record_trajectory, ensemble.analytics, tracing)
                 )
                 owners.append(outcome)
         names = ", ".join(
@@ -618,9 +613,7 @@ class WorkerPool:
     @staticmethod
     def _prepare(ensemble: Ensemble) -> Tuple[Configuration, List[int], bytes]:
         """Validate an ensemble here; returns its configuration, seeds and spec."""
-        _recording_capacity(
-            ensemble.record_trajectory, ensemble.trajectory_capacity, ensemble.max_steps
-        )
+        _check_max_steps(ensemble.max_steps)
         _validate_analytics(ensemble.analytics, process_backend=True)
         seeds = list(ensemble.seeds)
         configuration = ensemble.protocol.initial_configuration(ensemble.inputs)
@@ -717,7 +710,6 @@ def run_ensemble(
     max_workers: Optional[int] = None,
     start_method: Optional[str] = None,
     record_trajectory: bool = False,
-    trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
     analytics: Any = None,
 ) -> List[SimulationResult]:
     """Run one independent repetition per seed and return them in seed order.
@@ -747,7 +739,7 @@ def run_ensemble(
     start_method:
         Optional ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``); ``None`` uses the platform default.
-    record_trajectory, trajectory_capacity:
+    record_trajectory:
         As for :meth:`Simulator.run <repro.simulation.simulator.Simulator.run>`;
         recorded trajectories are returned with the results across the process
         boundary.
@@ -767,7 +759,7 @@ def run_ensemble(
     return _run_ensemble(
         Simulator(protocol, scheduler=scheduler, engine=engine),
         inputs, seeds, max_steps, stability_window, backend, max_workers,
-        record_trajectory, trajectory_capacity, analytics, start_method,
+        record_trajectory, analytics, start_method,
     )
 
 
@@ -780,7 +772,6 @@ def _run_ensemble(
     backend: str,
     max_workers: Optional[int],
     record_trajectory: bool,
-    trajectory_capacity: int,
     analytics: Any,
     start_method: Optional[str] = None,
 ) -> List[SimulationResult]:
@@ -808,8 +799,7 @@ def _run_ensemble(
         if not process:
             return simulator._run_seeds(
                 simulator.protocol.initial_configuration(inputs), seeds,
-                max_steps, stability_window, record_trajectory,
-                trajectory_capacity, analytics,
+                max_steps, stability_window, record_trajectory, analytics,
             )
         with WorkerPool(
             max_workers=min(workers, len(seeds)), start_method=start_method
@@ -823,6 +813,5 @@ def _run_ensemble(
                 max_steps=max_steps,
                 stability_window=stability_window,
                 record_trajectory=record_trajectory,
-                trajectory_capacity=trajectory_capacity,
                 analytics=analytics,
             )

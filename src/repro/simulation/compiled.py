@@ -279,12 +279,11 @@ class CompiledNet:
         ``consensus_since`` use ``-1`` as the ``None`` sentinel.
 
         With ``record=True`` the signature gains one trailing parameter
-        ``ring``, a :class:`collections.deque` whose ``maxlen`` is the
-        trajectory capacity: the loop appends the fired transition index of
-        every step and the deque drops the oldest once full, so recording
-        memory is proportional to min(steps fired, capacity).  Recording is a
-        separate generated variant so the non-recording fast path pays
-        nothing for the feature.  Steppers are cached per
+        ``ring``, a :class:`collections.deque` to which the loop appends the
+        fired transition index of every step, so recording memory is
+        proportional to the steps fired.  Recording is a separate generated
+        variant so the non-recording fast path pays nothing for the
+        feature.  Steppers are cached per
         ``(kind, classes, record)``.
         """
         key = (kind, tuple(classes), bool(record))

@@ -59,7 +59,7 @@ from ..core.protocol import OUTPUT_ONE, OUTPUT_ZERO, Protocol
 from .compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO, CompiledNet
 from .native import available as native_available
 from .scheduler import Scheduler, UniformScheduler
-from .trajectory import DEFAULT_TRAJECTORY_CAPACITY, Trajectory
+from .trajectory import Trajectory
 
 __all__ = ["SimulationResult", "Simulator", "simulate"]
 
@@ -100,29 +100,14 @@ class SimulationResult:
         )
 
 
-def _recording_capacity(
-    record_trajectory: bool,
-    trajectory_capacity: int,
-    max_steps: int,
-    analytics: Any = None,
-) -> int:
-    """The ``maxlen`` of the deque a run records into; ``0`` records nothing.
+def _check_max_steps(max_steps: int) -> None:
+    """Refuse a negative step budget, which each engine would run differently.
 
-    Analytics needs the complete path, and a run fires at most ``max_steps``
-    transitions.  A deque grows with the steps actually fired, so a large
-    capacity or budget costs nothing until a run uses it.  Every run path
-    comes here first, so this is where a negative step budget (which each
-    engine would run differently) or a recording capacity below 1 is
-    refused.
+    Every run path, and the pool before it fans an ensemble out, comes here
+    first.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    if record_trajectory and trajectory_capacity < 1:
-        raise ValueError("trajectory_capacity must be at least 1")
-    capacity = trajectory_capacity if record_trajectory else 0
-    if analytics is not None:
-        capacity = max(1, max_steps, capacity)
-    return capacity
 
 
 class Simulator:
@@ -199,14 +184,13 @@ class Simulator:
         max_steps: int = 100000,
         stability_window: int = 200,
         record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
     ) -> SimulationResult:
         """Simulate one execution from the initial configuration ``rho_L + inputs``.
 
         With ``record_trajectory=True`` the result carries a
-        :class:`~repro.simulation.trajectory.Trajectory` of the last
-        ``trajectory_capacity`` fired transition indices (a bounded deque:
-        memory is proportional to min(steps fired, capacity)).
+        :class:`~repro.simulation.trajectory.Trajectory` of every fired
+        transition index (a deque that grows with the steps fired, so memory
+        is proportional to them, at most ``max_steps``).
         """
         configuration = self.protocol.initial_configuration(inputs)
         return self.run_from(
@@ -214,7 +198,6 @@ class Simulator:
             max_steps=max_steps,
             stability_window=stability_window,
             record_trajectory=record_trajectory,
-            trajectory_capacity=trajectory_capacity,
         )
 
     def run_from(
@@ -223,11 +206,10 @@ class Simulator:
         max_steps: int = 100000,
         stability_window: int = 200,
         record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
     ) -> SimulationResult:
         """Simulate one execution from an arbitrary starting configuration."""
-        capacity = _recording_capacity(record_trajectory, trajectory_capacity, max_steps)
-        ring = deque(maxlen=capacity) if capacity else None
+        _check_max_steps(max_steps)
+        ring: Optional[Deque[int]] = deque() if record_trajectory else None
         observing = _obs_trace.tracing_active()
         t0 = monotonic_time() if observing else 0.0
         outcome = self._dispatch(configuration, max_steps, stability_window, self.rng, ring)
@@ -295,7 +277,6 @@ class Simulator:
         timing: Optional[Tuple[float, float]],
         analytics: Any = None,
         record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
         **attrs: Any,
     ) -> SimulationResult:
         """Turn one engine outcome into a :class:`SimulationResult`.
@@ -307,9 +288,9 @@ class Simulator:
         ``run`` span tagged with the engine that ran it and ``attrs``;
         instrumentation reads results and clocks, never the RNG stream, so an
         observed run is bit-identical to an unobserved one.  With
-        ``analytics`` the metric dict is extracted from the complete
-        recording, then the trajectory is cut back to what the caller asked
-        for, so enabling analytics never changes the other fields.
+        ``analytics`` the metric dict is extracted from the recording, which
+        is dropped again unless the caller asked for it, so enabling
+        analytics never changes the other fields.
         """
         steps, value, since, terminated, final, engine = outcome
         result = SimulationResult(
@@ -320,9 +301,7 @@ class Simulator:
             consensus_step=since if since >= 0 else None,
             terminated=terminated,
             interactions_sampled=steps,
-            trajectory=(
-                None if ring is None else Trajectory(tuple(ring), steps, ring.maxlen)
-            ),
+            trajectory=None if ring is None else Trajectory(tuple(ring)),
         )
         if timing is not None:
             t0, elapsed = timing
@@ -335,9 +314,6 @@ class Simulator:
             result.analytics = analytics.extract(result, self.protocol)
             if not record_trajectory:
                 result.trajectory = None
-            elif ring is not None and ring.maxlen != trajectory_capacity:
-                kept = result.trajectory.transition_indices[-trajectory_capacity:]
-                result.trajectory = Trajectory(kept, steps, trajectory_capacity)
         return result
 
     # ------------------------------------------------------------------
@@ -407,7 +383,6 @@ class Simulator:
         max_steps: int,
         stability_window: int,
         record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
         analytics: Any = None,
     ) -> List[SimulationResult]:
         """Run one repetition per seed from ``configuration``, in seed order.
@@ -422,16 +397,15 @@ class Simulator:
         ``analytics`` optionally supplies an extraction spec (any object with
         an ``extract(result, protocol)`` method, canonically
         :class:`~repro.analytics.metrics.AnalyticsSpec`).  Each run is then
-        recorded internally with a capacity large enough for the complete
-        path, its compact metric dict is attached as ``result.analytics``,
-        and the trajectory is **dropped again** unless the caller asked for
-        trajectories too — this is what lets worker processes return metrics
-        instead of paths.  The surviving result fields (and any requested
-        trajectory) are bit-identical to a run without analytics.
+        recorded internally, its compact metric dict is attached as
+        ``result.analytics``, and the trajectory is **dropped again** unless
+        the caller asked for trajectories too — this is what lets worker
+        processes return metrics instead of paths.  The surviving result
+        fields (and any requested trajectory) are bit-identical to a run
+        without analytics.
         """
-        capacity = _recording_capacity(
-            record_trajectory, trajectory_capacity, max_steps, analytics
-        )
+        _check_max_steps(max_steps)
+        recording = record_trajectory or analytics is not None
         # Tracing adds two clock reads and one span per run; disabled, it
         # costs two branches per run (bench E15 asserts the disabled cost is
         # <=2%).
@@ -442,10 +416,9 @@ class Simulator:
         finish = partial(
             self._finish, configuration, analytics=analytics,
             record_trajectory=record_trajectory,
-            trajectory_capacity=trajectory_capacity,
         )
         if self._choice == "native" and counts is not None:
-            rings = [deque(maxlen=capacity) for _ in seeds] if capacity else None
+            rings = [deque() for _ in seeds] if recording else None
             t0 = monotonic_time() if observing else 0.0
             outcomes = self._stepper.run_seeds(
                 counts, seeds, max_steps, stability_window,
@@ -469,7 +442,7 @@ class Simulator:
             ]
         results: List[SimulationResult] = []
         for seed in seeds:
-            ring = deque(maxlen=capacity) if capacity else None
+            ring = deque() if recording else None
             t0 = monotonic_time() if observing else 0.0
             outcome = self._dispatch(
                 configuration, max_steps, stability_window, random.Random(seed),
@@ -488,7 +461,6 @@ class Simulator:
         backend: str = "serial",
         max_workers: Optional[int] = None,
         record_trajectory: bool = False,
-        trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
         analytics: Any = None,
     ) -> List[SimulationResult]:
         """Simulate several independent executions from the same input.
@@ -527,7 +499,7 @@ class Simulator:
         try:
             return _run_ensemble(
                 self, inputs, seeds, max_steps, stability_window, backend,
-                max_workers, record_trajectory, trajectory_capacity, analytics,
+                max_workers, record_trajectory, analytics,
             )
         except Exception:
             self.rng.setstate(rng_state)
@@ -543,7 +515,6 @@ def simulate(
     scheduler: Optional[Scheduler] = None,
     engine: str = "auto",
     record_trajectory: bool = False,
-    trajectory_capacity: int = DEFAULT_TRAJECTORY_CAPACITY,
 ) -> SimulationResult:
     """One-shot convenience wrapper around :class:`Simulator`."""
     simulator = Simulator(protocol, scheduler=scheduler, seed=seed, engine=engine)
@@ -552,5 +523,4 @@ def simulate(
         max_steps=max_steps,
         stability_window=stability_window,
         record_trajectory=record_trajectory,
-        trajectory_capacity=trajectory_capacity,
     )

@@ -60,8 +60,18 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..obs import trace as _obs_trace
-from .dbstore import SQLITE_SUFFIXES, SqliteResultStore, open_store
-from .runner import SweepRunner, claim_worker, to_experiment_table
+from .dbstore import (
+    SQLITE_SUFFIXES,
+    SqliteResultStore,
+    check_claim_policy,
+    open_store,
+)
+from .runner import (
+    SweepRunner,
+    check_runner_settings,
+    claim_worker,
+    to_experiment_table,
+)
 from .spec import SweepSpec, available_sweep_protocols
 from .store import StoreCorruptionError, export_rows
 
@@ -237,6 +247,11 @@ def _command_run(args: argparse.Namespace) -> int:
         print(f"invalid sweep spec: {error}", file=sys.stderr)
         return 2
     try:
+        check_runner_settings(args.backend, args.workers, args.max_cells)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    try:
         store = open_store(args.store)
     except ValueError as error:
         print(f"cannot open store: {error}", file=sys.stderr)
@@ -318,12 +333,14 @@ def _command_workers(args: argparse.Namespace) -> int:
     if args.runners < 1:
         print(f"--runners must be at least 1, got {args.runners}", file=sys.stderr)
         return 2
-    if args.cell_timeout is not None and args.backend == "serial":
-        print(
-            "--cell-timeout needs --backend process: a serial runner cannot "
-            "interrupt a cell's ensemble",
-            file=sys.stderr,
+    try:
+        check_claim_policy(args.lease, args.max_retries, args.backoff)
+        check_runner_settings(
+            args.backend, args.workers, cell_timeout=args.cell_timeout,
+            idle_wait=args.idle_wait,
         )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     options: Dict[str, object] = dict(
         lease_seconds=args.lease,

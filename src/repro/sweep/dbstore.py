@@ -101,6 +101,7 @@ __all__ = [
     "DEFAULT_MAX_RETRIES",
     "SQLITE_SUFFIXES",
     "SqliteResultStore",
+    "check_claim_policy",
     "open_store",
 ]
 
@@ -238,6 +239,25 @@ class Claim:
     keyfields: Dict[str, object]
 
 
+def check_claim_policy(
+    lease_seconds: Optional[float] = None,
+    max_retries: Optional[int] = None,
+    backoff_base: Optional[float] = None,
+) -> None:
+    """Raise :class:`ValueError` for a claim policy the store refuses.
+
+    A setting left at ``None`` is not checked.  :class:`SqliteResultStore`
+    checks its policy here before it touches its file, and ``python -m
+    repro.sweep workers`` checks its flags here before it starts a runner.
+    """
+    if lease_seconds is not None and lease_seconds <= 0:
+        raise ValueError(f"lease_seconds must be positive, got {lease_seconds}")
+    if max_retries is not None and max_retries < 0:
+        raise ValueError(f"max_retries must be non-negative, got {max_retries}")
+    if backoff_base is not None and backoff_base < 0:
+        raise ValueError(f"backoff_base must be non-negative, got {backoff_base}")
+
+
 def open_store(path: Union[str, Path]) -> "SqliteResultStore":
     """Open (or create) the live store at ``path``, checking its suffix.
 
@@ -292,12 +312,7 @@ class SqliteResultStore:
         busy_timeout: float = DEFAULT_BUSY_TIMEOUT,
         clock: Optional[Callable[[], float]] = None,
     ):
-        if lease_seconds <= 0:
-            raise ValueError(f"lease_seconds must be positive, got {lease_seconds}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be non-negative, got {max_retries}")
-        if backoff_base < 0:
-            raise ValueError(f"backoff_base must be non-negative, got {backoff_base}")
+        check_claim_policy(lease_seconds, max_retries, backoff_base)
         self.path = Path(path)
         self.lease_seconds = float(lease_seconds)
         self.max_retries = int(max_retries)

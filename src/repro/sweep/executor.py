@@ -53,7 +53,6 @@ from ..simulation.batch import (
     _dumps_for_workers,
 )
 from ..simulation.simulator import SimulationResult, Simulator
-from ..simulation.trajectory import DEFAULT_TRAJECTORY_CAPACITY
 from .spec import SweepCell, build_inputs_for
 
 __all__ = ["CellExecutor"]
@@ -280,6 +279,5 @@ class CellExecutor:
                 ensemble.max_steps,
                 ensemble.stability_window,
                 False,
-                DEFAULT_TRAJECTORY_CAPACITY,
                 ensemble.analytics,
             )

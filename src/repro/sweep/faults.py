@@ -57,9 +57,7 @@ Plans travel as text (``"mid-cell@1:kill;heartbeat-loss@2:drop"``) through
 ``python -m repro.sweep``'s ``--fault-plan`` flag or ``claim_worker``'s
 ``fault_plan`` argument, or are installed programmatically with
 :func:`install_fault_plan`.  A process starts with the empty plan, so no
-fault fires unless a caller installs one.  :meth:`FaultPlan.seeded`
-derives a plan from an integer seed for randomized-but-reproducible sweeps
-of the fault space.
+fault fires unless a caller installs one.
 
 Faults only ever interrupt bookkeeping and control flow.  No injection
 point sits inside a simulation, so an installed plan cannot change any
@@ -71,10 +69,9 @@ meaningful.
 from __future__ import annotations
 
 import os
-import random
 import signal
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 __all__ = [
     "ACTIONS",
@@ -193,39 +190,6 @@ class FaultPlan:
                 ) from None
             rules.append(FaultRule(point.strip(), hit, action.strip()))
         return cls(rules)
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        count: int = 1,
-        points: Sequence[str] = INJECTION_POINTS,
-        actions: Sequence[str] = ("raise",),
-        max_hit: int = 3,
-    ) -> "FaultPlan":
-        """A deterministic pseudo-random plan: ``count`` rules drawn from a
-        seeded :class:`random.Random` over the given points/actions and hit
-        counts ``1..max_hit``.
-
-        The same seed always yields the same plan, so a randomized chaos
-        sweep is reported (and replayed) by its seed alone.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        if max_hit < 1:
-            raise ValueError(f"max_hit must be at least 1, got {max_hit}")
-        rng = random.Random(seed)
-        keys = [(point, hit) for point in points for hit in range(1, max_hit + 1)]
-        if count > len(keys):
-            raise ValueError(
-                f"cannot draw {count} distinct rules from {len(keys)} "
-                "(point, hit) slots"
-            )
-        chosen = rng.sample(keys, count)
-        return cls(
-            FaultRule(point, hit, actions[rng.randrange(len(actions))])
-            for point, hit in chosen
-        )
 
     def render(self) -> str:
         """The text form accepted by :meth:`parse` (and ``--fault-plan``)."""

@@ -70,6 +70,7 @@ __all__ = [
     "ClaimReport",
     "SweepReport",
     "SweepRunner",
+    "check_runner_settings",
     "claim_worker",
     "to_experiment_table",
 ]
@@ -94,6 +95,37 @@ _RUN_OWNER = "run"
 #: time.
 BATCH_STEP_BUDGET = 1 << 20
 _MAX_BATCH_CELLS = 64
+
+
+def check_runner_settings(
+    backend: str = "process",
+    max_workers: Optional[int] = None,
+    max_cells: Optional[int] = None,
+    cell_timeout: Optional[float] = None,
+    idle_wait: Optional[float] = None,
+) -> None:
+    """Raise :class:`ValueError` for a setting :class:`SweepRunner` refuses.
+
+    A setting left at ``None`` is not checked.  The runner checks its
+    settings here when it is built and before a run registers any cell;
+    ``python -m repro.sweep`` checks its flags here before it opens a store,
+    so a bad flag leaves nothing behind.
+    """
+    if backend not in _BACKENDS:
+        raise ValueError(f"unknown backend {backend!r} (expected one of {_BACKENDS})")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+    if max_cells is not None and max_cells < 0:
+        raise ValueError(f"max_cells must be non-negative, got {max_cells}")
+    if cell_timeout is not None and cell_timeout <= 0:
+        raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
+    if cell_timeout is not None and backend == "serial":
+        raise ValueError(
+            "cell_timeout needs backend='process': a serial runner cannot "
+            "interrupt a cell's ensemble"
+        )
+    if idle_wait is not None and idle_wait <= 0:
+        raise ValueError(f"idle_wait must be positive, got {idle_wait}")
 
 
 class CellExecutionError(RuntimeError):
@@ -315,12 +347,7 @@ class SweepRunner:
         start_method: Optional[str] = None,
         retry_errors: bool = True,
     ):
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r} (expected one of {_BACKENDS})"
-            )
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+        check_runner_settings(backend, max_workers)
         self.spec = spec
         self.store = store
         self.backend = backend
@@ -364,7 +391,8 @@ class SweepRunner:
             raise ValueError(
                 f"on_error must be 'raise' or 'continue', got {on_error!r}"
             )
-        cells = self._register(max_cells)
+        check_runner_settings(self.backend, max_cells=max_cells)
+        cells = self._register()
         index_of = {cell.cell_id: index for index, cell in enumerate(cells)}
         skipped = skipped_errors = 0
         for row in self.store.rows():
@@ -434,9 +462,9 @@ class SweepRunner:
             Wall-clock budget per cell ensemble — expiry raises through the
             crash containment and counts as a cell failure.  A runner with a
             budget claims one cell per batch, so the budget bounds each
-            cell, never a batch.  Only the process backend can interrupt an
-            ensemble, so a serial runner rejects it with :class:`ValueError`
-            before registering any cell.
+            cell, never a batch.  It must be positive, and only the process
+            backend can interrupt an ensemble, so a serial runner rejects it;
+            both raise :class:`ValueError` before any cell is registered.
         heartbeat_interval:
             Seconds between lease extensions (default: a third of the
             store's ``lease_seconds``).
@@ -453,14 +481,11 @@ class SweepRunner:
         progress:
             Optional callback receiving one line per processed claim.
         """
-        if idle_wait <= 0:
-            raise ValueError(f"idle_wait must be positive, got {idle_wait}")
-        if cell_timeout is not None and self.backend == "serial":
-            raise ValueError(
-                "cell_timeout needs backend='process': a serial runner cannot "
-                "interrupt a cell's ensemble"
-            )
-        cells = self._register(max_cells)
+        check_runner_settings(
+            self.backend, max_cells=max_cells, cell_timeout=cell_timeout,
+            idle_wait=idle_wait,
+        )
+        cells = self._register()
         tally = self._claim_loop(
             owner, cells, max_cells, progress,
             cell_timeout=cell_timeout,
@@ -479,8 +504,8 @@ class SweepRunner:
             stopped=bool(tally["stopped"]),
         )
 
-    def _register(self, max_cells: Optional[int]) -> List[SweepCell]:
-        """Check the store and ``max_cells``, then register the whole grid."""
+    def _register(self) -> List[SweepCell]:
+        """Check the store, then register the whole grid."""
         claim_api = (
             "ensure_batch", "claim_batch", "finish_batch", "fail_claim", "heartbeat",
         )
@@ -489,8 +514,6 @@ class SweepRunner:
                 "the sweep runner requires a claim-capable store (a .sqlite "
                 f"path / SqliteResultStore), got {type(self.store).__name__}"
             )
-        if max_cells is not None and max_cells < 0:
-            raise ValueError(f"max_cells must be non-negative, got {max_cells}")
         cells = self.spec.cells()
         self.store.ensure_batch(
             (cell.cell_id, cell.keyfields(), self.spec.cell_seed(cell))
@@ -746,18 +769,23 @@ class SweepRunner:
     ) -> Dict[str, object]:
         """The analytics columns of a completed cell.
 
-        Predicate accuracy is scored whenever the protocol registers a
-        predicate — analytics on or off.  With analytics enabled the workers
-        already scored each run against the expected predicate value (the
-        spec's ``expected_output``), so the aggregated accuracy is reused;
-        without analytics it is recomputed here from the consensus values
-        the results carry.  The trajectory-derived columns (convergence-time
-        quantiles, top transitions) come from the in-worker metric dicts and
-        are therefore only present under ``spec.analytics=True``.
-        Everything here is a deterministic pure function of the results, so
-        the persisted columns inherit the store's byte-stability across
-        backends and resume cycles.
+        Predicate accuracy is scored from the consensus values the results
+        carry whenever the protocol registers a predicate — analytics on or
+        off.  The trajectory-derived columns (convergence-time quantiles,
+        top transitions) come from the in-worker metric dicts and are
+        therefore only present under ``spec.analytics=True``.  Everything
+        here is a deterministic pure function of the results, so the
+        persisted columns inherit the store's byte-stability across backends
+        and resume cycles.
         """
+        predicate = executor.predicate(cell)
+        extras: Dict[str, object] = {
+            "accuracy": (
+                accuracy_against_predicate(results, predicate, executor.inputs(cell))
+                if predicate is not None
+                else None
+            )
+        }
         if self.spec.analytics:
             # Imported lazily: repro.analytics imports this package for its
             # report CLI, so a module-level import would be circular.
@@ -780,19 +808,9 @@ class SweepRunner:
                     "; ".join(f"{name}:{count}" for name, count in top)
                     if top else None
                 )
-            return {
-                "accuracy": aggregated.accuracy,
-                "consensus_quantiles": aggregated.stable_consensus_quantiles,
-                "top_transitions": rendered,
-            }
-        predicate = executor.predicate(cell)
-        return {
-            "accuracy": (
-                accuracy_against_predicate(results, predicate, executor.inputs(cell))
-                if predicate is not None
-                else None
-            )
-        }
+            extras["consensus_quantiles"] = aggregated.stable_consensus_quantiles
+            extras["top_transitions"] = rendered
+        return extras
 
     def __repr__(self) -> str:
         return (

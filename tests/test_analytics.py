@@ -9,6 +9,7 @@ integration (accuracy + analytics columns, byte-stable stores) and the
 """
 
 import pickle
+import random
 
 import pytest
 
@@ -55,12 +56,11 @@ def _majority(population=13):
 
 
 def _recorded_run(protocol, inputs, seed=2022, max_steps=400, window=80,
-                  engine="auto", capacity=None):
+                  engine="auto"):
     simulator = Simulator(protocol, seed=seed, engine=engine)
     return simulator.run(
         inputs, max_steps=max_steps, stability_window=window,
         record_trajectory=True,
-        trajectory_capacity=capacity or max_steps,
     )
 
 
@@ -78,6 +78,47 @@ def _naive_first_consensus(result, protocol):
         if _consensus_of(one, zero, undef) is not None:
             return step
     return None
+
+
+def _configuration_replay(result, protocol, checkpoints):
+    """An independent oracle for the replay: fire the recorded word on
+    :class:`Configuration` values step by step, reading consensus from
+    ``protocol.has_consensus`` and the curve as the share of output-carrying
+    agents whose output is the final consensus.
+
+    Returns ``(time_to_first_consensus, curve)``.
+    """
+    output = protocol.output_table
+
+    def in_consensus(configuration):
+        return protocol.has_consensus(configuration, 1) or protocol.has_consensus(
+            configuration, 0
+        )
+
+    def share(configuration):
+        carrying = agreeing = 0
+        for state, count in configuration.items():
+            if state in output:
+                carrying += count
+                agreeing += count if output[state] == result.consensus else 0
+        return agreeing / carrying
+
+    configuration = result.initial
+    first = 0 if in_consensus(configuration) else None
+    sampled = {0: share(configuration)} if 0 in checkpoints else {}
+    for step, transition in enumerate(
+        result.trajectory.transitions(protocol.petri_net), start=1
+    ):
+        configuration = transition.fire(configuration)
+        if first is None and in_consensus(configuration):
+            first = step
+        if step in checkpoints:
+            sampled[step] = share(configuration)
+    curve = tuple(
+        (checkpoint, sampled.get(checkpoint, share(configuration)))
+        for checkpoint in checkpoints
+    )
+    return first, curve
 
 
 class TestAnalyticsSpec:
@@ -156,6 +197,41 @@ class TestExtractRunMetrics:
                 result.trajectory, protocol.petri_net.num_transitions
             )
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("majority", {}, 12),
+            ("majority", {}, 40),
+            ("modulo", {"modulus": 3, "remainder": 1}, 11),
+            ("succinct", {"threshold": 4}, 9),
+            ("flock", {"threshold": 5}, 12),
+            ("modulo", {"modulus": 3, "remainder": 1}, 200),
+            ("flock", {"threshold": 5}, 200),
+        ],
+        ids=lambda case: f"{case[0]}-{case[2]}",
+    )
+    def test_replay_matches_a_configuration_oracle(self, case):
+        # One block-skip loop yields the first consensus and the curve, its
+        # blocks stopping at each checkpoint; checkpoints fall at random,
+        # in runs of consecutive steps and past the run's end.
+        name, params, population = case
+        protocol, inputs = build_protocol_and_inputs(name, population, params)
+        rng = random.Random(population * 1000 + len(name))
+        for seed in range(6):
+            result = _recorded_run(
+                protocol, inputs, seed=seed, max_steps=6000, window=200
+            )
+            top = result.steps + 40
+            scattered = rng.sample(range(top + 1), min(8, top + 1))
+            start = rng.randrange(top + 1)
+            checkpoints = tuple(sorted(set(scattered) | set(range(start, start + 5))))
+            metrics = extract_run_metrics(
+                result, protocol, AnalyticsSpec(curve_checkpoints=checkpoints)
+            )
+            first, curve = _configuration_replay(result, protocol, checkpoints)
+            assert metrics["time_to_first_consensus"] == first
+            assert metrics["curve"] == (curve if result.consensus is not None else None)
+
     def test_zero_step_terminal_run(self):
         # A single agent enables no width-2 transition: the run terminates at
         # step 0 with an immediate consensus and an all-zero histogram.
@@ -202,17 +278,6 @@ class TestExtractRunMetrics:
         )
         assert metrics["time_to_first_consensus"] == 0
         assert metrics["correct"] is True
-
-    def test_truncated_trajectory_degrades_gracefully(self):
-        protocol, inputs = _majority()
-        result = _recorded_run(protocol, inputs, capacity=5)
-        assert result.trajectory.dropped > 0
-        metrics = extract_run_metrics(result, protocol, AnalyticsSpec())
-        assert metrics["trajectory_complete"] is False
-        assert metrics["time_to_first_consensus"] is None
-        assert metrics["curve"] is None
-        # The histogram covers the surviving suffix only.
-        assert sum(metrics["histogram"]) == 5
 
     def test_curve_checkpoints_beyond_run_length_sample_the_end(self):
         protocol, inputs = _majority()
@@ -293,23 +358,18 @@ class TestBatchAnalytics:
 
     def test_requested_trajectories_survive_analytics_bit_identically(self):
         # record_trajectory=True + analytics: the returned trajectory must be
-        # exactly what a plain recorded run with the same capacity returns,
-        # including the re-truncation to a small requested capacity.
+        # exactly what a plain recorded run returns.
         protocol, inputs = _majority(13)
-        for capacity in (10, 400):
-            plain = run_ensemble(
-                protocol, inputs, range(4), backend="serial", max_steps=400,
-                record_trajectory=True, trajectory_capacity=capacity,
-            )
-            analysed = run_ensemble(
-                protocol, inputs, range(4), backend="serial", max_steps=400,
-                record_trajectory=True, trajectory_capacity=capacity,
-                analytics=AnalyticsSpec(),
-            )
-            assert [r.trajectory for r in plain] == [
-                r.trajectory for r in analysed
-            ]
-            assert all(r.analytics is not None for r in analysed)
+        plain = run_ensemble(
+            protocol, inputs, range(4), backend="serial", max_steps=400,
+            record_trajectory=True,
+        )
+        analysed = run_ensemble(
+            protocol, inputs, range(4), backend="serial", max_steps=400,
+            record_trajectory=True, analytics=AnalyticsSpec(),
+        )
+        assert [r.trajectory for r in plain] == [r.trajectory for r in analysed]
+        assert all(r.analytics is not None for r in analysed)
 
     def test_worker_pool_run_seeds_carries_analytics(self):
         protocol, inputs = _majority(13)
@@ -405,14 +465,14 @@ class TestPooledHistogramAndTop:
 
 class TestAggregateRunMetrics:
     def _metric(self, consensus=1, stable=100, first=50, correct=True,
-                histogram=(1, 2), complete=True):
+                histogram=(1, 2)):
         return {
             "steps": stable if stable is not None else 500,
             "consensus": consensus,
             "time_to_stable_consensus": stable,
             "time_to_first_consensus": first,
             "correct": correct,
-            "trajectory_complete": complete,
+            "trajectory_complete": True,
             "histogram": histogram,
             "curve": None,
         }
@@ -437,7 +497,6 @@ class TestAggregateRunMetrics:
         assert aggregated.stable_consensus_quantiles == (200.0,)
         assert aggregated.first_consensus_quantiles == (50.0,)
         assert aggregated.histogram == (3, 6)
-        assert aggregated.all_complete is True
 
     def test_accuracy_denominator_counts_only_scored_runs(self):
         # Runs without a correct flag (no expectation was set for them) are
@@ -478,18 +537,14 @@ class TestAggregateRunMetrics:
         analytics = EnsembleAnalytics(
             runs=0, converged=0, accuracy=None, quantile_points=(),
             stable_consensus_quantiles=None, first_consensus_quantiles=None,
-            histogram=None, mean_curve=None, all_complete=True,
+            histogram=None, mean_curve=None,
         )
         assert analytics.convergence_rate == 0.0
 
 
 class TestTrajectoryDiff:
     def _trajectory(self, indices):
-        return Trajectory(
-            transition_indices=tuple(indices),
-            total_fired=len(indices),
-            capacity=max(len(indices), 1),
-        )
+        return Trajectory(transition_indices=tuple(indices))
 
     def test_identical(self):
         diff = diff_trajectories(
@@ -519,13 +574,6 @@ class TestTrajectoryDiff:
         assert diff.common_prefix == 2
         assert "continued" in describe_diff(diff)
 
-    def test_truncated_trajectories_are_rejected(self):
-        truncated = Trajectory(
-            transition_indices=(1, 2), total_fired=10, capacity=2
-        )
-        with pytest.raises(ValueError, match="truncated"):
-            diff_trajectories(truncated, self._trajectory([1, 2]))
-
     def test_diff_results_requires_recordings(self):
         protocol, inputs = _majority()
         bare = Simulator(protocol, seed=1).run(inputs, max_steps=50)
@@ -545,7 +593,7 @@ class TestTrajectoryDiff:
             protocol, scheduler=TransitionScheduler(), seed=2022
         ).run(
             inputs, max_steps=400, stability_window=80,
-            record_trajectory=True, trajectory_capacity=400,
+            record_trajectory=True,
         )
         diff = diff_results(compiled, transition)
         assert not diff.identical

@@ -94,15 +94,14 @@ class TestSerialProcessEquivalence:
         inputs = _majority_inputs(20)
         kwargs = dict(
             repetitions=5, max_steps=300, stability_window=10 ** 9,
-            record_trajectory=True, trajectory_capacity=64,
+            record_trajectory=True,
         )
         serial = Simulator(protocol, seed=5).run_many(inputs, **kwargs)
         parallel = Simulator(protocol, seed=5).run_many(
             inputs, backend="process", max_workers=2, **kwargs
         )
         assert parallel == serial
-        assert all(result.trajectory is not None for result in parallel)
-        assert any(result.trajectory.dropped > 0 for result in parallel)
+        assert all(len(result.trajectory) == result.steps for result in parallel)
 
     def test_spawn_start_method_round_trips_everything_through_pickle(self):
         # Under "spawn" nothing is fork-inherited: protocol, configuration and
@@ -207,18 +206,6 @@ class TestWorkerCountEdgeCases:
                 _majority_inputs(9), repetitions=2, backend="threads"
             )
 
-    def test_invalid_trajectory_capacity_rejected_before_fanout(self):
-        # Regression: the batched compiled path enters the engines below
-        # _dispatch's validation; a bad capacity must fail at the call site
-        # with ValueError, not as an IndexError from inside a pool worker.
-        for backend in ("serial", "process"):
-            with pytest.raises(ValueError, match="trajectory_capacity"):
-                Simulator(majority_protocol(), seed=0).run_many(
-                    _majority_inputs(9), repetitions=2, backend=backend,
-                    max_workers=2 if backend == "process" else None,
-                    record_trajectory=True, trajectory_capacity=0,
-                )
-
 
 class TestStepBudget:
     @pytest.mark.parametrize("engine", ENGINES)
@@ -278,10 +265,8 @@ class TestReproducibility:
             simulator.run_many(inputs, repetitions=4, backend="thread")
         with pytest.raises(ValueError, match="max_workers"):
             simulator.run_many(inputs, repetitions=4, backend="process", max_workers=0)
-        with pytest.raises(ValueError, match="trajectory_capacity"):
-            simulator.run_many(
-                inputs, repetitions=4, record_trajectory=True, trajectory_capacity=0
-            )
+        with pytest.raises(ValueError, match="max_steps"):
+            simulator.run_many(inputs, repetitions=4, max_steps=-1)
         retried = simulator.run_many(inputs, repetitions=4, max_steps=500)
         fresh = Simulator(protocol, seed=42).run_many(inputs, repetitions=4, max_steps=500)
         assert retried == fresh
@@ -442,8 +427,7 @@ class TestPersistentPool:
         inputs = _majority_inputs(20)
         seeds = repetition_seeds(3, 4)
         recording = dict(
-            max_steps=300, stability_window=10 ** 9,
-            record_trajectory=True, trajectory_capacity=32,
+            max_steps=300, stability_window=10 ** 9, record_trajectory=True,
         )
         with WorkerPool(max_workers=2) as pool:
             plain = pool.run_seeds(protocol, inputs, seeds, max_steps=500)

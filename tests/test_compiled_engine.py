@@ -365,7 +365,6 @@ class TestRandomNetEquivalence:
                     max_steps=300,
                     stability_window=50,
                     record_trajectory=True,
-                    trajectory_capacity=10 ** 6,
                 )
                 for engine in ENGINES
             }
@@ -404,7 +403,7 @@ class TestRandomNetEquivalence:
                 protocol, scheduler=scheduler, engine=engine, seed=case
             ).run_many(
                 inputs, repetitions=3, max_steps=200, stability_window=50,
-                record_trajectory=True, trajectory_capacity=10 ** 6,
+                record_trajectory=True,
             )
             for engine in ENGINES
         }

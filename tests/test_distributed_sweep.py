@@ -165,13 +165,6 @@ class TestFaultPlan:
             FaultPlan([FaultRule("mid-cell", 1, "raise"),
                        FaultRule("mid-cell", 1, "drop")])
 
-    def test_seeded_plans_are_reproducible(self):
-        first = FaultPlan.seeded(99, count=3, actions=("raise", "drop"))
-        second = FaultPlan.seeded(99, count=3, actions=("raise", "drop"))
-        assert first == second
-        assert len(first.rules) == 3
-        assert FaultPlan.seeded(100, count=3) != first
-
     def test_fault_point_counts_hits_and_raises_on_schedule(self):
         install_fault_plan("mid-cell@2:raise")
         assert fault_point("mid-cell") is True
@@ -662,6 +655,20 @@ class TestRunClaims:
         assert store.rows() == []
         store.close()
 
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_a_non_positive_cell_timeout_is_rejected_before_registering(
+        self, tmp_path, timeout
+    ):
+        # A zero budget used to park every cell as "ValueError: timeout must
+        # be positive" at its first pool dispatch.
+        store = SqliteResultStore(tmp_path / "grid.sqlite")
+        with pytest.raises(ValueError, match="cell_timeout must be positive"):
+            SweepRunner(_tiny_spec(), store, backend="process").run_claims(
+                "r0", cell_timeout=timeout
+            )
+        assert store.rows() == []
+        store.close()
+
     def test_timed_out_cell_is_parked_and_the_loop_drains(self, tmp_path):
         # modulo never reaches a terminal configuration, so with
         # stability_window == max_steps each of its runs fires the whole
@@ -844,8 +851,35 @@ class TestWorkersCli:
             "--runners", "2", "--backend", "serial", "--cell-timeout", "0.05",
         ])
         assert rc == 2
-        assert "--cell-timeout" in capsys.readouterr().err
+        assert "cell_timeout" in capsys.readouterr().err
         # No runner started: nothing opened, let alone registered, the store.
+        assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("run", ["--workers", "0"], "max_workers must be at least 1"),
+            ("run", ["--max-cells", "-1"], "max_cells must be non-negative"),
+            ("workers", ["--workers", "0"], "max_workers must be at least 1"),
+            ("workers", ["--lease", "0"], "lease_seconds must be positive"),
+            ("workers", ["--max-retries", "-1"], "max_retries must be non-negative"),
+            ("workers", ["--backoff", "-1"], "backoff_base must be non-negative"),
+            ("workers", ["--idle-wait", "0"], "idle_wait must be positive"),
+            ("workers", ["--cell-timeout", "0"], "cell_timeout must be positive"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_bad_numeric_flags_exit_2_before_a_store_exists(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        spec_file = self._write_spec(tmp_path, _tiny_spec())
+        store = tmp_path / "grid.sqlite"
+        rc = sweep_main(
+            [command, "--spec", spec_file, "--store", str(store), *flags]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
         assert not store.exists()
 
     def test_workers_reports_missing_spec(self, tmp_path, capsys):

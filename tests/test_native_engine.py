@@ -261,12 +261,10 @@ class TestEquivalence:
         protocol, inputs = _random_protocol(random.Random(9000 + case))
         for seed in (0, 1):
             reference = Simulator(protocol, engine="reference", seed=seed).run(
-                inputs, max_steps=300, stability_window=50,
-                record_trajectory=True, trajectory_capacity=10 ** 6,
+                inputs, max_steps=300, stability_window=50, record_trajectory=True,
             )
             fast = Simulator(protocol, engine="native", seed=seed).run(
-                inputs, max_steps=300, stability_window=50,
-                record_trajectory=True, trajectory_capacity=10 ** 6,
+                inputs, max_steps=300, stability_window=50, record_trajectory=True,
             )
             assert_same_result(fast, reference)
             assert fast.trajectory == reference.trajectory
@@ -291,7 +289,7 @@ class TestSeedLists:
         protocol, inputs = build_protocol_and_inputs("majority", 40)
         compiled, fast = _pair(
             protocol, inputs, repetitions=16, max_steps=6000, stability_window=60,
-            record_trajectory=True, trajectory_capacity=10 ** 6,
+            record_trajectory=True,
         )
         _assert_rows_identical(compiled, fast)
         assert len({result.steps for result in fast}) > 1
@@ -565,7 +563,6 @@ class TestCaching:
             return run_ensemble(
                 protocol, inputs, seeds, engine="native", max_steps=20000,
                 stability_window=20000, record_trajectory=True,
-                trajectory_capacity=64,
             )
 
         expected = [ensemble(seeds) for seeds in seed_lists]
@@ -652,7 +649,7 @@ class TestBatchIntegration:
         inputs = from_counts(A=14, B=7)
         kwargs = dict(
             repetitions=4, max_steps=300, stability_window=10 ** 9,
-            record_trajectory=True, trajectory_capacity=64,
+            record_trajectory=True,
         )
         serial = Simulator(protocol, seed=5, engine="native").run_many(inputs, **kwargs)
         parallel = Simulator(protocol, seed=5, engine="native").run_many(

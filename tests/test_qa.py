@@ -14,7 +14,7 @@ import pytest
 
 from repro.qa import codegen_audit, determinism, picklesafety
 from repro.qa.cli import main as qa_main
-from repro.qa.rules import RULES, parse_pragmas, severity_at_least
+from repro.qa.rules import RULES, SEVERITIES, Rule, parse_pragmas
 from repro.sweep.spec import available_sweep_protocols, build_protocol_and_inputs
 from test_compiled_engine import WIDE_NET_SEED, WIDE_NETS, _random_protocol
 
@@ -40,9 +40,10 @@ class TestRuleCatalogue:
         }
 
     def test_severity_ordering(self):
-        assert severity_at_least("error", "warning")
-        assert severity_at_least("warning", "warning")
-        assert not severity_at_least("info", "warning")
+        assert SEVERITIES == ("error", "warning")
+        assert {rule.severity for rule in RULES.values()} == set(SEVERITIES)
+        with pytest.raises(ValueError, match="unknown severity"):
+            Rule("DET999", "info", "no rule gates below warning")
 
 
 # ----------------------------------------------------------------------
@@ -681,16 +682,17 @@ class TestCliExitCodes:
         monkeypatch.chdir(tmp_path)
         assert qa_main(["lint", str(repo_src)]) == 0
 
-    def test_check_pickle_exit_codes(self, tmp_path, capsys, monkeypatch):
+    def test_lint_pickle_exit_codes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.py").write_text(
             "class Holder:\n"
             "    def __init__(self):\n"
             "        self.fn = lambda: 1\n"
         )
-        assert qa_main(["check-pickle", "bad.py"]) == 1
+        assert qa_main(["lint", "bad.py"]) == 1
+        assert "PKL001" in capsys.readouterr().out
         (tmp_path / "bad.py").write_text(CLEAN_SOURCE)
-        assert qa_main(["check-pickle", "bad.py"]) == 0
+        assert qa_main(["lint", "bad.py"]) == 0
 
     def test_audit_codegen_exits_0(self, capsys):
         assert qa_main(["audit-codegen", "--population", "25"]) == 0

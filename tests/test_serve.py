@@ -122,6 +122,17 @@ class TestJobSpecValidation:
         spec = JobSpec.from_dict(_job(analytics=True))
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("analytics", ["false", 1])
+    def test_non_boolean_analytics_rejected(self, analytics):
+        # "false" used to validate and run with analytics on, under the key
+        # of analytics=true.
+        with pytest.raises(ValueError, match="analytics must be a boolean"):
+            JobSpec.from_dict(_job(analytics=analytics))
+        server = SimulationServer(backend="serial")
+        status, body = server._submit(_job(analytics=analytics), "client-a")
+        assert status == 400
+        assert "analytics must be a boolean" in body["error"]
+
 
 class TestContentKeyCanonicalization:
     def test_reordered_json_keys_share_a_key(self):
@@ -291,6 +302,11 @@ class TestJobTimeouts:
         # be silently ignored, so the server refuses it before binding.
         with pytest.raises(ValueError, match="job_timeout.*backend='process'"):
             SimulationServer(backend="serial", job_timeout=0.05)
+
+    @pytest.mark.parametrize("timeout", [0, -1.5])
+    def test_a_non_positive_job_timeout_is_rejected(self, timeout):
+        with pytest.raises(ValueError, match="job_timeout must be positive"):
+            SimulationServer(job_timeout=timeout)
 
     def test_cli_exits_2_on_a_serial_job_timeout(self, capsys):
         from repro.serve.__main__ import main as serve_main

@@ -1,11 +1,10 @@
 """Tests for opt-in trajectory recording (repro.simulation.trajectory).
 
-Covers the truncation semantics of the bounded recording deque (the recorded
-indices are the *last* ``capacity`` firings, with the dropped prefix
-counted) on every engine — native seed lists included — replay of
-complete trajectories to the run's final configuration, the engines agreeing
-on the recorded paths index for index, and recording memory following the
-steps actually fired rather than the step budget or the capacity.
+Covers the recording holding the whole run on every engine — native seed
+lists included, and runs longer than any fixed buffer — replay of
+trajectories to the run's final configuration, the engines agreeing on the
+recorded paths index for index, and recording memory following the steps
+actually fired rather than the step budget.
 """
 
 import tracemalloc
@@ -27,21 +26,16 @@ SCHEDULERS = pytest.mark.parametrize(
 )
 
 
-def _record(protocol, inputs, engine, capacity, seed=7, max_steps=500,
-            scheduler=None, **kwargs):
-    result = Simulator(protocol, scheduler=scheduler, seed=seed, engine=engine).run(
+def _record(protocol, inputs, engine, seed=7, max_steps=500, scheduler=None):
+    return Simulator(protocol, scheduler=scheduler, seed=seed, engine=engine).run(
         inputs,
         max_steps=max_steps,
         stability_window=10 ** 9,
         record_trajectory=True,
-        trajectory_capacity=capacity,
-        **kwargs,
     )
-    return result
 
 
-def _record_many(protocol, inputs, engine, capacity, seed=7, max_steps=5000,
-                 scheduler=None):
+def _record_many(protocol, inputs, engine, seed=7, max_steps=5000, scheduler=None):
     """Four recorded repetitions; under ``engine="native"`` one seed-list call."""
     return Simulator(protocol, scheduler=scheduler, seed=seed, engine=engine).run_many(
         inputs,
@@ -49,80 +43,44 @@ def _record_many(protocol, inputs, engine, capacity, seed=7, max_steps=5000,
         max_steps=max_steps,
         stability_window=60,
         record_trajectory=True,
-        trajectory_capacity=capacity,
     )
 
 
-class TestRingBufferSemantics:
+class TestWholeRunRecording:
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_truncation_keeps_the_last_capacity_firings(self, engine):
-        protocol = majority_protocol()
-        inputs = from_counts(A=20, B=12)
-        full = _record(protocol, inputs, engine, capacity=10 ** 6)
-        truncated = _record(protocol, inputs, engine, capacity=32)
-        assert full.trajectory.is_complete
-        assert not truncated.trajectory.is_complete
-        assert truncated.trajectory.total_fired == full.trajectory.total_fired
-        assert truncated.trajectory.transition_indices == (
-            full.trajectory.transition_indices[-32:]
+    def test_a_long_run_is_recorded_in_full(self, engine):
+        # 70,000 steps: longer than any fixed recording buffer of 2^16
+        # entries, and than the native engine's 4096-entry chunks.
+        protocol, inputs = build_protocol_and_inputs("majority", 200)
+        result = Simulator(protocol, seed=3, engine=engine).run(
+            inputs, max_steps=70000, stability_window=10 ** 9,
+            record_trajectory=True,
         )
-        assert truncated.trajectory.dropped == full.trajectory.total_fired - 32
-        assert len(truncated.trajectory) == 32
+        assert result.steps == 70000
+        assert len(result.trajectory) == 70000
+        replayed = result.trajectory.replay(protocol.petri_net, result.initial)
+        assert replayed == result.final
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_exact_capacity_is_complete(self, engine):
-        protocol = majority_protocol()
-        inputs = from_counts(A=20, B=12)
-        full = _record(protocol, inputs, engine, capacity=10 ** 6, max_steps=200)
-        fired = full.trajectory.total_fired
-        exact = _record(protocol, inputs, engine, capacity=fired, max_steps=200)
-        assert exact.trajectory.is_complete
-        assert exact.trajectory.transition_indices == full.trajectory.transition_indices
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_capacity_one_keeps_only_the_last_firing(self, engine):
-        protocol = majority_protocol()
-        inputs = from_counts(A=20, B=12)
-        full = _record(protocol, inputs, engine, capacity=10 ** 6, max_steps=100)
-        tiny = _record(protocol, inputs, engine, capacity=1, max_steps=100)
-        assert tiny.trajectory.transition_indices == (
-            full.trajectory.transition_indices[-1],
-        )
-        assert tiny.trajectory.dropped == full.trajectory.total_fired - 1
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_run_many_rows_keep_the_last_capacity_firings(self, engine):
+    def test_run_many_rows_record_their_whole_paths(self, engine):
         # Rows stop at different steps (one seed-list call under
-        # engine="native"), and each truncates on its own.
+        # engine="native"), and each holds exactly its own steps.
         protocol = majority_protocol()
         inputs = from_counts(A=17, B=9)
-        full = _record_many(protocol, inputs, engine, capacity=10 ** 6)
-        truncated = _record_many(protocol, inputs, engine, capacity=32)
-        assert len({result.steps for result in full}) > 1
-        for full_row, truncated_row in zip(full, truncated):
-            assert full_row.trajectory.is_complete
-            assert truncated_row.trajectory.total_fired == full_row.steps
-            assert truncated_row.trajectory.capacity == 32
-            assert truncated_row.trajectory.transition_indices == (
-                full_row.trajectory.transition_indices[-32:]
-            )
-
-    def test_invalid_capacity_rejected(self):
-        protocol = majority_protocol()
-        simulator = Simulator(protocol, seed=0)
-        with pytest.raises(ValueError, match="trajectory_capacity"):
-            simulator.run(from_counts(A=3, B=1), record_trajectory=True, trajectory_capacity=0)
+        rows = _record_many(protocol, inputs, engine)
+        assert len({result.steps for result in rows}) > 1
+        for row in rows:
+            assert len(row.trajectory) == row.steps
+            assert row.trajectory.replay(protocol.petri_net, row.initial) == row.final
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_terminal_run_records_an_empty_trajectory(self, engine):
         # A single below-threshold agent never interacts.
         protocol = flock_of_birds_protocol(3)
-        result = _record(protocol, Configuration({1: 1}), engine, capacity=16)
+        result = _record(protocol, Configuration({1: 1}), engine)
         assert result.terminated
         assert result.trajectory is not None
-        assert result.trajectory.total_fired == 0
         assert len(result.trajectory) == 0
-        assert result.trajectory.is_complete
 
     def test_not_recording_leaves_trajectory_none(self):
         result = Simulator(majority_protocol(), seed=0).run(
@@ -136,9 +94,8 @@ class TestReplay:
     def test_complete_trajectory_replays_to_the_final_configuration(self, engine):
         protocol = majority_protocol()
         inputs = from_counts(A=18, B=11)
-        result = _record(protocol, inputs, engine, capacity=10 ** 6)
+        result = _record(protocol, inputs, engine)
         trajectory = result.trajectory
-        assert trajectory.is_complete
         assert len(trajectory) == result.interactions_sampled
         replayed = trajectory.replay(protocol.petri_net, result.initial)
         assert replayed == result.final
@@ -154,22 +111,14 @@ class TestReplay:
             max_steps=300,
             stability_window=10 ** 9,
             record_trajectory=True,
-            trajectory_capacity=10 ** 6,
         )
         replayed = result.trajectory.replay(protocol.petri_net, result.initial)
         assert replayed == result.final
 
-    def test_truncated_trajectory_refuses_to_replay(self):
-        protocol = majority_protocol()
-        result = _record(protocol, from_counts(A=20, B=12), "compiled", capacity=8)
-        assert not result.trajectory.is_complete
-        with pytest.raises(ValueError, match="truncated"):
-            result.trajectory.replay(protocol.petri_net, result.initial)
-
     def test_transitions_resolve_against_net_order(self):
         protocol = majority_protocol()
         net = protocol.petri_net
-        result = _record(protocol, from_counts(A=8, B=5), "compiled", capacity=10 ** 6)
+        result = _record(protocol, from_counts(A=8, B=5), "compiled")
         resolved = result.trajectory.transitions(net)
         assert len(resolved) == len(result.trajectory)
         for index, transition in zip(result.trajectory, resolved):
@@ -183,37 +132,23 @@ class TestEngineAgreement:
     def test_engines_record_identical_paths(self, engine, seed, scheduler):
         protocol = majority_protocol()
         inputs = from_counts(A=17, B=9)
-        recorded = _record(
-            protocol, inputs, engine, capacity=10 ** 6, seed=seed, scheduler=scheduler
-        )
-        reference = _record(
-            protocol, inputs, "reference", capacity=10 ** 6, seed=seed, scheduler=scheduler
-        )
+        recorded = _record(protocol, inputs, engine, seed=seed, scheduler=scheduler)
+        reference = _record(protocol, inputs, "reference", seed=seed, scheduler=scheduler)
         assert recorded.trajectory == reference.trajectory
         assert recorded.final == reference.final
 
     @pytest.mark.parametrize("engine", DENSE_ENGINES)
     @SCHEDULERS
-    def test_engines_agree_on_truncated_paths(self, engine, scheduler):
+    def test_engines_agree_on_run_many_rows(self, engine, scheduler):
+        # Rows of different lengths, one native seed-list call: each row's
+        # whole path must equal the reference engine's row.
         protocol = majority_protocol()
         inputs = from_counts(A=17, B=9)
-        recorded = _record(protocol, inputs, engine, capacity=25, seed=5, scheduler=scheduler)
-        reference = _record(
-            protocol, inputs, "reference", capacity=25, seed=5, scheduler=scheduler
-        )
-        assert recorded.trajectory == reference.trajectory
-
-    @pytest.mark.parametrize("engine", DENSE_ENGINES)
-    @SCHEDULERS
-    def test_engines_agree_on_truncated_run_many_rows(self, engine, scheduler):
-        protocol = majority_protocol()
-        inputs = from_counts(A=17, B=9)
-        recorded = _record_many(
-            protocol, inputs, engine, capacity=25, seed=5, scheduler=scheduler
-        )
+        recorded = _record_many(protocol, inputs, engine, seed=5, scheduler=scheduler)
         reference = _record_many(
-            protocol, inputs, "reference", capacity=25, seed=5, scheduler=scheduler
+            protocol, inputs, "reference", seed=5, scheduler=scheduler
         )
+        assert len({result.steps for result in recorded}) > 1
         assert [result.trajectory for result in recorded] == [
             result.trajectory for result in reference
         ]
@@ -238,13 +173,12 @@ class TestEngineAgreement:
 
 
 class TestBoundedMemory:
-    """Recording memory follows the steps fired, not the budget or capacity.
+    """Recording memory follows the steps fired, not the budget.
 
     Majority at population 24 stabilizes within a few thousand steps, so an
-    analytics batch (which records every run in full) and a recorded run
-    with a huge capacity both stay far below the 2 MB bound however large
-    ``max_steps`` is; a buffer sized by min(capacity, max_steps) would take
-    16 MB per run.
+    analytics batch and a recorded run both stay far below the 2 MB bound
+    however large ``max_steps`` is; a buffer sized by ``max_steps`` would
+    take 16 MB per run.
     """
 
     BUDGET = 2_000_000
@@ -279,10 +213,8 @@ class TestBoundedMemory:
         single, peak = self._peak(
             lambda: simulator.run(
                 inputs, max_steps=self.BUDGET, record_trajectory=True,
-                trajectory_capacity=10 ** 8,
             )
         )
-        assert single.trajectory.is_complete
-        assert single.trajectory.capacity == 10 ** 8
+        assert len(single.trajectory) == single.steps
         assert single.steps < 20_000
         assert peak < self.PEAK_BYTES, f"recorded run peaked at {peak} bytes"
