@@ -20,9 +20,10 @@ This module computes these notions **exactly** on finite reachability graphs
 * :class:`DenseReachabilityGraph` explores the graph from one root with each
   configuration packed into one int (a bit field per state, over the net's
   compiled integer tables), fires a transition with one addition and
-  propagates output stability on integer node ids.  It is the workhorse of
-  :func:`is_output_stable`, :func:`stable_consensus_value` and the
-  verification layer (:mod:`repro.analysis.verification`),
+  propagates output stability on integer node ids, in the native library
+  whenever it loads and a configuration fits one 64-bit word.  It is the
+  workhorse of :func:`is_output_stable`, :func:`stable_consensus_value` and
+  the verification layer (:mod:`repro.analysis.verification`),
 * :func:`output_stable_nodes` and :func:`always_eventually_stable` evaluate
   the same conditions on a sparse
   :class:`~repro.core.petrinet.ReachabilityGraph`; they stay as public API
@@ -31,6 +32,8 @@ This module computes these notions **exactly** on finite reachability graphs
 
 from __future__ import annotations
 
+from array import array
+from types import ModuleType
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from .configuration import Configuration
@@ -40,6 +43,13 @@ from .transition import Transition
 
 if TYPE_CHECKING:
     from ..simulation.compiled import CompiledNet
+
+#: One width's packing (see :meth:`_PackedTables.at`).
+_Packing = Tuple[int, List[Tuple[int, int]], Tuple[int, int, int], Optional[array]]
+#: The low 64 bits: a negative delta's two's complement.
+_WORD = (1 << 64) - 1
+#: :mod:`repro.simulation.native` once :func:`_native` imported it.
+_glue: Optional[ModuleType] = None
 
 __all__ = [
     "DenseReachabilityGraph",
@@ -70,12 +80,20 @@ class DenseReachabilityGraph:
     0), the order of
     :meth:`~repro.core.petrinet.PetriNet.reachability_graph`, and
     ``predecessors[i]`` lists the ids from which one enabled transition leads
-    to node ``i``.  Transitions whose pre-set equals their post-set only add
-    self-loops, which change neither reachability nor stability, and are
-    skipped.  The graph has the same nodes as the sparse one (``nodes``
-    decodes them to tuples of counts) and raises
-    :class:`~repro.core.petrinet.ExplorationLimitError` on exactly the same
-    ``max_nodes`` budgets.
+    to node ``i``, by source id and then by transition order.  Transitions
+    whose pre-set equals their post-set only add self-loops, which change
+    neither reachability nor stability, and are skipped.  The graph has the
+    same nodes as the sparse one (``nodes`` decodes them to tuples of counts)
+    and raises :class:`~repro.core.petrinet.ExplorationLimitError` on exactly
+    the same ``max_nodes`` budgets.
+
+    The search and the backward search of :meth:`always_eventually_stable`
+    run in the native library (:func:`repro.simulation.native.explore`)
+    whenever it loads and a code fits one 64-bit word (states x width <=
+    64), and in Python otherwise: on hosts without ``cc``, and from a width
+    restart past 64 bits on.  Both give the same graph; on the native path
+    the predecessor lists are kept as CSR arrays and ``predecessors``
+    decodes them on first access.
 
     Raises :class:`ValueError` for protocols that are not Petri-net based.
     """
@@ -94,16 +112,40 @@ class DenseReachabilityGraph:
         # The universe holds the root's support, so ``counts_of`` answers a list.
         counts = compiled.counts_of(root) or []
         width = max(sum(counts), tables.largest).bit_length() + 1
+        native = _native()
+        self._predecessors: Optional[List[List[int]]] = None
+        # The native path's predecessor lists: (offsets, source ids).
+        self._csr: Optional[Tuple[array, array]] = None
         while True:
-            guards, steps, masks = tables.at(width)
-            explored = _explore(_pack(enumerate(counts), width), steps, guards, max_nodes)
-            if explored is not None:
-                break
+            guards, steps, masks, words = tables.at(width)
+            code = _pack(enumerate(counts), width)
+            if native is not None and words is not None:
+                found = native.explore(words, code, max_nodes)
+                if found is not None:
+                    self._codes, offsets, sources = found
+                    self._csr = (offsets, sources)
+                    break
+            else:
+                explored = _explore(code, steps, guards, max_nodes)
+                if explored is not None:
+                    self._codes, self._predecessors = explored
+                    break
             width *= 2
-        self._codes, self.predecessors = explored
         self._width = width
         self._num_states = len(counts)
-        self._ones, self._zeros, self._undefined = masks
+        self._masks = masks
+
+    @property
+    def predecessors(self) -> List[List[int]]:
+        """Per node, the ids from which one enabled transition leads to it
+        (decoded from the CSR arrays on first access on the native path)."""
+        if self._predecessors is None:
+            assert self._csr is not None
+            offsets, sources = self._csr
+            self._predecessors = [
+                sources[offsets[i] : offsets[i + 1]].tolist() for i in range(len(self._codes))
+            ]
+        return self._predecessors
 
     @property
     def nodes(self) -> List[Tuple[int, ...]]:
@@ -118,11 +160,12 @@ class DenseReachabilityGraph:
     def consensus(self, value: int) -> List[bool]:
         """Per node, whether it has consensus ``value``
         (:meth:`~repro.core.protocol.Protocol.has_consensus`)."""
+        ones, zeros, undefined = self._masks
         if value == OUTPUT_ONE:
-            blocking, ones = self._zeros | self._undefined, self._ones
+            blocking = zeros | undefined
             return [not code & blocking and code & ones != 0 for code in self._codes]
         if value == OUTPUT_ZERO:
-            blocking = self._ones | self._undefined
+            blocking = ones | undefined
             return [not code & blocking for code in self._codes]
         raise ValueError("consensus value must be 0 or 1")
 
@@ -147,6 +190,10 @@ class DenseReachabilityGraph:
         consensus ``value``.  Every node is reachable from the root, so this
         is the stable-computation condition of :func:`always_eventually_stable`.
         """
+        native = None if self._csr is None else _native()
+        # Any other value reaches consensus(), which refuses it.
+        if native is not None and value in (OUTPUT_ONE, OUTPUT_ZERO):
+            return native.eventually_stable(self._codes, *self._csr, self._masks, value)
         unstable = self._reaching([i for i, ok in enumerate(self.consensus(value)) if not ok])
         return all(self._reaching([i for i, bad in enumerate(unstable) if not bad]))
 
@@ -163,7 +210,8 @@ class _PackedTables:
     """The packing tables of one compiled net and output classes, per field
     width: the transitions that change a configuration, the largest pre
     count or one-step gain, and for each width the guard word, every
-    transition's ``(key, delta)`` codes and the fields of each output class.
+    transition's ``(key, delta)`` codes, the fields of each output class
+    and, when a code fits 64 bits, the native explorer's step words.
     They depend on nothing else, so the net keeps them (``_dense_cache``)
     for every root :class:`DenseReachabilityGraph` explores."""
 
@@ -175,10 +223,14 @@ class _PackedTables:
             [0] + [count for pre, delta in self._moves for _, count in pre + delta]
         )
         self._classes = classes
-        self._by_width: Dict[int, Tuple[int, List[Tuple[int, int]], Tuple[int, int, int]]] = {}
+        self._by_width: Dict[int, _Packing] = {}
 
-    def at(self, width: int) -> Tuple[int, List[Tuple[int, int]], Tuple[int, int, int]]:
-        """``(guards, steps, (ones, zeros, undefined))`` on fields of ``width`` bits."""
+    def at(self, width: int) -> _Packing:
+        """``(guards, steps, (ones, zeros, undefined), words)`` on fields of
+        ``width`` bits.  ``words`` is ``None`` when a code needs more than
+        64 bits, else the unsigned 64-bit array of
+        :func:`repro.simulation.native.explore`: the guard word, then each
+        step's key and delta, a negative delta in two's complement."""
         tables = self._by_width.get(width)
         if tables is None:
             from ..simulation.compiled import OUT_ONE, OUT_UNDEFINED, OUT_ZERO
@@ -195,8 +247,26 @@ class _PackedTables:
                 _pack([(i, field) for i in states if self._classes[i] == wanted], width)
                 for wanted in (OUT_ONE, OUT_ZERO, OUT_UNDEFINED)
             )
-            tables = self._by_width[width] = (guards, steps, (ones, zeros, undefined))
+            words = None
+            if len(states) * width <= 64:
+                words = array("Q", [guards])
+                words.extend(part & _WORD for step in steps for part in step)
+            tables = (guards, steps, (ones, zeros, undefined), words)
+            self._by_width[width] = tables
         return tables
+
+
+def _native() -> Optional[ModuleType]:
+    """:mod:`repro.simulation.native` when its library, which holds the
+    explorer, loads here, else ``None``.  That package imports this one, so
+    the module is imported on first use and kept: an import statement per
+    graph would cost more than a small graph's search."""
+    global _glue
+    if _glue is None:
+        from ..simulation import native
+
+        _glue = native
+    return _glue if _glue.available() else None
 
 
 def _pack(counts: Iterable[Tuple[int, int]], width: int) -> int:

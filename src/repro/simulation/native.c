@@ -1,6 +1,8 @@
 /*
- * Native stepper of repro.simulation (see native.py, which builds this file
- * with the host C compiler and calls it through ctypes).
+ * Native library of repro (see native.py, which builds this file with the
+ * host C compiler and calls it through ctypes).  It holds the simulation
+ * stepper and, at the end of the file, the exhaustive explorer of
+ * repro.core.semantics.DenseReachabilityGraph.
  *
  * One loop runs both scheduler kinds over the tables of a CompiledNet:
  * uniform-scheduler weights are products of binomials C(count, multiplicity),
@@ -335,4 +337,198 @@ void repro_randbelow(uint32_t *mt, const uint32_t *key, int64_t length,
         seed_by_array(mt, key, length);
     for (i = 0; i < n; i++)
         out[i] = randbelow(mt, moduli[i]);
+}
+
+/* ---------------------------------------------------------------------- */
+/* Exhaustive exploration                                                  */
+/* ---------------------------------------------------------------------- */
+/*
+ * The graph of repro.core.semantics.DenseReachabilityGraph on 64-bit codes:
+ * state i owns the bit field of `width` bits at shift i * width, its count
+ * below a guard bit that a configuration keeps clear.  A step is a pair
+ * (key, delta): it is enabled in `code` iff ((code + key) & guards) ==
+ * guards, and firing it gives code + delta, a negative delta travelling in
+ * two's complement.  The guard bits keep every true sum inside the word, so
+ * the unsigned sums are exact.
+ *
+ * Nodes are numbered in breadth-first discovery order.  An open-addressing
+ * table (linear probing, load at most 1/2) maps codes to node ids; a slot
+ * holds id + 1, 0 when empty, so the code 0 of an empty population is a
+ * key like any other.  Every buffer belongs to the caller.  Before it
+ * expands a node the search checks that the node's steps fit the buffers,
+ * and stops with EXPLORE_FULL when they might not; the caller grows them
+ * and calls again, and the search resumes at that node, first indexing the
+ * codes a fresh table lacks.
+ */
+
+/* Slots of the exploration control array, shared with native.py. */
+enum {
+    X_STEPS, X_MAX_NODES, X_HEAD, X_NODES, X_INDEXED, X_EDGES, X_NODE_CAP, X_EDGE_CAP
+};
+
+enum { EXPLORE_DONE = 0, EXPLORE_FULL = 1, EXPLORE_WIDEN = 2, EXPLORE_LIMIT = 3 };
+
+/* MurmurHash3's 64-bit finalizer: packed counts differ in few bits. */
+static uint64_t mix(uint64_t x)
+{
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    x ^= x >> 33;
+    return x;
+}
+
+/* The slot of `code` in the table, or the empty slot where it belongs. */
+static uint64_t slot_of(const uint64_t *codes, const int32_t *table, uint64_t mask,
+                        uint64_t code)
+{
+    uint64_t slot = mix(code) & mask;
+    while (table[slot] && codes[table[slot] - 1] != code)
+        slot = (slot + 1) & mask;
+    return slot;
+}
+
+/*
+ * The predecessor lists in CSR form from the edges of the search: node i's
+ * predecessors are sources[offsets[i] .. offsets[i + 1]), ordered by source
+ * id and then by step order, the order the search found them.  A stable
+ * counting sort of the edges by target gives that order.
+ */
+static void transpose(int64_t nodes, const int32_t *starts, const int32_t *targets,
+                      int32_t *offsets, int32_t *sources)
+{
+    int64_t i, e;
+    memset(offsets, 0, (size_t)(nodes + 1) * sizeof *offsets);
+    for (e = 0; e < starts[nodes]; e++)
+        offsets[targets[e] + 1]++;
+    for (i = 0; i < nodes; i++)
+        offsets[i + 1] += offsets[i];
+    /* Filling advances offsets[t] to the end of row t; shift it back. */
+    for (i = 0; i < nodes; i++)
+        for (e = starts[i]; e < starts[i + 1]; e++)
+            sources[offsets[targets[e]]++] = (int32_t)i;
+    for (i = nodes; i > 0; i--)
+        offsets[i] = offsets[i - 1];
+    offsets[0] = 0;
+}
+
+/*
+ * Breadth-first search over steps[0] = guards and the ctl[X_STEPS] pairs
+ * (key, delta) after it, from the ctl[X_NODES] codes found so far, the
+ * first ctl[X_HEAD] of them expanded.  codes has room for ctl[X_NODE_CAP]
+ * codes (a power of two), table for twice as many slots and starts for one
+ * more entry; targets and sources have room for ctl[X_EDGE_CAP] node ids.
+ * Node i's edges go to targets[starts[i] .. starts[i + 1]), in step order.
+ *
+ * Returns EXPLORE_FULL (grow a buffer and call again), EXPLORE_WIDEN when a
+ * new code sets a guard bit (a count outgrew its field), EXPLORE_LIMIT when
+ * a new node would get an id of ctl[X_MAX_NODES] or more (checked in that
+ * order), or EXPLORE_DONE once every node is expanded.  The table is then
+ * done with and takes the offsets of the predecessor lists, and sources
+ * their source ids (see transpose).
+ */
+int repro_explore(const uint64_t *steps, int64_t *ctl, uint64_t *codes, int32_t *table,
+                  int32_t *starts, int32_t *targets, int32_t *sources)
+{
+    const uint64_t guards = steps[0];
+    const int64_t count = ctl[X_STEPS], max_nodes = ctl[X_MAX_NODES];
+    const int64_t node_cap = ctl[X_NODE_CAP], edge_cap = ctl[X_EDGE_CAP];
+    const uint64_t mask = 2 * (uint64_t)node_cap - 1;
+    int64_t head = ctl[X_HEAD], nodes = ctl[X_NODES], edges = ctl[X_EDGES], s;
+    int status = EXPLORE_DONE;
+
+    for (s = ctl[X_INDEXED]; s < nodes; s++)
+        table[slot_of(codes, table, mask, codes[s])] = (int32_t)(s + 1);
+    for (; head < nodes; head++) {
+        const uint64_t code = codes[head];
+        if (nodes + count > node_cap || edges + count > edge_cap) {
+            status = EXPLORE_FULL;
+            break;
+        }
+        starts[head] = (int32_t)edges;
+        for (s = 0; s < count; s++) {
+            uint64_t target, slot;
+            if (((code + steps[1 + 2 * s]) & guards) != guards)
+                continue;
+            target = code + steps[2 + 2 * s];
+            slot = slot_of(codes, table, mask, target);
+            if (!table[slot]) {
+                if (target & guards) {
+                    status = EXPLORE_WIDEN;
+                    goto out;
+                }
+                if (nodes >= max_nodes) {
+                    status = EXPLORE_LIMIT;
+                    goto out;
+                }
+                codes[nodes++] = target;
+                table[slot] = (int32_t)nodes;
+            }
+            targets[edges++] = table[slot] - 1;
+        }
+    }
+    if (status == EXPLORE_DONE) {
+        starts[nodes] = (int32_t)edges;
+        transpose(nodes, starts, targets, table, sources);
+    }
+out:
+    ctl[X_HEAD] = head;
+    ctl[X_NODES] = nodes;
+    ctl[X_INDEXED] = nodes;
+    ctl[X_EDGES] = edges;
+    return status;
+}
+
+/* Set `bit` on every node that reaches one of the `top` nodes on the stack
+ * (which carry it already), walking the predecessor lists. */
+static void reach_back(const int32_t *offsets, const int32_t *sources, int32_t *marks,
+                       int32_t bit, int32_t *stack, int64_t top)
+{
+    while (top) {
+        int32_t node = stack[--top], e;
+        for (e = offsets[node]; e < offsets[node + 1]; e++) {
+            int32_t source = sources[e];
+            if (!(marks[source] & bit)) {
+                marks[source] |= bit;
+                stack[top++] = source;
+            }
+        }
+    }
+}
+
+/*
+ * Whether every node can reach a `value`-output-stable node: one that
+ * reaches no node without consensus `value`.  ones, zeros and undefined
+ * hold the fields of the states of each output class.  work has room for
+ * two entries per node: a mark and a stack slot.
+ */
+int repro_eventually_stable(const uint64_t *codes, int64_t nodes, uint64_t ones,
+                            uint64_t zeros, uint64_t undefined, int64_t value,
+                            const int32_t *offsets, const int32_t *sources, int32_t *work)
+{
+    const uint64_t blocking = undefined | (value ? zeros : ones);
+    int32_t *marks = work, *stack = work + nodes;
+    int64_t i, top = 0;
+    memset(marks, 0, (size_t)nodes * sizeof *marks);
+    /* Bit 1: the node reaches a node without consensus `value`. */
+    for (i = 0; i < nodes; i++) {
+        if ((codes[i] & blocking) || (value && !(codes[i] & ones))) {
+            marks[i] = 1;
+            stack[top++] = (int32_t)i;
+        }
+    }
+    reach_back(offsets, sources, marks, 1, stack, top);
+    /* Bit 2: the node reaches an output-stable node. */
+    for (top = 0, i = 0; i < nodes; i++) {
+        if (!marks[i]) {
+            marks[i] = 2;
+            stack[top++] = (int32_t)i;
+        }
+    }
+    reach_back(offsets, sources, marks, 2, stack, top);
+    for (i = 0; i < nodes; i++)
+        if (!(marks[i] & 2))
+            return 0;
+    return 1;
 }

@@ -1,15 +1,18 @@
-"""The native stepper: one C loop for both schedulers, built on first use.
+"""The native library: the simulation stepper and the exhaustive explorer.
 
-``native.c`` (next to this file) is compiled with the host C compiler
-``cc`` the first time a process needs it, into the per-user cache
-directory ``~/.cache/repro-native`` (created with mode 0700), under a name
-keyed by the hash of the source, the flags and the platform.  Later processes,
-pool workers included, load the cached library.  A build is written under a
-temporary name in that directory and renamed into place, so concurrent first
-uses never load a half-written file.  Without a compiler, or with a cache
-directory that cannot be used, :func:`available` is false: ``engine="auto"``
-runs the compiled engine instead and ``engine="native"`` raises
-:class:`NativeUnavailable`, whose message names the cause.
+``native.c`` (next to this file) holds one C loop for both schedulers and
+the breadth-first search and backward search of
+:class:`~repro.core.semantics.DenseReachabilityGraph`.  It is compiled with
+the host C compiler ``cc`` the first time a process needs it, into the
+per-user cache directory ``~/.cache/repro-native`` (created with mode 0700),
+under a name keyed by the hash of the source, the flags and the platform.
+Later processes, pool workers included, load the cached library.  A build is
+written under a temporary name in that directory and renamed into place, so
+concurrent first uses never load a half-written file.  Without a compiler,
+or with a cache directory that cannot be used, :func:`available` is false:
+``engine="auto"`` runs the compiled engine instead, ``engine="native"``
+raises :class:`NativeUnavailable`, whose message names the cause, and the
+dense graph explores in Python.
 
 The C loop reproduces CPython's MT19937 (``random.Random(seed)`` seeding for
 int seeds, ``getrandbits`` and ``_randbelow``), so it fires exactly the
@@ -21,6 +24,10 @@ and seeds each generator inside C.  A run whose counts leave int64 or whose
 weight total reaches 2**64 is redone on the compiled engine from the same
 counts and generator state, so no result depends on the engine; on a net too
 large for the compiled engine such a run raises :class:`OverflowError`.
+
+The explorer works on configurations packed into one 64-bit word
+(:func:`explore`, :func:`eventually_stable`); the dense graph explores in
+Python when its codes need more bits.
 
 Every buffer the C code touches is an :class:`array.array` allocated here for
 the call: the C side allocates nothing, so ``tracemalloc`` sees all of the
@@ -43,11 +50,15 @@ from array import array
 from pathlib import Path
 from typing import Any, Deque, List, Optional, Sequence, Tuple
 
+from ..core.petrinet import ExplorationLimitError
 from .compiled import CompiledNet, check_kind
 
-__all__ = ["NativeStepper", "NativeUnavailable", "available", "library"]
+__all__ = [
+    "NativeStepper", "NativeUnavailable", "available", "eventually_stable", "explore",
+    "library",
+]
 
-#: The C compiler that builds the stepper (GCC's command-line flags).
+#: The C compiler that builds the library (GCC's command-line flags).
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-shared", "-fPIC")
 _SOURCE = Path(__file__).with_name("native.c")
@@ -65,9 +76,21 @@ _RUN, _PHASE, _REC_CAP, _REC_LEN, _REC_RUN = 6, 7, 16, 17, 18
 #: final_counts)`` with ``-1`` standing for ``None``.
 RunOutcome = Tuple[int, int, int, bool, List[int]]
 
+# Exploration statuses and the control slots Python touches, as in native.c.
+_EXPLORED, _FULL, _WIDEN, _LIMIT = 0, 1, 2, 3
+_X_NODES, _X_INDEXED, _X_EDGES, _X_NODE_CAP, _X_EDGE_CAP = 3, 4, 5, 6, 7
+#: Nodes and edges an exploration first has room for.
+_FIRST_NODES, _FIRST_EDGES = 64, 256
+#: Node ids and edge offsets are int32.
+_INT32_MAX = 2 ** 31 - 1
+
+#: An explored graph: the codes in discovery order, and the predecessor
+#: lists as CSR arrays (offsets, then source ids).
+Explored = Tuple[array, array, array]
+
 
 class NativeUnavailable(RuntimeError):
-    """The native stepper cannot be built or loaded here; the message says why."""
+    """The native library cannot be built or loaded here; the message says why."""
 
 
 _lock = threading.Lock()
@@ -76,25 +99,28 @@ _failure: Optional[str] = None
 
 
 def library() -> ctypes.CDLL:
-    """The stepper library of this process, built or loaded on first use.
+    """The native library of this process, built or loaded on first use.
 
     Raises :class:`NativeUnavailable` (every time, with the first failure's
     reason) when it cannot be built or loaded.
     """
     global _library, _failure
-    with _lock:
-        if _library is None and _failure is None:
-            try:
-                _library = _load()
-            except NativeUnavailable as error:
-                _failure = str(error)
+    # Set once and never cleared, so a loaded library needs no lock: a dense
+    # graph asks for it several times.
+    if _library is None:
+        with _lock:
+            if _library is None and _failure is None:
+                try:
+                    _library = _load()
+                except NativeUnavailable as error:
+                    _failure = str(error)
     if _library is None:
         raise NativeUnavailable(_failure)
     return _library
 
 
 def available() -> bool:
-    """True if the native stepper builds and loads in this process."""
+    """True if the native library builds and loads in this process."""
     try:
         library()
     except NativeUnavailable:
@@ -134,6 +160,13 @@ def _load() -> ctypes.CDLL:
         pointer, pointer, ctypes.c_int64, pointer, ctypes.c_int64, pointer,
     ]
     lib.repro_randbelow.restype = None
+    lib.repro_explore.argtypes = [pointer] * 7
+    lib.repro_explore.restype = ctypes.c_int
+    lib.repro_eventually_stable.argtypes = [
+        pointer, ctypes.c_int64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,
+        ctypes.c_int64, pointer, pointer, pointer,
+    ]
+    lib.repro_eventually_stable.restype = ctypes.c_int
     return lib
 
 
@@ -373,3 +406,79 @@ class NativeStepper:
             )
             for index in range(runs)
         ]
+
+
+def explore(steps: array, root: int, max_nodes: Optional[int]) -> Optional[Explored]:
+    """Breadth-first search in C from the 64-bit code ``root``.
+
+    ``steps`` (unsigned 64-bit) holds the guard word, then one ``(key,
+    delta)`` pair per transition, a negative delta in two's complement (see
+    :class:`~repro.core.semantics.DenseReachabilityGraph`).  Returns the
+    codes in discovery order with the predecessor lists as CSR arrays, or
+    ``None`` once a count outgrows its field.  Raises
+    :class:`~repro.core.petrinet.ExplorationLimitError` when a node beyond
+    the first ``max_nodes`` would be discovered.  Each buffer starts small
+    and doubles whenever the next node's steps might not fit in it.
+    """
+    search = library().repro_explore
+    count = (len(steps) - 1) // 2
+    limit = _INT64_MAX if max_nodes is None else _clamp(max(max_nodes, 0))
+    node_cap, edge_cap = _FIRST_NODES, _FIRST_EDGES
+    control = array("q", [count, limit, 0, 1, 0, 0, node_cap, edge_cap])
+    codes = array("Q", bytes(8 * node_cap))
+    codes[0] = root
+    table = array("i", bytes(8 * node_cap))
+    starts = array("i", bytes(4 * (node_cap + 1)))
+    targets = array("i", bytes(4 * edge_cap))
+    sources = array("i", bytes(4 * edge_cap))
+    while True:
+        buffers = (steps, control, codes, table, starts, targets, sources)
+        status = search(*[buffer.buffer_info()[0] for buffer in buffers])
+        if status == _EXPLORED:
+            break
+        if status == _WIDEN:
+            return None
+        if status == _LIMIT:
+            raise ExplorationLimitError(f"exploration exceeded {max_nodes} configurations")
+        # _FULL: grow what the next node's steps might not fit, and resume.
+        if control[_X_NODES] + count > node_cap:
+            grown = _doubled(node_cap, control[_X_NODES] + count)
+            codes.frombytes(bytes(8 * (grown - node_cap)))
+            starts.frombytes(bytes(4 * (grown - node_cap)))
+            # A fresh table: the search indexes every code again.
+            table = array("i", bytes(8 * grown))
+            control[_X_INDEXED] = 0
+            control[_X_NODE_CAP] = node_cap = grown
+        if control[_X_EDGES] + count > edge_cap:
+            grown = _doubled(edge_cap, control[_X_EDGES] + count)
+            targets.frombytes(bytes(4 * (grown - edge_cap)))
+            sources.frombytes(bytes(4 * (grown - edge_cap)))
+            control[_X_EDGE_CAP] = edge_cap = grown
+    # The finished search left the predecessor offsets in the table.
+    del codes[control[_X_NODES] :], table[control[_X_NODES] + 1 :]
+    del sources[control[_X_EDGES] :]
+    return codes, table, sources
+
+
+def _doubled(capacity: int, needed: int) -> int:
+    """``capacity`` doubled until it holds ``needed`` entries."""
+    while capacity < needed:
+        capacity *= 2
+    if capacity > _INT32_MAX // 2:
+        raise MemoryError("the graph has too many nodes or edges for 32-bit ids")
+    return capacity
+
+
+def eventually_stable(
+    codes: array, offsets: array, sources: array, masks: Tuple[int, int, int], value: int
+) -> bool:
+    """Whether every node of an :func:`explore` graph can reach a
+    ``value``-output-stable node; ``masks`` holds the fields of the states
+    of each output class (ones, zeros, undefined)."""
+    work = array("i", bytes(8 * len(codes)))
+    return bool(
+        library().repro_eventually_stable(
+            codes.buffer_info()[0], len(codes), *masks, value,
+            *[buffer.buffer_info()[0] for buffer in (offsets, sources, work)],
+        )
+    )

@@ -337,7 +337,7 @@ def _command_workers(args: argparse.Namespace) -> int:
         check_claim_policy(args.lease, args.max_retries, args.backoff)
         check_runner_settings(
             args.backend, args.workers, cell_timeout=args.cell_timeout,
-            idle_wait=args.idle_wait,
+            idle_wait=args.idle_wait, heartbeat_interval=args.heartbeat,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -103,6 +103,7 @@ def check_runner_settings(
     max_cells: Optional[int] = None,
     cell_timeout: Optional[float] = None,
     idle_wait: Optional[float] = None,
+    heartbeat_interval: Optional[float] = None,
 ) -> None:
     """Raise :class:`ValueError` for a setting :class:`SweepRunner` refuses.
 
@@ -126,6 +127,8 @@ def check_runner_settings(
         )
     if idle_wait is not None and idle_wait <= 0:
         raise ValueError(f"idle_wait must be positive, got {idle_wait}")
+    if heartbeat_interval is not None and heartbeat_interval <= 0:
+        raise ValueError(f"heartbeat_interval must be positive, got {heartbeat_interval}")
 
 
 class CellExecutionError(RuntimeError):
@@ -467,7 +470,8 @@ class SweepRunner:
             both raise :class:`ValueError` before any cell is registered.
         heartbeat_interval:
             Seconds between lease extensions (default: a third of the
-            store's ``lease_seconds``).
+            store's ``lease_seconds``).  It must be positive; beats come at
+            most every 0.05 s.
         wait_for_stragglers:
             When no cell is claimable but unresolved rows remain (live
             claims of other runners, rows in backoff), keep polling every
@@ -483,7 +487,7 @@ class SweepRunner:
         """
         check_runner_settings(
             self.backend, max_cells=max_cells, cell_timeout=cell_timeout,
-            idle_wait=idle_wait,
+            idle_wait=idle_wait, heartbeat_interval=heartbeat_interval,
         )
         cells = self._register()
         tally = self._claim_loop(

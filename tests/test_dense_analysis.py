@@ -7,6 +7,9 @@
   they must agree with the sparse ``net.reachability_graph`` +
   ``always_eventually_stable`` path: same ``computed``, same ``explored``,
   and ``ExplorationLimitError`` on exactly the same ``max_nodes`` budgets.
+  These oracle tests run on both explorers, the Python loops and the native
+  library, and the two must build the same graph: the same codes in the
+  same order, the same predecessor lists and the same answers.
 * ``backward_coverability`` and ``is_stabilized`` are membership tests
   against bases cached on the net.  They must equal a from-scratch backward
   fixpoint for every target tried and every set of forbidden states, and the
@@ -25,6 +28,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from engines import requires_native
 
 import repro
 from repro.analysis import (
@@ -49,8 +53,10 @@ from repro.core import (
     stable_consensus_value,
     unit,
 )
+from repro.core import semantics
 from repro.core.protocol import OUTPUT_ONE, OUTPUT_UNDEFINED, OUTPUT_ZERO
 from repro.protocols import modulo_protocol
+from repro.simulation import native
 from repro.sweep import build_protocol_and_inputs
 
 #: Exploration budget of the non-conservative cases (their reachability
@@ -130,7 +136,8 @@ def _edge_cases():
     * a pre-set that needs more agents than the population holds;
     * populations of exactly 2^k - 1 and 2^k agents, which can all gather in
       any one state, the last field included;
-    * a transition whose pre-set equals its post-set.
+    * a transition whose pre-set equals its post-set;
+    * an empty population, whose code is 0.
     """
     quadruple = _edge_protocol(
         "quadruple", {"a": 0, "b": 1, "c": 1}, ({"a": 1}, {"b": 4}), ({"b": 1}, {"c": 4})
@@ -163,6 +170,7 @@ def _edge_cases():
     )
     for agents in (0, 2, 5):
         yield f"idle-{agents}", True, idle, from_counts(a=agents, b=1)
+    yield "idle-empty", True, idle, Configuration({})
 
 
 def _sparse_verdict(protocol, inputs, max_nodes):
@@ -188,6 +196,16 @@ def _dense_verdict(protocol, inputs, max_nodes):
     return verdict.computed, verdict.explored
 
 
+@pytest.fixture(params=["python", pytest.param("native", marks=requires_native)])
+def explorer(request, monkeypatch):
+    """The dense graphs of the test explore in Python (the native library
+    hidden from them) or in the native library."""
+    if request.param == "python":
+        monkeypatch.setattr(semantics, "_native", lambda: None)
+    return request.param
+
+
+@pytest.mark.usefixtures("explorer")
 class TestDenseVerificationOracle:
     @pytest.mark.parametrize(
         "index, conservative, protocol, inputs", list(_cases(120)) + list(_edge_cases())
@@ -261,6 +279,8 @@ class TestDenseVerificationOracle:
         graph = DenseReachabilityGraph(protocol, root)
         with pytest.raises(ValueError):
             graph.consensus(OUTPUT_UNDEFINED)
+        with pytest.raises(ValueError):
+            graph.always_eventually_stable(OUTPUT_UNDEFINED)
 
 
 def _gather_protocol(output):
@@ -295,6 +315,7 @@ def _consensus_from_protocol(protocol, inputs, value):
     ]
 
 
+@pytest.mark.usefixtures("explorer")
 class TestPackedTablesCache:
     """The packing tables are built once per net, compiled universe and
     output classes, and kept on the net."""
@@ -346,6 +367,117 @@ class TestPackedTablesCache:
         assert pickle.loads(pickle.dumps(net))._dense_cache == {}
         clone = pickle.loads(pickle.dumps(protocol))
         assert verify_input(clone, inputs, OUTPUT_ONE) == verdict
+
+
+def _graph_answers(protocol, inputs, max_nodes):
+    """Everything a dense graph answers, or the exploration-limit message."""
+    try:
+        graph = DenseReachabilityGraph(
+            protocol, protocol.initial_configuration(inputs), max_nodes
+        )
+    except ExplorationLimitError as error:
+        return "limit", str(error)
+    return (
+        len(graph),
+        graph.nodes,
+        graph.predecessors,
+        graph.consensus(OUTPUT_ONE),
+        graph.consensus(OUTPUT_ZERO),
+        graph.always_eventually_stable(OUTPUT_ONE),
+        graph.always_eventually_stable(OUTPUT_ZERO),
+        graph.stable_value(),
+    )
+
+
+def _python_answers(monkeypatch, protocol, inputs, max_nodes):
+    """:func:`_graph_answers` with the native library hidden."""
+    with monkeypatch.context() as patch:
+        patch.setattr(semantics, "_native", lambda: None)
+        return _graph_answers(protocol, inputs, max_nodes)
+
+
+@pytest.fixture
+def native_searches(monkeypatch):
+    """The code width in bits (states x field width) of every search the
+    native explorer runs, in order: the top bit of its guard word is the
+    last field's guard."""
+    widths = []
+    search = native.explore
+
+    def spy(steps, root, max_nodes):
+        widths.append(steps[0].bit_length())
+        return search(steps, root, max_nodes)
+
+    monkeypatch.setattr(native, "explore", spy)
+    return widths
+
+
+def _padded(protocol_name, output, moves, states):
+    """An edge protocol with idle states added until it has ``states``."""
+    output = dict(output, **{f"idle{i}": 0 for i in range(states - len(output))})
+    return _edge_protocol(protocol_name, output, *moves)
+
+
+@requires_native
+class TestNativeExplorer:
+    """The native explorer builds the Python explorer's graph."""
+
+    @pytest.mark.parametrize(
+        "index, conservative, protocol, inputs", list(_cases(120)) + list(_edge_cases())
+    )
+    def test_same_graph_as_the_python_explorer(
+        self, index, conservative, protocol, inputs, monkeypatch, native_searches
+    ):
+        budgets = [None if conservative else BUDGET, 0, 1, 10, 50]
+        for budget in budgets:
+            expected = _python_answers(monkeypatch, protocol, inputs, budget)
+            assert _graph_answers(protocol, inputs, budget) == expected, budget
+        assert native_searches
+
+    def test_codes_past_64_bits_explore_in_python(self, monkeypatch, native_searches):
+        # 17 states on fields of 4 bits (4 agents) need 68 bits.
+        gather = ({"a": 1, "b": 1}, {"b": 2}), ({"b": 1, "c": 1}, {"c": 2})
+        protocol = _padded("gather", {"a": 0, "b": 1, "c": 0}, gather, 17)
+        inputs = from_counts(a=2, b=1, c=1)
+        assert _dense_verdict(protocol, inputs, None) == _sparse_verdict(protocol, inputs, None)
+        answers = _graph_answers(protocol, inputs, None)
+        assert answers == _python_answers(monkeypatch, protocol, inputs, None)
+        assert native_searches == []
+
+    def test_restarts_past_64_bits_continue_in_python(self, monkeypatch, native_searches):
+        # 16 states: one agent spawns 4 then 16, so the fields grow from 4
+        # bits (64 in all, native) to 8 (128, Python).
+        quadruple = ({"a": 1}, {"b": 4}), ({"b": 1}, {"c": 4})
+        protocol = _padded("quadruple", {"a": 0, "b": 1, "c": 1}, quadruple, 16)
+        inputs = from_counts(a=1)
+        assert _dense_verdict(protocol, inputs, None) == _sparse_verdict(protocol, inputs, None)
+        for budget in (None, 0, 1, 10):
+            answers = _graph_answers(protocol, inputs, budget)
+            assert answers == _python_answers(monkeypatch, protocol, inputs, budget)
+        assert set(native_searches) == {64}
+
+    def test_unbounded_spawning_across_64_bits_spends_the_same_budgets(
+        self, monkeypatch, native_searches
+    ):
+        # One agent spawns another at every step, so every budget runs out.
+        # On 16 states, fields of 2 and 4 bits explore natively, then fields
+        # of 8 bits (128 in all) in Python.
+        spawn = _padded("spawn", {"a": 0, "b": 1}, [({"b": 1}, {"a": 1, "b": 1})], 16)
+        inputs = from_counts(b=1)
+        for budget in (10, 40, 100, BUDGET):
+            answers = _graph_answers(spawn, inputs, budget)
+            assert answers == _python_answers(monkeypatch, spawn, inputs, budget)
+            assert answers[0] == "limit"
+        assert set(native_searches) == {32, 64}
+
+    def test_graph_many_times_the_first_buffers(self, monkeypatch, native_searches):
+        protocol = modulo_protocol(3, 1)
+        inputs = protocol.counting_input(14)
+        answers = _graph_answers(protocol, inputs, None)
+        assert answers == _python_answers(monkeypatch, protocol, inputs, None)
+        size, edges = answers[0], sum(map(len, answers[2]))
+        assert size > 16 * native._FIRST_NODES and edges > 16 * native._FIRST_EDGES
+        assert native_searches
 
 
 def _scratch_basis(net, target):

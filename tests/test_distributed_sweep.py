@@ -866,6 +866,8 @@ class TestWorkersCli:
             ("workers", ["--backoff", "-1"], "backoff_base must be non-negative"),
             ("workers", ["--idle-wait", "0"], "idle_wait must be positive"),
             ("workers", ["--cell-timeout", "0"], "cell_timeout must be positive"),
+            ("workers", ["--heartbeat", "0"], "heartbeat_interval must be positive"),
+            ("workers", ["--heartbeat", "-5"], "heartbeat_interval must be positive"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else value,
     )

@@ -62,6 +62,23 @@ def _job(**overrides):
     return base
 
 
+def _serve_cli_error(*flags):
+    """The one ``error:`` line of a ``python -m repro.serve`` that must exit 2.
+
+    The command runs as a subprocess under a timeout, so a regression that
+    lets it bind fails the test instead of serving until a signal.
+    """
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.serve", *flags],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
 def _render_direct(spec: JobSpec):
     """The job executed directly via Simulator.run_many, rendered like serve."""
     protocol, inputs = build_protocol_and_inputs(
@@ -308,14 +325,11 @@ class TestJobTimeouts:
         with pytest.raises(ValueError, match="job_timeout must be positive"):
             SimulationServer(job_timeout=timeout)
 
-    def test_cli_exits_2_on_a_serial_job_timeout(self, capsys):
-        from repro.serve.__main__ import main as serve_main
-
-        rc = serve_main(
-            ["--backend", "serial", "--job-timeout", "0.05", "--port", "0"]
-        )
-        assert rc == 2
-        assert "job_timeout" in capsys.readouterr().err
+    def test_cli_exits_2_on_a_serial_job_timeout(self):
+        # A subprocess with a timeout: were the flag accepted, the server
+        # would bind and serve until a signal.
+        error = _serve_cli_error("--backend", "serial", "--job-timeout", "0.05", "--port", "0")
+        assert "job_timeout" in error
 
     def test_job_past_its_timeout_fails_and_the_next_is_served(self):
         # modulo never reaches a terminal configuration, so with
@@ -419,11 +433,9 @@ class TestServeConfigKnobs:
         assert serve_main(["--backend", "serial", "--port", port]) == 2
         assert capsys.readouterr().err.startswith("error: port")
 
-    def test_cli_exits_2_on_zero_workers(self, capsys):
-        from repro.serve.__main__ import main as serve_main
-
-        assert serve_main(["--backend", "process", "--port", "0", "--workers", "0"]) == 2
-        assert capsys.readouterr().err.startswith("error: max_workers")
+    def test_cli_exits_2_on_zero_workers(self):
+        error = _serve_cli_error("--backend", "process", "--port", "0", "--workers", "0")
+        assert error.startswith("error: max_workers")
 
     def test_cli_exits_2_on_a_busy_port(self, capsys):
         from repro.serve.__main__ import main as serve_main
