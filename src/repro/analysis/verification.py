@@ -8,6 +8,9 @@ of Section 2 for every input configuration up to a given number of agents,
 using the explicit reachability graph of
 :class:`repro.core.semantics.DenseReachabilityGraph`, which packs each
 configuration into one int and propagates output stability on node ids.
+:func:`check_protocol` hands all its inputs to
+:func:`repro.core.semantics.stable_values`, which searches them in one
+native call when the library loads.
 
 The main entry points are:
 
@@ -26,7 +29,7 @@ from typing import Iterable, List, Optional
 from ..core.configuration import Configuration
 from ..core.predicates import Predicate
 from ..core.protocol import Protocol
-from ..core.semantics import DenseReachabilityGraph
+from ..core.semantics import DenseReachabilityGraph, stable_values
 from .reachability import enumerate_configurations_up_to
 
 __all__ = [
@@ -163,17 +166,35 @@ def check_protocol(
         Optional per-input exploration budget.
     inputs:
         Optional explicit iterable of input configurations to check instead
-        of the exhaustive enumeration.
+        of the exhaustive enumeration; it is read once.
+
+    Where the native library loads, every input's initial configuration is
+    searched in one call (:func:`~repro.core.semantics.stable_values`) and
+    only the inputs whose counts outgrow that batch's bit fields go through
+    :func:`verify_input`.  Without the library, or when the largest input's
+    configurations need more than 64 bits, each input goes through
+    :func:`verify_input`.  Either way the verdicts are the same.  Raises
+    :class:`ValueError` for a negative ``max_agents``.
     """
+    _check_max_agents(max_agents)
     report = VerificationReport(
         protocol_name=protocol.name or repr(protocol), max_agents=max_agents
     )
-    initial_states = sorted(protocol.initial_states, key=str)
     if inputs is None:
-        inputs = enumerate_configurations_up_to(initial_states, max_agents)
-    for configuration in inputs:
+        inputs = enumerate_configurations_up_to(
+            sorted(protocol.initial_states, key=str), max_agents
+        )
+    configurations = list(inputs)
+    found = stable_values(protocol, configurations, max_nodes) or [None] * len(configurations)
+    for configuration, outcome in zip(configurations, found):
         expected = predicate.evaluate(configuration)
-        verdict = verify_input(protocol, configuration, expected, max_nodes=max_nodes)
+        if outcome is None:
+            verdict = verify_input(protocol, configuration, expected, max_nodes=max_nodes)
+        else:
+            computed, explored = outcome
+            verdict = InputVerdict(
+                configuration, expected, computed, computed == expected, explored
+            )
         report.verdicts.append(verdict)
     return report
 
@@ -184,7 +205,11 @@ def find_counterexample(
     max_agents: int,
     max_nodes: Optional[int] = None,
 ) -> Optional[InputVerdict]:
-    """Return the first failing input, or ``None`` if every bounded input passes."""
+    """Return the first failing input, or ``None`` if every bounded input passes.
+
+    Raises :class:`ValueError` for a negative ``max_agents``.
+    """
+    _check_max_agents(max_agents)
     initial_states = sorted(protocol.initial_states, key=str)
     for configuration in enumerate_configurations_up_to(initial_states, max_agents):
         expected = predicate.evaluate(configuration)
@@ -192,3 +217,9 @@ def find_counterexample(
         if not verdict.correct:
             return verdict
     return None
+
+
+def _check_max_agents(max_agents: int) -> None:
+    """Refuse a negative agent bound, which would check no input at all."""
+    if max_agents < 0:
+        raise ValueError(f"max_agents must be at least 0, got {max_agents}")

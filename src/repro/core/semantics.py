@@ -24,6 +24,9 @@ This module computes these notions **exactly** on finite reachability graphs
   whenever it loads and a configuration fits one 64-bit word.  It is the
   workhorse of :func:`is_output_stable`, :func:`stable_consensus_value` and
   the verification layer (:mod:`repro.analysis.verification`),
+* :func:`stable_values` answers the same questions for the initial
+  configurations of many inputs in one native call, without building a
+  graph object per input; :func:`~repro.analysis.check_protocol` runs on it,
 * :func:`output_stable_nodes` and :func:`always_eventually_stable` evaluate
   the same conditions on a sparse
   :class:`~repro.core.petrinet.ReachabilityGraph`; they stay as public API
@@ -34,10 +37,10 @@ from __future__ import annotations
 
 from array import array
 from types import ModuleType
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .configuration import Configuration
-from .petrinet import ExplorationLimitError, ReachabilityGraph, breadth_first
+from .petrinet import ExplorationLimitError, PetriNet, ReachabilityGraph, breadth_first
 from .protocol import OUTPUT_ONE, OUTPUT_ZERO, Protocol
 from .transition import Transition
 
@@ -57,6 +60,7 @@ __all__ = [
     "output_stable_nodes",
     "always_eventually_stable",
     "stable_consensus_value",
+    "stable_values",
 ]
 
 
@@ -105,10 +109,7 @@ class DenseReachabilityGraph:
         if net is None:
             raise ValueError("exact stability analysis requires a Petri-net based protocol")
         compiled = net.compiled(protocol.states | root.support)
-        key = (compiled, compiled.output_classes(protocol.output_table))
-        tables = net._dense_cache.get(key)
-        if tables is None:
-            tables = net._dense_cache[key] = _PackedTables(*key)
+        tables = _PackedTables.of(net, compiled, protocol)
         # The universe holds the root's support, so ``counts_of`` answers a list.
         counts = compiled.counts_of(root) or []
         width = max(sum(counts), tables.largest).bit_length() + 1
@@ -224,6 +225,16 @@ class _PackedTables:
         )
         self._classes = classes
         self._by_width: Dict[int, _Packing] = {}
+
+    @staticmethod
+    def of(net: PetriNet, compiled: "CompiledNet", protocol: Protocol) -> "_PackedTables":
+        """The tables of ``net``'s ``compiled`` form under the protocol's
+        output classes, from the net's cache."""
+        key = (compiled, compiled.output_classes(protocol.output_table))
+        tables = net._dense_cache.get(key)
+        if tables is None:
+            tables = net._dense_cache[key] = _PackedTables(*key)
+        return tables
 
     def at(self, width: int) -> _Packing:
         """``(guards, steps, (ones, zeros, undefined), words)`` on fields of
@@ -403,3 +414,52 @@ def stable_consensus_value(
     """
     root = protocol.initial_configuration(inputs)
     return DenseReachabilityGraph(protocol, root, max_nodes).stable_value()
+
+
+def stable_values(
+    protocol: Protocol, inputs: Sequence[Configuration], max_nodes: Optional[int] = None
+) -> Optional[List[Optional[Tuple[Optional[int], int]]]]:
+    """The stable value and graph size from each input's initial
+    configuration ``rho_L + inputs|_P``, in one native call.
+
+    Every root is packed on the fields of the widest one, from the input's
+    counts plus the leaders' code, and :func:`repro.simulation.native.verify`
+    searches them all.  Returns, per input and in order, ``(stable value,
+    explored)`` as :class:`DenseReachabilityGraph` gives them
+    (:meth:`~DenseReachabilityGraph.stable_value` and ``len``), or ``None``
+    for an input whose counts outgrow those fields: explore that one alone.
+    Returns ``None`` instead of a list when the batch does not apply: the
+    native library does not load, the protocol is not Petri-net based, or
+    the widest root's code needs more than 64 bits.
+
+    Raises :class:`ValueError` for an input with non-initial states, and
+    :class:`~repro.core.petrinet.ExplorationLimitError` at the first input
+    whose graph exceeds ``max_nodes``, as one graph per input would.
+    """
+    native = _native()
+    net = protocol.petri_net
+    if native is None or net is None:
+        return None
+    compiled = net.compiled(protocol.states)
+    tables = _PackedTables.of(net, compiled, protocol)
+    index_of, states, initial = compiled.index_of, protocol.states, protocol.initial_states
+    rows: List[List[Tuple[int, int]]] = []
+    for configuration in inputs:
+        if not configuration.support <= initial:
+            # Raises the ValueError that names the non-initial states.
+            protocol.initial_configuration(configuration)
+        rows.append(
+            [(index_of[state], count) for state, count in configuration.items() if state in states]
+        )
+    agents = protocol.leaders.size + max([0] + [sum(count for _, count in row) for row in rows])
+    width = max(agents, tables.largest).bit_length() + 1
+    _, _, masks, words = tables.at(width)
+    if words is None:
+        return None
+    leaders = _pack([(index_of[state], count) for state, count in protocol.leaders.items()], width)
+    roots = array("Q", [leaders + _pack(row, width) for row in rows])
+    out = native.verify(words, masks, roots, max_nodes)
+    return [
+        (None if out[i + 1] < 0 else out[i + 1], out[i]) if out[i] else None
+        for i in range(0, len(out), 2)
+    ]

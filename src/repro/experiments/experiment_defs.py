@@ -514,7 +514,7 @@ def experiment_e8_verification(
         record(
             succinct_leaderless_protocol(threshold),
             succinct_leaderless_predicate(threshold),
-            min(threshold + extra_agents, 7),
+            threshold + extra_agents,
         )
     return table
 

@@ -2,7 +2,8 @@
  * Native library of repro (see native.py, which builds this file with the
  * host C compiler and calls it through ctypes).  It holds the simulation
  * stepper and, at the end of the file, the exhaustive explorer of
- * repro.core.semantics.DenseReachabilityGraph.
+ * repro.core.semantics.DenseReachabilityGraph and the batch of searches
+ * that repro.analysis.check_protocol runs over every input of a protocol.
  *
  * One loop runs both scheduler kinds over the tables of a CompiledNet:
  * uniform-scheduler weights are products of binomials C(count, multiplicity),
@@ -363,7 +364,8 @@ void repro_randbelow(uint32_t *mt, const uint32_t *key, int64_t length,
 
 /* Slots of the exploration control array, shared with native.py. */
 enum {
-    X_STEPS, X_MAX_NODES, X_HEAD, X_NODES, X_INDEXED, X_EDGES, X_NODE_CAP, X_EDGE_CAP
+    X_STEPS, X_MAX_NODES, X_HEAD, X_NODES, X_INDEXED, X_EDGES, X_NODE_CAP, X_EDGE_CAP,
+    X_ROOT, X_ROOTS
 };
 
 enum { EXPLORE_DONE = 0, EXPLORE_FULL = 1, EXPLORE_WIDEN = 2, EXPLORE_LIMIT = 3 };
@@ -418,18 +420,17 @@ static void transpose(int64_t nodes, const int32_t *starts, const int32_t *targe
  * (key, delta) after it, from the ctl[X_NODES] codes found so far, the
  * first ctl[X_HEAD] of them expanded.  codes has room for ctl[X_NODE_CAP]
  * codes (a power of two), table for twice as many slots and starts for one
- * more entry; targets and sources have room for ctl[X_EDGE_CAP] node ids.
- * Node i's edges go to targets[starts[i] .. starts[i + 1]), in step order.
+ * more entry; targets has room for ctl[X_EDGE_CAP] node ids.  Node i's
+ * edges go to targets[starts[i] .. starts[i + 1]), in step order.
  *
  * Returns EXPLORE_FULL (grow a buffer and call again), EXPLORE_WIDEN when a
  * new code sets a guard bit (a count outgrew its field), EXPLORE_LIMIT when
  * a new node would get an id of ctl[X_MAX_NODES] or more (checked in that
- * order), or EXPLORE_DONE once every node is expanded.  The table is then
- * done with and takes the offsets of the predecessor lists, and sources
- * their source ids (see transpose).
+ * order), or EXPLORE_DONE once every node is expanded.  Every code found is
+ * in the table, whatever the outcome.
  */
-int repro_explore(const uint64_t *steps, int64_t *ctl, uint64_t *codes, int32_t *table,
-                  int32_t *starts, int32_t *targets, int32_t *sources)
+static int search(const uint64_t *steps, int64_t *ctl, uint64_t *codes, int32_t *table,
+                  int32_t *starts, int32_t *targets)
 {
     const uint64_t guards = steps[0];
     const int64_t count = ctl[X_STEPS], max_nodes = ctl[X_MAX_NODES];
@@ -468,15 +469,28 @@ int repro_explore(const uint64_t *steps, int64_t *ctl, uint64_t *codes, int32_t 
             targets[edges++] = table[slot] - 1;
         }
     }
-    if (status == EXPLORE_DONE) {
+    if (status == EXPLORE_DONE)
         starts[nodes] = (int32_t)edges;
-        transpose(nodes, starts, targets, table, sources);
-    }
 out:
     ctl[X_HEAD] = head;
     ctl[X_NODES] = nodes;
     ctl[X_INDEXED] = nodes;
     ctl[X_EDGES] = edges;
+    return status;
+}
+
+/*
+ * The search above from the codes in place; sources has room for
+ * ctl[X_EDGE_CAP] node ids.  Once it is done the table is done with and
+ * takes the offsets of the predecessor lists, and sources their source ids
+ * (see transpose).
+ */
+int repro_explore(const uint64_t *steps, int64_t *ctl, uint64_t *codes, int32_t *table,
+                  int32_t *starts, int32_t *targets, int32_t *sources)
+{
+    int status = search(steps, ctl, codes, table, starts, targets);
+    if (status == EXPLORE_DONE)
+        transpose(ctl[X_NODES], starts, targets, table, sources);
     return status;
 }
 
@@ -531,4 +545,58 @@ int repro_eventually_stable(const uint64_t *codes, int64_t nodes, uint64_t ones,
         if (!(marks[i] & 2))
             return 0;
     return 1;
+}
+
+/*
+ * The verdict of every root code roots[r] for r from ctl[X_ROOT] up to
+ * ctl[X_ROOTS], in order: the search of repro_explore, then the stable
+ * value of repro_eventually_stable (output 1 tried first).  out[2r] takes
+ * the node count and out[2r + 1] the stable value, -1 for none; nothing is
+ * decoded.  masks holds the fields of each output class (ones, zeros,
+ * undefined).  Beside the buffers of the search, offsets has room for
+ * ctl[X_NODE_CAP] + 1 entries, sources as many as targets and work two per
+ * node.
+ *
+ * One set of buffers serves every root.  ctl[X_NODES] is 0 between roots;
+ * after each root the call empties the table slots its codes took, latest
+ * first, so the probe of every code still left runs over codes that are
+ * still in place.  The call stops at root ctl[X_ROOT] with EXPLORE_FULL
+ * (grow a buffer and call again: the search resumes), or with
+ * EXPLORE_WIDEN or EXPLORE_LIMIT once that root is forgotten (the caller
+ * deals with it; on WIDEN it may step ctl[X_ROOT] past it and call again).
+ * Returns EXPLORE_DONE after the last root.
+ */
+int repro_verify(const uint64_t *steps, const uint64_t *masks, const uint64_t *roots,
+                 int64_t *ctl, int64_t *out, uint64_t *codes, int32_t *table,
+                 int32_t *starts, int32_t *targets, int32_t *offsets, int32_t *sources,
+                 int32_t *work)
+{
+    const uint64_t mask = 2 * (uint64_t)ctl[X_NODE_CAP] - 1;
+    for (; ctl[X_ROOT] < ctl[X_ROOTS]; ctl[X_ROOT]++) {
+        const int64_t root = ctl[X_ROOT];
+        int64_t nodes, value, i;
+        int status;
+        if (!ctl[X_NODES]) {
+            codes[0] = roots[root];
+            ctl[X_HEAD] = ctl[X_INDEXED] = ctl[X_EDGES] = 0;
+            ctl[X_NODES] = 1;
+        }
+        status = search(steps, ctl, codes, table, starts, targets);
+        if (status == EXPLORE_FULL)
+            return status;
+        nodes = ctl[X_NODES];
+        ctl[X_NODES] = 0;
+        for (i = nodes; i--;)
+            table[slot_of(codes, table, mask, codes[i])] = 0;
+        if (status != EXPLORE_DONE)
+            return status;
+        transpose(nodes, starts, targets, offsets, sources);
+        for (value = 1; value >= 0; value--)
+            if (repro_eventually_stable(codes, nodes, masks[0], masks[1], masks[2], value,
+                                        offsets, sources, work))
+                break;
+        out[2 * root] = nodes;
+        out[2 * root + 1] = value;
+    }
+    return EXPLORE_DONE;
 }

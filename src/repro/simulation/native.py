@@ -27,7 +27,10 @@ large for the compiled engine such a run raises :class:`OverflowError`.
 
 The explorer works on configurations packed into one 64-bit word
 (:func:`explore`, :func:`eventually_stable`); the dense graph explores in
-Python when its codes need more bits.
+Python when its codes need more bits.  :func:`verify` runs the same two
+searches for every root of a batch in one call and returns only each root's
+node count and stable value: :func:`repro.analysis.check_protocol` hands it
+the initial configurations of all its inputs at once.
 
 Every buffer the C code touches is an :class:`array.array` allocated here for
 the call: the C side allocates nothing, so ``tracemalloc`` sees all of the
@@ -55,7 +58,7 @@ from .compiled import CompiledNet, check_kind
 
 __all__ = [
     "NativeStepper", "NativeUnavailable", "available", "eventually_stable", "explore",
-    "library",
+    "library", "verify",
 ]
 
 #: The C compiler that builds the library (GCC's command-line flags).
@@ -78,7 +81,7 @@ RunOutcome = Tuple[int, int, int, bool, List[int]]
 
 # Exploration statuses and the control slots Python touches, as in native.c.
 _EXPLORED, _FULL, _WIDEN, _LIMIT = 0, 1, 2, 3
-_X_NODES, _X_INDEXED, _X_EDGES, _X_NODE_CAP, _X_EDGE_CAP = 3, 4, 5, 6, 7
+_X_STEPS, _X_NODES, _X_INDEXED, _X_EDGES, _X_NODE_CAP, _X_EDGE_CAP, _X_ROOT = 0, 3, 4, 5, 6, 7, 8
 #: Nodes and edges an exploration first has room for.
 _FIRST_NODES, _FIRST_EDGES = 64, 256
 #: Node ids and edge offsets are int32.
@@ -167,6 +170,8 @@ def _load() -> ctypes.CDLL:
         ctypes.c_int64, pointer, pointer, pointer,
     ]
     lib.repro_eventually_stable.restype = ctypes.c_int
+    lib.repro_verify.argtypes = [pointer] * 12
+    lib.repro_verify.restype = ctypes.c_int
     return lib
 
 
@@ -408,6 +413,11 @@ class NativeStepper:
         ]
 
 
+def _limit(max_nodes: Optional[int]) -> int:
+    """The node budget as the C search reads it."""
+    return _INT64_MAX if max_nodes is None else _clamp(max(max_nodes, 0))
+
+
 def explore(steps: array, root: int, max_nodes: Optional[int]) -> Optional[Explored]:
     """Breadth-first search in C from the 64-bit code ``root``.
 
@@ -422,9 +432,8 @@ def explore(steps: array, root: int, max_nodes: Optional[int]) -> Optional[Explo
     """
     search = library().repro_explore
     count = (len(steps) - 1) // 2
-    limit = _INT64_MAX if max_nodes is None else _clamp(max(max_nodes, 0))
     node_cap, edge_cap = _FIRST_NODES, _FIRST_EDGES
-    control = array("q", [count, limit, 0, 1, 0, 0, node_cap, edge_cap])
+    control = array("q", [count, _limit(max_nodes), 0, 1, 0, 0, node_cap, edge_cap])
     codes = array("Q", bytes(8 * node_cap))
     codes[0] = root
     table = array("i", bytes(8 * node_cap))
@@ -440,24 +449,35 @@ def explore(steps: array, root: int, max_nodes: Optional[int]) -> Optional[Explo
             return None
         if status == _LIMIT:
             raise ExplorationLimitError(f"exploration exceeded {max_nodes} configurations")
-        # _FULL: grow what the next node's steps might not fit, and resume.
-        if control[_X_NODES] + count > node_cap:
-            grown = _doubled(node_cap, control[_X_NODES] + count)
-            codes.frombytes(bytes(8 * (grown - node_cap)))
-            starts.frombytes(bytes(4 * (grown - node_cap)))
-            # A fresh table: the search indexes every code again.
-            table = array("i", bytes(8 * grown))
-            control[_X_INDEXED] = 0
-            control[_X_NODE_CAP] = node_cap = grown
-        if control[_X_EDGES] + count > edge_cap:
-            grown = _doubled(edge_cap, control[_X_EDGES] + count)
-            targets.frombytes(bytes(4 * (grown - edge_cap)))
-            sources.frombytes(bytes(4 * (grown - edge_cap)))
-            control[_X_EDGE_CAP] = edge_cap = grown
+        table = _grow(control, table, (codes, starts), (targets, sources))
     # The finished search left the predecessor offsets in the table.
     del codes[control[_X_NODES] :], table[control[_X_NODES] + 1 :]
     del sources[control[_X_EDGES] :]
     return codes, table, sources
+
+
+def _grow(
+    control: array, table: array, per_node: Sequence[array], per_edge: Sequence[array]
+) -> array:
+    """After ``EXPLORE_FULL``: extend in place what the next node's steps
+    might not fit, and return the table to search on, a fresh one when the
+    node capacity grew (the search then indexes every code again).  Each
+    buffer of ``per_node`` takes as many more entries per node as it holds."""
+    count, node_cap, edge_cap = control[_X_STEPS], control[_X_NODE_CAP], control[_X_EDGE_CAP]
+    if control[_X_NODES] + count > node_cap:
+        grown = _doubled(node_cap, control[_X_NODES] + count)
+        for buffer in per_node:
+            per = len(buffer) // node_cap
+            buffer.frombytes(bytes(buffer.itemsize * per * (grown - node_cap)))
+        table = array("i", bytes(8 * grown))
+        control[_X_INDEXED] = 0
+        control[_X_NODE_CAP] = grown
+    if control[_X_EDGES] + count > edge_cap:
+        grown = _doubled(edge_cap, control[_X_EDGES] + count)
+        for buffer in per_edge:
+            buffer.frombytes(bytes(buffer.itemsize * (grown - edge_cap)))
+        control[_X_EDGE_CAP] = grown
+    return table
 
 
 def _doubled(capacity: int, needed: int) -> int:
@@ -482,3 +502,49 @@ def eventually_stable(
             *[buffer.buffer_info()[0] for buffer in (offsets, sources, work)],
         )
     )
+
+
+def verify(
+    steps: array, masks: Tuple[int, int, int], roots: array, max_nodes: Optional[int]
+) -> array:
+    """The searches of :func:`explore` and :func:`eventually_stable` from
+    every 64-bit code of ``roots``, in one C call on one set of buffers.
+
+    Returns an int64 array of two entries per root, in order: the node count
+    of its graph and its stable value (output 1 tried first, ``-1`` for
+    none).  A root whose count outgrows its field keeps ``(0, 0)`` and the
+    batch goes on after it; the caller explores it alone.  Raises
+    :class:`~repro.core.petrinet.ExplorationLimitError` at the first root
+    whose graph has more than ``max_nodes`` nodes.  The buffers start small
+    and double whenever the next node's steps might not fit in them.
+    """
+    batch = library().repro_verify
+    count = (len(steps) - 1) // 2
+    node_cap, edge_cap = _FIRST_NODES, _FIRST_EDGES
+    control = array(
+        "q", [count, _limit(max_nodes), 0, 0, 0, 0, node_cap, edge_cap, 0, len(roots)]
+    )
+    classes = array("Q", masks)
+    out = array("q", bytes(16 * len(roots)))
+    codes = array("Q", bytes(8 * node_cap))
+    table = array("i", bytes(8 * node_cap))
+    starts = array("i", bytes(4 * (node_cap + 1)))
+    offsets = array("i", bytes(4 * (node_cap + 1)))
+    # A mark and a stack slot per node.
+    work = array("i", bytes(8 * node_cap))
+    targets = array("i", bytes(4 * edge_cap))
+    sources = array("i", bytes(4 * edge_cap))
+    while True:
+        buffers = (
+            steps, classes, roots, control, out, codes, table, starts, targets, offsets,
+            sources, work,
+        )
+        status = batch(*[buffer.buffer_info()[0] for buffer in buffers])
+        if status == _EXPLORED:
+            return out
+        if status == _WIDEN:
+            control[_X_ROOT] += 1
+            continue
+        if status == _LIMIT:
+            raise ExplorationLimitError(f"exploration exceeded {max_nodes} configurations")
+        table = _grow(control, table, (codes, starts, offsets, work), (targets, sources))

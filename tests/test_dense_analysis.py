@@ -10,6 +10,11 @@
   These oracle tests run on both explorers, the Python loops and the native
   library, and the two must build the same graph: the same codes in the
   same order, the same predecessor lists and the same answers.
+* ``check_protocol`` searches all its inputs in one native call
+  (``stable_values``) and must give, verdict for verdict and in order, what
+  ``verify_input`` gives one input at a time: at every budget, when a
+  budget runs out partway, when an input outgrows the batch's bit fields,
+  when the widest input needs more than 64 bits and after its buffers grow.
 * ``backward_coverability`` and ``is_stabilized`` are membership tests
   against bases cached on the net.  They must equal a from-scratch backward
   fixpoint for every target tried and every set of forbidden states, and the
@@ -33,9 +38,11 @@ from engines import requires_native
 import repro
 from repro.analysis import (
     backward_coverability,
+    check_protocol,
     coverability_basis,
     is_stabilized,
     unstabilized_basis,
+    verification,
     verify_input,
 )
 from repro.analysis.reachability import enumerate_configurations_up_to
@@ -57,7 +64,7 @@ from repro.core import semantics
 from repro.core.protocol import OUTPUT_ONE, OUTPUT_UNDEFINED, OUTPUT_ZERO
 from repro.protocols import modulo_protocol
 from repro.simulation import native
-from repro.sweep import build_protocol_and_inputs
+from repro.sweep import build_predicate_for, build_protocol_and_inputs
 
 #: Exploration budget of the non-conservative cases (their reachability
 #: sets may be infinite).
@@ -478,6 +485,196 @@ class TestNativeExplorer:
         size, edges = answers[0], sum(map(len, answers[2]))
         assert size > 16 * native._FIRST_NODES and edges > 16 * native._FIRST_EDGES
         assert native_searches
+
+
+class _Parity:
+    """A predicate for the batch tests: inputs of odd size map to 1."""
+
+    @staticmethod
+    def evaluate(configuration):
+        return configuration.size % 2
+
+
+def _budgets(protocol, batch, conservative):
+    """The budgets the native explorer's oracle test tries on a case and,
+    on a conservative net, those at the edges of each input's graph size."""
+    budgets = {0, 1, 10, 50, None if conservative else BUDGET}
+    if conservative:
+        for inputs in batch:
+            size = _sparse_verdict(protocol, inputs, None)[1]
+            budgets |= {size - 1, size, size + 1}
+    return sorted(budgets, key=lambda budget: -1 if budget is None else budget)
+
+
+def _several_inputs(index, protocol, inputs):
+    """The case's input between smaller and larger ones, the empty one first."""
+    rng = random.Random(index)
+    states = sorted(protocol.initial_states, key=str)
+    return [
+        Configuration({}),
+        _random_multiset(rng, states, 1, 3),
+        inputs,
+        _random_multiset(rng, states, 1, 10),
+    ]
+
+
+def _one_at_a_time(protocol, inputs, max_nodes):
+    """``verify_input`` on each input in order, the oracle of
+    ``check_protocol``, or the exploration-limit message."""
+    try:
+        return [
+            verify_input(protocol, configuration, _Parity.evaluate(configuration), max_nodes)
+            for configuration in inputs
+        ]
+    except ExplorationLimitError as error:
+        return "limit", str(error)
+
+
+def _checked(protocol, inputs, max_nodes):
+    """The verdicts of ``check_protocol``, or the exploration-limit message."""
+    try:
+        return check_protocol(protocol, _Parity, 0, max_nodes, inputs).verdicts
+    except ExplorationLimitError as error:
+        return "limit", str(error)
+
+
+@pytest.fixture
+def alone(monkeypatch):
+    """The inputs ``check_protocol`` hands to ``verify_input``, in order."""
+    seen = []
+    single = verification.verify_input
+
+    def spy(protocol, inputs, expected, max_nodes=None):
+        seen.append(inputs)
+        return single(protocol, inputs, expected, max_nodes=max_nodes)
+
+    monkeypatch.setattr(verification, "verify_input", spy)
+    return seen
+
+
+@pytest.mark.usefixtures("explorer")
+class TestCheckProtocolBatch:
+    """``check_protocol`` gives ``verify_input``'s verdicts on both paths."""
+
+    @pytest.mark.parametrize("index, conservative, protocol, inputs", list(_cases(120)))
+    def test_same_verdicts_as_one_input_at_a_time(self, index, conservative, protocol, inputs):
+        batch = _several_inputs(index, protocol, inputs)
+        for budget in _budgets(protocol, batch, conservative):
+            expected = _one_at_a_time(protocol, batch, budget)
+            assert _checked(protocol, batch, budget) == expected, budget
+
+    @pytest.mark.parametrize("name", ["quadruple", "spawn", "greedy", "gather", "idle"])
+    def test_edge_cases_of_one_protocol_in_one_batch(self, name):
+        cases = [case for case in _edge_cases() if case[2].name == name]
+        protocol, conservative = cases[0][2], cases[0][1]
+        batch = [inputs for *_, inputs in cases]
+        for budget in _budgets(protocol, batch, conservative):
+            expected = _one_at_a_time(protocol, batch, budget)
+            assert _checked(protocol, batch, budget) == expected, budget
+
+    def test_a_budget_overrun_partway_raises_at_the_same_input(self):
+        protocol = modulo_protocol(3, 1)
+        batch = [protocol.counting_input(agents) for agents in range(10)]
+        sizes = [verify_input(protocol, inputs, 0).explored for inputs in batch]
+        budget = max(sizes[:6])
+        assert sizes[6] > budget
+        passing = _checked(protocol, batch[:6], budget)
+        assert passing == _one_at_a_time(protocol, batch[:6], budget)
+        assert [verdict.explored for verdict in passing] == sizes[:6]
+        message = f"exploration exceeded {budget} configurations"
+        assert _checked(protocol, batch, budget) == ("limit", message)
+        assert _one_at_a_time(protocol, batch, budget) == ("limit", message)
+
+    @pytest.mark.parametrize(
+        "name, batch, outgrows, budget",
+        [
+            # The widest input (3 agents, a gain of 4) sets fields of 4
+            # bits; one a spawns 4 b, then 16 c.
+            (
+                "quadruple",
+                [from_counts(c=3), from_counts(a=1), from_counts(b=1), from_counts(c=1)],
+                [from_counts(a=1)],
+                None,
+            ),
+            # One b spawns an a at every step and never stops.
+            ("spawn", [from_counts(a=2), from_counts(b=1), from_counts(a=1)],
+             [from_counts(b=1)], BUDGET),
+        ],
+    )
+    def test_an_input_that_outgrows_the_batch_fields_goes_alone(
+        self, name, batch, outgrows, budget, explorer, alone
+    ):
+        protocol = next(case[2] for case in _edge_cases() if case[2].name == name)
+        assert _checked(protocol, batch, budget) == _one_at_a_time(protocol, batch, budget)
+        # The loop stops at an input whose budget runs out.
+        assert alone == (outgrows if explorer == "native" else batch[: len(alone)])
+
+    def test_codes_past_64_bits_take_the_loop(self, explorer, alone, monkeypatch):
+        # 17 states: 3 agents fit fields of 3 bits (51 in all), 4 need 4
+        # bits (68), so the batch that holds 4 agents goes one at a time.
+        gather = ({"a": 1, "b": 1}, {"b": 2}), ({"b": 1, "c": 1}, {"c": 2})
+        protocol = _padded("gather", {"a": 0, "b": 1, "c": 0}, gather, 17)
+        batch = [from_counts(a=1, b=1, c=1), from_counts(a=2, b=1, c=1)]
+        batches = []
+        search = native.verify
+        monkeypatch.setattr(
+            native, "verify", lambda *args: batches.append(args) or search(*args)
+        )
+        assert _checked(protocol, batch, None) == _one_at_a_time(protocol, batch, None)
+        assert alone == batch and batches == []
+        # Without the 4 agents the codes fit 64 bits, and the batch runs.
+        del alone[:]
+        assert _checked(protocol, batch[:1], None) == _one_at_a_time(protocol, batch[:1], None)
+        if explorer == "native":
+            assert alone == [] and len(batches) == 1
+        else:
+            assert alone == batch[:1] and batches == []
+
+    def test_an_input_with_non_initial_states_raises_the_same_error(self):
+        protocol = modulo_protocol(3, 1)
+        state = sorted(protocol.states - protocol.initial_states, key=str)[0]
+        batch = [protocol.counting_input(2), protocol.counting_input(1) + unit(state)]
+        with pytest.raises(ValueError) as alone:
+            verify_input(protocol, batch[1], 0)
+        with pytest.raises(ValueError) as checked:
+            check_protocol(protocol, _Parity, 0, inputs=batch)
+        assert str(checked.value) == str(alone.value)
+
+    def test_small_graphs_then_one_many_times_the_first_buffers(self):
+        protocol = modulo_protocol(3, 1)
+        batch = [protocol.counting_input(agents) for agents in (0, 1, 2, 3, 14, 2, 5, 14, 1)]
+        verdicts = _checked(protocol, batch, None)
+        assert verdicts == _one_at_a_time(protocol, batch, None)
+        assert verdicts[4].explored > 16 * native._FIRST_NODES
+
+    def test_a_generator_of_inputs_is_read_once(self):
+        protocol = modulo_protocol(3, 1)
+        batch = [protocol.counting_input(agents) for agents in range(8)]
+        inputs = (configuration for configuration in batch)
+        verdicts = _checked(protocol, inputs, None)
+        assert [verdict.inputs for verdict in verdicts] == batch
+        assert verdicts == _one_at_a_time(protocol, batch, None)
+        assert next(inputs, None) is None
+
+    @pytest.mark.parametrize(
+        "name, params, agents, explored",
+        [
+            ("majority", {}, 12, 888),
+            ("modulo", {"modulus": 3, "remainder": 1}, 14, 6945),
+            ("succinct", {"threshold": 8}, 14, 666),
+            ("flock", {"threshold": 5}, 14, 2046),
+        ],
+    )
+    def test_paper_protocols_up_to_an_agent_bound(self, name, params, agents, explored):
+        protocol, _ = build_protocol_and_inputs(name, 2, params)
+        predicate = build_predicate_for(name, params)
+        report = check_protocol(protocol, predicate, agents)
+        states = sorted(protocol.initial_states, key=str)
+        assert report.verdicts == [
+            verify_input(protocol, inputs, predicate.evaluate(inputs))
+            for inputs in enumerate_configurations_up_to(states, agents)
+        ]
+        assert report.all_correct and report.total_explored == explored
 
 
 def _scratch_basis(net, target):

@@ -11,7 +11,13 @@ from repro.core import (
     counting,
     from_counts,
 )
-from repro.protocols import ProtocolBuilder, flock_of_birds_predicate, flock_of_birds_protocol
+from repro.protocols import (
+    ProtocolBuilder,
+    flock_of_birds_predicate,
+    flock_of_birds_protocol,
+    majority_predicate,
+    majority_protocol,
+)
 
 
 class TestProtocolBuilder:
@@ -116,6 +122,15 @@ class TestVerification:
         assert (
             find_counterexample(protocol, flock_of_birds_predicate(2), max_agents=4) is None
         )
+
+    def test_check_protocol_refuses_a_negative_agent_bound(self):
+        # It used to check no input at all and report a pass.
+        with pytest.raises(ValueError, match="max_agents"):
+            check_protocol(majority_protocol(), majority_predicate(), max_agents=-1)
+
+    def test_find_counterexample_refuses_a_negative_agent_bound(self):
+        with pytest.raises(ValueError, match="max_agents"):
+            find_counterexample(majority_protocol(), majority_predicate(), max_agents=-1)
 
     def test_verification_requires_petri_net_protocol(self):
         from repro.core import Protocol, RelationPreorder, zero
