@@ -15,10 +15,12 @@ Two representations keep the exact checks cheap:
   takes the union once per set of forbidden states; both are cached on the
   :class:`~repro.core.petrinet.PetriNet` instance and dropped when it is
   pickled;
-* :func:`verify_input` / :func:`check_protocol` explore reachability graphs
-  with each configuration packed into one int over the net's compiled
-  tables and propagate output stability on integer node ids
-  (:class:`~repro.core.semantics.DenseReachabilityGraph`).
+* :func:`verify_input` / :func:`check_protocol` / :func:`find_counterexample`
+  explore reachability graphs with each configuration packed into one int
+  over the net's compiled tables and propagate output stability on integer
+  node ids, all through :func:`~repro.core.semantics.stable_values`: one
+  native batch where the library loads and a configuration fits 64 bits,
+  else the Python :class:`~repro.core.semantics.DenseReachabilityGraph`.
 """
 
 from .ackermann import (

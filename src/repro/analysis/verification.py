@@ -5,18 +5,18 @@ the well-specification problem, which is Ackermann-complete in general (see
 the paper's introduction).  The experiments only need exactness on bounded
 populations: this module exhaustively checks the stable-computation condition
 of Section 2 for every input configuration up to a given number of agents,
-using the explicit reachability graph of
-:class:`repro.core.semantics.DenseReachabilityGraph`, which packs each
-configuration into one int and propagates output stability on node ids.
-:func:`check_protocol` hands all its inputs to
-:func:`repro.core.semantics.stable_values`, which searches them in one
-native call when the library loads.
+on explicit reachability graphs with each configuration packed into one
+int.  Every entry point hands its inputs to
+:func:`repro.core.semantics.stable_values`, which searches them all in one
+native call where the library loads and a configuration fits 64 bits, and
+explores the rest in Python
+(:class:`~repro.core.semantics.DenseReachabilityGraph`).
 
 The main entry points are:
 
 * :func:`check_protocol` — verify a protocol against a predicate for all
   inputs of size at most ``max_agents``; returns a detailed report,
-* :func:`find_counterexample` — stop at the first violated input,
+* :func:`find_counterexample` — the first violated input,
 * :class:`VerificationReport` / :class:`InputVerdict` — structured results
   consumed by the tests and the E8 benchmark.
 """
@@ -29,7 +29,7 @@ from typing import Iterable, List, Optional
 from ..core.configuration import Configuration
 from ..core.predicates import Predicate
 from ..core.protocol import Protocol
-from ..core.semantics import DenseReachabilityGraph, stable_values
+from ..core.semantics import stable_values
 from .reachability import enumerate_configurations_up_to
 
 __all__ = [
@@ -125,23 +125,14 @@ def verify_input(
     """Check the stable-computation condition for a single input configuration.
 
     The protocol must be Petri-net based.  The reachability graph from the
-    initial configuration ``rho_L + inputs|_P`` is built explicitly, one int
-    per configuration with a bit field per state
-    (:class:`~repro.core.semantics.DenseReachabilityGraph`), and the paper's
-    condition — from every reachable configuration, a
+    initial configuration ``rho_L + inputs|_P`` is explored exhaustively
+    (:func:`~repro.core.semantics.stable_values` on this one input), and the
+    paper's condition — from every reachable configuration, a
     ``phi(rho)``-output-stable configuration remains reachable — is evaluated
     exactly on that graph.
     """
-    root = protocol.initial_configuration(inputs)
-    graph = DenseReachabilityGraph(protocol, root, max_nodes)
-    computed = graph.stable_value()
-    return InputVerdict(
-        inputs=inputs,
-        expected=expected,
-        computed=computed,
-        correct=(computed == expected),
-        explored=len(graph),
-    )
+    ((computed, explored),) = stable_values(protocol, [inputs], max_nodes)
+    return InputVerdict(inputs, expected, computed, computed == expected, explored)
 
 
 def check_protocol(
@@ -168,13 +159,11 @@ def check_protocol(
         Optional explicit iterable of input configurations to check instead
         of the exhaustive enumeration; it is read once.
 
-    Where the native library loads, every input's initial configuration is
-    searched in one call (:func:`~repro.core.semantics.stable_values`) and
-    only the inputs whose counts outgrow that batch's bit fields go through
-    :func:`verify_input`.  Without the library, or when the largest input's
-    configurations need more than 64 bits, each input goes through
-    :func:`verify_input`.  Either way the verdicts are the same.  Raises
-    :class:`ValueError` for a negative ``max_agents``.
+    Every input's initial configuration goes to one
+    :func:`~repro.core.semantics.stable_values` call, which searches them
+    all in one native call where it can; the verdicts are those of
+    :func:`verify_input` on each input.  Raises :class:`ValueError` for a
+    negative ``max_agents``.
     """
     _check_max_agents(max_agents)
     report = VerificationReport(
@@ -185,17 +174,12 @@ def check_protocol(
             sorted(protocol.initial_states, key=str), max_agents
         )
     configurations = list(inputs)
-    found = stable_values(protocol, configurations, max_nodes) or [None] * len(configurations)
-    for configuration, outcome in zip(configurations, found):
+    found = stable_values(protocol, configurations, max_nodes)
+    for configuration, (computed, explored) in zip(configurations, found):
         expected = predicate.evaluate(configuration)
-        if outcome is None:
-            verdict = verify_input(protocol, configuration, expected, max_nodes=max_nodes)
-        else:
-            computed, explored = outcome
-            verdict = InputVerdict(
-                configuration, expected, computed, computed == expected, explored
-            )
-        report.verdicts.append(verdict)
+        report.verdicts.append(
+            InputVerdict(configuration, expected, computed, computed == expected, explored)
+        )
     return report
 
 
@@ -207,16 +191,15 @@ def find_counterexample(
 ) -> Optional[InputVerdict]:
     """Return the first failing input, or ``None`` if every bounded input passes.
 
-    Raises :class:`ValueError` for a negative ``max_agents``.
+    This is the first of ``check_protocol(...).failures()``: every input up
+    to ``max_agents`` is checked, in one batch.  So with ``max_nodes`` set,
+    an input after the first failure whose graph exceeds the budget raises
+    :class:`~repro.core.petrinet.ExplorationLimitError` instead of the
+    failure being returned.  Raises :class:`ValueError` for a negative
+    ``max_agents``.
     """
-    _check_max_agents(max_agents)
-    initial_states = sorted(protocol.initial_states, key=str)
-    for configuration in enumerate_configurations_up_to(initial_states, max_agents):
-        expected = predicate.evaluate(configuration)
-        verdict = verify_input(protocol, configuration, expected, max_nodes=max_nodes)
-        if not verdict.correct:
-            return verdict
-    return None
+    report = check_protocol(protocol, predicate, max_agents, max_nodes)
+    return next(iter(report.failures()), None)
 
 
 def _check_max_agents(max_agents: int) -> None:

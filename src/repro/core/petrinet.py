@@ -221,8 +221,8 @@ class PetriNet:
         # depend only on the net, so they live exactly as long as it does.
         self._basis_cache: Dict[Configuration, Tuple[Configuration, ...]] = {}
         self._union_basis_cache: Dict[FrozenSet[State], Tuple[Configuration, ...]] = {}
-        # The packing tables of repro.core.semantics.DenseReachabilityGraph,
-        # per (compiled net, output classes).
+        # The packing tables of repro.core.semantics (stable_values and
+        # DenseReachabilityGraph), per (compiled net, output classes).
         self._dense_cache: Dict[Tuple["CompiledNet", Tuple[int, ...]], "_PackedTables"] = {}
 
     # ------------------------------------------------------------------

@@ -17,20 +17,21 @@ every configuration ``alpha`` reachable from the initial configuration
 This module computes these notions **exactly** on finite reachability graphs
 (conservative protocols, or bounded exploration for non-conservative ones):
 
-* :class:`DenseReachabilityGraph` explores the graph from one root with each
-  configuration packed into one int (a bit field per state, over the net's
-  compiled integer tables), fires a transition with one addition and
-  propagates output stability on integer node ids, in the native library
-  whenever it loads and a configuration fits one 64-bit word.  It is the
-  workhorse of :func:`is_output_stable`, :func:`stable_consensus_value` and
-  the verification layer (:mod:`repro.analysis.verification`),
-* :func:`stable_values` answers the same questions for the initial
-  configurations of many inputs in one native call, without building a
-  graph object per input; :func:`~repro.analysis.check_protocol` runs on it,
+* :func:`stable_values` gives the stable value and graph size from the
+  initial configurations of many inputs.  It searches them in one native
+  call (:func:`repro.simulation.native.verify`) whenever the library loads
+  and a configuration fits one 64-bit word, and with
+  :class:`DenseReachabilityGraph` otherwise.  :func:`stable_consensus_value`
+  and the verification layer (:mod:`repro.analysis.verification`) run on it,
+* :class:`DenseReachabilityGraph` is the Python explorer: the graph from one
+  root with each configuration packed into one int (a bit field per state,
+  over the net's compiled integer tables), a transition fired with one
+  addition and output stability propagated on integer node ids.
+  :func:`is_output_stable` runs on it,
 * :func:`output_stable_nodes` and :func:`always_eventually_stable` evaluate
   the same conditions on a sparse
   :class:`~repro.core.petrinet.ReachabilityGraph`; they stay as public API
-  and as the oracle the dense explorer is tested against.
+  and as the oracle the dense explorers are tested against.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ if TYPE_CHECKING:
 _Packing = Tuple[int, List[Tuple[int, int]], Tuple[int, int, int], Optional[array]]
 #: The low 64 bits: a negative delta's two's complement.
 _WORD = (1 << 64) - 1
-#: :mod:`repro.simulation.native` once :func:`_native` imported it.
-_glue: Optional[ModuleType] = None
+#: The message of the ValueError for a protocol without a Petri net.
+_NOT_A_NET = "exact stability analysis requires a Petri-net based protocol"
 
 __all__ = [
     "DenseReachabilityGraph",
@@ -91,13 +92,9 @@ class DenseReachabilityGraph:
     and raises :class:`~repro.core.petrinet.ExplorationLimitError` on exactly
     the same ``max_nodes`` budgets.
 
-    The search and the backward search of :meth:`always_eventually_stable`
-    run in the native library (:func:`repro.simulation.native.explore`)
-    whenever it loads and a code fits one 64-bit word (states x width <=
-    64), and in Python otherwise: on hosts without ``cc``, and from a width
-    restart past 64 bits on.  Both give the same graph; on the native path
-    the predecessor lists are kept as CSR arrays and ``predecessors``
-    decodes them on first access.
+    This is the Python explorer: :func:`stable_values` builds one for each
+    input the native batch cannot search (no ``cc``, or codes past 64
+    bits), and the native batch explores the same graph in C.
 
     Raises :class:`ValueError` for protocols that are not Petri-net based.
     """
@@ -107,46 +104,22 @@ class DenseReachabilityGraph:
     ) -> None:
         net = protocol.petri_net
         if net is None:
-            raise ValueError("exact stability analysis requires a Petri-net based protocol")
+            raise ValueError(_NOT_A_NET)
         compiled = net.compiled(protocol.states | root.support)
         tables = _PackedTables.of(net, compiled, protocol)
         # The universe holds the root's support, so ``counts_of`` answers a list.
         counts = compiled.counts_of(root) or []
         width = max(sum(counts), tables.largest).bit_length() + 1
-        native = _native()
-        self._predecessors: Optional[List[List[int]]] = None
-        # The native path's predecessor lists: (offsets, source ids).
-        self._csr: Optional[Tuple[array, array]] = None
         while True:
-            guards, steps, masks, words = tables.at(width)
-            code = _pack(enumerate(counts), width)
-            if native is not None and words is not None:
-                found = native.explore(words, code, max_nodes)
-                if found is not None:
-                    self._codes, offsets, sources = found
-                    self._csr = (offsets, sources)
-                    break
-            else:
-                explored = _explore(code, steps, guards, max_nodes)
-                if explored is not None:
-                    self._codes, self._predecessors = explored
-                    break
+            guards, steps, masks, _ = tables.at(width)
+            explored = _explore(_pack(enumerate(counts), width), steps, guards, max_nodes)
+            if explored is not None:
+                self._codes, self.predecessors = explored
+                break
             width *= 2
         self._width = width
         self._num_states = len(counts)
         self._masks = masks
-
-    @property
-    def predecessors(self) -> List[List[int]]:
-        """Per node, the ids from which one enabled transition leads to it
-        (decoded from the CSR arrays on first access on the native path)."""
-        if self._predecessors is None:
-            assert self._csr is not None
-            offsets, sources = self._csr
-            self._predecessors = [
-                sources[offsets[i] : offsets[i + 1]].tolist() for i in range(len(self._codes))
-            ]
-        return self._predecessors
 
     @property
     def nodes(self) -> List[Tuple[int, ...]]:
@@ -191,10 +164,6 @@ class DenseReachabilityGraph:
         consensus ``value``.  Every node is reachable from the root, so this
         is the stable-computation condition of :func:`always_eventually_stable`.
         """
-        native = None if self._csr is None else _native()
-        # Any other value reaches consensus(), which refuses it.
-        if native is not None and value in (OUTPUT_ONE, OUTPUT_ZERO):
-            return native.eventually_stable(self._codes, *self._csr, self._masks, value)
         unstable = self._reaching([i for i, ok in enumerate(self.consensus(value)) if not ok])
         return all(self._reaching([i for i, bad in enumerate(unstable) if not bad]))
 
@@ -212,9 +181,10 @@ class _PackedTables:
     width: the transitions that change a configuration, the largest pre
     count or one-step gain, and for each width the guard word, every
     transition's ``(key, delta)`` codes, the fields of each output class
-    and, when a code fits 64 bits, the native explorer's step words.
-    They depend on nothing else, so the net keeps them (``_dense_cache``)
-    for every root :class:`DenseReachabilityGraph` explores."""
+    and, when a code fits 64 bits, the native batch's step words.  They
+    depend on nothing else, so the net keeps them (``_dense_cache``) for
+    every root :func:`stable_values` or :class:`DenseReachabilityGraph`
+    explores."""
 
     def __init__(self, compiled: "CompiledNet", classes: Tuple[int, ...]) -> None:
         self._moves = [
@@ -240,7 +210,7 @@ class _PackedTables:
         """``(guards, steps, (ones, zeros, undefined), words)`` on fields of
         ``width`` bits.  ``words`` is ``None`` when a code needs more than
         64 bits, else the unsigned 64-bit array of
-        :func:`repro.simulation.native.explore`: the guard word, then each
+        :func:`repro.simulation.native.verify`: the guard word, then each
         step's key and delta, a negative delta in two's complement."""
         tables = self._by_width.get(width)
         if tables is None:
@@ -269,15 +239,11 @@ class _PackedTables:
 
 def _native() -> Optional[ModuleType]:
     """:mod:`repro.simulation.native` when its library, which holds the
-    explorer, loads here, else ``None``.  That package imports this one, so
-    the module is imported on first use and kept: an import statement per
-    graph would cost more than a small graph's search."""
-    global _glue
-    if _glue is None:
-        from ..simulation import native
+    batch explorer, loads here, else ``None``.  That package imports this
+    one, so the import waits for the first call."""
+    from ..simulation import native
 
-        _glue = native
-    return _glue if _glue.available() else None
+    return native if native.available() else None
 
 
 def _pack(counts: Iterable[Tuple[int, int]], width: int) -> int:
@@ -403,7 +369,8 @@ def stable_consensus_value(
 ) -> Optional[int]:
     """The value stably computed by the protocol on a given input, if any.
 
-    Explores the reachability graph from ``rho_L + inputs|_P`` and returns
+    Explores the reachability graph from ``rho_L + inputs|_P``
+    (:func:`stable_values` on this one input) and returns
 
     * 0 if the stable-computation condition holds for output 0,
     * 1 if it holds for output 1,
@@ -412,34 +379,33 @@ def stable_consensus_value(
       configuration cannot be simultaneously 0- and 1-output stable unless the
       graph is empty.
     """
-    root = protocol.initial_configuration(inputs)
-    return DenseReachabilityGraph(protocol, root, max_nodes).stable_value()
+    return stable_values(protocol, [inputs], max_nodes)[0][0]
 
 
 def stable_values(
     protocol: Protocol, inputs: Sequence[Configuration], max_nodes: Optional[int] = None
-) -> Optional[List[Optional[Tuple[Optional[int], int]]]]:
-    """The stable value and graph size from each input's initial
-    configuration ``rho_L + inputs|_P``, in one native call.
+) -> List[Tuple[Optional[int], int]]:
+    """Per input and in order, ``(stable value, explored)`` from the input's
+    initial configuration ``rho_L + inputs|_P``, as
+    :class:`DenseReachabilityGraph` gives them
+    (:meth:`~DenseReachabilityGraph.stable_value` and ``len``).
 
-    Every root is packed on the fields of the widest one, from the input's
-    counts plus the leaders' code, and :func:`repro.simulation.native.verify`
-    searches them all.  Returns, per input and in order, ``(stable value,
-    explored)`` as :class:`DenseReachabilityGraph` gives them
-    (:meth:`~DenseReachabilityGraph.stable_value` and ``len``), or ``None``
-    for an input whose counts outgrow those fields: explore that one alone.
-    Returns ``None`` instead of a list when the batch does not apply: the
-    native library does not load, the protocol is not Petri-net based, or
-    the widest root's code needs more than 64 bits.
+    Where the native library loads, every root is packed on the fields of
+    the widest one, from the input's counts plus the leaders' code, and one
+    :func:`repro.simulation.native.verify` call searches them all.  The
+    roots whose counts outgrow those fields are searched again on fields
+    twice as wide, as long as a code fits 64 bits.  A
+    :class:`DenseReachabilityGraph` explores every root left: all of them
+    without the library, and those whose codes need more than 64 bits.
 
-    Raises :class:`ValueError` for an input with non-initial states, and
-    :class:`~repro.core.petrinet.ExplorationLimitError` at the first input
-    whose graph exceeds ``max_nodes``, as one graph per input would.
+    Raises :class:`ValueError` for a protocol that is not Petri-net based
+    and for an input with non-initial states, and
+    :class:`~repro.core.petrinet.ExplorationLimitError` when an input's
+    graph exceeds ``max_nodes``, as one graph per input would.
     """
-    native = _native()
     net = protocol.petri_net
-    if native is None or net is None:
-        return None
+    if net is None:
+        raise ValueError(_NOT_A_NET)
     compiled = net.compiled(protocol.states)
     tables = _PackedTables.of(net, compiled, protocol)
     index_of, states, initial = compiled.index_of, protocol.states, protocol.initial_states
@@ -451,15 +417,27 @@ def stable_values(
         rows.append(
             [(index_of[state], count) for state, count in configuration.items() if state in states]
         )
+    leaders = [(index_of[state], count) for state, count in protocol.leaders.items()]
     agents = protocol.leaders.size + max([0] + [sum(count for _, count in row) for row in rows])
     width = max(agents, tables.largest).bit_length() + 1
-    _, _, masks, words = tables.at(width)
-    if words is None:
-        return None
-    leaders = _pack([(index_of[state], count) for state, count in protocol.leaders.items()], width)
-    roots = array("Q", [leaders + _pack(row, width) for row in rows])
-    out = native.verify(words, masks, roots, max_nodes)
-    return [
-        (None if out[i + 1] < 0 else out[i + 1], out[i]) if out[i] else None
-        for i in range(0, len(out), 2)
-    ]
+    found: Dict[int, Tuple[Optional[int], int]] = {}
+    left = list(range(len(rows)))
+    native = _native()
+    while native is not None and left:
+        _, _, masks, words = tables.at(width)
+        if words is None:
+            break
+        base = _pack(leaders, width)
+        roots = array("Q", [base + _pack(rows[i], width) for i in left])
+        out = native.verify(words, masks, roots, max_nodes)
+        # A root whose counts outgrew the fields explored 0 nodes.
+        for i, explored, value in zip(left, out[::2], out[1::2]):
+            if explored:
+                found[i] = (None if value < 0 else value, explored)
+        left = [i for i in left if i not in found]
+        width *= 2
+    for i in left:
+        root = protocol.initial_configuration(inputs[i])
+        graph = DenseReachabilityGraph(protocol, root, max_nodes)
+        found[i] = (graph.stable_value(), len(graph))
+    return [found[i] for i in range(len(rows))]

@@ -1,9 +1,9 @@
 /*
  * Native library of repro (see native.py, which builds this file with the
  * host C compiler and calls it through ctypes).  It holds the simulation
- * stepper and, at the end of the file, the exhaustive explorer of
- * repro.core.semantics.DenseReachabilityGraph and the batch of searches
- * that repro.analysis.check_protocol runs over every input of a protocol.
+ * stepper and, at the end of the file, the batch of exhaustive searches
+ * that repro.core.semantics.stable_values runs over the initial
+ * configurations of a protocol's inputs (repro_verify).
  *
  * One loop runs both scheduler kinds over the tables of a CompiledNet:
  * uniform-scheduler weights are products of binomials C(count, multiplicity),
@@ -344,7 +344,8 @@ void repro_randbelow(uint32_t *mt, const uint32_t *key, int64_t length,
 /* Exhaustive exploration                                                  */
 /* ---------------------------------------------------------------------- */
 /*
- * The graph of repro.core.semantics.DenseReachabilityGraph on 64-bit codes:
+ * The graph of repro.core.semantics.DenseReachabilityGraph (the Python
+ * explorer) on 64-bit codes, built in the same node and predecessor order:
  * state i owns the bit field of `width` bits at shift i * width, its count
  * below a guard bit that a configuration keeps clear.  A step is a pair
  * (key, delta): it is enabled in `code` iff ((code + key) & guards) ==
@@ -359,7 +360,8 @@ void repro_randbelow(uint32_t *mt, const uint32_t *key, int64_t length,
  * expands a node the search checks that the node's steps fit the buffers,
  * and stops with EXPLORE_FULL when they might not; the caller grows them
  * and calls again, and the search resumes at that node, first indexing the
- * codes a fresh table lacks.
+ * codes a fresh table lacks.  Once a root's search is done, its stable
+ * value is decided by backward searches over the predecessor lists.
  */
 
 /* Slots of the exploration control array, shared with native.py. */
@@ -479,21 +481,6 @@ out:
     return status;
 }
 
-/*
- * The search above from the codes in place; sources has room for
- * ctl[X_EDGE_CAP] node ids.  Once it is done the table is done with and
- * takes the offsets of the predecessor lists, and sources their source ids
- * (see transpose).
- */
-int repro_explore(const uint64_t *steps, int64_t *ctl, uint64_t *codes, int32_t *table,
-                  int32_t *starts, int32_t *targets, int32_t *sources)
-{
-    int status = search(steps, ctl, codes, table, starts, targets);
-    if (status == EXPLORE_DONE)
-        transpose(ctl[X_NODES], starts, targets, table, sources);
-    return status;
-}
-
 /* Set `bit` on every node that reaches one of the `top` nodes on the stack
  * (which carry it already), walking the predecessor lists. */
 static void reach_back(const int32_t *offsets, const int32_t *sources, int32_t *marks,
@@ -517,9 +504,9 @@ static void reach_back(const int32_t *offsets, const int32_t *sources, int32_t *
  * hold the fields of the states of each output class.  work has room for
  * two entries per node: a mark and a stack slot.
  */
-int repro_eventually_stable(const uint64_t *codes, int64_t nodes, uint64_t ones,
-                            uint64_t zeros, uint64_t undefined, int64_t value,
-                            const int32_t *offsets, const int32_t *sources, int32_t *work)
+static int eventually_stable(const uint64_t *codes, int64_t nodes, uint64_t ones,
+                             uint64_t zeros, uint64_t undefined, int64_t value,
+                             const int32_t *offsets, const int32_t *sources, int32_t *work)
 {
     const uint64_t blocking = undefined | (value ? zeros : ones);
     int32_t *marks = work, *stack = work + nodes;
@@ -549,13 +536,12 @@ int repro_eventually_stable(const uint64_t *codes, int64_t nodes, uint64_t ones,
 
 /*
  * The verdict of every root code roots[r] for r from ctl[X_ROOT] up to
- * ctl[X_ROOTS], in order: the search of repro_explore, then the stable
- * value of repro_eventually_stable (output 1 tried first).  out[2r] takes
- * the node count and out[2r + 1] the stable value, -1 for none; nothing is
- * decoded.  masks holds the fields of each output class (ones, zeros,
- * undefined).  Beside the buffers of the search, offsets has room for
- * ctl[X_NODE_CAP] + 1 entries, sources as many as targets and work two per
- * node.
+ * ctl[X_ROOTS], in order: the search above, then the stable value of
+ * eventually_stable (output 1 tried first).  out[2r] takes the node count
+ * and out[2r + 1] the stable value, -1 for none; nothing is decoded.  masks
+ * holds the fields of each output class (ones, zeros, undefined).  Beside
+ * the buffers of the search, offsets has room for ctl[X_NODE_CAP] + 1
+ * entries, sources as many as targets and work two per node.
  *
  * One set of buffers serves every root.  ctl[X_NODES] is 0 between roots;
  * after each root the call empties the table slots its codes took, latest
@@ -592,8 +578,8 @@ int repro_verify(const uint64_t *steps, const uint64_t *masks, const uint64_t *r
             return status;
         transpose(nodes, starts, targets, offsets, sources);
         for (value = 1; value >= 0; value--)
-            if (repro_eventually_stable(codes, nodes, masks[0], masks[1], masks[2], value,
-                                        offsets, sources, work))
+            if (eventually_stable(codes, nodes, masks[0], masks[1], masks[2], value,
+                                  offsets, sources, work))
                 break;
         out[2 * root] = nodes;
         out[2 * root + 1] = value;

@@ -1,18 +1,17 @@
-"""The native library: the simulation stepper and the exhaustive explorer.
+"""The native library: the simulation stepper and the exhaustive verifier.
 
 ``native.c`` (next to this file) holds one C loop for both schedulers and
-the breadth-first search and backward search of
-:class:`~repro.core.semantics.DenseReachabilityGraph`.  It is compiled with
-the host C compiler ``cc`` the first time a process needs it, into the
-per-user cache directory ``~/.cache/repro-native`` (created with mode 0700),
-under a name keyed by the hash of the source, the flags and the platform.
-Later processes, pool workers included, load the cached library.  A build is
-written under a temporary name in that directory and renamed into place, so
-concurrent first uses never load a half-written file.  Without a compiler,
-or with a cache directory that cannot be used, :func:`available` is false:
-``engine="auto"`` runs the compiled engine instead, ``engine="native"``
-raises :class:`NativeUnavailable`, whose message names the cause, and the
-dense graph explores in Python.
+the batch search behind :func:`repro.core.semantics.stable_values`.  It is
+compiled with the host C compiler ``cc`` the first time a process needs it,
+into the per-user cache directory ``~/.cache/repro-native`` (created with
+mode 0700), under a name keyed by the hash of the source, the flags and the
+platform.  Later processes, pool workers included, load the cached library.
+A build is written under a temporary name in that directory and renamed into
+place, so concurrent first uses never load a half-written file.  Without a
+compiler, or with a cache directory that cannot be used, :func:`available` is
+false: ``engine="auto"`` runs the compiled engine instead, ``engine="native"``
+raises :class:`NativeUnavailable`, whose message names the cause, and
+:func:`~repro.core.semantics.stable_values` explores in Python.
 
 The C loop reproduces CPython's MT19937 (``random.Random(seed)`` seeding for
 int seeds, ``getrandbits`` and ``_randbelow``), so it fires exactly the
@@ -25,12 +24,12 @@ weight total reaches 2**64 is redone on the compiled engine from the same
 counts and generator state, so no result depends on the engine; on a net too
 large for the compiled engine such a run raises :class:`OverflowError`.
 
-The explorer works on configurations packed into one 64-bit word
-(:func:`explore`, :func:`eventually_stable`); the dense graph explores in
-Python when its codes need more bits.  :func:`verify` runs the same two
-searches for every root of a batch in one call and returns only each root's
-node count and stable value: :func:`repro.analysis.check_protocol` hands it
-the initial configurations of all its inputs at once.
+:func:`verify` works on configurations packed into one 64-bit word.  For
+every root of a batch, in one call, it runs the breadth-first search and the
+backward searches that decide the stable value, and returns only each root's
+node count and stable value: :func:`~repro.core.semantics.stable_values`
+hands it the initial configurations of all its inputs at once, and explores
+in Python the roots whose codes need more than 64 bits.
 
 Every buffer the C code touches is an :class:`array.array` allocated here for
 the call: the C side allocates nothing, so ``tracemalloc`` sees all of the
@@ -56,10 +55,7 @@ from typing import Any, Deque, List, Optional, Sequence, Tuple
 from ..core.petrinet import ExplorationLimitError
 from .compiled import CompiledNet, check_kind
 
-__all__ = [
-    "NativeStepper", "NativeUnavailable", "available", "eventually_stable", "explore",
-    "library", "verify",
-]
+__all__ = ["NativeStepper", "NativeUnavailable", "available", "library", "verify"]
 
 #: The C compiler that builds the library (GCC's command-line flags).
 _COMPILER = "cc"
@@ -87,10 +83,6 @@ _FIRST_NODES, _FIRST_EDGES = 64, 256
 #: Node ids and edge offsets are int32.
 _INT32_MAX = 2 ** 31 - 1
 
-#: An explored graph: the codes in discovery order, and the predecessor
-#: lists as CSR arrays (offsets, then source ids).
-Explored = Tuple[array, array, array]
-
 
 class NativeUnavailable(RuntimeError):
     """The native library cannot be built or loaded here; the message says why."""
@@ -108,8 +100,8 @@ def library() -> ctypes.CDLL:
     reason) when it cannot be built or loaded.
     """
     global _library, _failure
-    # Set once and never cleared, so a loaded library needs no lock: a dense
-    # graph asks for it several times.
+    # Set once and never cleared, so a loaded library needs no lock: every
+    # stable_values call asks for it.
     if _library is None:
         with _lock:
             if _library is None and _failure is None:
@@ -163,13 +155,6 @@ def _load() -> ctypes.CDLL:
         pointer, pointer, ctypes.c_int64, pointer, ctypes.c_int64, pointer,
     ]
     lib.repro_randbelow.restype = None
-    lib.repro_explore.argtypes = [pointer] * 7
-    lib.repro_explore.restype = ctypes.c_int
-    lib.repro_eventually_stable.argtypes = [
-        pointer, ctypes.c_int64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,
-        ctypes.c_int64, pointer, pointer, pointer,
-    ]
-    lib.repro_eventually_stable.restype = ctypes.c_int
     lib.repro_verify.argtypes = [pointer] * 12
     lib.repro_verify.restype = ctypes.c_int
     return lib
@@ -418,44 +403,6 @@ def _limit(max_nodes: Optional[int]) -> int:
     return _INT64_MAX if max_nodes is None else _clamp(max(max_nodes, 0))
 
 
-def explore(steps: array, root: int, max_nodes: Optional[int]) -> Optional[Explored]:
-    """Breadth-first search in C from the 64-bit code ``root``.
-
-    ``steps`` (unsigned 64-bit) holds the guard word, then one ``(key,
-    delta)`` pair per transition, a negative delta in two's complement (see
-    :class:`~repro.core.semantics.DenseReachabilityGraph`).  Returns the
-    codes in discovery order with the predecessor lists as CSR arrays, or
-    ``None`` once a count outgrows its field.  Raises
-    :class:`~repro.core.petrinet.ExplorationLimitError` when a node beyond
-    the first ``max_nodes`` would be discovered.  Each buffer starts small
-    and doubles whenever the next node's steps might not fit in it.
-    """
-    search = library().repro_explore
-    count = (len(steps) - 1) // 2
-    node_cap, edge_cap = _FIRST_NODES, _FIRST_EDGES
-    control = array("q", [count, _limit(max_nodes), 0, 1, 0, 0, node_cap, edge_cap])
-    codes = array("Q", bytes(8 * node_cap))
-    codes[0] = root
-    table = array("i", bytes(8 * node_cap))
-    starts = array("i", bytes(4 * (node_cap + 1)))
-    targets = array("i", bytes(4 * edge_cap))
-    sources = array("i", bytes(4 * edge_cap))
-    while True:
-        buffers = (steps, control, codes, table, starts, targets, sources)
-        status = search(*[buffer.buffer_info()[0] for buffer in buffers])
-        if status == _EXPLORED:
-            break
-        if status == _WIDEN:
-            return None
-        if status == _LIMIT:
-            raise ExplorationLimitError(f"exploration exceeded {max_nodes} configurations")
-        table = _grow(control, table, (codes, starts), (targets, sources))
-    # The finished search left the predecessor offsets in the table.
-    del codes[control[_X_NODES] :], table[control[_X_NODES] + 1 :]
-    del sources[control[_X_EDGES] :]
-    return codes, table, sources
-
-
 def _grow(
     control: array, table: array, per_node: Sequence[array], per_edge: Sequence[array]
 ) -> array:
@@ -489,34 +436,24 @@ def _doubled(capacity: int, needed: int) -> int:
     return capacity
 
 
-def eventually_stable(
-    codes: array, offsets: array, sources: array, masks: Tuple[int, int, int], value: int
-) -> bool:
-    """Whether every node of an :func:`explore` graph can reach a
-    ``value``-output-stable node; ``masks`` holds the fields of the states
-    of each output class (ones, zeros, undefined)."""
-    work = array("i", bytes(8 * len(codes)))
-    return bool(
-        library().repro_eventually_stable(
-            codes.buffer_info()[0], len(codes), *masks, value,
-            *[buffer.buffer_info()[0] for buffer in (offsets, sources, work)],
-        )
-    )
-
-
 def verify(
     steps: array, masks: Tuple[int, int, int], roots: array, max_nodes: Optional[int]
 ) -> array:
-    """The searches of :func:`explore` and :func:`eventually_stable` from
-    every 64-bit code of ``roots``, in one C call on one set of buffers.
+    """The stable value of every 64-bit code of ``roots``, in one C call on
+    one set of buffers: a breadth-first search of its graph, then the
+    backward searches that decide the stable value.
 
+    ``steps`` (unsigned 64-bit) holds the guard word, then one ``(key,
+    delta)`` pair per transition, a negative delta in two's complement, and
+    ``masks`` the fields of the states of each output class (ones, zeros,
+    undefined); see :class:`~repro.core.semantics.DenseReachabilityGraph`.
     Returns an int64 array of two entries per root, in order: the node count
     of its graph and its stable value (output 1 tried first, ``-1`` for
     none).  A root whose count outgrows its field keeps ``(0, 0)`` and the
-    batch goes on after it; the caller explores it alone.  Raises
-    :class:`~repro.core.petrinet.ExplorationLimitError` at the first root
-    whose graph has more than ``max_nodes`` nodes.  The buffers start small
-    and double whenever the next node's steps might not fit in them.
+    batch goes on after it; the caller searches it again on wider fields.
+    Raises :class:`~repro.core.petrinet.ExplorationLimitError` at the first
+    root whose graph has more than ``max_nodes`` nodes.  The buffers start
+    small and double whenever the next node's steps might not fit in them.
     """
     batch = library().repro_verify
     count = (len(steps) - 1) // 2

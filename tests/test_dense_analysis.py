@@ -1,20 +1,22 @@
 """Oracle tests for the dense, cached analysis layer.
 
-* ``verify_input`` / ``stable_consensus_value`` / ``is_output_stable`` run on
-  :class:`repro.core.semantics.DenseReachabilityGraph`.  On seeded random
-  small protocols (conservative or not, with leaders, '*'-outputs and
-  isolated states), and on nets at the edges of its bit-field encoding,
-  they must agree with the sparse ``net.reachability_graph`` +
-  ``always_eventually_stable`` path: same ``computed``, same ``explored``,
-  and ``ExplorationLimitError`` on exactly the same ``max_nodes`` budgets.
-  These oracle tests run on both explorers, the Python loops and the native
-  library, and the two must build the same graph: the same codes in the
-  same order, the same predecessor lists and the same answers.
+* ``verify_input`` / ``stable_consensus_value`` run on
+  :func:`repro.core.semantics.stable_values`: the native batch where the
+  library loads and a configuration fits 64 bits, else the Python
+  :class:`repro.core.semantics.DenseReachabilityGraph`, which
+  ``is_output_stable`` runs on.  On seeded random small protocols
+  (conservative or not, with leaders, '*'-outputs and isolated states), and
+  on nets at the edges of the bit-field encoding, they must agree with the
+  sparse ``net.reachability_graph`` + ``always_eventually_stable`` path:
+  same ``computed``, same ``explored``, and ``ExplorationLimitError`` on
+  exactly the same ``max_nodes`` budgets.  These oracle tests run on both
+  explorers, with the native library hidden and without.
 * ``check_protocol`` searches all its inputs in one native call
   (``stable_values``) and must give, verdict for verdict and in order, what
-  ``verify_input`` gives one input at a time: at every budget, when a
-  budget runs out partway, when an input outgrows the batch's bit fields,
-  when the widest input needs more than 64 bits and after its buffers grow.
+  a Python ``DenseReachabilityGraph`` gives one input at a time: at every
+  budget, when a budget runs out partway, when an input outgrows the
+  batch's bit fields, when the widest input needs more than 64 bits and
+  after its buffers grow.  ``find_counterexample`` is its first failure.
 * ``backward_coverability`` and ``is_stabilized`` are membership tests
   against bases cached on the net.  They must equal a from-scratch backward
   fixpoint for every target tried and every set of forbidden states, and the
@@ -37,12 +39,13 @@ from engines import requires_native
 
 import repro
 from repro.analysis import (
+    InputVerdict,
     backward_coverability,
     check_protocol,
     coverability_basis,
+    find_counterexample,
     is_stabilized,
     unstabilized_basis,
-    verification,
     verify_input,
 )
 from repro.analysis.reachability import enumerate_configurations_up_to
@@ -54,6 +57,7 @@ from repro.core import (
     Protocol,
     Transition,
     always_eventually_stable,
+    counting,
     from_counts,
     is_output_stable,
     output_stable_nodes,
@@ -62,7 +66,7 @@ from repro.core import (
 )
 from repro.core import semantics
 from repro.core.protocol import OUTPUT_ONE, OUTPUT_UNDEFINED, OUTPUT_ZERO
-from repro.protocols import modulo_protocol
+from repro.protocols import flock_of_birds_protocol, modulo_protocol
 from repro.simulation import native
 from repro.sweep import build_predicate_for, build_protocol_and_inputs
 
@@ -205,11 +209,48 @@ def _dense_verdict(protocol, inputs, max_nodes):
 
 @pytest.fixture(params=["python", pytest.param("native", marks=requires_native)])
 def explorer(request, monkeypatch):
-    """The dense graphs of the test explore in Python (the native library
-    hidden from them) or in the native library."""
+    """``stable_values`` explores in Python (the native library hidden from
+    it) or in the native batch."""
     if request.param == "python":
         monkeypatch.setattr(semantics, "_native", lambda: None)
     return request.param
+
+
+@pytest.fixture
+def batch_widths(monkeypatch):
+    """The code width in bits (states x field width) of every batch
+    ``native.verify`` runs, in order: the top bit of its guard word is the
+    last field's guard."""
+    widths = []
+    verify = native.verify
+
+    def spy(steps, masks, roots, max_nodes):
+        widths.append(steps[0].bit_length())
+        return verify(steps, masks, roots, max_nodes)
+
+    monkeypatch.setattr(native, "verify", spy)
+    return widths
+
+
+@pytest.fixture
+def python_roots(monkeypatch):
+    """The root of every ``DenseReachabilityGraph`` ``stable_values``
+    builds, in order."""
+    roots = []
+    graph = semantics.DenseReachabilityGraph
+
+    def spy(protocol, root, max_nodes=None):
+        roots.append(root)
+        return graph(protocol, root, max_nodes)
+
+    monkeypatch.setattr(semantics, "DenseReachabilityGraph", spy)
+    return roots
+
+
+def _padded(protocol_name, output, moves, states):
+    """An edge protocol with idle states added until it has ``states``."""
+    output = dict(output, **{f"idle{i}": 0 for i in range(states - len(output))})
+    return _edge_protocol(protocol_name, output, *moves)
 
 
 @pytest.mark.usefixtures("explorer")
@@ -288,6 +329,37 @@ class TestDenseVerificationOracle:
             graph.consensus(OUTPUT_UNDEFINED)
         with pytest.raises(ValueError):
             graph.always_eventually_stable(OUTPUT_UNDEFINED)
+
+    def test_restarts_past_64_bits_continue_in_python(self, explorer, batch_widths, python_roots):
+        # 16 states: one agent spawns 4 then 16, so the fields grow from 4
+        # bits (64 in all, native) to 8 (128, Python).  Budgets 0 and 1 run
+        # out before a count outgrows its field.
+        quadruple = ({"a": 1}, {"b": 4}), ({"b": 1}, {"c": 4})
+        protocol = _padded("quadruple", {"a": 0, "b": 1, "c": 1}, quadruple, 16)
+        inputs = from_counts(a=1)
+        budgets = (None, 0, 1, 10)
+        for budget in budgets:
+            expected = _outcome(_sparse_verdict, protocol, inputs, budget)
+            assert _outcome(_dense_verdict, protocol, inputs, budget) == expected, budget
+        if explorer == "native":
+            assert batch_widths == [64] * len(budgets) and len(python_roots) == 2
+        else:
+            assert batch_widths == [] and len(python_roots) == len(budgets)
+
+    def test_unbounded_spawning_across_64_bits_spends_the_same_budgets(
+        self, explorer, batch_widths
+    ):
+        # One agent spawns another at every step, so every budget runs out.
+        # On 16 states, fields of 2 and 4 bits run natively, then fields of
+        # 8 bits (128 in all) in Python.
+        spawn = _padded("spawn", {"a": 0, "b": 1}, [({"b": 1}, {"a": 1, "b": 1})], 16)
+        inputs = from_counts(b=1)
+        budgets = (10, 40, 100, BUDGET)
+        for budget in budgets:
+            assert _outcome(_sparse_verdict, spawn, inputs, budget) == "limit"
+            with pytest.raises(ExplorationLimitError, match=f"exceeded {budget} "):
+                verify_input(spawn, inputs, OUTPUT_ONE, budget)
+        assert batch_widths == ([32, 64] * len(budgets) if explorer == "native" else [])
 
 
 def _gather_protocol(output):
@@ -376,117 +448,6 @@ class TestPackedTablesCache:
         assert verify_input(clone, inputs, OUTPUT_ONE) == verdict
 
 
-def _graph_answers(protocol, inputs, max_nodes):
-    """Everything a dense graph answers, or the exploration-limit message."""
-    try:
-        graph = DenseReachabilityGraph(
-            protocol, protocol.initial_configuration(inputs), max_nodes
-        )
-    except ExplorationLimitError as error:
-        return "limit", str(error)
-    return (
-        len(graph),
-        graph.nodes,
-        graph.predecessors,
-        graph.consensus(OUTPUT_ONE),
-        graph.consensus(OUTPUT_ZERO),
-        graph.always_eventually_stable(OUTPUT_ONE),
-        graph.always_eventually_stable(OUTPUT_ZERO),
-        graph.stable_value(),
-    )
-
-
-def _python_answers(monkeypatch, protocol, inputs, max_nodes):
-    """:func:`_graph_answers` with the native library hidden."""
-    with monkeypatch.context() as patch:
-        patch.setattr(semantics, "_native", lambda: None)
-        return _graph_answers(protocol, inputs, max_nodes)
-
-
-@pytest.fixture
-def native_searches(monkeypatch):
-    """The code width in bits (states x field width) of every search the
-    native explorer runs, in order: the top bit of its guard word is the
-    last field's guard."""
-    widths = []
-    search = native.explore
-
-    def spy(steps, root, max_nodes):
-        widths.append(steps[0].bit_length())
-        return search(steps, root, max_nodes)
-
-    monkeypatch.setattr(native, "explore", spy)
-    return widths
-
-
-def _padded(protocol_name, output, moves, states):
-    """An edge protocol with idle states added until it has ``states``."""
-    output = dict(output, **{f"idle{i}": 0 for i in range(states - len(output))})
-    return _edge_protocol(protocol_name, output, *moves)
-
-
-@requires_native
-class TestNativeExplorer:
-    """The native explorer builds the Python explorer's graph."""
-
-    @pytest.mark.parametrize(
-        "index, conservative, protocol, inputs", list(_cases(120)) + list(_edge_cases())
-    )
-    def test_same_graph_as_the_python_explorer(
-        self, index, conservative, protocol, inputs, monkeypatch, native_searches
-    ):
-        budgets = [None if conservative else BUDGET, 0, 1, 10, 50]
-        for budget in budgets:
-            expected = _python_answers(monkeypatch, protocol, inputs, budget)
-            assert _graph_answers(protocol, inputs, budget) == expected, budget
-        assert native_searches
-
-    def test_codes_past_64_bits_explore_in_python(self, monkeypatch, native_searches):
-        # 17 states on fields of 4 bits (4 agents) need 68 bits.
-        gather = ({"a": 1, "b": 1}, {"b": 2}), ({"b": 1, "c": 1}, {"c": 2})
-        protocol = _padded("gather", {"a": 0, "b": 1, "c": 0}, gather, 17)
-        inputs = from_counts(a=2, b=1, c=1)
-        assert _dense_verdict(protocol, inputs, None) == _sparse_verdict(protocol, inputs, None)
-        answers = _graph_answers(protocol, inputs, None)
-        assert answers == _python_answers(monkeypatch, protocol, inputs, None)
-        assert native_searches == []
-
-    def test_restarts_past_64_bits_continue_in_python(self, monkeypatch, native_searches):
-        # 16 states: one agent spawns 4 then 16, so the fields grow from 4
-        # bits (64 in all, native) to 8 (128, Python).
-        quadruple = ({"a": 1}, {"b": 4}), ({"b": 1}, {"c": 4})
-        protocol = _padded("quadruple", {"a": 0, "b": 1, "c": 1}, quadruple, 16)
-        inputs = from_counts(a=1)
-        assert _dense_verdict(protocol, inputs, None) == _sparse_verdict(protocol, inputs, None)
-        for budget in (None, 0, 1, 10):
-            answers = _graph_answers(protocol, inputs, budget)
-            assert answers == _python_answers(monkeypatch, protocol, inputs, budget)
-        assert set(native_searches) == {64}
-
-    def test_unbounded_spawning_across_64_bits_spends_the_same_budgets(
-        self, monkeypatch, native_searches
-    ):
-        # One agent spawns another at every step, so every budget runs out.
-        # On 16 states, fields of 2 and 4 bits explore natively, then fields
-        # of 8 bits (128 in all) in Python.
-        spawn = _padded("spawn", {"a": 0, "b": 1}, [({"b": 1}, {"a": 1, "b": 1})], 16)
-        inputs = from_counts(b=1)
-        for budget in (10, 40, 100, BUDGET):
-            answers = _graph_answers(spawn, inputs, budget)
-            assert answers == _python_answers(monkeypatch, spawn, inputs, budget)
-            assert answers[0] == "limit"
-        assert set(native_searches) == {32, 64}
-
-    def test_graph_many_times_the_first_buffers(self, monkeypatch, native_searches):
-        protocol = modulo_protocol(3, 1)
-        inputs = protocol.counting_input(14)
-        answers = _graph_answers(protocol, inputs, None)
-        assert answers == _python_answers(monkeypatch, protocol, inputs, None)
-        size, edges = answers[0], sum(map(len, answers[2]))
-        assert size > 16 * native._FIRST_NODES and edges > 16 * native._FIRST_EDGES
-        assert native_searches
-
-
 class _Parity:
     """A predicate for the batch tests: inputs of odd size map to 1."""
 
@@ -519,15 +480,21 @@ def _several_inputs(index, protocol, inputs):
 
 
 def _one_at_a_time(protocol, inputs, max_nodes):
-    """``verify_input`` on each input in order, the oracle of
-    ``check_protocol``, or the exploration-limit message."""
+    """The verdict of a Python ``DenseReachabilityGraph`` per input, in
+    order, the oracle of ``check_protocol``, or the exploration-limit
+    message."""
+    verdicts = []
     try:
-        return [
-            verify_input(protocol, configuration, _Parity.evaluate(configuration), max_nodes)
-            for configuration in inputs
-        ]
+        for configuration in inputs:
+            root = protocol.initial_configuration(configuration)
+            graph = DenseReachabilityGraph(protocol, root, max_nodes)
+            expected, computed = _Parity.evaluate(configuration), graph.stable_value()
+            verdicts.append(
+                InputVerdict(configuration, expected, computed, computed == expected, len(graph))
+            )
     except ExplorationLimitError as error:
         return "limit", str(error)
+    return verdicts
 
 
 def _checked(protocol, inputs, max_nodes):
@@ -538,23 +505,10 @@ def _checked(protocol, inputs, max_nodes):
         return "limit", str(error)
 
 
-@pytest.fixture
-def alone(monkeypatch):
-    """The inputs ``check_protocol`` hands to ``verify_input``, in order."""
-    seen = []
-    single = verification.verify_input
-
-    def spy(protocol, inputs, expected, max_nodes=None):
-        seen.append(inputs)
-        return single(protocol, inputs, expected, max_nodes=max_nodes)
-
-    monkeypatch.setattr(verification, "verify_input", spy)
-    return seen
-
-
 @pytest.mark.usefixtures("explorer")
 class TestCheckProtocolBatch:
-    """``check_protocol`` gives ``verify_input``'s verdicts on both paths."""
+    """``check_protocol`` gives the verdicts of a Python graph per input on
+    both paths."""
 
     @pytest.mark.parametrize("index, conservative, protocol, inputs", list(_cases(120)))
     def test_same_verdicts_as_one_input_at_a_time(self, index, conservative, protocol, inputs):
@@ -586,49 +540,52 @@ class TestCheckProtocolBatch:
         assert _one_at_a_time(protocol, batch, budget) == ("limit", message)
 
     @pytest.mark.parametrize(
-        "name, batch, outgrows, budget",
+        "name, batch, budget, widths, graphs",
         [
             # The widest input (3 agents, a gain of 4) sets fields of 4
-            # bits; one a spawns 4 b, then 16 c.
+            # bits, 12 in all; one a spawns 4 b, then 16 c, which need
+            # fields of 8 bits.
             (
                 "quadruple",
                 [from_counts(c=3), from_counts(a=1), from_counts(b=1), from_counts(c=1)],
-                [from_counts(a=1)],
                 None,
+                [12, 24],
+                4,
             ),
-            # One b spawns an a at every step and never stops.
-            ("spawn", [from_counts(a=2), from_counts(b=1), from_counts(a=1)],
-             [from_counts(b=1)], BUDGET),
+            # One b spawns an a at every step and never stops: its fields
+            # grow twice, then its budget runs out.
+            ("spawn", [from_counts(a=2), from_counts(b=1), from_counts(a=1)], BUDGET,
+             [6, 12, 24], 2),
         ],
     )
-    def test_an_input_that_outgrows_the_batch_fields_goes_alone(
-        self, name, batch, outgrows, budget, explorer, alone
+    def test_an_input_that_outgrows_the_batch_fields_is_searched_wider(
+        self, name, batch, budget, widths, graphs, explorer, batch_widths, python_roots
     ):
         protocol = next(case[2] for case in _edge_cases() if case[2].name == name)
         assert _checked(protocol, batch, budget) == _one_at_a_time(protocol, batch, budget)
-        # The loop stops at an input whose budget runs out.
-        assert alone == (outgrows if explorer == "native" else batch[: len(alone)])
+        if explorer == "native":
+            assert batch_widths == widths and python_roots == []
+        else:
+            # One graph per input, up to the one whose budget runs out.
+            roots = [protocol.initial_configuration(inputs) for inputs in batch[:graphs]]
+            assert batch_widths == [] and python_roots == roots
 
-    def test_codes_past_64_bits_take_the_loop(self, explorer, alone, monkeypatch):
+    def test_codes_past_64_bits_explore_in_python(self, explorer, batch_widths, python_roots):
         # 17 states: 3 agents fit fields of 3 bits (51 in all), 4 need 4
-        # bits (68), so the batch that holds 4 agents goes one at a time.
+        # bits (68), so the batch that holds 4 agents explores in Python.
         gather = ({"a": 1, "b": 1}, {"b": 2}), ({"b": 1, "c": 1}, {"c": 2})
         protocol = _padded("gather", {"a": 0, "b": 1, "c": 0}, gather, 17)
         batch = [from_counts(a=1, b=1, c=1), from_counts(a=2, b=1, c=1)]
-        batches = []
-        search = native.verify
-        monkeypatch.setattr(
-            native, "verify", lambda *args: batches.append(args) or search(*args)
-        )
+        roots = [protocol.initial_configuration(inputs) for inputs in batch]
         assert _checked(protocol, batch, None) == _one_at_a_time(protocol, batch, None)
-        assert alone == batch and batches == []
+        assert batch_widths == [] and python_roots == roots
         # Without the 4 agents the codes fit 64 bits, and the batch runs.
-        del alone[:]
+        del python_roots[:]
         assert _checked(protocol, batch[:1], None) == _one_at_a_time(protocol, batch[:1], None)
         if explorer == "native":
-            assert alone == [] and len(batches) == 1
+            assert batch_widths == [51] and python_roots == []
         else:
-            assert alone == batch[:1] and batches == []
+            assert batch_widths == [] and python_roots == roots[:1]
 
     def test_an_input_with_non_initial_states_raises_the_same_error(self):
         protocol = modulo_protocol(3, 1)
@@ -675,6 +632,23 @@ class TestCheckProtocolBatch:
             for inputs in enumerate_configurations_up_to(states, agents)
         ]
         assert report.all_correct and report.total_explored == explored
+
+    @pytest.mark.parametrize(
+        "protocol, predicate, agents, budget",
+        [
+            (protocol, _Parity, 2, None if conservative else BUDGET)
+            for _, conservative, protocol, _ in _cases(120)
+        ]
+        # flock(2) computes (1 >= 2): a counterexample to (1 >= 3), none to it.
+        + [(flock_of_birds_protocol(2), counting(1, threshold), 4, None) for threshold in (3, 2)],
+    )
+    def test_find_counterexample_is_the_first_failure(self, protocol, predicate, agents, budget):
+        def first_failure():
+            failures = check_protocol(protocol, predicate, agents, budget).failures()
+            return failures[0] if failures else None
+
+        expected = _outcome(first_failure)
+        assert _outcome(find_counterexample, protocol, predicate, agents, budget) == expected
 
 
 def _scratch_basis(net, target):
