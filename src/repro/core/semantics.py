@@ -100,8 +100,16 @@ class DenseReachabilityGraph:
     """
 
     def __init__(
-        self, protocol: Protocol, root: Configuration, max_nodes: Optional[int] = None
+        self,
+        protocol: Protocol,
+        root: Configuration,
+        max_nodes: Optional[int] = None,
+        *,
+        _width: int = 0,
     ) -> None:
+        # ``_width``: start on fields at least this wide.  ``stable_values``
+        # passes the first width its native batches did not run, so a root
+        # they widened is not searched again on fields it already outgrew.
         net = protocol.petri_net
         if net is None:
             raise ValueError(_NOT_A_NET)
@@ -109,7 +117,7 @@ class DenseReachabilityGraph:
         tables = _PackedTables.of(net, compiled, protocol)
         # The universe holds the root's support, so ``counts_of`` answers a list.
         counts = compiled.counts_of(root) or []
-        width = max(sum(counts), tables.largest).bit_length() + 1
+        width = max(max(sum(counts), tables.largest).bit_length() + 1, _width)
         while True:
             guards, steps, masks, _ = tables.at(width)
             explored = _explore(_pack(enumerate(counts), width), steps, guards, max_nodes)
@@ -396,7 +404,8 @@ def stable_values(
     roots whose counts outgrow those fields are searched again on fields
     twice as wide, as long as a code fits 64 bits.  A
     :class:`DenseReachabilityGraph` explores every root left: all of them
-    without the library, and those whose codes need more than 64 bits.
+    without the library, and those whose codes need more than 64 bits, on
+    fields wider than any batch ran them on.
 
     Raises :class:`ValueError` for a protocol that is not Petri-net based
     and for an input with non-initial states, and
@@ -422,6 +431,9 @@ def stable_values(
     width = max(agents, tables.largest).bit_length() + 1
     found: Dict[int, Tuple[Optional[int], int]] = {}
     left = list(range(len(rows)))
+    # The roots left after a batch outgrew every width it ran, so Python
+    # starts them on the next one.
+    start = 0
     native = _native()
     while native is not None and left:
         _, _, masks, words = tables.at(width)
@@ -436,8 +448,9 @@ def stable_values(
                 found[i] = (None if value < 0 else value, explored)
         left = [i for i in left if i not in found]
         width *= 2
+        start = width
     for i in left:
         root = protocol.initial_configuration(inputs[i])
-        graph = DenseReachabilityGraph(protocol, root, max_nodes)
+        graph = DenseReachabilityGraph(protocol, root, max_nodes, _width=start)
         found[i] = (graph.stable_value(), len(graph))
     return [found[i] for i in range(len(rows))]

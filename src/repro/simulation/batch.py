@@ -31,10 +31,13 @@ Entry points:
   simulator per distinct (protocol, scheduler, engine) spec**, so a single
   pool serves ensembles of many different protocols back to back and
   repeated ensembles stop paying pool startup and stepper compilation.
-  :meth:`WorkerPool.run_batch` runs several :class:`Ensemble` values, of
-  any specs, in one round trip; :meth:`WorkerPool.run_seeds` is its
-  one-ensemble case.  The sweep harness (:mod:`repro.sweep`) runs its cells
-  in batches on one, and the job server (:mod:`repro.serve`) its jobs.
+  :meth:`WorkerPool.dispatch` sends several :class:`Ensemble` values, of
+  any specs, in one round trip without waiting for them, and
+  :meth:`WorkerPool.resolve` waits for their outcomes;
+  :meth:`WorkerPool.run_seeds` is the two in one call for one ensemble.
+  The sweep harness (:mod:`repro.sweep`) runs its cells in batches on one,
+  dispatching the next while the last executes, and the job server
+  (:mod:`repro.serve`) its jobs.
 
 ``backend="serial"`` runs the same code path without processes and is the
 reference ordering; ``backend="process"`` must agree with it exactly
@@ -49,7 +52,6 @@ import os
 import pickle
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -61,6 +63,7 @@ from .scheduler import Scheduler
 from .simulator import SimulationResult, Simulator, _check_max_steps
 
 __all__ = [
+    "Dispatch",
     "Ensemble",
     "EnsembleOutcome",
     "WorkerCrashError",
@@ -267,7 +270,7 @@ def _run_worker_task(
 
 @dataclass(frozen=True)
 class Ensemble:
-    """One ensemble of a :meth:`WorkerPool.run_batch` round trip.
+    """One ensemble of a :meth:`WorkerPool.dispatch` round trip.
 
     The fields are the arguments of :meth:`WorkerPool.run_seeds`, which
     documents them; ``seeds`` are pre-derived (see :func:`repetition_seeds`).
@@ -308,6 +311,61 @@ class EnsembleOutcome:
         return self.results
 
 
+class Dispatch:
+    """A batch of ensembles on a :class:`WorkerPool`, not yet resolved.
+
+    :meth:`WorkerPool.dispatch` returns one; :meth:`WorkerPool.resolve`
+    waits for its outcomes and :meth:`WorkerPool.cancel` drops it.  Until
+    then its tasks execute, or wait behind an earlier dispatch's, on the
+    pool's workers.  ``sent`` is when its tasks last went to the workers,
+    by :func:`repro.config.monotonic_time`.
+    """
+
+    def __init__(
+        self,
+        outcomes: List[EnsembleOutcome],
+        tasks: List[tuple],
+        owners: List[EnsembleOutcome],
+        names: str,
+        seeds: List[int],
+        timeout: Optional[float],
+    ) -> None:
+        self.outcomes = outcomes
+        self.chunks = len(tasks)
+        #: Seconds spent waiting for the dispatch lock (concurrent callers).
+        self.lock_wait = 0.0
+        self.sent = 0.0
+        self._returned: Optional[float] = None
+        self._tasks = tasks
+        self._owners = owners
+        self._names = names
+        self._seeds = seeds
+        self._timeout = timeout
+        self._held = False
+        self._pool: Any = None
+        self._workers: List[Any] = []
+        self._pending: Any = None
+        self._ahead: Optional["Dispatch"] = None
+
+    def _came_back(self, _: object) -> None:
+        # The map's callback, run before its result is marked ready.
+        self._returned = monotonic_time()
+
+    def _deadline(self) -> Optional[float]:
+        """When its ``timeout`` runs out: counted from ``sent`` or from the
+        return of the dispatch its tasks wait behind, whichever is later,
+        so time spent queued is never charged to it; ``None`` while it
+        still waits or has no timeout."""
+        if self._timeout is None:
+            return None
+        start = self.sent
+        if self._ahead is not None:
+            if self._ahead._returned is None:
+                return None
+            start = max(start, self._ahead._returned)
+        return start + self._timeout
+
+
 # ----------------------------------------------------------------------
 # The shared persistent pool
 # ----------------------------------------------------------------------
@@ -341,30 +399,45 @@ class WorkerPool:
         Optional ``multiprocessing`` start method; ``None`` uses the
         platform default.
 
-    The worker processes are created lazily, on the first :meth:`run_seeds`,
-    and build their simulators lazily too, per spec on first sight; release
+    The worker processes are created lazily, on the first dispatch, and
+    build their simulators lazily too, per spec on first sight; release
     them with :meth:`close` or a ``with`` block.  A closed pool raises
     :class:`RuntimeError` on further use.
+
+    **Dispatch and resolve.**  :meth:`dispatch` sends a batch of ensembles
+    to the workers and returns at once; :meth:`resolve` waits for its
+    outcomes.  A caller may dispatch a batch while an earlier one still
+    runs, and the workers take it up as soon as they are free; the sweep
+    claim loop keeps two batches on its pool this way.  :meth:`run_seeds`
+    is the blocking one-ensemble case.  A worker crash or an expired
+    timeout tears the worker processes down under the batch being
+    resolved; a batch that was waiting behind it is sent again to fresh
+    workers when it is resolved.  Only a crash with no other batch on the
+    workers is pinned on the batch being resolved: while another shares
+    them, its chunks may have run on the dead worker, so the batch is sent
+    again alone first.
 
     **Thread safety.**  The pool is safe for concurrent callers (the
     ``repro.serve`` job server dispatches blocking :meth:`run_seeds` calls
     from several executor threads at once).  Two locks, always acquired in
     the order *dispatch → lifecycle*:
 
-    * a *dispatch* lock serializes whole ensembles — concurrent
-      :meth:`run_seeds` calls queue rather than interleave ``map_async``
-      dispatches (interleaving was the original race: one caller's crash
-      recovery could tear down the pool while another caller's map was in
-      flight on it),
+    * a re-entrant *dispatch* lock is held from each :meth:`dispatch` until
+      its :meth:`resolve` or :meth:`cancel`, so the batches of one thread
+      may queue on the workers, and another thread's :meth:`run_seeds`
+      waits until they are all resolved rather than interleave with them
+      (interleaving was the original race: one caller's crash recovery
+      could tear down the pool while another caller's map was in flight on
+      it).  Dispatch and resolve a batch on the same thread,
     * a *lifecycle* lock serializes pool creation and teardown
       (:meth:`_ensure_pool` / :meth:`_abandon_pool` / :meth:`close` /
       :meth:`terminate`), so a lazily-building caller can never observe a
       half-built or half-torn-down ``multiprocessing`` pool.
 
-    :meth:`close` takes the dispatch lock first and therefore *waits* for an
-    in-flight ensemble to finish (a graceful drain); :meth:`terminate`
-    deliberately does not — it is the kill switch and only takes the
-    lifecycle lock.
+    :meth:`close` takes the dispatch lock first and therefore *waits* for
+    other threads' batches to be resolved (a graceful drain);
+    :meth:`terminate` deliberately does not — it is the kill switch and
+    only takes the lifecycle lock.
     """
 
     def __init__(
@@ -379,8 +452,10 @@ class WorkerPool:
         self._pool = None
         self._closed = False
         # Lock order: dispatch before lifecycle (see the class docstring).
-        self._dispatch_lock = threading.Lock()
+        self._dispatch_lock = threading.RLock()
         self._lifecycle_lock = threading.RLock()
+        #: The unresolved dispatches, in dispatch order.
+        self._queued: List[Dispatch] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -406,9 +481,9 @@ class WorkerPool:
     def close(self) -> None:
         """Shut down the worker processes and mark the pool spent (idempotent).
 
-        Waits for an in-flight ensemble (the dispatch lock) before tearing
-        down — a concurrent :meth:`run_seeds` completes normally rather than
-        losing its workers mid-map.
+        Waits until other threads' batches are resolved (the dispatch lock)
+        before tearing down — a concurrent :meth:`run_seeds` completes
+        normally rather than losing its workers mid-map.
         """
         with self._dispatch_lock:
             with self._lifecycle_lock:
@@ -480,8 +555,9 @@ class WorkerPool:
     ) -> List[SimulationResult]:
         """Run one repetition per seed over the pool (index-aligned results).
 
-        The one-ensemble case of :meth:`run_batch`, traced as one
-        ``dispatch`` span with the worker spans adopted beneath it.
+        The one-ensemble case of :meth:`dispatch` and :meth:`resolve`,
+        traced as one ``dispatch`` span with the worker spans adopted
+        beneath it.
 
         ``analytics`` optionally ships a metric-extraction spec (see
         :class:`~repro.analytics.metrics.AnalyticsSpec`) to the workers:
@@ -514,43 +590,45 @@ class WorkerPool:
         with _obs_trace.span(
             "dispatch", kind="dispatch", workers=self.workers
         ) as dispatch_span:
-            (outcome,) = self._run_batch([ensemble], timeout, dispatch_span)
+            dispatch = self.dispatch([ensemble], timeout)
+            if dispatch.chunks:
+                # Queue-wait behind concurrent ensembles (serve threads) vs
+                # time actually spent in the map.
+                dispatch_span.set(chunks=dispatch.chunks, lock_wait=dispatch.lock_wait)
+            (outcome,) = self.resolve(dispatch)
             # Chunks return in submission (= seed) order, so adopted worker
             # events land in exactly the serial emission order.
             _obs_trace.adopt(outcome.events, parent=dispatch_span.id)
         return outcome.unwrap()
 
-    def run_batch(
+    def dispatch(
         self, ensembles: Sequence[Ensemble], timeout: Optional[float] = None
-    ) -> List[EnsembleOutcome]:
-        """Run several ensembles, of any specs, in one pool round trip.
+    ) -> Dispatch:
+        """Send several ensembles, of any specs, to the workers in one round
+        trip, and return without waiting.
 
-        Returns one :class:`EnsembleOutcome` per ensemble, in order, each
-        bit-identical to that ensemble's own serial run.  Failures stay with
-        their ensemble: an ensemble that fails validation, pickling or
-        simulator construction, or raises inside a worker, comes back with
-        its ``error`` set while the rest of the batch completes.  A worker
-        death or an expired ``timeout`` (the budget of the whole round trip)
-        cannot be pinned on one ensemble, so they raise
-        :class:`WorkerCrashError` / :class:`WorkerTimeoutError` for the batch
-        and the pool is rebuilt on next use.
+        :meth:`resolve` returns one :class:`EnsembleOutcome` per ensemble,
+        in order, each bit-identical to that ensemble's own serial run.
+        Failures stay with their ensemble: an ensemble that fails
+        validation, pickling or simulator construction (its ``error`` is
+        set already here), or raises inside a worker, comes back with its
+        ``error`` set while the rest of the batch completes.  A worker death
+        or an expired ``timeout`` (the budget of the whole round trip)
+        cannot be pinned on one ensemble, so :meth:`resolve` raises
+        :class:`WorkerCrashError` / :class:`WorkerTimeoutError` for the
+        batch and the pool is rebuilt on next use.
 
-        The ensembles' seeds travel in contiguous chunks, balanced across
-        the whole batch: about four chunks per worker over the batch's
-        seeds, and a chunk never spans two ensembles.  Worker spans come
-        back unadopted on each outcome, so the caller decides where in its
-        trace they belong.
+        The batch runs once the workers are done with the batches
+        dispatched before it; its ``timeout`` starts then, not while it
+        waits (see :class:`Dispatch`).  The ensembles' seeds travel in
+        contiguous chunks, balanced across the whole batch: about four
+        chunks per worker over the batch's seeds, and a chunk never spans
+        two ensembles.  Worker spans come back unadopted on each outcome,
+        so the caller decides where in its trace they belong.  Hand the
+        returned :class:`Dispatch` to :meth:`resolve`, or to
+        :meth:`cancel`, on this thread: until then this thread holds the
+        dispatch lock.
         """
-        return self._run_batch(ensembles, timeout, None)
-
-    def _run_batch(
-        self,
-        ensembles: Sequence[Ensemble],
-        timeout: Optional[float],
-        dispatch_span: Any,
-    ) -> List[EnsembleOutcome]:
-        """:meth:`run_batch`, noting the chunk count and the wait for the
-        dispatch lock on ``dispatch_span`` when one is given."""
         self._check_open()
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
@@ -566,40 +644,58 @@ class WorkerPool:
             else:
                 outcome.results = []
         seeds = [seed for *_, ensemble_seeds, _ in prepared for seed in ensemble_seeds]
-        if not seeds:
-            return outcomes
-        # About four contiguous chunks per worker of this batch (the pool may
-        # hold more workers than there are seeds) balances load against
-        # dispatch overhead; chunking never changes results, only how the
-        # pre-derived seeds travel.
-        size = -(-len(seeds) // (min(self.workers, len(seeds)) * 4))
-        tracing = _obs_trace.tracing_active()
         tasks: List[tuple] = []
         owners: List[EnsembleOutcome] = []
-        for outcome, ensemble, configuration, ensemble_seeds, spec_bytes in prepared:
-            for start in range(0, len(ensemble_seeds), size):
-                tasks.append(
-                    (spec_bytes, configuration, ensemble_seeds[start : start + size],
-                     ensemble.max_steps, ensemble.stability_window,
-                     ensemble.record_trajectory, ensemble.analytics, tracing)
-                )
-                owners.append(outcome)
+        if seeds:
+            # About four contiguous chunks per worker of this batch (the pool
+            # may hold more workers than there are seeds) balances load
+            # against dispatch overhead; chunking never changes results,
+            # only how the pre-derived seeds travel.
+            size = -(-len(seeds) // (min(self.workers, len(seeds)) * 4))
+            tracing = _obs_trace.tracing_active()
+            for outcome, ensemble, configuration, ensemble_seeds, spec_bytes in prepared:
+                for start in range(0, len(ensemble_seeds), size):
+                    tasks.append(
+                        (spec_bytes, configuration, ensemble_seeds[start : start + size],
+                         ensemble.max_steps, ensemble.stability_window,
+                         ensemble.record_trajectory, ensemble.analytics, tracing)
+                    )
+                    owners.append(outcome)
         names = ", ".join(
             dict.fromkeys(entry[1].protocol.name or "protocol" for entry in prepared)
         )
+        dispatch = Dispatch(outcomes, tasks, owners, names, seeds, timeout)
+        if not tasks:
+            return dispatch
         lock_t0 = monotonic_time()
-        with self._dispatch_lock:
-            if tracing and dispatch_span is not None:
-                # Queue-wait behind concurrent ensembles (serve threads) vs
-                # time actually spent in the map.
-                dispatch_span.set(
-                    chunks=len(tasks), lock_wait=monotonic_time() - lock_t0
-                )
+        self._dispatch_lock.acquire()
+        dispatch.lock_wait = monotonic_time() - lock_t0
+        try:
             # Re-check under the lock: a close() that won the lock first has
             # already drained and spent the pool.
             self._check_open()
-            chunks = self._await_map(tasks, timeout, names, seeds)
-        for outcome, (results, events, error) in zip(owners, chunks):
+            self._send(dispatch)
+        except BaseException:
+            self._dispatch_lock.release()
+            raise
+        dispatch._held = True
+        self._queued.append(dispatch)
+        return dispatch
+
+    def resolve(self, dispatch: Dispatch) -> List[EnsembleOutcome]:
+        """Wait for a :meth:`dispatch`'s outcomes, under crash and timeout
+        watch, and release its hold on the dispatch lock.
+
+        Raises :class:`WorkerCrashError` or :class:`WorkerTimeoutError` for
+        the whole batch (see :meth:`dispatch`).
+        """
+        if not dispatch._held:
+            return dispatch.outcomes
+        try:
+            chunks = self._await(dispatch)
+        finally:
+            self._forget(dispatch)
+        for outcome, (results, events, error) in zip(dispatch._owners, chunks):
             if events:
                 outcome.events.extend(events)
             if outcome.error is not None:
@@ -608,7 +704,30 @@ class WorkerPool:
                 outcome.error, outcome.results = error, None
             else:
                 outcome.results.extend(results)
-        return outcomes
+        return dispatch.outcomes
+
+    def cancel(self, dispatch: Dispatch) -> None:
+        """Drop an unresolved :meth:`dispatch` and release its hold on the
+        dispatch lock.  If its tasks have not all come back, the worker
+        processes are torn down with them, and the next dispatch builds
+        fresh ones."""
+        if not dispatch._held:
+            return
+        try:
+            if not dispatch._pending.ready():
+                self._abandon_pool()
+        finally:
+            self._forget(dispatch)
+
+    def _forget(self, dispatch: Dispatch) -> None:
+        self._queued.remove(dispatch)
+        # Drop the tasks, the map (whose callback refers back to the
+        # dispatch) and the dispatch it waited behind, so resolved batches
+        # neither chain up nor wait for the cycle collector.
+        dispatch._tasks, dispatch._workers = [], []
+        dispatch._pool = dispatch._pending = dispatch._ahead = None
+        dispatch._held = False
+        self._dispatch_lock.release()
 
     @staticmethod
     def _prepare(ensemble: Ensemble) -> Tuple[Configuration, List[int], bytes]:
@@ -635,42 +754,62 @@ class WorkerPool:
             )
         return configuration, seeds, spec_bytes
 
-    def _await_map(
-        self,
-        tasks: List[tuple],
-        timeout: Optional[float],
-        protocol_name: str,
-        seeds: Sequence[int],
+    def _send(self, dispatch: Dispatch) -> None:
+        """Put ``dispatch``'s tasks on the worker processes, behind the
+        batches already waiting there.
+
+        The crash watch of :meth:`_await` runs over a *snapshot* of the
+        workers taken here: the pool replenishes dead workers automatically,
+        so a snapshot worker with a non-``None`` exitcode died while these
+        tasks were (potentially) in flight, no matter what replaced it.
+        """
+        pool = self._ensure_pool()
+        dispatch._ahead = next(
+            (
+                earlier for earlier in reversed(self._queued)
+                if earlier is not dispatch and earlier._pool is pool
+            ),
+            None,
+        )
+        dispatch._pool = pool
+        dispatch._workers = list(getattr(pool, "_pool", []))
+        dispatch._returned = None
+        dispatch.sent = monotonic_time()
+        dispatch._pending = pool.map_async(
+            _run_worker_task, dispatch._tasks,
+            callback=dispatch._came_back, error_callback=dispatch._came_back,
+        )
+
+    def _await(
+        self, dispatch: Dispatch
     ) -> List[
         Tuple[List[SimulationResult], Optional[List[dict]], Optional[BaseException]]
     ]:
-        """Dispatch tasks and await them under crash and timeout watch.
+        """Await a dispatch's map under crash and timeout watch.
 
         A plain ``Pool.map`` would block forever if a worker process dies
         (its in-flight chunk is silently lost — ``multiprocessing.Pool`` has
         no broken-pool signal) and has no overall deadline.  This loop polls
-        the async result, a snapshot of the worker processes, and the
+        the async result, the worker snapshot of :meth:`_send`, and the
         monotonic clock; on worker death or deadline expiry it abandons the
-        pool (see :meth:`_abandon_pool`) and raises the typed error.
-
-        The pool replenishes dead workers automatically, which is why the
-        watch runs over a *snapshot* taken at dispatch: a snapshot worker
-        with a non-``None`` exitcode died while our tasks were (potentially)
-        in flight, no matter what replaced it.
+        pool (see :meth:`_abandon_pool`) and raises the typed error.  A map
+        whose pool was abandoned under it while it waited — another batch's
+        crash or timeout — is sent again to fresh workers.
         """
-        pool = self._ensure_pool()
-        workers = list(getattr(pool, "_pool", []))
-        pending = pool.map_async(_run_worker_task, tasks)
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
         while True:
+            pending = dispatch._pending
             pending.wait(_POLL_INTERVAL)
             if pending.ready():
                 return list(pending.get())
+            with self._lifecycle_lock:
+                lost = dispatch._pool is not self._pool
+            if lost:
+                self._check_open()
+                self._send(dispatch)
+                continue
             exitcodes = [
                 worker.exitcode
-                for worker in workers
+                for worker in dispatch._workers
                 if worker.exitcode is not None
             ]
             if exitcodes:
@@ -680,12 +819,25 @@ class WorkerPool:
                 pending.wait(_CRASH_GRACE)
                 if pending.ready():
                     return list(pending.get())
+                shared = any(
+                    other is not dispatch and other._pool is dispatch._pool
+                    for other in self._queued
+                )
                 self._abandon_pool()
-                raise WorkerCrashError(protocol_name, seeds, exitcodes)
-            if deadline is not None and time.monotonic() >= deadline:
+                if shared:
+                    # Another batch's chunks may have run on the dead
+                    # worker (on several workers, a queued batch starts on
+                    # those this one is done with), so the crash is not
+                    # pinned on this batch until it crashes alone.
+                    self._check_open()
+                    self._send(dispatch)
+                    continue
+                raise WorkerCrashError(dispatch._names, dispatch._seeds, exitcodes)
+            deadline = dispatch._deadline()
+            if deadline is not None and monotonic_time() >= deadline:
                 self._abandon_pool()
                 raise WorkerTimeoutError(
-                    protocol_name, seeds, timeout if timeout is not None else 0.0
+                    dispatch._names, dispatch._seeds, dispatch._timeout or 0.0
                 )
 
     def __repr__(self) -> str:

@@ -29,7 +29,8 @@ population-protocol ensembles.
   protocols, inputs, schedulers and simulators that :mod:`repro.serve`
   shares — in one round trip of a shared persistent
   :class:`~repro.simulation.batch.WorkerPool`, or in-process; its rows
-  commit in one transaction.  A SIGTERM drain finishes the batch in flight.
+  commit in one transaction.  On the pool the next batch is claimed and
+  queued while one executes, and a SIGTERM drain finishes both.
 * ``python -m repro.sweep`` (:mod:`repro.sweep.cli`) — run, resume, drain,
   export and show sweeps from the command line; experiments E12 and E13
   drive the same machinery from the experiment registry.

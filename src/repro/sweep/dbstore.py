@@ -809,6 +809,19 @@ class SqliteResultStore:
             raise KeyError(f"unknown cell {cell_id!r}; call ensure() first")
         return dict(zip(BOOKKEEPING_COLUMNS, fetched))
 
+    def finished_cells(self) -> List[Tuple[str, str]]:
+        """``(cell, status)`` of every ``done`` or ``error`` row, in grid
+        order: a search of the status index that decodes no result column."""
+        with self._lock:
+            return [
+                (str(cell), str(status))
+                for cell, status in self._connection.execute(
+                    'SELECT "cell", "status" FROM cells WHERE "status" IN (?, ?) '
+                    "ORDER BY position",
+                    (STATUS_DONE, STATUS_ERROR),
+                )
+            ]
+
     def rows(self) -> List[Dict[str, object]]:
         """All rows as :data:`~repro.sweep.store.COLUMNS` dicts, in grid order."""
         with self._lock:

@@ -16,14 +16,19 @@ shared across cells:
   the same cached simulator in the pool workers.
 
 :meth:`CellExecutor.run` runs one cell (a served job);
-:meth:`CellExecutor.run_batch` runs a sweep's batch of cells, in one pool
-round trip or one after another in-process.
+:meth:`CellExecutor.submit` and :meth:`CellExecutor.resolve` run a sweep's
+batch of cells, in one pool round trip or one after another in-process.  A
+batch is submitted, then resolved: on the pool it starts at submission, so
+the sweep runner can submit the next batch while the last one executes;
+in-process it runs when it is resolved.
 
 The executor is thread-safe: the server calls :meth:`CellExecutor.run` from
 several threads.  Cache fills share one build lock, so concurrent callers
-never race a half-built protocol.  Ensembles run one at a time, on the
-pool's own dispatch lock or, without a pool, on this executor's serial lock
-(a cached simulator keeps engine state that concurrent runs must not share).
+never race a half-built protocol.  Callers' ensembles never interleave: on
+the pool they queue on its dispatch lock, which a caller holds from
+:meth:`CellExecutor.submit` until its batches are resolved, and without a
+pool they run one at a time on this executor's serial lock (a cached
+simulator keeps engine state that concurrent runs must not share).
 """
 
 from __future__ import annotations
@@ -44,9 +49,11 @@ from typing import (
 
 from ..core.configuration import Configuration
 from ..core.predicates import Predicate
+from ..config import monotonic_time
 from ..core.protocol import Protocol
 from ..obs import trace as _obs_trace
 from ..simulation.batch import (
+    Dispatch,
     Ensemble,
     EnsembleOutcome,
     WorkerPool,
@@ -55,9 +62,27 @@ from ..simulation.batch import (
 from ..simulation.simulator import SimulationResult, Simulator
 from .spec import SweepCell, build_inputs_for
 
-__all__ = ["CellExecutor"]
+__all__ = ["CellExecutor", "SubmittedCells"]
 
 _T = TypeVar("_T")
+
+
+class SubmittedCells:
+    """A batch of cells given to :meth:`CellExecutor.submit`, not yet resolved.
+
+    ``sent`` is when its ensembles were last sent to the pool (or when it
+    was submitted, without one), by :func:`repro.config.monotonic_time`.
+    """
+
+    def __init__(self) -> None:
+        self.sent = monotonic_time()
+        #: Per cell, in order: its building error, or an outcome to fill.
+        self.outcomes: List[EnsembleOutcome] = []
+        #: The cells that built, with their ensembles and outcomes.
+        self.built: List[Tuple[SweepCell, Ensemble, EnsembleOutcome]] = []
+        self.dispatch: Optional[Dispatch] = None
+        #: What dispatching raised, re-raised by :meth:`CellExecutor.resolve`.
+        self.error: Optional[BaseException] = None
 
 
 class CellExecutor:
@@ -69,7 +94,8 @@ class CellExecutor:
         The shared :class:`~repro.simulation.batch.WorkerPool`; ``None``
         runs every ensemble in-process on cached serial simulators.
     timeout:
-        Wall-clock budget per pool round trip; expiry raises
+        Wall-clock budget per pool round trip, counted from when the workers
+        are done with the batch before it; expiry raises
         :class:`~repro.simulation.batch.WorkerTimeoutError`.  A sweep runner
         with a timeout sends one cell per round trip, so the budget bounds
         each cell.  In-process ensembles cannot be interrupted, so their
@@ -208,26 +234,23 @@ class CellExecutor:
             )
         return self._run_serial(cell, ensemble)
 
-    def run_batch(
+    def submit(
         self,
         cells: Sequence[Tuple[SweepCell, Sequence[int]]],
         max_steps: int,
         stability_window: int,
         analytics: bool = False,
-    ) -> List[EnsembleOutcome]:
-        """Run ``(cell, seeds)`` ensembles as one batch; one outcome per cell.
+    ) -> SubmittedCells:
+        """Start ``(cell, seeds)`` ensembles as one batch; see :meth:`resolve`.
 
-        On the pool the batch is one round trip under ``timeout``; without
-        one the cells run one after another in-process.  A cell whose
-        building or ensemble raises gets its error on its outcome and the
-        others still run; a worker crash or an expired timeout raises for
-        the whole batch (see
-        :meth:`~repro.simulation.batch.WorkerPool.run_batch`).  When tracing,
-        each outcome carries its cell's run spans, unadopted, for the
-        caller to place under the cell's own span.
+        The cells are built now.  On the pool they are dispatched now too,
+        behind any batch still executing there, and this thread holds the
+        pool's dispatch lock until the batch is resolved or cancelled;
+        without a pool nothing runs until :meth:`resolve`.  Never raises:
+        what building a cell raises is that cell's outcome, and what
+        dispatching raises is raised by :meth:`resolve`.
         """
-        outcomes: List[EnsembleOutcome] = []
-        ensembles: List[Ensemble] = []
+        submitted = SubmittedCells()
         for cell, seeds in cells:
             outcome = EnsembleOutcome()
             try:
@@ -237,15 +260,49 @@ class CellExecutor:
             except Exception as error:
                 outcome.error = error
             else:
-                if self.pool is None:
-                    self._run_captured(cell, ensemble, outcome)
-                else:
-                    ensembles.append(ensemble)
-            outcomes.append(outcome)
-        if self.pool is None or not ensembles:
-            return outcomes
-        ran = iter(self.pool.run_batch(ensembles, self.timeout))
-        return [next(ran) if outcome.error is None else outcome for outcome in outcomes]
+                submitted.built.append((cell, ensemble, outcome))
+            submitted.outcomes.append(outcome)
+        if self.pool is not None:
+            try:
+                submitted.dispatch = self.pool.dispatch(
+                    [ensemble for _, ensemble, _ in submitted.built], self.timeout
+                )
+            except Exception as error:
+                submitted.error = error
+        return submitted
+
+    def resolve(self, submitted: SubmittedCells) -> List[EnsembleOutcome]:
+        """The outcomes of a :meth:`submit`, one per cell, in order.
+
+        On the pool the batch is one round trip under ``timeout``; without
+        one the cells run now, one after another in-process.  A cell whose
+        building or ensemble raises gets its error on its outcome and the
+        others still run; a worker crash or an expired timeout raises for
+        the whole batch (see
+        :meth:`~repro.simulation.batch.WorkerPool.dispatch`).  When tracing,
+        each outcome carries its cell's run spans, unadopted, for the
+        caller to place under the cell's own span.
+        """
+        if self.pool is None:
+            for cell, ensemble, outcome in submitted.built:
+                self._run_captured(cell, ensemble, outcome)
+            return submitted.outcomes
+        if submitted.error is not None:
+            raise submitted.error
+        assert submitted.dispatch is not None
+        ran = iter(self.pool.resolve(submitted.dispatch))
+        if submitted.dispatch.chunks:
+            submitted.sent = submitted.dispatch.sent
+        return [
+            next(ran) if outcome.error is None else outcome
+            for outcome in submitted.outcomes
+        ]
+
+    def cancel(self, submitted: SubmittedCells) -> None:
+        """Drop a :meth:`submit` that will not be resolved (see
+        :meth:`~repro.simulation.batch.WorkerPool.cancel`)."""
+        if self.pool is not None and submitted.dispatch is not None:
+            self.pool.cancel(submitted.dispatch)
 
     def _run_captured(
         self, cell: SweepCell, ensemble: Ensemble, outcome: EnsembleOutcome

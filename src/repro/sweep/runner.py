@@ -3,10 +3,14 @@
 The :class:`SweepRunner` runs one seeded ensemble per cell of a
 :class:`~repro.sweep.spec.SweepSpec` against a
 :class:`~repro.sweep.dbstore.SqliteResultStore`, through one loop body:
-claim the next batch of open cells in grid order (one transaction), execute
-them on a shared :class:`~repro.sweep.executor.CellExecutor` (one pool round
+claim the next batch of open cells in grid order (one transaction), submit
+them to a shared :class:`~repro.sweep.executor.CellExecutor` (one pool round
 trip), commit their rows (one transaction), repeat.  How many cells a batch
-takes is derived, not configured: see :data:`BATCH_STEP_BUDGET`.
+takes is derived, not configured: see :data:`BATCH_STEP_BUDGET`.  On a pool
+the loop is a two-stage pipeline: while one batch executes, the runner
+claims the next and queues it on the pool behind it, then commits the first
+while the second executes, so neither the workers nor the runner wait for
+the other (see :data:`_PIPELINE_DEPTH`).
 
 * :meth:`SweepRunner.run` is the single-owner case: every cell is registered
   up front (status ``created``), **resume is the default** — ``done`` cells
@@ -25,8 +29,10 @@ takes is derived, not configured: see :data:`BATCH_STEP_BUDGET`.
 * failures stay with their cell: a cell that raises inside a batch gets its
   own ``error`` row while its neighbours commit, and a batch that fails as a
   whole (a worker crash) reruns one cell per round trip, so the failure
-  lands on the cell that caused it; a runner with a ``cell_timeout`` claims
-  one cell per batch, so the timeout bounds each cell;
+  lands on the cell that caused it, while the batch queued behind it is
+  sent again to fresh workers without a retry; a runner with a
+  ``cell_timeout`` claims one cell per batch, and a queued cell's budget
+  starts when the cell before it returns, so the timeout bounds each cell;
 * results are backend-independent **by construction**: each cell's ensemble
   seeds derive from the spec's master seed and the cell identity alone
   (see :meth:`~repro.sweep.spec.SweepSpec.cell_seed`), and the batch layer
@@ -39,9 +45,17 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Counter as CounterType, Dict, List, Optional, Set
+from typing import (
+    Callable,
+    Counter as CounterType,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Set,
+)
 
 from ..config import monotonic_time
 from ..obs import trace as _obs_trace
@@ -59,10 +73,10 @@ from .dbstore import (
     Claim,
     SqliteResultStore,
 )
-from .executor import CellExecutor
+from .executor import CellExecutor, SubmittedCells
 from .faults import fault_point, install_fault_plan
 from .spec import SweepCell, SweepSpec
-from .store import COLUMNS, STATUS_DONE, STATUS_ERROR, StoreCorruptionError
+from .store import COLUMNS, STATUS_ERROR, StoreCorruptionError
 
 __all__ = [
     "BATCH_STEP_BUDGET",
@@ -82,19 +96,30 @@ _RUN_OWNER = "run"
 
 #: The worst-case steps of one batch, ``k × repetitions × max_steps``, from
 #: which the claim loop sizes its batches of k cells.  A batch holds its
-#: leases until it commits and a SIGTERM drain waits for it, so its stepping
-#: stays within one heavy cell's: 2^20 steps take 23–48 ms on the native
-#: engine and 0.83–0.98 s on the compiled one (one core of a 2-core Xeon;
-#: modulo and majority at 8–200 agents).  A cell of 2^20 worst-case steps
-#: or more runs alone.  k is at most :data:`_MAX_BATCH_CELLS` (320 cells of
-#: 2 × 300 steps on one worker ran about 640 cells/s one per batch, 2,300
-#: at 16 per batch, 2,500 at 64 and at most 3,000 at 128 or 320) and never
-#: more than the cells left under ``max_cells``.  Without a pool there is
-#: no round trip to amortize, and with a ``cell_timeout`` the pool's
-#: timeout must bound a single cell, so those runners claim one cell at a
-#: time.
+#: leases until it commits, and a SIGTERM drain waits for the batches on
+#: the pool, the executing one and the one queued behind it, so a batch's
+#: stepping stays within one heavy cell's and a drain's within two: 2^20
+#: steps took 18–85 ms on the native engine and 1.0–1.6 s on the compiled
+#: one (one core of a shared 2-core Xeon; modulo and majority at 8–200
+#: agents).  A cell of 2^20 worst-case steps or more runs alone.  k is at
+#: most :data:`_MAX_BATCH_CELLS` (320 cells of 2 × 300 steps on one worker
+#: ran about 500 cells/s one per batch, 1,900–2,300 at 16 per batch, 2,500
+#: at 64 and at 128, and 2,100–2,200 as one batch of 320, which leaves the
+#: pipeline nothing to overlap) and never more than the cells left under
+#: ``max_cells``.  Without a pool there is no round trip to amortize, and
+#: with a ``cell_timeout`` the pool's timeout must bound a single cell, so
+#: those runners claim one cell per batch.
 BATCH_STEP_BUDGET = 1 << 20
 _MAX_BATCH_CELLS = 64
+#: How many claimed batches a loop with a pool keeps submitted: one
+#: executing and one queued on the pool behind it, so the workers take up
+#: the next batch the moment the last one returns while the runner commits
+#: it.  Sent only once the batch before returns, even with the commit on a
+#: helper thread, the next batch left the worker idle at every boundary:
+#: sweep-grid ran 0.91x as fast (2-core Xeon, Python 3.11).  Without a pool
+#: nothing runs while the runner commits, so a serial loop claims one batch
+#: at a time.
+_PIPELINE_DEPTH = 2
 
 
 def check_runner_settings(
@@ -135,7 +160,7 @@ class CellExecutionError(RuntimeError):
     """A grid cell's ensemble failed (crash, timeout, or protocol error).
 
     The claim loop's unit of containment: every failure of a cell in
-    :meth:`SweepRunner._execute_batch` — a raising protocol builder, a worker
+    :meth:`SweepRunner._resolve_batch` — a raising protocol builder, a worker
     process crash (:class:`~repro.simulation.batch.WorkerCrashError`), an
     ensemble timeout (:class:`~repro.simulation.batch.WorkerTimeoutError`) —
     is wrapped in this typed error carrying the cell id and the original
@@ -212,22 +237,37 @@ class ClaimReport:
     stopped: bool = False
 
 
+@dataclass
+class _Batch:
+    """A claimed batch on its way through the claim loop: its claims and
+    cells, the outcome of each cell the ``mid-cell`` fault point failed
+    (``None`` for the rest), and the submitted round trip of the rest."""
+
+    claims: List[Claim]
+    cells: List[SweepCell]
+    faulted: List[Optional[EnsembleOutcome]]
+    group: List[SweepCell]
+    submitted: SubmittedCells
+
+
 class _HeartbeatPump:
     """A daemon thread extending every claim its loop currently holds.
 
-    One pump serves a whole claim loop: :meth:`hold` hands it the batch of
-    claims being executed, :meth:`release` takes them back before the
-    results are committed or the failures recorded.  Both swap the claims
-    under the lock a beat holds while it runs, so no beat can extend (or
-    misreport) a claim that has already been committed or failed.
+    One pump serves a whole claim loop: :meth:`hold` hands it a batch of
+    claims once they are claimed, :meth:`release` takes them back before the
+    batch's results are committed or its failures recorded.  It holds the
+    claims of every batch the loop has dispatched, so a batch queued behind
+    the executing one keeps its leases too.  Both swap the claims under the
+    lock a beat holds while it runs, so no beat can extend (or misreport) a
+    claim that has already been committed or failed.
 
     While claims are held the pump beats every ``interval`` seconds
     (default: a third of the store's lease); each beat extends every held
     claim through the store's ``heartbeat`` — and therefore through the
     ``heartbeat-loss`` fault point, which is how the partition chaos tests
     starve a lease under a live runner.  A claim whose beat returns False is
-    gone: the pump stops beating it, adds its cell to :attr:`lost` and
-    clears :attr:`claim_alive`, so the claim loop can report the eventual
+    gone: the pump stops beating it and adds its cell to :attr:`lost`, and
+    :meth:`release` reports it, so the claim loop can report the eventual
     lost commit with a cause.
 
     Lease trouble is never silent: a beat that lands late (more than two
@@ -246,7 +286,6 @@ class _HeartbeatPump:
         self._claims: List[Claim] = []
         self._last = 0.0
         self._stop = threading.Event()
-        self.claim_alive = True
         self.lost: Set[str] = set()
         self.warnings: List[str] = []
         self._thread = threading.Thread(target=self._beat, daemon=True)
@@ -260,18 +299,22 @@ class _HeartbeatPump:
         self._thread.join()
 
     def hold(self, *claims: Claim) -> None:
-        """Start extending the leases of ``claims``."""
+        """Start extending the leases of ``claims``, beside those held."""
         with self._lock:
-            self._claims = list(claims)
-            self._last = monotonic_time()
-            self.claim_alive = True
-            self.lost = set()
+            if not self._claims:
+                self._last = monotonic_time()
+            self._claims.extend(claims)
 
-    def release(self) -> bool:
-        """Stop extending the held claims; returns whether all stayed alive."""
+    def release(self, *claims: Claim) -> Set[str]:
+        """Stop extending ``claims``; returns the cells among them whose
+        lease was lost while they were held."""
+        released = {id(claim) for claim in claims}
+        cells = {claim.cell for claim in claims}
         with self._lock:
-            self._claims = []
-            return self.claim_alive
+            self._claims = [c for c in self._claims if id(c) not in released]
+            lost = self.lost & cells
+            self.lost -= cells
+            return lost
 
     def _warn(self, reason: str, claim: Claim, **attrs: object) -> None:
         self.warnings.append(reason)
@@ -310,7 +353,6 @@ class _HeartbeatPump:
                         continue
                     self._warn("lost", claim)
                     self.lost.add(claim.cell)
-                    self.claim_alive = False
                 self._claims = held
                 if held:
                     self._last = monotonic_time()
@@ -398,21 +440,15 @@ class SweepRunner:
         cells = self._register()
         index_of = {cell.cell_id: index for index, cell in enumerate(cells)}
         skipped = skipped_errors = 0
-        for row in self.store.rows():
-            status = row["status"]
-            index = index_of.get(str(row["cell"]))
-            if index is None or not (
-                status == STATUS_DONE
-                or (status == STATUS_ERROR and not self.retry_errors)
-            ):
+        for cell_id, status in self.store.finished_cells():
+            index = index_of.get(cell_id)
+            if index is None or (status == STATUS_ERROR and self.retry_errors):
                 continue
             skipped += 1
             if status == STATUS_ERROR:
                 skipped_errors += 1
             if progress is not None:
-                progress(
-                    f"[{index + 1}/{len(cells)}] {row['cell']} skipped ({status})"
-                )
+                progress(f"[{index + 1}/{len(cells)}] {cell_id} skipped ({status})")
         self.store._reopen(self.retry_errors)
         tally = self._claim_loop(
             _RUN_OWNER, cells, max_cells, progress, single_owner=True,
@@ -443,9 +479,11 @@ class SweepRunner:
         Each iteration atomically claims the next batch of open cells,
         executes their ensembles (under a heartbeat pump extending every
         lease), and commits the results through the owner-guarded
-        ``finish_batch``.  A failing cell — including worker crashes and
-        ensemble timeouts, both wrapped in :class:`CellExecutionError` — is
-        recorded for retry with
+        ``finish_batch``; under ``backend="process"`` the next batch is
+        claimed and queued on the pool while one executes, so the runner
+        holds the claims of up to two batches.  A failing cell — including
+        worker crashes and ensemble timeouts, both wrapped in
+        :class:`CellExecutionError` — is recorded for retry with
         exponential backoff, or parked as a terminal ``error`` row once the
         store's ``max_retries`` is exhausted; the runner itself survives and
         moves on.  Because every cell's seeds derive from the spec's master
@@ -479,9 +517,10 @@ class SweepRunner:
             returning.  Waiting runners also adopt expired leases, so a
             SIGKILLed peer's cells are re-executed without any restart.
         stop_event:
-            Optional external stop flag: the loop finishes the batch in
-            flight, then exits without claiming further — the graceful
-            SIGTERM drain of :func:`claim_worker`.
+            Optional external stop flag: the loop claims nothing further,
+            finishes and commits the batches in flight (up to two: the one
+            executing and the one queued behind it), then exits — the
+            graceful SIGTERM drain of :func:`claim_worker`.
         progress:
             Optional callback receiving one line per processed claim.
         """
@@ -553,10 +592,17 @@ class SweepRunner:
         park at once, ``raise_errors`` re-raises the batch's first failure
         once its rows are written, spans are ``sweep-cell``) and
         :meth:`run_claims` (failures retry with backoff, spans are
-        ``claim``).  With ``idle_wait`` set, a loop that finds no claimable
-        cell polls until the grid drains.  Returns counts of ``executed``
-        cells, failure fates (``retry`` / ``parked`` / ``lost``) and whether
-        a ``stopped`` request ended the loop.
+        ``claim``).  The loop is a pipeline: with a pool it keeps up to
+        :data:`_PIPELINE_DEPTH` claimed batches submitted, so while one
+        executes it claims, builds and queues the next, and it summarizes
+        and commits each batch while the one after it executes.  A stop
+        request or the ``max_cells`` budget only stops the claiming: every
+        submitted batch still executes and commits.  A loop that exits on
+        an error cancels the batches still queued and hands their claims
+        back.  With ``idle_wait`` set, a loop that finds no claimable cell
+        and has nothing queued polls until the grid drains.  Returns counts
+        of ``executed`` cells, failure fates (``retry`` / ``parked`` /
+        ``lost``) and whether a ``stopped`` request ended the loop.
         """
         index_of = {cell.cell_id: index for index, cell in enumerate(cells)}
         tally: CounterType[str] = Counter()
@@ -568,67 +614,89 @@ class SweepRunner:
             )
         executor = CellExecutor(pool, cell_timeout)
         batch_cells = self._batch_cells(pool, cell_timeout)
+        depth = 1 if pool is None else _PIPELINE_DEPTH
         if heartbeat_interval is None:
             heartbeat_interval = self.store.lease_seconds / 3.0
         record = self.store._park_claim if single_owner else self.store.fail_claim
+        queue: Deque[_Batch] = deque()
+        claiming = True
+        # When tracing, where the cell spans of the batch resolved last
+        # ended: the next batch's spans run on from there.
+        last_end = 0.0
         try:
             with _HeartbeatPump(self.store, heartbeat_interval) as pump:
-                while max_cells is None or processed < max_cells:
-                    if stop_event is not None and stop_event.is_set():
-                        tally["stopped"] = 1
-                        break
-                    limit = batch_cells
-                    if max_cells is not None:
-                        limit = min(limit, max_cells - processed)
-                    claims = self.store.claim_batch(owner, limit)
-                    if not claims:
-                        if idle_wait is None or self.store.unresolved_count() == 0:
+                while True:
+                    while claiming and len(queue) < depth:
+                        if stop_event is not None and stop_event.is_set():
+                            tally["stopped"] = 1
+                            claiming = False
                             break
-                        # Rows remain but none is eligible right now: another
-                        # runner's live claim, or a backoff window.  Poll —
-                        # an expired lease or due retry becomes claimable
-                        # here, which is how surviving runners adopt a killed
-                        # peer's cells without any restart.
-                        time.sleep(idle_wait)
-                        continue
-                    foreign = [c.cell for c in claims if c.cell not in index_of]
-                    if foreign:
-                        # Not this spec's cells: the store holds a different
-                        # (or larger) grid.  Hand the claims back and refuse
-                        # to mix.
-                        for claim in claims:
-                            self.store.release_claim(claim)
-                        raise StoreCorruptionError(
-                            f"claimed cell {foreign[0]!r} is not part of this "
-                            "sweep spec; the store holds a different grid"
-                        )
-                    processed += len(claims)
-                    batch = [cells[index_of[claim.cell]] for claim in claims]
-                    started = monotonic_time()
-                    pump.hold(*claims)
-                    outcomes = self._execute_batch(batch, executor)
-                    pump.release()
+                        if max_cells is not None and processed >= max_cells:
+                            claiming = False
+                            break
+                        limit = batch_cells
+                        if max_cells is not None:
+                            limit = min(limit, max_cells - processed)
+                        claims = self.store.claim_batch(owner, limit)
+                        if not claims:
+                            if queue:
+                                break
+                            if idle_wait is None or self.store.unresolved_count() == 0:
+                                claiming = False
+                                break
+                            # Rows remain but none is eligible right now:
+                            # another runner's live claim, or a backoff
+                            # window.  Poll — an expired lease or due retry
+                            # becomes claimable here, which is how surviving
+                            # runners adopt a killed peer's cells without any
+                            # restart.
+                            time.sleep(idle_wait)
+                            continue
+                        foreign = [c.cell for c in claims if c.cell not in index_of]
+                        if foreign:
+                            # Not this spec's cells: the store holds a
+                            # different (or larger) grid.  Hand the claims
+                            # back and refuse to mix.
+                            for claim in claims:
+                                self.store.release_claim(claim)
+                            raise StoreCorruptionError(
+                                f"claimed cell {foreign[0]!r} is not part of this "
+                                "sweep spec; the store holds a different grid"
+                            )
+                        processed += len(claims)
+                        pump.hold(*claims)
+                        queue.append(self._submit_batch(
+                            claims, [cells[index_of[claim.cell]] for claim in claims],
+                            executor,
+                        ))
+                    if not queue:
+                        break
+                    batch = queue[0]
+                    outcomes = self._resolve_batch(batch, executor)
+                    lost = pump.release(*batch.claims)
                     statistics = [
                         None if outcome.error is not None
                         else summarize_runs(outcome.results)
                         for outcome in outcomes
                     ]
                     if _obs_trace.tracing_active():
-                        self._emit_cell_spans(
-                            claims, outcomes, statistics, started, single_owner
-                        )
+                        last_end = max(last_end, self._emit_cell_spans(
+                            batch.claims, outcomes, statistics,
+                            max(batch.submitted.sent, last_end), single_owner,
+                        ))
                     committed = iter(self.store.finish_batch([
                         (claim, stats, self._result_extras(cell, executor, outcome.results))
                         for claim, cell, outcome, stats in zip(
-                            claims, batch, outcomes, statistics
+                            batch.claims, batch.cells, outcomes, statistics
                         )
                         if stats is not None
                     ]))
+                    queue.popleft()
                     first_failure: Optional[CellExecutionError] = None
                     for claim, cell, outcome, stats in zip(
-                        claims, batch, outcomes, statistics
+                        batch.claims, batch.cells, outcomes, statistics
                     ):
-                        alive = claim.cell not in pump.lost
+                        alive = claim.cell not in lost
                         if single_owner:
                             prefix = (
                                 f"[{index_of[claim.cell] + 1}/{len(cells)}] "
@@ -659,21 +727,34 @@ class SweepRunner:
                     if raise_errors and first_failure is not None:
                         raise first_failure.cause from None
         finally:
-            if pool is not None:
-                pool.close()
+            try:
+                # Batches are left only when the loop is leaving on an
+                # exception; a store that fails to take their claims back
+                # must not raise over it (their leases run out instead).
+                for batch in queue:
+                    try:
+                        executor.cancel(batch.submitted)
+                        for claim in batch.claims:
+                            self.store.release_claim(claim)
+                    except Exception as error:
+                        _obs_trace.event(
+                            "claim-release-failed", kind="warning",
+                            cells=[claim.cell for claim in batch.claims],
+                            error=f"{type(error).__name__}: {error}",
+                        )
+            finally:
+                if pool is not None:
+                    pool.close()
         return tally
 
-    def _execute_batch(
-        self, batch: List[SweepCell], executor: CellExecutor
-    ) -> List[EnsembleOutcome]:
-        """Run a claimed batch; every cell gets an outcome, failures included.
+    def _submit_batch(
+        self, claims: List[Claim], batch: List[SweepCell], executor: CellExecutor
+    ) -> _Batch:
+        """Submit a claimed batch to the executor; see :meth:`_resolve_batch`.
 
-        The ``mid-cell`` fault point fires once per cell before the batch
-        runs; it models a runner dying (or erroring) between claiming and
-        executing: the claims are held, no result exists.  A batch that
-        fails as a whole — a worker crash — reruns one cell per round trip,
-        recomputing the results its other cells had, so the failure lands
-        on the cell that caused it.
+        The ``mid-cell`` fault point fires once per cell before the batch is
+        submitted; it models a runner dying (or erroring) between claiming
+        and executing: the claims are held, no result exists.
         """
         faulted: List[Optional[EnsembleOutcome]] = []
         for cell in batch:
@@ -682,28 +763,32 @@ class SweepRunner:
                 faulted.append(None)
             except Exception as error:
                 faulted.append(EnsembleOutcome(error=error))
-        ran = iter(self._attempt(
-            [cell for cell, outcome in zip(batch, faulted) if outcome is None],
-            executor,
-        ))
-        return [next(ran) if outcome is None else outcome for outcome in faulted]
+        group = [cell for cell, outcome in zip(batch, faulted) if outcome is None]
+        return _Batch(claims, batch, faulted, group, self._submit(group, executor))
+
+    def _resolve_batch(
+        self, batch: _Batch, executor: CellExecutor
+    ) -> List[EnsembleOutcome]:
+        """A submitted batch's outcomes; every cell gets one, failures included.
+
+        A batch that fails as a whole — a worker crash, a timeout — reruns
+        one cell per round trip, recomputing the results its other cells
+        had, so the failure lands on the cell that caused it.
+        """
+        ran = iter(self._attempt(batch.group, executor, batch.submitted))
+        return [next(ran) if outcome is None else outcome for outcome in batch.faulted]
 
     def _attempt(
-        self, group: List[SweepCell], executor: CellExecutor
+        self,
+        group: List[SweepCell],
+        executor: CellExecutor,
+        submitted: Optional[SubmittedCells] = None,
     ) -> List[EnsembleOutcome]:
-        """Run ``group`` in one round trip, or one cell per round trip if
-        the group fails as a whole."""
+        """Resolve ``group``'s round trip (``submitted``, or submitted now),
+        or run one cell per round trip if the group fails as a whole."""
         try:
-            return executor.run_batch(
-                [
-                    (cell, repetition_seeds(
-                        self.spec.cell_seed(cell), self.spec.repetitions
-                    ))
-                    for cell in group
-                ],
-                self.spec.max_steps,
-                self.spec.stability_window,
-                self.spec.analytics,
+            return executor.resolve(
+                self._submit(group, executor) if submitted is None else submitted
             )
         except Exception as error:
             if len(group) == 1:
@@ -712,6 +797,20 @@ class SweepRunner:
                 outcome for cell in group for outcome in self._attempt([cell], executor)
             ]
 
+    def _submit(self, group: List[SweepCell], executor: CellExecutor) -> SubmittedCells:
+        """Submit one round trip of ``group``'s ensembles."""
+        return executor.submit(
+            [
+                (cell, repetition_seeds(
+                    self.spec.cell_seed(cell), self.spec.repetitions
+                ))
+                for cell in group
+            ],
+            self.spec.max_steps,
+            self.spec.stability_window,
+            self.spec.analytics,
+        )
+
     @staticmethod
     def _emit_cell_spans(
         claims: List[Claim],
@@ -719,18 +818,25 @@ class SweepRunner:
         statistics: List[Optional[ConvergenceStatistics]],
         started: float,
         single_owner: bool,
-    ) -> None:
-        """One span per cell of a batch, its run spans adopted beneath it.
+    ) -> float:
+        """One span per cell of a batch, its run spans adopted beneath it;
+        returns where the batch's spans end.
 
-        The spans tile the batch's wall time, so a traced sweep still splits
-        into stepping and overhead: cell i's tile runs from its first shipped
-        span (the batch's start, for the first cell) to the next cell's
-        start, and the last cell's tile runs on to now, result handling
-        included.  Each span is its tile widened to contain all of its
-        cell's shipped spans, so on a pool of several workers, where
-        neighbouring cells step at the same time, their spans overlap.
-        Cells are emitted in grid order, each after its runs, exactly as a
-        serial sweep emits them.
+        The spans tile the batch's time on the executor, so a traced sweep
+        still splits into stepping and overhead.  The tiles start at
+        ``started`` (when the batch was sent, or where the batch before it
+        ended, whichever is later) and end when the batch returned: at the
+        end of its last shipped span, or now if it shipped none.  The
+        runner learns of a return only once its result thread has taken the
+        outcomes in, which can lag the workers by milliseconds while they
+        already run the next batch, so the shipped spans mark the return
+        where they exist.  Cell i's tile runs from its first shipped span
+        (``started``, for the first cell) to the next cell's start, and the
+        last cell's tile runs on to the batch's end.  Each span is its tile
+        widened to contain all of its cell's shipped spans, so on a pool of
+        several workers, where neighbouring cells step at the same time,
+        their spans overlap.  Cells are emitted in grid order, each after
+        its runs, exactly as a serial sweep emits them.
         """
         shipped = [
             [
@@ -740,14 +846,18 @@ class SweepRunner:
             ]
             for outcome in outcomes
         ]
-        starts = [started]
+        ended = max(
+            (high for spans in shipped for _, high in spans),
+            default=monotonic_time(),
+        )
+        starts = [min(started, ended)]
         for spans in shipped[1:]:
             first = min((low for low, _ in spans), default=starts[-1])
             starts.append(max(starts[-1], first))
         for index, (claim, outcome, stats) in enumerate(
             zip(claims, outcomes, statistics)
         ):
-            end = starts[index + 1] if index + 1 < len(starts) else monotonic_time()
+            end = starts[index + 1] if index + 1 < len(starts) else ended
             low = min([starts[index]] + [low for low, _ in shipped[index]])
             high = max([end] + [high for _, high in shipped[index]])
             if single_owner:
@@ -764,6 +874,7 @@ class SweepRunner:
                 name, name, low, high - low,
                 children=outcome.events, cell=claim.cell, **attrs,
             )
+        return ended
 
     def _result_extras(
         self,
@@ -856,9 +967,11 @@ def claim_worker(
     consistency check.
 
     **SIGTERM drains gracefully**: the first signal sets a stop flag — the
-    batch in flight completes and commits, then the loop exits without
-    claiming further (its report says ``stopped=True``).  Only SIGKILL loses
-    a claim, and that is exactly the case the lease-expiry recovery covers.
+    loop claims nothing further, the batches in flight (up to two under
+    ``backend="process"``: the executing one and the one queued behind it)
+    complete and commit, then the loop exits (its report says
+    ``stopped=True``).  Only SIGKILL loses a claim, and that is exactly the
+    case the lease-expiry recovery covers.
 
     ``fault_plan`` optionally installs a per-runner deterministic fault plan
     (see :mod:`repro.sweep.faults`), so a launcher can aim chaos at one

@@ -239,12 +239,27 @@ def python_roots(monkeypatch):
     roots = []
     graph = semantics.DenseReachabilityGraph
 
-    def spy(protocol, root, max_nodes=None):
+    def spy(protocol, root, max_nodes=None, **start):
         roots.append(root)
-        return graph(protocol, root, max_nodes)
+        return graph(protocol, root, max_nodes, **start)
 
     monkeypatch.setattr(semantics, "DenseReachabilityGraph", spy)
     return roots
+
+
+@pytest.fixture
+def python_widths(monkeypatch):
+    """The code width in bits of every search the Python explorer runs, in
+    order: the top bit of the guard word is the last field's guard."""
+    widths = []
+    explore = semantics._explore
+
+    def spy(root, steps, guards, max_nodes):
+        widths.append(guards.bit_length())
+        return explore(root, steps, guards, max_nodes)
+
+    monkeypatch.setattr(semantics, "_explore", spy)
+    return widths
 
 
 def _padded(protocol_name, output, moves, states):
@@ -360,6 +375,41 @@ class TestDenseVerificationOracle:
             with pytest.raises(ExplorationLimitError, match=f"exceeded {budget} "):
                 verify_input(spawn, inputs, OUTPUT_ONE, budget)
         assert batch_widths == ([32, 64] * len(budgets) if explorer == "native" else [])
+
+
+class TestWidenedRootsInPython:
+    # On 16 states, a code of fields of 4 bits fills 64 bits.  One a spawns
+    # 4 b, then 16 c: its fields grow from 4 bits (64 in all) to 8 (128).
+    # One b spawns an a at every step: its fields grow from 2 bits (32 in
+    # all) until budget 1000 runs out on fields of 16 bits (256).
+    CASES = [
+        ("quadruple", ({"a": 0, "b": 1, "c": 1}, [({"a": 1}, {"b": 4}), ({"b": 1}, {"c": 4})]),
+         from_counts(a=1), None, [64], [128]),
+        ("spawn", ({"a": 0, "b": 1}, [({"b": 1}, {"a": 1, "b": 1})]),
+         from_counts(b=1), 1000, [32, 64], [128, 256]),
+    ]
+
+    @requires_native
+    @pytest.mark.parametrize("name, net, inputs, budget, native_widths, widths", CASES)
+    def test_python_starts_past_the_widths_the_batch_ran(
+        self, name, net, inputs, budget, native_widths, widths, batch_widths,
+        python_widths,
+    ):
+        protocol = _padded(name, *net, 16)
+        expected = _outcome(_sparse_verdict, protocol, inputs, budget)
+        assert _outcome(_dense_verdict, protocol, inputs, budget) == expected
+        assert batch_widths == native_widths and python_widths == widths
+
+    @pytest.mark.parametrize("name, net, inputs, budget, native_widths, widths", CASES)
+    def test_without_the_library_python_starts_at_the_roots_width(
+        self, name, net, inputs, budget, native_widths, widths, python_widths,
+        monkeypatch,
+    ):
+        monkeypatch.setattr(semantics, "_native", lambda: None)
+        protocol = _padded(name, *net, 16)
+        expected = _outcome(_sparse_verdict, protocol, inputs, budget)
+        assert _outcome(_dense_verdict, protocol, inputs, budget) == expected
+        assert python_widths == native_widths + widths
 
 
 def _gather_protocol(output):

@@ -378,7 +378,7 @@ def _pump_until_lost(store, claim, timeout=5.0):
     with _HeartbeatPump(store, interval=0.05) as pump:
         pump.hold(claim)
         deadline = time.monotonic() + timeout
-        while pump.claim_alive and time.monotonic() < deadline:
+        while not pump.lost and time.monotonic() < deadline:
             time.sleep(0.01)
     return pump
 
@@ -428,7 +428,7 @@ class TestSweepIntegration:
         claim = type("Claim", (), {"cell": "c1", "owner": "w1"})()
         with obs_trace.capture_events() as events:
             pump = _pump_until_lost(_LostStore(), claim)
-        assert pump.claim_alive is False
+        assert pump.lost == {"c1"}
         assert "lost" in pump.warnings
         warning = next(e for e in events if e.get("kind") == "warning")
         assert warning["name"] == "heartbeat-lost"
@@ -494,19 +494,44 @@ class TestSweepIntegration:
         with _HeartbeatPump(store, interval=0.05) as pump:
             pump.hold(first)
             await_beats(1)
-            assert pump.release() is True
-            beats_of_first = len(store.beaten)
+            # A second batch, queued behind the first: both are beaten.
             pump.hold(second)
-            await_beats(beats_of_first + 1)
-            assert pump.release() is True
+            both_from = len(store.beaten)
+            await_beats(both_from + 2)
+            assert pump.release(first) == set()
+            beats_with_first = len(store.beaten)
+            await_beats(beats_with_first + 1)
+            assert pump.release(second) == set()
             beats_in_total = len(store.beaten)
             time.sleep(0.15)  # three intervals with no claim held
-        # After release, no beat reached the first claim; after the second
-        # release, none reached anything.
-        assert store.beaten[:beats_of_first] == ["c4"] * beats_of_first
-        assert set(store.beaten[beats_of_first:]) == {"c5"}
+        # Alone, then beside the second, the first was beaten; after its
+        # release only the second was, and after the second's release
+        # nothing was.
+        assert set(store.beaten[:both_from]) == {"c4"}
+        assert store.beaten[both_from : both_from + 2] == ["c4", "c5"]
+        assert set(store.beaten[beats_with_first:]) == {"c5"}
         assert len(store.beaten) == beats_in_total
         assert pump.warnings == []
+
+    def test_release_reports_the_lost_claims_of_its_own_batch(self):
+        class _LosesOneStore:
+            lease_seconds = 30.0
+
+            def heartbeat(self, claim):
+                return claim.cell != "c6"
+
+        lost = type("Claim", (), {"cell": "c6", "owner": "w5"})()
+        kept = type("Claim", (), {"cell": "c7", "owner": "w5"})()
+        with _HeartbeatPump(_LosesOneStore(), interval=0.05) as pump:
+            pump.hold(lost)
+            pump.hold(kept)
+            deadline = time.monotonic() + 5.0
+            while not pump.lost and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pump.release(kept) == set()
+            assert pump.release(lost) == {"c6"}
+            assert not pump.lost
+        assert pump.warnings.count("lost") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,20 @@ pinned here:
   exactly even when it is not a multiple of the batch size,
 * a ``cell_timeout`` bounds each cell, never a batch, and a cell of a whole
   step budget runs alone,
+* the loop keeps a second batch queued on the pool behind the executing
+  one: the queued batch survives a crash or timeout of the one before it
+  without a retry, is not charged its time in the queue, keeps its leases,
+  and is committed on a stop request and handed back on a raise; a crash
+  of the queued batch on a second worker is not pinned on the executing
+  one,
 * each cell's trace span contains its own worker spans.
 """
 
 import multiprocessing
 import os
 import signal
+import sqlite3
+import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,7 +37,12 @@ import pytest
 from repro.core.protocol import Protocol
 from repro.obs import trace as obs_trace
 from repro.simulation import WorkerPool, repetition_seeds
-from repro.simulation.batch import Ensemble
+from repro.simulation.batch import (
+    Ensemble,
+    EnsembleOutcome,
+    WorkerCrashError,
+    run_ensemble,
+)
 from repro.sweep import (
     SqliteResultStore,
     StoreCorruptionError,
@@ -40,9 +53,15 @@ from repro.sweep import (
     register_sweep_protocol,
 )
 from repro.sweep.dbstore import _CLAIM_SQL, _claim_parameters
+from repro.sweep.faults import InjectedFault
 from repro.sweep.runner import BATCH_STEP_BUDGET
 from repro.sweep.spec import _PROTOCOL_BUILDERS, build_protocol_and_inputs
-from repro.sweep.store import STATUS_CREATED, STATUS_DONE, STATUS_ERROR
+from repro.sweep.store import (
+    STATUS_CREATED,
+    STATUS_DONE,
+    STATUS_ERROR,
+    STATUS_RUNNING,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +69,21 @@ def _pristine_fault_state():
     install_fault_plan(None)
     yield
     install_fault_plan(None)
+
+
+@pytest.fixture
+def register():
+    """Register sweep protocols of majority protocols of a given class, and
+    drop them again after the test."""
+    names = []
+
+    def add(name, protocol_class):
+        register_sweep_protocol(name, _majority_as(protocol_class), allowed_params=())
+        names.append(name)
+
+    yield add
+    for name in names:
+        _PROTOCOL_BUILDERS.pop(name, None)
 
 
 def _spec(**overrides):
@@ -187,6 +221,32 @@ class TestBatchedStore:
         ]
         store.close()
 
+    def test_finished_cells_lists_done_and_error_rows_in_grid_order(self, tmp_path):
+        spec = _spec()
+        cells = [cell.cell_id for cell in spec.cells()]
+        store = _registered(tmp_path, spec, max_retries=0)
+        claims = store.claim_batch("a", 4)
+        statistics = SimpleNamespace(
+            runs=2, converged=2, convergence_rate=1.0, mean_steps=3.0,
+            median_steps=3.0, min_steps=3, max_steps=3, mean_consensus_step=1.0,
+        )
+        store.finish_batch([(claims[2], statistics, {}), (claims[0], statistics, {})])
+        assert store.fail_claim(claims[1], "boom") == "parked"
+        plan = [
+            row[-1]
+            for row in store._connection.execute(
+                'EXPLAIN QUERY PLAN SELECT "cell" FROM cells '
+                'WHERE "status" IN (?, ?) ORDER BY position',
+                (STATUS_DONE, STATUS_ERROR),
+            )
+        ]
+        finished = store.finished_cells()
+        store.close()
+        assert finished == [
+            (cells[0], STATUS_DONE), (cells[1], STATUS_ERROR), (cells[2], STATUS_DONE),
+        ]
+        assert "SEARCH cells USING INDEX cells_by_status (status=?)" in plan
+
     def test_import_rows_replaces_in_place_and_appends_in_order(self, tmp_path):
         spec = _spec()
         reference = _serial_reference(tmp_path, spec)
@@ -225,7 +285,7 @@ class TestBatchedPool:
             Ensemble(modulo, modulo_inputs, []),
         ]
         with WorkerPool(max_workers=2) as pool:
-            outcomes = pool.run_batch(ensembles)
+            outcomes = pool.resolve(pool.dispatch(ensembles))
             alone = [
                 pool.run_seeds(e.protocol, e.inputs, e.seeds,
                                max_steps=e.max_steps,
@@ -238,6 +298,26 @@ class TestBatchedPool:
         assert "no-such-engine" in str(outcomes[1].error)
         assert [outcomes[0].results, outcomes[2].results] == alone
         assert outcomes[3].results == []
+
+
+    def test_a_batch_queued_behind_a_crash_is_sent_again(self):
+        # One worker: the doomed batch kills it on every chunk, and the
+        # queued batch naps 1 s as a worker loads it, longer than the crash
+        # grace, so it is still queued when the pool goes down.
+        majority, inputs = build_protocol_and_inputs("majority", 10, {})
+        killer, _ = _majority_as(_KillsItsWorker)(10, {})
+        napper, _ = _majority_as(_NapsInItsWorker)(10, {})
+        seeds = repetition_seeds(1, 3)
+        options = dict(max_steps=500, stability_window=50)
+        with WorkerPool(max_workers=1) as pool:
+            doomed = pool.dispatch([Ensemble(killer, inputs, seeds, **options)])
+            queued = pool.dispatch([Ensemble(napper, inputs, seeds, **options)])
+            first_sent = queued.sent
+            with pytest.raises(WorkerCrashError):
+                pool.resolve(doomed)
+            (outcome,) = pool.resolve(queued)
+        assert queued.sent > first_sent
+        assert outcome.results == run_ensemble(majority, inputs, seeds, **options)
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +489,221 @@ class TestBatchFaults:
 
 
 # ----------------------------------------------------------------------
+# Two batches on the pool: the executing one and the one queued behind it
+# ----------------------------------------------------------------------
+class _StopsAfter(_BatchLog):
+    """A store that sets :attr:`stop` once ``batches`` batches are claimed."""
+
+    def __init__(self, *args, batches, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stop = threading.Event()
+        self._stop_after = batches
+
+    def claim_batch(self, owner, limit):
+        claims = super().claim_batch(owner, limit)
+        if len(self.batches) == self._stop_after:
+            self.stop.set()
+        return claims
+
+
+class _LeaseLog(_BatchLog):
+    """A store that notes, at every commit, the ``running`` rows whose lease
+    has already expired."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.expired = []
+
+    def finish_batch(self, finished):
+        now = self._clock()
+        self.expired.extend(
+            row["cell"] for row in self.rows()
+            if row["status"] == STATUS_RUNNING
+            and self.bookkeeping(row["cell"])["lease_expires"] < now
+        )
+        return super().finish_batch(finished)
+
+
+#: Two cells of a whole step budget each run one per batch; four cells of a
+#: quarter of it, two per batch.
+_ALONE = BATCH_STEP_BUDGET // 2
+_IN_PAIRS = BATCH_STEP_BUDGET // 4
+
+
+def _napping_spec(**overrides):
+    """Two cells of the ``naps`` protocol, one per batch.  The two
+    schedulers give them two worker specs, so each naps 1 s as its worker
+    loads it."""
+    options = dict(
+        protocols=("naps",), populations=(8,), schedulers=("uniform", "transition"),
+        engines=("compiled",), max_steps=_ALONE,
+    )
+    options.update(overrides)
+    return _spec(**options)
+
+
+class TestQueuedBatch:
+    def test_a_crash_spares_the_batch_queued_behind_it(self, tmp_path, register):
+        register("kills-its-worker", _KillsItsWorker)
+        good = ("majority", ("modulo", {"modulus": 2, "remainder": 0}),
+                ("modulo", {"modulus": 3, "remainder": 1}))
+        spec = _spec(
+            protocols=(good[0], "kills-its-worker") + good[1:],
+            populations=(8,), engines=("compiled",), max_steps=_IN_PAIRS,
+        )
+        store = _BatchLog(tmp_path / "grid.sqlite", max_retries=0)
+        report = SweepRunner(
+            spec, store, backend="process", max_workers=1
+        ).run_claims("r0", idle_wait=0.05)
+        rows = {row["cell"]: row for row in store.rows()}
+        retries = {cell: store.bookkeeping(cell)["retry_count"] for cell in rows}
+        store.close()
+        # The culprit's batch ran while the second batch waited behind it.
+        assert store.batches == [2, 2]
+        assert report.parked == 1 and report.executed == 3 and report.drained
+        culprit = spec.cells()[1].cell_id
+        assert rows[culprit]["error"].startswith("WorkerCrashError: ")
+        with SqliteResultStore(":memory:") as serial:
+            SweepRunner(
+                _spec(protocols=good, populations=(8,), engines=("compiled",),
+                      max_steps=_IN_PAIRS),
+                serial, backend="serial",
+            ).run()
+            expected = {row["cell"]: row for row in serial.rows()}
+        assert {cell: rows[cell] for cell in expected} == expected
+        assert retries == {cell: int(cell == culprit) for cell in rows}
+
+    def test_a_crash_beside_the_executing_batch_is_not_pinned_on_it(
+        self, tmp_path, register
+    ):
+        # Two workers, one seed per cell, one cell per batch: the napping
+        # cell holds one worker for 1 s, longer than the crash grace, while
+        # the killer, queued behind it, kills the other worker at once.
+        register("naps", _NapsInItsWorker)
+        register("kills-its-worker", _KillsItsWorker)
+        spec = _spec(
+            protocols=("naps", "kills-its-worker"), populations=(8,),
+            engines=("compiled",), repetitions=1, max_steps=BATCH_STEP_BUDGET,
+        )
+        store = _BatchLog(tmp_path / "grid.sqlite", max_retries=0)
+        report = SweepRunner(
+            spec, store, backend="process", max_workers=2
+        ).run_claims("r0", idle_wait=0.05)
+        rows = {row["protocol"]: row for row in store.rows()}
+        retries = {
+            row["protocol"]: store.bookkeeping(row["cell"])["retry_count"]
+            for row in rows.values()
+        }
+        store.close()
+        assert store.batches == [1, 1]
+        assert report.parked == 1 and report.executed == 1 and report.drained
+        assert rows["naps"]["status"] == STATUS_DONE
+        assert rows["kills-its-worker"]["error"].startswith("WorkerCrashError: ")
+        assert retries == {"naps": 0, "kills-its-worker": 1}
+
+    def test_a_store_failure_is_raised_over_the_hand_back(
+        self, tmp_path, monkeypatch
+    ):
+        # The first commit fails, and so does handing back the batch queued
+        # behind it: the commit's error propagates, and the pool still
+        # closes.
+        class _Broken(_BatchLog):
+            def finish_batch(self, finished):
+                raise sqlite3.OperationalError("disk I/O error")
+
+            def release_claim(self, claim):
+                raise sqlite3.OperationalError("database is locked")
+
+        closed = []
+        close = WorkerPool.close
+        monkeypatch.setattr(
+            WorkerPool, "close", lambda pool: (closed.append(pool), close(pool))
+        )
+        store = _Broken(tmp_path / "grid.sqlite")
+        with pytest.raises(sqlite3.OperationalError, match="disk I/O error"):
+            SweepRunner(
+                _spec(max_steps=_IN_PAIRS), store, backend="process", max_workers=1
+            ).run()
+        store.close()
+        assert store.batches == [2, 2]
+        assert len(closed) == 1
+
+    def test_a_queued_cell_is_not_charged_its_wait(self, tmp_path, register):
+        # The second cell waits behind the first from the start.  Each
+        # naps 1 s, within the 1.5 s budget; counted from its dispatch, the
+        # second cell's budget would run out half a second into its nap.
+        register("naps", _NapsInItsWorker)
+        store = _BatchLog(tmp_path / "grid.sqlite", max_retries=0)
+        report = SweepRunner(
+            _napping_spec(), store, backend="process", max_workers=1
+        ).run_claims("r0", cell_timeout=1.5, idle_wait=0.05)
+        statuses = [row["status"] for row in store.rows()]
+        store.close()
+        assert store.batches == [1, 1]
+        assert report.executed == 2 and report.parked == 0
+        assert statuses == [STATUS_DONE, STATUS_DONE]
+
+    def test_a_stop_request_commits_both_dispatched_batches(self, tmp_path):
+        spec = _spec(max_steps=_IN_PAIRS)
+        reference = _serial_reference(tmp_path, spec)
+        store = _StopsAfter(tmp_path / "grid.sqlite", batches=2)
+        report = SweepRunner(
+            spec, store, backend="process", max_workers=1
+        ).run_claims("r0", idle_wait=0.05, stop_event=store.stop)
+        counts = store.status_counts()
+        store.close()
+        assert report.stopped and report.executed == 4 and not report.drained
+        assert store.batches == [2, 2]
+        assert counts == {STATUS_DONE: 4, STATUS_CREATED: 4}
+        # Resumed, the grid exports the serial bytes.
+        with SqliteResultStore(tmp_path / "grid.sqlite") as resumed:
+            SweepRunner(spec, resumed, backend="process", max_workers=1).run()
+        assert _export(tmp_path / "grid.sqlite", tmp_path / "grid.csv") == reference
+
+    def test_a_raise_hands_the_queued_batch_back(self, tmp_path):
+        spec = _spec(max_steps=_IN_PAIRS)
+        cells = [cell.cell_id for cell in spec.cells()]
+        reference = _serial_reference(tmp_path, spec)
+        store = _BatchLog(tmp_path / "grid.sqlite")
+        install_fault_plan("mid-cell@2:raise")
+        with pytest.raises(InjectedFault):
+            SweepRunner(spec, store, backend="process", max_workers=1).run()
+        install_fault_plan(None)
+        statuses = [store.status(cell) for cell in cells]
+        queued = [store.bookkeeping(cell) for cell in cells[2:4]]
+        store.close()
+        # The failing batch committed; the batch queued behind it went back
+        # untouched, as if it had never been claimed.
+        assert store.batches == [2, 2]
+        assert STATUS_RUNNING not in statuses
+        assert statuses == [STATUS_DONE, STATUS_ERROR] + [STATUS_CREATED] * 6
+        assert [(b["owner"], b["retry_count"]) for b in queued] == [(None, 0)] * 2
+        with SqliteResultStore(tmp_path / "grid.sqlite") as resumed:
+            SweepRunner(spec, resumed, backend="process", max_workers=1).run()
+        assert _export(tmp_path / "grid.sqlite", tmp_path / "grid.csv") == reference
+
+    def test_the_queued_batch_keeps_its_leases(self, tmp_path, register):
+        # Two 1 s naps outlast a 0.6 s lease three times over.  The pump
+        # beats both cells, the executing one and the one queued behind it,
+        # so no lease runs out before its commit, and the runner's own next
+        # claim never takes a queued cell again.
+        register("naps", _NapsInItsWorker)
+        spec = _napping_spec()
+        store = _LeaseLog(tmp_path / "grid.sqlite", lease_seconds=0.6)
+        lines = []
+        report = SweepRunner(
+            spec, store, backend="process", max_workers=1
+        ).run_claims("r0", idle_wait=0.05, progress=lines.append)
+        retries = [store.bookkeeping(cell.cell_id)["retry_count"] for cell in spec.cells()]
+        store.close()
+        assert store.batches == [1, 1]
+        assert store.expired == []
+        assert report.lost == 0 and report.executed == 2 and report.drained
+        assert not _lines(lines, " lost")
+        assert retries == [0, 0]
+
+
+# ----------------------------------------------------------------------
 # Trace shape of a batch
 # ----------------------------------------------------------------------
 class TestBatchTrace:
@@ -453,6 +748,56 @@ class TestBatchTrace:
             assert before["t0"] <= after["t0"] <= before["t0"] + before["dur"] + 1e-9
 
 
+    def test_a_queued_batch_spans_from_the_return_of_the_one_before(self, register):
+        # Both cells are dispatched at once and nap 1 s each in the worker:
+        # the second cell's span starts where the first cell's ends, when
+        # the first came back, not at its own dispatch, and contains its
+        # own runs.
+        register("naps", _NapsInItsWorker)
+        spec = _napping_spec()
+        with obs_trace.capture_events() as events:
+            SweepRunner(
+                spec, SqliteResultStore(":memory:"), backend="process",
+                max_workers=1,
+            ).run()
+        spans = [event for event in events if event["ev"] == "span"]
+        first, second = [span for span in spans if span["kind"] == "sweep-cell"]
+        assert second["t0"] == pytest.approx(first["t0"] + first["dur"], abs=1e-9)
+        assert second["t0"] - first["t0"] > 0.9
+        by_id = {span["id"]: span for span in spans}
+
+        def cell_of(span):
+            while span["kind"] != "sweep-cell":
+                span = by_id[span["parent"]]
+            return span
+
+        runs = [span for span in spans if span["kind"] == "run"]
+        assert [cell_of(run) for run in runs] == [first, first, second, second]
+        for run in runs:
+            assert cell_of(run)["t0"] <= run["t0"]
+            assert run["t0"] + run["dur"] <= cell_of(run)["t0"] + cell_of(run)["dur"]
+
+
+    def test_a_batch_spans_end_at_its_last_shipped_span(self):
+        # Two cells whose chunks ran over [10, 11] and [11, 12]: the tiles
+        # run from the batch's start to the end of its last chunk, however
+        # much later the runner takes the outcomes in and emits the spans.
+        def chunk(t0):
+            return {"ev": "span", "kind": "chunk", "name": "chunk", "id": 1,
+                    "pid": -1, "parent": None, "t0": t0, "dur": 1.0, "attrs": {}}
+
+        claims = [SimpleNamespace(cell=f"c{i}", attempt=0, owner="run") for i in (1, 2)]
+        outcomes = [EnsembleOutcome(results=[], events=[chunk(t0)]) for t0 in (10.0, 11.0)]
+        statistics = [SimpleNamespace(runs=2, converged=2)] * 2
+        with obs_trace.capture_events() as events:
+            ended = SweepRunner._emit_cell_spans(claims, outcomes, statistics, 9.5, True)
+        cells = [event for event in events if event["kind"] == "sweep-cell"]
+        assert ended == 12.0
+        assert [(cell["t0"], cell["t0"] + cell["dur"]) for cell in cells] == [
+            (9.5, 11.0), (11.0, 12.0),
+        ]
+
+
 class _KillsItsWorker(Protocol):
     """A majority protocol whose unpickling SIGKILLs any pool worker."""
 
@@ -467,12 +812,23 @@ class _SleepsInItsWorker(Protocol):
         return (_load_in_worker, (_sleep_two_seconds, dict(self.__dict__)))
 
 
+class _NapsInItsWorker(Protocol):
+    """A majority protocol whose unpickling takes 1 s in any pool worker."""
+
+    def __reduce__(self):
+        return (_load_in_worker, (_sleep_one_second, dict(self.__dict__)))
+
+
 def _kill_this_process():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _sleep_two_seconds():
     time.sleep(2.0)
+
+
+def _sleep_one_second():
+    time.sleep(1.0)
 
 
 def _load_in_worker(misbehave, state):
