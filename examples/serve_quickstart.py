@@ -9,12 +9,14 @@ in microseconds.  This example:
 
 1. starts an in-process server (``BackgroundServer``, ephemeral port — the
    deployment shape is ``python -m repro.serve``),
-2. submits a majority-ensemble job through ``ServeClient`` and waits for
-   the result,
+2. submits a majority-ensemble job through ``ServeClient``; a job this
+   quick ends while the server holds its submission, so the result comes
+   back on the submission itself,
 3. resubmits the same job with the fields spelled differently (reordered,
    defaults written out, engine case changed) and shows it never touches
    the pool: a pure cache hit,
-4. reads ``/metrics`` and demonstrates the per-client 429 backpressure cap,
+4. reads ``/metrics`` and demonstrates the per-client 429 backpressure cap
+   (exiting non-zero if the cap lets a third job through),
 5. drains the server gracefully, like SIGTERM would in production.
 
 Run with:  python examples/serve_quickstart.py
@@ -69,15 +71,19 @@ def main() -> None:
 
         print("\n-- backpressure -------------------------------------------")
         # Two slow jobs fill the in-flight cap; the third bounces with 429.
-        slow = dict(JOB, population=150, max_steps=400000,
-                    stability_window=400000)
+        # Each runs its whole 8 x 4,000,000-step budget, about a second on
+        # two workers, so both are still in flight long after the server's
+        # 50 ms submission holds have answered them 202.
+        slow = dict(JOB, population=150, max_steps=4_000_000,
+                    stability_window=4_000_000)
         client.submit(slow)
         client.submit(dict(slow, master_seed=1))
         try:
             client.submit(dict(slow, master_seed=2))
-            print("no backpressure?")
         except ServeRejected as error:
             print(f"third concurrent job rejected: HTTP {error.status}")
+        else:
+            raise SystemExit("no backpressure: the third concurrent job was accepted")
 
         print("\n-- graceful drain -----------------------------------------")
         print("draining (in-flight jobs finish, like SIGTERM in production)…")

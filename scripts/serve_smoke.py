@@ -13,8 +13,13 @@ client and asserts every piece of it:
     case) is a content-addressed cache hit: ``cache_hits`` rises on
     ``/metrics`` and no new pool work runs, and every request so far came
     over the client's one persistent connection,
-4.  a second in-flight job under ``--max-inflight 1`` is rejected with 429,
-5.  SIGTERM drains gracefully: new submissions get 503, the in-flight job
+4.  a quick fresh job is answered ``done`` with ``cached: false`` and its
+    result by its own ``POST``, which the server held until the job ended,
+    and ``jobs_answered_on_submit`` on ``/metrics`` counts that one answer
+    (the first job, above, starts the pool's workers and may outlast the
+    hold, so only this job's count is asserted),
+5.  a second in-flight job under ``--max-inflight 1`` is rejected with 429,
+6.  SIGTERM drains gracefully: new submissions get 503, the in-flight job
     *completes* (visible in the drain summary), and the process exits 0.
 
 Exits non-zero on the first violated expectation.  Run from the repo root:
@@ -57,6 +62,10 @@ FAST_JOB_RESPELLED = {
     "analytics": False,
 }
 
+#: A fresh job as quick as the first, answered by its own submission once
+#: the pool's workers are up.
+QUICK_JOB = dict(FAST_JOB, master_seed=1)
+
 #: A job slow enough to still be running when the 429 probe and the SIGTERM
 #: arrive: the stability window equals the step budget, so no run can stop
 #: early at consensus, and the compiled engine takes seconds for it (the
@@ -83,7 +92,7 @@ def check(condition, message):
 
 
 def direct_runs(job):
-    """The fast job executed in-process — the byte-identity reference."""
+    """A job executed in-process — the byte-identity reference."""
     spec = JobSpec.from_dict(job)
     protocol, inputs = build_protocol_and_inputs(
         spec.protocol, spec.population, spec.params
@@ -170,6 +179,22 @@ def main():
             "every request so far arrived over one connection",
         )
 
+        # -- a quick fresh job answered by its own POST -----------------
+        answered = metrics.get("repro_serve_jobs_answered_on_submit", 0)
+        quick = client.submit(QUICK_JOB)
+        check(
+            quick["status"] == "done" and quick["cached"] is False,
+            "quick fresh job answered done, cached false, by its own POST",
+        )
+        check(
+            quick["result"]["runs"] == direct_runs(QUICK_JOB),
+            "its result byte-identical to direct Simulator.run_many",
+        )
+        check(
+            client.metrics()["repro_serve_jobs_answered_on_submit"] == answered + 1,
+            "jobs_answered_on_submit counted that one answer",
+        )
+
         # -- 429 under the tiny in-flight cap ---------------------------
         submitted = client.submit(SLOW_JOB)
         check(submitted["status"] in ("queued", "running"), "slow job accepted")
@@ -193,7 +218,7 @@ def main():
         summary = json.loads(out.strip().splitlines()[-1])
         check(summary.get("drained") is True, "drain summary printed")
         check(
-            summary["jobs_completed"] == 2,
+            summary["jobs_completed"] == 3,
             "in-flight slow job completed during drain",
         )
         check(summary["jobs_failed"] == 0, "no failed jobs")

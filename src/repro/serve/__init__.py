@@ -3,7 +3,7 @@
 The serving layer of the stack — where sweeps batch *one user's* grid over
 the pool, this package fronts the same pool with a long-lived HTTP process
 for *many* clients, built entirely on the stdlib (asyncio, ``json``,
-``http.client``):
+``socket``):
 
 * :class:`JobSpec` (:mod:`repro.serve.jobs`) — one ensemble request,
   validated and normalized through the sweep layer's rejection rules, with
@@ -19,14 +19,16 @@ for *many* clients, built entirely on the stdlib (asyncio, ``json``,
   HTTP+JSON server: ``POST /jobs`` / ``GET /jobs/<key>`` / ``GET /metrics``
   / ``GET /healthz`` over persistent HTTP/1.1 connections, a bounded LRU
   result cache (duplicate submissions are cache hits; concurrent duplicates
-  coalesce onto one running job), a per-client in-flight cap answered with
-  429, and graceful SIGTERM drain (finish what's queued and running, 503
-  new work, exit 0) mirroring the sweep claim-worker semantics.
+  coalesce onto one running job), submissions held briefly so a quick
+  job's result comes back on its own ``POST``, a per-client in-flight cap
+  answered with 429, and graceful SIGTERM drain (finish what's queued and
+  running, 503 new work, exit 0) mirroring the sweep claim-worker
+  semantics.
   :class:`BackgroundServer` runs the same lifecycle in a daemon thread for
   tests and examples.
-* :class:`ServeClient` (:mod:`repro.serve.client`) — the tiny
-  ``http.client`` client over one kept connection: submit / status / wait /
-  run / metrics, with typed backpressure errors.
+* :class:`ServeClient` (:mod:`repro.serve.client`) — the tiny socket
+  client over one kept connection, one write per request: submit / status
+  / wait / run / metrics, with typed backpressure errors.
 * ``python -m repro.serve`` (:mod:`repro.serve.__main__`) — the deployment
   entry point; every setting is a flag (``--host``, ``--port``,
   ``--cache-size``, ``--max-inflight``, ...).

@@ -33,14 +33,22 @@ The moving parts:
   within one :data:`_READ_TIMEOUT`, and so must a body; a connection that
   misses either deadline is closed, and :meth:`SimulationServer.shutdown`
   closes the ones waiting for their next request.
+* **Held submissions.**  A submission that starts or joins a job is held
+  until the job ends or :data:`_SUBMIT_HOLD` passes, and a quick job's
+  result rides back on its own ``POST``: one round trip, no poll.  The
+  hold awaits the job on the event loop, so other connections are served
+  meanwhile, and a connection's pipelined requests still answer in order.
 
 Endpoints (HTTP/1.1):
 
 ========================  ====================================================
 ``POST /jobs``            submit a JSON job spec; 200 with the result on a
-                          cache hit, 202 with the job key otherwise, 400 on
-                          validation errors, 429 over the in-flight cap,
-                          503 while draining
+                          cache hit; a queued or coalesced job is held up to
+                          :data:`_SUBMIT_HOLD` (50 ms), then answered 200
+                          ``done`` (with result) or ``error`` (with message)
+                          if it ended, else 202 with the job key and its
+                          status; 400 on validation errors, 429 over the
+                          in-flight cap, 503 while draining
 ``GET /jobs/<key>``       poll: ``queued`` / ``running`` / ``done`` (with
                           result) / ``error`` (with message), 404 unknown
 ``GET /metrics``          plain-text counters (jobs, cache, queue, pool,
@@ -91,6 +99,12 @@ _MAX_BODY_BYTES = 1 << 20
 #: connection handler for longer.
 _READ_TIMEOUT = 10.0
 
+#: How long (seconds) a submission that starts or joins a job waits for the
+#: job to end before it is answered 202: a job that ends within it is
+#: answered with its outcome by the submission itself, and the client needs
+#: no status request.
+_SUBMIT_HOLD = 0.05
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -134,6 +148,8 @@ _JOB_COUNTERS = (
     ("rejected_draining", "Submissions refused while draining."),
     ("cache_hits", "Submissions answered from the result cache."),
     ("cache_misses", "Submissions that missed the result cache."),
+    ("jobs_answered_on_submit",
+     "Held submissions answered with their job's result or error."),
 )
 
 #: Every ``/metrics`` family as ``(name, type, help)``, exposed as
@@ -240,7 +256,9 @@ class _BadRequest(Exception):
 class _Job:
     """One active (queued or running) job and the clients attached to it."""
 
-    __slots__ = ("spec", "key", "status", "clients", "submitted_at")
+    __slots__ = (
+        "spec", "key", "status", "clients", "submitted_at", "outcome", "finished"
+    )
 
     def __init__(self, spec: JobSpec, clients: Set[str]) -> None:
         self.spec = spec
@@ -249,6 +267,12 @@ class _Job:
         self.clients = clients
         #: Monotonic submission time, for the queue-wait histogram/span.
         self.submitted_at = config.monotonic_time()
+        #: The result payload once ``done``, the error message once ``error``.
+        self.outcome: Any = None
+        #: Resolved when the job ends.  The first held submission makes it,
+        #: inside the running loop: a job can be built outside one, and an
+        #: asyncio primitive built there binds the wrong loop on Python 3.9.
+        self.finished: "Optional[asyncio.Future[None]]" = None
 
 
 class SimulationServer:
@@ -464,7 +488,8 @@ class SimulationServer:
                     self._executor, context.run, run_job, self._cells, job.spec
                 )
             except Exception as error:
-                self._failed[job.key] = f"{type(error).__name__}: {error}"
+                job.outcome = f"{type(error).__name__}: {error}"
+                self._failed[job.key] = job.outcome
                 while len(self._failed) > self.cache_size:
                     self._failed.popitem(last=False)
                 job.status = "error"
@@ -475,6 +500,7 @@ class SimulationServer:
                 self._cache.move_to_end(job.key)
                 while len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
+                job.outcome = payload
                 job.status = "done"
                 job_span.set(status="done")
                 self.metrics.inc("jobs_completed")
@@ -490,6 +516,8 @@ class SimulationServer:
                         held.discard(job.key)
                         if not held:
                             self._clients.pop(client, None)
+                if job.finished is not None:
+                    job.finished.set_result(None)
 
     # ------------------------------------------------------------------
     # Request handling (sync core, exercised directly by the unit tests)
@@ -646,7 +674,11 @@ class SimulationServer:
                     status, payload, content_type = self._route(
                         method, target, client, body
                     )
+                # Busy from here on, a held submission included: shutdown
+                # closes only the connections waiting for their next request.
                 self._connections[writer] = None
+                if status == 202:
+                    status, payload = await self._hold(payload)
                 keep_alive = keep_alive and not self._draining
                 await self._write_response(
                     writer, status, payload, content_type, keep_alive
@@ -664,6 +696,27 @@ class SimulationServer:
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
+
+    async def _hold(self, response: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
+        """Answer a 202 submission once its job ends or the hold passes.
+
+        ``response`` is :meth:`_submit`'s document for a job it queued or
+        coalesced, so the job is active.  The outcome comes from the job
+        itself, which a cache eviction cannot lose; a job still queued or
+        running when the hold passes is answered 202 at its current status.
+        """
+        job = self._active[response["job"]]
+        if job.finished is None:
+            job.finished = asyncio.get_running_loop().create_future()
+        # asyncio.wait, unlike wait_for, never cancels the shared future.
+        await asyncio.wait((job.finished,), timeout=_SUBMIT_HOLD)
+        if job.status == "done":
+            self.metrics.inc("jobs_answered_on_submit")
+            return 200, dict(response, status="done", result=job.outcome)
+        if job.status == "error":
+            self.metrics.inc("jobs_answered_on_submit")
+            return 200, dict(response, status="error", error=job.outcome)
+        return 202, dict(response, status=job.status)
 
     async def _read_request(
         self, reader: asyncio.StreamReader

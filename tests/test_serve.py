@@ -18,8 +18,14 @@ The load-bearing properties:
   framed by ``Content-Length``; a framing error (400, 413, 431), a request
   for ``Connection: close`` or HTTP/1.0, a response while draining, and a
   head slower than one read timeout close it,
-* one ``ServeClient`` keeps one connection across threads, reconnects
-  after the server closes it, and a drain with it open stays prompt,
+* a submission that starts or joins a job is held until the job ends or
+  the hold passes, then answered with the job's result or error, or 202 at
+  its status; other connections are served meanwhile, and a drain during
+  the hold closes the connection after the answer,
+* one ``ServeClient`` keeps one connection across threads, sends each
+  request in one write, reconnects after the server closes it, returns a
+  result its submission carries without polling, and a drain with it open
+  stays prompt,
 * the server's settings have fixed defaults and fail loudly on malformed
   values, in the constructor and on the command line (exit 2), and a
   listener that cannot bind is one ``error:`` line and exit 2.
@@ -60,6 +66,15 @@ def _job(**overrides):
     base = dict(protocol="majority", population=24, repetitions=3, max_steps=8000)
     base.update(overrides)
     return base
+
+
+#: A job that outlasts the server's submission hold many times over.
+#: modulo never reaches a terminal configuration and the stability window
+#: equals the step budget, so every run fires the whole budget; the compiled
+#: engine, which runs with or without a C compiler, takes ~0.55 s for it on
+#: a 2-core x86 host, 11x the 50 ms hold.
+_SLOW_JOB = _job(protocol="modulo", population=8, repetitions=4,
+                 max_steps=200_000, stability_window=200_000, engine="compiled")
 
 
 def _serve_cli_error(*flags):
@@ -290,14 +305,12 @@ class TestServerEndToEnd:
                 client.status("not-a-real-key")
 
     def test_drain_rejects_new_work_and_finishes_in_flight(self):
-        # The stability window equals the step budget, so the ensemble runs
-        # its full budget and is reliably still in flight when the drain and
-        # the 503 probe land right after the submit.
-        job = _job(population=60, repetitions=4, max_steps=120000,
-                   stability_window=120000)
+        # The job outlasts the submission hold, so it is reliably still in
+        # flight when the drain and the 503 probe land right after the
+        # submission is answered.
         with BackgroundServer(backend="serial", concurrency=1) as bg:
             client = ServeClient(bg.url, client_id="t5")
-            submitted = client.submit(job)
+            submitted = client.submit(_SLOW_JOB)
             assert submitted["status"] in ("queued", "running")
             bg.drain()
             with pytest.raises(ServeRejected) as rejected:
@@ -541,6 +554,9 @@ class TestWireProtocol:
 
     def test_post_body_is_framed_by_content_length(self):
         body = json.dumps(_job()).encode()
+        # Runs the engine in this process first, so the hold never waits for
+        # the engine to load or build.
+        direct = _render_direct(JobSpec.from_dict(_job()))
         with BackgroundServer(backend="serial", concurrency=1) as bg:
             sock, stream = _connect(bg.url)
             with sock, stream:
@@ -550,8 +566,12 @@ class TestWireProtocol:
                     + _HEALTHZ
                 )
                 status, _, submitted = _read_response(stream)
-                assert status == 202
-                assert json.loads(submitted)["job"] == JobSpec.from_dict(_job()).key
+                answer = json.loads(submitted)
+                # A quick job ends within the hold: its POST carries the result.
+                assert status == 200
+                assert answer["job"] == JobSpec.from_dict(_job()).key
+                assert (answer["status"], answer["cached"]) == ("done", False)
+                assert answer["result"]["runs"] == direct
                 status, _, health = _read_response(stream)
                 assert (status, health) == (200, b"ok\n")
 
@@ -600,13 +620,11 @@ class TestWireProtocol:
                     assert _at_eof(stream)
 
     def test_a_response_while_draining_closes_the_connection(self):
-        # As in the drain test above: the job runs its whole budget, so it
-        # is still in flight when the poll lands.
-        job = _job(population=60, repetitions=4, max_steps=120000,
-                   stability_window=120000)
+        # As in the drain test above: the job outlasts the submission hold,
+        # so it is still in flight when the probe lands.
         with BackgroundServer(backend="serial", concurrency=1) as bg:
             with closing(ServeClient(bg.url)) as client:
-                client.submit(job)
+                client.submit(_SLOW_JOB)
             sock, stream = _connect(bg.url)
             with sock, stream:
                 bg.drain()
@@ -635,6 +653,205 @@ class TestWireProtocol:
                 elapsed = time.monotonic() - started
                 assert _at_eof(stream)
         assert 0.25 < elapsed < 2.0
+
+
+def _post(job):
+    """The raw ``POST /jobs`` request submitting ``job``."""
+    body = json.dumps(job).encode()
+    return b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+
+def _until(condition, timeout=10.0):
+    """Wait until ``condition()`` holds; fail the test after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """Hold every job's execution until the test sets the returned event,
+    under a submission hold long enough to outlast the wait."""
+    opened = threading.Event()
+    run_job = server_module.run_job
+
+    def gated(cells, spec):
+        opened.wait(timeout=30)
+        return run_job(cells, spec)
+
+    monkeypatch.setattr(server_module, "run_job", gated)
+    monkeypatch.setattr(server_module, "_SUBMIT_HOLD", 30.0)
+    yield opened
+    opened.set()
+
+
+class TestHeldSubmission:
+    """A submission that starts or joins a job is held until the job ends or
+    the hold passes, and answered with the job's outcome if it ended."""
+
+    def test_a_quick_fresh_job_is_answered_by_its_own_post(self):
+        spec = JobSpec.from_dict(_job())
+        # Runs the engine in this process first, so the hold never waits for
+        # the engine to load or build.
+        direct = _render_direct(spec)
+        with BackgroundServer(backend="serial", concurrency=1) as bg:
+            sock, stream = _connect(bg.url)
+            with sock, stream:
+                sock.sendall(_post(_job()))
+                status, _, raw = _read_response(stream)
+            with closing(ServeClient(bg.url)) as client:
+                polled = client.status(spec.key)
+            answered = bg.server.metrics.as_dict()["jobs_answered_on_submit"]
+        answer = json.loads(raw)
+        assert status == 200
+        assert (answer["job"], answer["status"], answer["cached"]) == (
+            spec.key, "done", False
+        )
+        assert answer["result"] == polled["result"]
+        assert answer["result"]["runs"] == direct
+        assert answered == 1
+
+    def test_a_job_that_outlasts_the_hold_is_answered_202_running(self, monkeypatch):
+        # A longer hold than the default, so the probe below lands inside it
+        # on a slow host too; the slow job still outlasts it.
+        monkeypatch.setattr(server_module, "_SUBMIT_HOLD", 0.2)
+        with BackgroundServer(backend="serial", concurrency=1) as bg:
+            sock, stream = _connect(bg.url)
+            probe, probe_stream = _connect(bg.url)
+            with sock, stream, probe, probe_stream:
+                started = time.monotonic()
+                sock.sendall(_post(_SLOW_JOB))
+                _until(lambda: bg.server.metrics.as_dict()["jobs_submitted"] == 1)
+                probe.sendall(_HEALTHZ)
+                health = _read_response(probe_stream)
+                # The held POST is not answered yet: the probe's connection
+                # was served during the hold.
+                held = not select.select([sock], [], [], 0)[0]
+                status, _, raw = _read_response(stream)
+                elapsed = time.monotonic() - started
+            answered = bg.server.metrics.as_dict()["jobs_answered_on_submit"]
+        answer = json.loads(raw)
+        assert (health[0], health[2]) == (200, b"ok\n")
+        assert held
+        assert status == 202
+        assert answer == {
+            "job": JobSpec.from_dict(_SLOW_JOB).key, "status": "running", "cached": False
+        }
+        assert 0.2 <= elapsed < 0.2 + 1.0
+        assert answered == 0
+
+    def test_a_coalesced_duplicate_is_held_the_same_way(self, gate):
+        key = JobSpec.from_dict(_job()).key
+        with BackgroundServer(backend="serial", concurrency=1) as bg:
+            first, first_stream = _connect(bg.url)
+            second, second_stream = _connect(bg.url)
+            with first, first_stream, second, second_stream:
+                first.sendall(_post(_job()))
+                _until(lambda: bg.server.metrics.as_dict()["jobs_submitted"] == 1)
+                second.sendall(_post(_job()))
+                _until(lambda: bg.server.metrics.as_dict()["jobs_coalesced"] == 1)
+                gate.set()
+                answers = [_read_response(first_stream), _read_response(second_stream)]
+            answered = bg.server.metrics.as_dict()["jobs_answered_on_submit"]
+        (status, _, raw), (dup_status, _, dup_raw) = answers
+        answer, duplicate = json.loads(raw), json.loads(dup_raw)
+        assert (status, dup_status) == (200, 200)
+        assert (answer["job"], answer["status"], answer["cached"]) == (key, "done", False)
+        assert "coalesced" not in answer
+        assert (duplicate["job"], duplicate["status"], duplicate["coalesced"]) == (
+            key, "done", True
+        )
+        assert duplicate["result"] == answer["result"]
+        assert answered == 2
+
+    def test_a_failed_job_is_answered_error_and_run_raises_without_polling(
+        self, monkeypatch
+    ):
+        def broken(cells, spec):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server_module, "run_job", broken)
+        with BackgroundServer(backend="serial", concurrency=1) as bg:
+            sock, stream = _connect(bg.url)
+            with sock, stream:
+                sock.sendall(_post(_job()))
+                status, _, raw = _read_response(stream)
+            with closing(ServeClient(bg.url)) as client:
+                polled = []
+                monkeypatch.setattr(client, "status", polled.append)
+                with pytest.raises(JobFailedError, match="RuntimeError: boom"):
+                    client.run(_job(population=25))
+        answer = json.loads(raw)
+        assert status == 200
+        assert (answer["status"], answer["error"]) == ("error", "RuntimeError: boom")
+        assert polled == []
+
+    def test_a_drain_during_a_hold_closes_the_connection_after_the_answer(self, gate):
+        with BackgroundServer(backend="serial", concurrency=1) as bg:
+            sock, stream = _connect(bg.url)
+            with sock, stream:
+                sock.sendall(_post(_job()))
+                _until(lambda: bg.server.metrics.as_dict()["jobs_submitted"] == 1)
+                bg.drain()
+                _until(lambda: bg.server._draining)
+                gate.set()
+                status, headers, raw = _read_response(stream)
+                assert _at_eof(stream)
+        assert (status, json.loads(raw)["status"]) == (200, "done")
+        assert headers["connection"] == "close"
+
+
+class _WriteSpy:
+    """A socket that records every write made through it."""
+
+    def __init__(self, sock, writes):
+        self._sock, self._writes = sock, writes
+
+    def __getattr__(self, name):
+        attr = getattr(self._sock, name)
+        if not name.startswith("send"):
+            return attr
+
+        def write(data, *args):
+            self._writes.append((name, bytes(data)))
+            return attr(data, *args)
+
+        return write
+
+
+class TestClientTransport:
+    def test_each_request_leaves_in_one_sendall(self, monkeypatch):
+        writes = []
+        connect = socket.create_connection
+        monkeypatch.setattr(
+            socket, "create_connection",
+            lambda *args, **kwargs: _WriteSpy(connect(*args, **kwargs), writes),
+        )
+        with BackgroundServer(backend="serial", concurrency=1) as bg, closing(
+            ServeClient(bg.url, client_id="w1")
+        ) as client:
+            assert client.health() == "ok"
+            key = client.submit(_job())["job"]
+            client.status(key)
+            client.metrics()
+            # A quick fresh job: run takes the result its submission
+            # carries, with no status request after it.
+            assert client.run(_job(population=25))["statistics"]["runs"] == 3
+        body = json.dumps(_job()).encode()
+        assert [name for name, _ in writes] == ["sendall"] * 5
+        post = writes[1][1]
+        assert post.startswith(b"POST /jobs HTTP/1.1\r\n")
+        assert b"\r\nX-Client-Id: w1\r\n" in post
+        assert post.endswith(b"\r\nContent-Length: %d\r\n\r\n" % len(body) + body)
+        assert writes[2][1].startswith(b"GET /jobs/%s HTTP/1.1\r\n" % key.encode())
+
+    def test_https_is_accepted_and_other_schemes_raise(self):
+        # Building a client opens no connection, so no TLS server is needed.
+        ServeClient("https://127.0.0.1:8443").close()
+        for url in ("ftp://127.0.0.1:8765", "127.0.0.1:8765", "ws://127.0.0.1"):
+            with pytest.raises(ValueError, match="http:// or https://"):
+                ServeClient(url)
 
 
 class TestPersistentClient:
