@@ -1,13 +1,14 @@
-"""Benchmark E10 — parallel batch throughput of the process backend.
+"""Benchmark E10 — parallel batch throughput of a worker pool.
 
-Runs a seeded majority ensemble at population 1000 once on the serial backend
-and once per worker count on the ``multiprocessing`` backend.  The experiment
-itself raises if any parallel ensemble diverges from the serial one (the
-per-repetition seeds are derived before scheduling, so results must be
-bit-identical), which makes the benchmark double as a determinism check.
+Runs a seeded majority ensemble at population 1000 once in-process
+(``Simulator.run_many``, the ``serial`` row) and once per worker count on a
+fresh ``WorkerPool`` (the ``process`` rows).  The experiment itself raises if
+any pool's ensemble diverges from the in-process one (the per-repetition
+seeds are derived before scheduling, so results must be bit-identical), which
+makes the benchmark double as a determinism check.
 
-The headline claim — parallel ``run_many`` throughput at least 2x serial with
-4 workers — only holds where 4 hardware threads exist, so that assertion is
+The headline claim — a 4-worker pool's throughput at least 2x the in-process
+ensemble's — only holds where 4 hardware threads exist, so that assertion is
 gated on the visible CPU count; the determinism cross-check runs everywhere.
 """
 

@@ -21,9 +21,8 @@ the engines is recorded across PRs:
    starts its worker processes once; a second ``run_seeds`` on the same pool
    skips pool startup, protocol unpickling and per-worker stepper table
    building, and must be at least 1.5x faster than the build-per-call
-   behavior (a fresh pool per ensemble, which is what every one-shot
-   ``run_many(backend="process")`` pays) — while remaining bit-identical to
-   both the fresh-pool and the serial ensembles.
+   behavior (a fresh pool per ensemble) — while remaining bit-identical to
+   both the fresh-pool and the in-process ensembles.
 """
 
 import json

@@ -25,9 +25,9 @@ consensus can form and step by step only where one is within reach; blocks
 stop at each curve checkpoint, and the loop stops once every requested
 quantity is known.  A recording holds the whole run, so every quantity is
 always recoverable.  Extraction is a pure function of
-``(protocol, result)``, so the three engines and both batch backends produce
-**identical metric dicts** for identical trajectories; the golden-metric
-tests pin this.
+``(protocol, result)``, so the three engines, in-process or on a worker
+pool, produce **identical metric dicts** for identical trajectories; the
+golden-metric tests pin this.
 
 :class:`AnalyticsSpec` packages the extraction configuration.  It is a small
 frozen dataclass of scalars, picklable by design: the batch layer ships it to

@@ -57,7 +57,12 @@ from ..protocols.succinct import (
     succinct_leaderless_protocol,
     succinct_leaderless_state_count,
 )
-from ..simulation import Simulator, interactions_per_second
+from ..simulation import (
+    Simulator,
+    WorkerPool,
+    interactions_per_second,
+    repetition_seeds,
+)
 from .harness import ExperimentTable, registry
 
 __all__ = [
@@ -598,18 +603,21 @@ def experiment_e10_parallel_batch(
     max_steps: int = 20000,
     seed: int = 2022,
 ) -> ExperimentTable:
-    """Ensemble throughput of the parallel batch backend vs the serial one.
+    """Ensemble throughput of a worker pool vs the in-process ensemble.
 
     Runs a ``repetitions``-strong majority ensemble (two-thirds ``A``
-    majority at the given population) once serially and once per worker count
-    under ``backend="process"``, all from the same master seed.  The batch
-    subsystem derives per-repetition seeds before scheduling, so every
-    backend must return the exact same per-run results — the experiment
-    verifies this run for run and raises on any divergence, making the
-    benchmark double as a determinism check.  Speedups are relative to the
-    serial backend; on a single-core machine the process rows mostly measure
-    fan-out overhead.  The load is the compiled engine, fixed so the rows
-    measure the pool layer rather than whichever stepper ``auto`` picks.
+    majority at the given population) once in-process with
+    ``Simulator.run_many`` (the ``serial`` row) and once per worker count
+    on a fresh ``WorkerPool(max_workers=workers)`` (the ``process`` rows),
+    whose ``run_seeds`` gets :func:`repetition_seeds` of the same master
+    seed.  The seeds are derived before scheduling, so every row must
+    return the exact same per-run results — the experiment verifies this
+    run for run and raises on any divergence, making the benchmark double
+    as a determinism check.  A ``process`` row's time includes starting and
+    closing its pool.  Speedups are relative to the ``serial`` row; on a
+    single-core machine the ``process`` rows mostly measure fan-out
+    overhead.  The load is the compiled engine, fixed so the rows measure
+    the pool layer rather than whichever stepper ``auto`` picks.
     """
     table = ExperimentTable(
         experiment_id="E10",
@@ -626,23 +634,20 @@ def experiment_e10_parallel_batch(
         ],
         notes=(
             "same master seed everywhere; per-run results are cross-checked to be "
-            "bit-identical across backends, speedup is relative to the serial backend"
+            "bit-identical between the in-process (serial) ensemble and each worker "
+            "pool (process), speedup is relative to the serial row"
         ),
     )
     protocol = majority_protocol()
     majority_count = (2 * population) // 3
     inputs = Configuration({STATE_A: majority_count, STATE_B: population - majority_count})
 
-    def timed(**backend: Any):
-        simulator = Simulator(protocol, seed=seed, engine="compiled")
-        start = time.perf_counter()
-        results = simulator.run_many(
-            inputs, repetitions, max_steps=max_steps, stability_window=max_steps,
-            **backend,
-        )
-        return results, time.perf_counter() - start
-
-    serial_results, serial_elapsed = timed()
+    simulator = Simulator(protocol, seed=seed, engine="compiled")
+    start = time.perf_counter()
+    serial_results = simulator.run_many(
+        inputs, repetitions, max_steps=max_steps, stability_window=max_steps
+    )
+    serial_elapsed = time.perf_counter() - start
     interactions = sum(result.interactions_sampled for result in serial_results)
     table.add_row(
         **{
@@ -656,11 +661,18 @@ def experiment_e10_parallel_batch(
             "speedup": 1.0,
         }
     )
+    seeds = repetition_seeds(seed, repetitions)
     for workers in worker_counts:
-        results, elapsed = timed(backend="process", max_workers=workers)
+        start = time.perf_counter()
+        with WorkerPool(max_workers=workers) as pool:
+            results = pool.run_seeds(
+                protocol, inputs, seeds, engine="compiled", max_steps=max_steps,
+                stability_window=max_steps,
+            )
+        elapsed = time.perf_counter() - start
         if results != serial_results:
             raise RuntimeError(
-                f"process backend with {workers} workers diverged from the serial "
+                f"a pool of {workers} workers diverged from the in-process "
                 f"ensemble at population {population}"
             )
         table.add_row(
@@ -669,8 +681,8 @@ def experiment_e10_parallel_batch(
                 "backend": "process",
                 "workers": workers,
                 "repetitions": repetitions,
-                # Recomputed from this backend's own results (not the serial
-                # total) so the cross-backend equality is visible in the table.
+                # Recomputed from this pool's own results (not the serial
+                # total) so the equality is visible in the table.
                 "interactions": sum(r.interactions_sampled for r in results),
                 "seconds": elapsed,
                 "interactions/s": interactions_per_second(results, elapsed),

@@ -30,11 +30,10 @@ __all__ = [
 #: Span kinds whose canonical content is determined by (spec, seed) alone.
 CANON_KINDS: Tuple[str, ...] = ("ensemble", "run", "sweep-cell")
 
-#: Attribute keys stripped from the canonical rendering: anything timing-,
-#: placement-, or backend-dependent.
+#: Attribute keys stripped from the canonical rendering: anything timing-
+#: or placement-dependent.
 NONDETERMINISTIC_ATTRS = frozenset(
     {
-        "backend",
         "chunk",
         "chunks",
         "exec_seconds",

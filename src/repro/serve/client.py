@@ -101,7 +101,8 @@ class ServeClient:
     ``client_id`` names this client to the server's per-client in-flight
     cap (the ``X-Client-Id`` header); unset, the server buckets by peer
     address.  ``timeout`` bounds each HTTP request, not a whole job — use
-    the ``timeout`` argument of :meth:`wait` / :meth:`run` for that.
+    the ``timeout`` argument of :meth:`wait` / :meth:`run` for that — and
+    must be positive.
     """
 
     def __init__(
@@ -120,6 +121,10 @@ class ServeClient:
             )
         if client_id and any(char in client_id for char in "\r\n\0"):
             raise ValueError(f"client_id must be one header line, got {client_id!r}")
+        # A zero timeout would make the socket non-blocking and a negative
+        # one is out of socket's range; NaN fails the test too.
+        if not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
         default_port = 443 if url.scheme == "https" else 80
         self._address = (url.hostname or "", url.port or default_port)
         self._path = url.path

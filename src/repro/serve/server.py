@@ -319,7 +319,8 @@ class SimulationServer:
             raise ValueError(f"cache_size must be at least 1, got {cache_size}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be at least 1, got {max_inflight}")
-        if job_timeout is not None and job_timeout <= 0:
+        # Written so that NaN fails too: a NaN budget never expires.
+        if job_timeout is not None and not job_timeout > 0:
             raise ValueError(f"job_timeout must be positive, got {job_timeout}")
         if job_timeout is not None and backend == "serial":
             raise ValueError(
@@ -365,10 +366,14 @@ class SimulationServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Build the pool, bind the listener, and start the consumers.
+        """Start the pool's worker processes, bind the listener, and start
+        the consumers.
 
-        A host that does not resolve or a port already in use raises
-        :class:`OSError`, with the executor and the pool released.
+        The workers start here, before the listener exists, so the first
+        job does not pay their start-up inside its submission hold and no
+        worker inherits the listening socket.  A host that does not resolve
+        or a port already in use raises :class:`OSError`, with the executor
+        and the pool released.
         """
         if self._http_server is not None:
             raise RuntimeError("server already started")
@@ -379,6 +384,7 @@ class SimulationServer:
             self._pool = WorkerPool(
                 max_workers=self.max_workers, start_method=self.start_method
             )
+            self._pool._ensure_pool()
         self._cells = CellExecutor(pool=self._pool, timeout=self.job_timeout)
         self._executor = ThreadPoolExecutor(
             max_workers=self.concurrency, thread_name_prefix="repro-serve-job"

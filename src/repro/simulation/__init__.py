@@ -34,20 +34,19 @@ overrides that choice; name an engine to run that one.
 **Batches** (:mod:`~repro.simulation.batch`).  Ensembles of independent runs
 derive one seed per repetition from a master seed up front
 (:func:`repetition_seeds`, or ``Simulator.run_many`` from the simulator's
-own generator) and execute either serially or fanned out over
-``multiprocessing`` workers (``backend="process"``); chunked, index-ordered
-dispatch keeps the two backends bit-identical, and workers rebuild
-dense-engine steppers from pickled protocols on first use.
-``Simulator.run_many`` and :func:`run_ensemble` build an ephemeral pool per
-process-backend call.  Repeated ensembles share one **persistent**
-:class:`WorkerPool` instead: its workers are spawned once and cache one
-initialized simulator per (protocol, scheduler, engine) spec, so later
-``run_seeds`` calls stop paying pool startup and stepper compilation —
-benchmark E11 measures the second call severalfold faster than a fresh
-pool — and one pool serves ensembles of many protocols back to back, the
-fan-out substrate of the sweep harness (:mod:`repro.sweep`) and the job
-server (:mod:`repro.serve`).  Release the pool with ``close()`` or a
-``with`` block; a closed pool raises on further use.
+own generator).  ``Simulator.run_many`` and :func:`run_ensemble` run them
+in this process.  Worker processes come only from a **persistent**
+:class:`WorkerPool` the caller holds: ``run_seeds`` fans the same seeds out
+in chunked, index-ordered dispatch, so it returns bit-identical results,
+and its workers are spawned once and cache one initialized simulator per
+(protocol, scheduler, engine) spec, rebuilt from the pickled protocol on
+first use, so later ``run_seeds`` calls stop paying pool startup and
+stepper compilation — benchmark E11 measures the second call severalfold
+faster than a fresh pool — and one pool serves ensembles of many protocols
+back to back, the fan-out substrate of the sweep harness
+(:mod:`repro.sweep`) and the job server (:mod:`repro.serve`).  Release the
+pool with ``close()`` or a ``with`` block; a closed pool raises on further
+use.
 
 **Trajectories** (:mod:`~repro.simulation.trajectory`).  Opt-in path
 recording (``record_trajectory=True``): every engine appends the fired
@@ -61,7 +60,7 @@ correctness — see :mod:`repro.analytics`), attaches it as
 ``result.analytics`` and drops the path, so ensembles return kilobytes of
 metrics rather than megabytes of paths.  Enabling analytics never changes
 the simulation itself: the non-analytics result fields stay bit-identical,
-on every engine and backend.
+on every engine, in-process or on a pool.
 
 :mod:`~repro.simulation.statistics` aggregates batch results into convergence
 statistics; :mod:`repro.analytics` builds the trajectory-derived metrics,

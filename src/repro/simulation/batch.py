@@ -1,18 +1,19 @@
-"""Parallel batch execution of simulation ensembles.
+"""Batch execution of simulation ensembles, in-process or on worker processes.
 
 The convergence experiments rest on ensembles of independent stochastic runs
 (:meth:`Simulator.run_many <repro.simulation.simulator.Simulator.run_many>`).
 Each repetition is seeded from a master generator and runs independently, so
-the ensemble is embarrassingly parallel — this module fans it out over
-``multiprocessing`` worker processes while keeping the results **bit-identical
-to the serial order**:
+the ensemble is embarrassingly parallel — a :class:`WorkerPool` fans it out
+over ``multiprocessing`` worker processes while keeping the results
+**bit-identical to the in-process order**:
 
 * the per-repetition seeds are derived from the master seed up front, before
-  any scheduling decision, so neither the backend nor the worker count can
+  any scheduling decision, so neither the pool nor its worker count can
   change which seed a repetition receives,
 * repetitions are dispatched to workers in contiguous, index-ordered chunks
-  (about four per worker) through ``Pool.map``, which returns the chunks in
-  submission order, so the flattened result list is in repetition order,
+  (about four per worker) through ``Pool.map_async``, which returns the
+  chunks' results in submission order, so the flattened result list is in
+  repetition order,
 * each worker process unpickles a protocol once (steppers and dense-net
   caches are dropped on pickling and regenerated in the worker — see
   ``CompiledNet.__getstate__``), builds one
@@ -24,13 +25,13 @@ Entry points:
 * :func:`repetition_seeds` — the per-repetition seeds of an ensemble with a
   given master seed, the same ones ``Simulator(protocol,
   seed=master_seed).run_many`` draws,
-* :func:`run_ensemble` — functional core: run a list of seeds on a backend,
-  the process backend on an ephemeral pool per call,
-* :class:`WorkerPool` — the persistent pool, decoupled from any one
-  protocol: worker processes are created once and **cache one initialized
-  simulator per distinct (protocol, scheduler, engine) spec**, so a single
-  pool serves ensembles of many different protocols back to back and
-  repeated ensembles stop paying pool startup and stepper compilation.
+* :func:`run_ensemble` — functional core: run a list of seeds in-process,
+* :class:`WorkerPool` — the one route to worker processes, a persistent
+  pool decoupled from any one protocol: worker processes are created once
+  and **cache one initialized simulator per distinct (protocol, scheduler,
+  engine) spec**, so a single pool serves ensembles of many different
+  protocols back to back and repeated ensembles stop paying pool startup
+  and stepper compilation.
   :meth:`WorkerPool.dispatch` sends several :class:`Ensemble` values, of
   any specs, in one round trip without waiting for them, and
   :meth:`WorkerPool.resolve` waits for their outcomes;
@@ -39,10 +40,10 @@ Entry points:
   dispatching the next while the last executes, and the job server
   (:mod:`repro.serve`) its jobs.
 
-``backend="serial"`` runs the same code path without processes and is the
-reference ordering; ``backend="process"`` must agree with it exactly
-regardless of pool reuse (the test suite and the E10 experiment both assert
-this).
+:func:`run_ensemble` and ``Simulator.run_many`` run the same code path
+without processes and are the reference ordering; ``WorkerPool.run_seeds``
+must agree with them exactly on the same seeds, regardless of pool reuse
+(the test suite and the E10 experiment both assert this).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from ..core.configuration import Configuration
 from ..core.protocol import Protocol
 from ..obs import trace as _obs_trace
 from .scheduler import Scheduler
-from .simulator import SimulationResult, Simulator, _check_max_steps
+from .simulator import SimulationResult, Simulator, _check_max_steps, _check_seeds
 
 __all__ = [
     "Dispatch",
@@ -72,8 +73,6 @@ __all__ = [
     "repetition_seeds",
     "run_ensemble",
 ]
-
-_BACKENDS = ("serial", "process")
 
 #: How often the dispatch loop checks a pending ensemble for completion,
 #: worker death, or timeout (seconds; uses the monotonic clock).
@@ -152,41 +151,28 @@ def repetition_seeds(master_seed: Optional[int], n: int) -> List[int]:
 # ----------------------------------------------------------------------
 # Shared option validation and pickling
 # ----------------------------------------------------------------------
-def _dumps_for_workers(payload: object) -> bytes:
-    """Pickle ``payload`` for transport to worker processes, with a clear error."""
+def _dumps_for_workers(payload: object, what: str = "protocol and scheduler") -> bytes:
+    """Pickle ``payload`` (``what`` names it) for transport to worker
+    processes, with a clear error."""
     try:
         return pickle.dumps(payload)
     except (pickle.PicklingError, TypeError, AttributeError) as error:
         raise ValueError(
-            "backend='process' requires a picklable protocol and scheduler "
-            f"({error}); use backend='serial' instead"
+            f"worker processes need a picklable {what} ({error}); "
+            "run_ensemble and Simulator.run_many run it in-process instead"
         ) from error
 
 
-def _validate_analytics(analytics: Any, process_backend: bool) -> None:
-    """Reject unusable analytics specs at the call site, not inside a worker.
-
-    The spec must expose ``extract(result, protocol)`` (canonically an
-    :class:`~repro.analytics.metrics.AnalyticsSpec`), and under the process
-    backend it must pickle — it travels with every task, and an unpicklable
-    spec would otherwise surface as an opaque error from the pool machinery.
-    """
-    if analytics is None:
-        return
-    if not callable(getattr(analytics, "extract", None)):
+def _validate_analytics(analytics: Any) -> None:
+    """Reject an analytics spec without ``extract(result, protocol)``
+    (canonically an :class:`~repro.analytics.metrics.AnalyticsSpec`) at the
+    call site, before any run."""
+    if analytics is not None and not callable(getattr(analytics, "extract", None)):
         raise ValueError(
             "analytics must provide an extract(result, protocol) method "
             "(use repro.analytics.AnalyticsSpec), got "
             f"{type(analytics).__name__}"
         )
-    if process_backend:
-        try:
-            pickle.dumps(analytics)
-        except (pickle.PicklingError, TypeError, AttributeError) as error:
-            raise ValueError(
-                "backend='process' requires a picklable analytics spec "
-                f"({error}); use backend='serial' instead"
-            ) from error
 
 
 #: Per-process simulator cache keyed by the (protocol, scheduler, engine)
@@ -387,9 +373,9 @@ class WorkerPool:
             first = pool.run_seeds(protocol, inputs, repetition_seeds(1, 64))
             second = pool.run_seeds(protocol, inputs, repetition_seeds(2, 64))
 
-    Results are bit-identical to the serial order for the same seed list:
-    the pool only transports pre-derived seeds and returns chunks in
-    submission order, exactly like :func:`run_ensemble`.
+    Results are bit-identical to :func:`run_ensemble` on the same seed
+    list: the pool only transports pre-derived seeds and returns chunks in
+    submission order.
 
     Parameters
     ----------
@@ -630,7 +616,8 @@ class WorkerPool:
         dispatch lock.
         """
         self._check_open()
-        if timeout is not None and timeout <= 0:
+        # Written so that NaN fails too: a NaN deadline never expires.
+        if timeout is not None and not timeout > 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
         outcomes = [EnsembleOutcome() for _ in ensembles]
         prepared: List[
@@ -733,11 +720,15 @@ class WorkerPool:
     def _prepare(ensemble: Ensemble) -> Tuple[Configuration, List[int], bytes]:
         """Validate an ensemble here; returns its configuration, seeds and spec."""
         _check_max_steps(ensemble.max_steps)
-        _validate_analytics(ensemble.analytics, process_backend=True)
-        seeds = list(ensemble.seeds)
+        seeds = _check_seeds(ensemble.seeds)
+        _validate_analytics(ensemble.analytics)
+        if ensemble.analytics is not None:
+            # It travels with every task, where an unpicklable spec would
+            # surface as an opaque error from the pool machinery.
+            _dumps_for_workers(ensemble.analytics, "analytics spec")
         configuration = ensemble.protocol.initial_configuration(ensemble.inputs)
         if not seeds:
-            # An empty ensemble must agree with the serial backend, which
+            # An empty ensemble must agree with run_ensemble, which
             # constructs a Simulator before noticing there is nothing to do:
             # validate the spec (engine name, scheduler compatibility) the
             # same way instead of silently returning for a combination every
@@ -858,60 +849,42 @@ def run_ensemble(
     engine: str = "auto",
     max_steps: int = 100000,
     stability_window: int = 200,
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    start_method: Optional[str] = None,
     record_trajectory: bool = False,
     analytics: Any = None,
 ) -> List[SimulationResult]:
-    """Run one independent repetition per seed and return them in seed order.
+    """Run one independent repetition per seed in this process and return
+    them in seed order.
 
     Parameters
     ----------
     protocol, scheduler, engine:
         As for :class:`~repro.simulation.simulator.Simulator`.  Schedulers
         must not carry mutable state across runs (the built-ins are
-        stateless): the serial backend reuses one instance for every
-        repetition while each worker process runs on a freshly unpickled
-        copy, so cross-repetition scheduler state would silently break the
+        stateless): this call reuses one instance for every repetition
+        while each pool worker runs on a freshly unpickled copy, so
+        cross-repetition scheduler state would silently break the
         bit-identical guarantee.
     inputs:
         Input configuration; every repetition starts from
         ``protocol.initial_configuration(inputs)``.
     seeds:
-        One RNG seed per repetition (see :func:`repetition_seeds`).  The
-        result list is index-aligned with this sequence regardless of
-        backend or worker count.
-    backend:
-        ``"serial"`` runs in-process; ``"process"`` fans the seeds out over a
-        ``multiprocessing`` pool.  Both orderings are bit-identical.
-    max_workers:
-        Process count for the ``"process"`` backend (default: the CPU
-        count).  Clamped to the number of repetitions; must be at least 1.
-    start_method:
-        Optional ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``); ``None`` uses the platform default.
+        One integer RNG seed per repetition (see :func:`repetition_seeds`);
+        any other seed raises :class:`TypeError` before a run.  The result
+        list is index-aligned with this sequence.
     record_trajectory:
-        As for :meth:`Simulator.run <repro.simulation.simulator.Simulator.run>`;
-        recorded trajectories are returned with the results across the process
-        boundary.
+        As for :meth:`Simulator.run <repro.simulation.simulator.Simulator.run>`.
     analytics:
         Optional metric-extraction spec (see
         :class:`~repro.analytics.metrics.AnalyticsSpec`): each result gains a
-        compact ``result.analytics`` dict, extracted in the worker under
-        ``backend="process"`` so only the metrics — never the trajectories
-        — cross the pool.  Extraction is deterministic, so both
-        backends return identical metric dicts.
+        compact ``result.analytics`` dict.
 
-    The protocol, scheduler and engine are validated in this process first,
-    before any worker is spawned.  The process backend builds an ephemeral
-    pool per call; use a :class:`WorkerPool` to amortize pool construction
-    over repeated ensembles.
+    To run the seeds on worker processes, hand the same arguments to
+    :meth:`WorkerPool.run_seeds`, which returns the same results and
+    extracts the metrics in the workers, so only they cross the pool.
     """
     return _run_ensemble(
         Simulator(protocol, scheduler=scheduler, engine=engine),
-        inputs, seeds, max_steps, stability_window, backend, max_workers,
-        record_trajectory, analytics, start_method,
+        inputs, seeds, max_steps, stability_window, record_trajectory, analytics,
     )
 
 
@@ -921,49 +894,20 @@ def _run_ensemble(
     seeds: Sequence[int],
     max_steps: int,
     stability_window: int,
-    backend: str,
-    max_workers: Optional[int],
     record_trajectory: bool,
     analytics: Any,
-    start_method: Optional[str] = None,
 ) -> List[SimulationResult]:
-    """The one serial-or-pool branch behind :func:`run_ensemble` and
-    :meth:`Simulator.run_many <repro.simulation.simulator.Simulator.run_many>`.
-
-    A serial (or empty) ensemble runs on ``simulator`` itself, reusing its
-    steppers (one native call per seed list); a process ensemble runs
-    ``simulator``'s spec on an ephemeral :class:`WorkerPool` clamped to the
-    seed count.
+    """The in-process ensemble behind :func:`run_ensemble` and
+    :meth:`Simulator.run_many <repro.simulation.simulator.Simulator.run_many>`:
+    the seeds run on ``simulator`` itself, reusing its steppers (one native
+    call per seed list), under one ``ensemble`` span.
     """
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r} (expected one of {_BACKENDS})")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
-    _validate_analytics(analytics, process_backend=(backend == "process"))
+    _validate_analytics(analytics)
     seeds = list(seeds)
-    process = backend == "process" and bool(seeds)
-    if process:
-        workers = max_workers if max_workers is not None else os.cpu_count() or 1
     with _obs_trace.span(
-        "ensemble", kind="ensemble", reps=len(seeds), engine=simulator.engine,
-        backend="process" if process else "serial",
+        "ensemble", kind="ensemble", reps=len(seeds), engine=simulator.engine
     ):
-        if not process:
-            return simulator._run_seeds(
-                simulator.protocol.initial_configuration(inputs), seeds,
-                max_steps, stability_window, record_trajectory, analytics,
-            )
-        with WorkerPool(
-            max_workers=min(workers, len(seeds)), start_method=start_method
-        ) as pool:
-            return pool.run_seeds(
-                simulator.protocol,
-                inputs,
-                seeds,
-                scheduler=simulator.scheduler,
-                engine=simulator.engine,
-                max_steps=max_steps,
-                stability_window=stability_window,
-                record_trajectory=record_trajectory,
-                analytics=analytics,
-            )
+        return simulator._run_seeds(
+            simulator.protocol.initial_configuration(inputs), seeds,
+            max_steps, stability_window, record_trajectory, analytics,
+        )

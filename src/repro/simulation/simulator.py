@@ -45,12 +45,13 @@ overrides either choice.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..config import monotonic_time
 from ..core.configuration import Configuration
@@ -108,6 +109,23 @@ def _check_max_steps(max_steps: int) -> None:
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+
+
+def _check_seeds(seeds: Iterable[Any]) -> List[int]:
+    """The per-repetition seeds as ints, refusing any seed that is not an
+    integer: ``random.Random`` accepts a float, but the native engine seeds
+    from an integer's bits, so the engines would run it differently.
+
+    Every seed-list run, and the pool before it sends an ensemble, comes
+    here first.
+    """
+    checked: List[int] = []
+    for seed in seeds:
+        try:
+            checked.append(operator.index(seed))
+        except TypeError:
+            raise TypeError(f"seeds must be integers, got {seed!r}") from None
+    return checked
 
 
 class Simulator:
@@ -379,7 +397,7 @@ class Simulator:
     def _run_seeds(
         self,
         configuration: Configuration,
-        seeds: List[int],
+        seeds: Iterable[int],
         max_steps: int,
         stability_window: int,
         record_trajectory: bool = False,
@@ -387,9 +405,8 @@ class Simulator:
     ) -> List[SimulationResult]:
         """Run one repetition per seed from ``configuration``, in seed order.
 
-        The building block of both batch backends (the serial loop here, and
-        each worker's share under ``backend="process"``): on the native
-        engine the seed list runs as one
+        The building block of every ensemble (in-process, and each pool
+        worker's share of one): on the native engine the seed list runs as one
         :meth:`~repro.simulation.native.NativeStepper.run_seeds` call that
         seeds every generator inside C; otherwise one loop runs the seeds in
         turn, reusing a single dense counts buffer on the compiled engine.
@@ -405,6 +422,7 @@ class Simulator:
         without analytics.
         """
         _check_max_steps(max_steps)
+        seeds = _check_seeds(seeds)
         recording = record_trajectory or analytics is not None
         # Tracing adds two clock reads and one span per run; disabled, it
         # costs two branches per run (bench E15 asserts the disabled cost is
@@ -435,7 +453,7 @@ class Simulator:
                         self._compiled.configuration_of(final), "native",
                     ),
                     ring, (t0 + index * share, share) if observing else None,
-                    seed=int(seed),
+                    seed=seed,
                 )
                 for index, ((steps, value, since, terminated, final), ring, seed)
                 in enumerate(zip(outcomes, rings or repeat(None), seeds))
@@ -449,7 +467,7 @@ class Simulator:
                 ring, counts,
             )
             timing = (t0, monotonic_time() - t0) if observing else None
-            results.append(finish(outcome, ring, timing, seed=int(seed)))
+            results.append(finish(outcome, ring, timing, seed=seed))
         return results
 
     def run_many(
@@ -458,8 +476,6 @@ class Simulator:
         repetitions: int,
         max_steps: int = 100000,
         stability_window: int = 200,
-        backend: str = "serial",
-        max_workers: Optional[int] = None,
         record_trajectory: bool = False,
         analytics: Any = None,
     ) -> List[SimulationResult]:
@@ -470,36 +486,34 @@ class Simulator:
         simulator seed while the repetitions stay independent — and the
         engines agree run-for-run.
 
-        ``backend="serial"`` (default) runs the repetitions on this simulator,
-        reusing its steppers (one native call for the whole seed list);
-        ``backend="process"`` fans them out over an ephemeral pool of
-        ``max_workers`` worker processes (see :mod:`repro.simulation.batch`).
-        The per-repetition seeds are drawn from the master generator *before*
-        scheduling (a fresh simulator draws
-        :func:`~repro.simulation.batch.repetition_seeds` of its seed), and
-        the results come back in repetition order, so the two backends return
-        bit-identical result lists for the same simulator seed.
+        The repetitions run in this process on this simulator, reusing its
+        steppers (one native call for the whole seed list).  The
+        per-repetition seeds are drawn from the master generator *before*
+        any run: a fresh simulator draws
+        :func:`~repro.simulation.batch.repetition_seeds` of its seed, so
+        ``WorkerPool(max_workers=w).run_seeds(protocol, inputs,
+        repetition_seeds(seed, n), ...)`` returns the same results on ``w``
+        worker processes (see :mod:`repro.simulation.batch`).
 
         ``analytics`` optionally attaches a compact metric dict per result
-        (see :mod:`repro.analytics.metrics`); under ``backend="process"`` the
-        extraction runs inside the workers and only the metrics cross the
-        pool.
+        (see :mod:`repro.analytics.metrics`).
         """
         from .batch import _run_ensemble
 
         if repetitions < 0:
             raise ValueError(f"repetitions must be non-negative, got {repetitions}")
-        # A failed batch must not advance the master generator — whether the
-        # failure is early validation or a late one (unpicklable payload,
-        # malformed worker-count override) — or a corrected retry would
-        # silently produce a different ensemble than a fresh simulator with
-        # this seed.  Snapshot the stream and restore it on any error.
+        # A failed batch must not advance the master generator — whatever
+        # fails after the seeds are drawn (an analytics spec without
+        # extract, a negative step budget, a raising run) — or a corrected
+        # retry would silently produce a different ensemble than a fresh
+        # simulator with this seed.  Snapshot the stream and restore it on
+        # any error.
         rng_state = self.rng.getstate()
         seeds = [self.rng.getrandbits(64) for _ in range(repetitions)]
         try:
             return _run_ensemble(
-                self, inputs, seeds, max_steps, stability_window, backend,
-                max_workers, record_trajectory, analytics,
+                self, inputs, seeds, max_steps, stability_window,
+                record_trajectory, analytics,
             )
         except Exception:
             self.rng.setstate(rng_state)

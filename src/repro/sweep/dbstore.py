@@ -250,11 +250,12 @@ def check_claim_policy(
     checks its policy here before it touches its file, and ``python -m
     repro.sweep workers`` checks its flags here before it starts a runner.
     """
-    if lease_seconds is not None and lease_seconds <= 0:
+    # The float checks are written so that NaN fails them too.
+    if lease_seconds is not None and not lease_seconds > 0:
         raise ValueError(f"lease_seconds must be positive, got {lease_seconds}")
     if max_retries is not None and max_retries < 0:
         raise ValueError(f"max_retries must be non-negative, got {max_retries}")
-    if backoff_base is not None and backoff_base < 0:
+    if backoff_base is not None and not backoff_base >= 0:
         raise ValueError(f"backoff_base must be non-negative, got {backoff_base}")
 
 

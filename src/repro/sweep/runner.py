@@ -143,16 +143,17 @@ def check_runner_settings(
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     if max_cells is not None and max_cells < 0:
         raise ValueError(f"max_cells must be non-negative, got {max_cells}")
-    if cell_timeout is not None and cell_timeout <= 0:
+    # The float checks are written so that NaN fails them too.
+    if cell_timeout is not None and not cell_timeout > 0:
         raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
     if cell_timeout is not None and backend == "serial":
         raise ValueError(
             "cell_timeout needs backend='process': a serial runner cannot "
             "interrupt a cell's ensemble"
         )
-    if idle_wait is not None and idle_wait <= 0:
+    if idle_wait is not None and not idle_wait > 0:
         raise ValueError(f"idle_wait must be positive, got {idle_wait}")
-    if heartbeat_interval is not None and heartbeat_interval <= 0:
+    if heartbeat_interval is not None and not heartbeat_interval > 0:
         raise ValueError(f"heartbeat_interval must be positive, got {heartbeat_interval}")
 
 

@@ -323,30 +323,26 @@ class TestExtractRunMetrics:
 
 
 class TestBatchAnalytics:
-    def test_serial_and_process_metrics_are_identical(self):
+    def test_in_process_and_pool_metrics_are_identical(self):
         protocol, inputs = _majority(40)
         spec = AnalyticsSpec(expected_output=1)
         seeds = list(range(12))
         serial = run_ensemble(
-            protocol, inputs, seeds, backend="serial", max_steps=4000,
-            analytics=spec,
+            protocol, inputs, seeds, max_steps=4000, analytics=spec,
         )
-        process = run_ensemble(
-            protocol, inputs, seeds, backend="process", max_workers=2,
-            max_steps=4000, analytics=spec,
-        )
+        with WorkerPool(max_workers=2) as pool:
+            process = pool.run_seeds(
+                protocol, inputs, seeds, max_steps=4000, analytics=spec,
+            )
         assert [r.analytics for r in serial] == [r.analytics for r in process]
         # Trajectory rings were consumed in the workers, not shipped back.
         assert all(r.trajectory is None for r in serial + process)
 
     def test_analytics_do_not_perturb_results(self):
         protocol, inputs = _majority(40)
-        plain = run_ensemble(
-            protocol, inputs, range(8), backend="serial", max_steps=4000
-        )
+        plain = run_ensemble(protocol, inputs, range(8), max_steps=4000)
         analysed = run_ensemble(
-            protocol, inputs, range(8), backend="serial", max_steps=4000,
-            analytics=AnalyticsSpec(),
+            protocol, inputs, range(8), max_steps=4000, analytics=AnalyticsSpec(),
         )
         assert [
             (r.steps, r.consensus, r.consensus_step, r.terminated, r.final)
@@ -361,12 +357,11 @@ class TestBatchAnalytics:
         # exactly what a plain recorded run returns.
         protocol, inputs = _majority(13)
         plain = run_ensemble(
-            protocol, inputs, range(4), backend="serial", max_steps=400,
-            record_trajectory=True,
+            protocol, inputs, range(4), max_steps=400, record_trajectory=True,
         )
         analysed = run_ensemble(
-            protocol, inputs, range(4), backend="serial", max_steps=400,
-            record_trajectory=True, analytics=AnalyticsSpec(),
+            protocol, inputs, range(4), max_steps=400, record_trajectory=True,
+            analytics=AnalyticsSpec(),
         )
         assert [r.trajectory for r in plain] == [r.trajectory for r in analysed]
         assert all(r.analytics is not None for r in analysed)
@@ -388,8 +383,7 @@ class TestBatchAnalytics:
     def test_compact_payload_crosses_the_pool(self):
         protocol, inputs = _majority(40)
         results = run_ensemble(
-            protocol, inputs, [1], backend="serial", max_steps=4000,
-            analytics=AnalyticsSpec(),
+            protocol, inputs, [1], max_steps=4000, analytics=AnalyticsSpec(),
         )
         payload = len(pickle.dumps(results[0]))
         ring = len(pickle.dumps(tuple(range(results[0].steps))))
@@ -401,9 +395,7 @@ class TestBatchAnalytics:
     def test_invalid_analytics_objects_are_rejected_early(self):
         protocol, inputs = _majority(13)
         with pytest.raises(ValueError, match="extract"):
-            run_ensemble(
-                protocol, inputs, [1], backend="serial", analytics=object()
-            )
+            run_ensemble(protocol, inputs, [1], analytics=object())
 
         class Unpicklable:
             extract = staticmethod(lambda result, protocol: {})
@@ -411,16 +403,14 @@ class TestBatchAnalytics:
             def __reduce__(self):
                 raise TypeError("deliberately unpicklable")
 
-        # Serial backends never pickle the spec, so this one is fine there...
-        run_ensemble(
-            protocol, inputs, [], backend="serial", analytics=Unpicklable()
-        )
-        # ...but the process backend must reject it at the call site.
-        with pytest.raises(ValueError, match="picklable analytics"):
-            run_ensemble(
-                protocol, inputs, [1, 2], backend="process", max_workers=2,
-                analytics=Unpicklable(),
-            )
+        # An in-process ensemble never pickles the spec, so this one is fine
+        # there...
+        run_ensemble(protocol, inputs, [], analytics=Unpicklable())
+        # ...but a pool must reject it before sending it.
+        with WorkerPool(max_workers=2) as pool:
+            with pytest.raises(ValueError, match="picklable analytics"):
+                pool.run_seeds(protocol, inputs, [1, 2], analytics=Unpicklable())
+            assert pool._pool is None
 
 
 class TestQuantile:

@@ -1,12 +1,13 @@
 """Tests for the parallel batch-execution subsystem (repro.simulation.batch).
 
-The contract under test: for a fixed ``(protocol, inputs, seed)`` the serial
-and process backends return **bit-identical** result lists — same
-per-repetition seeds, same per-run results, same order — regardless of worker
-count or pool reuse.  Plus the supporting machinery: worker-count edge
-cases, the persistent ``WorkerPool`` lifecycle, pickling of protocols and
-compiled nets across process boundaries, trajectory transport through
-workers, and crash/timeout containment.
+The contract under test: for a fixed ``(protocol, inputs, seed)`` the
+in-process ensemble (``Simulator.run_many``, ``run_ensemble``) and
+``WorkerPool.run_seeds`` on the same seeds return **bit-identical** result
+lists — same per-repetition seeds, same per-run results, same order —
+regardless of worker count or pool reuse.  Plus the supporting machinery:
+worker-count edge cases, the persistent ``WorkerPool`` lifecycle, pickling
+of protocols and compiled nets across process boundaries, trajectory
+transport through workers, and crash/timeout containment.
 """
 
 import os
@@ -19,6 +20,7 @@ import pytest
 
 from engines import ENGINES
 from repro.core import Configuration, from_counts
+from repro.obs import trace as obs_trace
 from repro.protocols import flock_of_birds_protocol, majority_protocol
 from repro.simulation import (
     Scheduler,
@@ -40,18 +42,22 @@ def _majority_inputs(population=48):
     return from_counts(A=majority, B=population - majority)
 
 
-class TestSerialProcessEquivalence:
+def _on_pool(protocol, inputs, seeds, max_workers=2, start_method=None, **options):
+    """``seeds`` run on a fresh pool of ``max_workers`` worker processes."""
+    with WorkerPool(max_workers=max_workers, start_method=start_method) as pool:
+        return pool.run_seeds(protocol, inputs, seeds, **options)
+
+
+class TestInProcessPoolEquivalence:
     def test_64_repetition_majority_ensemble_is_bit_identical(self):
         # The acceptance-criterion ensemble: 64 seeded majority repetitions,
-        # serial vs process, compared as full SimulationResult values.
+        # in-process vs a pool, compared as full SimulationResult values.
         protocol = majority_protocol()
         inputs = _majority_inputs()
         serial = Simulator(protocol, seed=2022).run_many(
             inputs, repetitions=64, max_steps=2000
         )
-        parallel = Simulator(protocol, seed=2022).run_many(
-            inputs, repetitions=64, max_steps=2000, backend="process", max_workers=2
-        )
+        parallel = _on_pool(protocol, inputs, repetition_seeds(2022, 64), max_steps=2000)
         assert len(serial) == len(parallel) == 64
         assert parallel == serial
 
@@ -67,39 +73,35 @@ class TestSerialProcessEquivalence:
             )
         assert via_pool == via_simulator
 
-    def test_reference_engine_ensembles_agree_across_backends(self):
+    def test_reference_engine_ensembles_agree_in_process_and_on_a_pool(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(18)
         serial = Simulator(protocol, seed=4, engine="reference").run_many(
             inputs, repetitions=6, max_steps=800
         )
-        parallel = Simulator(protocol, seed=4, engine="reference").run_many(
-            inputs, repetitions=6, max_steps=800, backend="process", max_workers=2
+        parallel = _on_pool(
+            protocol, inputs, repetition_seeds(4, 6), engine="reference", max_steps=800
         )
         assert parallel == serial
 
-    def test_transition_scheduler_ensembles_agree_across_backends(self):
+    def test_transition_scheduler_ensembles_agree_in_process_and_on_a_pool(self):
         protocol = flock_of_birds_protocol(4)
         inputs = Configuration({1: 9})
         serial = Simulator(protocol, scheduler=TransitionScheduler(), seed=8).run_many(
             inputs, repetitions=6, max_steps=800
         )
-        parallel = Simulator(protocol, scheduler=TransitionScheduler(), seed=8).run_many(
-            inputs, repetitions=6, max_steps=800, backend="process", max_workers=2
+        parallel = _on_pool(
+            protocol, inputs, repetition_seeds(8, 6),
+            scheduler=TransitionScheduler(), max_steps=800,
         )
         assert parallel == serial
 
     def test_trajectories_travel_across_the_process_boundary(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(20)
-        kwargs = dict(
-            repetitions=5, max_steps=300, stability_window=10 ** 9,
-            record_trajectory=True,
-        )
-        serial = Simulator(protocol, seed=5).run_many(inputs, **kwargs)
-        parallel = Simulator(protocol, seed=5).run_many(
-            inputs, backend="process", max_workers=2, **kwargs
-        )
+        kwargs = dict(max_steps=300, stability_window=10 ** 9, record_trajectory=True)
+        serial = Simulator(protocol, seed=5).run_many(inputs, 5, **kwargs)
+        parallel = _on_pool(protocol, inputs, repetition_seeds(5, 5), **kwargs)
         assert parallel == serial
         assert all(len(result.trajectory) == result.steps for result in parallel)
 
@@ -110,10 +112,7 @@ class TestSerialProcessEquivalence:
         inputs = _majority_inputs(15)
         seeds = [11, 22, 33]
         serial = run_ensemble(protocol, inputs, seeds, max_steps=400)
-        spawned = run_ensemble(
-            protocol, inputs, seeds, max_steps=400,
-            backend="process", max_workers=2, start_method="spawn",
-        )
+        spawned = _on_pool(protocol, inputs, seeds, start_method="spawn", max_steps=400)
         assert spawned == serial
 
 
@@ -121,11 +120,6 @@ class TestWorkerCountEdgeCases:
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
             WorkerPool(max_workers=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            run_ensemble(
-                majority_protocol(), _majority_inputs(9), [1],
-                backend="process", max_workers=0,
-            )
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
@@ -139,22 +133,24 @@ class TestWorkerCountEdgeCases:
             assert pool.workers == expected
 
     def test_default_worker_count_matches_serial(self, monkeypatch):
-        # Without max_workers the process backend sizes its pool from the
-        # CPU count, and the results are still bit-identical to serial.
+        # Without max_workers the pool sizes itself from the CPU count, and
+        # the results are still bit-identical to the in-process ensemble.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         protocol = majority_protocol()
         inputs = _majority_inputs(18)
         seeds = [41, 42, 43, 44]
         serial = run_ensemble(protocol, inputs, seeds, max_steps=500)
-        parallel = run_ensemble(protocol, inputs, seeds, max_steps=500, backend="process")
+        with WorkerPool() as pool:
+            assert pool.workers == 2
+            parallel = pool.run_seeds(protocol, inputs, seeds, max_steps=500)
         assert parallel == serial
 
     def test_single_worker_matches_serial(self):
         protocol = majority_protocol()
         inputs = _majority_inputs(21)
         serial = Simulator(protocol, seed=1).run_many(inputs, 5, max_steps=600)
-        single = Simulator(protocol, seed=1).run_many(
-            inputs, 5, max_steps=600, backend="process", max_workers=1
+        single = _on_pool(
+            protocol, inputs, repetition_seeds(1, 5), max_workers=1, max_steps=600
         )
         assert single == serial
 
@@ -162,16 +158,15 @@ class TestWorkerCountEdgeCases:
         protocol = majority_protocol()
         inputs = _majority_inputs(21)
         serial = Simulator(protocol, seed=2).run_many(inputs, 3, max_steps=600)
-        oversubscribed = Simulator(protocol, seed=2).run_many(
-            inputs, 3, max_steps=600, backend="process", max_workers=16
+        oversubscribed = _on_pool(
+            protocol, inputs, repetition_seeds(2, 3), max_workers=4, max_steps=600
         )
         assert oversubscribed == serial
 
     def test_zero_repetitions_returns_empty_list(self):
         assert repetition_seeds(0, 0) == []
-        assert Simulator(majority_protocol(), seed=0).run_many(
-            _majority_inputs(9), 0, backend="process", max_workers=2
-        ) == []
+        assert Simulator(majority_protocol(), seed=0).run_many(_majority_inputs(9), 0) == []
+        assert _on_pool(majority_protocol(), _majority_inputs(9), []) == []
 
     def test_negative_repetitions_rejected(self):
         with pytest.raises(ValueError, match="repetitions"):
@@ -181,10 +176,10 @@ class TestWorkerCountEdgeCases:
                 _majority_inputs(9), repetitions=-1
             )
 
-    def test_incompatible_scheduler_engine_rejected_before_spawning(self):
-        # Regression: a Simulator constructor error inside the pool
-        # initializer crashes every worker and multiprocessing respawns them
-        # forever; the combination must be validated in the parent instead.
+    def test_incompatible_scheduler_engine_rejected_before_any_run(self):
+        # The Simulator constructor refuses the combination before a run; a
+        # pool's workers refuse it per spec and survive (see
+        # TestCrashContainment).
         class Custom(Scheduler):
             def choose(self, net, configuration, rng):
                 return None
@@ -193,17 +188,6 @@ class TestWorkerCountEdgeCases:
             run_ensemble(
                 majority_protocol(), _majority_inputs(9), [1, 2],
                 scheduler=Custom(), engine="compiled",
-                backend="process", max_workers=2,
-            )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_ensemble(
-                majority_protocol(), _majority_inputs(9), [1], backend="threads"
-            )
-        with pytest.raises(ValueError, match="unknown backend"):
-            Simulator(majority_protocol(), seed=0).run_many(
-                _majority_inputs(9), repetitions=2, backend="threads"
             )
 
 
@@ -228,6 +212,30 @@ class TestStepBudget:
         result = simulator.run(inputs, max_steps=0)
         assert result.steps == 0 and not result.terminated
         assert [r.steps for r in simulator.run_many(inputs, 2, max_steps=0)] == [0, 0]
+
+
+class TestSeedTypes:
+    """``random.Random`` takes a float seed, but the native engine seeds
+    from an integer's bits, so a float seed used to run differently on each
+    engine: every route refuses it before a run."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_non_integer_seed_is_refused_before_any_run(self, engine):
+        with obs_trace.capture_events() as events:
+            with pytest.raises(TypeError, match="seeds must be integers, got 1.5"):
+                run_ensemble(
+                    majority_protocol(), _majority_inputs(9), [1, 1.5],
+                    engine=engine, max_steps=200,
+                )
+        assert [e for e in events if e.get("kind") == "run"] == []
+
+    def test_a_pool_refuses_a_non_integer_seed_before_sending_it(self):
+        with WorkerPool(max_workers=1) as pool:
+            with pytest.raises(TypeError, match="seeds must be integers, got 1.5"):
+                pool.run_seeds(
+                    majority_protocol(), _majority_inputs(9), [1, 1.5], max_steps=200
+                )
+            assert pool._pool is None
 
 
 class TestReproducibility:
@@ -261,48 +269,40 @@ class TestReproducibility:
         protocol = majority_protocol()
         inputs = _majority_inputs(15)
         simulator = Simulator(protocol, seed=42)
-        with pytest.raises(ValueError, match="unknown backend"):
-            simulator.run_many(inputs, repetitions=4, backend="thread")
-        with pytest.raises(ValueError, match="max_workers"):
-            simulator.run_many(inputs, repetitions=4, backend="process", max_workers=0)
         with pytest.raises(ValueError, match="max_steps"):
             simulator.run_many(inputs, repetitions=4, max_steps=-1)
         retried = simulator.run_many(inputs, repetitions=4, max_steps=500)
         fresh = Simulator(protocol, seed=42).run_many(inputs, repetitions=4, max_steps=500)
         assert retried == fresh
 
-    def test_late_process_rejection_does_not_consume_the_master_stream(self):
-        # Failures raised deep inside run_ensemble (here: an unpicklable
-        # scheduler detected only at spec-pickling time) must also leave the
-        # master generator untouched.
-        class Unpicklable(UniformScheduler):
-            def __init__(self):
-                self.hook = lambda: None
-
+    def test_late_rejection_does_not_consume_the_master_stream(self):
+        # A rejection that comes after the seeds are drawn (here: an
+        # analytics object without extract, refused by the ensemble) must
+        # also leave the master generator untouched.
         protocol = majority_protocol()
         inputs = _majority_inputs(15)
-        simulator = Simulator(protocol, scheduler=Unpicklable(), seed=42)
-        with pytest.raises(ValueError, match="picklable"):
-            simulator.run_many(inputs, repetitions=4, backend="process", max_workers=2)
+        simulator = Simulator(protocol, seed=42)
+        with pytest.raises(ValueError, match="extract"):
+            simulator.run_many(inputs, repetitions=4, analytics=object())
         retried = simulator.run_many(inputs, repetitions=4, max_steps=500)
-        fresh = Simulator(protocol, scheduler=Unpicklable(), seed=42).run_many(
-            inputs, repetitions=4, max_steps=500
-        )
+        fresh = Simulator(protocol, seed=42).run_many(inputs, repetitions=4, max_steps=500)
         assert retried == fresh
 
-    def test_run_many_consumes_master_stream_like_the_serial_path(self):
-        # Two successive batches from one simulator must not depend on the
-        # backend: the master generator advances once per repetition.
+    def test_run_many_consumes_the_master_stream_like_repetition_seeds(self):
+        # Two successive batches from one simulator run the seeds that follow
+        # each other in repetition_seeds: the master generator advances once
+        # per repetition, so a pool given those seeds returns both batches.
         protocol = majority_protocol()
         inputs = _majority_inputs(18)
-        serial_sim = Simulator(protocol, seed=77)
-        serial = serial_sim.run_many(inputs, 3, max_steps=500) + serial_sim.run_many(
+        simulator = Simulator(protocol, seed=77)
+        serial = simulator.run_many(inputs, 3, max_steps=500) + simulator.run_many(
             inputs, 3, max_steps=500
         )
-        parallel_sim = Simulator(protocol, seed=77)
-        parallel = parallel_sim.run_many(
-            inputs, 3, max_steps=500, backend="process", max_workers=2
-        ) + parallel_sim.run_many(inputs, 3, max_steps=500, backend="process", max_workers=2)
+        seeds = repetition_seeds(77, 6)
+        with WorkerPool(max_workers=2) as pool:
+            parallel = pool.run_seeds(
+                protocol, inputs, seeds[:3], max_steps=500
+            ) + pool.run_seeds(protocol, inputs, seeds[3:], max_steps=500)
         assert parallel == serial
 
 
@@ -341,7 +341,7 @@ class TestPersistentPool:
         inputs = _majority_inputs(24)
         seeds_by_thread = [[101, 102, 103, 104], [201, 202, 203, 204]]
         expected = [
-            run_ensemble(protocol, inputs, seeds, max_steps=500, backend="serial")
+            run_ensemble(protocol, inputs, seeds, max_steps=500)
             for seeds in seeds_by_thread
         ]
         barrier = threading.Barrier(2)
@@ -482,10 +482,12 @@ class TestPickling:
             def choose(self, net, configuration, rng):
                 return None
 
-        with pytest.raises(ValueError, match="picklable"):
-            run_ensemble(
-                majority_protocol(), _majority_inputs(9), [1, 2],
-                scheduler=Closure(), backend="process", max_workers=2,
+        # The message names what failed to pickle and the in-process route.
+        with pytest.raises(
+            ValueError, match="picklable protocol and scheduler.*run it in-process"
+        ):
+            _on_pool(
+                majority_protocol(), _majority_inputs(9), [1, 2], scheduler=Closure()
             )
 
     def test_pool_rejects_unpicklable_scheduler_before_spawning(self):
@@ -503,7 +505,7 @@ class TestPickling:
                     scheduler=Closure(),
                 )
             assert pool._pool is None
-        # The serial backend never pickles, so the same scheduler is fine there.
+        # An in-process ensemble never pickles, so the same scheduler is fine there.
         run_ensemble(
             majority_protocol(), _majority_inputs(9), [1, 2], scheduler=Closure()
         )
@@ -628,13 +630,15 @@ class TestCrashContainment:
             max_steps=300,
         )
 
-    def test_invalid_timeout_is_rejected(self):
+    @pytest.mark.parametrize("timeout", [0.0, float("nan")])
+    def test_invalid_timeout_is_rejected(self, timeout):
+        # A NaN deadline would never expire.
         pool = WorkerPool(max_workers=2)
         try:
             with pytest.raises(ValueError, match="timeout must be positive"):
                 pool.run_seeds(
                     majority_protocol(), _majority_inputs(12), [1],
-                    timeout=0.0,
+                    timeout=timeout,
                 )
         finally:
             pool.close()

@@ -33,6 +33,8 @@ from repro.simulation import (
     Simulator,
     TransitionScheduler,
     UniformScheduler,
+    WorkerPool,
+    repetition_seeds,
 )
 
 
@@ -428,16 +430,17 @@ class TestRandomNetEquivalence:
         assert forms == {"+=", "="}
 
     @pytest.mark.parametrize("case", range(8))
-    def test_random_net_batches_match_across_backends(self, case):
+    def test_random_net_batches_match_in_process_and_on_a_pool(self, case):
         rng = random.Random(8000 + case)
         protocol, inputs = _random_protocol(rng)
         serial = Simulator(protocol, seed=case).run_many(
             inputs, repetitions=4, max_steps=150, stability_window=50
         )
-        parallel = Simulator(protocol, seed=case).run_many(
-            inputs, repetitions=4, max_steps=150, stability_window=50,
-            backend="process", max_workers=2,
-        )
+        with WorkerPool(max_workers=2) as pool:
+            parallel = pool.run_seeds(
+                protocol, inputs, repetition_seeds(case, 4), max_steps=150,
+                stability_window=50,
+            )
         for fast_result, reference_result in zip(parallel, serial):
             assert_same_result(fast_result, reference_result)
 

@@ -862,12 +862,17 @@ class TestWorkersCli:
             ("run", ["--max-cells", "-1"], "max_cells must be non-negative"),
             ("workers", ["--workers", "0"], "max_workers must be at least 1"),
             ("workers", ["--lease", "0"], "lease_seconds must be positive"),
+            ("workers", ["--lease", "nan"], "lease_seconds must be positive"),
             ("workers", ["--max-retries", "-1"], "max_retries must be non-negative"),
             ("workers", ["--backoff", "-1"], "backoff_base must be non-negative"),
+            ("workers", ["--backoff", "nan"], "backoff_base must be non-negative"),
             ("workers", ["--idle-wait", "0"], "idle_wait must be positive"),
+            ("workers", ["--idle-wait", "nan"], "idle_wait must be positive"),
             ("workers", ["--cell-timeout", "0"], "cell_timeout must be positive"),
+            ("workers", ["--cell-timeout", "nan"], "cell_timeout must be positive"),
             ("workers", ["--heartbeat", "0"], "heartbeat_interval must be positive"),
             ("workers", ["--heartbeat", "-5"], "heartbeat_interval must be positive"),
+            ("workers", ["--heartbeat", "nan"], "heartbeat_interval must be positive"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else value,
     )

@@ -7,8 +7,8 @@ generator through ``getstate``/``setstate``, seed lists seed every generator
 inside C.  Plus the machinery around it: CPython's MT19937 reproduced in C,
 ``engine="auto"`` picking the native engine, the compiled fallback for runs
 that overflow 64 bits, the no-compiler and unusable-cache paths, the per-user
-build cache, the cached steppers across pickling, the batch backends and the
-run spans of one call.  Every test that runs the native engine is marked
+build cache, the cached steppers across pickling, in-process and pool
+ensembles and the run spans of one call.  Every test that runs the native engine is marked
 ``requires_native`` and skips on a host without ``cc``; the no-compiler and
 unusable-cache tests run everywhere.
 """
@@ -634,27 +634,25 @@ class TestCaching:
 
 @requires_native
 class TestBatchIntegration:
-    def test_backends_agree(self):
+    def test_in_process_and_pool_agree(self):
         protocol, inputs = build_protocol_and_inputs("majority", 30)
         seeds = [11, 22, 33, 44, 55]
         serial = run_ensemble(protocol, inputs, seeds, engine="native", max_steps=3000)
-        process = run_ensemble(
-            protocol, inputs, seeds, engine="native", max_steps=3000,
-            backend="process", max_workers=2,
-        )
+        with WorkerPool(max_workers=2) as pool:
+            process = pool.run_seeds(
+                protocol, inputs, seeds, engine="native", max_steps=3000
+            )
         assert process == serial
 
     def test_trajectories_travel_across_the_process_boundary(self):
         protocol = majority_protocol()
         inputs = from_counts(A=14, B=7)
-        kwargs = dict(
-            repetitions=4, max_steps=300, stability_window=10 ** 9,
-            record_trajectory=True,
-        )
-        serial = Simulator(protocol, seed=5, engine="native").run_many(inputs, **kwargs)
-        parallel = Simulator(protocol, seed=5, engine="native").run_many(
-            inputs, backend="process", max_workers=2, **kwargs
-        )
+        kwargs = dict(max_steps=300, stability_window=10 ** 9, record_trajectory=True)
+        serial = Simulator(protocol, seed=5, engine="native").run_many(inputs, 4, **kwargs)
+        with WorkerPool(max_workers=2) as pool:
+            parallel = pool.run_seeds(
+                protocol, inputs, repetition_seeds(5, 4), engine="native", **kwargs
+            )
         assert parallel == serial
         assert all(result.trajectory is not None for result in parallel)
 
@@ -673,9 +671,7 @@ class TestBatchIntegration:
     def test_empty_ensembles_agree_across_entry_points(self):
         protocol, inputs = build_protocol_and_inputs("majority", 20)
         assert Simulator(protocol, engine="native", seed=0).run_many(inputs, 0) == []
-        assert run_ensemble(
-            protocol, inputs, [], engine="native", backend="process"
-        ) == []
+        assert run_ensemble(protocol, inputs, [], engine="native") == []
         with WorkerPool(max_workers=1) as pool:
             assert pool.run_seeds(protocol, inputs, [], engine="native") == []
 

@@ -7,8 +7,9 @@ The load-bearing properties:
   losing updates or tearing a concurrent scrape,
 * spans nest by call stack, ship across process boundaries via
   capture/adopt with ids remapped and top-level spans re-parented,
-* the canonical rendering of a traced ensemble is **byte-identical**
-  between the serial and process backends for a fixed seed (timing and
+* the canonical ``run`` lines of a traced ensemble are **byte-identical**
+  in-process and on a ``WorkerPool`` for fixed seeds, and a traced sweep's
+  canonical rendering between the serial and process backends (timing and
   topology attrs stripped, logical structure kept),
 * a traced sweep cell / serve job reconstructs its full span tree,
 * the serve ``/metrics`` endpoint is idle-deterministic (two scrapes of an
@@ -33,7 +34,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.__main__ import main as obs_main
 from repro.protocols import majority_protocol
 from repro.serve.server import ServeMetrics, SimulationServer
-from repro.simulation import Simulator
+from repro.simulation import Simulator, WorkerPool, repetition_seeds
 from repro.sweep import SqliteResultStore, SweepRunner, SweepSpec
 from repro.sweep import runner as sweep_runner
 from repro.sweep.runner import _HeartbeatPump
@@ -245,17 +246,23 @@ class TestTracing:
 # ---------------------------------------------------------------------------
 
 
-def _traced_ensemble(path, backend, **kwargs):
+def _traced_ensemble(path, workers=None):
+    """One ensemble traced into ``path``: ``run_many`` in-process, or, given
+    ``workers``, ``run_seeds`` on a pool of that many on the same seeds."""
     protocol = majority_protocol()
     inputs = from_counts(A=16, B=8)
     _install_file_tracer(path)
     try:
-        results = Simulator(protocol, seed=2022).run_many(
-            inputs, repetitions=8, max_steps=2000, backend=backend, **kwargs
-        )
+        if workers is None:
+            return Simulator(protocol, seed=2022).run_many(
+                inputs, repetitions=8, max_steps=2000
+            )
+        with WorkerPool(max_workers=workers) as pool:
+            return pool.run_seeds(
+                protocol, inputs, repetition_seeds(2022, 8), max_steps=2000
+            )
     finally:
         obs_trace.uninstall_tracer()
-    return results
 
 
 def _engine_rows(text):
@@ -274,7 +281,7 @@ def _engine_rows(text):
 class TestEngineIntegration:
     def test_traced_serial_ensemble_emits_run_spans_under_ensemble(self, tmp_path):
         path = tmp_path / "serial.jsonl"
-        results = _traced_ensemble(path, "serial")
+        results = _traced_ensemble(path)
         events = render.load_events(str(path))
         runs = [e for e in events if e.get("kind") == "run"]
         ensembles = [e for e in events if e.get("kind") == "ensemble"]
@@ -283,28 +290,26 @@ class TestEngineIntegration:
         assert all(r["parent"] == ensembles[0]["id"] for r in runs)
         assert [r["attrs"]["steps"] for r in runs] == [r.steps for r in results]
 
-    def test_process_trace_reconstructs_dispatch_and_chunk_layers(self, tmp_path):
+    def test_pool_trace_reconstructs_dispatch_and_chunk_layers(self, tmp_path):
         path = tmp_path / "process.jsonl"
-        _traced_ensemble(path, "process", max_workers=2)
+        _traced_ensemble(path, workers=2)
         events = render.load_events(str(path))
         by_kind = {}
         for record in events:
             by_kind.setdefault(record.get("kind"), []).append(record)
         (dispatch,) = by_kind["dispatch"]
-        (ensemble,) = by_kind["ensemble"]
-        assert dispatch["parent"] == ensemble["id"]
+        assert "ensemble" not in by_kind
         chunk_ids = {c["id"] for c in by_kind["chunk"]}
         assert all(c["parent"] == dispatch["id"] for c in by_kind["chunk"])
         assert all(r["parent"] in chunk_ids for r in by_kind["run"])
         assert len(by_kind["run"]) == 8
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_summary_reports_every_run_of_the_engine(self, tmp_path, backend):
-        # Worker runs come home as spans, so the process backend's engine row
-        # counts them as the serial one does.
-        path = tmp_path / f"{backend}.jsonl"
-        kwargs = {"max_workers": 2} if backend == "process" else {}
-        results = _traced_ensemble(path, backend, **kwargs)
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "process"])
+    def test_summary_reports_every_run_of_the_engine(self, tmp_path, workers):
+        # Worker runs come home as spans, so a pool's engine row counts them
+        # as the in-process one does.
+        path = tmp_path / "trace.jsonl"
+        results = _traced_ensemble(path, workers)
         text = render.summary(render.load_events(str(path)))
         ((engine, runs, steps, rate),) = _engine_rows(text)
         assert engine == Simulator(majority_protocol())._choice
@@ -339,20 +344,20 @@ class TestEngineIntegration:
         ((row, count, steps, _),) = _engine_rows(render.summary(events))
         assert (row, count, steps) == (engine, 3, sum(r.steps for r in results))
 
-    def test_canon_is_byte_identical_across_backends(self, tmp_path):
-        # The acceptance criterion: strip timing/topology, and a fixed-seed
-        # trace is the same bytes whether the ensemble ran serially or
-        # through worker processes.
+    def test_canon_runs_are_byte_identical_in_process_and_on_a_pool(self, tmp_path):
+        # Strip timing/topology, and a fixed-seed trace's runs are the same
+        # bytes whether the ensemble ran in-process or through worker
+        # processes; only the in-process call wraps them in an ensemble span.
         serial_path = tmp_path / "serial.jsonl"
         process_path = tmp_path / "process.jsonl"
-        serial = _traced_ensemble(serial_path, "serial")
-        parallel = _traced_ensemble(process_path, "process", max_workers=2)
+        serial = _traced_ensemble(serial_path)
+        parallel = _traced_ensemble(process_path, workers=2)
         assert serial == parallel  # the existing bit-identity contract
-        canon_serial = render.canon(render.load_events(str(serial_path)))
-        canon_process = render.canon(render.load_events(str(process_path)))
-        assert canon_serial.encode() == canon_process.encode()
-        kinds = [json.loads(l)["kind"] for l in canon_serial.splitlines()]
-        assert set(kinds) == {"run", "ensemble"}
+        canon_serial = render.canon(render.load_events(str(serial_path))).splitlines()
+        canon_process = render.canon(render.load_events(str(process_path))).splitlines()
+        kinds = [json.loads(line)["kind"] for line in canon_serial]
+        assert kinds == ["run"] * 8 + ["ensemble"]
+        assert canon_process == canon_serial[:8]
 
 
 # ---------------------------------------------------------------------------

@@ -333,16 +333,25 @@ class TestJobTimeouts:
         with pytest.raises(ValueError, match="job_timeout.*backend='process'"):
             SimulationServer(backend="serial", job_timeout=0.05)
 
-    @pytest.mark.parametrize("timeout", [0, -1.5])
+    @pytest.mark.parametrize("timeout", [0, -1.5, float("nan")])
     def test_a_non_positive_job_timeout_is_rejected(self, timeout):
         with pytest.raises(ValueError, match="job_timeout must be positive"):
             SimulationServer(job_timeout=timeout)
 
-    def test_cli_exits_2_on_a_serial_job_timeout(self):
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--backend", "serial", "--job-timeout", "0.05"], "needs backend='process'"),
+            # argparse's float turns "nan" into NaN, a budget that never expires.
+            (["--job-timeout", "nan"], "job_timeout must be positive, got nan"),
+        ],
+        ids=["serial", "nan"],
+    )
+    def test_cli_exits_2_on_a_bad_job_timeout(self, flags, message):
         # A subprocess with a timeout: were the flag accepted, the server
         # would bind and serve until a signal.
-        error = _serve_cli_error("--backend", "serial", "--job-timeout", "0.05", "--port", "0")
-        assert "job_timeout" in error
+        error = _serve_cli_error(*flags, "--port", "0")
+        assert message in error
 
     def test_job_past_its_timeout_fails_and_the_next_is_served(self):
         # modulo never reaches a terminal configuration, so with
@@ -484,6 +493,18 @@ class TestServeConfigKnobs:
             with pytest.raises(OSError):
                 asyncio.run(server.start())
         assert server._executor is None and server._pool is None
+
+    def test_a_process_server_starts_its_workers_before_the_first_request(self):
+        # The first job must not pay the workers' start-up inside its
+        # submission hold.
+        with BackgroundServer(backend="process", max_workers=2, concurrency=1) as bg:
+            processes = bg.server._pool._pool
+            assert processes is not None
+            workers = list(processes._pool)
+            assert len(workers) == 2 and all(worker.is_alive() for worker in workers)
+            served = ServeClient(bg.url, client_id="warm").run(_job(), timeout=300)
+            assert served["statistics"]["runs"] == 3
+            assert bg.server._pool._pool is processes
 
 
 class TestResultCacheBounds:
@@ -845,6 +866,13 @@ class TestClientTransport:
         assert b"\r\nX-Client-Id: w1\r\n" in post
         assert post.endswith(b"\r\nContent-Length: %d\r\n\r\n" % len(body) + body)
         assert writes[2][1].startswith(b"GET /jobs/%s HTTP/1.1\r\n" % key.encode())
+
+    @pytest.mark.parametrize("timeout", [0, -1, float("nan")])
+    def test_a_timeout_that_is_not_positive_raises(self, timeout):
+        # A zero timeout makes the socket non-blocking, so every request
+        # failed with BlockingIOError; a negative one failed in socket.
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            ServeClient("http://127.0.0.1:8765", timeout=timeout)
 
     def test_https_is_accepted_and_other_schemes_raise(self):
         # Building a client opens no connection, so no TLS server is needed.
